@@ -27,12 +27,10 @@ the direct path from the recorded cells.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.errors import ParameterError
 from repro.harness.runner import run_experiment
-from repro.obs.baseline import _series_totals
+from repro.obs.baseline import series_totals
+from repro.obs.gate import Ledger
 from repro.obs.runident import run_identity
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan, RetryPolicy, use_fault_plan
@@ -46,8 +44,7 @@ __all__ = [
     "spec_for_experiments",
     "sweep_from_registry",
     "recorded_sweep_degraded_fleet",
-    "write_sweep",
-    "read_sweep",
+    "SWEEPS",
     "render_sweep_text",
 ]
 
@@ -93,10 +90,6 @@ def sweep_degraded_fleet(
     ``progress`` is an optional callable receiving ``(experiment_id,
     fraction)`` as each cell starts.
     """
-    config = UPMEMConfig()
-    selected = (
-        list(DEFAULT_SWEEP_EXPERIMENTS) if ids is None else list(ids)
-    )
     fractions = sorted(
         set(DEFAULT_HEALTHY_GRID if grid is None else grid), reverse=True
     )
@@ -106,17 +99,34 @@ def sweep_degraded_fleet(
                 f"healthy fraction must be in (0, 1]: {fraction}"
             )
 
+    def totals_for(eid, fraction, plan) -> dict:
+        if progress is not None:
+            progress(eid, fraction)
+        with use_fault_plan(plan, retry_policy):
+            return series_totals(run_experiment(eid))
+
+    return _sweep_doc(ids, fractions, seed, totals_for)
+
+
+def _sweep_doc(ids, fractions, seed: int, totals_for) -> dict:
+    """The sweep document over ``ids`` (default: the fig1/fig2 set).
+
+    ``totals_for(experiment_id, fraction, plan)`` returns the per-series
+    modelled totals at one healthy fraction; each point records them
+    with the disabled/effective DPU counts and the PIM slowdown
+    relative to the experiment's 100%-healthy point.
+    """
+    config = UPMEMConfig()
+    selected = (
+        list(DEFAULT_SWEEP_EXPERIMENTS) if ids is None else list(ids)
+    )
     experiments: dict = {}
     for eid in selected:
         points = []
         baseline_pim = None
         for fraction in fractions:
-            if progress is not None:
-                progress(eid, fraction)
             plan = plan_for_healthy_fraction(fraction, seed, config)
-            with use_fault_plan(plan, retry_policy):
-                rows = run_experiment(eid)
-            totals = _series_totals(rows)
+            totals = totals_for(eid, fraction, plan)
             pim_total = totals.get(PIM_SERIES)
             if fraction == 1.0:
                 baseline_pim = pim_total
@@ -206,11 +216,6 @@ def sweep_from_registry(registry, ids=None) -> dict:
     from repro.obs import registry as regmod
 
     spec = registry.spec
-    config = UPMEMConfig()
-    selected = (
-        list(DEFAULT_SWEEP_EXPERIMENTS) if ids is None else list(ids)
-    )
-    fractions = sorted(set(spec.healthy), reverse=True)
     index = {
         (
             cell["workload"],
@@ -223,8 +228,7 @@ def sweep_from_registry(registry, ids=None) -> dict:
         if cell["status"] == regmod.STATUS_DONE
     }
 
-    experiments: dict = {}
-    for eid in selected:
+    def totals_for(eid, fraction, _plan) -> dict:
         if eid not in regmod.EXPERIMENT_CELLS:
             raise ParameterError(
                 f"experiment {eid!r} has no grid-cell mapping; "
@@ -232,59 +236,25 @@ def sweep_from_registry(registry, ids=None) -> dict:
                 f"{sorted(regmod.EXPERIMENT_CELLS)}"
             )
         workload, security, batches = regmod.EXPERIMENT_CELLS[eid]
-        points = []
-        baseline_pim = None
-        for fraction in fractions:
-            totals: dict = {}
-            for backend in spec.backends:
-                total = 0.0
-                for batch in batches:
-                    cell = index.get(
-                        (workload, security, fraction, batch, backend)
+        totals: dict = {}
+        for backend in spec.backends:
+            total = 0.0
+            for batch in batches:
+                cell = index.get((workload, security, fraction, batch, backend))
+                if cell is None:
+                    raise ParameterError(
+                        f"{registry.path}: cell for {eid} "
+                        f"({workload}/{backend}@{security}b "
+                        f"h={fraction:g} batch={batch}) is not done; "
+                        "drain the grid first ('repro grid run' / "
+                        "'repro grid resume')"
                     )
-                    if cell is None:
-                        raise ParameterError(
-                            f"{registry.path}: cell for {eid} "
-                            f"({workload}/{backend}@{security}b "
-                            f"h={fraction:g} batch={batch}) is not done; "
-                            "drain the grid first ('repro grid run' / "
-                            "'repro grid resume')"
-                        )
-                    total += cell["modelled_ms"]
-                totals[backend] = total
-            plan = plan_for_healthy_fraction(fraction, spec.seed, config)
-            pim_total = totals.get(PIM_SERIES)
-            if fraction == 1.0:
-                baseline_pim = pim_total
-            slowdown = None
-            if (
-                pim_total is not None
-                and baseline_pim is not None
-                and baseline_pim > 0
-            ):
-                slowdown = pim_total / baseline_pim
-            points.append(
-                {
-                    "healthy": fraction,
-                    "disabled_dpus": config.n_dpus
-                    - plan.effective_dpus(config),
-                    "effective_dpus": plan.effective_dpus(config),
-                    "series_totals": totals,
-                    "pim_total": pim_total,
-                    "slowdown": slowdown,
-                }
-            )
-        experiments[eid] = {"points": points}
+                total += cell["modelled_ms"]
+            totals[backend] = total
+        return totals
 
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "seed": spec.seed,
-        "grid": fractions,
-        "n_dpus": config.n_dpus,
-    }
-    doc.update(run_identity())
-    doc["experiments"] = experiments
-    return doc
+    fractions = sorted(set(spec.healthy), reverse=True)
+    return _sweep_doc(ids, fractions, spec.seed, totals_for)
 
 
 def recorded_sweep_degraded_fleet(
@@ -329,37 +299,14 @@ def recorded_sweep_degraded_fleet(
 # -- persistence ------------------------------------------------------------
 
 
-def _validate_sweep(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{source}: sweep document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported faults-sweep schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro faults sweep'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(f"{source}: sweep document missing 'experiments'")
-    return doc
-
-
-def write_sweep(doc: dict, path) -> None:
-    """Write one sweep document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_sweep(path) -> dict:
-    """Read and schema-validate a sweep document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no faults sweep at {path}; record one with "
-            "'repro faults sweep -o <file>'"
-        )
-    return _validate_sweep(json.loads(path.read_text()), str(path))
+#: The sweep document format (``repro faults sweep -o``).
+SWEEPS = Ledger(
+    noun="faults-sweep",
+    what="faults sweep",
+    family="experiments",
+    hint="repro faults sweep -o <file>",
+    schema=SCHEMA_VERSION,
+)
 
 
 def render_sweep_text(doc: dict) -> str:

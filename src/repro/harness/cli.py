@@ -62,10 +62,12 @@ Subcommands:
 
 Installed as both ``repro-experiments`` and the shorter ``repro``.
 
-Exit codes: 0 success, 1 failure (a failed experiment, a tripped perf
+Exit codes: 0 success, 1 failure (a failed experiment, a tripped
 gate), :data:`EXIT_DATA` (2) when required recorded data — a baseline,
-the run history — is missing or empty, so scripts can tell "nothing
-recorded yet" from "something regressed".
+the run history — is missing, empty, or corrupt, so scripts can tell
+"nothing usable recorded" from "something regressed". The four drift
+gates' ``record``/``check``/``html`` commands are generated from their
+:class:`~repro.obs.gate.Gate` specs.
 
 Setting ``REPRO_TRACE`` (see :func:`repro.obs.configure_from_env`)
 enables tracing for *any* subcommand and flushes at process exit.
@@ -121,13 +123,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = render_markdown_report(args.ids or None)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        print(report)
+    _emit(render_markdown_report(args.ids or None), args.output)
     return 0
 
 
@@ -165,43 +161,6 @@ def _progress(eid: str) -> None:
     print(f"  recording {eid} ...", file=sys.stderr)
 
 
-def _cmd_perf_record(args) -> int:
-    """Capture a baseline run and append it to the history."""
-    from repro.obs import baseline as bl
-
-    doc = bl.capture_run(
-        args.ids or None, repeats=args.repeats, progress=_progress
-    )
-    bl.write_run(doc, args.baseline)
-    bl.append_history(doc, args.history)
-    print(
-        f"recorded {len(doc['experiments'])} experiments as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_perf_check(args) -> int:
-    """Re-run and compare against the baseline; non-zero on failure."""
-    from repro.obs import baseline as bl
-    from repro.obs import perf
-
-    baseline, status = _load_recorded(bl.read_run, args.baseline)
-    if baseline is None:
-        return status
-    ids = args.ids or list(baseline["experiments"])
-    current = bl.capture_run(ids, repeats=args.repeats, progress=_progress)
-    bl.append_history(current, args.history)
-    verdicts = perf.check_runs(baseline, current, skip_wall=args.skip_wall)
-    print(perf.render_check(verdicts, baseline, current))
-    if args.update:
-        bl.write_run(current, args.baseline)
-        print(f"baseline re-recorded: {args.baseline}")
-        return 0
-    return perf.exit_code(verdicts)
-
-
 def _no_data(message: str, hint: str = "repro perf record") -> int:
     """Report missing recorded data; :data:`EXIT_DATA`, never a trace."""
     print(f"{message}\nrecord a run first: {hint}", file=sys.stderr)
@@ -211,15 +170,16 @@ def _no_data(message: str, hint: str = "repro perf record") -> int:
 def _load_recorded(loader, *args, hint: str = "repro perf record"):
     """Load recorded data under the EXIT_DATA convention.
 
-    Every subcommand that *reads* recorded artifacts (perf baselines,
-    noise calibrations, fault sweeps, serving sweeps, the run registry)
-    shares one failure mode — "the data this command needs was never
-    recorded" — reported identically: the loader's
-    :class:`~repro.errors.ParameterError` message plus a record-it-first
-    hint on stderr, exit status :data:`EXIT_DATA`, never a traceback.
+    Every subcommand that *reads* recorded artifacts (gate baselines and
+    histories, fault sweeps, serving sweeps, the run registry) shares
+    one failure mode — "the data this command needs is missing or
+    unreadable" — reported identically: the loader's
+    :class:`~repro.errors.ParameterError` message (naming the file, and
+    the line of a history) plus a record-it-first hint on stderr, exit
+    status :data:`EXIT_DATA`, never a traceback.
 
     Returns ``(value, None)`` on success or ``(None, status)`` after
-    reporting; callers return ``status`` when ``value`` is ``None``.
+    reporting; callers return ``status`` when it is set.
     """
     from repro.errors import ParameterError
 
@@ -229,12 +189,88 @@ def _load_recorded(loader, *args, hint: str = "repro perf record"):
         return None, _no_data(str(exc), hint=hint)
 
 
+def _read_optional(ledger, path):
+    """The document ``ledger`` stores at ``path``; ``None`` when absent."""
+    import os
+
+    return ledger.read(path) if os.path.exists(path) else None
+
+
+def _emit(document: str, output) -> None:
+    """Write a rendered document to ``output``, or print it."""
+    if output:
+        with open(output, "w") as handle:
+            handle.write(document)
+        print(f"wrote {output}")
+    else:
+        print(document)
+
+
+def _gate_record(gate, args) -> int:
+    """``repro <gate> record``: capture a baseline, append the history."""
+    doc = gate.capture(args, _progress)
+    gate.ledger.write(doc, args.baseline)
+    gate.ledger.append(doc, args.history)
+    print(
+        f"{gate.recorded(doc)} as run {doc['run_id'][:12]} "
+        f"(git {str(doc['git_sha'])[:12]})"
+    )
+    print(f"baseline written to {args.baseline}; history at {args.history}")
+    return 0
+
+
+def _gate_check(gate, args) -> int:
+    """``repro <gate> check``: re-capture and compare; 1 on drift."""
+    from repro.obs.gate import exit_code
+
+    baseline, status = _load_recorded(
+        gate.ledger.read, args.baseline, hint=gate.ledger.hint
+    )
+    if baseline is None:
+        return status
+    current = gate.capture_for_check(baseline, args, _progress)
+    gate.ledger.append(current, args.history)
+    verdicts = gate.check(baseline, current, args)
+    print(gate.render_check(verdicts, baseline, current))
+    if args.update:
+        gate.ledger.write(current, args.baseline)
+        print(f"{gate.ledger.what} re-recorded: {args.baseline}")
+        return 0
+    return exit_code(verdicts)
+
+
+def _gate_html(gate, args) -> int:
+    """``repro <gate> html|report``: render the recorded runs as HTML."""
+    loaded, status = _load_recorded(
+        lambda: (
+            gate.ledger.history(args.history),
+            _read_optional(gate.ledger, args.baseline),
+        ),
+        hint=gate.ledger.hint,
+    )
+    if loaded is None:
+        return status
+    history, baseline = loaded
+    current = history[-1] if history else baseline
+    if current is None:
+        return _no_data(
+            f"no {gate.ledger.noun} history at {args.history} and no "
+            f"baseline at {args.baseline} — nothing to render",
+            hint=gate.ledger.hint,
+        )
+    _emit(gate.html(current, baseline, history, args), args.output)
+    return 0
+
+
 def _cmd_perf_diff(args) -> int:
     """Attribution diff between two recorded runs."""
     from repro.obs import baseline as bl
     from repro.obs import perf
 
-    if not bl.read_history(args.history):
+    history, status = _load_recorded(bl.LEDGER.history, args.history)
+    if history is None:
+        return status
+    if not history:
         return _no_data(
             f"no run history at {args.history} (missing or empty)"
         )
@@ -248,40 +284,8 @@ def _cmd_perf_diff(args) -> int:
     return 0
 
 
-def _cmd_perf_html(args) -> int:
-    """Render the run history as a self-contained HTML dashboard."""
-    import os
-
-    from repro.obs import baseline as bl
-    from repro.obs import htmlreport
-
-    history = bl.read_history(args.history)
-    baseline = (
-        bl.read_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    if not history and baseline is None:
-        return _no_data(
-            f"no run history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render"
-        )
-    document = htmlreport.render_dashboard(
-        history, baseline, skip_wall=args.skip_wall
-    )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
 def _cmd_why(args) -> int:
     """Drift forensics for one experiment against a recorded baseline."""
-    import os
-
     from repro.obs import baseline as bl
     from repro.obs import energy as en
     from repro.obs import forensics as fx
@@ -297,17 +301,22 @@ def _cmd_why(args) -> int:
             f"experiment {args.experiment!r} is not in the baseline run",
             hint=f"repro perf record {args.experiment}",
         )
-    energy_baseline = (
-        en.read_energy_run(args.energy_baseline)
-        if os.path.exists(args.energy_baseline)
-        else None
+    loaded, status = _load_recorded(
+        lambda: (
+            _read_optional(en.LEDGER, args.energy_baseline),
+            bl.LEDGER.history(args.history),
+            en.LEDGER.history(args.energy_history),
+        )
     )
+    if loaded is None:
+        return status
+    energy_baseline, history, energy_history = loaded
     report = fx.why_report(
         args.experiment,
         baseline_run,
         energy_baseline=energy_baseline,
-        history=bl.read_history(args.history),
-        energy_history=en.read_energy_history(args.energy_history),
+        history=history,
+        energy_history=energy_history,
         top_k=args.top,
     )
     print(fx.render_why(report))
@@ -335,7 +344,9 @@ def _cmd_forensics_html(args) -> int:
     if run_a is None:
         return status
     if args.run_b == "latest":
-        history = bl.read_history(args.history)
+        history, status = _load_recorded(bl.LEDGER.history, args.history)
+        if history is None:
+            return status
         if not history:
             return _no_data(
                 f"no run history at {args.history} (missing or empty)"
@@ -350,13 +361,7 @@ def _cmd_forensics_html(args) -> int:
     report = fx.diff_report(
         run_a, run_b, experiments=args.ids or None, top_k=args.top
     )
-    document = htmlreport.render_forensics_report(report)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_forensics_report(report), args.output)
     if args.collapsed:
         with open(args.collapsed, "w") as handle:
             for eid in sorted(report["experiments"]):
@@ -380,17 +385,24 @@ def _cmd_forensics_shifts(args) -> int:
     from repro.obs import forensics as fx
     from repro.obs import noisegate as ng
 
+    loaded, status = _load_recorded(
+        lambda: (
+            bl.LEDGER.history(args.history),
+            en.LEDGER.history(args.energy_history),
+            ng.LEDGER.history(args.noise_history),
+        )
+    )
+    if loaded is None:
+        return status
+    perf_history, energy_history, noise_history = loaded
     series: dict = {}
     sources = []
-    perf_history = bl.read_history(args.history)
     if perf_history:
         series.update(fx.perf_series(perf_history))
         sources.append(f"perf:{args.history}")
-    energy_history = en.read_energy_history(args.energy_history)
     if energy_history:
         series.update(fx.energy_series(energy_history))
         sources.append(f"energy:{args.energy_history}")
-    noise_history = ng.read_noise_history(args.noise_history)
     if noise_history:
         series.update(fx.noise_series(noise_history))
         sources.append(f"noise:{args.noise_history}")
@@ -417,153 +429,6 @@ def _cmd_forensics_shifts(args) -> int:
         with open(args.json, "w") as handle:
             _json.dump(shifts, handle, indent=1, sort_keys=True)
         print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_noise_record(args) -> int:
-    """Capture the noise-calibration baseline and append the history."""
-    from repro.obs import noisegate as ng
-
-    doc = ng.capture_noise_run(
-        levels=args.levels or None, seed=args.seed, progress=_progress
-    )
-    ng.write_noise_run(doc, args.baseline)
-    ng.append_noise_history(doc, args.history)
-    trajectories = sum(
-        len(level["workloads"]) for level in doc["levels"].values()
-    )
-    print(
-        f"recorded {trajectories} noise trajectories over "
-        f"{len(doc['levels'])} security levels as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_noise_check(args) -> int:
-    """Re-run the trajectories and gate against the calibration baseline."""
-    from repro.obs import noisegate as ng
-
-    baseline, status = _load_recorded(
-        ng.read_noise_run, args.baseline, hint="repro noise record"
-    )
-    if baseline is None:
-        return status
-    levels = args.levels or [int(bits) for bits in baseline["levels"]]
-    current = ng.capture_noise_run(
-        levels=levels, seed=baseline.get("seed", 7), progress=_progress
-    )
-    ng.append_noise_history(current, args.history)
-    verdicts = ng.check_noise_runs(baseline, current)
-    print(ng.render_noise_check(verdicts, baseline, current))
-    if args.update:
-        ng.write_noise_run(current, args.baseline)
-        print(f"calibration baseline re-recorded: {args.baseline}")
-        return 0
-    return ng.exit_code(verdicts)
-
-
-def _cmd_noise_report(args) -> int:
-    """Render the newest recorded noise run as a standalone HTML report."""
-    import os
-
-    from repro.obs import htmlreport
-    from repro.obs import noisegate as ng
-
-    history = ng.read_noise_history(args.history)
-    baseline = (
-        ng.read_noise_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no noise history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render",
-            hint="repro noise record",
-        )
-    document = htmlreport.render_noise_report(current, baseline)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
-def _cmd_energy_record(args) -> int:
-    """Capture the modelled-energy baseline and append the history."""
-    from repro.obs import energy as en
-
-    doc = en.capture_energy_run(ids=args.ids or None, progress=_progress)
-    en.write_energy_run(doc, args.baseline)
-    en.append_energy_history(doc, args.history)
-    total_j = sum(
-        exp["joules"].get("pim", 0.0) for exp in doc["experiments"].values()
-    )
-    print(
-        f"recorded modelled energy for {len(doc['experiments'])} "
-        f"experiments ({total_j:.4g} J on pim) as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_energy_check(args) -> int:
-    """Re-price the experiments and gate against the energy baseline."""
-    from repro.obs import energy as en
-
-    baseline, status = _load_recorded(
-        en.read_energy_run, args.baseline, hint="repro energy record"
-    )
-    if baseline is None:
-        return status
-    current = en.capture_energy_run(
-        ids=list(baseline["experiments"]), progress=_progress
-    )
-    en.append_energy_history(current, args.history)
-    verdicts = en.check_energy_runs(baseline, current)
-    print(en.render_energy_check(verdicts, baseline, current))
-    if args.update:
-        en.write_energy_run(current, args.baseline)
-        print(f"energy baseline re-recorded: {args.baseline}")
-        return 0
-    return en.exit_code(verdicts)
-
-
-def _cmd_energy_report(args) -> int:
-    """Render the newest recorded energy run as a standalone HTML report."""
-    import os
-
-    from repro.obs import energy as en
-    from repro.obs import htmlreport
-
-    history = en.read_energy_history(args.history)
-    baseline = (
-        en.read_energy_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no energy history at {args.history} and no baseline at "
-            f"{args.baseline} — nothing to render",
-            hint="repro energy record",
-        )
-    document = htmlreport.render_energy_report(
-        current, baseline, history=history
-    )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
     return 0
 
 
@@ -631,7 +496,7 @@ def _cmd_faults_sweep(args) -> int:
         )
     print(chaos.render_sweep_text(doc))
     if args.output:
-        chaos.write_sweep(doc, args.output)
+        chaos.SWEEPS.write(doc, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     if args.html:
         with open(args.html, "w") as handle:
@@ -646,17 +511,11 @@ def _cmd_faults_html(args) -> int:
     from repro.obs import htmlreport
 
     doc, status = _load_recorded(
-        chaos.read_sweep, args.sweep, hint="repro faults sweep -o <file>"
+        chaos.SWEEPS.read, args.sweep, hint=chaos.SWEEPS.hint
     )
     if doc is None:
         return status
-    document = htmlreport.render_faults_report(doc)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_faults_report(doc), args.output)
     return 0
 
 
@@ -664,13 +523,11 @@ def _grid_progress(label: str) -> None:
     print(f"  cell {label} ...", file=sys.stderr)
 
 
-def _read_perf_baseline(path):
-    """The committed perf baseline, or ``None`` when not recorded."""
-    import os
-
+def _perf_baseline(path):
+    """``(perf baseline or None, None)``, or ``(None, EXIT_DATA)``."""
     from repro.obs import baseline as bl
 
-    return bl.read_run(path) if os.path.exists(path) else None
+    return _load_recorded(_read_optional, bl.LEDGER, path)
 
 
 def _open_registry(args):
@@ -732,8 +589,11 @@ def _cmd_grid_init(args) -> int:
 def _drain_and_report(args, registry) -> int:
     """Shared tail of ``grid run`` / ``grid resume``: drain, report."""
     from repro.obs import registry as regmod
+    from repro.obs.gate import exit_code
 
-    baseline = _read_perf_baseline(args.baseline)
+    baseline, status = _perf_baseline(args.baseline)
+    if status:
+        return status
     doc = regmod.drain(
         registry,
         owner=args.owner,
@@ -748,7 +608,7 @@ def _drain_and_report(args, registry) -> int:
     if doc["cells_failed"]:
         return 1
     verdicts = regmod.check_against_baseline(registry.cells(), baseline)
-    return regmod.exit_code(verdicts)
+    return exit_code(verdicts)
 
 
 def _cmd_grid_run(args) -> int:
@@ -785,27 +645,39 @@ def _cmd_grid_resume(args) -> int:
 def _cmd_grid_status(args) -> int:
     """Report grid progress, failures, ledger, and the baseline gate."""
     from repro.obs import registry as regmod
+    from repro.obs.gate import exit_code
 
     registry, status = _open_registry(args)
     if registry is None:
         return status
     with registry:
-        baseline = _read_perf_baseline(args.baseline)
+        baseline, status = _perf_baseline(args.baseline)
+        if status:
+            return status
         print(regmod.render_status(registry, baseline))
         verdicts = regmod.check_against_baseline(
             registry.cells(), baseline
         )
-        return regmod.exit_code(verdicts)
+        return exit_code(verdicts)
 
 
 def _cmd_grid_html(args) -> int:
     """Render the registry as the longitudinal HTML dashboard."""
-    import os
-
     from repro.obs import baseline as bl
     from repro.obs import htmlreport
     from repro.obs import noisegate as ng
 
+    loaded, status = _load_recorded(
+        lambda: (
+            _read_optional(bl.LEDGER, args.baseline),
+            bl.LEDGER.history(args.history),
+            _read_optional(ng.LEDGER, args.noise_baseline),
+            ng.LEDGER.history(args.noise_history),
+        )
+    )
+    if loaded is None:
+        return status
+    baseline, perf_history, noise_baseline, noise_history = loaded
     registry, status = _open_registry(args)
     if registry is None:
         return status
@@ -814,21 +686,12 @@ def _cmd_grid_html(args) -> int:
             registry.cells(),
             registry.runs(),
             registry.spec,
-            baseline=_read_perf_baseline(args.baseline),
-            perf_history=bl.read_history(args.history),
-            noise_baseline=(
-                ng.read_noise_run(args.noise_baseline)
-                if os.path.exists(args.noise_baseline)
-                else None
-            ),
-            noise_history=ng.read_noise_history(args.noise_history),
+            baseline=baseline,
+            perf_history=perf_history,
+            noise_baseline=noise_baseline,
+            noise_history=noise_history,
         )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(document, args.output)
     return 0
 
 
@@ -893,13 +756,14 @@ def _cmd_serve_sweep(args) -> int:
     import os
 
     from repro.obs import htmlreport
+    from repro.obs.gate import Verdict, exit_code
     from repro.serve import service as serve
 
     baseline = None
-    if not args.skip_baseline and os.path.exists(args.baseline):
-        from repro.obs import baseline as bl
-
-        baseline = bl.read_run(args.baseline)
+    if not args.skip_baseline:
+        baseline, status = _perf_baseline(args.baseline)
+        if status:
+            return status
 
     registry = None
     if args.registry:
@@ -958,7 +822,7 @@ def _cmd_serve_sweep(args) -> int:
     if memo_line:
         print(memo_line)
     if args.output:
-        serve.write_serve_sweep(doc, args.output)
+        serve.SWEEPS.write(doc, args.output)
         print(f"wrote sweep document to {args.output}", file=sys.stderr)
     if args.html:
         htmlreport.write_serve_report(args.html, doc)
@@ -973,7 +837,10 @@ def _cmd_serve_sweep(args) -> int:
             max(args.healthy),
         )
         _write_serve_chrome(args.chrome, serve.simulate(spec).timelines)
-    return serve.baseline_exit_code(doc.get("baseline_check", []))
+    return exit_code(
+        Verdict(row["experiment"], row["verdict"])
+        for row in doc.get("baseline_check", [])
+    )
 
 
 def _cmd_serve_html(args) -> int:
@@ -982,131 +849,11 @@ def _cmd_serve_html(args) -> int:
     from repro.serve import service as serve
 
     doc, status = _load_recorded(
-        serve.read_serve_sweep, args.sweep,
-        hint="repro serve sweep -o <file>",
+        serve.SWEEPS.read, args.sweep, hint=serve.SWEEPS.hint
     )
     if doc is None:
         return status
-    document = htmlreport.render_serve_report(doc)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
-def _resil_capture_kwargs(args) -> dict:
-    """The capture arguments shared by ``resil record`` and ``check``."""
-    import os
-
-    from repro.serve import resilience as resil
-
-    baseline = None
-    if not args.skip_baseline and os.path.exists(args.perf_baseline):
-        from repro.obs import baseline as bl
-
-        baseline = bl.read_run(args.perf_baseline)
-    return dict(
-        workload=args.workload,
-        security_bits=args.security,
-        seeds=args.seeds,
-        shard_counts=args.shards,
-        qps_grid=args.qps,
-        duration_s=args.duration,
-        breaker=resil.BreakerSpec(
-            failure_threshold=args.breaker_threshold,
-            cooldown_s=args.breaker_cooldown_ms * 1e-3,
-        ),
-        retry_budget=args.retry_budget,
-        hedge_after_s=(
-            args.hedge_after_ms * 1e-3
-            if args.hedge_after_ms is not None
-            else None
-        ),
-        baseline=baseline,
-        progress=_serve_progress,
-    )
-
-
-def _cmd_resil_record(args) -> int:
-    """Capture the RESILIENCE gate baseline and append the history."""
-    from repro.serve import resilience as resil
-
-    doc = resil.capture_resilience_run(**_resil_capture_kwargs(args))
-    resil.write_resilience_run(doc, args.baseline)
-    resil.append_resilience_history(doc, args.history)
-    print(resil.render_resilience_text(doc))
-    print(
-        f"recorded {len(doc['points'])} resilience points as run "
-        f"{doc['run_id'][:12]} (git {str(doc['git_sha'])[:12]})"
-    )
-    print(f"baseline written to {args.baseline}; history at {args.history}")
-    return 0
-
-
-def _cmd_resil_check(args) -> int:
-    """Re-simulate the resilience grid and gate against the baseline."""
-    from repro.serve import resilience as resil
-
-    baseline, status = _load_recorded(
-        resil.read_resilience_run, args.baseline, hint="repro resil record"
-    )
-    if baseline is None:
-        return status
-    kwargs = _resil_capture_kwargs(args)
-    # Re-simulate exactly the recorded grid, not the CLI defaults.
-    kwargs.update(
-        workload=baseline["workload"],
-        security_bits=baseline["security_bits"],
-        seeds=baseline["seeds"],
-        shard_counts=baseline["shard_counts"],
-        qps_grid=baseline["qps_grid"],
-        duration_s=baseline["duration_s"],
-        breaker=resil.BreakerSpec(**baseline["config"]["breaker"]),
-        retry_budget=baseline["config"]["retry_budget"],
-        hedge_after_s=baseline["config"]["hedge_after_s"],
-        shed_burn_threshold=baseline["config"]["shed_burn_threshold"],
-    )
-    current = resil.capture_resilience_run(**kwargs)
-    resil.append_resilience_history(current, args.history)
-    verdicts = resil.check_resilience_runs(baseline, current)
-    print(resil.render_resilience_check(verdicts, baseline, current))
-    if args.update:
-        resil.write_resilience_run(current, args.baseline)
-        print(f"resilience baseline re-recorded: {args.baseline}")
-        return 0
-    return resil.resilience_exit_code(verdicts)
-
-
-def _cmd_resil_html(args) -> int:
-    """Render the recorded resilience run as the shard-health dashboard."""
-    import os
-
-    from repro.obs import htmlreport
-    from repro.serve import resilience as resil
-
-    history = resil.read_resilience_history(args.history)
-    baseline = (
-        resil.read_resilience_run(args.baseline)
-        if os.path.exists(args.baseline)
-        else None
-    )
-    current = history[-1] if history else baseline
-    if current is None:
-        return _no_data(
-            f"no resilience history at {args.history} and no baseline "
-            f"at {args.baseline} — nothing to render",
-            hint="repro resil record",
-        )
-    document = htmlreport.render_resilience_report(current, baseline)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
-        print(f"wrote {args.output}")
-    else:
-        print(document)
+    _emit(htmlreport.render_serve_report(doc), args.output)
     return 0
 
 
@@ -1279,6 +1026,75 @@ def _cmd_verify(_args) -> int:
     return 0
 
 
+def _add_output(parser) -> None:
+    parser.add_argument("-o", "--output", help="output file (default: stdout)")
+
+
+def _add_keep_going(parser) -> None:
+    parser.add_argument(
+        "-k",
+        "--keep-going",
+        action="store_true",
+        help="on a per-experiment failure, report it and continue",
+    )
+
+
+def _add_history(parser, gate, prefix: str = "") -> None:
+    """``--<prefix>history``: the gate's run-history JSONL."""
+    parser.add_argument(
+        f"--{prefix}history",
+        default=gate.history_path,
+        metavar="FILE",
+        help=f"{gate.ledger.noun} run-history JSONL "
+        f"(default: {gate.history_path})",
+    )
+
+
+def _add_ledger_paths(parser, gate, prefix: str = "") -> None:
+    """``--<prefix>baseline`` and ``--<prefix>history`` for a gate."""
+    parser.add_argument(
+        f"--{prefix}baseline",
+        default=gate.baseline_path,
+        metavar="FILE",
+        help=f"{gate.ledger.what} JSON (default: {gate.baseline_path})",
+    )
+    _add_history(parser, gate, prefix)
+
+
+def _add_gate(sub, gate):
+    """``repro <gate> record|check|<html>`` from a gate spec.
+
+    Every command gets the gate's own options plus ``--baseline`` and
+    ``--history``; ``check`` adds ``--update`` and the HTML command
+    ``-o``. Returns the gate's subparsers for extra commands.
+    """
+    import functools
+
+    parser = sub.add_parser(
+        gate.name, help=gate.help, description=gate.description
+    )
+    commands = parser.add_subparsers(
+        dest=f"{gate.name}_command", required=True
+    )
+    for command, help_text in gate.commands.items():
+        handler = {"record": _gate_record, "check": _gate_check}.get(
+            command, _gate_html
+        )
+        command_parser = commands.add_parser(command, help=help_text)
+        if handler is _gate_html:
+            _add_output(command_parser)
+        gate.add_arguments(command_parser, command)
+        if handler is _gate_check:
+            command_parser.add_argument(
+                "--update",
+                action="store_true",
+                help="adopt the current run as the new baseline (exit 0)",
+            )
+        _add_ledger_paths(command_parser, gate)
+        command_parser.set_defaults(func=functools.partial(handler, gate))
+    return commands
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -1296,21 +1112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run experiments and print tables")
     run_parser.add_argument("ids", nargs="+", help="experiment ids")
-    run_parser.add_argument(
-        "-k",
-        "--keep-going",
-        action="store_true",
-        help="on a per-experiment failure, report it and continue",
-    )
+    _add_keep_going(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     report_parser = sub.add_parser(
         "report", help="write the markdown paper-vs-model report"
     )
     report_parser.add_argument("ids", nargs="*", help="subset of experiments")
-    report_parser.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
+    _add_output(report_parser)
     report_parser.set_defaults(func=_cmd_report)
 
     obs_parser = sub.add_parser(
@@ -1336,12 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the text time-attribution tree (default when no "
         "export file is given)",
     )
-    obs_parser.add_argument(
-        "-k",
-        "--keep-going",
-        action="store_true",
-        help="on a per-experiment failure, report it and continue",
-    )
+    _add_keep_going(obs_parser)
     obs_parser.add_argument(
         "action",
         choices=("run",),
@@ -1350,78 +1154,10 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parser.add_argument("ids", nargs="+", help="experiment ids")
     obs_parser.set_defaults(func=_cmd_obs)
 
-    perf_parser = sub.add_parser(
-        "perf",
-        help="performance baselines, regression gate, and dashboard",
-        description=(
-            "Record schema-versioned performance baselines and gate "
-            "changes against them: modelled times must match exactly "
-            "(MODEL-DRIFT otherwise), wall times within a noise-aware "
-            "band (REGRESSION otherwise). See docs/observability.md."
-        ),
-    )
-    perf_sub = perf_parser.add_subparsers(dest="perf_command", required=True)
+    from repro.obs import energy, noisegate, perf
+    from repro.serve import resilience
 
-    def _perf_common(p) -> None:
-        from repro.obs.baseline import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"baseline JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    record_parser = perf_sub.add_parser(
-        "record", help="capture a baseline run (modelled + wall + rollups)"
-    )
-    record_parser.add_argument(
-        "ids",
-        nargs="*",
-        help="experiments to record (default: the fast set)",
-    )
-    record_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="untraced wall-time repeats per experiment (default: 3)",
-    )
-    _perf_common(record_parser)
-    record_parser.set_defaults(func=_cmd_perf_record)
-
-    check_parser = perf_sub.add_parser(
-        "check", help="re-run and compare against the baseline"
-    )
-    check_parser.add_argument(
-        "ids",
-        nargs="*",
-        help="experiments to check (default: everything in the baseline)",
-    )
-    check_parser.add_argument(
-        "--repeats", type=int, default=3, help="wall-time repeats"
-    )
-    check_parser.add_argument(
-        "--skip-wall",
-        action="store_true",
-        help="modelled-exactness only (for CI / foreign machines)",
-    )
-    check_parser.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _perf_common(check_parser)
-    check_parser.set_defaults(func=_cmd_perf_check)
-
+    perf_sub = _add_gate(sub, perf.GATE)
     diff_parser = perf_sub.add_parser(
         "diff", help="attribution diff between two recorded runs"
     )
@@ -1434,35 +1170,14 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument(
         "--top", type=int, default=10, help="rows per experiment"
     )
-    _perf_common(diff_parser)
+    _add_ledger_paths(diff_parser, perf.GATE)
     diff_parser.set_defaults(func=_cmd_perf_diff)
 
-    html_parser = perf_sub.add_parser(
-        "html", help="render the run history as a standalone HTML dashboard"
-    )
-    html_parser.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    html_parser.add_argument(
-        "--skip-wall",
-        action="store_true",
-        help="badge on modelled exactness only",
-    )
-    _perf_common(html_parser)
-    html_parser.set_defaults(func=_cmd_perf_html)
-
-    from repro.obs.baseline import (
-        DEFAULT_BASELINE_PATH as _PERF_BASELINE,
-        DEFAULT_HISTORY_PATH as _PERF_HISTORY,
-    )
-    from repro.obs.energy import (
-        DEFAULT_BASELINE_PATH as _ENERGY_BASELINE,
-        DEFAULT_HISTORY_PATH as _ENERGY_HISTORY,
-    )
     from repro.obs.forensics import H_MULT as _H_MULT
     from repro.obs.forensics import K_REL as _K_REL
-    from repro.obs.noisegate import DEFAULT_HISTORY_PATH as _NOISE_HISTORY
     from repro.obs.registry import DEFAULT_DB_PATH as _GRID_DB
+
+    _PERF_BASELINE = perf.GATE.baseline_path
 
     why_parser = sub.add_parser(
         "why",
@@ -1488,25 +1203,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline JSON file, or run-id prefix in the history "
         f"(default: {_PERF_BASELINE})",
     )
-    why_parser.add_argument(
-        "--history",
-        default=_PERF_HISTORY,
-        metavar="FILE",
-        help=f"run-history JSONL (default: {_PERF_HISTORY})",
-    )
-    why_parser.add_argument(
-        "--energy-baseline",
-        default=_ENERGY_BASELINE,
-        metavar="FILE",
-        help="energy baseline JSON; the energy family is skipped when "
-        f"absent (default: {_ENERGY_BASELINE})",
-    )
-    why_parser.add_argument(
-        "--energy-history",
-        default=_ENERGY_HISTORY,
-        metavar="FILE",
-        help=f"energy-history JSONL (default: {_ENERGY_HISTORY})",
-    )
+    _add_history(why_parser, perf.GATE)
+    _add_ledger_paths(why_parser, energy.GATE, "energy-")
     why_parser.add_argument(
         "--top", type=int, default=10, help="contributors per family"
     )
@@ -1561,18 +1259,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run JSON file, run-id prefix, or 'latest' "
         "(default: the newest history entry)",
     )
-    forensics_html.add_argument(
-        "--history",
-        default=_PERF_HISTORY,
-        metavar="FILE",
-        help=f"run-history JSONL (default: {_PERF_HISTORY})",
-    )
+    _add_history(forensics_html, perf.GATE)
     forensics_html.add_argument(
         "--top", type=int, default=10, help="contributors per experiment"
     )
-    forensics_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
+    _add_output(forensics_html)
     forensics_html.add_argument(
         "--collapsed",
         metavar="FILE",
@@ -1584,24 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "shifts",
         help="CUSUM change-point scan over the longitudinal stores",
     )
-    forensics_shifts.add_argument(
-        "--history",
-        default=_PERF_HISTORY,
-        metavar="FILE",
-        help=f"perf-history JSONL (default: {_PERF_HISTORY})",
-    )
-    forensics_shifts.add_argument(
-        "--energy-history",
-        default=_ENERGY_HISTORY,
-        metavar="FILE",
-        help=f"energy-history JSONL (default: {_ENERGY_HISTORY})",
-    )
-    forensics_shifts.add_argument(
-        "--noise-history",
-        default=_NOISE_HISTORY,
-        metavar="FILE",
-        help=f"noise-history JSONL (default: {_NOISE_HISTORY})",
-    )
+    _add_history(forensics_shifts, perf.GATE)
+    _add_history(forensics_shifts, energy.GATE, "energy-")
+    _add_history(forensics_shifts, noisegate.GATE, "noise-")
     forensics_shifts.add_argument(
         "--db",
         default=_GRID_DB,
@@ -1628,156 +1304,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     forensics_shifts.set_defaults(func=_cmd_forensics_shifts)
 
-    noise_parser = sub.add_parser(
-        "noise",
-        help="noise-budget calibration: record, gate, and report "
-        "predicted-vs-measured trajectories",
-        description=(
-            "Record seeded-deterministic noise-budget trajectories "
-            "(predicted and measured bits per operation) for the paper "
-            "security levels and gate the growth model against them: "
-            "any change beyond tolerance is NOISE-DRIFT. See "
-            "docs/observability.md."
-        ),
-    )
-    noise_sub = noise_parser.add_subparsers(
-        dest="noise_command", required=True
-    )
-
-    def _noise_common(p) -> None:
-        from repro.obs.noisegate import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"calibration JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    noise_record = noise_sub.add_parser(
-        "record", help="capture the noise-calibration baseline"
-    )
-    noise_record.add_argument(
-        "levels",
-        nargs="*",
-        type=int,
-        help="security levels to record (default: all paper levels)",
-    )
-    noise_record.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="seed for keys, encryption randomness, and operand "
-        "sampling (default: 7)",
-    )
-    _noise_common(noise_record)
-    noise_record.set_defaults(func=_cmd_noise_record)
-
-    noise_check = noise_sub.add_parser(
-        "check", help="re-run trajectories and gate against the baseline"
-    )
-    noise_check.add_argument(
-        "levels",
-        nargs="*",
-        type=int,
-        help="security levels to check (default: everything in the "
-        "baseline)",
-    )
-    noise_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new calibration (exit 0)",
-    )
-    _noise_common(noise_check)
-    noise_check.set_defaults(func=_cmd_noise_check)
-
-    noise_report = noise_sub.add_parser(
-        "report",
-        help="render the budget-vs-depth trajectories as standalone HTML",
-    )
-    noise_report.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _noise_common(noise_report)
-    noise_report.set_defaults(func=_cmd_noise_report)
-
-    energy_parser = sub.add_parser(
-        "energy",
-        help="modelled energy & data movement: record, gate, and report "
-        "joules and bytes moved per experiment",
-        description=(
-            "Price every experiment's modelled energy (DPU "
-            "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
-            "envelopes) and the bytes it moves at each memory level, "
-            "and gate the model against the committed baseline: "
-            "modelled joules are deterministic, so any difference is "
-            "ENERGY-DRIFT. See docs/observability.md."
-        ),
-    )
-    energy_sub = energy_parser.add_subparsers(
-        dest="energy_command", required=True
-    )
-
-    def _energy_common(p) -> None:
-        from repro.obs.energy import (
-            DEFAULT_BASELINE_PATH,
-            DEFAULT_HISTORY_PATH,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_BASELINE_PATH,
-            metavar="FILE",
-            help=f"energy baseline JSON (default: {DEFAULT_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_HISTORY_PATH})",
-        )
-
-    energy_record = energy_sub.add_parser(
-        "record", help="capture the modelled-energy baseline"
-    )
-    energy_record.add_argument(
-        "ids",
-        nargs="*",
-        help="experiment ids to record (default: the fast set)",
-    )
-    _energy_common(energy_record)
-    energy_record.set_defaults(func=_cmd_energy_record)
-
-    energy_check = energy_sub.add_parser(
-        "check", help="re-price the experiments and gate against the baseline"
-    )
-    energy_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _energy_common(energy_check)
-    energy_check.set_defaults(func=_cmd_energy_check)
-
-    energy_report = energy_sub.add_parser(
-        "report",
-        help="render energy-per-op, EDP, and movement bars as "
-        "standalone HTML",
-    )
-    energy_report.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _energy_common(energy_report)
-    energy_report.set_defaults(func=_cmd_energy_report)
+    _add_gate(sub, noisegate.GATE)
+    _add_gate(sub, energy.GATE)
 
     faults_parser = sub.add_parser(
         "faults",
@@ -1842,12 +1370,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="launch attempts before PermanentDeviceError (default: 3)",
     )
-    faults_run.add_argument(
-        "-k",
-        "--keep-going",
-        action="store_true",
-        help="on a per-experiment failure, report it and continue",
-    )
+    _add_keep_going(faults_run)
     faults_run.set_defaults(func=_cmd_faults_run)
 
     faults_sweep = faults_sub.add_parser(
@@ -1899,9 +1422,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep JSON recorded by 'repro faults sweep -o' "
         "(default: faults-sweep.json)",
     )
-    faults_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
+    _add_output(faults_html)
     faults_html.set_defaults(func=_cmd_faults_html)
 
     grid_parser = sub.add_parser(
@@ -2048,29 +1569,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict history)",
     )
     _grid_common(grid_html)
-    grid_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    grid_html.add_argument(
-        "--history",
-        default="baselines/history.jsonl",
-        metavar="FILE",
-        help="perf run-history JSONL for the verdict-history panel "
-        "(default: baselines/history.jsonl)",
-    )
-    grid_html.add_argument(
-        "--noise-baseline",
-        default="baselines/noise.json",
-        metavar="FILE",
-        help="noise calibration JSON (default: baselines/noise.json)",
-    )
-    grid_html.add_argument(
-        "--noise-history",
-        default="baselines/noise-history.jsonl",
-        metavar="FILE",
-        help="noise run-history JSONL "
-        "(default: baselines/noise-history.jsonl)",
-    )
+    _add_output(grid_html)
+    _add_history(grid_html, perf.GATE)
+    _add_ledger_paths(grid_html, noisegate.GATE, "noise-")
     grid_html.set_defaults(func=_cmd_grid_html)
 
     serve_parser = sub.add_parser(
@@ -2241,168 +1742,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep JSON recorded by 'repro serve sweep -o' "
         "(default: serve-sweep.json)",
     )
-    serve_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
+    _add_output(serve_html)
     serve_html.set_defaults(func=_cmd_serve_html)
 
-    resil_parser = sub.add_parser(
-        "resil",
-        help="fault-tolerant sharded serving: record, gate, and render "
-        "degraded-fleet SLO attainment",
-        description=(
-            "Sweep the sharded resilient serving model — health-aware "
-            "placement over K rank-aligned shards, per-shard circuit "
-            "breakers, retry budgets, hedged dispatch — across a fault "
-            "seed × shard count × offered QPS grid, healthy and with "
-            "one shard's ranks disabled. Every point is deterministic "
-            "modelled arithmetic, so the gate demands exact equality "
-            "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
-            "pricer is cross-checked bit-for-bit against the perf "
-            "baseline. See docs/robustness.md."
-        ),
-    )
-    resil_sub = resil_parser.add_subparsers(
-        dest="resil_command", required=True
-    )
-
-    def _resil_common(p) -> None:
-        from repro.serve.resilience import (
-            DEFAULT_RESIL_BASELINE_PATH,
-            DEFAULT_RESIL_HISTORY_PATH,
-            DEFAULT_RESIL_QPS,
-            DEFAULT_RESIL_SEEDS,
-            DEFAULT_SHARD_COUNTS,
-        )
-
-        p.add_argument(
-            "--baseline",
-            default=DEFAULT_RESIL_BASELINE_PATH,
-            metavar="FILE",
-            help="resilience baseline JSON "
-            f"(default: {DEFAULT_RESIL_BASELINE_PATH})",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_RESIL_HISTORY_PATH,
-            metavar="FILE",
-            help=f"run-history JSONL (default: {DEFAULT_RESIL_HISTORY_PATH})",
-        )
-        p.add_argument(
-            "--workload",
-            default="vec_add",
-            help="request-class workload (default: vec_add)",
-        )
-        p.add_argument(
-            "--security",
-            type=int,
-            default=54,
-            metavar="BITS",
-            help="security level (default: 54)",
-        )
-        p.add_argument(
-            "--seeds",
-            nargs="+",
-            type=int,
-            default=list(DEFAULT_RESIL_SEEDS),
-            help=f"fault seeds to sweep (default: "
-            f"{' '.join(str(s) for s in DEFAULT_RESIL_SEEDS)})",
-        )
-        p.add_argument(
-            "--shards",
-            nargs="+",
-            type=int,
-            default=list(DEFAULT_SHARD_COUNTS),
-            metavar="K",
-            help=f"shard counts to sweep (default: "
-            f"{' '.join(str(k) for k in DEFAULT_SHARD_COUNTS)})",
-        )
-        p.add_argument(
-            "--qps",
-            nargs="+",
-            type=float,
-            default=list(DEFAULT_RESIL_QPS),
-            help=f"offered rates to sweep (default: "
-            f"{' '.join(f'{q:g}' for q in DEFAULT_RESIL_QPS)})",
-        )
-        p.add_argument(
-            "--duration",
-            type=float,
-            default=0.1,
-            metavar="S",
-            help="modelled arrival window in seconds (default: 0.1)",
-        )
-        p.add_argument(
-            "--breaker-threshold",
-            type=int,
-            default=3,
-            metavar="N",
-            help="consecutive failures that trip a shard's breaker "
-            "(default: 3)",
-        )
-        p.add_argument(
-            "--breaker-cooldown-ms",
-            type=float,
-            default=25.0,
-            metavar="MS",
-            help="breaker cooldown in modelled milliseconds (default: 25)",
-        )
-        p.add_argument(
-            "--retry-budget",
-            type=int,
-            default=1,
-            metavar="N",
-            help="redispatches allowed after a failed dispatch "
-            "(default: 1)",
-        )
-        p.add_argument(
-            "--hedge-after-ms",
-            type=float,
-            default=5.0,
-            metavar="MS",
-            help="queue wait that triggers a hedged duplicate launch "
-            "(default: 5)",
-        )
-        p.add_argument(
-            "--perf-baseline",
-            default="baselines/perf.json",
-            metavar="FILE",
-            help="perf baseline for the single-shard bit-identity "
-            "cross-check (default: baselines/perf.json)",
-        )
-        p.add_argument(
-            "--skip-baseline",
-            action="store_true",
-            help="skip the single-shard perf cross-check",
-        )
-
-    resil_record = resil_sub.add_parser(
-        "record", help="capture the RESILIENCE gate baseline"
-    )
-    _resil_common(resil_record)
-    resil_record.set_defaults(func=_cmd_resil_record)
-
-    resil_check = resil_sub.add_parser(
-        "check",
-        help="re-simulate the recorded grid and gate against the baseline",
-    )
-    resil_check.add_argument(
-        "--update",
-        action="store_true",
-        help="adopt the current run as the new baseline (exit 0)",
-    )
-    _resil_common(resil_check)
-    resil_check.set_defaults(func=_cmd_resil_check)
-
-    resil_html = resil_sub.add_parser(
-        "html",
-        help="render the shard-health dashboard from the recorded run",
-    )
-    resil_html.add_argument(
-        "-o", "--output", help="output file (default: stdout)"
-    )
-    _resil_common(resil_html)
-    resil_html.set_defaults(func=_cmd_resil_html)
+    _add_gate(sub, resilience.GATE)
 
     profile_parser = sub.add_parser(
         "profile",

@@ -88,20 +88,15 @@ by ``repro why <experiment> --against <baseline|run-id>`` and
 """
 
 from repro.obs.baseline import (
-    append_history,
     capture_experiment,
     capture_run,
     find_run,
-    read_history,
     read_run,
-    write_run,
 )
 from repro.obs.energy import (
     DEFAULT_ENERGY_CONFIG,
     EnergyConfig,
-    EnergyVerdict,
     KernelEnergy,
-    append_energy_history,
     capture_energy_experiment,
     capture_energy_run,
     check_energy_runs,
@@ -110,12 +105,9 @@ from repro.obs.energy import (
     kernel_energy,
     movement_bytes,
     op_energy,
-    read_energy_history,
     read_energy_run,
-    render_energy_check,
     set_energy_config,
     use_energy_config,
-    write_energy_run,
 )
 from repro.obs.forensics import (
     align_trees,
@@ -172,12 +164,9 @@ from repro.obs.noise import (
     use_noise_ledger,
 )
 from repro.obs.noisegate import (
-    NoiseVerdict,
     capture_noise_run,
     check_noise_runs,
     read_noise_run,
-    render_noise_check,
-    write_noise_run,
 )
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -201,11 +190,8 @@ from repro.obs.profile import (
     render_profiles_text,
 )
 from repro.obs.perf import (
-    ExperimentVerdict,
     check_runs,
     diff_runs,
-    exit_code,
-    render_check,
     render_diff,
 )
 from repro.obs.slo import (
@@ -270,15 +256,9 @@ __all__ = [
     "capture_run",
     "run_identity",
     "git_sha",
-    "write_run",
     "read_run",
-    "append_history",
-    "read_history",
     "find_run",
-    "ExperimentVerdict",
     "check_runs",
-    "exit_code",
-    "render_check",
     "diff_runs",
     "render_diff",
     "render_dashboard",
@@ -291,12 +271,9 @@ __all__ = [
     "get_noise_ledger",
     "set_noise_ledger",
     "use_noise_ledger",
-    "NoiseVerdict",
     "capture_noise_run",
     "check_noise_runs",
     "read_noise_run",
-    "write_noise_run",
-    "render_noise_check",
     "render_noise_report",
     "write_noise_report",
     # degraded-fleet sweep card (repro faults)
@@ -318,7 +295,6 @@ __all__ = [
     "EnergyConfig",
     "DEFAULT_ENERGY_CONFIG",
     "KernelEnergy",
-    "EnergyVerdict",
     "get_energy_config",
     "set_energy_config",
     "use_energy_config",
@@ -330,10 +306,6 @@ __all__ = [
     "capture_energy_run",
     "check_energy_runs",
     "read_energy_run",
-    "write_energy_run",
-    "append_energy_history",
-    "read_energy_history",
-    "render_energy_check",
     "render_energy_report",
     "write_energy_report",
     # drift forensics (repro why / repro forensics)

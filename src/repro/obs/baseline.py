@@ -32,7 +32,6 @@ misread as a regression.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import statistics
@@ -40,6 +39,7 @@ from time import perf_counter
 
 from repro.errors import ParameterError
 from repro.obs.export import path_tree
+from repro.obs.gate import Ledger
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import git_sha, run_identity
 from repro.obs.trace import Tracer, use_tracer
@@ -52,11 +52,10 @@ __all__ = [
     "run_identity",
     "capture_experiment",
     "capture_run",
-    "write_run",
+    "LEDGER",
     "read_run",
-    "append_history",
-    "read_history",
     "find_run",
+    "series_totals",
     "prepare_metrics_log",
     "FRESH_ENV_VAR",
 ]
@@ -99,7 +98,7 @@ def _wall_stats(samples) -> dict:
     }
 
 
-def _series_totals(rows) -> dict:
+def series_totals(rows) -> dict:
     """Per-series value totals across an experiment's rows."""
     totals: dict = {}
     for row in rows:
@@ -204,7 +203,7 @@ def capture_experiment(experiment_id: str, repeats: int = 3) -> dict:
 
     return {
         "modelled": {
-            "series_totals": _series_totals(rows),
+            "series_totals": series_totals(rows),
             "n_rows": len(rows),
             "unit": experiment.unit,
         },
@@ -238,57 +237,17 @@ def capture_run(ids=None, repeats: int = 3, progress=None) -> dict:
 
 # -- persistence ------------------------------------------------------------
 
+#: The perf baseline and run-history format (``repro perf``).
+LEDGER = Ledger(
+    noun="perf",
+    what="perf baseline",
+    family="experiments",
+    hint="repro perf record",
+    schema=SCHEMA_VERSION,
+)
 
-def _validate_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{source}: run document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported perf schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro perf record'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(f"{source}: run document missing 'experiments'")
-    return doc
-
-
-def write_run(doc: dict, path) -> None:
-    """Write one run record (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_run(path) -> dict:
-    """Read and schema-validate a run record / baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no baseline at {path}; create one with 'repro perf record'"
-        )
-    return _validate_run(json.loads(path.read_text()), str(path))
-
-
-def append_history(doc: dict, path) -> None:
-    """Append one run record to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_history(path) -> list:
-    """All run records in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+#: Read and schema-validate a run record / baseline.
+read_run = LEDGER.read
 
 
 def find_run(run_ref: str, history_path) -> dict:
@@ -301,7 +260,7 @@ def find_run(run_ref: str, history_path) -> dict:
         return read_run(run_ref)
     matches = [
         doc
-        for doc in read_history(history_path)
+        for doc in LEDGER.history(history_path)
         if str(doc.get("run_id", "")).startswith(run_ref)
     ]
     if not matches:

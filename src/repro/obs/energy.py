@@ -23,8 +23,9 @@ the missing dimension, in three layers:
   unchanged (:func:`repro.obs.export.to_chrome_trace` puts all attrs
   in event ``args``);
 
-* an **ENERGY-DRIFT regression gate** in the perf-gate idiom: modelled
-  joules are pure arithmetic over the deterministic cost model, so
+* an **ENERGY-DRIFT regression gate** (:data:`GATE`, on the shared
+  :mod:`repro.obs.gate` framework): modelled joules are pure
+  arithmetic over the deterministic cost model, so
   ``repro energy check`` compares a fresh capture against the
   committed ``baselines/energy.json`` **exactly** — any difference
   means the energy model or an upstream cost model changed, adopted
@@ -37,12 +38,11 @@ bit-identical and the existing MODEL-DRIFT gate is unaffected.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.errors import ParameterError
+from repro.obs import gate
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import run_identity
 
@@ -50,9 +50,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_HISTORY_PATH",
-    "VERDICT_OK",
-    "VERDICT_NEW",
-    "VERDICT_DRIFT",
     "EnergyConfig",
     "DEFAULT_ENERGY_CONFIG",
     "get_energy_config",
@@ -63,17 +60,12 @@ __all__ = [
     "movement_bytes",
     "op_energy",
     "energy_rollup",
-    "EnergyVerdict",
+    "LEDGER",
+    "GATE",
     "capture_energy_experiment",
     "capture_energy_run",
-    "write_energy_run",
     "read_energy_run",
-    "append_energy_history",
-    "read_energy_history",
     "check_energy_runs",
-    "exact_diffs",
-    "exit_code",
-    "render_energy_check",
 ]
 
 #: Version stamped into every energy-run document / baseline.
@@ -84,10 +76,6 @@ DEFAULT_BASELINE_PATH = "baselines/energy.json"
 
 #: Where recorded energy runs accumulate (one JSON line each).
 DEFAULT_HISTORY_PATH = "baselines/energy-history.jsonl"
-
-VERDICT_OK = "ok"
-VERDICT_NEW = "new"
-VERDICT_DRIFT = "ENERGY-DRIFT"
 
 
 # -- the committed constants -------------------------------------------------
@@ -460,190 +448,100 @@ def capture_energy_run(ids=None, progress=None) -> dict:
 
 # -- persistence -------------------------------------------------------------
 
+#: The energy baseline and run-history format (``repro energy``).
+LEDGER = gate.Ledger(
+    noun="energy",
+    what="energy baseline",
+    family="experiments",
+    hint="repro energy record",
+    schema=SCHEMA_VERSION,
+)
 
-def _validate_energy_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: energy-run document must be a JSON object"
-        )
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported energy schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro energy record'"
-        )
-    if not isinstance(doc.get("experiments"), dict):
-        raise ParameterError(
-            f"{source}: energy-run document missing 'experiments'"
-        )
-    return doc
-
-
-def write_energy_run(doc: dict, path) -> None:
-    """Write one energy run (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_energy_run(path) -> dict:
-    """Read and schema-validate an energy run / baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no energy baseline at {path}; create one with "
-            "'repro energy record'"
-        )
-    return _validate_energy_run(json.loads(path.read_text()), str(path))
-
-
-def append_energy_history(doc: dict, path) -> None:
-    """Append one energy run to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_energy_history(path) -> list:
-    """All energy runs in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_energy_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+#: Read and schema-validate an energy run / baseline.
+read_energy_run = LEDGER.read
 
 
 # -- the gate ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnergyVerdict:
-    """One experiment's (or the config's) comparison outcome."""
-
-    experiment: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>12}] {self.experiment}"
-        for note in self.notes:
-            line += f"\n               - {note}"
-        return line
-
-
-def _exact_diffs(label: str, base, cur) -> list:
-    """Human-readable notes for any exact mismatch, recursively."""
-    notes = []
-    if isinstance(base, dict) and isinstance(cur, dict):
-        for key in sorted(set(base) | set(cur)):
-            child = f"{label}.{key}" if label else str(key)
-            if key not in cur:
-                notes.append(f"{child}: removed (baseline {base[key]!r})")
-            elif key not in base:
-                notes.append(f"{child}: added (current {cur[key]!r})")
-            else:
-                notes.extend(_exact_diffs(child, base[key], cur[key]))
-        return notes
-    if base != cur:
-        notes.append(f"{label}: baseline {base!r} -> current {cur!r}")
-    return notes
-
-
-#: Public name: drift forensics (:mod:`repro.obs.forensics`) renders its
-#: energy family with the same recursive exact-diff notes as the gate.
-exact_diffs = _exact_diffs
-
-
 def check_energy_runs(baseline: dict, current: dict) -> list:
     """Compare a current energy run against the committed baseline.
 
-    Exact-match policy throughout: modelled joules are deterministic
-    arithmetic, so *any* difference — a changed constant, a changed
-    byte count, a changed kernel shape — is ``ENERGY-DRIFT``. The
-    :class:`EnergyConfig` itself is compared first (as the
-    ``<energy-config>`` row); experiments present only in the current
-    run are ``new`` (adopt with ``--update``), baseline experiments
-    absent from the current run are not checked (the caller selected a
-    subset).
+    Exact-match policy throughout (:func:`repro.obs.gate.check_exact`):
+    modelled joules are deterministic arithmetic, so *any* difference —
+    a changed constant, a changed byte count, a changed kernel shape —
+    is ``ENERGY-DRIFT``. The :class:`EnergyConfig` itself is compared
+    first (as the ``<energy-config>`` row); experiments present only in
+    the current run are ``new`` (adopt with ``--update``).
     """
-    verdicts = []
-    config_notes = _exact_diffs(
-        "config", baseline.get("config", {}), current.get("config", {})
+    return gate.check_exact(
+        GATE, baseline, current, "<energy-config>", ("config",)
     )
-    verdicts.append(
-        EnergyVerdict(
-            "<energy-config>",
-            VERDICT_DRIFT if config_notes else VERDICT_OK,
-            notes=tuple(config_notes),
-        )
+
+
+def _html(current, baseline, history, args) -> str:
+    from repro.obs import htmlreport
+
+    return htmlreport.render_energy_report(current, baseline, history=history)
+
+
+def _recorded(doc: dict) -> str:
+    total_j = sum(
+        exp["joules"].get("pim", 0.0) for exp in doc["experiments"].values()
     )
-    base_experiments = baseline.get("experiments", {})
-    for eid, exp in current["experiments"].items():
-        base = base_experiments.get(eid)
-        if base is None:
-            verdicts.append(
-                EnergyVerdict(
-                    eid,
-                    VERDICT_NEW,
-                    notes=("not in baseline; adopt with --update",),
-                )
-            )
-            continue
-        notes = _exact_diffs("", base, exp)
-        verdicts.append(
-            EnergyVerdict(
-                eid,
-                VERDICT_DRIFT if notes else VERDICT_OK,
-                notes=tuple(notes),
-            )
-        )
-    return verdicts
-
-
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_energy_check(verdicts, baseline: dict, current: dict) -> str:
-    """The energy gate report as aligned text with a summary footer."""
-    lines = [
-        "energy check — current capture vs committed baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (VERDICT_OK, VERDICT_NEW, VERDICT_DRIFT)
-        )
-        + f" of {len(verdicts)} checks"
+    return (
+        f"recorded modelled energy for {len(doc['experiments'])} "
+        f"experiments ({total_j:.4g} J on pim)"
     )
-    if any(v.failed for v in verdicts):
-        lines.append(
-            "modelled joules are deterministic; drift means the energy "
-            "constants, the movement ledger, or an upstream cost model "
-            "changed — re-baseline deliberately with "
-            "'repro energy check --update'"
+
+
+def _add_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiment ids to record (default: the fast set)",
         )
-    return "\n".join(lines)
+
+
+GATE = gate.Gate(
+    name="energy",
+    ledger=LEDGER,
+    baseline_path=DEFAULT_BASELINE_PATH,
+    history_path=DEFAULT_HISTORY_PATH,
+    title="energy check — current capture vs committed baseline",
+    noun="checks",
+    order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.ENERGY_DRIFT),
+    drift_hint=(
+        "modelled joules are deterministic; drift means the energy "
+        "constants, the movement ledger, or an upstream cost model "
+        "changed — re-baseline deliberately with "
+        "'repro energy check --update'"
+    ),
+    help="modelled energy & data movement: record, gate, and report "
+    "joules and bytes moved per experiment",
+    description=(
+        "Price every experiment's modelled energy (DPU "
+        "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
+        "envelopes) and the bytes it moves at each memory level, "
+        "and gate the model against the committed baseline: "
+        "modelled joules are deterministic, so any difference is "
+        "ENERGY-DRIFT. See docs/observability.md."
+    ),
+    commands={
+        "record": "capture the modelled-energy baseline",
+        "check": "re-price the experiments and gate against the baseline",
+        "report": "render energy-per-op, EDP, and movement bars as "
+        "standalone HTML",
+    },
+    add_arguments=_add_arguments,
+    capture=lambda args, progress: capture_energy_run(
+        ids=args.ids or None, progress=progress
+    ),
+    capture_for_check=lambda baseline, args, progress: capture_energy_run(
+        ids=list(baseline["experiments"]), progress=progress
+    ),
+    check=lambda baseline, current, args: check_energy_runs(baseline, current),
+    html=_html,
+    recorded=_recorded,
+)

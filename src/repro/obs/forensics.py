@@ -37,12 +37,11 @@ from __future__ import annotations
 import statistics
 
 from repro.errors import ParameterError
+from repro.obs import gate
+from repro.obs.gate import exact_diffs
 from repro.obs.runident import run_identity
 
 __all__ = [
-    "VERDICT_OK",
-    "VERDICT_DRIFT",
-    "VERDICT_ENERGY_DRIFT",
     "VERDICT_SKIPPED",
     "tree_from_attribution",
     "comparable_trees",
@@ -65,9 +64,6 @@ __all__ = [
     "render_shifts",
 ]
 
-VERDICT_OK = "ok"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_ENERGY_DRIFT = "ENERGY-DRIFT"
 VERDICT_SKIPPED = "skipped"
 
 #: CUSUM defaults, tuned for (near-)deterministic modelled series: the
@@ -234,7 +230,7 @@ def _spans_family(base_exp: dict, cur_exp: dict, top_k: int) -> dict:
         or r["count_a"] != r["count_b"]
     ]
     return {
-        "verdict": VERDICT_DRIFT if moved else VERDICT_OK,
+        "verdict": gate.MODEL_DRIFT if moved else gate.VERDICT_OK,
         "mode": mode,
         "moved": len(moved),
         "contributors": rank_contributors(moved, top_k, by="self")
@@ -249,7 +245,7 @@ def _model_family(base_exp: dict, cur_exp: dict) -> dict:
 
     notes = _perf.modelled_drift(base_exp, cur_exp)
     return {
-        "verdict": VERDICT_DRIFT if notes else VERDICT_OK,
+        "verdict": gate.MODEL_DRIFT if notes else gate.VERDICT_OK,
         "notes": notes,
     }
 
@@ -273,8 +269,6 @@ def _energy_family(
     current_config: dict,
     top_k: int,
 ) -> dict:
-    from repro.obs import energy as _energy
-
     if energy_baseline is None:
         return {
             "verdict": VERDICT_SKIPPED,
@@ -283,7 +277,7 @@ def _energy_family(
             ],
             "contributors": [],
         }
-    notes = _energy.exact_diffs(
+    notes = exact_diffs(
         "config", energy_baseline.get("config", {}), current_config
     )
     base_exp = energy_baseline.get("experiments", {}).get(experiment_id)
@@ -294,7 +288,7 @@ def _energy_family(
             "adopt with 'repro energy record'"
         )
     else:
-        notes += _energy.exact_diffs("", base_exp, current_energy)
+        notes += exact_diffs("", base_exp, current_energy)
         base_leaves = _numeric_leaves(base_exp)
         cur_leaves = _numeric_leaves(current_energy)
         changed = [
@@ -311,7 +305,7 @@ def _energy_family(
         )
         contributors = changed[:top_k]
     return {
-        "verdict": VERDICT_ENERGY_DRIFT if notes else VERDICT_OK,
+        "verdict": gate.ENERGY_DRIFT if notes else gate.VERDICT_OK,
         "notes": notes,
         "contributors": contributors,
     }
@@ -416,7 +410,7 @@ def diff_report(
 def why_exit_code(report: dict) -> int:
     """Non-zero iff any family drifted (change points never gate)."""
     drifted = any(
-        family.get("verdict") in (VERDICT_DRIFT, VERDICT_ENERGY_DRIFT)
+        family.get("verdict") in gate.FAILING
         for family in report["families"].values()
     )
     return 1 if drifted else 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import html as _html
 import pathlib
 
+from repro.obs import gate as _gate
 from repro.obs import perf as _perf
 
 __all__ = [
@@ -36,11 +37,11 @@ __all__ = [
 ]
 
 _BADGE_COLORS = {
-    _perf.VERDICT_OK: "#2e7d32",
-    _perf.VERDICT_FASTER: "#1565c0",
-    _perf.VERDICT_NEW: "#6a1b9a",
-    _perf.VERDICT_REGRESSION: "#c62828",
-    _perf.VERDICT_DRIFT: "#e65100",
+    _gate.VERDICT_OK: "#2e7d32",
+    _gate.VERDICT_FASTER: "#1565c0",
+    _gate.VERDICT_NEW: "#6a1b9a",
+    _gate.VERDICT_REGRESSION: "#c62828",
+    _gate.MODEL_DRIFT: "#e65100",
     "NOISE-DRIFT": "#c62828",
     "partial": "#f9a825",
     "SLO-OK": "#2e7d32",
@@ -188,43 +189,40 @@ def _page_head(title: str, extra_css: str = "") -> list:
 _PAGE_FOOT = "</body></html>"
 
 
-def _verdict_summary(verdicts, failed: bool) -> str:
+def _verdict_summary(labels) -> str:
     """Verdict-count badges plus the gate outcome, as one paragraph.
 
-    ``verdicts`` is an iterable of verdict *strings* (callers pass
-    ``v.verdict`` for their verdict objects).
+    ``labels`` are verdict *strings*; any label in
+    :data:`repro.obs.gate.FAILING` fails the gate.
     """
     counts: dict = {}
-    for verdict in verdicts:
-        counts[verdict] = counts.get(verdict, 0) + 1
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
     return (
         "<p>"
         + " ".join(f"{_badge(k)} {n}" for k, n in sorted(counts.items()))
-        + (
-            " — <strong>gate fails</strong>"
-            if failed
-            else " — gate passes"
-        )
+        + _gate_outcome(counts)
         + "</p>"
     )
 
 
-def _gate_card(
-    heading: str, subtitle: str, badges, failed: bool, notes=()
-) -> str:
+def _gate_outcome(labels) -> str:
+    if any(label in _gate.FAILING for label in labels):
+        return " — <strong>gate fails</strong>"
+    return " — gate passes"
+
+
+def _gate_card(heading: str, subtitle: str, badges, notes=()) -> str:
     """A gate-outcome card: per-item badges and the pass/fail verdict.
 
     ``badges`` is an iterable of ``(verdict, label)`` pairs.
     """
+    badges = list(badges)
     parts = [
         f"<div class='card'><h2>{_esc(heading)} "
         f"<span class='meta'>{_esc(subtitle)}</span></h2><p>",
         " ".join(_badge(v) + f" {_esc(label)}" for v, label in badges),
-        (
-            " — <strong>gate fails</strong>"
-            if failed
-            else " — gate passes"
-        ),
+        _gate_outcome(v for v, _label in badges),
         "</p>",
     ]
     notes = list(notes)
@@ -495,11 +493,7 @@ def render_noise_report(
         + "</p>"
     )
     if verdicts:
-        parts.append(
-            _verdict_summary(
-                (v.verdict for v in verdicts), bool(_ng.exit_code(verdicts))
-            )
-        )
+        parts.append(_verdict_summary(v.verdict for v in verdicts))
     for bits, level in sorted(
         current["levels"].items(), key=lambda item: int(item[0])
     ):
@@ -655,7 +649,7 @@ def render_dashboard(
     verdicts = []
     if baseline is not None and current is not None:
         verdicts = _perf.check_runs(baseline, current, skip_wall=skip_wall)
-        verdict_by_exp = {v.experiment: v for v in verdicts}
+        verdict_by_exp = {v.key: v for v in verdicts}
 
     parts = _page_head(title)
     if current is None:
@@ -680,12 +674,7 @@ def render_dashboard(
         + "</p>"
     )
     if verdicts:
-        parts.append(
-            _verdict_summary(
-                (v.verdict for v in verdicts),
-                bool(_perf.exit_code(verdicts)),
-            )
-        )
+        parts.append(_verdict_summary(v.verdict for v in verdicts))
 
     for eid, exp in current["experiments"].items():
         verdict = verdict_by_exp.get(eid)
@@ -708,9 +697,7 @@ def render_dashboard(
             f"(spread {wall['spread'] * 100:.0f}% over "
             f"{wall['repeats']} repeats)"
             + (
-                f" · current/baseline x{verdict.wall_ratio:.2f}"
-                if verdict and verdict.wall_ratio is not None
-                else ""
+                f" · {verdict.detail} vs baseline" if verdict else ""
             )
             + "</p>"
         )
@@ -896,7 +883,7 @@ def _verdict_history_rows(runs, perf_history, baseline,
                     doc.get("created_at", ""),
                     str(doc.get("git_sha"))[:12],
                     "perf",
-                    [(v.experiment, v.verdict) for v in verdicts],
+                    [(v.key, v.verdict) for v in verdicts],
                     {},
                 )
             )
@@ -965,7 +952,7 @@ def _verdict_history_card(rows) -> str:
         bad = [
             f"{name}: {verdict}"
             for name, verdict in verdicts
-            if verdict not in ("ok", "new", "partial", "FASTER")
+            if verdict in _gate.FAILING
         ]
         badges = " ".join(
             f"{_badge(verdict)} {n}" for verdict, n in sorted(counts.items())
@@ -1059,8 +1046,7 @@ def render_grid_dashboard(
             _gate_card(
                 "Baseline cross-check",
                 "fault-free cells vs the committed perf baseline",
-                [(v.verdict, v.experiment) for v in verdicts],
-                bool(_registry.exit_code(verdicts)),
+                [(v.verdict, v.key) for v in verdicts],
                 notes=[note for v in verdicts for note in v.notes],
             )
         )
@@ -1212,7 +1198,6 @@ def render_serve_report(
                 "serving pricer vs the committed perf baseline, "
                 "bit-for-bit",
                 [(v["verdict"], v["experiment"]) for v in checks],
-                any(v["verdict"] == "MODEL-DRIFT" for v in checks),
             )
         )
     parts.append(_PAGE_FOOT)
@@ -1374,7 +1359,7 @@ def render_energy_report(
     verdicts = []
     if baseline is not None:
         verdicts = _energy.check_energy_runs(baseline, current)
-        verdict_by_exp = {v.experiment: v for v in verdicts}
+        verdict_by_exp = {v.key: v for v in verdicts}
 
     config = current.get("config", {})
     parts = _page_head(title)
@@ -1393,12 +1378,7 @@ def render_energy_report(
         f"{config.get('gpu_watts', 0):g} W</p>"
     )
     if verdicts:
-        parts.append(
-            _verdict_summary(
-                (v.verdict for v in verdicts),
-                bool(_energy.exit_code(verdicts)),
-            )
-        )
+        parts.append(_verdict_summary(v.verdict for v in verdicts))
     levels = {
         level
         for exp in current.get("experiments", {}).values()
@@ -1551,7 +1531,6 @@ def _forensics_experiment_section(eid: str, families: dict) -> list:
             f"{eid} — span alignment",
             f"{spans['mode']}-aligned, {spans['moved']} moved",
             [(spans["verdict"], "spans")],
-            spans["verdict"] not in ("ok", "skipped"),
         ),
         _contributors_table(spans["contributors"]),
         "<h2>Differential flamegraph "
@@ -1564,7 +1543,6 @@ def _forensics_experiment_section(eid: str, families: dict) -> list:
             f"{eid} — model surface",
             "series totals · counters · transfer split",
             [(model["verdict"], "model")],
-            model["verdict"] not in ("ok", "skipped"),
             notes=model["notes"][:20],
         )
     )
@@ -1575,7 +1553,6 @@ def _forensics_experiment_section(eid: str, families: dict) -> list:
                 f"{eid} — energy",
                 "config · joules · movement bytes",
                 [(energy["verdict"], "energy")],
-                energy["verdict"] not in ("ok", "skipped"),
                 notes=energy["notes"][:20],
             )
         )
@@ -1795,7 +1772,6 @@ def render_resilience_report(
                 "sharded pricer vs the committed perf baseline, "
                 "bit-for-bit",
                 [(v["verdict"], v["experiment"]) for v in checks],
-                any(v["verdict"] == "MODEL-DRIFT" for v in checks),
             )
         )
     if baseline is not None:
@@ -1803,15 +1779,14 @@ def render_resilience_report(
 
         verdicts = _resil.check_resilience_runs(baseline, doc)
         notes = [
-            f"{v.point}: {note}" for v in verdicts for note in v.notes
+            f"{v.key}: {note}" for v in verdicts for note in v.notes
         ]
         parts.append(
             _gate_card(
                 "RESILIENCE gate",
                 "current run vs the committed resilience baseline, "
                 "exact equality",
-                [(v.verdict, v.point) for v in verdicts],
-                _resil.resilience_exit_code(verdicts) != 0,
+                [(v.verdict, v.key) for v in verdicts],
                 notes=notes[:20],
             )
         )

@@ -27,21 +27,18 @@ trajectories and compares:
   headroom the ciphertext does not have — the one direction that
   turns into silent decryption failures downstream.
 
-Verdict severity: ``NOISE-DRIFT`` > ``new`` > ``ok``;
-:func:`exit_code` is non-zero iff anything drifted. Documents carry
-the same schema version + run identity (uuid, timestamp, git SHA)
-discipline as the perf baselines (:mod:`repro.obs.baseline`).
+Verdict severity: ``NOISE-DRIFT`` > ``new`` > ``ok``; the gate fails
+iff anything drifted. Documents are stored by :data:`LEDGER`, the
+ledger every gate shares (:mod:`repro.obs.gate`); :data:`GATE` is the
+``repro noise`` spec.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
-
 from repro.errors import ParameterError
-from repro.obs.runident import run_identity
+from repro.obs import gate
 from repro.obs.noise import NoiseLedger, use_noise_ledger
+from repro.obs.runident import run_identity
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,18 +48,11 @@ __all__ = [
     "PRED_TOLERANCE_BITS",
     "MEAS_TOLERANCE_BITS",
     "CONSERVATISM_MARGIN_BITS",
-    "VERDICT_OK",
-    "VERDICT_NEW",
-    "VERDICT_DRIFT",
-    "NoiseVerdict",
+    "LEDGER",
+    "GATE",
     "capture_noise_run",
-    "write_noise_run",
     "read_noise_run",
-    "append_noise_history",
-    "read_noise_history",
     "check_noise_runs",
-    "exit_code",
-    "render_noise_check",
 ]
 
 #: Version stamped into every noise-run document / baseline.
@@ -85,34 +75,6 @@ MEAS_TOLERANCE_BITS = 0.5
 
 #: A prediction this far above its own measurement is over-promising.
 CONSERVATISM_MARGIN_BITS = 3.0
-
-VERDICT_OK = "ok"
-VERDICT_NEW = "new"
-VERDICT_DRIFT = "NOISE-DRIFT"
-
-
-@dataclass(frozen=True)
-class NoiseVerdict:
-    """One (security level, workload shape) comparison outcome."""
-
-    level_bits: int
-    workload: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    @property
-    def key(self) -> str:
-        return f"{self.level_bits}b/{self.workload}"
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>11}] {self.key}"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
 
 
 # -- capture ----------------------------------------------------------------
@@ -236,60 +198,17 @@ def capture_noise_run(
 
 # -- persistence ------------------------------------------------------------
 
+#: The calibration baseline and run-history format (``repro noise``).
+LEDGER = gate.Ledger(
+    noun="noise",
+    what="noise baseline",
+    family="levels",
+    hint="repro noise record",
+    schema=SCHEMA_VERSION,
+)
 
-def _validate_noise_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: noise-run document must be a JSON object"
-        )
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ParameterError(
-            f"{source}: unsupported noise schema {schema!r} "
-            f"(this build reads version {SCHEMA_VERSION}); "
-            "re-record with 'repro noise record'"
-        )
-    if not isinstance(doc.get("levels"), dict):
-        raise ParameterError(f"{source}: noise-run document missing 'levels'")
-    return doc
-
-
-def write_noise_run(doc: dict, path) -> None:
-    """Write one noise run (or baseline) as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_noise_run(path) -> dict:
-    """Read and schema-validate a noise run / calibration baseline."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no noise baseline at {path}; create one with "
-            "'repro noise record'"
-        )
-    return _validate_noise_run(json.loads(path.read_text()), str(path))
-
-
-def append_noise_history(doc: dict, path) -> None:
-    """Append one noise run to the JSONL history file."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_noise_history(path) -> list:
-    """All noise runs in the history file, oldest first."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_noise_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+#: Read and schema-validate a noise run / calibration baseline.
+read_noise_run = LEDGER.read
 
 
 # -- the gate ---------------------------------------------------------------
@@ -343,81 +262,112 @@ def _conservatism_notes(trajectory: list) -> list:
 def check_noise_runs(baseline: dict, current: dict) -> list:
     """Compare a current noise run against the calibration baseline.
 
-    One :class:`NoiseVerdict` per (level, workload) in the current
-    run. Pairs absent from the baseline are ``new`` (adopt with
-    ``--update``); baseline pairs absent from the current run are not
-    checked (the caller chose a subset of levels).
+    One verdict per (level, workload) in the current run, keyed
+    ``"<bits>b/<workload>"``. Pairs absent from the baseline are
+    ``new`` (adopt with ``--update``); baseline pairs absent from the
+    current run are not checked (the caller chose a subset of levels).
     """
     verdicts = []
-    for bits_str, level in current["levels"].items():
-        bits = int(bits_str)
-        base_level = baseline["levels"].get(bits_str)
+    for bits, level in current["levels"].items():
+        base_level = baseline["levels"].get(bits, {"workloads": {}})
         for name, shape in level["workloads"].items():
-            trajectory = shape["trajectory"]
-            base_shape = (
-                base_level["workloads"].get(name)
-                if base_level is not None
-                else None
-            )
+            key = f"{bits}b/{name}"
+            base_shape = base_level["workloads"].get(name)
             if base_shape is None:
                 verdicts.append(
-                    NoiseVerdict(
-                        bits,
-                        name,
-                        VERDICT_NEW,
-                        notes=("not in baseline; adopt with --update",),
-                    )
+                    GATE.verdict(key, (gate.NEW_NOTE,), gate.VERDICT_NEW)
                 )
                 continue
+            trajectory = shape["trajectory"]
             notes = _compare_trajectories(
                 base_shape["trajectory"], trajectory
             )
             notes += _conservatism_notes(trajectory)
-            verdicts.append(
-                NoiseVerdict(
-                    bits,
-                    name,
-                    VERDICT_DRIFT if notes else VERDICT_OK,
-                    notes=tuple(notes),
-                )
-            )
+            verdicts.append(GATE.verdict(key, notes))
     return verdicts
 
 
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
+# -- the gate spec ----------------------------------------------------------
 
 
-def render_noise_check(verdicts, baseline: dict, current: dict) -> str:
-    """The calibration report as aligned text with a summary footer."""
-    lines = [
-        "noise check — current trajectories vs calibration baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (VERDICT_OK, VERDICT_NEW, VERDICT_DRIFT)
+def _add_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to record (default: all paper levels)",
         )
-        + f" of {len(verdicts)} trajectories"
+        parser.add_argument(
+            "--seed",
+            type=int,
+            default=7,
+            help="seed for keys, encryption randomness, and operand "
+            "sampling (default: 7)",
+        )
+    elif command == "check":
+        parser.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to check (default: everything in the "
+            "baseline)",
+        )
+
+
+def _html(current, baseline, history, args) -> str:
+    from repro.obs import htmlreport
+
+    return htmlreport.render_noise_report(current, baseline)
+
+
+def _recorded(doc: dict) -> str:
+    trajectories = sum(
+        len(level["workloads"]) for level in doc["levels"].values()
     )
-    if any(v.verdict == VERDICT_DRIFT for v in verdicts):
-        lines.append(
-            "noise trajectories are seeded-deterministic; drift means "
-            "the growth model, evaluator, or sampler changed — "
-            "re-baseline deliberately with 'repro noise check --update'"
-        )
-    return "\n".join(lines)
+    return (
+        f"recorded {trajectories} noise trajectories over "
+        f"{len(doc['levels'])} security levels"
+    )
+
+
+GATE = gate.Gate(
+    name="noise",
+    ledger=LEDGER,
+    baseline_path=DEFAULT_BASELINE_PATH,
+    history_path=DEFAULT_HISTORY_PATH,
+    title="noise check — current trajectories vs calibration baseline",
+    noun="trajectories",
+    order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.NOISE_DRIFT),
+    drift_hint=(
+        "noise trajectories are seeded-deterministic; drift means "
+        "the growth model, evaluator, or sampler changed — "
+        "re-baseline deliberately with 'repro noise check --update'"
+    ),
+    help="noise-budget calibration: record, gate, and report "
+    "predicted-vs-measured trajectories",
+    description=(
+        "Record seeded-deterministic noise-budget trajectories "
+        "(predicted and measured bits per operation) for the paper "
+        "security levels and gate the growth model against them: "
+        "any change beyond tolerance is NOISE-DRIFT. See "
+        "docs/observability.md."
+    ),
+    commands={
+        "record": "capture the noise-calibration baseline",
+        "check": "re-run trajectories and gate against the baseline",
+        "report": "render the budget-vs-depth trajectories as standalone HTML",
+    },
+    add_arguments=_add_arguments,
+    capture=lambda args, progress: capture_noise_run(
+        levels=args.levels or None, seed=args.seed, progress=progress
+    ),
+    capture_for_check=lambda baseline, args, progress: capture_noise_run(
+        levels=args.levels or [int(bits) for bits in baseline["levels"]],
+        seed=baseline.get("seed", 7),
+        progress=progress,
+    ),
+    check=lambda baseline, current, args: check_noise_runs(baseline, current),
+    html=_html,
+    recorded=_recorded,
+)

@@ -18,29 +18,23 @@ Two deliberately different comparison policies, one per clock domain:
   ``ok``.
 
 Verdict severity: ``MODEL-DRIFT`` > ``REGRESSION`` > ``new`` >
-``faster`` > ``ok``. :func:`exit_code` is non-zero iff any experiment
-drifted or regressed.
+``faster`` > ``ok``; the gate fails (:func:`repro.obs.gate.exit_code`)
+iff any experiment drifted or regressed. :data:`GATE` is the
+``repro perf`` spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import ParameterError
+from repro.obs import baseline as bl
+from repro.obs import gate
 
 __all__ = [
     "FAST_SET",
-    "VERDICT_OK",
-    "VERDICT_FASTER",
-    "VERDICT_REGRESSION",
-    "VERDICT_DRIFT",
-    "VERDICT_NEW",
-    "ExperimentVerdict",
+    "GATE",
     "classify_wall",
     "modelled_drift",
     "check_runs",
-    "exit_code",
-    "render_check",
     "diff_runs",
     "render_diff",
 ]
@@ -67,41 +61,10 @@ FAST_SET = (
     "ext_end_to_end",
 )
 
-VERDICT_OK = "ok"
-VERDICT_FASTER = "faster"
-VERDICT_REGRESSION = "REGRESSION"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_NEW = "new"
-
 #: Wall-time policy defaults: the regression threshold is
 #: ``max(MIN_REL_THRESHOLD, SPREAD_FACTOR * baseline spread)``.
 MIN_REL_THRESHOLD = 0.25
 SPREAD_FACTOR = 3.0
-
-
-@dataclass(frozen=True)
-class ExperimentVerdict:
-    """One experiment's comparison outcome."""
-
-    experiment: str
-    verdict: str
-    wall_ratio: float | None = None
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict in (VERDICT_REGRESSION, VERDICT_DRIFT)
-
-    def describe(self) -> str:
-        ratio = (
-            f"wall x{self.wall_ratio:.2f}"
-            if self.wall_ratio is not None
-            else "wall skipped"
-        )
-        line = f"[{self.verdict:>11}] {self.experiment}  ({ratio})"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
 
 
 # -- policies ---------------------------------------------------------------
@@ -122,14 +85,14 @@ def classify_wall(
     base = baseline_wall["median_s"]
     cur = current_wall["median_s"]
     if base <= 0:
-        return VERDICT_OK, None
+        return gate.VERDICT_OK, None
     ratio = cur / base
     threshold = max(min_rel, spread_factor * baseline_wall.get("spread", 0.0))
     if ratio > 1.0 + threshold:
-        return VERDICT_REGRESSION, ratio
+        return gate.VERDICT_REGRESSION, ratio
     if ratio < 1.0 / (1.0 + threshold):
-        return VERDICT_FASTER, ratio
-    return VERDICT_OK, ratio
+        return gate.VERDICT_FASTER, ratio
+    return gate.VERDICT_OK, ratio
 
 
 def _exact_diffs(label: str, base: dict, cur: dict) -> list:
@@ -186,75 +149,22 @@ def check_runs(
     Experiments present only in the current run are ``new`` (recorded
     but uncomparable — re-baseline to adopt them); baseline experiments
     absent from the current run are simply not checked (the caller
-    chose a subset).
+    chose a subset). Each row's detail is its wall ratio.
     """
     verdicts = []
     for eid, cur_exp in current["experiments"].items():
         base_exp = baseline["experiments"].get(eid)
+        ratio = None
         if base_exp is None:
-            verdicts.append(
-                ExperimentVerdict(
-                    eid,
-                    VERDICT_NEW,
-                    notes=("not in baseline; adopt with --update",),
-                )
-            )
-            continue
-        drift = modelled_drift(base_exp, cur_exp)
-        if drift:
-            verdicts.append(
-                ExperimentVerdict(eid, VERDICT_DRIFT, notes=tuple(drift))
-            )
-            continue
-        if skip_wall:
-            verdicts.append(ExperimentVerdict(eid, VERDICT_OK))
-            continue
-        verdict, ratio = classify_wall(base_exp["wall"], cur_exp["wall"])
-        verdicts.append(ExperimentVerdict(eid, verdict, wall_ratio=ratio))
+            label, notes = gate.VERDICT_NEW, (gate.NEW_NOTE,)
+        else:
+            notes = modelled_drift(base_exp, cur_exp)
+            label = gate.MODEL_DRIFT if notes else gate.VERDICT_OK
+            if not notes and not skip_wall:
+                label, ratio = classify_wall(base_exp["wall"], cur_exp["wall"])
+        detail = "wall skipped" if ratio is None else f"wall x{ratio:.2f}"
+        verdicts.append(GATE.verdict(eid, notes, label, detail))
     return verdicts
-
-
-def exit_code(verdicts) -> int:
-    """0 when nothing drifted or regressed, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_check(verdicts, baseline: dict, current: dict) -> str:
-    """The check report as aligned text with a summary footer."""
-    lines = [
-        "perf check — current run vs baseline",
-        f"  baseline: run {baseline.get('run_id', '?')[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {current.get('run_id', '?')[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    order = (
-        VERDICT_OK,
-        VERDICT_FASTER,
-        VERDICT_NEW,
-        VERDICT_REGRESSION,
-        VERDICT_DRIFT,
-    )
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(f"{counts.get(k, 0)} {k}" for k in order)
-        + f" of {len(verdicts)} experiments"
-    )
-    if any(v.verdict == VERDICT_DRIFT for v in verdicts):
-        lines.append(
-            "modelled times are deterministic; drift means the cost "
-            "model changed — re-baseline deliberately with "
-            "'repro perf check --update'"
-        )
-    return "\n".join(lines)
 
 
 # -- attribution diff -------------------------------------------------------
@@ -366,3 +276,97 @@ def render_diff(run_a: dict, run_b: dict, top_k: int = 10) -> str:
             if i == 0:
                 lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+# -- the gate spec ----------------------------------------------------------
+
+
+def _add_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to record (default: the fast set)",
+        )
+        parser.add_argument(
+            "--repeats",
+            type=int,
+            default=3,
+            help="untraced wall-time repeats per experiment (default: 3)",
+        )
+    elif command == "check":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to check (default: everything in the baseline)",
+        )
+        parser.add_argument(
+            "--repeats", type=int, default=3, help="wall-time repeats"
+        )
+        parser.add_argument(
+            "--skip-wall",
+            action="store_true",
+            help="modelled-exactness only (for CI / foreign machines)",
+        )
+    else:
+        parser.add_argument(
+            "--skip-wall",
+            action="store_true",
+            help="badge on modelled exactness only",
+        )
+
+
+def _html(current, baseline, history, args) -> str:
+    from repro.obs import htmlreport
+
+    return htmlreport.render_dashboard(
+        history, baseline, skip_wall=args.skip_wall
+    )
+
+
+GATE = gate.Gate(
+    name="perf",
+    ledger=bl.LEDGER,
+    baseline_path=bl.DEFAULT_BASELINE_PATH,
+    history_path=bl.DEFAULT_HISTORY_PATH,
+    title="perf check — current run vs baseline",
+    noun="experiments",
+    order=(
+        gate.VERDICT_OK,
+        gate.VERDICT_FASTER,
+        gate.VERDICT_NEW,
+        gate.VERDICT_REGRESSION,
+        gate.MODEL_DRIFT,
+    ),
+    drift_hint=(
+        "modelled times are deterministic; drift means the cost "
+        "model changed — re-baseline deliberately with "
+        "'repro perf check --update'"
+    ),
+    help="performance baselines, regression gate, and dashboard",
+    description=(
+        "Record schema-versioned performance baselines and gate "
+        "changes against them: modelled times must match exactly "
+        "(MODEL-DRIFT otherwise), wall times within a noise-aware "
+        "band (REGRESSION otherwise). See docs/observability.md."
+    ),
+    commands={
+        "record": "capture a baseline run (modelled + wall + rollups)",
+        "check": "re-run and compare against the baseline",
+        "html": "render the run history as a standalone HTML dashboard",
+    },
+    add_arguments=_add_arguments,
+    capture=lambda args, progress: bl.capture_run(
+        args.ids or None, repeats=args.repeats, progress=progress
+    ),
+    capture_for_check=lambda baseline, args, progress: bl.capture_run(
+        args.ids or list(baseline["experiments"]),
+        repeats=args.repeats,
+        progress=progress,
+    ),
+    check=lambda baseline, current, args: check_runs(
+        baseline, current, skip_wall=args.skip_wall
+    ),
+    html=_html,
+    recorded=lambda doc: f"recorded {len(doc['experiments'])} experiments",
+)

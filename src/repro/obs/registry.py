@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -52,6 +52,8 @@ from repro.backends.registry import BACKEND_ORDER
 from repro.errors import ParameterError
 from repro.obs import baseline as _bl
 from repro.obs import energy as _energy
+from repro.obs import gate
+from repro.obs.gate import Verdict
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import run_identity
 from repro.workloads.linreg import LinearRegressionWorkload
@@ -75,12 +77,7 @@ __all__ = [
     "STATUS_RUNNING",
     "STATUS_DONE",
     "STATUS_FAILED",
-    "VERDICT_OK",
-    "VERDICT_DRIFT",
-    "VERDICT_NEW",
-    "VERDICT_PARTIAL",
     "GridSpec",
-    "GridVerdict",
     "RunRegistry",
     "cell_label",
     "run_cell",
@@ -90,7 +87,6 @@ __all__ = [
     "experiment_totals",
     "workload_totals",
     "render_status",
-    "exit_code",
 ]
 
 #: Version stamped into the registry's ``meta`` table; readers refuse
@@ -110,11 +106,6 @@ STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
-
-VERDICT_OK = "ok"
-VERDICT_DRIFT = "MODEL-DRIFT"
-VERDICT_NEW = "new"
-VERDICT_PARTIAL = "partial"
 
 
 @dataclass(frozen=True)
@@ -850,7 +841,7 @@ def _record_drain(
                 "energy": _energy.energy_rollup(snapshot),
                 "verdicts": [
                     {
-                        "experiment": v.experiment,
+                        "experiment": v.key,
                         "verdict": v.verdict,
                         "notes": list(v.notes),
                     }
@@ -916,25 +907,6 @@ def drift_annotations(cells, baseline: dict | None, failures=()) -> dict:
 # -- the MODEL-DRIFT gate over the grid -------------------------------------
 
 
-@dataclass(frozen=True)
-class GridVerdict:
-    """One experiment-group comparison against the perf baseline."""
-
-    experiment: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>11}] {self.experiment}"
-        for note in self.notes:
-            line += f"\n              - {note}"
-        return line
-
-
 def _fault_free_index(cells) -> dict:
     """(workload, bits, batch, backend) -> done cell, health == 100%."""
     return {
@@ -976,7 +948,7 @@ def experiment_totals(cells) -> dict:
     For each mapped experiment (:data:`EXPERIMENT_CELLS`) whose cells
     the grid enumerates, sums done cells per backend *in batch order* —
     the same float-accumulation order as
-    :func:`repro.obs.baseline._series_totals` over the experiment's
+    :func:`repro.obs.baseline.series_totals` over the experiment's
     rows, so totals are comparable bit-for-bit. Backends with missing
     cells are omitted.
     """
@@ -1047,9 +1019,9 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
         recorded = baseline.get("experiments", {}).get(eid)
         if recorded is None:
             verdicts.append(
-                GridVerdict(
+                Verdict(
                     eid,
-                    VERDICT_NEW,
+                    gate.VERDICT_NEW,
                     (f"experiment {eid!r} not in the baseline",),
                 )
             )
@@ -1059,9 +1031,9 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
         missing = [name for name in sorted(expected) if name not in got]
         if missing:
             verdicts.append(
-                GridVerdict(
+                Verdict(
                     eid,
-                    VERDICT_PARTIAL,
+                    gate.VERDICT_PARTIAL,
                     tuple(
                         f"backend {name!r}: cells pending or failed"
                         for name in missing
@@ -1076,14 +1048,9 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
             if got[name] != expected[name]
         )
         verdicts.append(
-            GridVerdict(eid, VERDICT_DRIFT if notes else VERDICT_OK, notes)
+            Verdict(eid, gate.MODEL_DRIFT if notes else gate.VERDICT_OK, notes)
         )
     return verdicts
-
-
-def exit_code(verdicts) -> int:
-    """Non-zero iff any grid verdict is MODEL-DRIFT."""
-    return 1 if any(v.failed for v in verdicts) else 0
 
 
 # -- text status ------------------------------------------------------------
@@ -1150,7 +1117,7 @@ def render_status(registry: RunRegistry, baseline: dict | None = None) -> str:
         lines.append("\nbaseline check (fault-free cells vs perf.json):")
         lines.extend("  " + v.describe() for v in verdicts)
         lines.append(
-            "  gate FAILS (MODEL-DRIFT)" if exit_code(verdicts)
+            "  gate FAILS (MODEL-DRIFT)" if gate.exit_code(verdicts)
             else "  gate passes"
         )
     return "\n".join(lines)

@@ -57,27 +57,21 @@ from repro.serve.resilience import (
     check_resilience_runs,
     degraded_plan,
     read_resilience_run,
-    render_resilience_check,
     render_resilience_text,
-    resilience_exit_code,
     simulate_resilient,
-    write_resilience_run,
 )
 from repro.serve.service import (
     DEFAULT_HEALTHY_GRID,
     DEFAULT_QPS_GRID,
     RequestClass,
     ServeSpec,
-    baseline_exit_code,
     check_serving_baseline,
     emit_request_spans,
-    read_serve_sweep,
     render_point_text,
     render_sweep_text,
     simulate,
     sweep_capacity,
     timelines_to_chrome_trace,
-    write_serve_sweep,
 )
 from repro.serve.shard import (
     ShardedPricer,
@@ -99,10 +93,7 @@ __all__ = [
     "simulate",
     "sweep_capacity",
     "check_serving_baseline",
-    "baseline_exit_code",
     "emit_request_spans",
-    "write_serve_sweep",
-    "read_serve_sweep",
     "render_point_text",
     "render_sweep_text",
     "timelines_to_chrome_trace",
@@ -119,9 +110,6 @@ __all__ = [
     "degraded_plan",
     "capture_resilience_run",
     "check_resilience_runs",
-    "resilience_exit_code",
-    "render_resilience_check",
     "render_resilience_text",
-    "write_resilience_run",
     "read_resilience_run",
 ]

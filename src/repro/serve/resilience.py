@@ -44,12 +44,10 @@ is ``RESILIENCE-DRIFT``.
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ParameterError, PermanentDeviceError
-from repro.obs.energy import exact_diffs
+from repro.obs import gate
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
@@ -78,9 +76,8 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
-    "VERDICT_RESIL_OK",
-    "VERDICT_RESIL_NEW",
-    "VERDICT_RESIL_DRIFT",
+    "LEDGER",
+    "GATE",
     "DEFAULT_RESIL_BASELINE_PATH",
     "DEFAULT_RESIL_HISTORY_PATH",
     "DEFAULT_RESIL_SEEDS",
@@ -95,13 +92,8 @@ __all__ = [
     "degraded_plan",
     "capture_resilience_run",
     "check_resilience_runs",
-    "resilience_exit_code",
-    "render_resilience_check",
     "render_resilience_text",
-    "write_resilience_run",
     "read_resilience_run",
-    "append_resilience_history",
-    "read_resilience_history",
     "emit_resilient_spans",
 ]
 
@@ -109,9 +101,6 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
-VERDICT_RESIL_OK = "ok"
-VERDICT_RESIL_NEW = "new"
-VERDICT_RESIL_DRIFT = "RESILIENCE-DRIFT"
 
 #: Where ``repro resil record`` writes the committed gate baseline.
 DEFAULT_RESIL_BASELINE_PATH = "baselines/resilience.json"
@@ -963,87 +952,21 @@ def capture_resilience_run(
 
 # -- persistence -------------------------------------------------------------
 
+#: The resilience baseline and run-history format (``repro resil``).
+LEDGER = gate.Ledger(
+    noun="resilience",
+    what="resilience baseline",
+    family="points",
+    hint="repro resil record",
+    schema=SCHEMA_VERSION,
+    kind="resilience-baseline",
+)
 
-def _validate_resilience_run(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: resilience document must be a JSON object"
-        )
-    if (
-        doc.get("schema") != SCHEMA_VERSION
-        or doc.get("kind") != "resilience-baseline"
-    ):
-        raise ParameterError(
-            f"{source}: unsupported resilience document "
-            f"(schema {doc.get('schema')!r}, kind {doc.get('kind')!r}); "
-            "re-record with 'repro resil record'"
-        )
-    if not isinstance(doc.get("points"), dict):
-        raise ParameterError(f"{source}: resilience document missing 'points'")
-    return doc
-
-
-def write_resilience_run(doc: dict, path) -> None:
-    """Write one resilience document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_resilience_run(path) -> dict:
-    """Read and schema-validate a resilience document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no resilience baseline at {path}; record one with "
-            "'repro resil record'"
-        )
-    return _validate_resilience_run(
-        json.loads(path.read_text()), str(path)
-    )
-
-
-def append_resilience_history(doc: dict, path) -> None:
-    """Append one resilience document to the JSONL history."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
-def read_resilience_history(path) -> list:
-    """Every resilience document in the history (missing file = [])."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [
-        _validate_resilience_run(json.loads(line), str(path))
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+#: Read and schema-validate a resilience document.
+read_resilience_run = LEDGER.read
 
 
 # -- the check ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResilienceVerdict:
-    """One grid point's (or the config's) comparison outcome."""
-
-    point: str
-    verdict: str
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == VERDICT_RESIL_DRIFT
-
-    def describe(self) -> str:
-        line = f"[{self.verdict:>16}] {self.point}"
-        for note in self.notes:
-            line += f"\n                   - {note}"
-        return line
-
 
 #: Top-level scalar fields compared as the ``<resil-config>`` row.
 _CONFIG_FIELDS = (
@@ -1064,101 +987,21 @@ _CONFIG_FIELDS = (
 def check_resilience_runs(baseline: dict, current: dict) -> list:
     """Compare a current resilience capture against the baseline.
 
-    Exact-match policy throughout — every point scalar is
-    deterministic modelled arithmetic, so *any* difference is
-    ``RESILIENCE-DRIFT``. The grid configuration is compared first (as
-    ``<resil-config>``); points present only in the current run are
-    ``new`` (adopt with ``--update``); baseline points absent from the
-    current run are not checked (the caller narrowed the grid).
+    Exact-match policy throughout (:func:`repro.obs.gate.check_exact`)
+    — every point scalar is deterministic modelled arithmetic, so *any*
+    difference is ``RESILIENCE-DRIFT``. The grid configuration is
+    compared first (as ``<resil-config>``), then the points, the
+    capacity rows and the perf-baseline cross-check rows; points present
+    only in the current run are ``new`` (adopt with ``--update``).
     """
-    verdicts = []
-    config_notes = []
-    for field_name in _CONFIG_FIELDS:
-        config_notes.extend(
-            exact_diffs(
-                field_name,
-                baseline.get(field_name),
-                current.get(field_name),
-            )
-        )
-    verdicts.append(
-        ResilienceVerdict(
-            "<resil-config>",
-            VERDICT_RESIL_DRIFT if config_notes else VERDICT_RESIL_OK,
-            notes=tuple(config_notes),
-        )
+    return gate.check_exact(
+        GATE,
+        baseline,
+        current,
+        "<resil-config>",
+        _CONFIG_FIELDS,
+        ("capacity", "baseline_check"),
     )
-    for family in ("points", "capacity", "baseline_check"):
-        base_family = baseline.get(family, {})
-        cur_family = current.get(family, {})
-        if family == "baseline_check":
-            # Stored as verdict lists keyed by experiment.
-            base_family = {
-                v["experiment"]: v for v in baseline.get(family, [])
-            }
-            cur_family = {
-                v["experiment"]: v for v in current.get(family, [])
-            }
-        for key in sorted(cur_family):
-            label = f"{family}:{key}" if family != "points" else key
-            base = base_family.get(key)
-            if base is None:
-                verdicts.append(
-                    ResilienceVerdict(
-                        label,
-                        VERDICT_RESIL_NEW,
-                        notes=("not in baseline; adopt with --update",),
-                    )
-                )
-                continue
-            notes = exact_diffs("", base, cur_family[key])
-            verdicts.append(
-                ResilienceVerdict(
-                    label,
-                    VERDICT_RESIL_DRIFT if notes else VERDICT_RESIL_OK,
-                    notes=tuple(notes),
-                )
-            )
-    return verdicts
-
-
-def resilience_exit_code(verdicts) -> int:
-    """0 when nothing drifted, 1 otherwise."""
-    return 1 if any(v.failed for v in verdicts) else 0
-
-
-def render_resilience_check(
-    verdicts, baseline: dict, current: dict
-) -> str:
-    """The RESILIENCE gate report as aligned text with a summary."""
-    lines = [
-        "resilience check — current capture vs committed baseline",
-        f"  baseline: run {str(baseline.get('run_id', '?'))[:12]} "
-        f"({baseline.get('created_at', '?')}, "
-        f"git {str(baseline.get('git_sha'))[:12]})",
-        f"  current:  run {str(current.get('run_id', '?'))[:12]} "
-        f"({current.get('created_at', '?')}, "
-        f"git {str(current.get('git_sha'))[:12]})",
-        "",
-    ]
-    lines.extend(v.describe() for v in verdicts)
-    counts: dict = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    lines.append("")
-    lines.append(
-        "summary: "
-        + ", ".join(
-            f"{counts.get(k, 0)} {k}"
-            for k in (
-                VERDICT_RESIL_OK,
-                VERDICT_RESIL_NEW,
-                VERDICT_RESIL_DRIFT,
-            )
-        )
-        + f" of {len(verdicts)} checks"
-    )
-    return "\n".join(lines)
 
 
 def render_resilience_text(doc: dict) -> str:
@@ -1222,3 +1065,195 @@ def render_resilience_text(doc: dict) -> str:
             f"({verdict['class']}) -> {verdict['verdict']}"
         )
     return "\n".join(lines)
+
+
+# -- the gate spec -------------------------------------------------------------
+
+
+def _add_arguments(parser, command: str) -> None:
+    parser.add_argument(
+        "--workload",
+        default="vec_add",
+        help="request-class workload (default: vec_add)",
+    )
+    parser.add_argument(
+        "--security",
+        type=int,
+        default=54,
+        metavar="BITS",
+        help="security level (default: 54)",
+    )
+    parser.add_argument(
+        "--seeds",
+        nargs="+",
+        type=int,
+        default=list(DEFAULT_RESIL_SEEDS),
+        help=f"fault seeds to sweep (default: "
+        f"{' '.join(str(s) for s in DEFAULT_RESIL_SEEDS)})",
+    )
+    parser.add_argument(
+        "--shards",
+        nargs="+",
+        type=int,
+        default=list(DEFAULT_SHARD_COUNTS),
+        metavar="K",
+        help=f"shard counts to sweep (default: "
+        f"{' '.join(str(k) for k in DEFAULT_SHARD_COUNTS)})",
+    )
+    parser.add_argument(
+        "--qps",
+        nargs="+",
+        type=float,
+        default=list(DEFAULT_RESIL_QPS),
+        help=f"offered rates to sweep (default: "
+        f"{' '.join(f'{q:g}' for q in DEFAULT_RESIL_QPS)})",
+    )
+    parser.add_argument(
+        "--duration",
+        type=float,
+        default=0.1,
+        metavar="S",
+        help="modelled arrival window in seconds (default: 0.1)",
+    )
+    parser.add_argument(
+        "--breaker-threshold",
+        type=int,
+        default=3,
+        metavar="N",
+        help="consecutive failures that trip a shard's breaker "
+        "(default: 3)",
+    )
+    parser.add_argument(
+        "--breaker-cooldown-ms",
+        type=float,
+        default=25.0,
+        metavar="MS",
+        help="breaker cooldown in modelled milliseconds (default: 25)",
+    )
+    parser.add_argument(
+        "--retry-budget",
+        type=int,
+        default=1,
+        metavar="N",
+        help="redispatches allowed after a failed dispatch (default: 1)",
+    )
+    parser.add_argument(
+        "--hedge-after-ms",
+        type=float,
+        default=5.0,
+        metavar="MS",
+        help="queue wait that triggers a hedged duplicate launch "
+        "(default: 5)",
+    )
+    parser.add_argument(
+        "--perf-baseline",
+        default="baselines/perf.json",
+        metavar="FILE",
+        help="perf baseline for the single-shard bit-identity "
+        "cross-check (default: baselines/perf.json)",
+    )
+    parser.add_argument(
+        "--skip-baseline",
+        action="store_true",
+        help="skip the single-shard perf cross-check",
+    )
+
+
+def _capture(args, progress, **recorded) -> dict:
+    """Capture the grid the CLI options name, overridden by ``recorded``."""
+    import os
+
+    from repro.obs import baseline as bl
+
+    perf_baseline = None
+    if not args.skip_baseline and os.path.exists(args.perf_baseline):
+        perf_baseline = bl.read_run(args.perf_baseline)
+    kwargs = dict(
+        workload=args.workload,
+        security_bits=args.security,
+        seeds=args.seeds,
+        shard_counts=args.shards,
+        qps_grid=args.qps,
+        duration_s=args.duration,
+        breaker=BreakerSpec(
+            failure_threshold=args.breaker_threshold,
+            cooldown_s=args.breaker_cooldown_ms * 1e-3,
+        ),
+        retry_budget=args.retry_budget,
+        hedge_after_s=(
+            args.hedge_after_ms * 1e-3
+            if args.hedge_after_ms is not None
+            else None
+        ),
+        baseline=perf_baseline,
+        progress=progress,
+    )
+    kwargs.update(recorded)
+    return capture_resilience_run(**kwargs)
+
+
+def _capture_for_check(baseline: dict, args, progress) -> dict:
+    """Re-simulate exactly the recorded grid, not the CLI defaults."""
+    config = baseline["config"]
+    return _capture(
+        args,
+        progress,
+        workload=baseline["workload"],
+        security_bits=baseline["security_bits"],
+        seeds=baseline["seeds"],
+        shard_counts=baseline["shard_counts"],
+        qps_grid=baseline["qps_grid"],
+        duration_s=baseline["duration_s"],
+        breaker=BreakerSpec(**config["breaker"]),
+        retry_budget=config["retry_budget"],
+        hedge_after_s=config["hedge_after_s"],
+        shed_burn_threshold=config["shed_burn_threshold"],
+    )
+
+
+def _html(current, baseline, history, args) -> str:
+    from repro.obs import htmlreport
+
+    return htmlreport.render_resilience_report(current, baseline)
+
+
+GATE = gate.Gate(
+    name="resil",
+    ledger=LEDGER,
+    baseline_path=DEFAULT_RESIL_BASELINE_PATH,
+    history_path=DEFAULT_RESIL_HISTORY_PATH,
+    title="resilience check — current capture vs committed baseline",
+    noun="checks",
+    order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.RESILIENCE_DRIFT),
+    drift_hint=None,
+    help="fault-tolerant sharded serving: record, gate, and render "
+    "degraded-fleet SLO attainment",
+    description=(
+        "Sweep the sharded resilient serving model — health-aware "
+        "placement over K rank-aligned shards, per-shard circuit "
+        "breakers, retry budgets, hedged dispatch — across a fault "
+        "seed × shard count × offered QPS grid, healthy and with "
+        "one shard's ranks disabled. Every point is deterministic "
+        "modelled arithmetic, so the gate demands exact equality "
+        "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
+        "pricer is cross-checked bit-for-bit against the perf "
+        "baseline. See docs/robustness.md."
+    ),
+    commands={
+        "record": "capture the RESILIENCE gate baseline",
+        "check": "re-simulate the recorded grid and gate against the "
+        "baseline",
+        "html": "render the shard-health dashboard from the recorded run",
+    },
+    add_arguments=_add_arguments,
+    capture=_capture,
+    capture_for_check=_capture_for_check,
+    check=lambda baseline, current, args: check_resilience_runs(
+        baseline, current
+    ),
+    html=_html,
+    recorded=lambda doc: (
+        f"{render_resilience_text(doc)}\n"
+        f"recorded {len(doc['points'])} resilience points"
+    ),
+)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 from dataclasses import dataclass, field, replace
 
 from repro.backends import get_backend
@@ -43,6 +42,7 @@ from repro.core.params import BFVParameters
 from repro.core.planner import CircuitShape, HeadroomGuard, plan_budget
 from repro.errors import ParameterError
 from repro.harness.chaos import plan_for_healthy_fraction
+from repro.obs.gate import MODEL_DRIFT, VERDICT_NEW, VERDICT_OK, Ledger
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
@@ -68,9 +68,8 @@ __all__ = [
     "simulate",
     "sweep_capacity",
     "check_serving_baseline",
-    "baseline_exit_code",
-    "write_serve_sweep",
-    "read_serve_sweep",
+    "price_launch",
+    "SWEEPS",
     "render_point_text",
     "render_sweep_text",
     "timelines_to_chrome_trace",
@@ -237,61 +236,66 @@ class ServeResult:
     doc: dict
 
 
-def _make_pricer(spec: ServeSpec):
-    """The per-launch pricing closure: (class key, batch) -> breakdown.
+def price_launch(backend, cls: RequestClass, batch_size: int) -> TimingBreakdown:
+    """Price one shared launch of ``batch_size`` requests of ``cls``.
 
     Prices through the exact experiment path — the workload factory and
-    ``Backend.time_op`` — and memoizes per (class, batch size): pricing
-    is a pure function of the spec (fault plans for fixed disabled-DPU
-    counts are stateless across launches).
+    ``Backend.time_op`` — and merges the per-request breakdowns into
+    one launch (times and bytes summed, the widest DPU use kept).
     """
     from repro.obs.registry import GRID_WORKLOADS
 
+    ops = batch_size * cls.ops_per_request
+    workload = GRID_WORKLOADS[cls.workload].factory(cls.security_bits, ops)
+    seconds = 0.0
+    launch_s = kernel_s = transfer_s = energy_j = 0.0
+    dpus_used = movement_bytes = 0
+    bound = "?"
+    for request in workload.device_requests():
+        breakdown = backend.time_op(request)
+        seconds += breakdown.seconds
+        detail = breakdown.detail
+        launch_s += float(detail.get("launch_s", 0.0))
+        kernel_s += float(detail.get("kernel_s", 0.0))
+        transfer_s += float(detail.get("transfer_s", 0.0))
+        energy_j += float(detail.get("energy_j", 0.0))
+        movement_bytes += int(detail.get("movement_bytes", 0))
+        dpus_used = max(dpus_used, int(detail.get("dpus_used", 0)))
+        bound = str(detail.get("bound", bound))
+    return TimingBreakdown(
+        backend=SERVE_BACKEND,
+        op=cls.workload,
+        seconds=seconds,
+        detail={
+            "launch_s": launch_s,
+            "kernel_s": kernel_s,
+            "transfer_s": transfer_s,
+            "dpus_used": dpus_used,
+            "bound": bound,
+            "ops": ops,
+            "energy_j": energy_j,
+            "movement_bytes": movement_bytes,
+        },
+    )
+
+
+def _make_pricer(spec: ServeSpec):
+    """The per-launch pricing closure: (class key, batch) -> breakdown.
+
+    Prices through :func:`price_launch` and memoizes per (class, batch
+    size): pricing is a pure function of the spec (fault plans for
+    fixed disabled-DPU counts are stateless across launches).
+    """
     backend = get_backend(SERVE_BACKEND)
     by_key = {c.key: c for c in spec.classes}
     cache: dict = {}
 
     def pricer(class_key: str, batch_size: int) -> TimingBreakdown:
         cached = cache.get((class_key, batch_size))
-        if cached is not None:
-            return cached
-        cls = by_key[class_key]
-        ops = batch_size * cls.ops_per_request
-        workload = GRID_WORKLOADS[cls.workload].factory(
-            cls.security_bits, ops
-        )
-        seconds = 0.0
-        launch_s = kernel_s = transfer_s = energy_j = 0.0
-        dpus_used = movement_bytes = 0
-        bound = "?"
-        for request in workload.device_requests():
-            breakdown = backend.time_op(request)
-            seconds += breakdown.seconds
-            detail = breakdown.detail
-            launch_s += float(detail.get("launch_s", 0.0))
-            kernel_s += float(detail.get("kernel_s", 0.0))
-            transfer_s += float(detail.get("transfer_s", 0.0))
-            energy_j += float(detail.get("energy_j", 0.0))
-            movement_bytes += int(detail.get("movement_bytes", 0))
-            dpus_used = max(dpus_used, int(detail.get("dpus_used", 0)))
-            bound = str(detail.get("bound", bound))
-        merged = TimingBreakdown(
-            backend=SERVE_BACKEND,
-            op=cls.workload,
-            seconds=seconds,
-            detail={
-                "launch_s": launch_s,
-                "kernel_s": kernel_s,
-                "transfer_s": transfer_s,
-                "dpus_used": dpus_used,
-                "bound": bound,
-                "ops": ops,
-                "energy_j": energy_j,
-                "movement_bytes": movement_bytes,
-            },
-        )
-        cache[(class_key, batch_size)] = merged
-        return merged
+        if cached is None:
+            cached = price_launch(backend, by_key[class_key], batch_size)
+            cache[(class_key, batch_size)] = cached
+        return cached
 
     return pricer
 
@@ -650,21 +654,28 @@ def _recalled_point(registry, key_prefix: str, qps: float):
 # -- the zero-fault bit-identity gate ----------------------------------------
 
 
+def _serving_price(cls: RequestClass, n_requests: int) -> TimingBreakdown:
+    """One fault-free launch of ``n_requests`` through the serving pricer."""
+    return _make_pricer(ServeSpec(classes=(cls,)))(cls.key, n_requests)
+
+
 def check_serving_baseline(
     baseline: dict,
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
     ops_per_request: int = 64,
+    price=_serving_price,
 ) -> list:
-    """Gate the serving pricer against ``baselines/perf.json``.
+    """Gate a serving pricer against ``baselines/perf.json``.
 
     For every experiment whose cells are ``workload`` at one of the
     requested security levels, price the experiment's canonical batch
-    ladder through the *serving* pricing path (fault-free, one launch
-    per batch size) and compare the accumulated pim milliseconds to the
-    committed series total — which must match **bit-for-bit**, exactly
-    like the grid's fault-free cells. Returns verdict dicts with
-    ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
+    ladder through ``price(request_class, n_requests) -> breakdown``
+    (default: the fault-free serving path, one launch per batch size)
+    and compare the accumulated pim milliseconds to the committed
+    series total — which must match **bit-for-bit**, exactly like the
+    grid's fault-free cells. Returns verdict dicts with ``verdict`` in
+    {"ok", "MODEL-DRIFT", "new"}.
     """
     from repro.obs.registry import EXPERIMENT_CELLS
 
@@ -680,23 +691,15 @@ def check_serving_baseline(
             spec_ops = 1
         else:
             spec_ops = ops_per_request
-        spec = ServeSpec(
-            classes=(
-                RequestClass(
-                    workload=workload,
-                    security_bits=bits,
-                    rate_qps=1.0,
-                    ops_per_request=spec_ops,
-                ),
-            ),
-            healthy=1.0,
+        cls = RequestClass(
+            workload=workload,
+            security_bits=bits,
+            rate_qps=1.0,
+            ops_per_request=spec_ops,
         )
-        pricer = _make_pricer(spec)
-        class_key = spec.classes[0].key
         total_ms = 0.0
         for batch in batches:
-            breakdown = pricer(class_key, batch // spec_ops)
-            total_ms += breakdown.seconds * 1e3
+            total_ms += price(cls, batch // spec_ops).seconds * 1e3
         recorded = (
             baseline.get("experiments", {})
             .get(eid, {})
@@ -705,15 +708,15 @@ def check_serving_baseline(
             .get(SERVE_BACKEND)
         )
         if recorded is None:
-            verdict = "new"
+            verdict = VERDICT_NEW
         elif recorded == total_ms:
-            verdict = "ok"
+            verdict = VERDICT_OK
         else:
-            verdict = "MODEL-DRIFT"
+            verdict = MODEL_DRIFT
         verdicts.append(
             {
                 "experiment": eid,
-                "class": class_key,
+                "class": cls.key,
                 "expected_ms": recorded,
                 "got_ms": total_ms,
                 "verdict": verdict,
@@ -722,50 +725,17 @@ def check_serving_baseline(
     return verdicts
 
 
-def baseline_exit_code(verdicts) -> int:
-    """Non-zero when any serving baseline verdict is MODEL-DRIFT."""
-    return (
-        1
-        if any(v["verdict"] == "MODEL-DRIFT" for v in verdicts)
-        else 0
-    )
-
-
 # -- persistence ------------------------------------------------------------
 
-
-def _validate_sweep(doc, source: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParameterError(
-            f"{source}: serving sweep must be a JSON object"
-        )
-    if doc.get("schema") != SCHEMA_VERSION or doc.get("kind") != "serve-sweep":
-        raise ParameterError(
-            f"{source}: unsupported serving-sweep document "
-            f"(schema {doc.get('schema')!r}, kind {doc.get('kind')!r}); "
-            "re-record with 'repro serve sweep'"
-        )
-    if not isinstance(doc.get("cells"), dict):
-        raise ParameterError(f"{source}: serving sweep missing 'cells'")
-    return doc
-
-
-def write_serve_sweep(doc: dict, path) -> None:
-    """Write one capacity-sweep document as pretty-printed JSON."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def read_serve_sweep(path) -> dict:
-    """Read and schema-validate a capacity-sweep document."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise ParameterError(
-            f"no serving sweep at {path}; record one with "
-            "'repro serve sweep -o <file>'"
-        )
-    return _validate_sweep(json.loads(path.read_text()), str(path))
+#: The capacity-sweep document format (``repro serve sweep -o``).
+SWEEPS = Ledger(
+    noun="serving-sweep",
+    what="serving sweep",
+    family="cells",
+    hint="repro serve sweep -o <file>",
+    schema=SCHEMA_VERSION,
+    kind="serve-sweep",
+)
 
 
 # -- rendering ---------------------------------------------------------------

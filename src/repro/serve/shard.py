@@ -36,6 +36,7 @@ from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan, _unit_hash, use_fault_plan
 from repro.pim.runtime import PIMRuntime
 from repro.pim.tasklet import split_evenly
+from repro.serve.service import check_serving_baseline, price_launch
 
 __all__ = [
     "ShardLayout",
@@ -44,9 +45,6 @@ __all__ = [
     "ShardedPricer",
     "check_sharded_baseline",
 ]
-
-#: The serving backend name stamped into sharded breakdowns.
-SHARD_BACKEND = "pim"
 
 
 @dataclass(frozen=True)
@@ -233,49 +231,14 @@ class ShardedPricer:
         shard's fault view exhausts the retry budget — the caller's
         circuit breaker and redispatch logic decide what happens next.
         """
-        from repro.obs.registry import GRID_WORKLOADS
-
         cached = self._cache.get((shard, class_key, batch_size))
         if cached is not None:
             return cached
-        cls = self._by_key[class_key]
-        ops = batch_size * cls.ops_per_request
-        workload = GRID_WORKLOADS[cls.workload].factory(
-            cls.security_bits, ops
-        )
-        backend = self._backends[shard]
-        seconds = 0.0
-        launch_s = kernel_s = transfer_s = energy_j = 0.0
-        dpus_used = movement_bytes = 0
-        bound = "?"
         with use_fault_plan(self._views[shard], self.retry_policy):
-            for request in workload.device_requests():
-                breakdown = backend.time_op(request)
-                seconds += breakdown.seconds
-                detail = breakdown.detail
-                launch_s += float(detail.get("launch_s", 0.0))
-                kernel_s += float(detail.get("kernel_s", 0.0))
-                transfer_s += float(detail.get("transfer_s", 0.0))
-                energy_j += float(detail.get("energy_j", 0.0))
-                movement_bytes += int(detail.get("movement_bytes", 0))
-                dpus_used = max(dpus_used, int(detail.get("dpus_used", 0)))
-                bound = str(detail.get("bound", bound))
-        merged = TimingBreakdown(
-            backend=SHARD_BACKEND,
-            op=cls.workload,
-            seconds=seconds,
-            detail={
-                "launch_s": launch_s,
-                "kernel_s": kernel_s,
-                "transfer_s": transfer_s,
-                "dpus_used": dpus_used,
-                "bound": bound,
-                "ops": ops,
-                "energy_j": energy_j,
-                "movement_bytes": movement_bytes,
-                "shard": shard,
-            },
-        )
+            merged = price_launch(
+                self._backends[shard], self._by_key[class_key], batch_size
+            )
+        merged.detail["shard"] = shard
         self._cache[(shard, class_key, batch_size)] = merged
         return merged
 
@@ -291,56 +254,20 @@ def check_sharded_baseline(
     The one-shard layout of the whole fleet under an inactive fault
     plan must price every experiment's canonical batch ladder to the
     committed series totals **bit-for-bit** — the sharded path adds
-    machinery, never arithmetic. Returns the same verdict dicts as
-    :func:`repro.serve.service.check_serving_baseline` (``"ok"`` /
-    ``"MODEL-DRIFT"`` / ``"new"``).
+    machinery, never arithmetic. Same verdict rows as
+    :func:`repro.serve.service.check_serving_baseline`, which does the
+    comparison.
     """
-    from repro.obs.registry import EXPERIMENT_CELLS
-    from repro.serve.service import RequestClass
-
     config = UPMEMConfig()
     layout = make_layout(1, config)
-    verdicts = []
-    for eid, (cell_workload, bits, batches) in sorted(
-        EXPERIMENT_CELLS.items()
-    ):
-        if cell_workload != workload or bits not in security_levels:
-            continue
-        if any(b % ops_per_request for b in batches):
-            spec_ops = 1
-        else:
-            spec_ops = ops_per_request
-        cls = RequestClass(
-            workload=workload,
-            security_bits=bits,
-            rate_qps=1.0,
-            ops_per_request=spec_ops,
-        )
-        pricer = ShardedPricer((cls,), layout, FaultPlan(), config)
-        total_ms = 0.0
-        for batch in batches:
-            breakdown = pricer.price(0, cls.key, batch // spec_ops)
-            total_ms += breakdown.seconds * 1e3
-        recorded = (
-            baseline.get("experiments", {})
-            .get(eid, {})
-            .get("modelled", {})
-            .get("series_totals", {})
-            .get(SHARD_BACKEND)
-        )
-        if recorded is None:
-            verdict = "new"
-        elif recorded == total_ms:
-            verdict = "ok"
-        else:
-            verdict = "MODEL-DRIFT"
-        verdicts.append(
-            {
-                "experiment": eid,
-                "class": cls.key,
-                "expected_ms": recorded,
-                "got_ms": total_ms,
-                "verdict": verdict,
-            }
-        )
-    return verdicts
+
+    pricers: dict = {}
+
+    def price(cls, n_requests: int) -> TimingBreakdown:
+        if cls not in pricers:
+            pricers[cls] = ShardedPricer((cls,), layout, FaultPlan(), config)
+        return pricers[cls].price(0, cls.key, n_requests)
+
+    return check_serving_baseline(
+        baseline, workload, security_levels, ops_per_request, price
+    )

@@ -8,7 +8,7 @@ from repro.errors import ParameterError
 from repro.harness import chaos
 from repro.harness.cli import EXIT_DATA, main
 from repro.harness.runner import run_experiment
-from repro.obs.baseline import _series_totals
+from repro.obs.baseline import series_totals
 from repro.pim.config import UPMEMConfig
 
 CFG = UPMEMConfig()
@@ -70,7 +70,7 @@ class TestSweepDocument:
     def test_full_health_point_matches_fault_free_run(self, sweep):
         """The 100%-healthy cell comes from the untouched pricing path:
         identical to running the experiment with no plan at all."""
-        totals = _series_totals(run_experiment("fig1a"))
+        totals = series_totals(run_experiment("fig1a"))
         point = sweep["experiments"]["fig1a"]["points"][0]
         assert point["series_totals"] == totals
         assert point["disabled_dpus"] == 0
@@ -89,18 +89,18 @@ class TestSweepDocument:
 class TestSweepPersistence:
     def test_round_trip(self, sweep, tmp_path):
         path = tmp_path / "sweep.json"
-        chaos.write_sweep(sweep, path)
-        assert chaos.read_sweep(path) == sweep
+        chaos.SWEEPS.write(sweep, path)
+        assert chaos.SWEEPS.read(path) == sweep
 
     def test_missing_file_names_the_remedy(self, tmp_path):
         with pytest.raises(ParameterError, match="repro faults sweep"):
-            chaos.read_sweep(tmp_path / "absent.json")
+            chaos.SWEEPS.read(tmp_path / "absent.json")
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"schema": 99, "experiments": {}}))
         with pytest.raises(ParameterError, match="schema"):
-            chaos.read_sweep(path)
+            chaos.SWEEPS.read(path)
 
     def test_text_rendering(self, sweep):
         text = chaos.render_sweep_text(sweep)
@@ -176,7 +176,7 @@ class TestFaultsCLI:
         )
         assert status == 0
         assert "degraded-fleet sweep" in capsys.readouterr().out
-        doc = chaos.read_sweep(out)
+        doc = chaos.SWEEPS.read(out)
         assert [p["healthy"] for p in doc["experiments"]["fig1a"]["points"]] == [
             1.0,
             0.9,
@@ -185,7 +185,7 @@ class TestFaultsCLI:
 
     def test_html_from_recorded_sweep(self, tmp_path, capsys):
         sweep_path = tmp_path / "sweep.json"
-        chaos.write_sweep(
+        chaos.SWEEPS.write(
             chaos.sweep_degraded_fleet(ids=["fig1a"], grid=[1.0, 0.9]),
             sweep_path,
         )

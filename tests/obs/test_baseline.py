@@ -91,7 +91,7 @@ class TestCaptureExperiment:
 class TestPersistence:
     def test_round_trip(self, run_doc, tmp_path):
         path = tmp_path / "perf.json"
-        bl.write_run(run_doc, path)
+        bl.LEDGER.write(run_doc, path)
         assert bl.read_run(path) == run_doc
 
     def test_missing_file_names_the_remedy(self, tmp_path):
@@ -115,36 +115,36 @@ class TestPersistence:
 class TestHistory:
     def test_append_and_read(self, run_doc, tmp_path):
         path = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, path)
+        bl.LEDGER.append(run_doc, path)
         other = dict(run_doc, run_id="f" * 32)
-        bl.append_history(other, path)
-        history = bl.read_history(path)
+        bl.LEDGER.append(other, path)
+        history = bl.LEDGER.history(path)
         assert [doc["run_id"] for doc in history] == [
             run_doc["run_id"],
             "f" * 32,
         ]
 
     def test_read_missing_history_is_empty(self, tmp_path):
-        assert bl.read_history(tmp_path / "none.jsonl") == []
+        assert bl.LEDGER.history(tmp_path / "none.jsonl") == []
 
     def test_find_run_by_prefix_and_by_path(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, history)
+        bl.LEDGER.append(run_doc, history)
         found = bl.find_run(run_doc["run_id"][:8], history)
         assert found["run_id"] == run_doc["run_id"]
         path = tmp_path / "run.json"
-        bl.write_run(run_doc, path)
+        bl.LEDGER.write(run_doc, path)
         assert bl.find_run(str(path), history)["run_id"] == run_doc["run_id"]
 
     def test_find_run_prefers_newest_match(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(dict(run_doc, run_id="a" * 32), history)
-        bl.append_history(dict(run_doc, run_id="a" * 31 + "b"), history)
+        bl.LEDGER.append(dict(run_doc, run_id="a" * 32), history)
+        bl.LEDGER.append(dict(run_doc, run_id="a" * 31 + "b"), history)
         assert bl.find_run("a" * 31, history)["run_id"] == "a" * 31 + "b"
 
     def test_find_run_unknown_reference(self, run_doc, tmp_path):
         history = tmp_path / "history.jsonl"
-        bl.append_history(run_doc, history)
+        bl.LEDGER.append(run_doc, history)
         with pytest.raises(ParameterError, match="neither a file"):
             bl.find_run("zzzz", history)
 

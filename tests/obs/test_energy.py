@@ -19,6 +19,7 @@ from repro.backends.energy import CPU_WATTS, GPU_WATTS, PIM_WATTS_PER_DPU
 from repro.errors import ParameterError
 from repro.harness.cli import main
 from repro.obs import energy as en
+from repro.obs import gate
 from repro.pim.kernels import VecAddKernel
 from repro.pim.runtime import PIMRuntime
 
@@ -181,11 +182,11 @@ class TestCaptureAndPersistence:
     def test_run_round_trip(self, tmp_path):
         doc = en.capture_energy_run(ids=["fig1a"])
         path = tmp_path / "energy.json"
-        en.write_energy_run(doc, path)
+        en.LEDGER.write(doc, path)
         assert en.read_energy_run(path) == doc
-        en.append_energy_history(doc, tmp_path / "hist.jsonl")
-        en.append_energy_history(doc, tmp_path / "hist.jsonl")
-        assert en.read_energy_history(tmp_path / "hist.jsonl") == [doc, doc]
+        en.LEDGER.append(doc, tmp_path / "hist.jsonl")
+        en.LEDGER.append(doc, tmp_path / "hist.jsonl")
+        assert en.LEDGER.history(tmp_path / "hist.jsonl") == [doc, doc]
 
     def test_missing_baseline_raises(self, tmp_path):
         with pytest.raises(ParameterError, match="repro energy record"):
@@ -203,8 +204,8 @@ class TestEnergyGate:
         baseline = en.capture_energy_run(ids=["fig1a"])
         current = en.capture_energy_run(ids=["fig1a"])
         verdicts = en.check_energy_runs(baseline, current)
-        assert [v.verdict for v in verdicts] == [en.VERDICT_OK] * 2
-        assert en.exit_code(verdicts) == 0
+        assert [v.verdict for v in verdicts] == [gate.VERDICT_OK] * 2
+        assert gate.exit_code(verdicts) == 0
 
     def test_perturbed_constant_is_energy_drift(self):
         baseline = en.capture_energy_run(ids=["fig1a"])
@@ -214,11 +215,11 @@ class TestEnergyGate:
         with en.use_energy_config(tweaked):
             current = en.capture_energy_run(ids=["fig1a"])
         verdicts = en.check_energy_runs(baseline, current)
-        by_name = {v.experiment: v for v in verdicts}
-        assert by_name["<energy-config>"].verdict == en.VERDICT_DRIFT
-        assert by_name["fig1a"].verdict == en.VERDICT_DRIFT
-        assert en.exit_code(verdicts) == 1
-        report = en.render_energy_check(verdicts, baseline, current)
+        by_name = {v.key: v for v in verdicts}
+        assert by_name["<energy-config>"].verdict == gate.ENERGY_DRIFT
+        assert by_name["fig1a"].verdict == gate.ENERGY_DRIFT
+        assert gate.exit_code(verdicts) == 1
+        report = en.GATE.render_check(verdicts, baseline, current)
         assert "ENERGY-DRIFT" in report
         assert "--update" in report
 
@@ -226,9 +227,9 @@ class TestEnergyGate:
         baseline = en.capture_energy_run(ids=["fig1a"])
         current = en.capture_energy_run(ids=["fig1a", "obs_tasklets"])
         verdicts = en.check_energy_runs(baseline, current)
-        by_name = {v.experiment: v for v in verdicts}
-        assert by_name["obs_tasklets"].verdict == en.VERDICT_NEW
-        assert en.exit_code(verdicts) == 0
+        by_name = {v.key: v for v in verdicts}
+        assert by_name["obs_tasklets"].verdict == gate.VERDICT_NEW
+        assert gate.exit_code(verdicts) == 0
 
 
 class TestEnergyCliEndToEnd:

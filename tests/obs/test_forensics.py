@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.obs import baseline as bl
 from repro.obs import export, forensics as fx
+from repro.obs import gate
 
 
 def node(name, depth=0, count=1, modelled=1.0, self_modelled=None,
@@ -239,9 +240,9 @@ class TestWhyReport:
         baseline = bl.capture_experiment("fig1a", repeats=1)
         run = {"run_id": "base", "experiments": {"fig1a": baseline}}
         report = fx.why_report("fig1a", run)
-        assert report["families"]["spans"]["verdict"] == fx.VERDICT_OK
+        assert report["families"]["spans"]["verdict"] == gate.VERDICT_OK
         assert report["families"]["spans"]["mode"] == "path"
-        assert report["families"]["model"]["verdict"] == fx.VERDICT_OK
+        assert report["families"]["model"]["verdict"] == gate.VERDICT_OK
         assert fx.why_exit_code(report) == 0
         assert "no drift" in fx.render_why(report)
 
@@ -267,7 +268,7 @@ class TestWhyReport:
         run = {"run_id": "base", "experiments": {"fig1a": doc}}
         report = fx.why_report("fig1a", run)
         spans = report["families"]["spans"]
-        assert spans["verdict"] == fx.VERDICT_DRIFT
+        assert spans["verdict"] == gate.MODEL_DRIFT
         top = spans["contributors"][0]
         assert top["path"] == leaf
         assert top["self_modelled_b"] - top["self_modelled_a"] == (
@@ -316,4 +317,4 @@ class TestDiffReport:
         report = fx.diff_report(run_a, run_b)
         assert set(report["experiments"]) == {"fig1a"}
         spans = report["experiments"]["fig1a"]["spans"]
-        assert spans["verdict"] == fx.VERDICT_OK
+        assert spans["verdict"] == gate.VERDICT_OK

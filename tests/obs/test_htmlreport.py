@@ -109,9 +109,9 @@ class TestWriteAndCLI:
     def test_cli_html_from_history(self, history, tmp_path, capsys):
         history_path = tmp_path / "history.jsonl"
         for doc in history:
-            bl.append_history(doc, history_path)
+            bl.LEDGER.append(doc, history_path)
         baseline_path = tmp_path / "perf.json"
-        bl.write_run(history[0], baseline_path)
+        bl.LEDGER.write(history[0], baseline_path)
         out = tmp_path / "dash.html"
         status = main(
             [
@@ -134,7 +134,7 @@ class TestWriteAndCLI:
         self, history, tmp_path, capsys
     ):
         history_path = tmp_path / "history.jsonl"
-        bl.append_history(history[0], history_path)
+        bl.LEDGER.append(history[0], history_path)
         status = main(
             [
                 "perf",
@@ -244,7 +244,7 @@ class TestGridDashboard:
 
     def test_baseline_and_histories_fold_in(self, drained):
         baseline = bl.read_run("baselines/perf.json")
-        history = bl.read_history("baselines/history.jsonl")
+        history = bl.LEDGER.history("baselines/history.jsonl")
         document = htmlreport.render_grid_dashboard(
             drained.cells(),
             drained.runs(),

@@ -126,3 +126,30 @@ class TestExitDataConvention:
         assert status == EXIT_DATA
         assert "record a run first" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        ("argv", "corrupt"),
+        [
+            (["perf", "check"], "--baseline"),
+            (["perf", "diff", "a", "b"], "--history"),
+            (["perf", "html"], "--history"),
+            (["noise", "check"], "--baseline"),
+            (["noise", "report"], "--history"),
+            (["noise", "report"], "--baseline"),
+            (["energy", "check"], "--baseline"),
+            (["energy", "report"], "--history"),
+            (["resil", "check"], "--baseline"),
+            (["resil", "html"], "--history"),
+        ],
+        ids=lambda value: "-".join(value) if isinstance(value, list) else value,
+    )
+    def test_corrupt_data_exits_two(self, argv, corrupt, tmp_path, capsys):
+        paths = {flag: tmp_path / f"{flag[2:]}.json" for flag in self._RECORDED}
+        paths[corrupt].write_text('{"schema": 1, "experi\n')
+        extra = [part for flag in self._RECORDED for part in (flag, str(paths[flag]))]
+        status = main(argv + extra)
+        captured = capsys.readouterr()
+        assert status == EXIT_DATA
+        assert f"{paths[corrupt]}" in captured.err
+        assert "not valid JSON" in captured.err
+        assert "Traceback" not in captured.err

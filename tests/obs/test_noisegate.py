@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.errors import ParameterError
+from repro.obs import gate
 from repro.obs import noisegate as ng
 from tests.conftest import make_tiny_params
 
@@ -81,7 +82,7 @@ class TestCapture:
 class TestPersistence:
     def test_roundtrip(self, tiny_run, tmp_path):
         path = tmp_path / "noise.json"
-        ng.write_noise_run(tiny_run, path)
+        ng.LEDGER.write(tiny_run, path)
         assert ng.read_noise_run(path) == json.loads(path.read_text())
 
     def test_missing_baseline_raises(self, tmp_path):
@@ -91,23 +92,23 @@ class TestPersistence:
     def test_unknown_schema_refused(self, tiny_run, tmp_path):
         doc = dict(tiny_run, schema=99)
         path = tmp_path / "future.json"
-        ng.write_noise_run(doc, path)
+        ng.LEDGER.write(doc, path)
         with pytest.raises(ParameterError, match="unsupported noise schema"):
             ng.read_noise_run(path)
 
     def test_history_appends(self, tiny_run, tmp_path):
         path = tmp_path / "history.jsonl"
-        assert ng.read_noise_history(path) == []
-        ng.append_noise_history(tiny_run, path)
-        ng.append_noise_history(tiny_run, path)
-        assert len(ng.read_noise_history(path)) == 2
+        assert ng.LEDGER.history(path) == []
+        ng.LEDGER.append(tiny_run, path)
+        ng.LEDGER.append(tiny_run, path)
+        assert len(ng.LEDGER.history(path)) == 2
 
 
 class TestGate:
     def test_identical_runs_pass(self, tiny_run):
         verdicts = ng.check_noise_runs(tiny_run, copy.deepcopy(tiny_run))
-        assert all(v.verdict == ng.VERDICT_OK for v in verdicts)
-        assert ng.exit_code(verdicts) == 0
+        assert all(v.verdict == gate.VERDICT_OK for v in verdicts)
+        assert gate.exit_code(verdicts) == 0
 
     def test_prediction_shift_is_drift(self, tiny_run):
         current = copy.deepcopy(tiny_run)
@@ -115,9 +116,9 @@ class TestGate:
         step["pred_bits"] -= 0.5  # growth model changed
         verdicts = ng.check_noise_runs(tiny_run, current)
         drifted = {v.key: v for v in verdicts}["27b/mean"]
-        assert drifted.verdict == ng.VERDICT_DRIFT
+        assert drifted.verdict == gate.NOISE_DRIFT
         assert any("growth model changed" in note for note in drifted.notes)
-        assert ng.exit_code(verdicts) == 1
+        assert gate.exit_code(verdicts) == 1
 
     def test_measurement_shift_is_drift(self, tiny_run):
         current = copy.deepcopy(tiny_run)
@@ -125,7 +126,7 @@ class TestGate:
         step["meas_bits"] += 2 * ng.MEAS_TOLERANCE_BITS
         verdicts = ng.check_noise_runs(tiny_run, current)
         drifted = {v.key: v for v in verdicts}["54b/linreg"]
-        assert drifted.verdict == ng.VERDICT_DRIFT
+        assert drifted.verdict == gate.NOISE_DRIFT
         assert any("evaluator or" in note for note in drifted.notes)
 
     def test_op_sequence_change_is_drift(self, tiny_run):
@@ -136,7 +137,7 @@ class TestGate:
         trajectory[1]["op"] = "multiply"
         verdicts = ng.check_noise_runs(tiny_run, current)
         drifted = {v.key: v for v in verdicts}["27b/variance"]
-        assert drifted.verdict == ng.VERDICT_DRIFT
+        assert drifted.verdict == gate.NOISE_DRIFT
         assert any("op sequence changed" in note for note in drifted.notes)
 
     def test_overpromising_prediction_is_drift(self, tiny_run):
@@ -151,24 +152,24 @@ class TestGate:
             )
         verdicts = ng.check_noise_runs(baseline, current)
         drifted = {v.key: v for v in verdicts}["27b/mean"]
-        assert drifted.verdict == ng.VERDICT_DRIFT
+        assert drifted.verdict == gate.NOISE_DRIFT
         assert any("no longer conservative" in note for note in drifted.notes)
 
     def test_new_trajectory_not_a_failure(self, tiny_run):
         baseline = copy.deepcopy(tiny_run)
         del baseline["levels"]["54"]
         verdicts = ng.check_noise_runs(baseline, tiny_run)
-        news = [v for v in verdicts if v.verdict == ng.VERDICT_NEW]
+        news = [v for v in verdicts if v.verdict == gate.VERDICT_NEW]
         assert {v.key for v in news} == {
             "54b/mean",
             "54b/variance",
             "54b/linreg",
         }
-        assert ng.exit_code(verdicts) == 0
+        assert gate.exit_code(verdicts) == 0
 
     def test_render_mentions_identities_and_summary(self, tiny_run):
         verdicts = ng.check_noise_runs(tiny_run, copy.deepcopy(tiny_run))
-        text = ng.render_noise_check(verdicts, tiny_run, tiny_run)
+        text = ng.GATE.render_check(verdicts, tiny_run, tiny_run)
         assert tiny_run["run_id"][:12] in text
         assert "6 ok, 0 new, 0 NOISE-DRIFT of 6 trajectories" in text
 

@@ -10,9 +10,10 @@ import pytest
 
 from repro.harness.cli import main
 from repro.obs import baseline as bl
+from repro.obs import gate
 from repro.obs import perf
-from repro.obs.perf import (
-    VERDICT_DRIFT,
+from repro.obs.gate import MODEL_DRIFT as VERDICT_DRIFT
+from repro.obs.gate import (
     VERDICT_FASTER,
     VERDICT_NEW,
     VERDICT_OK,
@@ -51,7 +52,7 @@ class TestWallPolicy:
     def test_faster_is_named_not_failed(self):
         verdict, _ = perf.classify_wall(wall(1.0), wall(0.5))
         assert verdict == VERDICT_FASTER
-        assert not perf.ExperimentVerdict("x", verdict).failed
+        assert not gate.Verdict("x", verdict).failed
 
     def test_zero_baseline_median_is_ok(self):
         verdict, ratio = perf.classify_wall(wall(0.0), wall(1.0))
@@ -157,12 +158,12 @@ class TestCheckRuns:
         assert verdict.verdict == VERDICT_OK
 
     def test_exit_code(self):
-        ok = perf.ExperimentVerdict("a", VERDICT_OK)
-        drift = perf.ExperimentVerdict("b", VERDICT_DRIFT)
-        regression = perf.ExperimentVerdict("c", VERDICT_REGRESSION)
-        assert perf.exit_code([ok]) == 0
-        assert perf.exit_code([ok, drift]) == 1
-        assert perf.exit_code([ok, regression]) == 1
+        ok = gate.Verdict("a", VERDICT_OK)
+        drift = gate.Verdict("b", VERDICT_DRIFT)
+        regression = gate.Verdict("c", VERDICT_REGRESSION)
+        assert gate.exit_code([ok]) == 0
+        assert gate.exit_code([ok, drift]) == 1
+        assert gate.exit_code([ok, regression]) == 1
 
     def test_render_mentions_rebaseline_on_drift(self):
         base = TestModelledPolicy().exp()
@@ -171,7 +172,7 @@ class TestCheckRuns:
         )
         baseline, current = make_run({"e": base}), make_run({"e": cur})
         verdicts = perf.check_runs(baseline, current)
-        text = perf.render_check(verdicts, baseline, current)
+        text = perf.GATE.render_check(verdicts, baseline, current)
         assert "MODEL-DRIFT" in text
         assert "--update" in text
 
@@ -303,8 +304,8 @@ class TestDiff:
         history = tmp_path / "history.jsonl"
         run_a = self.run_with_attribution(1.0)
         run_b = self.run_with_attribution(2.0)
-        bl.append_history(run_a, history)
-        bl.append_history(run_b, history)
+        bl.LEDGER.append(run_a, history)
+        bl.LEDGER.append(run_b, history)
         status = main(
             [
                 "perf",

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ParameterError
+from repro.obs import gate
 from repro.obs import registry as reg
 from repro.obs.baseline import read_run
 
@@ -291,9 +292,9 @@ class TestBaselineCrossCheck:
         for series, value in expected.items():
             assert totals["fig2a"][series] == value
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        by_eid = {v.experiment: v for v in verdicts}
-        assert by_eid["fig2a"].verdict == reg.VERDICT_OK
-        assert reg.exit_code(verdicts) == 0
+        by_eid = {v.key: v for v in verdicts}
+        assert by_eid["fig2a"].verdict == gate.VERDICT_OK
+        assert gate.exit_code(verdicts) == 0
 
     def test_drift_detected_on_any_mismatch(self, tmp_path):
         registry = tiny_registry(
@@ -306,9 +307,9 @@ class TestBaselineCrossCheck:
         )
         baseline = read_run("baselines/perf.json")
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        by_eid = {v.experiment: v for v in verdicts}
-        assert by_eid["fig2a"].verdict == reg.VERDICT_DRIFT
-        assert reg.exit_code(verdicts) == 1
+        by_eid = {v.key: v for v in verdicts}
+        assert by_eid["fig2a"].verdict == gate.MODEL_DRIFT
+        assert gate.exit_code(verdicts) == 1
 
     def test_partial_while_cells_outstanding(self, tmp_path):
         registry = tiny_registry(
@@ -317,8 +318,8 @@ class TestBaselineCrossCheck:
         reg.drain(registry, max_cells=3)
         baseline = read_run("baselines/perf.json")
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        assert {v.verdict for v in verdicts} == {reg.VERDICT_PARTIAL}
-        assert reg.exit_code(verdicts) == 0
+        assert {v.verdict for v in verdicts} == {gate.VERDICT_PARTIAL}
+        assert gate.exit_code(verdicts) == 0
 
     def test_unmapped_experiment_reports_new(self, tmp_path):
         """variance (fig2b) has no committed baseline entry: 'new'."""
@@ -331,7 +332,7 @@ class TestBaselineCrossCheck:
         reg.drain(registry)
         baseline = read_run("baselines/perf.json")
         verdicts = reg.check_against_baseline(registry.cells(), baseline)
-        assert [v.verdict for v in verdicts] == [reg.VERDICT_NEW]
+        assert [v.verdict for v in verdicts] == [gate.VERDICT_NEW]
 
     def test_truncated_grid_skips_incomparable_groups(self, tmp_path):
         registry = tiny_registry(tmp_path)  # max_batches=2 truncation

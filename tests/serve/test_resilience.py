@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from repro.errors import ParameterError
+from repro.obs.gate import exit_code
 from repro.obs.slo import SLOObjective
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan
@@ -13,6 +14,8 @@ from repro.serve.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    GATE,
+    LEDGER,
     BreakerSpec,
     CircuitBreaker,
     ResilienceSpec,
@@ -20,11 +23,8 @@ from repro.serve.resilience import (
     check_resilience_runs,
     degraded_plan,
     read_resilience_run,
-    render_resilience_check,
     render_resilience_text,
-    resilience_exit_code,
     simulate_resilient,
-    write_resilience_run,
 )
 from repro.serve.service import RequestClass, ServeSpec, simulate
 from repro.serve.shard import make_layout
@@ -343,11 +343,11 @@ class TestResilienceGate:
 
     def test_round_trip_is_clean(self, doc, tmp_path):
         path = tmp_path / "resilience.json"
-        write_resilience_run(doc, path)
+        LEDGER.write(doc, path)
         loaded = read_resilience_run(path)
         assert _stripped(loaded) == _stripped(doc)
         verdicts = check_resilience_runs(loaded, doc)
-        assert resilience_exit_code(verdicts) == 0
+        assert exit_code(verdicts) == 0
         assert all(v.verdict == "ok" for v in verdicts)
 
     def test_perturbed_point_is_drift(self, doc):
@@ -355,10 +355,10 @@ class TestResilienceGate:
         label = sorted(doctored["points"])[0]
         doctored["points"][label]["completed"] += 1
         verdicts = check_resilience_runs(doctored, doc)
-        assert resilience_exit_code(verdicts) == 1
+        assert exit_code(verdicts) == 1
         failed = [v for v in verdicts if v.failed]
-        assert failed and failed[0].point == label
-        report = render_resilience_check(verdicts, doctored, doc)
+        assert failed and failed[0].key == label
+        report = GATE.render_check(verdicts, doctored, doc)
         assert "RESILIENCE-DRIFT" in report
 
     def test_config_change_is_drift(self, doc):
@@ -366,7 +366,7 @@ class TestResilienceGate:
         doctored["qps_grid"] = [4000.0]
         verdicts = check_resilience_runs(doctored, doc)
         config_row = next(
-            v for v in verdicts if v.point == "<resil-config>"
+            v for v in verdicts if v.key == "<resil-config>"
         )
         assert config_row.failed
 
@@ -375,7 +375,7 @@ class TestResilienceGate:
         label = sorted(trimmed["points"])[0]
         del trimmed["points"][label]
         verdicts = {
-            v.point: v.verdict
+            v.key: v.verdict
             for v in check_resilience_runs(trimmed, doc)
         }
         assert verdicts[label] == "new"

@@ -13,14 +13,13 @@ from repro.serve import (
     RequestClass,
     ServeSpec,
     check_serving_baseline,
-    read_serve_sweep,
     render_point_text,
     render_sweep_text,
     simulate,
     sweep_capacity,
     timelines_to_chrome_trace,
-    write_serve_sweep,
 )
+from repro.serve.service import SWEEPS
 
 _IDENTITY = ("run_id", "created_at", "git_sha")
 
@@ -260,18 +259,18 @@ class TestPersistence:
             duration_s=0.05,
         )
         path = tmp_path / "sweep.json"
-        write_serve_sweep(doc, path)
-        assert read_serve_sweep(path) == doc
+        SWEEPS.write(doc, path)
+        assert SWEEPS.read(path) == doc
 
     def test_missing_file_raises_with_hint(self, tmp_path):
         with pytest.raises(ParameterError, match="repro serve sweep"):
-            read_serve_sweep(tmp_path / "absent.json")
+            SWEEPS.read(tmp_path / "absent.json")
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, "kind": "perf-run"}))
         with pytest.raises(ParameterError, match="unsupported"):
-            read_serve_sweep(path)
+            SWEEPS.read(path)
 
 
 class TestChromeTrace:
