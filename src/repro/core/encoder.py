@@ -23,7 +23,7 @@ from functools import lru_cache
 from repro.core.ciphertext import Plaintext
 from repro.core.params import BFVParameters
 from repro.errors import EncodingError
-from repro.poly.ntt import NTTContext
+from repro.poly.ntt import ntt_context
 from repro.poly.polynomial import Polynomial
 
 
@@ -115,11 +115,6 @@ class BinaryEncoder:
 
 
 @lru_cache(maxsize=16)
-def _slot_ntt(n: int, t: int) -> NTTContext:
-    return NTTContext(n, t)
-
-
-@lru_cache(maxsize=16)
 def _canonical_slot_map(n: int, t: int) -> tuple:
     """Map canonical slot index -> NTT output index.
 
@@ -136,7 +131,7 @@ def _canonical_slot_map(n: int, t: int) -> tuple:
     exactly) by transforming the polynomial ``x``, whose slot values
     *are* the evaluation points.
     """
-    ntt = _slot_ntt(n, t)
+    ntt = ntt_context(n, t)
     x_poly = [0, 1] + [0] * (n - 2)
     alphas = ntt.forward(x_poly)
     index_of = {alpha: j for j, alpha in enumerate(alphas)}
@@ -169,7 +164,7 @@ class BatchEncoder:
                 f"{2 * params.poly_degree}"
             )
         self.params = params
-        self._ntt = _slot_ntt(params.poly_degree, params.plain_modulus)
+        self._ntt = ntt_context(params.poly_degree, params.plain_modulus)
         self._slot_map = _canonical_slot_map(
             params.poly_degree, params.plain_modulus
         )

@@ -7,8 +7,8 @@ for faster operations"), and is deliberately *not* used on the PIM
 device ("We do not incorporate Number Theoretic Transform techniques to
 optimize multiplication. We leave them for future work.", Section 3).
 
-This implementation is the standard in-place iterative pair used by
-production HE libraries:
+This implementation is the standard iterative pair used by production
+HE libraries:
 
 * forward: Cooley–Tukey butterflies in bit-reversed order, with the
   powers of the primitive ``2n``-th root ``psi`` *merged into the
@@ -17,28 +17,58 @@ production HE libraries:
 * inverse: Gentleman–Sande butterflies, with ``n^{-1}`` and the inverse
   psi powers merged.
 
-All arithmetic is on Python ints modulo a prime ``p ≡ 1 (mod 2n)``.
+Each of the ``log2 n`` stages is a handful of numpy operations on an
+``(m, 2, t)`` view of the coefficients: block ``i`` pairs its two
+halves with twiddle ``i`` of the stage, so no Python code runs per
+butterfly. Primes below :data:`NATIVE_PRIME_LIMIT` run on ``uint64``
+arrays, where every intermediate fits a native word; wider primes
+(SEAL's 60-bit RNS basis) run the same stages on arrays of Python ints.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from repro.errors import ParameterError
 from repro.poly.modring import inverse_mod, is_prime, root_of_unity
 
+#: Primes below this run on ``uint64``: with operands in ``[0, p)``, a
+#: forward product ``a * w`` stays below ``2^62`` and an inverse product
+#: ``(u + p - v) * w`` below ``2^63``.
+NATIVE_PRIME_LIMIT = 1 << 31
 
-def _bit_reverse(value: int, bits: int) -> int:
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
+
+def _bit_reversed_powers(root: int, n: int, p: int, dtype: np.dtype):
+    """``root^bitrev(i) mod p`` for ``i < n``, in the given dtype.
+
+    Powers come from running products (each doubling multiplies the
+    table so far by the next power of two of ``root``), and the
+    bit-reversal permutation is built one index bit at a time.
+    """
+    word = dtype.type
+    powers = np.ones(1, dtype=dtype)
+    step = root
+    while len(powers) < n:
+        powers = np.concatenate((powers, powers * word(step) % word(p)))
+        step = step * step % p
+    log_n = n.bit_length() - 1
+    index = np.arange(n)
+    reversed_index = np.zeros(n, dtype=index.dtype)
+    for bit in range(log_n):
+        reversed_index |= ((index >> bit) & 1) << (log_n - 1 - bit)
+    return powers[reversed_index]
 
 
 class NTTContext:
     """Precomputed negacyclic NTT for ring degree ``n`` and prime ``p``.
 
     The context owns the bit-reversed twiddle tables; transforms are
-    pure functions over coefficient lists.
+    pure functions. Lists go in and lists of Python ints come out; a
+    numpy array of the context's :attr:`dtype` goes in and one comes
+    out, so callers chaining transforms skip the list conversions.
+    Every input is reduced modulo ``p`` first.
 
     >>> ctx = NTTContext(8, 17)  # 17 == 1 (mod 16)
     >>> a = [1, 2, 3, 4, 0, 0, 0, 0]
@@ -58,86 +88,85 @@ class NTTContext:
         self.n = n
         self.p = p
         self.log_n = n.bit_length() - 1
+        self.dtype = np.dtype(np.uint64 if p < NATIVE_PRIME_LIMIT else object)
+        self._p = self.dtype.type(p)
         psi = root_of_unity(p, 2 * n)
-        psi_inv = inverse_mod(psi, p)
         self.psi = psi
-        # Twiddle tables in bit-reversed order, psi powers merged
-        # (Longa–Naehrig layout).
-        self._fwd = [
-            pow(psi, _bit_reverse(i, self.log_n), p) for i in range(n)
-        ]
-        self._inv = [
-            pow(psi_inv, _bit_reverse(i, self.log_n), p) for i in range(n)
-        ]
         self.n_inv = inverse_mod(n, p)
+        self._n_inv = self.dtype.type(self.n_inv)
+        # Twiddle tables in bit-reversed order, psi powers merged
+        # (Longa–Naehrig layout), sliced per stage as (blocks, 1)
+        # columns: forward stages have 1, 2, ..., n/2 blocks, inverse
+        # stages n/2, ..., 1.
+        fwd = _bit_reversed_powers(psi, n, p, self.dtype)
+        inv = _bit_reversed_powers(inverse_mod(psi, p), n, p, self.dtype)
+        blocks = [1 << s for s in range(self.log_n)]
+        self._fwd = [fwd[m : 2 * m, None] for m in blocks]
+        self._inv = [inv[h : 2 * h, None] for h in reversed(blocks)]
 
-    def forward(self, coeffs: list) -> list:
-        """Forward negacyclic NTT (coefficient → evaluation domain)."""
-        if len(coeffs) != self.n:
-            raise ParameterError(
-                f"expected {self.n} coefficients, got {len(coeffs)}"
-            )
-        p = self.p
-        a = [c % p for c in coeffs]
-        t = self.n
-        m = 1
-        while m < self.n:
-            t //= 2
-            for i in range(m):
-                w = self._fwd[m + i]
-                j1 = 2 * i * t
-                for j in range(j1, j1 + t):
-                    u = a[j]
-                    v = a[j + t] * w % p
-                    a[j] = (u + v) % p
-                    a[j + t] = (u - v) % p
-            m *= 2
-        return a
-
-    def inverse(self, values: list) -> list:
-        """Inverse negacyclic NTT (evaluation → coefficient domain)."""
+    def _reduce(self, values) -> np.ndarray:
+        """``values mod p`` as a fresh array of the context's dtype."""
         if len(values) != self.n:
             raise ParameterError(
                 f"expected {self.n} values, got {len(values)}"
             )
-        p = self.p
-        a = list(values)
-        t = 1
-        m = self.n
-        while m > 1:
-            j1 = 0
-            h = m // 2
-            for i in range(h):
-                w = self._inv[h + i]
-                for j in range(j1, j1 + t):
-                    u = a[j]
-                    v = a[j + t]
-                    a[j] = (u + v) % p
-                    a[j + t] = (u - v) * w % p
-                j1 += 2 * t
-            t *= 2
-            m = h
-        n_inv = self.n_inv
-        return [x * n_inv % p for x in a]
+        if isinstance(values, np.ndarray) and values.dtype == self.dtype:
+            return values % self._p
+        exact = np.array([int(v) for v in values], dtype=object) % self.p
+        return exact.astype(self.dtype)
 
-    def pointwise(self, a: list, b: list) -> list:
+    @staticmethod
+    def _like(template, result: np.ndarray):
+        """``result`` in the container type the caller passed in."""
+        return result if isinstance(template, np.ndarray) else result.tolist()
+
+    def forward(self, coeffs):
+        """Forward negacyclic NTT (coefficient → evaluation domain)."""
+        a = self._reduce(coeffs)
+        p = self._p
+        for w in self._fwd:
+            pairs = a.reshape(len(w), 2, -1)
+            u = pairs[:, 0]
+            v = pairs[:, 1] * w % p
+            a = np.stack((u + v, u + p - v), axis=1).reshape(-1) % p
+        return self._like(coeffs, a)
+
+    def inverse(self, values):
+        """Inverse negacyclic NTT (evaluation → coefficient domain)."""
+        a = self._reduce(values)
+        p = self._p
+        for w in self._inv:
+            pairs = a.reshape(len(w), 2, -1)
+            u = pairs[:, 0]
+            v = pairs[:, 1]
+            a = np.stack((u + v, (u + p - v) * w), axis=1).reshape(-1) % p
+        return self._like(values, a * self._n_inv % p)
+
+    def pointwise(self, a, b):
         """Element-wise product in the evaluation domain."""
         if len(a) != self.n or len(b) != self.n:
             raise ParameterError("operand length mismatch with ring degree")
-        p = self.p
-        return [x * y % p for x, y in zip(a, b)]
+        return self._like(a, self._reduce(a) * self._reduce(b) % self._p)
 
-    def convolve(self, a: list, b: list) -> list:
+    def convolve(self, a, b):
         """Negacyclic convolution ``a * b mod (x^n + 1, p)``.
 
         The textbook NTT → pointwise → INTT pipeline; cost
         ``O(n log n)`` modular multiplications, versus ``O(n^2)`` for
         the schoolbook convolution the PIM device performs.
         """
-        return self.inverse(self.pointwise(self.forward(a), self.forward(b)))
+        fa = self.forward(self._reduce(a))
+        fb = self.forward(self._reduce(b))
+        return self._like(a, self.inverse(self.pointwise(fa, fb)))
 
     #: Modular multiplications performed by one forward or inverse
     #: transform — (n/2) * log2(n) butterflies, one mulmod each. Used by
     #: the CPU-SEAL cost model; kept next to the algorithm it describes.
     def butterflies_per_transform(self) -> int:
         return (self.n // 2) * self.log_n
+
+
+@lru_cache(maxsize=128)
+def ntt_context(n: int, p: int) -> NTTContext:
+    """The shared :class:`NTTContext` for ``(n, p)``, built once."""
+    return NTTContext(n, p)

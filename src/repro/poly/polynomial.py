@@ -10,18 +10,22 @@ modular reduction in two places: BFV ciphertext multiplication scales
 the tensor product by ``t/q`` over the rationals, and noise analysis
 reasons over ``Z``. :func:`negacyclic_convolve` therefore computes the
 convolution exactly over the integers — schoolbook for small degrees,
-and a CRT bundle of negacyclic NTTs over 62-bit primes for large ones
-(the standard multiprecision-convolution technique; both paths are
-cross-checked in the tests).
+and a CRT bundle of negacyclic NTTs over 31-bit primes for large ones
+(the standard multiprecision-convolution technique). Each prime's
+transforms run on ``uint64`` numpy arrays, and the residue split and
+CRT recombination are array operations over Python ints; the tests
+check both paths against each other and against a scalar NTT.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime, inverse_mod
-from repro.poly.ntt import NTTContext
+from repro.poly.ntt import ntt_context
 
 #: Degrees at or below this use schoolbook convolution; above, CRT-NTT.
 #: 64 keeps the crossover comfortably inside the regime where Python
@@ -30,9 +34,10 @@ from repro.poly.ntt import NTTContext
 SCHOOLBOOK_MAX_DEGREE = 64
 
 #: Bit width of the auxiliary CRT primes used for exact convolution.
-#: 62 bits keeps psi-power precomputation in native-int-friendly range
-#: while minimizing the number of primes needed.
-_CRT_PRIME_BITS = 62
+#: 31 bits keeps every butterfly product inside a ``uint64`` word (see
+#: :data:`repro.poly.ntt.NATIVE_PRIME_LIMIT`), so each transform runs
+#: on native numpy arrays; a wider result just takes more primes.
+_CRT_PRIME_BITS = 31
 
 
 def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
@@ -53,13 +58,25 @@ def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
     return out
 
 
-@lru_cache(maxsize=32)
-def _crt_ntt_contexts(n: int, count: int) -> tuple:
-    """``count`` NTT contexts over distinct 62-bit primes == 1 mod 2n."""
-    return tuple(
-        NTTContext(n, find_ntt_prime(_CRT_PRIME_BITS, n, index=i))
-        for i in range(count)
-    )
+@lru_cache(maxsize=64)
+def _crt_prime(n: int, index: int) -> int:
+    """The ``index``-th CRT prime for degree ``n``: 31-bit, == 1 mod 2n."""
+    return find_ntt_prime(_CRT_PRIME_BITS, n, index=index)
+
+
+def _crt_contexts(n: int, bound: int) -> list:
+    """The shortest prefix of the CRT bundle whose modulus reaches ``bound``.
+
+    The bundle for ``k`` primes is a prefix of the bundle for ``k + 1``,
+    and every context comes from the shared :func:`ntt_context` cache.
+    """
+    contexts = []
+    product = 1
+    while product < bound or not contexts:
+        ctx = ntt_context(n, _crt_prime(n, len(contexts)))
+        contexts.append(ctx)
+        product *= ctx.p
+    return contexts
 
 
 @lru_cache(maxsize=64)
@@ -76,38 +93,35 @@ def _crt_recombination(moduli: tuple) -> tuple:
 
 
 def _crt_negacyclic(a: list, b: list, n: int) -> list:
-    """Exact negacyclic convolution over Z via CRT-bundled NTTs."""
-    max_a = max((abs(x) for x in a), default=0)
-    max_b = max((abs(x) for x in b), default=0)
-    # |result coefficient| <= n * max|a| * max|b|; need the CRT modulus
-    # to cover the signed range, i.e. Q > 2 * bound.
-    bound = 2 * n * max_a * max_b + 1
-    count = max(1, -(-bound.bit_length() // (_CRT_PRIME_BITS - 1)))
-    while True:
-        contexts = _crt_ntt_contexts(n, count)
-        product = 1
-        for ctx in contexts:
-            product *= ctx.p
-        if product >= bound:
-            break
-        count += 1
-    residue_vectors = [
-        ctx.convolve([x % ctx.p for x in a], [x % ctx.p for x in b])
-        for ctx in contexts
-    ]
+    """Exact negacyclic convolution over Z via CRT-bundled NTTs.
+
+    Each prime's residues are split off the exact inputs with one
+    object-array ``% p``, convolved through that prime's
+    :meth:`NTTContext.forward` / :meth:`NTTContext.inverse`, and the
+    residue rows are recombined over Python ints. A square (``b is a``)
+    transforms its operand once per prime.
+    """
+    max_a = max(map(abs, a), default=0)
+    max_b = max(map(abs, b), default=0)
+    # |result coefficient| <= n * max|a| * max|b|; the CRT modulus Q
+    # must cover that signed range, i.e. Q > 2 * n * max|a| * max|b|.
+    contexts = _crt_contexts(n, 2 * n * max_a * max_b + 1)
+    exact_a = np.array(a, dtype=object)
+    exact_b = exact_a if b is a else np.array(b, dtype=object)
+    rows = []
+    for ctx in contexts:
+        fa = ctx.forward((exact_a % ctx.p).astype(ctx.dtype))
+        fb = fa if b is a else ctx.forward((exact_b % ctx.p).astype(ctx.dtype))
+        rows.append(ctx.inverse(ctx.pointwise(fa, fb)))
     moduli = tuple(ctx.p for ctx in contexts)
     q_total, partials = _crt_recombination(moduli)
-    half = q_total // 2
-    out = []
-    for k in range(n):
-        acc = 0
-        for idx, (q_i, q_i_inv) in enumerate(partials):
-            acc += (residue_vectors[idx][k] * q_i_inv % moduli[idx]) * q_i
-        acc %= q_total
-        if acc > half:
-            acc -= q_total
-        out.append(acc)
-    return out
+    acc = 0
+    for row, ctx, (q_i, q_i_inv) in zip(rows, contexts, partials):
+        word = ctx.dtype.type
+        digit = row * word(q_i_inv) % word(ctx.p)
+        acc = acc + digit.astype(object) * q_i
+    acc %= q_total
+    return np.where(acc > q_total // 2, acc - q_total, acc).tolist()
 
 
 def negacyclic_convolve(a: list, b: list, n: int) -> list:
@@ -219,8 +233,12 @@ class Polynomial:
         if isinstance(other, int):
             return self.scalar_mul(other)
         self._check_compatible(other)
+        # Centered operands keep small polynomials small: a ternary
+        # secret enters as +-1, not as q - 1, so the exact product needs
+        # CRT primes for |a| * |b|, not for q^2. The result mod q is
+        # the same.
         product = negacyclic_convolve(
-            list(self.coeffs), list(other.coeffs), len(self.coeffs)
+            self.centered(), other.centered(), len(self.coeffs)
         )
         return Polynomial(product, self.modulus)
 

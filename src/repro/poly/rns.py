@@ -15,20 +15,18 @@ This module implements that representation for real:
 * :class:`RNSPolynomial` — a ring element stored as per-prime residue
   rows, with add/sub/negate/scalar ops and NTT-domain multiplication.
 
-It is used three ways: as the functional engine of the CPU-SEAL
-backend, inside the exact big-integer convolution
-(:func:`repro.poly.polynomial.negacyclic_convolve` uses the same CRT
-bundle), and directly in tests that check the two polynomial
-representations implement the same algebra.
+It is used two ways: as the functional engine of the CPU-SEAL
+backend, and directly in tests that check the two polynomial
+representations implement the same algebra. The exact big-integer
+convolution (:func:`repro.poly.polynomial.negacyclic_convolve`) uses
+the same CRT technique over 31-bit primes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime, inverse_mod
-from repro.poly.ntt import NTTContext
+from repro.poly.ntt import ntt_context
 
 #: SEAL-style word-sized prime width. SEAL uses primes up to 60 bits so
 #: that lazy Barrett accumulation fits 128-bit products; we follow suit.
@@ -128,11 +126,6 @@ class RNSBasis:
         if value > self.product // 2:
             value -= self.product
         return value
-
-
-@lru_cache(maxsize=128)
-def _ntt_context(n: int, p: int) -> NTTContext:
-    return NTTContext(n, p)
 
 
 class RNSPolynomial:
@@ -256,8 +249,7 @@ class RNSPolynomial:
         self._check_compatible(other)
         rows = []
         for ra, rb, m in zip(self.rows, other.rows, self.basis.moduli):
-            ctx = _ntt_context(self.n, m)
-            rows.append(ctx.convolve(list(ra), list(rb)))
+            rows.append(ntt_context(self.n, m).convolve(ra, rb))
         return RNSPolynomial(self.basis, rows)
 
     __rmul__ = __mul__

@@ -1,11 +1,12 @@
 """Shared fixtures: fast parameter sets and cached crypto contexts.
 
-The paper's security levels (n = 1024-4096) make key generation and
-multiplication take seconds in pure Python, so the functional test
-suite runs on *tiny rings* — same algebra, same code paths, degrees 64
-and 128 — and reserves the real security levels for a handful of
-integration tests. Degree 64 exercises the schoolbook convolution
-path, degree 128 the CRT-NTT path.
+Most of the functional test suite runs on *tiny rings* — same algebra,
+same code paths, degrees 64 and 128 — so hypothesis can draw many
+examples cheaply. Degree 64 exercises the schoolbook convolution path,
+degree 128 the CRT-NTT path. The paper's security levels (n = 1024-4096)
+are covered by ``tests/workloads/test_paper_rings.py`` and a handful of
+other integration tests, which the vectorized CRT-NTT convolution keeps
+affordable.
 """
 
 from __future__ import annotations
