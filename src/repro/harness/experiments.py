@@ -539,7 +539,7 @@ _register(
 
 
 def _run_energy_extension() -> list:
-    from repro.backends.energy import workload_energy
+    from repro.obs.energy import workload_joules
 
     rows = []
     for title, workload in (
@@ -551,7 +551,7 @@ def _run_energy_extension() -> list:
         ),
     ):
         series = {
-            name: workload_energy(backend, workload)
+            name: workload_joules(backend, workload)
             for name, backend in _backends().items()
         }
         rows.append(ExperimentRow(label=title, x=len(rows), series=series))

@@ -11,9 +11,13 @@ the missing dimension, in three layers:
   energy per byte over the DDR interface, and fault-retry energy —
   all parameterized by a committed :class:`EnergyConfig` whose
   constants carry their provenance. CPU / CPU-SEAL / GPU baselines are
-  priced as modelled runtime × configured TDP (:func:`op_energy`),
-  numerically consistent with the first-order ``ext_energy``
-  experiment (:mod:`repro.backends.energy`);
+  priced as modelled runtime × configured TDP (:func:`op_energy`);
+  the first-order ``ext_energy`` experiment prices every platform from
+  the same watts (:func:`envelope_joules` per request, summed by
+  :func:`workload_joules`: active power × modelled time, PIM power
+  proportional to the engaged DPUs). This is the one
+  energy model; processing-in-memory HE energy studies such as Reis
+  et al.'s CiM-HE (see ``PAPERS.md``) are its provenance anchor;
 
 * a **data-movement ledger**: every priced kernel attributes the bytes
   it moves at each level — WRAM<->MRAM DMA, host<->DPU over DDR, host
@@ -59,6 +63,8 @@ __all__ = [
     "kernel_energy",
     "movement_bytes",
     "op_energy",
+    "envelope_joules",
+    "workload_joules",
     "energy_rollup",
     "LEDGER",
     "GATE",
@@ -85,10 +91,10 @@ DEFAULT_HISTORY_PATH = "baselines/energy-history.jsonl"
 class EnergyConfig:
     """Energy-model constants, each with its provenance.
 
-    The *power* envelopes deliberately equal the first-order model in
-    :mod:`repro.backends.energy` (whose ``ext_energy`` totals are
-    committed in ``baselines/perf.json``), so the two layers never
-    disagree about watts; a unit test pins the equality. The per-byte
+    The *power* envelopes are also the first-order ``ext_energy``
+    model's watts (:func:`envelope_joules`, whose totals are committed
+    in ``baselines/perf.json``), so the per-kernel and first-order
+    views never disagree about watts. The per-byte
     movement energies are the standard published figures for each
     interface — envelope estimates with documented sources, gated for
     *drift* (the model must not change silently), not for accuracy.
@@ -356,6 +362,36 @@ def op_energy(
         "traffic_bytes": traffic_bytes,
         "traffic_level": traffic_level,
     }
+
+
+def envelope_joules(backend, request) -> float:
+    """First-order energy of one device request: active power × time.
+
+    The ``ext_energy`` model, with the watts of
+    :func:`get_energy_config`. ``backend.time_op`` prices the request
+    once. PIM draws ``dpu_active_watts`` on each engaged DPU only
+    (memory-capacity-proportional compute also means
+    workload-proportional power); the processor-centric platforms burn
+    their full envelope (:meth:`EnergyConfig.backend_watts`) whatever
+    their utilization — the asymmetry the experiment quantifies.
+    """
+    config = get_energy_config()
+    timing = backend.time_op(request)
+    if backend.name != "pim":
+        return timing.seconds * config.backend_watts(backend.name)
+    dpus = timing.detail.get("dpus_used")
+    if not dpus:
+        raise ParameterError("PIM timing did not report dpus_used")
+    return timing.seconds * (config.dpu_active_watts * dpus)
+
+
+def workload_joules(backend, workload) -> float:
+    """First-order energy of a workload: :func:`envelope_joules` summed
+    over its device requests — one ``ext_energy`` cell."""
+    return sum(
+        envelope_joules(backend, request)
+        for request in workload.device_requests()
+    )
 
 
 # -- metrics rollup ----------------------------------------------------------

@@ -16,6 +16,7 @@ checks.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 from repro.errors import ParameterError
 
@@ -124,11 +125,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound >= value, else len(bounds): the +inf bucket.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -4,35 +4,34 @@ The paper's small-workload story is dominated by fixed kernel-launch
 overhead, which makes batching *the* deployment question: a realistic
 multi-user service packs many users' ciphertext operations into shared
 PIM kernel launches. This package turns that question into a
-computable, regression-gated model (ROADMAP item 2):
+computable, regression-gated model:
 
 * :mod:`repro.serve.arrivals` — a seeded open-loop Poisson arrival
   process on the **modelled clock** (SHA-256 unit draws, no wall-clock
   or :mod:`random` state, exactly the :mod:`repro.pim.faults`
   discipline);
 * :mod:`repro.serve.scheduler` — per-class batch formation (seal on
-  ``max_batch`` or a ``max_wait`` timer) feeding a serial device
-  timeline priced by the *exact* experiment pricing path, so the
-  zero-fault point stays bit-identical to ``baselines/perf.json``;
-  every request carries a :class:`~repro.serve.scheduler.RequestTimeline`
-  decomposing modelled latency into queue → dispatch → launch →
-  kernel → transfer phases;
+  ``max_batch`` or a ``max_wait`` timer) and the
+  :class:`~repro.serve.scheduler.RequestTimeline` every request
+  carries, decomposing modelled latency into queue → dispatch →
+  launch → kernel → transfer phases. Its serial
+  :meth:`~repro.serve.scheduler.BatchScheduler.schedule` is kept only
+  as the reference the serving loop is tested against;
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.ServeSpec`,
-  the single-point simulation, the capacity sweep over QPS × security
-  level × fleet health (resumable through the PR-6 run registry), the
-  sweep document persistence, and the Chrome-trace export (one lane
-  per request class).
-
-Fault tolerance rides on top (PR 10):
-
+  the single-point simulation, the launch pricer and its bit-identity
+  check against ``baselines/perf.json``, the capacity sweep over QPS ×
+  security level × fleet health (resumable through the run registry),
+  the sweep document persistence, and the Chrome-trace export (one
+  lane per request class);
 * :mod:`repro.serve.shard` — rank-aligned fleet partitioning with
   deterministic ciphertext→shard placement and per-shard pricing
   (single shard + zero faults stays bit-identical to
   ``baselines/perf.json``);
-* :mod:`repro.serve.resilience` — health-aware routing, per-shard
-  circuit breakers, retry budgets, hedged dispatch, SLO-coupled load
-  shedding, and the RESILIENCE gate
+* :mod:`repro.serve.resilience` — the one serving loop: health-aware
+  routing, per-shard circuit breakers, retry budgets, hedged dispatch,
+  SLO-coupled load shedding, and the RESILIENCE gate
   (``baselines/resilience.json``, ``repro resil record|check|html``).
+  A plain serving point is its one-shard case.
 
 SLO accounting (digests, burn rates, verdicts) lives in
 :mod:`repro.obs.slo`; the CLI surface is ``repro serve run|sweep|html``
@@ -76,7 +75,6 @@ from repro.serve.service import (
 from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
-    check_sharded_baseline,
     home_shard,
     make_layout,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "make_layout",
     "home_shard",
     "ShardedPricer",
-    "check_sharded_baseline",
     "BreakerSpec",
     "CircuitBreaker",
     "ResilienceSpec",

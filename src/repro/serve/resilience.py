@@ -26,11 +26,11 @@ every request:
   ``shed_burn_threshold``, sealed batches of the lowest-priority
   classes are shed (counted as rejections) to protect the rest.
 
-Everything is seeded and bit-reproducible. The degenerate
-configuration — one shard, zero faults, no hedging, no shedding —
-reproduces :func:`repro.serve.service.simulate` timelines exactly, and
-the single-shard pricer reproduces ``baselines/perf.json`` bit-for-bit
-(:func:`repro.serve.shard.check_sharded_baseline`), so MODEL-DRIFT
+Everything is seeded and bit-reproducible. The loop here is the only
+serving loop: :func:`repro.serve.service.simulate` is its one-shard
+case with no hedging and no shedding, and the single-shard pricer
+reproduces ``baselines/perf.json`` bit-for-bit
+(:func:`repro.serve.service.check_serving_baseline`), so MODEL-DRIFT
 stays green.
 
 The **RESILIENCE gate** locks degraded-fleet SLO attainment per
@@ -64,13 +64,9 @@ from repro.serve.service import (
     RequestClass,
     ServeSpec,
     _admitted_arrivals,
+    check_serving_baseline,
 )
-from repro.serve.shard import (
-    ShardedPricer,
-    check_sharded_baseline,
-    home_shard,
-    make_layout,
-)
+from repro.serve.shard import ShardedPricer, home_shard, make_layout
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -351,14 +347,26 @@ def _failure_cost_s(policy, config: UPMEMConfig) -> float:
     return cost
 
 
-def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
-    """Run one sharded resilient serving point in modelled time.
+def _phases(breakdown) -> dict:
+    """The launch/kernel/fault/transfer seconds of one priced launch."""
+    detail = breakdown.detail
+    launch_s = float(detail.get("launch_s", 0.0))
+    kernel_s = float(detail.get("kernel_s", 0.0))
+    return {
+        "launch_s": launch_s,
+        "kernel_s": kernel_s,
+        "fault_s": breakdown.seconds - launch_s - kernel_s,
+        "transfer_s": float(detail.get("transfer_s", 0.0)),
+    }
 
-    Deterministic: the same spec yields byte-identical timelines and
-    documents (modulo run identity). With one shard, zero faults, and
-    hedging/shedding disabled, the produced timelines equal
-    :func:`repro.serve.service.simulate`'s exactly — the resilience
-    machinery adds routing, never arithmetic.
+
+def _serve(rspec: ResilienceSpec) -> ResilienceResult:
+    """The serving loop: admission, placement, batching, dispatch.
+
+    The one loop behind both :func:`simulate_resilient` and
+    :func:`repro.serve.service.simulate` (its one-shard, no-hedge,
+    no-shed case), so the two can never diverge. The ``resil-point``
+    document comes back without its run identity.
     """
     from repro.harness.chaos import plan_for_healthy_fraction
 
@@ -413,7 +421,11 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
     sheddable = {
         c.key for c in spec.classes if c.priority == min_priority
     }
-    by_key = {c.key: c for c in spec.classes}
+    # A request is good when it meets every objective, i.e. the
+    # tightest one.
+    good_threshold_s = min(
+        (o.threshold_s for o in spec.objectives), default=float("inf")
+    )
 
     shard_free = [0.0] * n_shards
     shard_busy = [0.0] * n_shards
@@ -503,7 +515,6 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
             registry.counter("serve.shard.routed").inc()
 
         start = max(seal, shard_free[target])
-        detail = breakdown.detail
         copies = [(target, start, breakdown)]
 
         if (
@@ -549,7 +560,8 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                 bd_detail.get("movement_bytes", 0)
             )
             finished.append((complete, shard, start_s, bd))
-            registry.counter("serve.shard.launches").inc()
+            registry.counter("serve.launches").inc()
+            registry.histogram("serve.batch_size").observe(batch_size)
         winner = min(finished, key=lambda item: (item[0], item[1]))
         complete, win_shard, win_start, win_bd = winner
         if len(finished) > 1:
@@ -560,11 +572,6 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                 item[0] - item[2] for item in finished if item is not winner
             )
 
-        detail = win_bd.detail
-        launch_s = float(detail.get("launch_s", 0.0))
-        kernel_s = float(detail.get("kernel_s", 0.0))
-        transfer_s = float(detail.get("transfer_s", 0.0))
-        fault_s = win_bd.seconds - launch_s - kernel_s
         for copy_complete, shard, copy_start, bd in finished:
             launches.append(
                 ShardLaunch(
@@ -578,12 +585,7 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                     service_start_s=copy_start,
                     complete_s=copy_complete,
                     service_seconds=bd.seconds,
-                    launch_s=float(bd.detail.get("launch_s", 0.0)),
-                    kernel_s=float(bd.detail.get("kernel_s", 0.0)),
-                    fault_s=bd.seconds
-                    - float(bd.detail.get("launch_s", 0.0))
-                    - float(bd.detail.get("kernel_s", 0.0)),
-                    transfer_s=float(bd.detail.get("transfer_s", 0.0)),
+                    **_phases(bd),
                     bound=str(bd.detail.get("bound", "?")),
                     dpus_used=int(bd.detail.get("dpus_used", 0)),
                     hedged=len(finished) > 1,
@@ -592,6 +594,7 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                 )
             )
 
+        phases = _phases(win_bd)
         arrivals = class_arrivals[class_key]
         for member in members:
             timeline = RequestTimeline(
@@ -600,23 +603,16 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
                 arrival_s=arrivals[member],
                 batch_formed_s=seal,
                 service_start_s=win_start,
-                launch_s=launch_s,
-                kernel_s=kernel_s,
-                fault_s=fault_s,
-                transfer_s=transfer_s,
+                **phases,
                 complete_s=complete,
                 batch_index=batch_index,
                 batch_size=batch_size,
             )
             timelines.append(timeline)
-            trackers[class_key].observe(timeline.latency_s)
-            registry.histogram("serve.latency_s").observe(
-                timeline.latency_s
-            )
-            if all(
-                timeline.latency_s <= o.threshold_s
-                for o in spec.objectives
-            ):
+            latency_s = timeline.latency_s
+            trackers[class_key].observe(latency_s)
+            registry.histogram("serve.latency_s").observe(latency_s)
+            if latency_s <= good_threshold_s:
                 good_by_class[class_key] += 1
 
     for shard in range(n_shards):
@@ -624,6 +620,10 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
             registry.counter("serve.breaker.opened").inc(
                 breakers[shard].opened_count
             )
+
+    if launches:
+        registry.counter("serve.energy_j").inc(energy_total_j)
+        registry.counter("serve.movement_bytes").inc(movement_total_bytes)
 
     horizon = max(
         [spec.duration_s] + [launch.complete_s for launch in launches]
@@ -672,7 +672,6 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
         "plan": _plan_spec(plan),
         "effective_dpus": sum(healthy),
     }
-    doc.update(run_identity())
     doc["classes"] = {key: reports[key] for key in sorted(reports)}
     doc["shards"] = shards_doc
     doc["resilience"] = {
@@ -719,6 +718,19 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
         reports=reports,
         doc=doc,
     )
+
+
+def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
+    """Run one sharded resilient serving point in modelled time.
+
+    Deterministic: the same spec yields byte-identical timelines and
+    documents (modulo run identity). With one shard, no hedging and no
+    shedding this is the plain serving point
+    (:func:`repro.serve.service.simulate`), which runs the same loop.
+    """
+    result = _serve(rspec)
+    result.doc.update(run_identity())
+    return result
 
 
 def emit_resilient_spans(result: ResilienceResult) -> int:
@@ -941,7 +953,7 @@ def capture_resilience_run(
     doc["points"] = points
     doc["capacity"] = capacity
     if baseline is not None:
-        doc["baseline_check"] = check_sharded_baseline(
+        doc["baseline_check"] = check_serving_baseline(
             baseline,
             workload=workload,
             security_levels=(security_bits,),

@@ -16,6 +16,12 @@ The scheduler is deliberately minimal and fully deterministic:
   duration (kernel + launch overhead + any fault/retry seconds)
   plus the host<->DPU transfer for the batch.
 
+Serving points run :meth:`BatchScheduler.form_batches` inside the one
+serving loop (:mod:`repro.serve.resilience`). The serial
+:meth:`BatchScheduler.schedule` and :class:`BatchLaunch` are on no
+production path: they are the reference that loop's one-shard case is
+differentially tested against.
+
 Every request carries a :class:`RequestTimeline` decomposing its
 modelled latency into the phases the dashboard reports::
 

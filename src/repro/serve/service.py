@@ -1,11 +1,13 @@
 """Serving points, capacity sweeps, persistence, and exports.
 
 A **serving point** is one fully-specified simulation
-(:class:`ServeSpec` -> :func:`simulate`): seeded open-loop arrivals per
-request class, batch formation, a serial PIM device timeline priced by
-the exact experiment pricing path, admission control through
+(:class:`ServeSpec` -> :func:`simulate`): the one-shard case of the
+serving loop in :mod:`repro.serve.resilience` — seeded open-loop
+arrivals per request class, batch formation, a serial PIM device
+timeline priced by the exact experiment pricing path
+(:func:`price_launch`), admission control through
 :class:`~repro.core.planner.HeadroomGuard`, degraded fleets through the
-PR-5 fault layer, and per-class SLO accounting
+fault layer, and per-class SLO accounting
 (:class:`~repro.obs.slo.SLOTracker`).
 
 A **capacity sweep** (:func:`sweep_capacity`) asks the ROADMAP item-2
@@ -21,8 +23,8 @@ accumulate a longitudinal record.
 Two invariants mirror the chaos harness:
 
 * the **zero-fault serving point prices through the untouched path**:
-  :func:`check_serving_baseline` sums the serving pricer over each
-  experiment's canonical batch ladder and must reproduce
+  :func:`check_serving_baseline` sums the one-shard serving pricer
+  over each experiment's canonical batch ladder and must reproduce
   ``baselines/perf.json`` series totals bit-for-bit (MODEL-DRIFT
   otherwise);
 * **everything is seeded** — a spec + seed yields byte-identical
@@ -34,29 +36,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.backends import get_backend
 from repro.backends.base import TimingBreakdown
 from repro.core.params import BFVParameters
 from repro.core.planner import CircuitShape, HeadroomGuard, plan_budget
 from repro.errors import ParameterError
-from repro.harness.chaos import plan_for_healthy_fraction
 from repro.obs.gate import MODEL_DRIFT, VERDICT_NEW, VERDICT_OK, Ledger
-from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
     VERDICT_SLO_BREACH,
     VERDICT_SLO_OK,
-    SLOObjective,
-    SLOTracker,
 )
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import use_fault_plan
+from repro.pim.faults import FaultPlan
 from repro.serve.arrivals import OpenLoopArrivals
-from repro.serve.scheduler import BatchScheduler
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -279,27 +275,6 @@ def price_launch(backend, cls: RequestClass, batch_size: int) -> TimingBreakdown
     )
 
 
-def _make_pricer(spec: ServeSpec):
-    """The per-launch pricing closure: (class key, batch) -> breakdown.
-
-    Prices through :func:`price_launch` and memoizes per (class, batch
-    size): pricing is a pure function of the spec (fault plans for
-    fixed disabled-DPU counts are stateless across launches).
-    """
-    backend = get_backend(SERVE_BACKEND)
-    by_key = {c.key: c for c in spec.classes}
-    cache: dict = {}
-
-    def pricer(class_key: str, batch_size: int) -> TimingBreakdown:
-        cached = cache.get((class_key, batch_size))
-        if cached is None:
-            cached = price_launch(backend, by_key[class_key], batch_size)
-            cache[(class_key, batch_size)] = cached
-        return cached
-
-    return pricer
-
-
 def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
     """Noise-headroom admission over every class's arrival stream.
 
@@ -335,83 +310,35 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
 def simulate(spec: ServeSpec) -> ServeResult:
     """Run one serving point end to end in modelled time.
 
+    The one-shard case of the sharded serving loop
+    (:mod:`repro.serve.resilience`): the whole fleet under the plan
+    ``spec.healthy`` derives, with no hedging and no shedding.
     Deterministic: the same spec yields byte-identical timelines,
     digest state, and document (modulo the run identity stamped into
     the document).
     """
-    config = UPMEMConfig()
-    plan = plan_for_healthy_fraction(spec.healthy, spec.seed, config)
-    registry = get_registry()
-    trackers = {c.key: SLOTracker(spec.objectives) for c in spec.classes}
-    class_arrivals = _admitted_arrivals(spec, trackers, registry)
+    # resilience imports this module, so the loop is imported lazily.
+    from repro.serve.resilience import ResilienceSpec, _serve
 
-    scheduler = BatchScheduler(
-        max_batch=spec.max_batch, max_wait_s=spec.max_wait_s
-    )
-    pricer = _make_pricer(spec)
-    with use_fault_plan(plan):
-        timelines, launches = scheduler.schedule(class_arrivals, pricer)
-
-    for timeline in timelines:
-        trackers[timeline.class_key].observe(timeline.latency_s)
-        registry.histogram("serve.latency_s").observe(timeline.latency_s)
-    energy_total_j = 0.0
-    movement_total_bytes = 0
-    for launch in launches:
-        registry.counter("serve.launches").inc()
-        registry.histogram("serve.batch_size").observe(launch.batch_size)
-        # Guaranteed cache hit: the scheduler priced every
-        # (class, batch) pair through this same memoizing pricer, so
-        # this reuses the fault-plan-priced breakdown verbatim.
-        priced = pricer(launch.class_key, launch.batch_size)
-        energy_total_j += float(priced.detail.get("energy_j", 0.0))
-        movement_total_bytes += int(priced.detail.get("movement_bytes", 0))
-    if launches:
-        registry.counter("serve.energy_j").inc(energy_total_j)
-        registry.counter("serve.movement_bytes").inc(movement_total_bytes)
-
-    busy_s = sum(l.complete_s - l.service_start_s for l in launches)
-    horizon = max(
-        [spec.duration_s] + [l.complete_s for l in launches]
-    )
-    reports = {
-        key: tracker.report(duration_s=spec.duration_s)
-        for key, tracker in trackers.items()
-    }
-    breached = any(
-        r["verdict"] == VERDICT_SLO_BREACH for r in reports.values()
-    )
+    served = _serve(ResilienceSpec(serve=spec, n_shards=1))
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "serve-point",
         "spec": spec.to_dict(),
-        "n_dpus": config.n_dpus,
-        "effective_dpus": plan.effective_dpus(config),
+        "n_dpus": served.doc["n_dpus"],
+        "effective_dpus": served.doc["effective_dpus"],
     }
     doc.update(run_identity())
-    doc["classes"] = {key: reports[key] for key in sorted(reports)}
-    doc["device"] = {
-        "launches": len(launches),
-        "busy_s": busy_s,
-        "horizon_s": horizon,
-        "utilization": busy_s / horizon if horizon > 0 else 0.0,
-    }
-    doc["launches"] = [l.to_dict() for l in launches]
-    completed = sum(r["completed"] for r in reports.values())
-    doc["energy"] = {
-        "total_j": energy_total_j,
-        "avg_watts": energy_total_j / horizon if horizon > 0 else 0.0,
-        "j_per_request": (
-            energy_total_j / completed if completed else None
-        ),
-        "movement_bytes": movement_total_bytes,
-    }
-    doc["verdict"] = VERDICT_SLO_BREACH if breached else VERDICT_SLO_OK
+    doc["classes"] = served.doc["classes"]
+    doc["device"] = served.doc["device"]
+    doc["launches"] = [launch.to_dict() for launch in served.launches]
+    doc["energy"] = served.doc["energy"]
+    doc["verdict"] = served.doc["verdict"]
     return ServeResult(
         spec=spec,
-        timelines=timelines,
-        launches=launches,
-        reports=reports,
+        timelines=served.timelines,
+        launches=served.launches,
+        reports=served.reports,
         doc=doc,
     )
 
@@ -654,31 +581,29 @@ def _recalled_point(registry, key_prefix: str, qps: float):
 # -- the zero-fault bit-identity gate ----------------------------------------
 
 
-def _serving_price(cls: RequestClass, n_requests: int) -> TimingBreakdown:
-    """One fault-free launch of ``n_requests`` through the serving pricer."""
-    return _make_pricer(ServeSpec(classes=(cls,)))(cls.key, n_requests)
-
-
 def check_serving_baseline(
     baseline: dict,
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
     ops_per_request: int = 64,
-    price=_serving_price,
 ) -> list:
-    """Gate a serving pricer against ``baselines/perf.json``.
+    """Gate the serving pricer against ``baselines/perf.json``.
 
     For every experiment whose cells are ``workload`` at one of the
     requested security levels, price the experiment's canonical batch
-    ladder through ``price(request_class, n_requests) -> breakdown``
-    (default: the fault-free serving path, one launch per batch size)
-    and compare the accumulated pim milliseconds to the committed
-    series total — which must match **bit-for-bit**, exactly like the
-    grid's fault-free cells. Returns verdict dicts with ``verdict`` in
-    {"ok", "MODEL-DRIFT", "new"}.
+    ladder (one launch per batch size) through the one-shard
+    :class:`~repro.serve.shard.ShardedPricer` of the whole fleet under
+    an inactive fault plan, and compare the accumulated pim
+    milliseconds to the committed series total — which must match
+    **bit-for-bit**, exactly like the grid's fault-free cells: a
+    single shard of the whole fleet *is* the whole fleet. Returns
+    verdict dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
     """
     from repro.obs.registry import EXPERIMENT_CELLS
+    from repro.serve.shard import ShardedPricer, make_layout
 
+    config = UPMEMConfig()
+    layout = make_layout(1, config)
     verdicts = []
     for eid, (cell_workload, bits, batches) in sorted(
         EXPERIMENT_CELLS.items()
@@ -697,9 +622,11 @@ def check_serving_baseline(
             rate_qps=1.0,
             ops_per_request=spec_ops,
         )
+        pricer = ShardedPricer((cls,), layout, FaultPlan(), config)
         total_ms = 0.0
         for batch in batches:
-            total_ms += price(cls, batch // spec_ops).seconds * 1e3
+            breakdown = pricer.price(0, cls.key, batch // spec_ops)
+            total_ms += breakdown.seconds * 1e3
         recorded = (
             baseline.get("experiments", {})
             .get(eid, {})

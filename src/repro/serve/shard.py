@@ -15,9 +15,9 @@ complete UPMEM system in miniature:
 * :class:`ShardedPricer` — per-shard batch pricing through an
   unmodified :class:`~repro.pim.runtime.PIMRuntime` whose config is
   the shard's slice of the fleet, under the shard's
-  :meth:`~repro.pim.faults.FaultPlan.shard_view`;
-* :func:`check_sharded_baseline` — the bit-identity gate: the
-  single-shard zero-fault pricer must reproduce
+  :meth:`~repro.pim.faults.FaultPlan.shard_view`. The single-shard
+  zero-fault pricer is the one serving pricer:
+  :func:`repro.serve.service.check_serving_baseline` gates it against
   ``baselines/perf.json`` series totals exactly (a single shard of the
   whole fleet *is* the whole fleet, so MODEL-DRIFT stays green).
 
@@ -36,14 +36,13 @@ from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan, _unit_hash, use_fault_plan
 from repro.pim.runtime import PIMRuntime
 from repro.pim.tasklet import split_evenly
-from repro.serve.service import check_serving_baseline, price_launch
+from repro.serve.service import price_launch
 
 __all__ = [
     "ShardLayout",
     "make_layout",
     "home_shard",
     "ShardedPricer",
-    "check_sharded_baseline",
 ]
 
 
@@ -155,8 +154,11 @@ def home_shard(
     A seeded hash draw, so placement is uniform, stable across
     processes, and independent of fleet health — a degraded shard keeps
     its assignments (the health-aware scheduler reroutes them, which is
-    what the routed/redispatch counters measure).
+    what the routed/redispatch counters measure). With one shard every
+    draw maps to 0, so no draw is made.
     """
+    if layout.n_shards == 1:
+        return 0
     draw = _unit_hash("serve.place", seed, class_key, request_index)
     return int(draw * layout.n_shards)
 
@@ -171,11 +173,10 @@ class ShardedPricer:
     fault pricing (retries, backoff, redispatch, permanent failures)
     reuses the PR-5 machinery verbatim, just scoped to the shard.
 
-    Successful breakdowns are memoized per ``(shard, class, batch)``
-    exactly like the unsharded serving pricer; failed pricings are
-    never cached, so a shard with live transient channels re-draws on
-    every retry (which is what lets circuit breakers observe repeated
-    failures).
+    Successful breakdowns are memoized per ``(shard, class, batch)``;
+    failed pricings are never cached, so a shard with live transient
+    channels re-draws on every retry (which is what lets circuit
+    breakers observe repeated failures).
     """
 
     def __init__(
@@ -241,33 +242,3 @@ class ShardedPricer:
         merged.detail["shard"] = shard
         self._cache[(shard, class_key, batch_size)] = merged
         return merged
-
-
-def check_sharded_baseline(
-    baseline: dict,
-    workload: str = "vec_add",
-    security_levels=(27, 54, 109),
-    ops_per_request: int = 64,
-) -> list:
-    """Gate the single-shard zero-fault pricer against ``perf.json``.
-
-    The one-shard layout of the whole fleet under an inactive fault
-    plan must price every experiment's canonical batch ladder to the
-    committed series totals **bit-for-bit** — the sharded path adds
-    machinery, never arithmetic. Same verdict rows as
-    :func:`repro.serve.service.check_serving_baseline`, which does the
-    comparison.
-    """
-    config = UPMEMConfig()
-    layout = make_layout(1, config)
-
-    pricers: dict = {}
-
-    def price(cls, n_requests: int) -> TimingBreakdown:
-        if cls not in pricers:
-            pricers[cls] = ShardedPricer((cls,), layout, FaultPlan(), config)
-        return pricers[cls].price(0, cls.key, n_requests)
-
-    return check_serving_baseline(
-        baseline, workload, security_levels, ops_per_request, price
-    )

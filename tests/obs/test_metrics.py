@@ -1,5 +1,7 @@
 """Metrics registry: instruments, tally fold-in, null defaults."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,26 @@ class TestHistogram:
             histogram.observe(value)
         snapshot = histogram.snapshot()
         assert snapshot["buckets"] == {"le_1": 1, "le_10": 1, "le_inf": 1}
+
+        # Each of the SLO digest's 181 log-spaced bounds is inclusive:
+        # the bound lands in its bucket, the next float above it in the
+        # next one, and past the last bound is the +inf bucket.
+        from repro.obs.slo import LatencyDigest
+
+        bounds = LatencyDigest()._hist.bounds
+        assert len(bounds) == 181
+
+        def bucket_of(value) -> int:
+            histogram = MetricsRegistry().histogram("h", buckets=bounds)
+            histogram.observe(value)
+            return histogram.bucket_counts.index(1)
+
+        for i, bound in enumerate(bounds):
+            assert bucket_of(bound) == i
+            assert bucket_of(math.nextafter(bound, math.inf)) == i + 1
+        assert bucket_of(0.0) == 0
+        assert bucket_of(bounds[0] / 2) == 0
+        assert bucket_of(bounds[-1] * 2) == len(bounds)
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ParameterError):

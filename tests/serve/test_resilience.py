@@ -26,7 +26,7 @@ from repro.serve.resilience import (
     render_resilience_text,
     simulate_resilient,
 )
-from repro.serve.service import RequestClass, ServeSpec, simulate
+from repro.serve.service import RequestClass, ServeSpec
 from repro.serve.shard import make_layout
 
 CONFIG = UPMEMConfig()
@@ -132,20 +132,6 @@ class TestSpecValidation:
 
 
 class TestZeroFaultSingleShardIdentity:
-    def test_timelines_equal_the_unsharded_simulation_bitwise(self):
-        """K=1 + zero faults + no hedging/shedding degenerates to
-        simulate() exactly — routing machinery adds no arithmetic."""
-        spec = _spec()
-        base = simulate(spec)
-        res = simulate_resilient(ResilienceSpec(serve=spec, n_shards=1))
-        assert len(res.timelines) == len(base.timelines)
-        for a, b in zip(base.timelines, res.timelines):
-            assert a.__dict__ == b.__dict__
-        assert res.reports.keys() == {c.key for c in spec.classes}
-        base_report = base.doc["classes"]
-        for key, report in res.reports.items():
-            assert report == base_report[key]
-
     def test_deterministic_documents(self):
         rspec = ResilienceSpec(serve=_spec(seed=3), n_shards=4)
         a = _stripped(simulate_resilient(rspec).doc)

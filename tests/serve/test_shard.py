@@ -5,14 +5,19 @@ import pathlib
 
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import ParameterError
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan
-from repro.serve.service import RequestClass, ServeSpec, _make_pricer
+from repro.serve.service import (
+    RequestClass,
+    ServeSpec,
+    check_serving_baseline,
+    price_launch,
+)
 from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
-    check_sharded_baseline,
     home_shard,
     make_layout,
 )
@@ -103,14 +108,13 @@ class TestShardedPricerBitIdentity:
         spec = ServeSpec(
             classes=(RequestClass(security_bits=54, rate_qps=1.0),),
         )
-        unsharded = _make_pricer(spec)
         sharded = ShardedPricer(
             spec.classes, make_layout(1, CONFIG), FaultPlan(), CONFIG
         )
-        key = spec.classes[0].key
+        cls = spec.classes[0]
         for batch in (1, 7, 64):
-            a = unsharded(key, batch)
-            b = sharded.price(0, key, batch)
+            a = price_launch(get_backend("pim"), cls, batch)
+            b = sharded.price(0, cls.key, batch)
             assert b.seconds == a.seconds
             for field in ("launch_s", "kernel_s", "transfer_s", "energy_j"):
                 assert b.detail[field] == a.detail[field]
@@ -133,28 +137,28 @@ class TestSharedBaselineCheck:
         return json.loads((REPO / "baselines" / "perf.json").read_text())
 
     def test_all_ok_against_committed_perf_baseline(self, baseline):
-        verdicts = check_sharded_baseline(baseline)
+        verdicts = check_serving_baseline(baseline)
         assert verdicts, "expected vec_add experiments in the baseline"
         assert all(v["verdict"] == "ok" for v in verdicts)
 
     def test_doctored_baseline_is_model_drift(self, baseline):
         doctored = json.loads(json.dumps(baseline))
-        eid = check_sharded_baseline(baseline)[0]["experiment"]
+        eid = check_serving_baseline(baseline)[0]["experiment"]
         doctored["experiments"][eid]["modelled"]["series_totals"][
             "pim"
         ] *= 1.01
         verdicts = {
             v["experiment"]: v["verdict"]
-            for v in check_sharded_baseline(doctored)
+            for v in check_serving_baseline(doctored)
         }
         assert verdicts[eid] == "MODEL-DRIFT"
 
     def test_unknown_experiment_is_new(self, baseline):
         trimmed = json.loads(json.dumps(baseline))
-        eid = check_sharded_baseline(baseline)[0]["experiment"]
+        eid = check_serving_baseline(baseline)[0]["experiment"]
         del trimmed["experiments"][eid]
         verdicts = {
             v["experiment"]: v["verdict"]
-            for v in check_sharded_baseline(trimmed)
+            for v in check_serving_baseline(trimmed)
         }
         assert verdicts[eid] == "new"
