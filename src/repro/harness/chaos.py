@@ -19,10 +19,12 @@ as the availability-vs-slowdown HTML card CI uploads.
 
 Sweeps can also record through the persistent run registry
 (``repro faults sweep --registry grid.db``):
-:func:`recorded_sweep_degraded_fleet` enumerates the sweep as grid
-cells, drains only the pending ones (an interrupted sweep resumes with
-zero recomputation), and assembles a sweep document bit-identical to
-the direct path from the recorded cells.
+:func:`recorded_sweep_degraded_fleet` enumerates the sweep's paper
+cells (:data:`repro.workloads.EXPERIMENT_CELLS`) as grid cells, drains
+only the pending ones (an interrupted sweep resumes with zero
+recomputation), and assembles a sweep document bit-identical to the
+direct path from the registry's per-experiment totals at each point's
+healthy fraction (:func:`repro.obs.registry.experiment_totals`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from repro.obs.baseline import series_totals
 from repro.obs.gate import Ledger
 from repro.obs.runident import run_identity
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import FaultPlan, RetryPolicy, use_fault_plan
+from repro.pim.faults import FaultPlan, use_fault_plan
+from repro.workloads import EXPERIMENT_CELLS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -79,7 +82,6 @@ def sweep_degraded_fleet(
     ids=None,
     grid=None,
     seed: int = 0,
-    retry_policy: RetryPolicy | None = None,
     progress=None,
 ) -> dict:
     """Run experiments across the degraded-fleet grid; one JSON doc.
@@ -102,7 +104,7 @@ def sweep_degraded_fleet(
     def totals_for(eid, fraction, plan) -> dict:
         if progress is not None:
             progress(eid, fraction)
-        with use_fault_plan(plan, retry_policy):
+        with use_fault_plan(plan):
             return series_totals(run_experiment(eid))
 
     return _sweep_doc(ids, fractions, seed, totals_for)
@@ -168,7 +170,7 @@ def spec_for_experiments(ids=None, grid=None, seed: int = 0):
     """The :class:`~repro.obs.registry.GridSpec` covering a sweep.
 
     The sweep's experiments map onto grid cells via
-    :data:`repro.obs.registry.EXPERIMENT_CELLS`; the spec enumerates
+    :data:`repro.workloads.EXPERIMENT_CELLS`; the spec enumerates
     the union of their workloads and security levels over the healthy
     grid (a cross product, so mixing security levels across workloads
     enumerates a few extra fault-free cells — cheap, and they only
@@ -185,13 +187,13 @@ def spec_for_experiments(ids=None, grid=None, seed: int = 0):
     workloads: list = []
     bits: set = set()
     for eid in selected:
-        if eid not in regmod.EXPERIMENT_CELLS:
+        if eid not in EXPERIMENT_CELLS:
             raise ParameterError(
                 f"experiment {eid!r} has no grid-cell mapping; "
                 f"registry-backed sweeps support: "
-                f"{sorted(regmod.EXPERIMENT_CELLS)}"
+                f"{sorted(EXPERIMENT_CELLS)}"
             )
-        workload, security, _batches = regmod.EXPERIMENT_CELLS[eid]
+        workload, security = EXPERIMENT_CELLS[eid]
         if workload not in workloads:
             workloads.append(workload)
         bits.add(security)
@@ -208,7 +210,9 @@ def sweep_from_registry(registry, ids=None) -> dict:
 
     The document is bit-identical to :func:`sweep_degraded_fleet` with
     the same experiments/grid/seed (modulo the run identity): each
-    point's per-series totals sum the recorded per-batch cells in the
+    point's per-series totals are the registry's
+    :func:`~repro.obs.registry.experiment_totals` at the point's
+    healthy fraction, which sum the recorded per-batch cells in the
     same order the direct path accumulates experiment rows.
     :class:`~repro.errors.ParameterError` if any needed cell is not
     done (drain or resume first).
@@ -216,41 +220,16 @@ def sweep_from_registry(registry, ids=None) -> dict:
     from repro.obs import registry as regmod
 
     spec = registry.spec
-    index = {
-        (
-            cell["workload"],
-            cell["security_bits"],
-            cell["healthy"],
-            cell["batch"],
-            cell["backend"],
-        ): cell
-        for cell in registry.cells()
-        if cell["status"] == regmod.STATUS_DONE
-    }
+    cells = registry.cells()
 
     def totals_for(eid, fraction, _plan) -> dict:
-        if eid not in regmod.EXPERIMENT_CELLS:
+        totals = regmod.experiment_totals(cells, fraction).get(eid, {})
+        if set(totals) != set(spec.backends):
             raise ParameterError(
-                f"experiment {eid!r} has no grid-cell mapping; "
-                f"registry-backed sweeps support: "
-                f"{sorted(regmod.EXPERIMENT_CELLS)}"
+                f"{registry.path}: the cells of {eid} at h={fraction:g} "
+                "are not all done; drain the grid first "
+                "('repro grid run' / 'repro grid resume')"
             )
-        workload, security, batches = regmod.EXPERIMENT_CELLS[eid]
-        totals: dict = {}
-        for backend in spec.backends:
-            total = 0.0
-            for batch in batches:
-                cell = index.get((workload, security, fraction, batch, backend))
-                if cell is None:
-                    raise ParameterError(
-                        f"{registry.path}: cell for {eid} "
-                        f"({workload}/{backend}@{security}b "
-                        f"h={fraction:g} batch={batch}) is not done; "
-                        "drain the grid first ('repro grid run' / "
-                        "'repro grid resume')"
-                    )
-                total += cell["modelled_ms"]
-            totals[backend] = total
         return totals
 
     fractions = sorted(set(spec.healthy), reverse=True)

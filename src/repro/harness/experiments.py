@@ -10,7 +10,7 @@ are cost models and kernels sample costs from fixed seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.backends import get_backend
 from repro.backends.base import OpRequest
@@ -22,8 +22,9 @@ from repro.mpint.mul import karatsuba_multiply, schoolbook_multiply
 from repro.pim.isa import cycles_for_tally
 from repro.pim.kernels import VecAddKernel, VecMulKernel
 from repro.pim.runtime import PIMRuntime
-from repro.workloads.linreg import FIG2C_CONFIGS, LinearRegressionWorkload
-from repro.workloads.mean import FIG2A_USERS, MeanWorkload
+from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
+from repro.workloads.linreg import LinearRegressionWorkload
+from repro.workloads.mean import MeanWorkload
 from repro.workloads.variance import FIG2B_USERS, VarianceWorkload
 from repro.workloads.vectorops import (
     FIG1A_SIZES,
@@ -95,25 +96,23 @@ def _times_ms(workload) -> dict:
     }
 
 
+def _run_cells(experiment_id: str) -> list:
+    """One row per batch of the experiment's cells (:data:`EXPERIMENT_CELLS`)."""
+    workload, bits = EXPERIMENT_CELLS[experiment_id]
+    entry = PAPER_WORKLOADS[workload]
+    return [
+        ExperimentRow(
+            label=entry.label.format(batch),
+            x=batch,
+            series=_times_ms(entry.factory(bits, batch)),
+        )
+        for batch in entry.batches
+    ]
+
+
 # --------------------------------------------------------------------------
 # Figure 1: vector addition / multiplication microbenchmarks
 # --------------------------------------------------------------------------
-
-
-def _run_fig1(kind: str, security_bits: int) -> list:
-    sizes = FIG1A_SIZES if kind == "add" else FIG1B_SIZES
-    factory = VectorAddWorkload if kind == "add" else VectorMulWorkload
-    rows = []
-    for n_ct in sizes:
-        workload = factory(security_bits=security_bits, n_ciphertexts=n_ct)
-        rows.append(
-            ExperimentRow(
-                label=f"{n_ct} ciphertexts",
-                x=n_ct,
-                series=_times_ms(workload),
-            )
-        )
-    return rows
 
 
 for _bits, _width in WIDTH_BY_SECURITY.items():
@@ -130,7 +129,7 @@ for _bits, _width in WIDTH_BY_SECURITY.items():
                 f"{FIG1A_SIZES[0]}-{FIG1A_SIZES[-1]}."
             ),
             unit="ms",
-            runner=lambda b=_bits: _run_fig1("add", b),
+            runner=partial(_run_cells, f"fig1a{_suffix}"),
         )
     )
     _register(
@@ -145,7 +144,7 @@ for _bits, _width in WIDTH_BY_SECURITY.items():
                 f"{FIG1B_SIZES[0]}-{FIG1B_SIZES[-1]}."
             ),
             unit="ms",
-            runner=lambda b=_bits: _run_fig1("mul", b),
+            runner=partial(_run_cells, f"fig1b{_suffix}"),
         )
     )
 
@@ -153,43 +152,6 @@ for _bits, _width in WIDTH_BY_SECURITY.items():
 # --------------------------------------------------------------------------
 # Figure 2: statistical workloads
 # --------------------------------------------------------------------------
-
-
-def _run_fig2a() -> list:
-    return [
-        ExperimentRow(
-            label=f"{users} users",
-            x=users,
-            series=_times_ms(MeanWorkload(n_users=users)),
-        )
-        for users in FIG2A_USERS
-    ]
-
-
-def _run_fig2b() -> list:
-    return [
-        ExperimentRow(
-            label=f"{users} users",
-            x=users,
-            series=_times_ms(VarianceWorkload(n_users=users)),
-        )
-        for users in FIG2B_USERS
-    ]
-
-
-def _run_fig2c() -> list:
-    return [
-        ExperimentRow(
-            label=f"{users} users x {cts} cts",
-            x=cts,
-            series=_times_ms(
-                LinearRegressionWorkload(
-                    n_users=users, ciphertexts_per_user=cts
-                )
-            ),
-        )
-        for users, cts in FIG2C_CONFIGS
-    ]
 
 
 _register(
@@ -203,7 +165,7 @@ _register(
             "division after decryption."
         ),
         unit="ms",
-        runner=_run_fig2a,
+        runner=partial(_run_cells, "fig2a"),
     )
 )
 _register(
@@ -217,7 +179,7 @@ _register(
             "scalar arithmetic after decryption."
         ),
         unit="ms",
-        runner=_run_fig2b,
+        runner=partial(_run_cells, "fig2b"),
     )
 )
 _register(
@@ -231,7 +193,7 @@ _register(
             "the 3x3 system after decryption."
         ),
         unit="ms",
-        runner=_run_fig2c,
+        runner=partial(_run_cells, "fig2c"),
     )
 )
 

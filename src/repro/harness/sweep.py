@@ -4,10 +4,7 @@ The paper's shape claims are about *crossovers*: where PIM overtakes a
 baseline, or loses to one, as a parameter moves. This module provides
 the small generic machinery for asking such questions of the cost
 models — sweep a callable over a parameter, locate sign changes of a
-comparison, bisect continuous parameters to a tolerance. Sweeps can be
-memoized through a :class:`~repro.obs.registry.RunRegistry`
-(:func:`recorded_sweep`), so repeated or interrupted sweeps never
-re-price a sample they already have.
+comparison, bisect continuous parameters to a tolerance.
 """
 
 from __future__ import annotations
@@ -30,31 +27,6 @@ def sweep(metric, parameters) -> list:
     points = [SweepPoint(float(p), float(metric(p))) for p in parameters]
     if not points:
         raise ParameterError("sweep needs at least one parameter value")
-    return points
-
-
-def recorded_sweep(metric, parameters, registry, sweep_key: str) -> list:
-    """A :func:`sweep` memoized through a run registry.
-
-    Samples already recorded under ``sweep_key`` in the registry's
-    points table are returned without re-evaluating ``metric``; only
-    missing parameters are computed, and each fresh sample is recorded
-    as soon as it is priced — an interrupted sweep resumes from where
-    it stopped. The metric must be deterministic in the parameter
-    (every cost model here is), or the memoized value silently wins.
-    """
-    parameters = [float(p) for p in parameters]
-    if not parameters:
-        raise ParameterError("sweep needs at least one parameter value")
-    recorded = registry.points(sweep_key)
-    points = []
-    for parameter in parameters:
-        if parameter in recorded:
-            value = recorded[parameter]
-        else:
-            value = float(metric(parameter))
-            registry.record_point(sweep_key, parameter, value)
-        points.append(SweepPoint(parameter, value))
     return points
 
 

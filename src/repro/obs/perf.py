@@ -34,6 +34,7 @@ __all__ = [
     "GATE",
     "classify_wall",
     "modelled_drift",
+    "baseline_pairs",
     "check_runs",
     "diff_runs",
     "render_diff",
@@ -139,6 +140,44 @@ def modelled_drift(baseline_exp: dict, current_exp: dict) -> list:
         "transfer", baseline_exp["transfer"], current_exp["transfer"]
     )
     return notes
+
+
+def baseline_pairs(totals: dict, baseline: dict, backends) -> list:
+    """Pair each priced (experiment, backend) total with the baseline's.
+
+    ``totals`` maps experiment id -> {backend: modelled ms}, summed
+    elsewhere (grid cells, serving launches) in the experiment's batch
+    order. Every backend in ``backends`` gets one row per experiment, in
+    ``totals`` order: ``{experiment, backend, expected_ms, got_ms,
+    verdict}``. The verdict is ``new`` when the baseline has no such
+    series total, ``partial`` when ``totals`` has none yet, and
+    otherwise ``ok`` or ``MODEL-DRIFT`` by exact float equality — the
+    modelled-exactness policy of :func:`modelled_drift`.
+    """
+    recorded = baseline.get("experiments", {})
+    rows = []
+    for eid, got in totals.items():
+        series = recorded.get(eid, {}).get("modelled", {}).get("series_totals", {})
+        for backend in backends:
+            got_ms, expected_ms = got.get(backend), series.get(backend)
+            if expected_ms is None:
+                verdict = gate.VERDICT_NEW
+            elif got_ms is None:
+                verdict = gate.VERDICT_PARTIAL
+            elif got_ms == expected_ms:
+                verdict = gate.VERDICT_OK
+            else:
+                verdict = gate.MODEL_DRIFT
+            rows.append(
+                {
+                    "experiment": eid,
+                    "backend": backend,
+                    "expected_ms": expected_ms,
+                    "got_ms": got_ms,
+                    "verdict": verdict,
+                }
+            )
+    return rows
 
 
 def check_runs(

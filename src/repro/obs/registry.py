@@ -26,16 +26,19 @@ Two tables carry the story:
   reports. This ledger is what the longitudinal dashboard
   (``repro grid html``) trends across git SHAs.
 
-A third table, **points**, memoizes generic parameter sweeps for
-:func:`repro.harness.sweep.recorded_sweep`.
+A third table, **points**, memoizes the points of the serving
+capacity sweep (:func:`repro.serve.service.sweep_capacity`).
 
 Determinism contract: a cell's modelled result is a pure function of
 its coordinates (plus the grid's fault seed), priced by the same
-workload/backend path the experiments use. Fault-free cells therefore
-reproduce the committed ``baselines/perf.json`` totals bit-identically
-— :func:`check_against_baseline` is the MODEL-DRIFT gate extended to
-the grid — and an interrupt-then-resume drain yields byte-identical
-result rows to an uninterrupted one (:meth:`RunRegistry.result_rows`).
+workload/backend path the experiments use. The workloads and their
+batches are the paper's cells (:data:`repro.workloads.PAPER_WORKLOADS`);
+fault-free cells therefore reproduce the committed
+``baselines/perf.json`` totals bit-identically —
+:func:`check_against_baseline` formats the perf gate's one cross-check
+(:func:`repro.obs.perf.baseline_pairs`) over the grid — and an
+interrupt-then-resume drain yields byte-identical result rows to an
+uninterrupted one (:meth:`RunRegistry.result_rows`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import pathlib
 import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from time import perf_counter
 
 from repro.backends import get_backend
@@ -55,22 +59,13 @@ from repro.obs import energy as _energy
 from repro.obs import gate
 from repro.obs.gate import Verdict
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.perf import baseline_pairs
 from repro.obs.runident import run_identity
-from repro.workloads.linreg import LinearRegressionWorkload
-from repro.workloads.mean import FIG2A_USERS, MeanWorkload
-from repro.workloads.variance import FIG2B_USERS, VarianceWorkload
-from repro.workloads.vectorops import (
-    FIG1A_SIZES,
-    FIG1B_SIZES,
-    VectorAddWorkload,
-    VectorMulWorkload,
-)
+from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_DB_PATH",
-    "GRID_WORKLOADS",
-    "EXPERIMENT_CELLS",
     "SECURITY_LEVELS",
     "DEFAULT_HEALTHY",
     "STATUS_PENDING",
@@ -108,78 +103,6 @@ STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class GridWorkload:
-    """One grid workload: a factory over (security_bits, batch)."""
-
-    factory: object  # Callable[[int, int], workload]
-    batches: tuple
-    batch_axis: str  # what "batch" means for this workload
-
-
-def _linreg(bits: int, batch: int):
-    # The fig2c shape: 640 users, the batch axis sweeps ciphertexts
-    # per user (the paper's 32/64 configurations).
-    return LinearRegressionWorkload(
-        security_bits=bits, n_users=640, ciphertexts_per_user=batch
-    )
-
-
-#: The grid's workload axis. Batch means ciphertexts for the fig1
-#: microbenchmarks, users for the fig2 statistics, ciphertexts/user
-#: for linear regression — each workload's canonical paper sizes.
-GRID_WORKLOADS = {
-    "vec_add": GridWorkload(
-        factory=lambda bits, batch: VectorAddWorkload(
-            security_bits=bits, n_ciphertexts=batch
-        ),
-        batches=FIG1A_SIZES,
-        batch_axis="n_ciphertexts",
-    ),
-    "vec_mul": GridWorkload(
-        factory=lambda bits, batch: VectorMulWorkload(
-            security_bits=bits, n_ciphertexts=batch
-        ),
-        batches=FIG1B_SIZES,
-        batch_axis="n_ciphertexts",
-    ),
-    "mean": GridWorkload(
-        factory=lambda bits, batch: MeanWorkload(
-            security_bits=bits, n_users=batch
-        ),
-        batches=FIG2A_USERS,
-        batch_axis="n_users",
-    ),
-    "variance": GridWorkload(
-        factory=lambda bits, batch: VarianceWorkload(
-            security_bits=bits, n_users=batch
-        ),
-        batches=FIG2B_USERS,
-        batch_axis="n_users",
-    ),
-    "linreg": GridWorkload(
-        factory=_linreg,
-        batches=(32, 64),
-        batch_axis="ciphertexts_per_user",
-    ),
-}
-
-#: Experiment id -> (workload, security_bits, batches): which fault-free
-#: grid cells, summed per backend in batch order, must reproduce that
-#: experiment's committed ``series_totals`` bit-identically.
-EXPERIMENT_CELLS = {
-    "fig1a": ("vec_add", 109, FIG1A_SIZES),
-    "fig1a_64bit": ("vec_add", 54, FIG1A_SIZES),
-    "fig1a_32bit": ("vec_add", 27, FIG1A_SIZES),
-    "fig1b": ("vec_mul", 109, FIG1B_SIZES),
-    "fig1b_64bit": ("vec_mul", 54, FIG1B_SIZES),
-    "fig1b_32bit": ("vec_mul", 27, FIG1B_SIZES),
-    "fig2a": ("mean", 109, FIG2A_USERS),
-    "fig2b": ("variance", 109, FIG2B_USERS),
-    "fig2c": ("linreg", 109, (32, 64)),
-}
-
-
 # -- grid specification -----------------------------------------------------
 
 
@@ -193,7 +116,7 @@ class GridSpec:
     the same grid it initialised.
     """
 
-    workloads: tuple = tuple(GRID_WORKLOADS)
+    workloads: tuple = tuple(PAPER_WORKLOADS)
     backends: tuple = BACKEND_ORDER
     security_bits: tuple = SECURITY_LEVELS
     healthy: tuple = DEFAULT_HEALTHY
@@ -202,10 +125,10 @@ class GridSpec:
 
     def __post_init__(self):
         for workload in self.workloads:
-            if workload not in GRID_WORKLOADS:
+            if workload not in PAPER_WORKLOADS:
                 raise ParameterError(
                     f"unknown grid workload {workload!r}; known: "
-                    f"{sorted(GRID_WORKLOADS)}"
+                    f"{sorted(PAPER_WORKLOADS)}"
                 )
         for fraction in self.healthy:
             if not 0.0 < fraction <= 1.0:
@@ -218,7 +141,7 @@ class GridSpec:
             )
 
     def batches_for(self, workload: str) -> tuple:
-        batches = GRID_WORKLOADS[workload].batches
+        batches = PAPER_WORKLOADS[workload].batches
         if self.max_batches is not None:
             batches = batches[: self.max_batches]
         return batches
@@ -741,13 +664,13 @@ def run_cell(cell: dict, seed: int = 0) -> float:
     from repro.pim.faults import use_fault_plan
 
     try:
-        grid_workload = GRID_WORKLOADS[cell["workload"]]
+        paper_workload = PAPER_WORKLOADS[cell["workload"]]
     except KeyError:
         raise ParameterError(
             f"unknown grid workload {cell['workload']!r}; known: "
-            f"{sorted(GRID_WORKLOADS)}"
+            f"{sorted(PAPER_WORKLOADS)}"
         ) from None
-    workload = grid_workload.factory(cell["security_bits"], cell["batch"])
+    workload = paper_workload.factory(cell["security_bits"], cell["batch"])
     backend = get_backend(cell["backend"])
     plan = plan_for_healthy_fraction(cell["healthy"], seed, UPMEMConfig())
     with use_fault_plan(plan):
@@ -871,31 +794,22 @@ def drift_annotations(cells, baseline: dict | None, failures=()) -> dict:
     """
     annotations: dict = {}
     if baseline is not None:
-        totals = experiment_totals(cells)
-        top = None
-        for eid, recorded in sorted(
-            baseline.get("experiments", {}).items()
-        ):
-            expected = recorded["modelled"]["series_totals"]
-            got = totals.get(eid)
-            if not got:
-                continue
-            for backend in sorted(expected):
-                if backend not in got:
-                    continue
-                delta = got[backend] - expected[backend]
-                if delta != 0.0 and (
-                    top is None or abs(delta) > abs(top["delta_ms"])
-                ):
-                    top = {
-                        "experiment": eid,
-                        "backend": backend,
-                        "grid_ms": got[backend],
-                        "baseline_ms": expected[backend],
-                        "delta_ms": delta,
-                    }
-        if top is not None:
-            annotations["perf"] = top
+        rows = baseline_pairs(experiment_totals(cells), baseline, _backends(cells))
+        drifted = sorted(
+            (row for row in rows if row["verdict"] == gate.MODEL_DRIFT),
+            key=lambda row: (row["experiment"], row["backend"]),
+        )
+        if drifted:
+            top = max(
+                drifted, key=lambda row: abs(row["got_ms"] - row["expected_ms"])
+            )
+            annotations["perf"] = {
+                "experiment": top["experiment"],
+                "backend": top["backend"],
+                "grid_ms": top["got_ms"],
+                "baseline_ms": top["expected_ms"],
+                "delta_ms": top["got_ms"] - top["expected_ms"],
+            }
     if failures:
         annotations["failures"] = {
             "count": len(failures),
@@ -907,69 +821,66 @@ def drift_annotations(cells, baseline: dict | None, failures=()) -> dict:
 # -- the MODEL-DRIFT gate over the grid -------------------------------------
 
 
-def _fault_free_index(cells) -> dict:
-    """(workload, bits, batch, backend) -> done cell, health == 100%."""
-    return {
+def _backends(cells) -> list:
+    """The backends the grid enumerates, sorted."""
+    return sorted({cell["backend"] for cell in cells})
+
+
+def _covered(cells, healthy: float) -> list:
+    """Experiments whose every batch the grid enumerates at ``healthy``.
+
+    Only these are comparable with a baseline: a
+    ``max_batches``-truncated grid (the CI tiny preset) skips the
+    groups it cannot reproduce rather than reporting them partial.
+    """
+    coverage: dict = {}
+    for cell in cells:
+        if cell["healthy"] == healthy:
+            coverage.setdefault(
+                (cell["workload"], cell["security_bits"]), set()
+            ).add(cell["batch"])
+    return [
+        eid
+        for eid, (workload, bits) in EXPERIMENT_CELLS.items()
+        if set(PAPER_WORKLOADS[workload].batches)
+        <= coverage.get((workload, bits), set())
+    ]
+
+
+def experiment_totals(cells, healthy: float = 1.0) -> dict:
+    """Per-backend modelled totals by experiment, at one fleet health.
+
+    For each experiment (:data:`repro.workloads.EXPERIMENT_CELLS`) whose
+    cells the grid enumerates at ``healthy``, sums done cells per
+    backend *in batch order* — the same float-accumulation order as
+    :func:`repro.obs.baseline.series_totals` over the experiment's
+    rows, so the fault-free totals are comparable bit-for-bit.
+    Backends with missing cells are omitted.
+    """
+    done = {
         (
             cell["workload"],
             cell["security_bits"],
             cell["batch"],
             cell["backend"],
-        ): cell
+        ): cell["modelled_ms"]
         for cell in cells
-        if cell["healthy"] == 1.0 and cell["status"] == STATUS_DONE
+        if cell["healthy"] == healthy and cell["status"] == STATUS_DONE
     }
-
-
-def _grid_coverage(cells) -> dict:
-    """(workload, bits) -> batches the grid enumerates at 100% healthy.
-
-    An experiment group is only comparable when the grid enumerates
-    *every* batch its committed ``series_totals`` summed over — a
-    ``max_batches``-truncated grid (the CI tiny preset) silently skips
-    groups it cannot reproduce rather than reporting them partial.
-    """
-    coverage: dict = {}
-    for cell in cells:
-        if cell["healthy"] == 1.0:
-            coverage.setdefault(
-                (cell["workload"], cell["security_bits"]), set()
-            ).add(cell["batch"])
-    return coverage
-
-
-def _covers(coverage: dict, workload: str, bits: int, batches) -> bool:
-    return set(batches) <= coverage.get((workload, bits), set())
-
-
-def experiment_totals(cells) -> dict:
-    """Fault-free per-backend modelled totals by experiment group.
-
-    For each mapped experiment (:data:`EXPERIMENT_CELLS`) whose cells
-    the grid enumerates, sums done cells per backend *in batch order* —
-    the same float-accumulation order as
-    :func:`repro.obs.baseline.series_totals` over the experiment's
-    rows, so totals are comparable bit-for-bit. Backends with missing
-    cells are omitted.
-    """
-    index = _fault_free_index(cells)
-    coverage = _grid_coverage(cells)
-    backends = sorted({cell["backend"] for cell in cells})
     totals: dict = {}
-    for eid, (workload, bits, batches) in EXPERIMENT_CELLS.items():
-        if not _covers(coverage, workload, bits, batches):
-            continue
+    for eid in _covered(cells, healthy):
+        workload, bits = EXPERIMENT_CELLS[eid]
         series: dict = {}
-        for backend in backends:
+        for backend in _backends(cells):
             values = [
-                index.get((workload, bits, batch, backend))
-                for batch in batches
+                done.get((workload, bits, batch, backend))
+                for batch in PAPER_WORKLOADS[workload].batches
             ]
-            if any(v is None for v in values):
+            if None in values:
                 continue
             total = 0.0
             for value in values:
-                total += value["modelled_ms"]
+                total += value
             series[backend] = total
         if series:
             totals[eid] = series
@@ -998,58 +909,44 @@ def workload_totals(cells) -> dict:
     return totals
 
 
+#: The note each non-``ok`` (experiment, backend) pair contributes.
+_PAIR_NOTES = {
+    gate.MODEL_DRIFT: "{backend}: grid total {got_ms!r} != baseline {expected_ms!r}",
+    gate.VERDICT_PARTIAL: "backend {backend!r}: cells pending or failed",
+    gate.VERDICT_NEW: "backend {backend!r}: not in the baseline",
+}
+
+
 def check_against_baseline(cells, baseline: dict | None) -> list:
     """MODEL-DRIFT verdicts: fault-free grid totals vs ``perf.json``.
 
-    For every experiment group the grid covers: ``ok`` when each
-    backend total matches the committed ``series_totals`` **exactly**
-    (bit-identical floats — the perf gate's modelled-exactness policy),
-    ``MODEL-DRIFT`` on any mismatch, ``partial`` while cells are still
-    pending/failed, ``new`` when the baseline has no such experiment.
-    Returns ``[]`` when no baseline is given.
+    One verdict per experiment the grid covers, over every backend it
+    enumerates (:func:`repro.obs.perf.baseline_pairs`): ``MODEL-DRIFT``
+    when any backend's total differs from the committed
+    ``series_totals`` (bit-identical floats — the perf gate's
+    modelled-exactness policy), else ``partial`` while a backend still
+    has cells pending or failed, else ``new`` when the baseline lacks
+    a total, else ``ok``. Returns ``[]`` when no baseline is given.
     """
     if baseline is None:
         return []
-    coverage = _grid_coverage(cells)
     totals = experiment_totals(cells)
+    rows = baseline_pairs(
+        {eid: totals.get(eid, {}) for eid in _covered(cells, 1.0)},
+        baseline,
+        _backends(cells),
+    )
     verdicts = []
-    for eid, (workload, bits, batches) in EXPERIMENT_CELLS.items():
-        if not _covers(coverage, workload, bits, batches):
-            continue
-        recorded = baseline.get("experiments", {}).get(eid)
-        if recorded is None:
-            verdicts.append(
-                Verdict(
-                    eid,
-                    gate.VERDICT_NEW,
-                    (f"experiment {eid!r} not in the baseline",),
-                )
-            )
-            continue
-        expected = recorded["modelled"]["series_totals"]
-        got = totals.get(eid, {})
-        missing = [name for name in sorted(expected) if name not in got]
-        if missing:
-            verdicts.append(
-                Verdict(
-                    eid,
-                    gate.VERDICT_PARTIAL,
-                    tuple(
-                        f"backend {name!r}: cells pending or failed"
-                        for name in missing
-                    ),
-                )
-            )
-            continue
-        notes = tuple(
-            f"{name}: grid total {got[name]!r} != baseline "
-            f"{expected[name]!r}"
-            for name in sorted(expected)
-            if got[name] != expected[name]
-        )
-        verdicts.append(
-            Verdict(eid, gate.MODEL_DRIFT if notes else gate.VERDICT_OK, notes)
-        )
+    for eid, group in groupby(rows, key=lambda row: row["experiment"]):
+        group = list(group)
+        label, hits = gate.VERDICT_OK, []
+        for candidate in _PAIR_NOTES:
+            hits = [row for row in group if row["verdict"] == candidate]
+            if hits:
+                label = candidate
+                break
+        notes = tuple(_PAIR_NOTES[label].format(**row) for row in hits)
+        verdicts.append(Verdict(eid, label, notes))
     return verdicts
 
 

@@ -8,7 +8,9 @@ timeline priced by the exact experiment pricing path
 (:func:`price_launch`), admission control through
 :class:`~repro.core.planner.HeadroomGuard`, degraded fleets through the
 fault layer, and per-class SLO accounting
-(:class:`~repro.obs.slo.SLOTracker`).
+(:class:`~repro.obs.slo.SLOTracker`). A request class names one of the
+paper's workloads (:data:`repro.workloads.PAPER_WORKLOADS`), which
+supplies both its launch factory and its noise-circuit shape.
 
 A **capacity sweep** (:func:`sweep_capacity`) asks the ROADMAP item-2
 question directly: for each security level and fleet-health fraction,
@@ -24,9 +26,10 @@ Two invariants mirror the chaos harness:
 
 * the **zero-fault serving point prices through the untouched path**:
   :func:`check_serving_baseline` sums the one-shard serving pricer
-  over each experiment's canonical batch ladder and must reproduce
-  ``baselines/perf.json`` series totals bit-for-bit (MODEL-DRIFT
-  otherwise);
+  over each experiment's batches and pairs the sums with
+  ``baselines/perf.json`` series totals through the perf gate's one
+  cross-check (:func:`repro.obs.perf.baseline_pairs`); they must match
+  bit-for-bit (MODEL-DRIFT otherwise);
 * **everything is seeded** — a spec + seed yields byte-identical
   request timelines, digest state, and sweep documents (modulo the
   run identity).
@@ -40,9 +43,9 @@ from dataclasses import dataclass, replace
 
 from repro.backends.base import TimingBreakdown
 from repro.core.params import BFVParameters
-from repro.core.planner import CircuitShape, HeadroomGuard, plan_budget
+from repro.core.planner import HeadroomGuard, plan_budget
 from repro.errors import ParameterError
-from repro.obs.gate import MODEL_DRIFT, VERDICT_NEW, VERDICT_OK, Ledger
+from repro.obs.gate import Ledger
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -53,6 +56,7 @@ from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan
 from repro.serve.arrivals import OpenLoopArrivals
+from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -86,25 +90,6 @@ DEFAULT_HEALTHY_GRID = (1.0, 0.9, 0.8)
 SERVE_BACKEND = "pim"
 
 
-def _class_circuit(workload: str, ops: int) -> CircuitShape:
-    """The noise-circuit shape of one request (``ops`` ciphertext ops)."""
-    fan_in = max(1, ops)
-    if workload == "vec_add":
-        return CircuitShape()
-    if workload == "vec_mul":
-        return CircuitShape(multiplicative_depth=1)
-    if workload == "mean":
-        return CircuitShape(additions_per_level=fan_in)
-    if workload in ("variance", "linreg"):
-        return CircuitShape(
-            multiplicative_depth=1, additions_per_level=fan_in
-        )
-    raise ParameterError(
-        f"no serving circuit for workload {workload!r}; "
-        "known: vec_add, vec_mul, mean, variance, linreg"
-    )
-
-
 @dataclass(frozen=True)
 class _PredictedStamp:
     """Adapter giving :class:`HeadroomGuard` the shape it checks."""
@@ -134,12 +119,10 @@ class RequestClass:
     priority: int = 0
 
     def __post_init__(self):
-        from repro.obs.registry import GRID_WORKLOADS
-
-        if self.workload not in GRID_WORKLOADS:
+        if self.workload not in PAPER_WORKLOADS:
             raise ParameterError(
                 f"unknown serving workload {self.workload!r}; known: "
-                f"{sorted(GRID_WORKLOADS)}"
+                f"{sorted(PAPER_WORKLOADS)}"
             )
         if self.rate_qps <= 0:
             raise ParameterError(
@@ -239,10 +222,8 @@ def price_launch(backend, cls: RequestClass, batch_size: int) -> TimingBreakdown
     ``Backend.time_op`` — and merges the per-request breakdowns into
     one launch (times and bytes summed, the widest DPU use kept).
     """
-    from repro.obs.registry import GRID_WORKLOADS
-
     ops = batch_size * cls.ops_per_request
-    workload = GRID_WORKLOADS[cls.workload].factory(cls.security_bits, ops)
+    workload = PAPER_WORKLOADS[cls.workload].factory(cls.security_bits, ops)
     seconds = 0.0
     launch_s = kernel_s = transfer_s = energy_j = 0.0
     dpus_used = movement_bytes = 0
@@ -287,9 +268,8 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
     class_arrivals: dict = {}
     for cls in spec.classes:
         params = BFVParameters.security_level(cls.security_bits)
-        plan_bits = plan_budget(
-            params, _class_circuit(cls.workload, cls.ops_per_request)
-        ).remaining_bits
+        circuit = PAPER_WORKLOADS[cls.workload].circuit(cls.ops_per_request)
+        plan_bits = plan_budget(params, circuit).remaining_bits
         stamp = _PredictedStamp(pred_bits=plan_bits)
         arrivals = OpenLoopArrivals(
             cls.key, cls.rate_qps, seed=spec.seed
@@ -590,66 +570,53 @@ def check_serving_baseline(
     """Gate the serving pricer against ``baselines/perf.json``.
 
     For every experiment whose cells are ``workload`` at one of the
-    requested security levels, price the experiment's canonical batch
-    ladder (one launch per batch size) through the one-shard
-    :class:`~repro.serve.shard.ShardedPricer` of the whole fleet under
-    an inactive fault plan, and compare the accumulated pim
-    milliseconds to the committed series total — which must match
-    **bit-for-bit**, exactly like the grid's fault-free cells: a
-    single shard of the whole fleet *is* the whole fleet. Returns
-    verdict dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
+    requested security levels (:data:`repro.workloads.EXPERIMENT_CELLS`),
+    price the workload's batches (one launch per batch) through the
+    one-shard :class:`~repro.serve.shard.ShardedPricer` of the whole
+    fleet under an inactive fault plan, and pair the accumulated pim
+    milliseconds with the committed series total
+    (:func:`repro.obs.perf.baseline_pairs`). They must match
+    **bit-for-bit**, exactly like the grid's fault-free cells: a single
+    shard of the whole fleet *is* the whole fleet. Returns verdict
+    dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
     """
-    from repro.obs.registry import EXPERIMENT_CELLS
+    from repro.obs.perf import baseline_pairs
     from repro.serve.shard import ShardedPricer, make_layout
 
     config = UPMEMConfig()
     layout = make_layout(1, config)
-    verdicts = []
-    for eid, (cell_workload, bits, batches) in sorted(
-        EXPERIMENT_CELLS.items()
-    ):
+    batches = PAPER_WORKLOADS[workload].batches
+    # The batches must land on whole requests to reuse the per-launch
+    # pricer.
+    ops = 1 if any(b % ops_per_request for b in batches) else ops_per_request
+    totals: dict = {}
+    classes: dict = {}
+    for eid, (cell_workload, bits) in sorted(EXPERIMENT_CELLS.items()):
         if cell_workload != workload or bits not in security_levels:
             continue
-        # One serving class per experiment; the ladder's batch sizes
-        # must land on whole requests to reuse the per-launch pricer.
-        if any(b % ops_per_request for b in batches):
-            spec_ops = 1
-        else:
-            spec_ops = ops_per_request
         cls = RequestClass(
             workload=workload,
             security_bits=bits,
             rate_qps=1.0,
-            ops_per_request=spec_ops,
+            ops_per_request=ops,
         )
         pricer = ShardedPricer((cls,), layout, FaultPlan(), config)
         total_ms = 0.0
         for batch in batches:
-            breakdown = pricer.price(0, cls.key, batch // spec_ops)
+            breakdown = pricer.price(0, cls.key, batch // ops)
             total_ms += breakdown.seconds * 1e3
-        recorded = (
-            baseline.get("experiments", {})
-            .get(eid, {})
-            .get("modelled", {})
-            .get("series_totals", {})
-            .get(SERVE_BACKEND)
-        )
-        if recorded is None:
-            verdict = VERDICT_NEW
-        elif recorded == total_ms:
-            verdict = VERDICT_OK
-        else:
-            verdict = MODEL_DRIFT
-        verdicts.append(
-            {
-                "experiment": eid,
-                "class": cls.key,
-                "expected_ms": recorded,
-                "got_ms": total_ms,
-                "verdict": verdict,
-            }
-        )
-    return verdicts
+        totals[eid] = {SERVE_BACKEND: total_ms}
+        classes[eid] = cls.key
+    return [
+        {
+            "experiment": row["experiment"],
+            "class": classes[row["experiment"]],
+            "expected_ms": row["expected_ms"],
+            "got_ms": row["got_ms"],
+            "verdict": row["verdict"],
+        }
+        for row in baseline_pairs(totals, baseline, (SERVE_BACKEND,))
+    ]
 
 
 # -- persistence ------------------------------------------------------------

@@ -28,8 +28,9 @@ from repro.obs.instrument import traced_time_on
 from repro.workloads.context import WorkloadContext
 from repro.workloads.dataset import RegressionDataset
 
-#: Figure 2(c) configurations: (users, ciphertexts per user).
-FIG2C_CONFIGS = ((640, 32), (640, 64))
+#: Figure 2(c): users, and the ciphertexts per user it sweeps.
+FIG2C_USERS = 640
+FIG2C_CIPHERTEXTS = (32, 64)
 
 
 @dataclass(frozen=True)

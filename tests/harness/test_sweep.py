@@ -87,53 +87,3 @@ class TestCrossoverExperiment:
             row for row in rows if "multiplier cycles" in row.series
         )
         assert 5 < threshold_row.series["multiplier cycles"] < 25
-
-
-class TestRecordedSweep:
-    @pytest.fixture
-    def registry(self, tmp_path):
-        from repro.obs.registry import GridSpec, RunRegistry
-
-        spec = GridSpec(
-            workloads=("vec_add",),
-            security_bits=(109,),
-            healthy=(1.0,),
-            max_batches=1,
-        )
-        return RunRegistry.create(tmp_path / "grid.db", spec)
-
-    def test_matches_plain_sweep(self, registry):
-        from repro.harness.sweep import recorded_sweep
-
-        plain = sweep(lambda p: p * p, [1, 2, 3])
-        recorded = recorded_sweep(
-            lambda p: p * p, [1, 2, 3], registry, "square"
-        )
-        assert recorded == plain
-
-    def test_memoizes_across_invocations(self, registry):
-        from repro.harness.sweep import recorded_sweep
-
-        calls = []
-
-        def metric(p):
-            calls.append(p)
-            return p * 10
-
-        recorded_sweep(metric, [1, 2], registry, "tens")
-        points = recorded_sweep(metric, [1, 2, 3], registry, "tens")
-        assert calls == [1.0, 2.0, 3.0]  # 1 and 2 priced exactly once
-        assert [p.value for p in points] == [10.0, 20.0, 30.0]
-
-    def test_keys_are_independent(self, registry):
-        from repro.harness.sweep import recorded_sweep
-
-        recorded_sweep(lambda p: 1.0, [5], registry, "ones")
-        points = recorded_sweep(lambda p: 2.0, [5], registry, "twos")
-        assert points[0].value == 2.0
-
-    def test_rejects_empty_parameters(self, registry):
-        from repro.harness.sweep import recorded_sweep
-
-        with pytest.raises(ParameterError):
-            recorded_sweep(lambda p: p, [], registry, "empty")

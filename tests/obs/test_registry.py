@@ -344,6 +344,40 @@ class TestBaselineCrossCheck:
         registry = tiny_registry(tmp_path)
         assert reg.check_against_baseline(registry.cells(), None) == []
 
+    def test_backend_subset_grid_checks_the_backends_it_drains(
+        self, tmp_path, capsys
+    ):
+        """A pim-only grid is compared on pim alone: ``ok`` once drained,
+        ``MODEL-DRIFT`` (exit 1) against a baseline whose pim total
+        moved — never ``partial`` for backends it does not enumerate."""
+        from repro.harness.cli import main
+
+        db = tmp_path / "g.db"
+        grid = ["--db", str(db)]
+        assert main(
+            ["grid", "init", *grid, "--workloads", "vec_add",
+             "--security", "109", "--healthy", "1.0", "--backends", "pim"]
+        ) == 0
+        assert main(["grid", "run", *grid]) == 0
+        capsys.readouterr()
+        assert main(["grid", "status", *grid]) == 0
+        assert "[         ok] fig1a" in capsys.readouterr().out
+
+        doctored = read_run("baselines/perf.json")
+        doctored["experiments"]["fig1a"]["modelled"]["series_totals"][
+            "pim"
+        ] += 1.0
+        path = tmp_path / "perf.json"
+        path.write_text(json.dumps(doctored))
+        assert main(["grid", "status", *grid, "--baseline", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "MODEL-DRIFT] fig1a" in out
+        assert "partial" not in out
+        with reg.RunRegistry.open(db) as registry:
+            stamp = reg.drift_annotations(registry.cells(), doctored)
+        assert stamp["perf"]["backend"] == "pim"
+        assert stamp["perf"]["delta_ms"] == pytest.approx(-1.0)
+
 
 class TestSweepPoints:
     def test_points_memoized_per_key(self, tmp_path):
