@@ -1,16 +1,15 @@
 """The CPU-SEAL baseline: RNS + NTT on native 64-bit words.
 
 SEAL's two structural advantages over the custom CPU code (paper
-Section 4.1) are modelled directly:
+Section 4.1) are priced by this cost model; it computes no residues
+or transforms itself:
 
 * **RNS**: a 109-bit coefficient is two independent <=60-bit residues,
   each living in one machine word — so wide arithmetic costs ``k``
-  native operations instead of software long division
-  (:class:`repro.poly.rns.RNSBasis` implements the actual math);
+  native operations instead of software long division;
 * **NTT**: multiplication happens element-wise in the evaluation
-  domain (:class:`repro.poly.ntt.NTTContext` implements the actual
-  transform), so a modular multiply is ~10 cycles of Barrett
-  arithmetic per RNS limb.
+  domain, so a modular multiply is ~10 cycles of Barrett arithmetic
+  per RNS limb.
 
 SEAL is also multithreaded; the model uses all four cores with the
 shared-memory roofline of the same DDR4 system.

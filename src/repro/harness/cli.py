@@ -196,11 +196,19 @@ def _read_optional(ledger, path):
     return ledger.read(path) if os.path.exists(path) else None
 
 
+def _write(path, document: str) -> None:
+    """Write a rendered document to ``path``, creating its directories."""
+    import pathlib
+
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(document)
+
+
 def _emit(document: str, output) -> None:
     """Write a rendered document to ``output``, or print it."""
     if output:
-        with open(output, "w") as handle:
-            handle.write(document)
+        _write(output, document)
         print(f"wrote {output}")
     else:
         print(document)
@@ -258,7 +266,8 @@ def _gate_html(gate, args) -> int:
             f"baseline at {args.baseline} — nothing to render",
             hint=gate.ledger.hint,
         )
-    _emit(gate.html(current, baseline, history, args), args.output)
+    verdicts = None if baseline is None else gate.check(baseline, current, args)
+    _emit(gate.html(current, baseline, history, verdicts), args.output)
     return 0
 
 
@@ -321,7 +330,7 @@ def _cmd_why(args) -> int:
     )
     print(fx.render_why(report))
     if args.html:
-        htmlreport.write_forensics_report(args.html, report)
+        _write(args.html, htmlreport.render_forensics_report(report))
         print(f"wrote {args.html}")
     if args.collapsed:
         with open(args.collapsed, "w") as handle:
@@ -499,8 +508,7 @@ def _cmd_faults_sweep(args) -> int:
         chaos.SWEEPS.write(doc, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     if args.html:
-        with open(args.html, "w") as handle:
-            handle.write(htmlreport.render_faults_report(doc))
+        _write(args.html, htmlreport.render_faults_report(doc))
         print(f"wrote HTML card to {args.html}", file=sys.stderr)
     return 0
 
@@ -666,6 +674,8 @@ def _cmd_grid_html(args) -> int:
     from repro.obs import baseline as bl
     from repro.obs import htmlreport
     from repro.obs import noisegate as ng
+    from repro.obs import perf
+    from repro.obs import registry as regmod
 
     loaded, status = _load_recorded(
         lambda: (
@@ -678,18 +688,29 @@ def _cmd_grid_html(args) -> int:
     if loaded is None:
         return status
     baseline, perf_history, noise_baseline, noise_history = loaded
+    # Each recorded perf and noise run's verdicts, as `perf check
+    # --skip-wall` and `noise check` report them.
+    check_args = argparse.Namespace(skip_wall=True)
+    gate_runs = [
+        (gate.name, doc, gate.check(gate_baseline, doc, check_args))
+        for gate, gate_baseline, history in (
+            (perf.GATE, baseline, perf_history),
+            (ng.GATE, noise_baseline, noise_history),
+        )
+        if gate_baseline is not None
+        for doc in history
+    ]
     registry, status = _open_registry(args)
     if registry is None:
         return status
     with registry:
+        cells = registry.cells()
         document = htmlreport.render_grid_dashboard(
-            registry.cells(),
+            cells,
             registry.runs(),
             registry.spec,
-            baseline=baseline,
-            perf_history=perf_history,
-            noise_baseline=noise_baseline,
-            noise_history=noise_history,
+            verdicts=regmod.check_against_baseline(cells, baseline),
+            gate_runs=gate_runs,
         )
     _emit(document, args.output)
     return 0
@@ -825,7 +846,7 @@ def _cmd_serve_sweep(args) -> int:
         serve.SWEEPS.write(doc, args.output)
         print(f"wrote sweep document to {args.output}", file=sys.stderr)
     if args.html:
-        htmlreport.write_serve_report(args.html, doc)
+        _write(args.html, htmlreport.render_serve_report(doc))
         print(f"wrote capacity dashboard to {args.html}", file=sys.stderr)
     if args.chrome:
         # One representative point's request timelines: the highest
@@ -923,10 +944,7 @@ def _cmd_profile(args) -> int:
                 file=sys.stderr,
             )
     if args.html:
-        with open(args.html, "w") as handle:
-            handle.write(
-                htmlreport.render_profile_report(profiles, title=header)
-            )
+        _write(args.html, htmlreport.render_profile_report(profiles, title=header))
         print(f"wrote HTML report to {args.html}", file=sys.stderr)
     return 0
 

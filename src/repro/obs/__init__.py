@@ -145,14 +145,8 @@ from repro.obs.htmlreport import (
     render_grid_dashboard,
     render_noise_report,
     render_profile_report,
+    render_resilience_report,
     render_serve_report,
-    write_dashboard,
-    write_energy_report,
-    write_faults_report,
-    write_forensics_report,
-    write_grid_dashboard,
-    write_noise_report,
-    write_serve_report,
 )
 from repro.obs.noise import (
     NULL_NOISE_LEDGER,
@@ -262,7 +256,6 @@ __all__ = [
     "diff_runs",
     "render_diff",
     "render_dashboard",
-    "write_dashboard",
     # noise ledger & calibration gate (repro noise)
     "NoiseStamp",
     "NoiseLedger",
@@ -275,13 +268,10 @@ __all__ = [
     "check_noise_runs",
     "read_noise_run",
     "render_noise_report",
-    "write_noise_report",
     # degraded-fleet sweep card (repro faults)
     "render_faults_report",
-    "write_faults_report",
     # run registry & longitudinal dashboard (repro grid)
     "render_grid_dashboard",
-    "write_grid_dashboard",
     # request-level SLOs & serving capacity (repro serve)
     "LatencyDigest",
     "SLOObjective",
@@ -290,7 +280,8 @@ __all__ = [
     "VERDICT_SLO_OK",
     "VERDICT_SLO_BREACH",
     "render_serve_report",
-    "write_serve_report",
+    # sharded serving resilience dashboard (repro resil)
+    "render_resilience_report",
     # energy & data movement (repro energy)
     "EnergyConfig",
     "DEFAULT_ENERGY_CONFIG",
@@ -307,7 +298,6 @@ __all__ = [
     "check_energy_runs",
     "read_energy_run",
     "render_energy_report",
-    "write_energy_report",
     # drift forensics (repro why / repro forensics)
     "path_tree",
     "to_collapsed",
@@ -326,5 +316,4 @@ __all__ = [
     "scan_shifts",
     "render_shifts",
     "render_forensics_report",
-    "write_forensics_report",
 ]

@@ -46,7 +46,7 @@ import threading
 from dataclasses import asdict, dataclass
 
 from repro.errors import ParameterError
-from repro.obs import gate
+from repro.obs import gate, htmlreport
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import run_identity
 
@@ -515,12 +515,6 @@ def check_energy_runs(baseline: dict, current: dict) -> list:
     )
 
 
-def _html(current, baseline, history, args) -> str:
-    from repro.obs import htmlreport
-
-    return htmlreport.render_energy_report(current, baseline, history=history)
-
-
 def _recorded(doc: dict) -> str:
     total_j = sum(
         exp["joules"].get("pim", 0.0) for exp in doc["experiments"].values()
@@ -578,6 +572,6 @@ GATE = gate.Gate(
         ids=list(baseline["experiments"]), progress=progress
     ),
     check=lambda baseline, current, args: check_energy_runs(baseline, current),
-    html=_html,
+    html=htmlreport.render_energy_report,
     recorded=_recorded,
 )

@@ -275,8 +275,9 @@ class Gate:
     * ``capture_for_check(baseline, args, progress)`` re-captures what
       the baseline recorded;
     * ``check(baseline, current, args)`` returns the verdicts;
-    * ``html(current, baseline, history, args)`` renders the dashboard
-      for the newest recorded run;
+    * ``html(current, baseline, history, verdicts)`` renders the
+      dashboard for the newest recorded run from the verdicts the CLI
+      computed with ``check`` (``None`` when there is no baseline);
     * ``recorded(doc)`` says what ``record`` captured.
     """
 

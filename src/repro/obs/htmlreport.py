@@ -1,53 +1,50 @@
-"""Self-contained HTML perf dashboard (zero dependencies, inline SVG).
+"""Self-contained HTML dashboards (zero dependencies, inline SVG).
 
-One call (:func:`render_dashboard`) turns the recorded run history and
-the committed baseline into a single HTML file: a verdict summary, and
-per experiment a verdict badge, a wall-time trend sparkline across all
-recorded runs, the modelled series totals, and the top attribution
-rows. Everything is inlined — CSS, SVG — so the file opens anywhere
-(including as a CI artifact) with no server and no network.
+Every HTML surface of the CLI is one page: a title, the identity lines,
+the verdict card (a summary and one row per
+:class:`~repro.obs.gate.Verdict`, with its notes), then the page's
+detail sections. Sections are built from shared primitives (table, line
+chart, stacked bar and legend, card, notes list) plus a hook only where
+a view really differs: the noise budget chart, the forensics
+flamegraph, the profile occupancy bars and the grid heatmap. The four
+gate dashboards take :attr:`repro.obs.gate.Gate.html`'s arguments.
+
+Callers compute verdicts and pass them in; the renderer never re-runs a
+check and imports only the standard library and :mod:`repro.obs.gate`.
+Everything is inlined, so a file opens anywhere with no server and no
+network.
 """
 
 from __future__ import annotations
 
 import html as _html
-import pathlib
+from collections import Counter
 
 from repro.obs import gate as _gate
-from repro.obs import perf as _perf
 
 __all__ = [
     "render_dashboard",
-    "write_dashboard",
     "render_profile_report",
     "render_noise_report",
-    "write_noise_report",
     "render_faults_report",
-    "write_faults_report",
     "render_grid_dashboard",
-    "write_grid_dashboard",
     "render_serve_report",
-    "write_serve_report",
     "render_energy_report",
-    "write_energy_report",
     "render_forensics_report",
-    "write_forensics_report",
     "render_resilience_report",
-    "write_resilience_report",
 ]
 
+_RED, _GREEN, _BLUE, _AMBER = "#c62828", "#2e7d32", "#1565c0", "#f9a825"
+
 _BADGE_COLORS = {
-    _gate.VERDICT_OK: "#2e7d32",
-    _gate.VERDICT_FASTER: "#1565c0",
-    _gate.VERDICT_NEW: "#6a1b9a",
-    _gate.VERDICT_REGRESSION: "#c62828",
+    **{label: _RED for label in _gate.FAILING},
     _gate.MODEL_DRIFT: "#e65100",
-    "NOISE-DRIFT": "#c62828",
-    "partial": "#f9a825",
-    "SLO-OK": "#2e7d32",
-    "SLO-BREACH": "#c62828",
-    "ENERGY-DRIFT": "#c62828",
-    "RESILIENCE-DRIFT": "#c62828",
+    _gate.VERDICT_OK: _GREEN,
+    _gate.VERDICT_FASTER: _BLUE,
+    _gate.VERDICT_NEW: "#6a1b9a",
+    _gate.VERDICT_PARTIAL: _AMBER,
+    "SLO-OK": _GREEN,
+    "SLO-BREACH": _RED,
 }
 
 _CSS = """
@@ -62,1346 +59,19 @@ table { border-collapse: collapse; margin: .4em 0 1em; }
 th, td { border: 1px solid #ddd; padding: .25em .6em; text-align: right; }
 th:first-child, td:first-child { text-align: left; }
 th { background: #f5f5f5; }
+td ul { text-align: left; margin: 0; }
 .spark { vertical-align: middle; margin-left: .6em; }
 .card { border: 1px solid #e0e0e0; border-radius: 6px;
         padding: .8em 1em; margin: .8em 0; }
 details > summary { cursor: pointer; color: #555; }
-.occbar { display: flex; height: 14px; width: 24em; border-radius: 3px;
+.occbar { display: flex; height: 14px; border-radius: 3px;
           overflow: hidden; background: #eceff1; }
 .occbar span { display: block; height: 100%; }
 .legend span.swatch { display: inline-block; width: .8em; height: .8em;
                       border-radius: 2px; margin: 0 .3em 0 .9em;
                       vertical-align: -1px; }
-"""
-
-#: Stall-category colors, matching the occupancy legend.
-_OCC_COLORS = {
-    "issue": "#2e7d32",
-    "dma_blocked": "#1565c0",
-    "revolve_stall": "#f9a825",
-    "dispatch_wait": "#e65100",
-    "idle": "#b0bec5",
-}
-
-
-def _esc(value) -> str:
-    return _html.escape(str(value), quote=True)
-
-
-def _badge(verdict: str) -> str:
-    color = _BADGE_COLORS.get(verdict, "#555")
-    return f'<span class="badge" style="background:{color}">{_esc(verdict)}</span>'
-
-
-def _fmt_ms_value(value: float) -> str:
-    return f"{value * 1e3:.2f} ms"
-
-
-def _sparkline(
-    values,
-    width: int = 160,
-    height: int = 36,
-    label: str = "wall median",
-    fmt=_fmt_ms_value,
-) -> str:
-    """An inline SVG polyline of a value series (left = oldest)."""
-    points = [v for v in values if v is not None]
-    if len(points) < 2:
-        return '<span class="meta">(need ≥2 runs for a trend)</span>'
-    lo, hi = min(points), max(points)
-    span = (hi - lo) or 1.0
-    pad = 3
-    step = (width - 2 * pad) / (len(points) - 1)
-    coords = " ".join(
-        f"{pad + i * step:.1f},"
-        f"{height - pad - (v - lo) / span * (height - 2 * pad):.1f}"
-        for i, v in enumerate(points)
-    )
-    last_y = height - pad - (points[-1] - lo) / span * (height - 2 * pad)
-    title = (
-        f"{label} trend over {len(points)} runs: "
-        f"min {fmt(lo)}, max {fmt(hi)}"
-    )
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img">'
-        f"<title>{_esc(title)}</title>"
-        f'<polyline points="{coords}" fill="none" stroke="#1565c0" '
-        f'stroke-width="1.5"/>'
-        f'<circle cx="{pad + (len(points) - 1) * step:.1f}" '
-        f'cy="{last_y:.1f}" r="2.5" fill="#1565c0"/>'
-        f"</svg>"
-    )
-
-
-def _series_table(modelled: dict) -> str:
-    rows = "".join(
-        f"<tr><td>{_esc(name)}</td><td>{value:,.4f}</td></tr>"
-        for name, value in sorted(modelled["series_totals"].items())
-    )
-    unit = _esc(modelled.get("unit", ""))
-    return (
-        "<table><tr><th>series (totals across "
-        f"{modelled['n_rows']} rows)</th><th>value [{unit}]</th></tr>"
-        f"{rows}</table>"
-    )
-
-
-def _attribution_table(attribution: dict, top_k: int = 5) -> str:
-    ranked = sorted(
-        attribution.items(),
-        key=lambda item: -item[1].get("modelled_s", 0.0),
-    )[:top_k]
-    if not ranked:
-        return '<span class="meta">(no spans recorded)</span>'
-    rows = "".join(
-        f"<tr><td>{_esc(name)}</td><td>{entry.get('count', 0)}</td>"
-        f"<td>{entry.get('modelled_s', 0.0) * 1e3:,.3f}</td>"
-        f"<td>{entry.get('wall_s', 0.0) * 1e3:,.3f}</td></tr>"
-        for name, entry in ranked
-    )
-    return (
-        "<table><tr><th>span</th><th>count</th>"
-        "<th>modelled ms</th><th>wall ms</th></tr>"
-        f"{rows}</table>"
-    )
-
-
-def _identity_line(doc: dict) -> str:
-    return (
-        f"run <code>{_esc(str(doc.get('run_id', '?'))[:12])}</code> · "
-        f"{_esc(doc.get('created_at', '?'))} · "
-        f"git <code>{_esc(str(doc.get('git_sha'))[:12])}</code>"
-    )
-
-
-def _page_head(title: str, extra_css: str = "") -> list:
-    """The shared document prologue every report starts with."""
-    return [
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>{_esc(title)}</title><style>{_CSS}{extra_css}</style>"
-        "</head><body>",
-        f"<h1>{_esc(title)}</h1>",
-    ]
-
-
-#: The shared document epilogue (the counterpart of :func:`_page_head`).
-_PAGE_FOOT = "</body></html>"
-
-
-def _verdict_summary(labels) -> str:
-    """Verdict-count badges plus the gate outcome, as one paragraph.
-
-    ``labels`` are verdict *strings*; any label in
-    :data:`repro.obs.gate.FAILING` fails the gate.
-    """
-    counts: dict = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    return (
-        "<p>"
-        + " ".join(f"{_badge(k)} {n}" for k, n in sorted(counts.items()))
-        + _gate_outcome(counts)
-        + "</p>"
-    )
-
-
-def _gate_outcome(labels) -> str:
-    if any(label in _gate.FAILING for label in labels):
-        return " — <strong>gate fails</strong>"
-    return " — gate passes"
-
-
-def _gate_card(heading: str, subtitle: str, badges, notes=()) -> str:
-    """A gate-outcome card: per-item badges and the pass/fail verdict.
-
-    ``badges`` is an iterable of ``(verdict, label)`` pairs.
-    """
-    badges = list(badges)
-    parts = [
-        f"<div class='card'><h2>{_esc(heading)} "
-        f"<span class='meta'>{_esc(subtitle)}</span></h2><p>",
-        " ".join(_badge(v) + f" {_esc(label)}" for v, label in badges),
-        _gate_outcome(v for v, _label in badges),
-        "</p>",
-    ]
-    notes = list(notes)
-    if notes:
-        parts.append(
-            "<ul>"
-            + "".join(f"<li>{_esc(note)}</li>" for note in notes)
-            + "</ul>"
-        )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-def _write_html(path, html: str) -> None:
-    """Write a rendered report, creating parent directories."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(html)
-
-
-# -- pipeline profiles ------------------------------------------------------
-
-
-def _occupancy_bar(occ, total_cycles: int) -> str:
-    """One tasklet's cycle breakdown as a stacked horizontal bar."""
-    shares = (
-        ("issue", float(occ.instructions)),
-        ("dma_blocked", occ.dma_blocked_cycles),
-        ("revolve_stall", occ.revolve_stall_cycles),
-        ("dispatch_wait", occ.dispatch_wait_cycles),
-        ("idle", occ.idle_cycles),
-    )
-    total = total_cycles or 1
-    segments = "".join(
-        f'<span style="width:{value / total * 100:.2f}%;'
-        f'background:{_OCC_COLORS[name]}" title="{_esc(name)}: '
-        f"{value:,.0f} cycles ({value / total * 100:.1f}%)\"></span>"
-        for name, value in shares
-        if value > 0
-    )
-    return f'<div class="occbar">{segments}</div>'
-
-
-def _occupancy_legend() -> str:
-    labels = {
-        "issue": "issuing",
-        "dma_blocked": "DMA-blocked",
-        "revolve_stall": "revolve stall",
-        "dispatch_wait": "dispatch wait",
-        "idle": "idle",
-    }
-    return (
-        '<p class="meta legend">'
-        + "".join(
-            f'<span class="swatch" style="background:{color}"></span>'
-            f"{_esc(labels[name])}"
-            for name, color in _OCC_COLORS.items()
-        )
-        + "</p>"
-    )
-
-
-def _profile_section(profile) -> str:
-    """One :class:`~repro.obs.profile.KernelProfile` as a card."""
-    parts = ["<div class='card'>"]
-    parts.append(
-        f"<h2>{_esc(profile.label)} "
-        f'<span class="badge" style="background:#37474f">'
-        f"{_esc(profile.verdict)}</span></h2>"
-    )
-    subsample = (
-        f" (subsampled from {profile.full_elements} elements/DPU)"
-        if profile.subsampled
-        else ""
-    )
-    parts.append(
-        f"<p class='meta'>simulated {profile.simulated_cycles:,} cycles vs "
-        f"analytic max(compute={profile.analytic_compute_cycles:,.0f}, "
-        f"dma={profile.analytic_dma_cycles:,.0f}) — model error "
-        f"{profile.model_error * 100:+.2f}%{_esc(subsample)}<br>"
-        f"issue utilization {profile.issue_utilization * 100:.1f}% · "
-        f"DMA engine busy {profile.dma.busy_fraction * 100:.1f}% over "
-        f"{profile.dma.n_transfers} transfers (queue wait mean "
-        f"{profile.dma.mean_queue_wait:.1f} / max "
-        f"{profile.dma.max_queue_wait:.1f} cycles)</p>"
-    )
-    rows = "".join(
-        f"<tr><td>t{occ.tasklet}</td>"
-        f"<td>{occ.instructions:,}</td>"
-        f"<td>{occ.occupancy * 100:.1f}%</td>"
-        f"<td>{_occupancy_bar(occ, profile.simulated_cycles)}</td></tr>"
-        for occ in profile.occupancy
-    )
-    parts.append(
-        "<table><tr><th>tasklet</th><th>instr</th><th>occupancy</th>"
-        "<th style='text-align:left'>cycle breakdown</th></tr>"
-        f"{rows}</table>"
-    )
-    parts.append(_occupancy_legend())
-    if profile.load is not None:
-        load = profile.load
-        parts.append(
-            f"<p class='meta'>load balance: {load.dpus_engaged} DPUs over "
-            f"{load.ranks_engaged} ranks ({load.idle_dpus} idle); "
-            f"elements/DPU min {load.min_elements} / mean "
-            f"{load.mean_elements:.1f} / max {load.max_elements} "
-            f"(imbalance ×{load.imbalance:.2f})</p>"
-        )
-    if profile.dma.queue_waits:
-        histogram = " · ".join(
-            f"{_esc(label)}: {count}"
-            for label, count in profile.dma.wait_histogram()
-            if count
-        )
-        parts.append(
-            f"<p class='meta'>queue-wait histogram [cycles]: {histogram}</p>"
-        )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-def render_profile_report(
-    profiles, title: str = "repro pipeline profile"
-) -> str:
-    """Standalone HTML report for pipeline profiles.
-
-    ``profiles`` are :class:`~repro.obs.profile.KernelProfile` objects;
-    each renders as a card with the bottleneck verdict, per-tasklet
-    occupancy bars with the full stall breakdown, and DMA contention
-    stats — the HTML face of ``repro profile``.
-    """
-    profiles = list(profiles)
-    parts = _page_head(title)
-    if not profiles:
-        parts.append(
-            "<p class='meta'>No PIM kernel launches to profile.</p>"
-        )
-    parts.extend(_profile_section(p) for p in profiles)
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-# -- noise calibration ------------------------------------------------------
-
-
-def _budget_chart(trajectory, width: int = 340, height: int = 130) -> str:
-    """Predicted and measured budget vs trajectory step, as inline SVG.
-
-    Both series on one axis (bits of remaining invariant-noise budget);
-    the zero line — below which decryption fails — is drawn dashed
-    whenever the value range reaches it.
-    """
-    preds = [step["pred_bits"] for step in trajectory]
-    meas = [step["meas_bits"] for step in trajectory]
-    values = preds + meas + [0.0]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    pad = 8
-    n = len(trajectory)
-    step_x = (width - 2 * pad) / max(n - 1, 1)
-
-    def y(v: float) -> float:
-        return height - pad - (v - lo) / span * (height - 2 * pad)
-
-    def line(series, color: str, dashed: bool = False) -> str:
-        coords = " ".join(
-            f"{pad + i * step_x:.1f},{y(v):.1f}" for i, v in enumerate(series)
-        )
-        dash = ' stroke-dasharray="4 3"' if dashed else ""
-        return (
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash}/>'
-        )
-
-    ops = " → ".join(step["op"] for step in trajectory)
-    parts = [
-        f'<svg width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img">',
-        f"<title>{_esc(f'budget trajectory: {ops}')}</title>",
-        f'<line x1="{pad}" y1="{y(0.0):.1f}" x2="{width - pad}" '
-        f'y2="{y(0.0):.1f}" stroke="#c62828" stroke-width="1" '
-        f'stroke-dasharray="2 3"/>',
-        line(preds, "#1565c0", dashed=True),
-        line(meas, "#2e7d32"),
-    ]
-    parts.extend(
-        f'<circle cx="{pad + i * step_x:.1f}" cy="{y(v):.1f}" r="2.2" '
-        f'fill="#2e7d32"/>'
-        for i, v in enumerate(meas)
-    )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _noise_card(bits: str, name: str, shape: dict, verdict) -> str:
-    trajectory = shape["trajectory"]
-    final = trajectory[-1]
-    headroom = final["meas_bits"]
-    parts = ["<div class='card'>"]
-    parts.append(
-        f"<h2>{_esc(bits)}-bit level · {_esc(name)} "
-        + (_badge(verdict.verdict) if verdict is not None else "")
-        + "</h2>"
-    )
-    parts.append(_budget_chart(trajectory))
-    parts.append(
-        "<p class='meta'>"
-        '<span style="color:#1565c0">— — predicted</span> · '
-        '<span style="color:#2e7d32">— measured</span> · '
-        '<span style="color:#c62828">· · zero (decryption fails)</span>'
-        f"<br>final headroom: {headroom:.1f} bits measured "
-        f"({final['pred_bits']:.1f} predicted) after "
-        f"{len(trajectory) - 1} operations at depth {final['depth']}"
-        "</p>"
-    )
-    rows = "".join(
-        f"<tr><td>{i}</td><td>{_esc(step['op'])}</td>"
-        f"<td>{step['pred_bits']:.2f}</td>"
-        f"<td>{step['meas_bits']:.2f}</td>"
-        f"<td>{step['depth']}</td><td>{step['key_switches']}</td></tr>"
-        for i, step in enumerate(trajectory)
-    )
-    parts.append(
-        "<details><summary>trajectory</summary>"
-        "<table><tr><th>step</th><th>op</th><th>pred bits</th>"
-        "<th>meas bits</th><th>depth</th><th>key switches</th></tr>"
-        f"{rows}</table></details>"
-    )
-    if verdict is not None and verdict.notes:
-        parts.append(
-            "<ul>"
-            + "".join(f"<li>{_esc(note)}</li>" for note in verdict.notes)
-            + "</ul>"
-        )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-def render_noise_report(
-    current: dict,
-    baseline: dict | None = None,
-    title: str = "repro noise calibration",
-) -> str:
-    """Budget-vs-depth HTML report for a recorded noise run.
-
-    Each (security level, workload shape) renders as a card: the
-    predicted and measured budget trajectories against the zero line,
-    the final decryption-failure headroom, and — when a calibration
-    baseline is given — the same ``NOISE-DRIFT`` verdict badges as
-    ``repro noise check`` (:func:`repro.obs.noisegate.check_noise_runs`).
-    """
-    from repro.obs import noisegate as _ng
-
-    verdict_by_key: dict = {}
-    verdicts = []
-    if baseline is not None:
-        verdicts = _ng.check_noise_runs(baseline, current)
-        verdict_by_key = {v.key: v for v in verdicts}
-
-    parts = _page_head(title)
-    parts.append(
-        f"<p class='meta'>current: {_identity_line(current)}"
-        + (
-            f"<br>baseline: {_identity_line(baseline)}"
-            if baseline is not None
-            else ""
-        )
-        + "</p>"
-    )
-    if verdicts:
-        parts.append(_verdict_summary(v.verdict for v in verdicts))
-    for bits, level in sorted(
-        current["levels"].items(), key=lambda item: int(item[0])
-    ):
-        for name, shape in level["workloads"].items():
-            verdict = verdict_by_key.get(f"{bits}b/{name}")
-            parts.append(_noise_card(bits, name, shape, verdict))
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_noise_report(path, current, baseline=None, **kwargs) -> None:
-    """Render and write the noise-calibration HTML file."""
-    _write_html(path, render_noise_report(current, baseline, **kwargs))
-
-
-# -- degraded-fleet availability card (repro faults) ------------------------
-
-
-def _slowdown_chart(
-    points, width: int = 320, height: int = 120
-) -> str:
-    """Availability (x, healthy fraction) vs slowdown (y) as inline SVG."""
-    usable = [
-        p
-        for p in points
-        if p.get("slowdown") is not None and p.get("healthy") is not None
-    ]
-    if len(usable) < 2:
-        return '<span class="meta">(need ≥2 grid points for a curve)</span>'
-    pad = 8
-    xs = [p["healthy"] for p in usable]
-    ys = [p["slowdown"] for p in usable]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    def coord(p):
-        # Availability decreases left to right: 100% healthy at the left.
-        x = pad + (x_hi - p["healthy"]) / x_span * (width - 2 * pad)
-        y = (
-            height
-            - pad
-            - (p["slowdown"] - y_lo) / y_span * (height - 2 * pad)
-        )
-        return f"{x:.1f},{y:.1f}"
-
-    coords = " ".join(coord(p) for p in usable)
-    title = (
-        f"slowdown {y_lo:.3f}x at {x_hi * 100:.0f}% healthy to "
-        f"{y_hi:.3f}x at {x_lo * 100:.0f}% healthy"
-    )
-    dots = "".join(
-        f'<circle cx="{coord(p).split(",")[0]}" '
-        f'cy="{coord(p).split(",")[1]}" r="2.5" fill="#c62828"/>'
-        for p in usable
-    )
-    return (
-        f'<svg width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img">'
-        f"<title>{_esc(title)}</title>"
-        f'<polyline points="{coords}" fill="none" stroke="#c62828" '
-        f'stroke-width="1.5"/>{dots}</svg>'
-    )
-
-
-def _faults_card(eid: str, entry: dict) -> str:
-    """One experiment's availability-vs-slowdown card."""
-    points = entry.get("points", [])
-    worst = max(
-        (p.get("slowdown") or 1.0 for p in points), default=1.0
-    )
-    parts = ["<div class='card'>"]
-    parts.append(
-        f"<h2>{_esc(eid)} "
-        f"<span class='meta'>worst slowdown {worst:.3f}x</span></h2>"
-    )
-    parts.append(_slowdown_chart(points))
-    rows = "".join(
-        f"<tr><td>{p['healthy'] * 100:.1f}%</td>"
-        f"<td>{p['disabled_dpus']}</td><td>{p['effective_dpus']}</td>"
-        + (
-            f"<td>{p['pim_total']:,.4f}</td>"
-            if p.get("pim_total") is not None
-            else "<td>-</td>"
-        )
-        + (
-            f"<td>{p['slowdown']:.4f}x</td>"
-            if p.get("slowdown") is not None
-            else "<td>-</td>"
-        )
-        + "</tr>"
-        for p in points
-    )
-    parts.append(
-        "<table><tr><th>healthy</th><th>disabled</th><th>effective "
-        "DPUs</th><th>pim total</th><th>slowdown</th></tr>"
-        f"{rows}</table>"
-    )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-def render_faults_report(
-    doc: dict, title: str = "repro degraded-fleet sweep"
-) -> str:
-    """The availability-vs-slowdown card for a recorded faults sweep.
-
-    One card per swept experiment: the PIM slowdown curve across the
-    healthy-fraction grid (100% healthy at the left) plus the full
-    grid table — fleet sizes, modelled totals, slowdowns. Rendered
-    from the JSON document ``repro faults sweep -o`` writes
-    (:func:`repro.harness.chaos.sweep_degraded_fleet`).
-    """
-    parts = _page_head(title)
-    parts.append(
-        f"<p class='meta'>{_identity_line(doc)}"
-        f"<br>seed {_esc(doc.get('seed'))} · fleet "
-        f"{_esc(doc.get('n_dpus'))} DPUs · grid "
-        + ", ".join(f"{f * 100:.0f}%" for f in doc.get("grid", []))
-        + "</p>"
-    )
-    for eid, entry in doc.get("experiments", {}).items():
-        parts.append(_faults_card(eid, entry))
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_faults_report(path, doc, **kwargs) -> None:
-    """Render and write the degraded-fleet sweep HTML card."""
-    _write_html(path, render_faults_report(doc, **kwargs))
-
-
-def render_dashboard(
-    history,
-    baseline: dict | None = None,
-    skip_wall: bool = False,
-    title: str = "repro perf dashboard",
-    profiles=None,
-) -> str:
-    """The dashboard HTML for a run history (oldest first).
-
-    The newest history entry is "the current run"; when a baseline is
-    given, verdict badges come from the same policies as
-    ``repro perf check`` (:func:`repro.obs.perf.check_runs`).
-    """
-    history = list(history)
-    if not history and baseline is not None:
-        history = [baseline]
-    current = history[-1] if history else None
-
-    verdict_by_exp: dict = {}
-    verdicts = []
-    if baseline is not None and current is not None:
-        verdicts = _perf.check_runs(baseline, current, skip_wall=skip_wall)
-        verdict_by_exp = {v.key: v for v in verdicts}
-
-    parts = _page_head(title)
-    if current is None:
-        parts.append(
-            "<p class='meta'>No recorded runs yet — run "
-            "<code>repro perf record</code>.</p>"
-        )
-        if profiles:
-            parts.append("<h2>Pipeline profiles</h2>")
-            parts.extend(_profile_section(p) for p in profiles)
-        parts.append(_PAGE_FOOT)
-        return "".join(parts)
-
-    parts.append(
-        f"<p class='meta'>{len(history)} recorded run(s); latest: "
-        f"{_identity_line(current)}"
-        + (
-            f"<br>baseline: {_identity_line(baseline)}"
-            if baseline is not None
-            else ""
-        )
-        + "</p>"
-    )
-    if verdicts:
-        parts.append(_verdict_summary(v.verdict for v in verdicts))
-
-    for eid, exp in current["experiments"].items():
-        verdict = verdict_by_exp.get(eid)
-        walls = [
-            doc["experiments"][eid]["wall"]["median_s"]
-            if eid in doc.get("experiments", {})
-            else None
-            for doc in history
-        ]
-        parts.append("<div class='card'>")
-        parts.append(
-            f"<h2>{_esc(eid)} "
-            + (_badge(verdict.verdict) if verdict else "")
-            + _sparkline(walls)
-            + "</h2>"
-        )
-        wall = exp["wall"]
-        parts.append(
-            f"<p class='meta'>wall median {wall['median_s'] * 1e3:.2f} ms "
-            f"(spread {wall['spread'] * 100:.0f}% over "
-            f"{wall['repeats']} repeats)"
-            + (
-                f" · {verdict.detail} vs baseline" if verdict else ""
-            )
-            + "</p>"
-        )
-        if verdict and verdict.notes:
-            parts.append(
-                "<ul>"
-                + "".join(f"<li>{_esc(note)}</li>" for note in verdict.notes)
-                + "</ul>"
-            )
-        parts.append(_series_table(exp["modelled"]))
-        parts.append(
-            "<details><summary>attribution (top spans by modelled "
-            "time)</summary>"
-            + _attribution_table(exp.get("attribution", {}))
-            + "</details>"
-        )
-        parts.append("</div>")
-
-    if profiles:
-        parts.append("<h2>Pipeline profiles</h2>")
-        parts.extend(_profile_section(p) for p in profiles)
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_dashboard(path, history, baseline=None, **kwargs) -> None:
-    """Render and write the dashboard HTML file."""
-    _write_html(path, render_dashboard(history, baseline, **kwargs))
-
-
-# -- longitudinal grid dashboard (repro grid html) ---------------------------
-
-_STATUS_COLORS = {
-    "done": "#2e7d32",
-    "failed": "#c62828",
-    "running": "#f9a825",
-    "pending": "#b0bec5",
-}
-
-
-def _status_block(cell: dict) -> str:
-    """One backend's status square inside a heatmap cell."""
-    status = cell["status"]
-    color = _STATUS_COLORS.get(status, "#555")
-    tip = f"{cell['backend']}: {status}"
-    if status == "done" and cell.get("modelled_ms") is not None:
-        tip += f" — {cell['modelled_ms']:,.4f} ms modelled"
-    elif status == "failed" and cell.get("failure_header"):
-        tip = cell["failure_header"]
-    return (
-        f'<span class="gridcell" style="background:{color}" '
-        f'title="{_esc(tip)}"></span>'
-    )
-
-
-def _heatmap_card(workload: str, cells) -> str:
-    """Per-workload status heatmap: (security, healthy) rows × batch
-    columns, one colored square per backend inside each cell."""
-    batches = sorted({c["batch"] for c in cells})
-    index: dict = {}
-    for cell in cells:
-        key = (cell["security_bits"], cell["healthy"], cell["batch"])
-        index.setdefault(key, []).append(cell)
-    row_keys = sorted(
-        {(c["security_bits"], c["healthy"]) for c in cells},
-        key=lambda k: (k[0], -k[1]),
-    )
-    head = "".join(f"<th>{batch:,}</th>" for batch in batches)
-    body = []
-    for bits, healthy in row_keys:
-        tds = []
-        for batch in batches:
-            group = index.get((bits, healthy, batch), [])
-            tds.append(
-                "<td>"
-                + "".join(_status_block(c) for c in group)
-                + "</td>"
-            )
-        body.append(
-            f"<tr><td>{bits}b · {healthy * 100:g}% healthy</td>"
-            + "".join(tds)
-            + "</tr>"
-        )
-    done = sum(1 for c in cells if c["status"] == "done")
-    return (
-        "<div class='card'>"
-        f"<h2>{_esc(workload)} "
-        f"<span class='meta'>{done}/{len(cells)} cells done</span></h2>"
-        f"<table><tr><th>security · health</th>{head}</tr>"
-        + "".join(body)
-        + "</table></div>"
-    )
-
-
-def _heatmap_legend() -> str:
-    return (
-        '<p class="meta legend">'
-        + "".join(
-            f'<span class="swatch" style="background:{color}"></span>'
-            f"{_esc(status)}"
-            for status, color in _STATUS_COLORS.items()
-        )
-        + "</p>"
-    )
-
-
-def _grid_trends_card(runs) -> str:
-    """Modelled-time trend lines across recorded registry runs.
-
-    One row per experiment group the registry's ledger rolled up: the
-    PIM modelled total across runs (left = oldest, labelled by git
-    SHA in the tooltip) as a sparkline, plus the latest value.
-    """
-    series: dict = {}
-    for run in runs:
-        rollups = run.get("rollups", {})
-        # Experiment groups when the grid covers them fully, plus the
-        # per-workload totals any grid (even a truncated one) produces.
-        merged = dict(rollups.get("workloads", {}))
-        merged.update(rollups.get("experiments", {}))
-        for eid, totals in merged.items():
-            series.setdefault(eid, []).append(
-                (str(run.get("git_sha"))[:12], totals.get("pim"))
-            )
-    if not series:
-        return (
-            "<div class='card'><h2>Modelled-time trends</h2>"
-            "<p class='meta'>No recorded runs yet — drain the grid "
-            "with <code>repro grid run</code>.</p></div>"
-        )
-    rows = []
-    for eid, points in sorted(series.items()):
-        values = [v for _sha, v in points]
-        latest = next(
-            (v for v in reversed(values) if v is not None), None
-        )
-        shas = " → ".join(sha for sha, _v in points)
-        rows.append(
-            f"<tr><td title='{_esc(shas)}'>{_esc(eid)}</td>"
-            f"<td style='text-align:left'>{_sparkline(values)}</td>"
-            + (
-                f"<td>{latest:,.4f}</td>"
-                if latest is not None
-                else "<td>-</td>"
-            )
-            + f"<td>{len(values)}</td></tr>"
-        )
-    return (
-        "<div class='card'><h2>Modelled-time trends "
-        "<span class='meta'>pim totals across registry runs, by git "
-        "SHA</span></h2>"
-        "<table><tr><th>experiment</th>"
-        "<th style='text-align:left'>trend (old → new)</th>"
-        "<th>latest [ms]</th><th>runs</th></tr>"
-        + "".join(rows)
-        + "</table></div>"
-    )
-
-
-def _verdict_history_rows(runs, perf_history, baseline,
-                          noise_history, noise_baseline) -> list:
-    """(created_at, git_sha, source, [(experiment, verdict)],
-    drift_annotations) rows."""
-    from repro.obs import noisegate as _ng
-
-    rows = []
-    for run in runs:
-        verdicts = run.get("rollups", {}).get("verdicts", [])
-        rows.append(
-            (
-                run.get("created_at", ""),
-                str(run.get("git_sha"))[:12],
-                "grid",
-                [(v["experiment"], v["verdict"]) for v in verdicts],
-                run.get("drift_annotations") or {},
-            )
-        )
-    if baseline is not None:
-        for doc in perf_history or []:
-            verdicts = _perf.check_runs(baseline, doc, skip_wall=True)
-            rows.append(
-                (
-                    doc.get("created_at", ""),
-                    str(doc.get("git_sha"))[:12],
-                    "perf",
-                    [(v.key, v.verdict) for v in verdicts],
-                    {},
-                )
-            )
-    if noise_baseline is not None:
-        for doc in noise_history or []:
-            verdicts = _ng.check_noise_runs(noise_baseline, doc)
-            rows.append(
-                (
-                    doc.get("created_at", ""),
-                    str(doc.get("git_sha"))[:12],
-                    "noise",
-                    [(v.key, v.verdict) for v in verdicts],
-                    {},
-                )
-            )
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def _annotation_links(annotations: dict) -> str:
-    """Drift-annotation stamps as deep-links into forensics reports.
-
-    The ``perf`` stamp links to the conventional per-experiment
-    forensics artifact (``forensics-<experiment>.html``, as written by
-    ``repro why <experiment> --html`` in CI); the ``failures`` stamp is
-    informational text.
-    """
-    parts = []
-    perf = annotations.get("perf")
-    if perf:
-        label = (
-            f"top drift: {perf.get('experiment', '?')}/"
-            f"{perf.get('backend', '?')} "
-            f"Δ{perf.get('delta_ms', 0.0):+.4g} ms"
-        )
-        href = f"forensics-{perf.get('experiment', '')}.html"
-        parts.append(f"<a href='{_esc(href)}'>{_esc(label)}</a>")
-    failures = annotations.get("failures")
-    if failures:
-        parts.append(
-            _esc(
-                f"{failures.get('count', 0)} failure(s): "
-                f"{failures.get('first', '')}"
-            )
-        )
-    if not parts:
-        return ""
-    return f"<br><span class='meta'>{' · '.join(parts)}</span>"
-
-
-def _verdict_history_card(rows) -> str:
-    """The longitudinal verdict table: every recorded gate outcome —
-    grid MODEL-DRIFT, perf MODEL-DRIFT/REGRESSION, noise NOISE-DRIFT —
-    ordered by time, one badge summary per recorded run, with grid
-    rows' drift-annotation stamps deep-linking into forensics reports."""
-    if not rows:
-        return (
-            "<div class='card'><h2>Verdict history</h2>"
-            "<p class='meta'>No recorded verdicts yet.</p></div>"
-        )
-    body = []
-    for created_at, sha, source, verdicts, annotations in rows:
-        counts: dict = {}
-        for _name, verdict in verdicts:
-            counts[verdict] = counts.get(verdict, 0) + 1
-        bad = [
-            f"{name}: {verdict}"
-            for name, verdict in verdicts
-            if verdict in _gate.FAILING
-        ]
-        badges = " ".join(
-            f"{_badge(verdict)} {n}" for verdict, n in sorted(counts.items())
-        )
-        detail = (
-            f"<br><span class='meta'>{_esc('; '.join(bad))}</span>"
-            if bad
-            else ""
-        )
-        body.append(
-            f"<tr><td>{_esc(created_at)}</td><td><code>{_esc(sha)}</code>"
-            f"</td><td>{_esc(source)}</td>"
-            f"<td style='text-align:left'>{badges}{detail}"
-            f"{_annotation_links(annotations)}</td></tr>"
-        )
-    return (
-        "<div class='card'><h2>Verdict history "
-        "<span class='meta'>grid · perf · noise gates over time</span>"
-        "</h2><table><tr><th>recorded</th><th>git</th><th>gate</th>"
-        "<th style='text-align:left'>verdicts</th></tr>"
-        + "".join(body)
-        + "</table></div>"
-    )
-
-
-def render_grid_dashboard(
-    cells,
-    runs,
-    spec,
-    baseline: dict | None = None,
-    perf_history=None,
-    noise_baseline: dict | None = None,
-    noise_history=None,
-    title: str = "repro run registry",
-) -> str:
-    """The longitudinal dashboard for a run registry (``repro grid html``).
-
-    Three panels over the registry's plain data (``cells`` and ``runs``
-    as returned by :meth:`~repro.obs.registry.RunRegistry.cells` /
-    :meth:`~repro.obs.registry.RunRegistry.runs`, ``spec`` the
-    :class:`~repro.obs.registry.GridSpec`):
-
-    * a per-cell **status heatmap** per workload — security × health
-      rows, batch columns, one colored square per backend;
-    * **modelled-time trend lines** across recorded registry runs,
-      labelled by git SHA;
-    * the **verdict history** — grid MODEL-DRIFT outcomes from the
-      runs ledger, interleaved with perf (MODEL-DRIFT / REGRESSION)
-      and noise (NOISE-DRIFT) gate outcomes recomputed from their
-      committed histories, ordered by time.
-    """
-    from repro.obs import registry as _registry
-
-    cells = list(cells)
-    runs = list(runs)
-    counts: dict = {}
-    for cell in cells:
-        counts[cell["status"]] = counts.get(cell["status"], 0) + 1
-    parts = _page_head(
-        title,
-        extra_css=(
-            ".gridcell { display: inline-block; width: .9em; height: .9em;"
-            " border-radius: 2px; margin: 1px; vertical-align: middle; }"
-        ),
-    )
-    parts.extend([
-        f"<p class='meta'>{len(cells)} cells — "
-        + " · ".join(
-            f"{status}: {n}" for status, n in sorted(counts.items())
-        )
-        + f" · seed {_esc(spec.seed)} · {len(runs)} recorded run(s)"
-        + (
-            f"<br>latest: {_identity_line(runs[-1])}" if runs else ""
-        )
-        + "</p>",
-        _heatmap_legend(),
-    ])
-
-    by_workload: dict = {}
-    for cell in cells:
-        by_workload.setdefault(cell["workload"], []).append(cell)
-    for workload in spec.workloads:
-        if workload in by_workload:
-            parts.append(_heatmap_card(workload, by_workload[workload]))
-
-    parts.append(_grid_trends_card(runs))
-
-    verdicts = _registry.check_against_baseline(cells, baseline)
-    if verdicts:
-        parts.append(
-            _gate_card(
-                "Baseline cross-check",
-                "fault-free cells vs the committed perf baseline",
-                [(v.verdict, v.key) for v in verdicts],
-                notes=[note for v in verdicts for note in v.notes],
-            )
-        )
-
-    parts.append(
-        _verdict_history_card(
-            _verdict_history_rows(
-                runs, perf_history, baseline, noise_history, noise_baseline
-            )
-        )
-    )
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_grid_dashboard(path, cells, runs, spec, **kwargs) -> None:
-    """Render and write the longitudinal grid dashboard."""
-    _write_html(path, render_grid_dashboard(cells, runs, spec, **kwargs))
-
-
-# -- serving capacity dashboard (repro serve html) ---------------------------
-
-
-def _fmt_point_ms(value) -> str:
-    return "-" if value is None else f"{value:,.3f}"
-
-
-def _capacity_overview(doc: dict) -> str:
-    """Sustainable QPS per security level (rows) × fleet health (cols)."""
-    fractions = [f"{f:g}" for f in doc["healthy"]]
-    head = "".join(
-        f"<th>{_esc(f)} healthy</th>" for f in fractions
-    )
-    body = []
-    for bits in doc["security_levels"]:
-        by_health = doc["cells"][str(bits)]
-        tds = []
-        for fraction in fractions:
-            sustainable = by_health[fraction]["sustainable_qps"]
-            tds.append(
-                f"<td>{sustainable:,.0f}</td>"
-                if sustainable is not None
-                else "<td>breached</td>"
-            )
-        body.append(
-            f"<tr><td>{_esc(doc['workload'])}@{bits}</td>"
-            + "".join(tds)
-            + "</tr>"
-        )
-    return (
-        "<div class='card'><h2>Sustainable QPS "
-        "<span class='meta'>highest offered rate meeting every "
-        "objective</span></h2>"
-        f"<table><tr><th>class</th>{head}</tr>"
-        + "".join(body)
-        + "</table></div>"
-    )
-
-
-def _serve_points_card(doc: dict, bits: int) -> str:
-    """One security level's QPS ladder, one table per health point."""
-    by_health = doc["cells"][str(bits)]
-    parts = ["<div class='card'>", f"<h2>{_esc(doc['workload'])}@{bits}</h2>"]
-    for fraction, entry in by_health.items():
-        p99s = [p["p99_ms"] for p in entry["points"]]
-        parts.append(
-            f"<h3>{_esc(fraction)} healthy "
-            + _sparkline(p99s)
-            + "</h3>"
-        )
-        rows = "".join(
-            f"<tr><td>{p['qps']:,.0f}</td>"
-            f"<td>{p['completed']:,.0f}</td>"
-            f"<td>{p['rejected']:,.0f}</td>"
-            f"<td>{_fmt_point_ms(p['p50_ms'])}</td>"
-            f"<td>{_fmt_point_ms(p['p99_ms'])}</td>"
-            f"<td>{_fmt_point_ms(p['p999_ms'])}</td>"
-            f"<td>{p['max_burn_rate']:.3f}</td>"
-            f"<td>{p['utilization'] * 100:.1f}%</td>"
-            + (
-                f"<td>{p['energy_j']:.3f}</td>"
-                if p.get("energy_j") is not None
-                else "<td>-</td>"
-            )
-            + (
-                f"<td>{p['avg_watts']:.1f}</td>"
-                if p.get("avg_watts") is not None
-                else "<td>-</td>"
-            )
-            + f"<td style='text-align:left'>{_badge(p['verdict'])}</td></tr>"
-            for p in entry["points"]
-        )
-        parts.append(
-            "<table><tr><th>offered qps</th><th>completed</th>"
-            "<th>rejected</th><th>p50 ms</th><th>p99 ms</th>"
-            "<th>p99.9 ms</th><th>burn</th><th>util</th>"
-            "<th>energy J</th><th>avg W</th>"
-            "<th style='text-align:left'>verdict</th></tr>"
-            f"{rows}</table>"
-        )
-    return "".join(parts) + "</div>"
-
-
-def render_serve_report(
-    doc: dict, title: str = "repro serving capacity"
-) -> str:
-    """The capacity dashboard for a recorded serving sweep.
-
-    Answers ROADMAP item 2 directly: what QPS can one node sustain at
-    each security level, at each fleet-health point, with p50/p99/p99.9
-    modelled latency and burn rates behind each cell. Rendered from the
-    JSON document ``repro serve sweep -o`` writes
-    (:func:`repro.serve.service.sweep_capacity`); when the sweep
-    carried the zero-fault baseline cross-check, its bit-identity
-    verdicts render too.
-    """
-    objectives = ", ".join(
-        f"{o['name']} ({o['target'] * 100:g}% ≤ {o['threshold_s'] * 1e3:g} ms)"
-        for o in doc.get("objectives", [])
-    )
-    ok = breach = 0
-    for by_health in doc["cells"].values():
-        for entry in by_health.values():
-            for point in entry["points"]:
-                if point["verdict"] == "SLO-OK":
-                    ok += 1
-                else:
-                    breach += 1
-    parts = _page_head(title)
-    parts.extend([
-        f"<p class='meta'>{_identity_line(doc)}"
-        f"<br>{_esc(doc['workload'])} · seed {_esc(doc['seed'])} · "
-        f"{_esc(doc['duration_s'])} s window · "
-        f"{_esc(doc['ops_per_request'])} ops/request · batch ≤ "
-        f"{_esc(doc['max_batch'])} within "
-        f"{doc['max_wait_s'] * 1e3:g} ms · fleet {_esc(doc['n_dpus'])} DPUs"
-        f"<br>objectives: {_esc(objectives)}</p>",
-        f"<p>{_badge('SLO-OK')} {ok} {_badge('SLO-BREACH')} {breach} "
-        f"over {ok + breach} points</p>",
-        _capacity_overview(doc),
-    ])
-    for bits in doc["security_levels"]:
-        parts.append(_serve_points_card(doc, bits))
-    checks = doc.get("baseline_check", [])
-    if checks:
-        parts.append(
-            _gate_card(
-                "Zero-fault baseline cross-check",
-                "serving pricer vs the committed perf baseline, "
-                "bit-for-bit",
-                [(v["verdict"], v["experiment"]) for v in checks],
-            )
-        )
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_serve_report(path, doc, **kwargs) -> None:
-    """Render and write the serving capacity dashboard."""
-    _write_html(path, render_serve_report(doc, **kwargs))
-
-
-# -- energy & data movement (repro energy report) ----------------------------
-
-#: Memory-level colors for the movement stacked bars.
-_MOVE_COLORS = {
-    "wram_mram": "#2e7d32",
-    "host_to_dpu": "#1565c0",
-    "dpu_to_host": "#6a1b9a",
-    "host_dram": "#e65100",
-    "hbm": "#f9a825",
-}
-
-_MOVE_LABELS = {
-    "wram_mram": "WRAM↔MRAM DMA",
-    "host_to_dpu": "host→DPU (DDR)",
-    "dpu_to_host": "DPU→host (DDR)",
-    "host_dram": "host DRAM stream",
-    "hbm": "GPU HBM stream",
-}
-
-
-def _movement_bar(movement: dict) -> str:
-    """Bytes moved per memory level as one stacked horizontal bar."""
-    total = sum(movement.values())
-    if not total:
-        return '<span class="meta">(no bytes moved)</span>'
-    segments = "".join(
-        f'<span style="width:{value / total * 100:.2f}%;'
-        f'background:{_MOVE_COLORS.get(level, "#555")}" '
-        f'title="{_esc(_MOVE_LABELS.get(level, level))}: '
-        f"{value:,.0f} bytes ({value / total * 100:.1f}%)\"></span>"
-        for level, value in sorted(movement.items())
-        if value > 0
-    )
-    return f'<div class="occbar">{segments}</div>'
-
-
-def _movement_legend(levels) -> str:
-    return (
-        '<p class="meta legend">'
-        + "".join(
-            f'<span class="swatch" '
-            f'style="background:{_MOVE_COLORS.get(level, "#555")}"></span>'
-            f"{_esc(_MOVE_LABELS.get(level, level))}"
-            for level in sorted(levels)
-        )
-        + "</p>"
-    )
-
-
-def _energy_card(eid: str, exp: dict, verdict, history) -> str:
-    """One experiment's energy-per-op / EDP / movement card."""
-    joules = exp.get("joules", {})
-    modelled = exp.get("modelled_s", {})
-    edp = exp.get("edp_js", {})
-    pim_j = joules.get("pim")
-    trend = [
-        doc["experiments"][eid]["joules"].get("pim")
-        if eid in doc.get("experiments", {})
-        else None
-        for doc in history
-    ]
-    parts = ["<div class='card'>"]
-    parts.append(
-        f"<h2>{_esc(eid)} "
-        + (_badge(verdict.verdict) if verdict else "")
-        + _sparkline(
-            trend, label="pim energy", fmt=lambda v: f"{v:.4g} J"
-        )
-        + "</h2>"
-    )
-    if verdict and verdict.notes:
-        parts.append(
-            "<ul>"
-            + "".join(f"<li>{_esc(note)}</li>" for note in verdict.notes)
-            + "</ul>"
-        )
-    rows = []
-    for backend in sorted(joules):
-        seconds = modelled.get(backend)
-        ratio = (
-            f"{joules[backend] / pim_j:,.1f}×"
-            if pim_j and backend != "pim"
-            else ("1×" if backend == "pim" and pim_j else "-")
-        )
-        rows.append(
-            f"<tr><td>{_esc(backend)}</td>"
-            f"<td>{joules[backend]:.6g}</td>"
-            + (
-                f"<td>{seconds * 1e3:,.3f}</td>"
-                if seconds is not None
-                else "<td>-</td>"
-            )
-            + (
-                f"<td>{edp[backend]:.6g}</td>"
-                if backend in edp
-                else "<td>-</td>"
-            )
-            + f"<td>{ratio}</td></tr>"
-        )
-    if rows:
-        parts.append(
-            "<table><tr><th>backend</th><th>energy [J]</th>"
-            "<th>modelled ms</th><th>EDP [J·s]</th>"
-            "<th>vs pim</th></tr>" + "".join(rows) + "</table>"
-        )
-    movement = exp.get("movement_bytes", {})
-    if movement:
-        parts.append(
-            f"<p class='meta'>data movement: "
-            f"{sum(movement.values()):,.0f} bytes</p>"
-        )
-        parts.append(_movement_bar(movement))
-    kernels = exp.get("pim_kernels", {})
-    if kernels:
-        kernel_rows = "".join(
-            f"<tr><td>{_esc(name)}</td><td>{value:.6g}</td></tr>"
-            for name, value in sorted(kernels.items())
-        )
-        parts.append(
-            "<details><summary>PIM energy by kernel</summary>"
-            "<table><tr><th>kernel</th><th>energy [J]</th></tr>"
-            f"{kernel_rows}</table></details>"
-        )
-    parts.append("</div>")
-    return "".join(parts)
-
-
-def render_energy_report(
-    current: dict,
-    baseline: dict | None = None,
-    history=None,
-    title: str = "repro energy & data movement",
-) -> str:
-    """The energy/movement dashboard for a recorded energy run.
-
-    One card per experiment: modelled joules per backend with the
-    energy-delay product and the PIM advantage ratio, the
-    movement-bytes stacked bar across memory levels, and the per-kernel
-    PIM energy split. With a ``baseline``, the same ``ENERGY-DRIFT``
-    verdict badges as ``repro energy check``
-    (:func:`repro.obs.energy.check_energy_runs`); with a ``history``,
-    a PIM-joules trend sparkline per experiment.
-    """
-    from repro.obs import energy as _energy
-
-    history = list(history or [])
-    verdict_by_exp: dict = {}
-    verdicts = []
-    if baseline is not None:
-        verdicts = _energy.check_energy_runs(baseline, current)
-        verdict_by_exp = {v.key: v for v in verdicts}
-
-    config = current.get("config", {})
-    parts = _page_head(title)
-    parts.append(
-        f"<p class='meta'>current: {_identity_line(current)}"
-        + (
-            f"<br>baseline: {_identity_line(baseline)}"
-            if baseline is not None
-            else ""
-        )
-        + f"<br>constants: DPU {config.get('dpu_active_watts', 0):g} W "
-        f"active / {config.get('dpu_idle_watts', 0):g} W idle · MRAM DMA "
-        f"{config.get('mram_dma_pj_per_byte', 0):g} pJ/B · DDR link "
-        f"{config.get('host_link_pj_per_byte', 0):g} pJ/B · CPU "
-        f"{config.get('cpu_watts', 0):g} W · GPU "
-        f"{config.get('gpu_watts', 0):g} W</p>"
-    )
-    if verdicts:
-        parts.append(_verdict_summary(v.verdict for v in verdicts))
-    levels = {
-        level
-        for exp in current.get("experiments", {}).values()
-        for level in exp.get("movement_bytes", {})
-    }
-    if levels:
-        parts.append(_movement_legend(levels))
-    for eid, exp in current.get("experiments", {}).items():
-        parts.append(
-            _energy_card(eid, exp, verdict_by_exp.get(eid), history)
-        )
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_energy_report(path, current, baseline=None, **kwargs) -> None:
-    """Render and write the energy/movement dashboard."""
-    _write_html(path, render_energy_report(current, baseline, **kwargs))
-
-
-# -- drift forensics (repro why / repro forensics) --------------------------
-
-_FLAME_CSS = """
+.gridcell { display: inline-block; width: .9em; height: .9em;
+            border-radius: 2px; margin: 1px; vertical-align: middle; }
 .flame { font: 11px ui-monospace, monospace; white-space: nowrap;
          margin: .6em 0; }
 .fnode { display: inline-block; vertical-align: top; min-width: 2px; }
@@ -1409,18 +79,704 @@ _FLAME_CSS = """
 .fbox { overflow: hidden; text-overflow: ellipsis; white-space: nowrap;
         border: 1px solid #fff; border-radius: 2px; padding: 1px 3px;
         box-sizing: border-box; }
-.flamelegend span { margin-right: 1.2em; }
 """
+
+
+# -- shared primitives ----------------------------------------------------------
+
+
+def _esc(value) -> str:
+    return _html.escape(str(value), quote=True)
+
+
+def _num(value, spec: str, suffix: str = "") -> str:
+    """``value`` formatted with ``spec``, or ``-`` for ``None``."""
+    return "-" if value is None else f"{value:{spec}}{suffix}"
+
+
+def _badge(label: str) -> str:
+    color = _BADGE_COLORS.get(label, "#555")
+    return f'<span class="badge" style="background:{color}">{_esc(label)}</span>'
+
+
+def _identity(doc: dict) -> str:
+    return (
+        f"run <code>{_esc(str(doc.get('run_id', '?'))[:12])}</code> · "
+        f"{_esc(doc.get('created_at', '?'))} · "
+        f"git <code>{_esc(str(doc.get('git_sha'))[:12])}</code>"
+    )
+
+
+def _identities(current: dict, baseline) -> list:
+    """The identity lines of a page over ``current`` (and ``baseline``)."""
+    lines = [f"current: {_identity(current)}"]
+    if baseline is not None:
+        lines.append(f"baseline: {_identity(baseline)}")
+    return lines
+
+
+def _table(headers, rows, empty: str = "") -> str:
+    """A table: text ``headers``, ``rows`` of cell HTML; with no rows
+    the ``empty`` note (when given) stands in for it."""
+    if not rows and empty:
+        return f"<p class='meta'>{_esc(empty)}</p>"
+    head = "".join(f"<th>{_esc(header)}</th>" for header in headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{cell}</td>" for cell in row) + "</tr>"
+        for row in rows
+    )
+    return f"<table><tr>{head}</tr>{body}</table>"
+
+
+def _notes(notes) -> str:
+    """A note list; past the first 20 notes, one line counts the rest."""
+    notes, limit = list(notes), 20
+    shown = notes[:limit]
+    if len(notes) > limit:
+        shown.append(f"… and {len(notes) - limit} more")
+    items = "".join(f"<li>{_esc(note)}</li>" for note in shown)
+    return f"<ul>{items}</ul>" if items else ""
+
+
+def _card(heading: str, *body, subtitle: str = "") -> str:
+    """A bordered section: an escaped heading, then ``body`` HTML."""
+    sub = f" <span class='meta'>{_esc(subtitle)}</span>" if subtitle else ""
+    return f"<div class='card'><h2>{_esc(heading)}{sub}</h2>{''.join(body)}</div>"
+
+
+def _details(summary: str, body: str) -> str:
+    return f"<details><summary>{_esc(summary)}</summary>{body}</details>"
+
+
+def _chart(lines, title: str, xs=None, width: int = 160, height: int = 36,
+           what: str = "runs") -> str:
+    """One inline SVG line chart.
+
+    ``lines`` are ``(values, color, dashed)`` series over the shared x
+    positions ``xs`` (default: the index, left = first); solid series
+    get a dot per point. Fewer than two points draw a note instead.
+    """
+    n = len(lines[0][0])
+    if n < 2:
+        return f'<span class="meta">(need ≥2 {_esc(what)} for a trend)</span>'
+    xs = list(range(n)) if xs is None else list(xs)
+    ys = [v for values, _color, _dashed in lines for v in values]
+    pad = 4
+    x_lo, x_span = min(xs), (max(xs) - min(xs)) or 1.0
+    y_lo, y_span = min(ys), (max(ys) - min(ys)) or 1.0
+
+    def point(x, y) -> tuple:
+        return (pad + (x - x_lo) / x_span * (width - 2 * pad),
+                height - pad - (y - y_lo) / y_span * (height - 2 * pad))
+
+    parts = [
+        f'<svg class="spark" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" role="img">'
+        f"<title>{_esc(title)}</title>"
+    ]
+    for values, color, dashed in lines:
+        points = [point(x, y) for x, y in zip(xs, values)]
+        coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+        dash = ' stroke-dasharray="4 3"' if dashed else ""
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"{dash}/>'
+        )
+        if not dashed:
+            parts.extend(
+                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.2" fill="{color}"/>'
+                for x, y in points
+            )
+    return "".join(parts) + "</svg>"
+
+
+def _sparkline(values, label: str, fmt) -> str:
+    """A run-over-run trend of ``values`` (``None`` entries skipped)."""
+    points = [v for v in values if v is not None]
+    title = label
+    if points:
+        title += (f" trend over {len(points)} runs: "
+                  f"min {fmt(min(points))}, max {fmt(max(points))}")
+    return _chart([(points, _BLUE, False)], title)
+
+
+def _bar(segments, total=None, unit: str = "", width: str = "24em") -> str:
+    """One stacked bar of ``(label, value, color)`` segments, sized as
+    shares of ``total`` (default: their sum), each with a tooltip."""
+    total = total or sum(value for _label, value, _color in segments) or 1
+    spans = "".join(
+        f'<span style="width:{value / total * 100:.2f}%;background:{color}" '
+        f'title="{_esc(label)}: {value:,.0f} {_esc(unit)} '
+        f'({value / total * 100:.1f}%)"></span>'
+        for label, value, color in segments
+        if value > 0
+    )
+    return f'<div class="occbar" style="width:{width}">{spans}</div>'
+
+
+def _legend(pairs) -> str:
+    """Color swatches for ``(label, color)`` pairs."""
+    swatches = "".join(
+        f'<span class="swatch" style="background:{color}"></span>{_esc(label)}'
+        for label, color in pairs
+    )
+    return f'<p class="meta legend">{swatches}</p>'
+
+
+def _tally(labels) -> str:
+    """One badge per distinct label with its count."""
+    counts = Counter(labels)
+    return " ".join(f"{_badge(k)} {n}" for k, n in sorted(counts.items()))
+
+
+def _verdict_card(heading: str, subtitle: str, verdicts) -> str:
+    """The verdict tally with the gate outcome, then one badge row per
+    verdict with its notes; no verdicts (nothing checked) render nothing."""
+    verdicts = list(verdicts or ())
+    if not verdicts:
+        return ""
+    outcome = (" — <strong>gate fails</strong>" if _gate.exit_code(verdicts)
+               else " — gate passes")
+    rows = [[_badge(v.verdict), _esc(v.key), _esc(v.detail) + _notes(v.notes)]
+            for v in verdicts]
+    return _card(
+        heading,
+        f"<p>{_tally(v.verdict for v in verdicts)}{outcome}</p>",
+        _table(["verdict", "checked", "notes"], rows),
+        subtitle=subtitle,
+    )
+
+
+def _page(title: str, meta, sections) -> str:
+    """The one page: title, identity/meta lines, then the sections."""
+    return "".join([
+        "<!doctype html><html><head><meta charset='utf-8'>",
+        f"<title>{_esc(title)}</title><style>{_CSS}</style>",
+        f"</head><body><h1>{_esc(title)}</h1>",
+        "<p class='meta'>" + "<br>".join(meta) + "</p>" if meta else "",
+        *sections,
+        "</body></html>",
+    ])
+
+
+# -- pipeline profiles (repro profile) -------------------------------------------
+
+#: Tasklet cycle categories: (TaskletOccupancy field, label, color).
+_OCCUPANCY = (
+    ("instructions", "issuing", _GREEN),
+    ("dma_blocked_cycles", "DMA-blocked", _BLUE),
+    ("revolve_stall_cycles", "revolve stall", _AMBER),
+    ("dispatch_wait_cycles", "dispatch wait", "#e65100"),
+    ("idle_cycles", "idle", "#b0bec5"),
+)
+
+
+def _profile_card(profile) -> str:
+    """One :class:`~repro.obs.profile.KernelProfile`: verdict, the
+    per-tasklet cycle breakdown bars, DMA contention and load balance."""
+    dma, load = profile.dma, profile.load
+    subsample = (f" (subsampled from {profile.full_elements} elements/DPU)"
+                 if profile.subsampled else "")
+    lines = [
+        f"simulated {profile.simulated_cycles:,} cycles vs analytic "
+        f"max(compute={profile.analytic_compute_cycles:,.0f}, "
+        f"dma={profile.analytic_dma_cycles:,.0f}) — model error "
+        f"{profile.model_error * 100:+.2f}%{_esc(subsample)}",
+        f"issue utilization {profile.issue_utilization * 100:.1f}% · "
+        f"DMA engine busy {dma.busy_fraction * 100:.1f}% over "
+        f"{dma.n_transfers} transfers (queue wait mean "
+        f"{dma.mean_queue_wait:.1f} / max {dma.max_queue_wait:.1f} cycles)",
+    ]
+    if load is not None:
+        lines.append(
+            f"load balance: {load.dpus_engaged} DPUs over "
+            f"{load.ranks_engaged} ranks ({load.idle_dpus} idle); "
+            f"elements/DPU min {load.min_elements} / mean "
+            f"{load.mean_elements:.1f} / max {load.max_elements} "
+            f"(imbalance ×{load.imbalance:.2f})"
+        )
+    if dma.queue_waits:
+        lines.append("queue-wait histogram [cycles]: " + " · ".join(
+            f"{_esc(label)}: {count}"
+            for label, count in dma.wait_histogram() if count
+        ))
+    rows = [
+        [f"t{occ.tasklet}", f"{occ.instructions:,}",
+         f"{occ.occupancy * 100:.1f}%",
+         _bar([(label, float(getattr(occ, field)), color)
+               for field, label, color in _OCCUPANCY],
+              total=profile.simulated_cycles, unit="cycles")]
+        for occ in profile.occupancy
+    ]
+    return _card(
+        profile.label,
+        "<p class='meta'>" + "<br>".join(lines) + "</p>",
+        _table(["tasklet", "instr", "occupancy", "cycle breakdown"], rows),
+        _legend((label, color) for _field, label, color in _OCCUPANCY),
+        subtitle=profile.verdict,
+    )
+
+
+def render_profile_report(profiles, title: str = "repro pipeline profile") -> str:
+    """The ``repro profile`` page: one card per
+    :class:`~repro.obs.profile.KernelProfile` (bottleneck verdict,
+    per-tasklet stall breakdown bars, DMA contention, load balance)."""
+    sections = [_profile_card(p) for p in profiles]
+    meta = [] if sections else ["No PIM kernel launches to profile."]
+    return _page(title, meta, sections)
+
+
+# -- the perf dashboard (repro perf html) ----------------------------------------
+
+
+def _fmt_ms(value: float) -> str:
+    return f"{value * 1e3:.2f} ms"
+
+
+def _series(history, eid: str, pick) -> list:
+    """``pick(experiment)`` per recorded run (``None`` where it is absent)."""
+    return [pick(doc["experiments"][eid]) if eid in doc.get("experiments", {})
+            else None for doc in history]
+
+
+def render_dashboard(current: dict, baseline=None, history=(), verdicts=None) -> str:
+    """The perf dashboard: the perf gate's ``verdicts``, then per
+    experiment the wall median with its trend over ``history`` (oldest
+    first), the modelled series totals and the top attribution rows."""
+    history = list(history) or [current]
+    meta = [f"{len(history)} recorded run(s)"]
+    meta += _identities(current, baseline)
+    sections = [_verdict_card("perf gate", "current run vs baseline", verdicts)]
+    for eid, exp in current["experiments"].items():
+        walls = _series(history, eid, lambda e: e["wall"]["median_s"])
+        wall, modelled = exp["wall"], exp["modelled"]
+        series = sorted(modelled["series_totals"].items())
+        top = sorted(exp.get("attribution", {}).items(),
+                     key=lambda item: -item[1].get("modelled_s", 0.0))[:5]
+        sections.append(_card(
+            eid,
+            f"<p class='meta'>wall median {_fmt_ms(wall['median_s'])} "
+            f"(spread {wall['spread'] * 100:.0f}% over {wall['repeats']} "
+            f"repeats){_sparkline(walls, 'wall median', _fmt_ms)}</p>",
+            _table([f"series (totals across {modelled['n_rows']} rows)",
+                    f"value [{modelled.get('unit', '')}]"],
+                   [[_esc(name), f"{value:,.4f}"] for name, value in series]),
+            _details("attribution (top spans by modelled time)", _table(
+                ["span", "count", "modelled ms", "wall ms"],
+                [[_esc(name), entry.get("count", 0),
+                  f"{entry.get('modelled_s', 0.0) * 1e3:,.3f}",
+                  f"{entry.get('wall_s', 0.0) * 1e3:,.3f}"]
+                 for name, entry in top],
+                empty="(no spans recorded)",
+            )),
+        ))
+    return _page("repro perf dashboard", meta, sections)
+
+
+# -- noise calibration (repro noise report) --------------------------------------
+
+
+def _noise_card(bits: str, name: str, trajectory) -> str:
+    """Predicted and measured budget per step against the zero line."""
+    final = trajectory[-1]
+    chart = _chart(
+        [([0.0] * len(trajectory), _RED, True),
+         ([step["pred_bits"] for step in trajectory], _BLUE, True),
+         ([step["meas_bits"] for step in trajectory], _GREEN, False)],
+        "budget trajectory: " + " → ".join(s["op"] for s in trajectory),
+        width=340, height=130, what="steps",
+    )
+    rows = [
+        [i, _esc(step["op"]), f"{step['pred_bits']:.2f}",
+         f"{step['meas_bits']:.2f}", step["depth"], step["key_switches"]]
+        for i, step in enumerate(trajectory)
+    ]
+    return _card(
+        f"{bits}-bit level · {name}",
+        chart,
+        _legend((("predicted (dashed)", _BLUE), ("measured", _GREEN),
+                 ("zero, below which decryption fails", _RED))),
+        f"<p class='meta'>final headroom: {final['meas_bits']:.1f} bits "
+        f"measured ({final['pred_bits']:.1f} predicted) after "
+        f"{len(trajectory) - 1} operations at depth {final['depth']}</p>",
+        _details("trajectory", _table(
+            ["step", "op", "pred bits", "meas bits", "depth", "key switches"],
+            rows,
+        )),
+    )
+
+
+def render_noise_report(current: dict, baseline=None, history=(), verdicts=None) -> str:
+    """The noise calibration report: the NOISE-DRIFT gate's ``verdicts``,
+    then per (security level, workload shape) the predicted and measured
+    budget trajectories and the final decryption-failure headroom."""
+    sections = [_verdict_card(
+        "NOISE gate", "trajectories vs the calibration baseline", verdicts
+    )]
+    for bits, level in sorted(current["levels"].items(),
+                              key=lambda item: int(item[0])):
+        for name, shape in level["workloads"].items():
+            sections.append(_noise_card(bits, name, shape["trajectory"]))
+    return _page("repro noise calibration", _identities(current, baseline), sections)
+
+
+# -- degraded-fleet availability (repro faults) ----------------------------------
+
+
+def _faults_card(eid: str, points) -> str:
+    worst = max((p.get("slowdown") or 1.0 for p in points), default=1.0)
+    usable = [p for p in points
+              if p.get("slowdown") is not None and p.get("healthy") is not None]
+    # Availability decreases left to right: 100% healthy at the left.
+    chart = _chart(
+        [([p["slowdown"] for p in usable], _RED, False)],
+        f"{eid}: PIM slowdown vs healthy fraction, worst {worst:.3f}x",
+        xs=[-p["healthy"] for p in usable], width=320, height=120,
+        what="grid points",
+    )
+    rows = [
+        [f"{p['healthy'] * 100:.1f}%", p["disabled_dpus"], p["effective_dpus"],
+         _num(p.get("pim_total"), ",.4f"), _num(p.get("slowdown"), ".4f", "x")]
+        for p in points
+    ]
+    headers = ["healthy", "disabled", "effective DPUs", "pim total", "slowdown"]
+    return _card(eid, chart, _table(headers, rows),
+                 subtitle=f"worst slowdown {worst:.3f}x")
+
+
+def render_faults_report(doc: dict) -> str:
+    """The availability-vs-slowdown page for a ``repro faults sweep``
+    document (:func:`repro.harness.chaos.sweep_degraded_fleet`): per
+    experiment the PIM slowdown curve and the full grid table."""
+    meta = [
+        _identity(doc),
+        f"seed {_esc(doc.get('seed'))} · fleet {_esc(doc.get('n_dpus'))} "
+        "DPUs · grid " + ", ".join(f"{f * 100:.0f}%" for f in doc.get("grid", [])),
+    ]
+    sections = [_faults_card(eid, entry.get("points", []))
+                for eid, entry in doc.get("experiments", {}).items()]
+    return _page("repro degraded-fleet sweep", meta, sections)
+
+
+# -- run registry (repro grid html) ----------------------------------------------
+
+_STATUS_COLORS = {
+    "done": _GREEN, "failed": _RED, "running": _AMBER, "pending": "#b0bec5",
+}
+
+
+def _heatmap_card(workload: str, cells) -> str:
+    """Per-workload status heatmap: (security, healthy) rows × batch
+    columns, one colored square per backend inside each cell."""
+
+    def block(cell: dict) -> str:
+        status = cell["status"]
+        tip = f"{cell['backend']}: {status}"
+        if status == "done" and cell.get("modelled_ms") is not None:
+            tip += f" — {cell['modelled_ms']:,.4f} ms modelled"
+        elif status == "failed" and cell.get("failure_header"):
+            tip = cell["failure_header"]
+        color = _STATUS_COLORS.get(status, "#555")
+        return (f'<span class="gridcell" style="background:{color}" '
+                f'title="{_esc(tip)}"></span>')
+
+    batches = sorted({c["batch"] for c in cells})
+    index: dict = {}
+    for cell in cells:
+        key = (cell["security_bits"], cell["healthy"], cell["batch"])
+        index.setdefault(key, []).append(cell)
+    row_keys = sorted({(c["security_bits"], c["healthy"]) for c in cells},
+                      key=lambda k: (k[0], -k[1]))
+    rows = [
+        [f"{bits}b · {healthy * 100:g}% healthy"]
+        + ["".join(map(block, index.get((bits, healthy, b), [])))
+           for b in batches]
+        for bits, healthy in row_keys
+    ]
+    done = sum(1 for c in cells if c["status"] == "done")
+    return _card(workload,
+                 _table(["security · health", *(f"{b:,}" for b in batches)], rows),
+                 subtitle=f"{done}/{len(cells)} cells done")
+
+
+def _trends_card(runs) -> str:
+    """PIM modelled totals across recorded registry runs, per group."""
+    series: dict = {}
+    for run in runs:
+        rollups = run.get("rollups", {})
+        # Experiment groups when the grid covers them fully, plus the
+        # per-workload totals any grid (even a truncated one) produces.
+        merged = {**rollups.get("workloads", {}), **rollups.get("experiments", {})}
+        for eid, totals in merged.items():
+            series.setdefault(eid, []).append(
+                (str(run.get("git_sha"))[:12], totals.get("pim"))
+            )
+    rows = []
+    for eid, points in sorted(series.items()):
+        values = [v for _sha, v in points]
+        latest = next((v for v in reversed(values) if v is not None), None)
+        shas = " → ".join(sha for sha, _v in points)
+        rows.append([
+            f"<span title='{_esc(shas)}'>{_esc(eid)}</span>",
+            _sparkline(values, "pim modelled", lambda v: f"{v:,.4f} ms"),
+            _num(latest, ",.4f"),
+            len(values),
+        ])
+    return _card(
+        "Modelled-time trends",
+        _table(["experiment", "trend (old → new)", "latest [ms]", "runs"], rows,
+               empty="No recorded runs yet — drain the grid with 'repro grid run'."),
+        subtitle="pim totals across registry runs, by git SHA",
+    )
+
+
+def _annotation_links(annotations: dict) -> str:
+    """Drift-annotation stamps: ``perf`` links to the per-experiment
+    forensics artifact (``forensics-<experiment>.html``, as ``repro why
+    <experiment> --html`` writes it in CI); ``failures`` is text."""
+    parts = []
+    perf = annotations.get("perf")
+    if perf:
+        label = (f"top drift: {perf.get('experiment', '?')}/"
+                 f"{perf.get('backend', '?')} "
+                 f"Δ{perf.get('delta_ms', 0.0):+.4g} ms")
+        href = f"forensics-{perf.get('experiment', '')}.html"
+        parts.append(f"<a href='{_esc(href)}'>{_esc(label)}</a>")
+    failures = annotations.get("failures")
+    if failures:
+        parts.append(_esc(f"{failures.get('count', 0)} failure(s): "
+                          f"{failures.get('first', '')}"))
+    return f"<br><span class='meta'>{' · '.join(parts)}</span>" if parts else ""
+
+
+def _history_card(runs, gate_runs) -> str:
+    """Every recorded gate outcome over time, one tally per run: the
+    runs ledger's grid verdicts (with their drift annotations) and the
+    ``(source, doc, verdicts)`` gate rows, failing rows named."""
+    rows = [
+        ("grid", run,
+         [_gate.Verdict(v["experiment"], v["verdict"])
+          for v in run.get("rollups", {}).get("verdicts", [])],
+         run.get("drift_annotations") or {})
+        for run in runs
+    ]
+    rows += [(source, doc, list(vs), {}) for source, doc, vs in gate_runs]
+    rows.sort(key=lambda row: row[1].get("created_at", ""))
+    body = []
+    for source, doc, verdicts, annotations in rows:
+        bad = "; ".join(f"{v.key}: {v.verdict}" for v in verdicts if v.failed)
+        body.append([
+            _esc(doc.get("created_at", "")),
+            f"<code>{_esc(str(doc.get('git_sha'))[:12])}</code>",
+            _esc(source),
+            _tally(v.verdict for v in verdicts)
+            + (f"<br><span class='meta'>{_esc(bad)}</span>" if bad else "")
+            + _annotation_links(annotations),
+        ])
+    return _card("Verdict history",
+                 _table(["recorded", "git", "gate", "verdicts"], body,
+                        empty="No recorded verdicts yet."),
+                 subtitle="grid · perf · noise gates over time")
+
+
+def render_grid_dashboard(cells, runs, spec, verdicts=None, gate_runs=()) -> str:
+    """The ``repro grid html`` dashboard over a run registry's plain data
+    (:class:`~repro.obs.registry.RunRegistry` cells, runs and spec).
+
+    ``verdicts`` are the fault-free cells' perf-baseline cross-check
+    (:func:`repro.obs.registry.check_against_baseline`); ``gate_runs``
+    are ``(source, doc, verdicts)`` rows the caller checked (perf and
+    noise histories), interleaved by time with the grid's own verdicts.
+    """
+    cells, runs = list(cells), list(runs)
+    counts = Counter(cell["status"] for cell in cells)
+    meta = [
+        f"{len(cells)} cells — "
+        + " · ".join(f"{status}: {n}" for status, n in sorted(counts.items()))
+        + f" · seed {_esc(spec.seed)} · {len(runs)} recorded run(s)"
+    ]
+    if runs:
+        meta.append(f"latest: {_identity(runs[-1])}")
+    sections = [
+        _verdict_card("Baseline cross-check",
+                      "fault-free cells vs the committed perf baseline", verdicts),
+        _legend(_STATUS_COLORS.items()),
+    ]
+    by_workload: dict = {}
+    for cell in cells:
+        by_workload.setdefault(cell["workload"], []).append(cell)
+    sections.extend(_heatmap_card(w, by_workload[w])
+                    for w in spec.workloads if w in by_workload)
+    sections += [_trends_card(runs), _history_card(runs, gate_runs)]
+    return _page("repro run registry", meta, sections)
+
+
+# -- serving capacity (repro serve html) -----------------------------------------
+
+
+def _cross_check(doc: dict, heading: str, subtitle: str) -> str:
+    """A serving document's zero-fault perf-baseline cross-check rows."""
+    return _verdict_card(heading, subtitle, [
+        _gate.Verdict(row["experiment"], row["verdict"])
+        for row in doc.get("baseline_check", [])
+    ])
+
+
+def _slo_tally(points) -> str:
+    return f"<p>{_tally(p['verdict'] for p in points)} over {len(points)} points</p>"
+
+
+def _ladder_card(doc: dict, bits: int) -> str:
+    """One security level's QPS ladder, one table per health point."""
+    headers = ["offered qps", "completed", "rejected", "p50 ms", "p99 ms",
+               "p99.9 ms", "burn", "util", "energy J", "avg W", "verdict"]
+    body = []
+    for fraction, entry in doc["cells"][str(bits)].items():
+        points = entry["points"]
+        trend = _sparkline([p["p99_ms"] for p in points], "p99",
+                           lambda v: f"{v:,.3f} ms")
+        rows = [
+            [f"{p['qps']:,.0f}", f"{p['completed']:,.0f}",
+             f"{p['rejected']:,.0f}", _num(p["p50_ms"], ",.3f"),
+             _num(p["p99_ms"], ",.3f"), _num(p["p999_ms"], ",.3f"),
+             f"{p['max_burn_rate']:.3f}", f"{p['utilization'] * 100:.1f}%",
+             _num(p.get("energy_j"), ".3f"), _num(p.get("avg_watts"), ".1f"),
+             _badge(p["verdict"])]
+            for p in points
+        ]
+        body += [f"<h3>{_esc(fraction)} healthy {trend}</h3>",
+                 _table(headers, rows)]
+    return _card(f"{doc['workload']}@{bits}", *body)
+
+
+def render_serve_report(doc: dict) -> str:
+    """The capacity dashboard for a ``repro serve sweep`` document
+    (:func:`repro.serve.service.sweep_capacity`): its baseline
+    cross-check, sustainable QPS per security level and fleet health,
+    and the latency/burn-rate ladder behind each cell."""
+    objectives = ", ".join(
+        f"{o['name']} ({o['target'] * 100:g}% ≤ {o['threshold_s'] * 1e3:g} ms)"
+        for o in doc.get("objectives", [])
+    )
+    meta = [
+        _identity(doc),
+        f"{_esc(doc['workload'])} · seed {_esc(doc['seed'])} · "
+        f"{_esc(doc['duration_s'])} s window · "
+        f"{_esc(doc['ops_per_request'])} ops/request · batch ≤ "
+        f"{_esc(doc['max_batch'])} within {doc['max_wait_s'] * 1e3:g} ms · "
+        f"fleet {_esc(doc['n_dpus'])} DPUs",
+        f"objectives: {_esc(objectives)}",
+    ]
+    points = [point for by_health in doc["cells"].values()
+              for entry in by_health.values() for point in entry["points"]]
+    # Sustainable QPS per security level (rows) × fleet health (columns).
+    fractions = [f"{f:g}" for f in doc["healthy"]]
+    capacity = [
+        [f"{_esc(doc['workload'])}@{bits}"]
+        + ["breached" if q is None else f"{q:,.0f}"
+           for q in (doc["cells"][str(bits)][f]["sustainable_qps"]
+                     for f in fractions)]
+        for bits in doc["security_levels"]
+    ]
+    sections = [
+        _cross_check(doc, "Zero-fault baseline cross-check",
+                     "serving pricer vs the committed perf baseline, bit-for-bit"),
+        _slo_tally(points),
+        _card("Sustainable QPS",
+              _table(["class", *(f"{f} healthy" for f in fractions)], capacity),
+              subtitle="highest offered rate meeting every objective"),
+    ]
+    sections.extend(_ladder_card(doc, bits) for bits in doc["security_levels"])
+    return _page("repro serving capacity", meta, sections)
+
+
+# -- energy & data movement (repro energy report) --------------------------------
+
+#: Memory levels: movement key -> (label, color).
+_MOVEMENT = {
+    "wram_mram": ("WRAM↔MRAM DMA", _GREEN),
+    "host_to_dpu": ("host→DPU (DDR)", _BLUE),
+    "dpu_to_host": ("DPU→host (DDR)", "#6a1b9a"),
+    "host_dram": ("host DRAM stream", "#e65100"),
+    "hbm": ("GPU HBM stream", _AMBER),
+}
+
+
+def _energy_card(eid: str, exp: dict, history) -> str:
+    """One experiment's energy-per-op / EDP / movement card."""
+    joules, edp = exp.get("joules", {}), exp.get("edp_js", {})
+    modelled, pim_j = exp.get("modelled_s", {}), joules.get("pim")
+    trend = _series(history, eid, lambda e: e["joules"].get("pim"))
+    body = ["<p class='meta'>pim energy trend"
+            + _sparkline(trend, "pim energy", lambda v: f"{v:.4g} J") + "</p>"]
+    rows = [
+        [_esc(backend), f"{joules[backend]:.6g}",
+         f"{modelled[backend] * 1e3:,.3f}" if backend in modelled else "-",
+         _num(edp.get(backend), ".6g"),
+         f"{joules[backend] / pim_j:,.1f}×" if pim_j else "-"]
+        for backend in sorted(joules)
+    ]
+    if rows:
+        body.append(_table(
+            ["backend", "energy [J]", "modelled ms", "EDP [J·s]", "vs pim"], rows
+        ))
+    movement = exp.get("movement_bytes", {})
+    if movement:
+        body.append(f"<p class='meta'>data movement: "
+                    f"{sum(movement.values()):,.0f} bytes</p>")
+        segments = []
+        for level, value in sorted(movement.items()):
+            label, color = _MOVEMENT.get(level, (level, "#555"))
+            segments.append((label, value, color))
+        body.append(_bar(segments, unit="bytes"))
+    kernels = exp.get("pim_kernels", {})
+    if kernels:
+        body.append(_details("PIM energy by kernel", _table(
+            ["kernel", "energy [J]"],
+            [[_esc(name), f"{value:.6g}"] for name, value in sorted(kernels.items())],
+        )))
+    return _card(eid, *body)
+
+
+def render_energy_report(current: dict, baseline=None, history=(),
+                         verdicts=None) -> str:
+    """The energy dashboard: the ENERGY-DRIFT gate's ``verdicts``, then per
+    experiment joules, EDP and PIM advantage per backend, the bytes moved
+    per memory level, the per-kernel PIM split and a trend over
+    ``history``."""
+    config = current.get("config", {})
+    meta = _identities(current, baseline) + [
+        f"constants: DPU {config.get('dpu_active_watts', 0):g} W "
+        f"active / {config.get('dpu_idle_watts', 0):g} W idle · MRAM DMA "
+        f"{config.get('mram_dma_pj_per_byte', 0):g} pJ/B · DDR link "
+        f"{config.get('host_link_pj_per_byte', 0):g} pJ/B · CPU "
+        f"{config.get('cpu_watts', 0):g} W · GPU "
+        f"{config.get('gpu_watts', 0):g} W"
+    ]
+    experiments = current.get("experiments", {})
+    levels = sorted({level for exp in experiments.values()
+                     for level in exp.get("movement_bytes", {})})
+    sections = [
+        _verdict_card("ENERGY gate", "current capture vs the committed baseline",
+                      verdicts),
+        _legend(_MOVEMENT.get(level, (level, "#555")) for level in levels)
+        if levels else "",
+    ]
+    history = list(history) or [current]
+    sections.extend(_energy_card(eid, exp, history)
+                    for eid, exp in experiments.items())
+    return _page("repro energy & data movement", meta, sections)
+
+
+# -- drift forensics (repro why / repro forensics) -------------------------------
 
 
 def _flame_color(delta_self: float, max_abs: float) -> str:
     """Red for slower in B, blue for faster, grey for unchanged."""
     if max_abs <= 0.0 or delta_self == 0.0:
         return "#eceff1"
-    intensity = min(1.0, abs(delta_self) / max_abs)
-    lightness = 92 - 32 * intensity
-    hue = 6 if delta_self > 0 else 211
-    return f"hsl({hue},78%,{lightness:.0f}%)"
+    lightness = 92 - 32 * min(1.0, abs(delta_self) / max_abs)
+    return f"hsl({6 if delta_self > 0 else 211},78%,{lightness:.0f}%)"
 
 
 def _flame_html(aligned) -> str:
@@ -1436,17 +792,10 @@ def _flame_html(aligned) -> str:
     if not rows:
         return "<p class='meta'>(no modelled spans to draw)</p>"
     children: dict = {}
-    roots = []
     for row in rows:
-        if row["depth"] == 0:
-            roots.append(row)
-        else:
-            children.setdefault(
-                row["path"].rsplit(";", 1)[0], []
-            ).append(row)
-    max_abs = max(
-        abs(r["self_modelled_b"] - r["self_modelled_a"]) for r in rows
-    )
+        if row["depth"]:
+            children.setdefault(row["path"].rsplit(";", 1)[0], []).append(row)
+    max_abs = max(abs(r["self_modelled_b"] - r["self_modelled_a"]) for r in rows)
 
     def basis(row) -> float:
         return max(row["modelled_a"], row["modelled_b"])
@@ -1460,10 +809,8 @@ def _flame_html(aligned) -> str:
             f"{row['modelled_b'] * 1e3:.3f} ms\n"
             f"self Δ {delta_self * 1e3:+.3f} ms ({row['status']})"
         )
-        kids = "".join(
-            node_html(child, basis(row))
-            for child in children.get(row["path"], ())
-        )
+        kids = "".join(node_html(child, basis(row))
+                       for child in children.get(row["path"], ()))
         return (
             f"<div class='fnode' style='width:{width:.3f}%'>"
             f"<div class='fbox' style='background:"
@@ -1473,327 +820,173 @@ def _flame_html(aligned) -> str:
             + "</div>"
         )
 
+    roots = [row for row in rows if not row["depth"]]
     total = sum(basis(row) for row in roots)
     frames = "".join(node_html(row, total) for row in roots)
-    legend = (
-        "<p class='flamelegend meta'>"
-        f"<span style='color:{_flame_color(1.0, 1.0)}'>■</span>"
-        "self slower in B "
-        f"<span style='color:{_flame_color(-1.0, 1.0)}'>■</span>"
-        "self faster in B "
-        "<span style='color:#b0bec5'>■</span>unchanged — width ∝ "
-        "inclusive modelled time of the wider run</p>"
-    )
+    legend = _legend((
+        ("self slower in B", _flame_color(1.0, 1.0)),
+        ("self faster in B", _flame_color(-1.0, 1.0)),
+        ("unchanged — width ∝ inclusive modelled time of the wider run",
+         "#eceff1"),
+    ))
     return f"<div class='flame'>{frames}</div>{legend}"
 
 
-def _contributors_table(contributors) -> str:
-    if not contributors:
-        return "<p class='meta'>(no moved spans)</p>"
-    rows = "".join(
-        f"<tr><td>{_esc(row['path'])}</td>"
-        f"<td>{row['count_a']}</td><td>{row['count_b']}</td>"
-        f"<td>{row['modelled_a'] * 1e3:,.3f}</td>"
-        f"<td>{row['modelled_b'] * 1e3:,.3f}</td>"
-        f"<td>{(row['self_modelled_b'] - row['self_modelled_a']) * 1e3:+,.3f}"
-        "</td></tr>"
-        for row in contributors
-    )
-    return (
-        "<table><tr><th>span path</th><th>count A</th><th>count B</th>"
-        "<th>modelled A ms</th><th>modelled B ms</th>"
-        "<th>Δ self ms</th></tr>"
-        f"{rows}</table>"
+def _spans_card(eid: str, spans: dict) -> str:
+    """The top moved span paths and the differential flamegraph."""
+    rows = [
+        [_esc(row["path"]), row["count_a"], row["count_b"],
+         f"{row['modelled_a'] * 1e3:,.3f}", f"{row['modelled_b'] * 1e3:,.3f}",
+         f"{(row['self_modelled_b'] - row['self_modelled_a']) * 1e3:+,.3f}"]
+        for row in spans["contributors"]
+    ]
+    headers = ["span path", "count A", "count B", "modelled A ms",
+               "modelled B ms", "Δ self ms"]
+    return _card(
+        f"{eid} — span alignment",
+        _table(headers, rows, empty="(no moved spans)"),
+        "<h3>Differential flamegraph "
+        "<span class='meta'>A (baseline) vs B (current)</span></h3>",
+        _flame_html(spans["aligned"]),
     )
 
 
-def _shifts_table(shifts: dict) -> str:
-    rows = "".join(
-        f"<tr><td>{_esc(name)}</td><td>{shift['index']}</td>"
-        f"<td><code>{_esc(str(shift.get('git_sha'))[:12])}</code></td>"
-        f"<td>{_esc(shift.get('created_at', '?'))}</td>"
-        f"<td>{shift['before_mean']:,.6g}</td>"
-        f"<td>{shift['after_mean']:,.6g}</td></tr>"
+def _shifts_card(shifts: dict) -> str:
+    rows = [
+        [_esc(name), shift["index"],
+         f"<code>{_esc(str(shift.get('git_sha'))[:12])}</code>",
+         _esc(shift.get("created_at", "?")),
+         f"{shift['before_mean']:,.6g}", f"{shift['after_mean']:,.6g}"]
         for name in sorted(shifts)
         for shift in shifts[name]
-    )
-    return (
-        "<table><tr><th>series</th><th>index</th><th>first git SHA</th>"
-        "<th>recorded</th><th>mean before</th><th>mean after</th></tr>"
-        f"{rows}</table>"
-    )
-
-
-def _forensics_experiment_section(eid: str, families: dict) -> list:
-    spans = families["spans"]
-    parts = [
-        _gate_card(
-            f"{eid} — span alignment",
-            f"{spans['mode']}-aligned, {spans['moved']} moved",
-            [(spans["verdict"], "spans")],
-        ),
-        _contributors_table(spans["contributors"]),
-        "<h2>Differential flamegraph "
-        "<span class='meta'>A (baseline) vs B (current)</span></h2>",
-        _flame_html(spans["aligned"]),
     ]
-    model = families["model"]
-    parts.append(
-        _gate_card(
-            f"{eid} — model surface",
-            "series totals · counters · transfer split",
-            [(model["verdict"], "model")],
-            notes=model["notes"][:20],
-        )
+    headers = ["series", "index", "first git SHA", "recorded", "mean before",
+               "mean after"]
+    return _card(
+        "Change points",
+        _table(headers, rows, empty="No change points detected."),
+        subtitle="CUSUM over longitudinal history",
     )
-    energy = families.get("energy")
-    if energy is not None:
-        parts.append(
-            _gate_card(
-                f"{eid} — energy",
-                "config · joules · movement bytes",
-                [(energy["verdict"], "energy")],
-                notes=energy["notes"][:20],
-            )
-        )
-    return parts
 
 
-def render_forensics_report(
-    report: dict, title: str = "repro drift forensics"
-) -> str:
-    """The drift-forensics report as one self-contained HTML page.
-
-    Accepts either document shape from :mod:`repro.obs.forensics`:
-    a ``why`` report (one experiment: span/model/energy family cards,
-    differential flamegraph, change points) or a ``diff`` report
-    (one span+model section per shared experiment).
-    """
-    parts = _page_head(title, extra_css=_FLAME_CSS)
+def render_forensics_report(report: dict) -> str:
+    """A :mod:`repro.obs.forensics` ``why`` report (one experiment, then
+    its change points) or ``diff`` report (every shared experiment): the
+    span/model/energy families as verdict rows, then per experiment the
+    top moved spans and the differential flamegraph."""
     if report.get("kind") == "why":
-        base, cur = report["baseline"], report["current"]
-        parts.append(
-            f"<p class='meta'>experiment <strong>"
-            f"{_esc(report['experiment'])}</strong><br>"
-            f"A (baseline): {_identity_line(base)}<br>"
-            f"B (current): {_identity_line(cur)}</p>"
-        )
-        parts.extend(
-            _forensics_experiment_section(
-                report["experiment"], report["families"]
-            )
-        )
-        parts.append(
-            "<h2>Change points "
-            "<span class='meta'>CUSUM over longitudinal history</span></h2>"
-        )
-        if report.get("shifts"):
-            parts.append(_shifts_table(report["shifts"]))
-        else:
-            parts.append("<p class='meta'>No change points detected.</p>")
+        eid = report["experiment"]
+        meta = [f"experiment <strong>{_esc(eid)}</strong>",
+                f"A (baseline): {_identity(report['baseline'])}",
+                f"B (current): {_identity(report['current'])}"]
+        experiments = {eid: report["families"]}
     else:
-        parts.append(
-            f"<p class='meta'>A: {_identity_line(report['run_a'])}<br>"
-            f"B: {_identity_line(report['run_b'])}</p>"
+        meta = [f"A: {_identity(report['run_a'])}",
+                f"B: {_identity(report['run_b'])}"]
+        experiments = report["experiments"]
+        if not experiments:
+            meta.append("No experiments in common.")
+    eids = sorted(experiments)
+    verdicts = []
+    for eid in eids:
+        spans = experiments[eid]["spans"]
+        verdicts.append(_gate.Verdict(
+            f"{eid} spans", spans["verdict"],
+            detail=f"{spans['mode']}-aligned, {spans['moved']} moved",
+        ))
+        verdicts.extend(
+            _gate.Verdict(f"{eid} {name}", family["verdict"], tuple(family["notes"]))
+            for name in ("model", "energy")
+            if (family := experiments[eid].get(name)) is not None
         )
-        if not report["experiments"]:
-            parts.append("<p class='meta'>No experiments in common.</p>")
-        for eid in sorted(report["experiments"]):
-            parts.extend(
-                _forensics_experiment_section(
-                    eid, report["experiments"][eid]
-                )
-            )
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
+    sections = [_verdict_card("Drift families", "baseline A vs current B",
+                              verdicts)]
+    sections.extend(_spans_card(eid, experiments[eid]["spans"]) for eid in eids)
+    if report.get("kind") == "why":
+        sections.append(_shifts_card(report.get("shifts") or {}))
+    return _page("repro drift forensics", meta, sections)
 
 
-def write_forensics_report(path, report: dict, **kwargs) -> None:
-    """Render and write the drift-forensics report."""
-    _write_html(path, render_forensics_report(report, **kwargs))
-
-
-# -- sharded serving resilience (repro resil html) ---------------------------
-
-
-def _shard_health_bar(shard: dict) -> str:
-    """One shard's healthy-DPU fraction as a small horizontal bar."""
-    total = shard.get("total_dpus") or shard["healthy_dpus"] or 1
-    frac = shard["healthy_dpus"] / total
-    color = "#2e7d32" if frac > 0.5 else "#f9a825" if frac > 0.0 else "#c62828"
-    return (
-        '<span class="occbar" style="width:8em" '
-        f'title="{shard["healthy_dpus"]}/{total} DPUs healthy">'
-        f'<span style="width:{frac * 100:.0f}%;background:{color}"></span>'
-        "</span>"
-    )
+# -- sharded serving resilience (repro resil html) -------------------------------
 
 
 def _resil_capacity_card(doc: dict) -> str:
     """Sustainable QPS, healthy vs one dead shard, per seed × K."""
     rows = []
-    for key in sorted(doc["capacity"]):
-        entry = doc["capacity"][key]
-        retained = entry["retained"]
-        floor = entry["retained_floor"]
-        if retained is None:
-            verdict = "SLO-BREACH"
-        else:
-            verdict = "SLO-OK" if retained >= floor else "SLO-BREACH"
-        rows.append(
-            f"<tr><td>{_esc(key)}</td>"
-            f"<td>{_esc(entry['healthy_qps'])}</td>"
-            f"<td>{_esc(entry['degraded_qps'])}</td>"
-            + (
-                f"<td>{retained:.2f}</td>"
-                if retained is not None
-                else "<td>—</td>"
-            )
-            + f"<td>{floor:.2f}</td><td>{_badge(verdict)}</td></tr>"
-        )
-    return (
-        "<div class='card'><h2>Capacity under one dead shard "
-        "<span class='meta'>sustainable QPS, healthy vs degraded "
-        "fleet; the floor is 1 − 1/K</span></h2>"
-        "<table><tr><th>point</th><th>healthy qps</th>"
-        "<th>degraded qps</th><th>retained</th><th>floor</th>"
-        "<th></th></tr>" + "".join(rows) + "</table></div>"
-    )
+    for key, entry in sorted(doc["capacity"].items()):
+        retained, floor = entry["retained"], entry["retained_floor"]
+        ok = retained is not None and retained >= floor
+        rows.append([_esc(key), _esc(entry["healthy_qps"]),
+                     _esc(entry["degraded_qps"]), _num(retained, ".2f"),
+                     f"{floor:.2f}", _badge("SLO-OK" if ok else "SLO-BREACH")])
+    headers = ["point", "healthy qps", "degraded qps", "retained", "floor", ""]
+    return _card("Capacity under one dead shard", _table(headers, rows),
+                 subtitle="sustainable QPS, healthy vs degraded fleet; the "
+                 "floor is 1 − 1/K")
 
 
-def _resil_point_rows(doc: dict) -> str:
-    rows = []
-    for label in sorted(doc["points"]):
-        p = doc["points"][label]
-        p99 = f"{p['p99_ms']:.1f}" if p["p99_ms"] is not None else "—"
-        att = (
-            f"{p['attainment']:.3f}"
-            if p["attainment"] is not None
-            else "—"
-        )
-        rows.append(
-            f"<tr><td>{_esc(label)}</td><td>{p['completed']}</td>"
-            f"<td>{p['rejected']}</td><td>{att}</td><td>{p99}</td>"
-            f"<td>{p['routed_batches']}</td><td>{p['redispatches']}</td>"
-            f"<td>{p['hedges_issued']}/{p['hedges_won']}</td>"
-            f"<td>{p['shed_requests']}</td><td>{p['breaker_opened']}</td>"
-            f"<td>{_badge(p['verdict'])}</td></tr>"
-        )
-    return (
-        "<table><tr><th>point</th><th>done</th><th>rej</th>"
-        "<th>attain</th><th>p99 ms</th><th>routed</th><th>redisp</th>"
-        "<th>hedge i/w</th><th>shed</th><th>trips</th><th></th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
+def _resil_points_cards(doc: dict) -> list:
+    """Every grid point's attainment and resilience counters, then the
+    per-shard health tables of the degraded points."""
+    rows = [
+        [_esc(label), p["completed"], p["rejected"],
+         _num(p["attainment"], ".3f"), _num(p["p99_ms"], ".1f"),
+         p["routed_batches"], p["redispatches"],
+         f"{p['hedges_issued']}/{p['hedges_won']}", p["shed_requests"],
+         p["breaker_opened"], _badge(p["verdict"])]
+        for label, p in sorted(doc["points"].items())
+    ]
+    headers = ["point", "done", "rej", "attain", "p99 ms", "routed", "redisp",
+               "hedge i/w", "shed", "trips", ""]
 
+    def health(shard: dict) -> str:
+        total = shard.get("total_dpus") or shard["healthy_dpus"] or 1
+        frac = shard["healthy_dpus"] / total
+        color = _GREEN if frac > 0.5 else _AMBER if frac > 0.0 else _RED
+        return _bar([("healthy", shard["healthy_dpus"], color)], total=total,
+                    unit="DPUs", width="8em")
 
-def _resil_shard_sections(doc: dict) -> list:
-    """Per-point shard-health tables for the degraded points."""
-    parts = []
-    degraded = [
-        label
-        for label in sorted(doc["points"])
+    shard_headers = ["shard", "health", "healthy DPUs", "launches", "busy ms",
+                     "breaker trips"]
+    body = [
+        _details(f"{label} — shard health", _table(shard_headers, [
+            [f"shard {s['shard']}", health(s), s["healthy_dpus"],
+             s["launches"], f"{s['busy_ms']:.2f}", s["breaker_opened"]]
+            for s in point["shards"]
+        ]))
+        for label, point in sorted(doc["points"].items())
         if ":fleet=degraded:" in label
     ]
-    for label in degraded:
-        point = doc["points"][label]
-        shard_rows = "".join(
-            f"<tr><td>shard {s['shard']}</td>"
-            f"<td>{_shard_health_bar(s)}</td>"
-            f"<td>{s['healthy_dpus']}</td><td>{s['launches']}</td>"
-            f"<td>{s['busy_ms']:.2f}</td><td>{s['breaker_opened']}</td>"
-            "</tr>"
-            for s in point["shards"]
-        )
-        parts.append(
-            f"<details><summary>{_esc(label)} — shard health</summary>"
-            "<table><tr><th>shard</th><th>health</th>"
-            "<th>healthy DPUs</th><th>launches</th><th>busy ms</th>"
-            f"<th>breaker trips</th></tr>{shard_rows}</table></details>"
-        )
-    return parts
+    return [_card("Grid points", _table(headers, rows)),
+            _card("Shard health under degradation", *body)]
 
 
-def render_resilience_report(
-    current: dict,
-    baseline: dict | None = None,
-    title: str = "repro sharded serving resilience",
-) -> str:
-    """The shard-health dashboard for a recorded resilience run.
-
-    Renders the RESILIENCE grid (:func:`repro.serve.resilience.
-    capture_resilience_run`): sustainable capacity healthy vs one dead
-    shard per shard count, every grid point's SLO attainment and
-    resilience counters (routing, redispatch, hedging, shedding,
-    breaker trips), per-shard health under degradation, and — when a
-    committed baseline is given — the exact-equality RESILIENCE gate.
-    """
-    doc = current
-    cfg = doc["config"]
-    hedge = (
-        f"{cfg['hedge_after_s'] * 1e3:g} ms"
-        if cfg["hedge_after_s"] is not None
-        else "off"
-    )
-    shed = (
-        f"burn > {cfg['shed_burn_threshold']:g}"
-        if cfg["shed_burn_threshold"] is not None
-        else "off"
-    )
-    ok = sum(
-        1 for p in doc["points"].values() if p["verdict"] == "SLO-OK"
-    )
-    breach = len(doc["points"]) - ok
-    parts = _page_head(title)
-    parts.extend([
-        f"<p class='meta'>{_identity_line(doc)}"
-        f"<br>{_esc(doc['workload'])}@{_esc(doc['security_bits'])} · "
+def render_resilience_report(current: dict, baseline=None, history=(),
+                             verdicts=None) -> str:
+    """The shard-health dashboard: the RESILIENCE gate's ``verdicts``, the
+    perf cross-check, capacity healthy vs one dead shard, every grid
+    point's SLO attainment and resilience counters, and per-shard health
+    under degradation."""
+    doc, cfg = current, current["config"]
+    hedge, shed = cfg["hedge_after_s"], cfg["shed_burn_threshold"]
+    meta = _identities(doc, baseline) + [
+        f"{_esc(doc['workload'])}@{_esc(doc['security_bits'])} · "
         f"seeds {_esc(doc['seeds'])} · shards {_esc(doc['shard_counts'])} · "
-        f"qps {_esc(doc['qps_grid'])} · {_esc(doc['duration_s'])} s window"
-        f"<br>breaker: trip at {_esc(cfg['breaker']['failure_threshold'])} "
+        f"qps {_esc(doc['qps_grid'])} · {_esc(doc['duration_s'])} s window",
+        f"breaker: trip at {_esc(cfg['breaker']['failure_threshold'])} "
         f"consecutive failures, cooldown "
         f"{cfg['breaker']['cooldown_s'] * 1e3:g} ms · retry budget "
-        f"{_esc(cfg['retry_budget'])} · hedge after {hedge} · "
-        f"shedding {shed}</p>",
-        f"<p>{_badge('SLO-OK')} {ok} {_badge('SLO-BREACH')} {breach} "
-        f"over {len(doc['points'])} points</p>",
+        f"{_esc(cfg['retry_budget'])} · hedge after "
+        + ("off" if hedge is None else f"{hedge * 1e3:g} ms")
+        + " · shedding " + ("off" if shed is None else f"burn &gt; {shed:g}"),
+    ]
+    sections = [
+        _verdict_card("RESILIENCE gate", "current run vs the committed "
+                      "resilience baseline, exact equality", verdicts),
+        _slo_tally(list(doc["points"].values())),
+        _cross_check(doc, "Single-shard zero-fault cross-check",
+                     "sharded pricer vs the committed perf baseline, bit-for-bit"),
         _resil_capacity_card(doc),
-        "<h2>Grid points</h2>",
-        _resil_point_rows(doc),
-        "<h2>Shard health under degradation</h2>",
-    ])
-    parts.extend(_resil_shard_sections(doc))
-    checks = doc.get("baseline_check", [])
-    if checks:
-        parts.append(
-            _gate_card(
-                "Single-shard zero-fault cross-check",
-                "sharded pricer vs the committed perf baseline, "
-                "bit-for-bit",
-                [(v["verdict"], v["experiment"]) for v in checks],
-            )
-        )
-    if baseline is not None:
-        from repro.serve import resilience as _resil
-
-        verdicts = _resil.check_resilience_runs(baseline, doc)
-        notes = [
-            f"{v.key}: {note}" for v in verdicts for note in v.notes
-        ]
-        parts.append(
-            _gate_card(
-                "RESILIENCE gate",
-                "current run vs the committed resilience baseline, "
-                "exact equality",
-                [(v.verdict, v.key) for v in verdicts],
-                notes=notes[:20],
-            )
-        )
-    parts.append(_PAGE_FOOT)
-    return "".join(parts)
-
-
-def write_resilience_report(path, current, baseline=None, **kwargs) -> None:
-    """Render and write the shard-health resilience dashboard."""
-    _write_html(path, render_resilience_report(current, baseline, **kwargs))
+        *_resil_points_cards(doc),
+    ]
+    return _page("repro sharded serving resilience", meta, sections)

@@ -36,7 +36,7 @@ ledger every gate shares (:mod:`repro.obs.gate`); :data:`GATE` is the
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.obs import gate
+from repro.obs import gate, htmlreport
 from repro.obs.noise import NoiseLedger, use_noise_ledger
 from repro.obs.runident import run_identity
 
@@ -315,12 +315,6 @@ def _add_arguments(parser, command: str) -> None:
         )
 
 
-def _html(current, baseline, history, args) -> str:
-    from repro.obs import htmlreport
-
-    return htmlreport.render_noise_report(current, baseline)
-
-
 def _recorded(doc: dict) -> str:
     trajectories = sum(
         len(level["workloads"]) for level in doc["levels"].values()
@@ -368,6 +362,6 @@ GATE = gate.Gate(
         progress=progress,
     ),
     check=lambda baseline, current, args: check_noise_runs(baseline, current),
-    html=_html,
+    html=htmlreport.render_noise_report,
     recorded=_recorded,
 )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.errors import ParameterError
 from repro.obs import baseline as bl
-from repro.obs import gate
+from repro.obs import gate, htmlreport
 
 __all__ = [
     "FAST_SET",
@@ -355,14 +355,6 @@ def _add_arguments(parser, command: str) -> None:
         )
 
 
-def _html(current, baseline, history, args) -> str:
-    from repro.obs import htmlreport
-
-    return htmlreport.render_dashboard(
-        history, baseline, skip_wall=args.skip_wall
-    )
-
-
 GATE = gate.Gate(
     name="perf",
     ledger=bl.LEDGER,
@@ -406,6 +398,6 @@ GATE = gate.Gate(
     check=lambda baseline, current, args: check_runs(
         baseline, current, skip_wall=args.skip_wall
     ),
-    html=_html,
+    html=htmlreport.render_dashboard,
     recorded=lambda doc: f"recorded {len(doc['experiments'])} experiments",
 )

@@ -15,11 +15,13 @@ This module implements that representation for real:
 * :class:`RNSPolynomial` — a ring element stored as per-prime residue
   rows, with add/sub/negate/scalar ops and NTT-domain multiplication.
 
-It is used two ways: as the functional engine of the CPU-SEAL
-backend, and directly in tests that check the two polynomial
-representations implement the same algebra. The exact big-integer
-convolution (:func:`repro.poly.polynomial.negacyclic_convolve`) uses
-the same CRT technique over 31-bit primes.
+No model path runs it: the CPU-SEAL backend
+(:mod:`repro.backends.cpu_seal`) is an analytic cost model that prices
+RNS limb operations without computing them. The module is exercised by
+tests that check the two polynomial representations implement the same
+algebra. The exact big-integer convolution
+(:func:`repro.poly.polynomial.negacyclic_convolve`) uses the same CRT
+technique over 31-bit primes, in its own code.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ParameterError, PermanentDeviceError
-from repro.obs import gate
+from repro.obs import gate, htmlreport
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
@@ -1223,12 +1223,6 @@ def _capture_for_check(baseline: dict, args, progress) -> dict:
     )
 
 
-def _html(current, baseline, history, args) -> str:
-    from repro.obs import htmlreport
-
-    return htmlreport.render_resilience_report(current, baseline)
-
-
 GATE = gate.Gate(
     name="resil",
     ledger=LEDGER,
@@ -1263,7 +1257,7 @@ GATE = gate.Gate(
     check=lambda baseline, current, args: check_resilience_runs(
         baseline, current
     ),
-    html=_html,
+    html=htmlreport.render_resilience_report,
     recorded=lambda doc: (
         f"{render_resilience_text(doc)}\n"
         f"recorded {len(doc['points'])} resilience points"

@@ -119,11 +119,11 @@ class TestFaultsReportHTML:
         assert "effective" in html
         assert "worst slowdown" in html
 
-    def test_write_creates_parents(self, sweep, tmp_path):
-        from repro.obs.htmlreport import write_faults_report
-
+    def test_write_creates_parents(self, sweep, tmp_path, capsys):
+        recorded = tmp_path / "sweep.json"
+        chaos.SWEEPS.write(sweep, recorded)
         path = tmp_path / "nested" / "card.html"
-        write_faults_report(path, sweep)
+        assert main(["faults", "html", "--sweep", str(recorded), "-o", str(path)]) == 0
         assert path.read_text().startswith("<!doctype html>")
 
 

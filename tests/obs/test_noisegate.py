@@ -178,7 +178,8 @@ class TestHtmlReport:
     def test_report_renders_cards_and_badges(self, tiny_run):
         from repro.obs.htmlreport import render_noise_report
 
-        html = render_noise_report(tiny_run, baseline=tiny_run)
+        verdicts = ng.check_noise_runs(tiny_run, tiny_run)
+        html = render_noise_report(tiny_run, baseline=tiny_run, verdicts=verdicts)
         assert "<svg" in html
         assert "27-bit level · mean" in html
         assert "gate passes" in html
