@@ -1,4 +1,4 @@
-"""Extension experiments: energy, NTT-on-PIM, covariance, rotations.
+"""Extension experiments: energy, NTT-on-PIM, covariance, simulation, rotations.
 
 These go beyond the paper's figures (provenance in each experiment's
 registry entry); the benchmarks regenerate their tables and time the
@@ -40,6 +40,17 @@ def test_ext_covariance_regenerate(benchmark, regenerate):
     for row in rows:
         assert row.series["pim"] < row.series["cpu"]
         assert row.series["pim"] > row.series["cpu-seal"]
+
+
+def test_ext_sim_validation_regenerate(benchmark, regenerate):
+    rows = benchmark.pedantic(
+        regenerate, args=("ext_sim_validation",), iterations=1, rounds=3
+    )
+    errors = {row.label: row.series["error %"] for row in rows}
+    # The analytic bound tracks the cycle-level simulation everywhere,
+    # and within 1% for the compute-bound multiply at saturation.
+    assert all(abs(error) < 20.0 for error in errors.values())
+    assert abs(errors["vec_mul 128-bit, 16 tasklets"]) < 1.0
 
 
 @pytest.fixture(scope="module")

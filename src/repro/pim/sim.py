@@ -15,6 +15,14 @@ multiple tasklets, with
   its transfer (fixed cost + per-byte cost) and *blocks* until it
   completes, while other tasklets keep the pipeline busy.
 
+The schedule is exact to the cycle, but the simulator does not step
+cycle by cycle. Between events (a phase ending, a DMA completion letting
+a tasklet rejoin, the watchdog limit) round-robin issue is periodic, so
+:class:`DPUSimulator` advances whole rounds in closed form, and a
+phase of ``k`` instructions costs a few rounds of Python work rather
+than ``k``. ``tests/pim/reference_sim.py`` keeps the per-instruction
+stepper as the differential oracle.
+
 Kernels are simulated as **streaming programs**: alternating
 (DMA-in, compute, DMA-out) phases over WRAM-sized blocks — the shape of
 every real UPMEM streaming kernel. ``tests/pim/test_sim.py`` and the
@@ -24,10 +32,10 @@ simulation within a few percent across kernels and tasklet counts.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, TransientDeviceError
 from repro.pim.config import UPMEMConfig
 
 #: Phase kinds.
@@ -93,13 +101,14 @@ class TaskletProgram:
 
 @dataclass
 class SimTrace:
-    """Optional per-cycle event trace of one simulated DPU run.
+    """Optional per-issue event trace of one simulated DPU run.
 
     Records every dispatcher issue (cycle, tasklet) and every DMA
-    transfer (tasklet, request, start, completion, bytes) as they
-    happen. ``request`` is when the tasklet reached its DMA phase and
-    enqueued the transfer; ``start`` is when the shared engine actually
-    began it, so ``start - request`` is the queue wait contention adds.
+    transfer (tasklet, request, start, completion, bytes); issues of
+    rounds the simulator skips are appended in bulk, in issue order.
+    ``request`` is when the tasklet reached its DMA phase and enqueued
+    the transfer; ``start`` is when the shared engine actually began
+    it, so ``start - request`` is the queue wait contention adds.
     Exportable two ways:
 
     * :meth:`events` — compacted dict records (consecutive issues by
@@ -408,7 +417,19 @@ class _TaskletState:
 
 
 class DPUSimulator:
-    """Event-driven single-DPU simulator."""
+    """Single-DPU simulator that advances whole round-robin rounds.
+
+    Between events — a phase ending, a DMA completion letting a
+    blocked tasklet rejoin, the watchdog limit — the dispatcher's issue
+    schedule is periodic with period ``max(m, revolve)`` for ``m``
+    active tasklets. :meth:`run` steps issue by issue until one period
+    has repeated (same active set, same round-robin pointer, same
+    ``next_issue - clock`` offsets), then advances as many whole
+    periods as the next event allows in closed form. Results and
+    traces equal the per-instruction stepper's exactly;
+    ``tests/pim/reference_sim.py`` keeps that stepper as the
+    differential oracle.
+    """
 
     def __init__(self, config: UPMEMConfig | None = None):
         self.config = config if config is not None else UPMEMConfig()
@@ -421,12 +442,14 @@ class DPUSimulator:
     ) -> SimResult:
         """Simulate the given tasklet programs to completion.
 
-        Pass a :class:`SimTrace` to record per-cycle dispatcher and DMA
-        activity; tracing is off by default and does not change the
-        simulated outcome.
+        Pass a :class:`SimTrace` to record every dispatcher issue and
+        DMA transfer; tracing is off by default and does not change
+        the simulated outcome. Skipped rounds are recorded in bulk, so
+        the trace lists the same events in the same order as stepping
+        each instruction would.
 
-        ``max_cycles`` arms a watchdog: if the simulated clock passes
-        it before every tasklet finishes, the run aborts with a
+        ``max_cycles`` arms a watchdog: if any tasklet is still running
+        (issuing, or waiting on a DMA) past it, the run aborts with a
         :class:`~repro.errors.TransientDeviceError` — the cycle-level
         analogue of the stuck-tasklet timeout the fault layer
         (:mod:`repro.pim.faults`) models analytically.
@@ -446,6 +469,7 @@ class DPUSimulator:
         revolve = self.config.pipeline_revolve_cycles
 
         states = [_TaskletState(p) for p in programs]
+        n = len(states)
         dma_free = [0.0]  # shared engine: time it becomes available
         dma_busy = 0.0
         issued = 0
@@ -455,73 +479,153 @@ class DPUSimulator:
             dma_busy += self._advance_into_phase(
                 state, 0.0, dma_free, index, trace
             )
+        running = sum(not s.done for s in states)
+        # Round skipping: a loop top snapshots the active tasklets. If
+        # the loop top one period later, at ``mark``, has the same active
+        # set, pointer and next_issue offsets, that period repeats until
+        # the next event. A phase end sets ``mark = -1``, so the next
+        # loop top takes a fresh snapshot.
+        mark = -1
+        snap_clock = snap_last = snap_trace = 0
+        snap_active = snap_offsets = snap_remaining = None
 
-        while any(not s.done for s in states):
+        while running:
             if max_cycles is not None and clock > max_cycles:
-                from repro.errors import TransientDeviceError
-
-                stuck = [i for i, s in enumerate(states) if not s.done]
-                raise TransientDeviceError(
-                    f"watchdog: {len(stuck)} tasklet(s) still running "
-                    f"past {max_cycles} cycles (first stuck: tasklet "
-                    f"{stuck[0]})",
-                    attempts=1,
+                raise _watchdog(
+                    [i for i, s in enumerate(states) if not s.done],
+                    max_cycles,
                 )
-            # Find ready tasklets: in a compute phase, revolve satisfied,
-            # not blocked on DMA.
-            ready = [
-                i
-                for i, s in enumerate(states)
-                if not s.done
-                and s.remaining > 0
-                and s.next_issue <= clock
-                and s.blocked_until <= clock
-            ]
-            if ready:
-                # Round-robin starting after the last issuer.
-                choice = min(
-                    ready,
-                    key=lambda i: ((i - last_issued - 1) % len(states)),
-                )
-                state = states[choice]
-                state.remaining -= 1
-                state.next_issue = clock + revolve
-                issued += 1
-                last_issued = choice
-                if trace is not None:
-                    trace.record_issue(clock, choice)
-                if state.remaining == 0:
-                    state.phase_index += 1
-                    dma_busy += self._advance_into_phase(
-                        state, float(clock + 1), dma_free, choice, trace
+            if clock >= mark:
+                # Active: in a compute phase and not blocked on DMA.
+                active = [
+                    i
+                    for i, s in enumerate(states)
+                    if s.remaining > 0 and s.blocked_until <= clock
+                ]
+                offsets = [states[i].next_issue - clock for i in active]
+                if (
+                    clock == mark
+                    and last_issued == snap_last
+                    and active == snap_active
+                    and offsets == snap_offsets
+                ):
+                    period = clock - snap_clock
+                    rounds = self._rounds_to_next_event(
+                        states, active, snap_remaining, clock, period,
+                        max_cycles,
                     )
-                clock += 1
-                continue
-            # Nothing issuable: jump to the next event.
-            candidates = []
-            for s in states:
-                if s.done:
-                    continue
-                if s.remaining > 0 and s.blocked_until <= clock:
-                    candidates.append(s.next_issue)
-                elif s.blocked_until > clock:
-                    candidates.append(s.blocked_until)
-            if not candidates:
-                break  # all done
-            clock = max(clock + 1, int(-(-min(candidates) // 1)))
+                    if rounds:
+                        for i, before in zip(active, snap_remaining):
+                            state = states[i]
+                            per_round = before - state.remaining
+                            state.remaining -= rounds * per_round
+                            state.next_issue += rounds * period
+                            issued += rounds * per_round
+                        if trace is not None:
+                            pattern = trace.issues[snap_trace:]
+                            trace.issues.extend(
+                                [
+                                    (cycle + shift, tasklet)
+                                    for shift in range(
+                                        period, (rounds + 1) * period, period
+                                    )
+                                    for cycle, tasklet in pattern
+                                ]
+                            )
+                        clock += rounds * period
+                snap_clock, snap_last = clock, last_issued
+                snap_active, snap_offsets = active, offsets
+                snap_remaining = [states[i].remaining for i in active]
+                snap_trace = len(trace.issues) if trace is not None else 0
+                mark = clock + max(len(active), revolve) if active else -1
+            # Round-robin: the first ready tasklet after the last issuer.
+            choice = last_issued
+            for _ in range(n):
+                choice = choice + 1 if choice + 1 < n else 0
+                state = states[choice]
+                if (
+                    state.remaining > 0
+                    and state.next_issue <= clock
+                    and state.blocked_until <= clock
+                ):
+                    state.remaining -= 1
+                    state.next_issue = clock + revolve
+                    issued += 1
+                    last_issued = choice
+                    if trace is not None:
+                        trace.record_issue(clock, choice)
+                    if state.remaining == 0:
+                        state.phase_index += 1
+                        dma_busy += self._advance_into_phase(
+                            state, float(clock + 1), dma_free, choice, trace
+                        )
+                        running -= state.done
+                        mark = -1
+                    clock += 1
+                    break
+            else:
+                # Nothing issuable: jump to the next event.
+                upcoming = None
+                for s in states:
+                    if s.done:
+                        continue
+                    if s.remaining > 0 and s.blocked_until <= clock:
+                        event = s.next_issue
+                    elif s.blocked_until > clock:
+                        event = s.blocked_until
+                    else:
+                        continue
+                    if upcoming is None or event < upcoming:
+                        upcoming = event
+                if upcoming is None:
+                    break  # only stalled tasklets are left
+                clock = max(clock + 1, math.ceil(upcoming))
 
-        total_cycles = clock
         # Account for a trailing DMA that finishes after the last issue.
-        trailing = max(
-            (s.blocked_until for s in states), default=0.0
-        )
-        total_cycles = max(total_cycles, int(-(-trailing // 1)))
+        trailing = max((s.blocked_until for s in states), default=0.0)
+        total_cycles = max(clock, math.ceil(trailing))
+        if max_cycles is not None and total_cycles > max_cycles:
+            # Still running past the budget: the tasklet's last issue or
+            # its trailing DMA ends after it.
+            raise _watchdog(
+                [
+                    i
+                    for i, s in enumerate(states)
+                    if not s.done
+                    or s.next_issue - revolve >= max_cycles
+                    or s.blocked_until > max_cycles
+                ],
+                max_cycles,
+            )
         return SimResult(
             cycles=total_cycles,
             instructions_issued=issued,
             dma_busy_cycles=dma_busy,
             tasklets=len(programs),
         )
+
+    @staticmethod
+    def _rounds_to_next_event(
+        states, active, remaining_before, clock, period, max_cycles
+    ) -> int:
+        """Whole periods that can be skipped from ``clock`` with no event.
+
+        Every active tasklet keeps at least one instruction of its
+        phase, no blocked tasklet's DMA completes inside a skipped
+        cycle, and the clock does not pass ``max_cycles``.
+        """
+        rounds = min(
+            (states[i].remaining - 1) // (before - states[i].remaining)
+            for i, before in zip(active, remaining_before)
+        )
+        for s in states:
+            if not s.done and s.blocked_until > clock:
+                rounds = min(
+                    rounds, (math.ceil(s.blocked_until) - clock) // period
+                )
+        if max_cycles is not None:
+            rounds = min(rounds, (max_cycles - clock) // period)
+        return rounds
 
     def _advance_into_phase(
         self,
@@ -566,6 +670,15 @@ class DPUSimulator:
                 )
             state.phase_index += 1
             now = completion
+
+
+def _watchdog(stuck: list, max_cycles: int) -> TransientDeviceError:
+    """The watchdog's abort, naming the tasklets still running."""
+    return TransientDeviceError(
+        f"watchdog: {len(stuck)} tasklet(s) still running "
+        f"past {max_cycles} cycles (first stuck: tasklet {stuck[0]})",
+        attempts=1,
+    )
 
 
 def simulate_kernel(

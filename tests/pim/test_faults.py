@@ -507,6 +507,34 @@ class TestSimulatorWatchdog:
         result = sim.run([program], max_cycles=10**6)
         assert result.cycles > 0
 
+    def test_trailing_dma_past_the_budget_trips_the_watchdog(self):
+        """A final DMA marks its tasklet done as soon as it is enqueued;
+        the transfer still runs past the budget."""
+        from repro.pim.sim import DPUSimulator, Phase, TaskletProgram
+
+        sim = DPUSimulator(UPMEMConfig())
+        for phases in (
+            (Phase("dma", 2048),),
+            (Phase("compute", 1), Phase("dma", 2048)),
+        ):
+            with pytest.raises(
+                TransientDeviceError, match="1 tasklet.*first stuck: tasklet 0"
+            ):
+                sim.run([TaskletProgram(phases)], max_cycles=10)
+
+    def test_budget_of_exactly_the_run_length_is_enough(self):
+        from repro.pim.sim import DPUSimulator, Phase, TaskletProgram
+
+        sim = DPUSimulator(UPMEMConfig())
+        programs = [
+            TaskletProgram((Phase("compute", 30), Phase("dma", 64))),
+            TaskletProgram((Phase("compute", 40),)),
+        ]
+        cycles = sim.run(programs).cycles
+        assert sim.run(programs, max_cycles=cycles).cycles == cycles
+        with pytest.raises(TransientDeviceError, match="watchdog"):
+            sim.run(programs, max_cycles=cycles - 1)
+
     def test_rejects_nonpositive_budget(self):
         from repro.pim.sim import DPUSimulator, Phase, TaskletProgram
 
