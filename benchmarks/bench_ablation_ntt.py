@@ -29,7 +29,7 @@ def test_abl_ntt_regenerate(benchmark, regenerate):
 
 @pytest.fixture(scope="module")
 def ring256():
-    p = find_ntt_prime(40, 256)
+    p = find_ntt_prime(31, 256)
     ctx = NTTContext(256, p)
     rng = np.random.default_rng(11)
     a = [int(v) for v in rng.integers(0, p, size=256)]

@@ -92,9 +92,11 @@ class SEALSpec:
     """Microsoft SEAL on the same i5-8250U (paper Section 4.1, [79]).
 
     SEAL maps wide moduli onto native words with **RNS** and multiplies
-    polynomials in the **NTT** evaluation domain — both algorithms are
-    actually implemented in :mod:`repro.poly`; this spec prices their
-    native-word inner operations.
+    polynomials in the **NTT** evaluation domain. This spec prices
+    their native-word inner operations analytically; the backend
+    computes no residues. (:mod:`repro.poly` runs the same two
+    algorithms for real, on 31-bit primes, inside the exact
+    convolution.)
     """
 
     #: RNS limbs per paper security level's container width: SEAL

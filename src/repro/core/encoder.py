@@ -161,7 +161,7 @@ class BatchEncoder:
             raise EncodingError(
                 f"parameters do not support batching: t="
                 f"{params.plain_modulus} is not a prime == 1 mod "
-                f"{2 * params.poly_degree}"
+                f"{2 * params.poly_degree} below 2^31"
             )
         self.params = params
         self._ntt = ntt_context(params.poly_degree, params.plain_modulus)

@@ -23,6 +23,7 @@ from functools import lru_cache
 from repro.errors import ParameterError
 from repro.mpint.limbs import LIMB_BITS, limbs_for_bits
 from repro.poly.modring import find_ntt_prime, is_prime
+from repro.poly.ntt import NATIVE_PRIME_LIMIT
 from repro.poly.sampling import DEFAULT_CBD_ETA
 
 #: Paper security levels: bits -> (ring degree, default plaintext modulus).
@@ -124,9 +125,11 @@ class BFVParameters:
     @property
     def supports_batching(self) -> bool:
         """True when ``t`` is a prime with ``t == 1 (mod 2n)``, i.e.
-        the plaintext ring splits into ``n`` SIMD slots."""
+        the plaintext ring splits into ``n`` SIMD slots, and ``t`` is
+        narrow enough for the slot NTT's ``uint64`` words."""
         return (
-            is_prime(self.plain_modulus)
+            self.plain_modulus < NATIVE_PRIME_LIMIT
+            and is_prime(self.plain_modulus)
             and (self.plain_modulus - 1) % (2 * self.poly_degree) == 0
         )
 

@@ -37,6 +37,21 @@ class PaperClaim:
             f"{self.paper_lo:g}-{self.paper_hi:g}x (paper, {self.source})"
         )
 
+    def classify(self, lo: float, hi: float) -> str:
+        """Verdict for a measured ratio range ``[lo, hi]``.
+
+        ``FAIL`` if the wrong backend wins anywhere; ``in-band`` inside
+        the paper band; ``partial`` if it overlaps the band; otherwise
+        ``direction`` (right winner, magnitude outside the band).
+        """
+        if lo <= 1.0:
+            return "FAIL"
+        if self.paper_lo <= lo and hi <= self.paper_hi:
+            return "in-band"
+        if hi >= self.paper_lo and lo <= self.paper_hi:
+            return "partial"
+        return "direction"
+
 
 PAPER_CLAIMS = (
     # ---- Figure 1(a): ciphertext vector addition, 128-bit ----------------

@@ -167,12 +167,8 @@ def render_markdown_report(ids=None) -> str:
                 if measured is None:
                     continue
                 lo, hi = measured
-                in_band = (
-                    "yes"
-                    if lo >= claim.paper_lo * 0.999
-                    and hi <= claim.paper_hi * 1.001
-                    else "partial"
-                )
+                verdict = claim.classify(lo, hi)
+                in_band = "yes" if verdict == "in-band" else verdict
                 lines.append(
                     f"| {claim.faster} over {claim.slower} "
                     f"({claim.source.split(':')[0]}) "

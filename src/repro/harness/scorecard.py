@@ -3,7 +3,7 @@
 Aggregates the claim checks that the calibration tests perform into a
 single human-readable artifact: for each claim in
 :mod:`repro.harness.paper`, run the owning experiment, measure the
-ratio range, and classify it:
+ratio range, and classify it with :meth:`PaperClaim.classify`:
 
 * ``in-band``    — measured range inside the paper's reported band;
 * ``partial``    — overlaps the paper band (documented edge deviation);
@@ -38,16 +38,6 @@ class ClaimVerdict:
         )
 
 
-def _classify(claim: PaperClaim, lo: float, hi: float) -> str:
-    if lo <= 1.0:
-        return "FAIL"
-    if claim.paper_lo <= lo and hi <= claim.paper_hi:
-        return "in-band"
-    if hi >= claim.paper_lo and lo <= claim.paper_hi:
-        return "partial"
-    return "direction"
-
-
 def build_scorecard(claims=PAPER_CLAIMS) -> list:
     """Run every claim's experiment and classify the outcome."""
     cache: dict = {}
@@ -62,7 +52,7 @@ def build_scorecard(claims=PAPER_CLAIMS) -> list:
             continue
         lo, hi = measured
         verdicts.append(
-            ClaimVerdict(claim, lo, hi, _classify(claim, lo, hi))
+            ClaimVerdict(claim, lo, hi, claim.classify(lo, hi))
         )
     return verdicts
 

@@ -8,13 +8,13 @@ scheme and the baselines need:
   primality, NTT-friendly prime generation, primitive roots, Barrett
   reduction;
 * :mod:`repro.poly.ntt` — the iterative negacyclic Number Theoretic
-  Transform used by the SEAL-style baseline and by the exact
-  big-integer convolution;
+  Transform over 31-bit primes on ``uint64`` words, behind the exact
+  big-integer convolution and the batch encoder;
 * :mod:`repro.poly.polynomial` — the ring element type with addition,
   negacyclic multiplication (schoolbook and CRT-NTT exact), and scalar
-  operations;
-* :mod:`repro.poly.rns` — the Residue Number System representation
-  (SEAL's trick for mapping wide moduli onto native words);
+  operations. Its CRT bundle of 31-bit NTT primes is the repo's one
+  residue number system: SEAL's RNS + NTT idea, run for real on
+  native words;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,
   ternary, centered binomial) key generation and encryption draw from.
 """
@@ -29,7 +29,6 @@ from repro.poly.modring import (
 )
 from repro.poly.ntt import NTTContext
 from repro.poly.polynomial import Polynomial, negacyclic_convolve
-from repro.poly.rns import RNSBasis, RNSPolynomial
 from repro.poly.sampling import (
     sample_centered_binomial,
     sample_ternary,
@@ -40,8 +39,6 @@ __all__ = [
     "BarrettReducer",
     "NTTContext",
     "Polynomial",
-    "RNSBasis",
-    "RNSPolynomial",
     "find_ntt_prime",
     "inverse_mod",
     "is_prime",

@@ -110,15 +110,14 @@ def _crt_negacyclic(a: list, b: list, n: int) -> list:
     exact_b = exact_a if b is a else np.array(b, dtype=object)
     rows = []
     for ctx in contexts:
-        fa = ctx.forward((exact_a % ctx.p).astype(ctx.dtype))
-        fb = fa if b is a else ctx.forward((exact_b % ctx.p).astype(ctx.dtype))
+        fa = ctx.forward((exact_a % ctx.p).astype(np.uint64))
+        fb = fa if b is a else ctx.forward((exact_b % ctx.p).astype(np.uint64))
         rows.append(ctx.inverse(ctx.pointwise(fa, fb)))
     moduli = tuple(ctx.p for ctx in contexts)
     q_total, partials = _crt_recombination(moduli)
     acc = 0
     for row, ctx, (q_i, q_i_inv) in zip(rows, contexts, partials):
-        word = ctx.dtype.type
-        digit = row * word(q_i_inv) % word(ctx.p)
+        digit = row * np.uint64(q_i_inv) % np.uint64(ctx.p)
         acc = acc + digit.astype(object) * q_i
     acc %= q_total
     return np.where(acc > q_total // 2, acc - q_total, acc).tolist()
@@ -170,11 +169,6 @@ class Polynomial:
     def zero(cls, n: int, modulus: int) -> "Polynomial":
         """The additive identity of ``R_q`` with degree bound ``n``."""
         return cls([0] * n, modulus)
-
-    @classmethod
-    def from_signed(cls, coeffs, modulus: int) -> "Polynomial":
-        """Build from signed coefficients (reduced into ``[0, q)``)."""
-        return cls(coeffs, modulus)
 
     # -- basic protocol -------------------------------------------------
 

@@ -8,7 +8,10 @@ from repro.backends import (
     OpRequest,
     SEALBackend,
 )
+from repro.backends.arch import SEALSpec
 from repro.backends.cpu import container_traffic_bytes
+from repro.core.params import SECURITY_LEVELS, BFVParameters
+from repro.poly.modring import find_ntt_prime
 
 
 def req(op="vec_add", width=128, n=10**6, dispatches=1):
@@ -83,6 +86,22 @@ class TestSEAL:
         assert seal.time_op(req(width=32)).detail["rns_limbs"] == 1
         assert seal.time_op(req(width=64)).detail["rns_limbs"] == 1
         assert seal.time_op(req(width=128)).detail["rns_limbs"] == 2
+
+    @pytest.mark.parametrize("bits", SECURITY_LEVELS)
+    def test_rns_limbs_cover_level_with_60_bit_primes(self, bits):
+        """Each width's limb count is the number of SEAL-sized (60-bit)
+        NTT primes whose product first exceeds that paper level's
+        modulus: 27 and 54 bits take one, 109 bits takes two."""
+        params = BFVParameters.security_level(bits)
+        n = params.poly_degree
+        primes = 0
+        product = 1
+        while product <= params.coeff_modulus:
+            product *= find_ntt_prime(60, n, index=primes)
+            primes += 1
+        assert primes == (2 if bits == 109 else 1)
+        limbs = SEALSpec().rns_limbs(params.coefficient_width_bits)
+        assert limbs == primes
 
     def test_multithreaded(self):
         t = SEALBackend().time_op(req(op="vec_mul"))

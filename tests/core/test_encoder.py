@@ -83,6 +83,22 @@ class TestBatchEncoder:
         with pytest.raises(EncodingError):
             BatchEncoder(params)
 
+    def test_rejects_batching_prime_wider_than_31_bits(self):
+        """A 40-bit t == 1 (mod 2n) splits into slots, but the slot NTT
+        runs on uint64 words: the encoder refuses it up front."""
+        from repro.core.params import BFVParameters
+        from repro.poly.modring import find_ntt_prime
+
+        t = find_ntt_prime(40, 64)
+        params = BFVParameters(
+            poly_degree=64,
+            coeff_modulus=find_ntt_prime(109, 64),
+            plain_modulus=t,
+        )
+        assert not params.supports_batching
+        with pytest.raises(EncodingError, match="below 2\\^31"):
+            BatchEncoder(params)
+
     def test_plaintext_multiplication_is_slotwise(self, tiny_params):
         """The SIMD property: ring multiplication == slot products."""
         enc = BatchEncoder(tiny_params)

@@ -5,7 +5,6 @@ import pytest
 from repro.harness.paper import PAPER_CLAIMS, PaperClaim
 from repro.harness.scorecard import (
     ClaimVerdict,
-    _classify,
     build_scorecard,
     render_scorecard,
 )
@@ -17,20 +16,20 @@ def claim(lo=2.0, hi=4.0):
 
 class TestClassification:
     def test_in_band(self):
-        assert _classify(claim(2, 4), 2.5, 3.5) == "in-band"
+        assert claim(2, 4).classify(2.5, 3.5) == "in-band"
 
     def test_partial_overlap(self):
-        assert _classify(claim(2, 4), 1.5, 3.0) == "partial"
-        assert _classify(claim(2, 4), 3.0, 6.0) == "partial"
+        assert claim(2, 4).classify(1.5, 3.0) == "partial"
+        assert claim(2, 4).classify(3.0, 6.0) == "partial"
 
     def test_direction_only(self):
-        assert _classify(claim(10, 20), 2.0, 5.0) == "direction"
+        assert claim(10, 20).classify(2.0, 5.0) == "direction"
 
     def test_fail_on_wrong_winner(self):
-        assert _classify(claim(2, 4), 0.8, 3.0) == "FAIL"
+        assert claim(2, 4).classify(0.8, 3.0) == "FAIL"
 
     def test_exact_band_edges_in_band(self):
-        assert _classify(claim(2, 4), 2.0, 4.0) == "in-band"
+        assert claim(2, 4).classify(2.0, 4.0) == "in-band"
 
 
 class TestClassificationBoundaries:
@@ -38,34 +37,34 @@ class TestClassificationBoundaries:
 
     def test_ratio_exactly_one_is_fail(self):
         # "No faster at all" is a wrong-winner claim, not a tie.
-        assert _classify(claim(2, 4), 1.0, 3.0) == "FAIL"
+        assert claim(2, 4).classify(1.0, 3.0) == "FAIL"
 
     def test_ratio_just_above_one_is_not_fail(self):
-        assert _classify(claim(2, 4), 1.0 + 1e-9, 3.0) == "partial"
+        assert claim(2, 4).classify(1.0 + 1e-9, 3.0) == "partial"
 
     def test_fail_dominates_even_when_hi_is_in_band(self):
-        assert _classify(claim(2, 4), 0.5, 4.0) == "FAIL"
+        assert claim(2, 4).classify(0.5, 4.0) == "FAIL"
 
     def test_hi_touching_paper_lo_is_partial(self):
         # Overlap boundary: measured hi == paper lo counts as overlap.
-        assert _classify(claim(2, 4), 1.5, 2.0) == "partial"
+        assert claim(2, 4).classify(1.5, 2.0) == "partial"
 
     def test_hi_just_below_paper_lo_is_direction(self):
-        assert _classify(claim(2, 4), 1.5, 2.0 - 1e-9) == "direction"
+        assert claim(2, 4).classify(1.5, 2.0 - 1e-9) == "direction"
 
     def test_lo_touching_paper_hi_is_partial(self):
-        assert _classify(claim(2, 4), 4.0, 6.0) == "partial"
+        assert claim(2, 4).classify(4.0, 6.0) == "partial"
 
     def test_lo_just_above_paper_hi_is_direction(self):
-        assert _classify(claim(2, 4), 4.0 + 1e-9, 6.0) == "direction"
+        assert claim(2, 4).classify(4.0 + 1e-9, 6.0) == "direction"
 
     def test_degenerate_point_band(self):
-        assert _classify(claim(3, 3), 3.0, 3.0) == "in-band"
-        assert _classify(claim(3, 3), 2.9, 3.1) == "partial"
+        assert claim(3, 3).classify(3.0, 3.0) == "in-band"
+        assert claim(3, 3).classify(2.9, 3.1) == "partial"
 
     def test_wider_than_band_is_partial_not_in_band(self):
         # Measured range containing the whole paper band overlaps it.
-        assert _classify(claim(2, 4), 1.5, 6.0) == "partial"
+        assert claim(2, 4).classify(1.5, 6.0) == "partial"
 
 
 class TestWrongWinnerThroughScorecard:

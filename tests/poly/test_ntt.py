@@ -35,6 +35,11 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             NTTContext(8, 19)
 
+    def test_rejects_prime_wider_than_31_bits(self):
+        # A 40-bit NTT prime is valid but would overflow uint64 butterflies.
+        with pytest.raises(ParameterError, match="below 2\\^31"):
+            NTTContext(64, find_ntt_prime(40, 64))
+
     def test_small_classic_case(self):
         ctx = NTTContext(8, 17)
         assert ctx.psi != 1
@@ -113,12 +118,12 @@ class TestConvolution:
 
 class TestCostMetadata:
     def test_butterfly_count(self):
-        ctx = NTTContext(4096, find_ntt_prime(62, 4096))
+        ctx = NTTContext(4096, find_ntt_prime(31, 4096))
         assert ctx.butterflies_per_transform() == 2048 * 12
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_butterfly_formula(self, n):
-        ctx = NTTContext(n, find_ntt_prime(30 if n < 1024 else 40, n))
+        ctx = NTTContext(n, find_ntt_prime(30, n))
         assert ctx.butterflies_per_transform() == (n // 2) * (
             n.bit_length() - 1
         )
