@@ -128,6 +128,31 @@ class Histogram:
         # The first bound >= value, else len(bounds): the +inf bucket.
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of a sequence in order, in one call.
+
+        The state is exactly that of the sequential calls: ``sum``
+        accumulates in the same order, so it is bit-identical.
+        """
+        if not values:
+            return
+        bounds = self.bounds
+        counts = self.bucket_counts
+        total = self.sum
+        for value in values:
+            total += value
+            counts[bisect_left(bounds, value)] += 1
+        self.sum = total
+        self.count += len(values)
+        # min/max return the first of equal extremes, as strict
+        # comparisons in observe() keep the first seen.
+        low = min(values)
+        high = max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -286,6 +311,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -92,6 +92,14 @@ class LatencyDigest:
             raise ParameterError(f"latency must be non-negative: {seconds}")
         self._hist.observe(seconds)
 
+    def observe_many(self, latencies) -> None:
+        """:meth:`observe` each of a sequence in order, in one call."""
+        if latencies and min(latencies) < 0:
+            raise ParameterError(
+                f"latency must be non-negative: {min(latencies)}"
+            )
+        self._hist.observe_many(latencies)
+
     @property
     def count(self) -> int:
         return self._hist.count
@@ -225,6 +233,14 @@ class SLOTracker:
         for i, objective in enumerate(self.objectives):
             if latency_s > objective.threshold_s:
                 self.bad[i] += 1
+
+    def observe_many(self, latencies) -> None:
+        """:meth:`observe` each of a sequence in order (one batch's
+        requests), with the same digest state and bad counts."""
+        self.digest.observe_many(latencies)
+        for i, objective in enumerate(self.objectives):
+            threshold = objective.threshold_s
+            self.bad[i] += sum(1 for s in latencies if s > threshold)
 
     def reject(self) -> None:
         """Count one request refused at admission (it has no latency)."""

@@ -25,7 +25,8 @@ Injection is driven by counter-free hashing (SHA-256 over seed, fault
 channel, kernel name, and a per-channel draw index), never by
 :mod:`random` state — so a chaos run with a fixed seed is bit-identical
 across invocations and across processes, and :meth:`FaultPlan.reset`
-replays it exactly.
+replays it exactly. :func:`unit_draws` serves the same draws for a
+whole index range at once, hashing the shared prefix only once.
 
 A plan is installed process-globally with :func:`use_fault_plan`
 (mirroring ``use_tracer`` / ``use_registry``);
@@ -37,8 +38,12 @@ depends on this).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
+import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -55,6 +60,7 @@ __all__ = [
     "FaultPlan",
     "DegradedRunReport",
     "redistribute_units",
+    "unit_draws",
     "get_active_plan",
     "get_active_policy",
     "set_fault_plan",
@@ -81,6 +87,90 @@ def _unit_hash(*parts) -> float:
         ":".join(str(p) for p in parts).encode()
     ).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
+
+
+#: Draws a :class:`UnitDrawStream` hashes each time it runs short.
+#: Fixed, so a stream never holds more than one chunk it was not asked
+#: for.
+_STREAM_CHUNK = 1024
+
+#: Streams :func:`unit_draws` keeps; the least recently used goes first.
+_STREAM_CACHE = 16
+
+
+class UnitDrawStream:
+    """The draws ``_unit_hash(*prefix, i)`` for ``i = 0, 1, 2, …``.
+
+    SHA-256 of the ``:``-joined prefix is computed once; each draw
+    copies that state and appends ``str(i)``, so every value is
+    bit-identical to :func:`_unit_hash`. Draws are kept in a compact
+    ``array('d')`` (8 bytes each) that grows :data:`_STREAM_CHUNK`
+    draws at a time, only as far as a caller has asked. Callers get
+    copies or values, never the array itself, so a shared stream
+    cannot be altered through them.
+    """
+
+    __slots__ = ("_state", "_draws", "_lock")
+
+    def __init__(self, prefix: tuple):
+        self._state = hashlib.sha256(
+            (":".join(str(p) for p in prefix) + ":").encode()
+        )
+        self._draws = array("d")
+        # Streams are shared process-wide: two threads growing one at
+        # once would append the same indices twice.
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def _grow(self, count: int) -> None:
+        """Extend the stream to at least ``count`` draws."""
+        with self._lock:
+            draws = self._draws
+            state = self._state
+            while len(draws) < count:
+                start = len(draws)
+                for index in range(start, start + _STREAM_CHUNK):
+                    h = state.copy()
+                    h.update(str(index).encode())
+                    draws.append(
+                        int.from_bytes(h.digest()[:8], "big") / 2**64
+                    )
+
+    def first(self, count: int) -> array:
+        """Draws ``0 .. count - 1``, as a fresh array."""
+        if len(self._draws) < count:
+            self._grow(count)
+        return self._draws[:count]
+
+    def __iter__(self):
+        """Every draw in index order; the stream never ends."""
+        return itertools.chain.from_iterable(self._chunks())
+
+    def _chunks(self):
+        # Copies, not views: a buffer export would stop the array
+        # from growing.
+        start = 0
+        while True:
+            if start == len(self._draws):
+                self._grow(start + 1)
+            chunk = self._draws[start:]
+            start += len(chunk)
+            yield chunk
+
+
+@functools.lru_cache(maxsize=_STREAM_CACHE, typed=True)
+def unit_draws(channel: str, *parts) -> UnitDrawStream:
+    """The memoized draw stream of ``_unit_hash(channel, *parts, i)``.
+
+    At most :data:`_STREAM_CACHE` streams are kept, each 8 bytes per
+    draw computed so far. A stream evicted and asked for again is
+    rebuilt with the same values. The cache is typed, so a seed of
+    ``7`` and one of ``7.0`` (which hash differently) never share a
+    stream.
+    """
+    return UnitDrawStream((channel, *parts))
 
 
 @dataclass(frozen=True)

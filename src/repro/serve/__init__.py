@@ -76,6 +76,7 @@ from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
     home_shard,
+    home_shards,
     make_layout,
 )
 
@@ -98,6 +99,7 @@ __all__ = [
     "ShardLayout",
     "make_layout",
     "home_shard",
+    "home_shards",
     "ShardedPricer",
     "BreakerSpec",
     "CircuitBreaker",

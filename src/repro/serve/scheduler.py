@@ -45,7 +45,7 @@ from repro.errors import ParameterError
 __all__ = ["RequestTimeline", "BatchLaunch", "BatchScheduler"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestTimeline:
     """One request's modelled lifecycle (all times in modelled seconds).
 

@@ -263,27 +263,34 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
     charged to the class's tracker and counters. Shared by the plain
     point simulation and the sharded resilience simulation so admission
     semantics can never diverge between the two.
+
+    The planned budget is a property of the class, so a class is either
+    admitted or rejected whole: an admitted stream is counted with one
+    increment, and only rejection runs the guard per arrival (each
+    rejected request gets its own headroom span and violation count).
     """
     guard = HeadroomGuard(margin_bits=spec.margin_bits)
     class_arrivals: dict = {}
     for cls in spec.classes:
+        key = cls.key
         params = BFVParameters.security_level(cls.security_bits)
         circuit = PAPER_WORKLOADS[cls.workload].circuit(cls.ops_per_request)
         plan_bits = plan_budget(params, circuit).remaining_bits
-        stamp = _PredictedStamp(pred_bits=plan_bits)
         arrivals = OpenLoopArrivals(
-            cls.key, cls.rate_qps, seed=spec.seed
+            key, cls.rate_qps, seed=spec.seed
         ).times_until(spec.duration_s)
-        admitted = []
-        for t in arrivals:
-            guard.check(f"serve.admit.{cls.key}", stamp, params)
-            if plan_bits < spec.margin_bits:
-                trackers[cls.key].reject()
-                registry.counter(f"serve.rejected.{cls.key}").inc()
-            else:
-                admitted.append(t)
-                registry.counter(f"serve.requests.{cls.key}").inc()
-        class_arrivals[cls.key] = admitted
+        if plan_bits >= spec.margin_bits:
+            # The guard passes every arrival without a trace.
+            if arrivals:
+                registry.counter(f"serve.requests.{key}").inc(len(arrivals))
+            class_arrivals[key] = arrivals
+            continue
+        stamp = _PredictedStamp(pred_bits=plan_bits)
+        for _ in arrivals:
+            guard.check(f"serve.admit.{key}", stamp, params)
+            trackers[key].reject()
+            registry.counter(f"serve.rejected.{key}").inc()
+        class_arrivals[key] = []
     return class_arrivals
 
 

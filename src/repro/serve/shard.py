@@ -11,7 +11,8 @@ complete UPMEM system in miniature:
   rank hurts exactly one shard) and cover the fleet exactly;
 * :func:`home_shard` — deterministic ciphertext→shard placement by
   seeded hash, the same SHA-256 unit-draw discipline as the arrival
-  process and the fault plans;
+  process and the fault plans; :func:`home_shards` places a class's
+  first N requests at once from the memoized draw stream;
 * :class:`ShardedPricer` — per-shard batch pricing through an
   unmodified :class:`~repro.pim.runtime.PIMRuntime` whose config is
   the shard's slice of the fleet, under the shard's
@@ -33,7 +34,12 @@ from repro.backends.base import TimingBreakdown
 from repro.backends.pim import PIMBackend
 from repro.errors import ParameterError
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import FaultPlan, _unit_hash, use_fault_plan
+from repro.pim.faults import (
+    FaultPlan,
+    _unit_hash,
+    unit_draws,
+    use_fault_plan,
+)
 from repro.pim.runtime import PIMRuntime
 from repro.pim.tasklet import split_evenly
 from repro.serve.service import price_launch
@@ -42,6 +48,7 @@ __all__ = [
     "ShardLayout",
     "make_layout",
     "home_shard",
+    "home_shards",
     "ShardedPricer",
 ]
 
@@ -161,6 +168,22 @@ def home_shard(
         return 0
     draw = _unit_hash("serve.place", seed, class_key, request_index)
     return int(draw * layout.n_shards)
+
+
+def home_shards(
+    layout: ShardLayout, seed: int, class_key: str, count: int
+) -> list:
+    """:func:`home_shard` of requests ``0 .. count - 1``, in order.
+
+    The draws come from the ``(seed, class)`` placement stream of
+    :func:`~repro.pim.faults.unit_draws`, which every shard count
+    shares; one shard makes no draws.
+    """
+    n_shards = layout.n_shards
+    if n_shards == 1:
+        return [0] * count
+    draws = unit_draws("serve.place", seed, class_key).first(count)
+    return [int(u * n_shards) for u in draws]
 
 
 class ShardedPricer:

@@ -104,6 +104,36 @@ def _hist(values, buckets=(1.0, 10.0, 100.0)):
     return histogram
 
 
+class TestHistogramObserveMany:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.floats(
+                    min_value=-1e3, max_value=1e3, allow_nan=False
+                ),
+                max_size=20,
+            ),
+            max_size=4,
+        )
+    )
+    def test_equals_sequential_observe(self, batches):
+        batched = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        for batch in batches:
+            batched.observe_many(batch)
+        sequential = _hist(
+            [v for batch in batches for v in batch], buckets=(1.0, 10.0)
+        )
+        assert batched.bucket_counts == sequential.bucket_counts
+        assert batched.count == sequential.count
+        assert batched.sum.hex() == sequential.sum.hex()
+        assert (batched.min, batched.max) == (sequential.min, sequential.max)
+
+    def test_null_instrument_accepts_batches(self):
+        NULL_REGISTRY.histogram("h").observe_many([1.0, 2.0])
+        assert NULL_REGISTRY.snapshot() == {}
+
+
 class TestHistogramPercentile:
     """Boundary and interpolation semantics of Histogram.percentile."""
 

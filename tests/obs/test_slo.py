@@ -1,6 +1,8 @@
 """SLO accounting: digests, objectives, burn rates, tracker verdicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.obs.slo import (
@@ -163,3 +165,58 @@ class TestSLOTracker:
         assert digest["count"] == 1
         restored = LatencyDigest.from_dict(digest)
         assert restored.count == 1
+
+
+def _state(tracker: SLOTracker) -> dict:
+    hist = tracker.digest._hist
+    return {
+        "buckets": list(hist.bucket_counts),
+        "count": hist.count,
+        "sum": hist.sum.hex(),
+        "min": hist.min,
+        "max": hist.max,
+        "bad": list(tracker.bad),
+    }
+
+
+class TestObserveMany:
+    """Batched observation against one ``observe`` per latency."""
+
+    latencies = st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=2e3),
+            st.sampled_from((0.0, 50e-3, 250e-3, 1e-6, 1e3)),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=st.lists(latencies, max_size=5))
+    def test_equals_sequential_observe(self, batches):
+        batched, sequential = SLOTracker(), SLOTracker()
+        for batch in batches:
+            batched.observe_many(batch)
+            for latency in batch:
+                sequential.observe(latency)
+        assert _state(batched) == _state(sequential)
+        assert batched.report() == sequential.report()
+
+    def test_first_of_equal_extremes_is_kept(self):
+        batched, sequential = SLOTracker(), SLOTracker()
+        batched.observe_many([0.0, -0.0, 1e-3])
+        for latency in (0.0, -0.0, 1e-3):
+            sequential.observe(latency)
+        assert str(batched.digest.min) == str(sequential.digest.min) == "0.0"
+
+    def test_negative_latency_raises_like_observe(self):
+        with pytest.raises(ParameterError):
+            SLOTracker().observe(-1e-9)
+        tracker = SLOTracker()
+        with pytest.raises(ParameterError):
+            tracker.observe_many([1e-3, -1e-9])
+        assert _state(tracker) == _state(SLOTracker())
+
+    def test_empty_batch_changes_nothing(self):
+        tracker = SLOTracker()
+        tracker.observe_many([])
+        assert _state(tracker) == _state(SLOTracker())

@@ -1,6 +1,11 @@
 """Fault injection, retry/redispatch, degraded-fleet timing."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     CapacityError,
@@ -17,11 +22,14 @@ from repro.pim.faults import (
     OUTCOME_TRANSIENT,
     FaultPlan,
     RetryPolicy,
+    _STREAM_CACHE,
+    _STREAM_CHUNK,
     _unit_hash,
     get_active_plan,
     get_active_policy,
     redistribute_units,
     set_fault_plan,
+    unit_draws,
     use_fault_plan,
 )
 from repro.pim.kernels import VecAddKernel
@@ -44,6 +52,105 @@ class TestUnitHash:
 
     def test_seed_changes_the_stream(self):
         assert _unit_hash(1, "dpu", 5) != _unit_hash(2, "dpu", 5)
+
+
+class TestUnitDrawStream:
+    """The memoized stream is bit-identical to per-index _unit_hash."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channel=st.sampled_from(("serve.arrival", "serve.place", "x:y")),
+        seed=st.integers(-(2**63), 2**63),
+        class_key=st.one_of(
+            st.sampled_from(("vec_add@54", "a:b@c", "@", ":", "")),
+            st.text(alphabet="ab@:7-", max_size=8),
+        ),
+    )
+    def test_values_equal_unit_hash(self, channel, seed, class_key):
+        stream = unit_draws(channel, seed, class_key)
+        draws = stream.first(40)
+        assert list(draws) == [
+            _unit_hash(channel, seed, class_key, i) for i in range(40)
+        ]
+        for index, value in zip(range(40), stream):
+            assert value == draws[index]
+
+    def test_indices_across_chunk_boundaries(self):
+        prefix = ("serve.arrival", -3, "vec_mul@109")
+        count = 2 * _STREAM_CHUNK + 5
+        draws = unit_draws(*prefix).first(count)
+        assert len(draws) == count
+        for index in (
+            0,
+            _STREAM_CHUNK - 1,
+            _STREAM_CHUNK,
+            _STREAM_CHUNK + 1,
+            2 * _STREAM_CHUNK - 1,
+            2 * _STREAM_CHUNK,
+            count - 1,
+        ):
+            assert draws[index] == _unit_hash(*prefix, index), index
+        iterated = [v for _, v in zip(range(count), unit_draws(*prefix))]
+        assert iterated == list(draws)
+
+    def test_stream_grows_in_fixed_chunks(self):
+        stream = unit_draws("serve.place", 11, "chunked")
+        stream.first(1)
+        assert len(stream) == _STREAM_CHUNK
+        stream.first(_STREAM_CHUNK + 1)
+        assert len(stream) == 2 * _STREAM_CHUNK
+
+    def test_evicted_stream_is_rebuilt_with_the_same_values(self):
+        prefix = ("serve.place", 5, "evict@54")
+        first = unit_draws(*prefix)
+        before = first.first(_STREAM_CHUNK + 3)
+        for other in range(_STREAM_CACHE):
+            unit_draws("serve.place", 5, f"filler-{other}")
+        rebuilt = unit_draws(*prefix)
+        assert rebuilt is not first
+        assert rebuilt.first(_STREAM_CHUNK + 3) == before
+        assert list(before) == [
+            _unit_hash(*prefix, i) for i in range(_STREAM_CHUNK + 3)
+        ]
+
+    def test_threads_growing_one_stream_agree(self):
+        """Concurrent growth appends each index once."""
+        prefix = ("serve.arrival", 13, "threads@54")
+        count = 4 * _STREAM_CHUNK + 1
+        results = [None] * 8
+
+        def worker(slot):
+            results[slot] = unit_draws(*prefix).first(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(len(results))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [_unit_hash(*prefix, i) for i in range(count)]
+        assert all(list(r) == expected for r in results)
+        assert len(unit_draws(*prefix)) == 5 * _STREAM_CHUNK
+
+    def test_int_and_float_seeds_are_separate_streams(self):
+        # 7 == 7.0, but str() differs, so so do the draws.
+        ints = unit_draws("serve.arrival", 7, "k").first(3)
+        floats = unit_draws("serve.arrival", 7.0, "k").first(3)
+        assert list(ints) == [
+            _unit_hash("serve.arrival", 7, "k", i) for i in range(3)
+        ]
+        assert list(floats) == [
+            _unit_hash("serve.arrival", 7.0, "k", i) for i in range(3)
+        ]
+        assert ints != floats
 
 
 class TestRetryPolicy:

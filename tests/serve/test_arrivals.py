@@ -1,9 +1,59 @@
 """Seeded open-loop arrivals: determinism, ordering, rate semantics."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ParameterError
+from repro.pim.faults import _STREAM_CHUNK, unit_draws
 from repro.serve import OpenLoopArrivals
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+def per_index_times(arrivals: OpenLoopArrivals, duration_s: float) -> list:
+    """The arrival times rebuilt one ``interarrival(index)`` at a time."""
+    times = []
+    t = 0.0
+    index = 0
+    while True:
+        t += arrivals.interarrival(index)
+        if t >= duration_s:
+            return times
+        times.append(t)
+        index += 1
+
+
+def fresh_process_times(class_key, rate_qps, seed, duration_s) -> list:
+    """``times_until`` in a new interpreter, with an empty stream memo."""
+    code = (
+        "import json, sys\n"
+        "from repro.serve import OpenLoopArrivals\n"
+        "key, rate, seed, duration = json.loads(sys.argv[1])\n"
+        "times = OpenLoopArrivals(key, rate, seed=seed).times_until(duration)\n"
+        "print(json.dumps([t.hex() for t in times]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            code,
+            json.dumps([class_key, rate_qps, seed, duration_s]),
+        ],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+    ).stdout
+    return [float.fromhex(t) for t in json.loads(out)]
 
 
 class TestOpenLoopArrivals:
@@ -47,3 +97,51 @@ class TestOpenLoopArrivals:
             OpenLoopArrivals("k", -5.0)
         with pytest.raises(ParameterError):
             OpenLoopArrivals("k", 100.0).times_until(0.0)
+
+
+class TestStreamedDraws:
+    """``times_until`` reads memoized draws; the per-index path is the
+    oracle."""
+
+    @pytest.mark.parametrize(
+        "class_key, rate_qps, seed, duration_s",
+        [
+            ("vec_add@54", 2000.0, 1, 0.1),
+            ("vec_add@54", 176000.0, 7, 0.1),  # crosses chunk boundaries
+            ("mean@109", 3.5, -4, 2.0),
+            ("a:b@c", 50000.0, 0, 0.05),
+        ],
+    )
+    def test_equals_per_index_interarrival_sum(
+        self, class_key, rate_qps, seed, duration_s
+    ):
+        arrivals = OpenLoopArrivals(class_key, rate_qps, seed=seed)
+        assert arrivals.times_until(duration_s) == per_index_times(
+            arrivals, duration_s
+        )
+
+    def test_long_window_crosses_chunks(self):
+        arrivals = OpenLoopArrivals("k", 1000.0, seed=2)
+        duration_s = 3 * _STREAM_CHUNK / 1000.0
+        times = arrivals.times_until(duration_s)
+        assert len(times) > 2 * _STREAM_CHUNK
+        assert times == per_index_times(arrivals, duration_s)
+
+    @pytest.mark.parametrize("order", ["slow-first", "fast-first"])
+    def test_memo_carries_no_rate(self, order):
+        """Two rates share one (seed, class) stream; whichever runs
+        first, each gives the times of a fresh process."""
+        rates = (2000.0, 144000.0)
+        if order == "fast-first":
+            rates = rates[::-1]
+        unit_draws.cache_clear()
+        got = {
+            rate: OpenLoopArrivals("vec_add@54", rate, seed=7).times_until(
+                0.05
+            )
+            for rate in rates
+        }
+        for rate in rates:
+            assert got[rate] == fresh_process_times(
+                "vec_add@54", rate, 7, 0.05
+            ), rate

@@ -5,27 +5,35 @@ serial path it replaced — admission, ``price_launch`` on the whole
 fleet under the healthy-fraction fault plan, and
 ``BatchScheduler.schedule`` on one device timeline — is rebuilt here as
 the oracle, and every observable of the point must match it exactly.
+Admission is rebuilt too, one guard check per arrival over arrival
+times summed one ``interarrival`` at a time, so the production path's
+whole-class admission and streamed draws are checked against it.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, dataclass
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_backend
+from repro.core.params import BFVParameters
+from repro.core.planner import HeadroomGuard, plan_budget
 from repro.harness.chaos import plan_for_healthy_fraction
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slo import VERDICT_SLO_BREACH, VERDICT_SLO_OK, SLOTracker
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import use_fault_plan
+from repro.serve.arrivals import OpenLoopArrivals
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import (
     RequestClass,
     ServeSpec,
-    _admitted_arrivals,
     price_launch,
     simulate,
 )
+from repro.workloads import PAPER_WORKLOADS
 
 #: (workload, security bits) pairs a class is drawn from. At the default
 #: 2-bit margin vec_mul@54 is rejected (its planned budget is negative);
@@ -85,12 +93,78 @@ def _specs(draw) -> ServeSpec:
     )
 
 
+#: Counter name prefixes admission writes.
+_ADMISSION_COUNTERS = (
+    "serve.requests.",
+    "serve.rejected.",
+    "noise.headroom_violations",
+)
+
+
+@dataclass(frozen=True)
+class _Stamp:
+    pred_bits: float
+
+
+def _admission_counters(registry: MetricsRegistry) -> dict:
+    return {
+        name: snapshot
+        for name, snapshot in registry.snapshot().items()
+        if name.startswith(_ADMISSION_COUNTERS)
+    }
+
+
+def _reference_arrivals(cls: RequestClass, spec: ServeSpec) -> list:
+    """Arrival times summed one per-index ``interarrival`` at a time."""
+    source = OpenLoopArrivals(cls.key, cls.rate_qps, seed=spec.seed)
+    times = []
+    t = 0.0
+    index = 0
+    while True:
+        t += source.interarrival(index)
+        if t >= spec.duration_s:
+            return times
+        times.append(t)
+        index += 1
+
+
+def _reference_admission(
+    spec: ServeSpec, trackers: dict, registry: MetricsRegistry
+) -> dict:
+    """Per-arrival admission: every arrival is put to the guard."""
+    guard = HeadroomGuard(margin_bits=spec.margin_bits)
+    class_arrivals = {}
+    for cls in spec.classes:
+        params = BFVParameters.security_level(cls.security_bits)
+        circuit = PAPER_WORKLOADS[cls.workload].circuit(cls.ops_per_request)
+        stamp = _Stamp(pred_bits=plan_budget(params, circuit).remaining_bits)
+        admitted = []
+        for t in _reference_arrivals(cls, spec):
+            guard.check(f"serve.admit.{cls.key}", stamp, params)
+            if stamp.pred_bits < spec.margin_bits:
+                trackers[cls.key].reject()
+                registry.counter(f"serve.rejected.{cls.key}").inc()
+            else:
+                admitted.append(t)
+                registry.counter(f"serve.requests.{cls.key}").inc()
+        class_arrivals[cls.key] = admitted
+    return class_arrivals
+
+
+def _simulate(spec: ServeSpec):
+    """``simulate`` with its metrics on a private registry."""
+    with use_registry(MetricsRegistry()) as registry:
+        result = simulate(spec)
+    return result, _admission_counters(registry)
+
+
 def _reference(spec: ServeSpec) -> dict:
     """The serial single-device serving point, built from its parts."""
     config = UPMEMConfig()
     plan = plan_for_healthy_fraction(spec.healthy, spec.seed, config)
     trackers = {c.key: SLOTracker(spec.objectives) for c in spec.classes}
-    class_arrivals = _admitted_arrivals(spec, trackers, MetricsRegistry())
+    with use_registry(MetricsRegistry()) as registry:
+        class_arrivals = _reference_admission(spec, trackers, registry)
     backend = get_backend("pim")
     by_key = {c.key: c for c in spec.classes}
     priced: dict = {}
@@ -127,6 +201,7 @@ def _reference(spec: ServeSpec) -> dict:
         r["verdict"] == VERDICT_SLO_BREACH for r in reports.values()
     )
     return {
+        "admission": _admission_counters(registry),
         "timelines": timelines,
         "launches": launches,
         "reports": reports,
@@ -156,10 +231,11 @@ class TestSimulateMatchesTheSerialReference:
     @given(spec=_specs())
     def test_every_observable_is_bit_identical(self, spec):
         expected = _reference(spec)
-        result = simulate(spec)
+        result, admission = _simulate(spec)
 
-        assert [t.__dict__ for t in result.timelines] == [
-            t.__dict__ for t in expected["timelines"]
+        assert admission == expected["admission"]
+        assert [asdict(t) for t in result.timelines] == [
+            asdict(t) for t in expected["timelines"]
         ]
         assert len(result.launches) == len(expected["launches"])
         for got, want in zip(result.launches, expected["launches"]):
@@ -185,11 +261,38 @@ class TestSimulateMatchesTheSerialReference:
             duration_s=0.005,
             margin_bits=50.0,
         )
-        reports = simulate(spec).reports
+        result, admission = _simulate(spec)
+        reports = result.reports
         assert reports["vec_add@109"]["rejected"] == 0
         assert reports["vec_add@109"]["completed"] > 0
         assert reports["vec_mul@109"]["completed"] == 0
         assert reports["vec_mul@109"]["rejected"] > 0
+
+        # Per-arrival counters, guard violations included, match the
+        # oracle's one-check-per-arrival admission.
+        expected = _reference(spec)
+        assert admission == expected["admission"]
+        assert result.reports == expected["reports"]
+        rejected = reports["vec_mul@109"]["rejected"]
+        assert admission["serve.rejected.vec_mul@109"]["value"] == rejected
+        assert admission["noise.headroom_violations"]["value"] == rejected
+        assert admission["serve.requests.vec_add@109"]["value"] == (
+            reports["vec_add@109"]["completed"]
+        )
+        assert "serve.requests.vec_mul@109" not in admission
+        assert "serve.rejected.vec_add@109" not in admission
+
+
+class TestAdmissionCounters:
+    def test_an_empty_stream_registers_no_counter(self):
+        """A window that ends before the first arrival admits nothing
+        and leaves no ``serve.requests`` counter behind."""
+        spec = ServeSpec(
+            classes=(RequestClass(rate_qps=1.0),), duration_s=1e-9
+        )
+        result, admission = _simulate(spec)
+        assert admission == _reference(spec)["admission"] == {}
+        assert result.reports[spec.classes[0].key]["completed"] == 0
 
 
 class TestDeadFleet:

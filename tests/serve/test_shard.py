@@ -19,6 +19,7 @@ from repro.serve.shard import (
     ShardedPricer,
     ShardLayout,
     home_shard,
+    home_shards,
     make_layout,
 )
 
@@ -99,6 +100,31 @@ class TestHomeShard:
         assert all(
             home_shard(layout, 9, "k", i) == 0 for i in range(50)
         )
+
+
+class TestHomeShards:
+    """The streamed placement against per-index ``home_shard``."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
+    @pytest.mark.parametrize("seed", [0, 7, -1])
+    def test_equals_per_index_home_shard(self, n_shards, seed):
+        layout = make_layout(n_shards, CONFIG)
+        count = 2500  # crosses the stream's chunk boundaries
+        assert home_shards(layout, seed, "vec_add@54", count) == [
+            home_shard(layout, seed, "vec_add@54", i) for i in range(count)
+        ]
+
+    def test_shard_counts_share_one_stream(self):
+        """Placement at 4 shards after 7, and 7 after 4, is unchanged."""
+        four, seven = make_layout(4, CONFIG), make_layout(7, CONFIG)
+        a = home_shards(four, 3, "mean@54", 300)
+        b = home_shards(seven, 3, "mean@54", 900)
+        assert home_shards(four, 3, "mean@54", 900)[:300] == a
+        assert home_shards(seven, 3, "mean@54", 300) == b[:300]
+
+    def test_zero_requests(self):
+        assert home_shards(make_layout(4, CONFIG), 0, "k", 0) == []
+        assert home_shards(make_layout(1, CONFIG), 0, "k", 0) == []
 
 
 class TestShardedPricerBitIdentity:
