@@ -28,9 +28,7 @@ Subcommands:
 * ``faults run|sweep|html`` — the chaos harness: run experiments under
   a seeded fault plan (disabled DPUs, transient launches, transfer
   corruption, stuck tasklets), sweep the fig1/fig2 experiments across
-  a degraded-fleet grid (``--registry`` records through the run
-  registry and makes the sweep resumable), and render the
-  availability-vs-slowdown card;
+  a degraded-fleet grid, and render the availability-vs-slowdown card;
 * ``grid init|run|status|resume|html`` — the persistent run registry:
   enumerate the workload × backend × security × fleet-health × batch
   grid into a sqlite store once, drain pending cells with atomic
@@ -41,8 +39,7 @@ Subcommands:
   seeded open-loop serving point with request-level SLO accounting
   (latency decomposition, streaming percentiles, burn rates), sweep
   offered QPS × security level × fleet health for sustainable
-  capacity (``--registry`` makes the sweep resumable), and render the
-  capacity dashboard;
+  capacity, and render the capacity dashboard;
 * ``resil record|check|html`` — fault-tolerant sharded serving:
   sweep the resilient model (health-aware placement over K
   rank-aligned shards, circuit breakers, retry budgets, hedged
@@ -490,19 +487,12 @@ def _cmd_faults_sweep(args) -> int:
     def progress(eid, fraction):
         print(f"  sweeping {eid} at {fraction * 100:.0f}% ...", file=sys.stderr)
 
-    grid = args.healthy or None
-    if args.registry:
-        doc = chaos.recorded_sweep_degraded_fleet(
-            args.registry,
-            args.ids or None,
-            grid=grid,
-            seed=args.seed,
-            progress=_grid_progress,
-        )
-    else:
-        doc = chaos.sweep_degraded_fleet(
-            args.ids or None, grid=grid, seed=args.seed, progress=progress
-        )
+    doc = chaos.sweep_degraded_fleet(
+        args.ids or None,
+        grid=args.healthy or None,
+        seed=args.seed,
+        progress=progress,
+    )
     print(chaos.render_sweep_text(doc))
     if args.output:
         chaos.SWEEPS.write(doc, args.output)
@@ -774,8 +764,6 @@ def _serve_progress(label: str) -> None:
 
 def _cmd_serve_sweep(args) -> int:
     """Sweep QPS × security × fleet health; report sustainable capacity."""
-    import os
-
     from repro.obs import htmlreport
     from repro.obs.gate import Verdict, exit_code
     from repro.serve import service as serve
@@ -786,31 +774,7 @@ def _cmd_serve_sweep(args) -> int:
         if status:
             return status
 
-    registry = None
-    if args.registry:
-        from repro.obs import registry as regmod
-
-        if os.path.exists(args.registry):
-            registry, status = _load_recorded(
-                regmod.RunRegistry.open, args.registry,
-                hint="repro serve sweep --registry <fresh file>",
-            )
-            if registry is None:
-                return status
-        else:
-            registry = regmod.RunRegistry.create(
-                args.registry,
-                regmod.GridSpec(
-                    workloads=(args.workload,),
-                    backends=("pim",),
-                    security_bits=tuple(sorted(set(args.security))),
-                    healthy=tuple(sorted(set(args.healthy), reverse=True)),
-                    max_batches=1,
-                    seed=args.seed,
-                ),
-            )
-
-    kwargs = dict(
+    doc = serve.sweep_capacity(
         workload=args.workload,
         security_levels=args.security,
         healthy_grid=args.healthy,
@@ -823,25 +787,7 @@ def _cmd_serve_sweep(args) -> int:
         baseline=baseline,
         progress=_serve_progress,
     )
-    memo_line = None
-    if registry is not None:
-        with registry:
-            doc = serve.sweep_capacity(registry=registry, **kwargs)
-            rollup = next(
-                run["rollups"]["serve"]
-                for run in registry.runs()
-                if run["run_id"] == doc["run_id"]
-            )
-            memo_line = (
-                f"registry: memoized {rollup['memoized']}/"
-                f"{rollup['points']} points ({args.registry})"
-            )
-    else:
-        doc = serve.sweep_capacity(**kwargs)
-
     print(serve.render_sweep_text(doc))
-    if memo_line:
-        print(memo_line)
     if args.output:
         serve.SWEEPS.write(doc, args.output)
         print(f"wrote sweep document to {args.output}", file=sys.stderr)
@@ -1416,13 +1362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", metavar="FILE", help="write the sweep JSON to FILE"
     )
     faults_sweep.add_argument(
-        "--registry",
-        metavar="DB",
-        help="record the sweep through the run registry at DB (sqlite): "
-        "each cell is priced at most once, and an interrupted sweep "
-        "resumes with zero recomputation",
-    )
-    faults_sweep.add_argument(
         "--html",
         metavar="FILE",
         help="write the availability-vs-slowdown HTML card to FILE",
@@ -1726,13 +1665,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--html",
         metavar="FILE",
         help="write the capacity dashboard HTML to FILE",
-    )
-    serve_sweep.add_argument(
-        "--registry",
-        metavar="DB",
-        help="record points through the run registry at DB (sqlite; "
-        "created if missing): each point is priced at most once, and "
-        "an interrupted sweep resumes with zero recomputation",
     )
     serve_sweep.add_argument(
         "--baseline",

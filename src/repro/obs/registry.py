@@ -26,9 +26,6 @@ Two tables carry the story:
   reports. This ledger is what the longitudinal dashboard
   (``repro grid html``) trends across git SHAs.
 
-A third table, **points**, memoizes the points of the serving
-capacity sweep (:func:`repro.serve.service.sweep_capacity`).
-
 Determinism contract: a cell's modelled result is a pure function of
 its coordinates (plus the grid's fault seed), priced by the same
 workload/backend path the experiments use. The workloads and their
@@ -61,6 +58,8 @@ from repro.obs.gate import Verdict
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.perf import baseline_pairs
 from repro.obs.runident import run_identity
+from repro.pim.config import UPMEMConfig
+from repro.pim.faults import plan_for_healthy_fraction, use_fault_plan
 from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
@@ -238,14 +237,6 @@ CREATE TABLE IF NOT EXISTS runs (
     rollups           TEXT,
     drift_annotations TEXT
 );
-CREATE TABLE IF NOT EXISTS points (
-    sweep_key  TEXT NOT NULL,
-    parameter  REAL NOT NULL,
-    value      REAL NOT NULL,
-    run_id     TEXT,
-    created_at TEXT,
-    PRIMARY KEY (sweep_key, parameter)
-);
 """
 
 #: Columns of the deterministic result projection: everything a resumed
@@ -333,7 +324,6 @@ class RunRegistry:
         try:
             conn.execute("DELETE FROM grid")
             conn.execute("DELETE FROM runs")
-            conn.execute("DELETE FROM points")
             conn.execute("DELETE FROM meta")
             identity = run_identity()
             for key, value in (
@@ -617,35 +607,6 @@ class RunRegistry:
             out.append(doc)
         return out
 
-    # -- memoized sweep points ----------------------------------------------
-
-    def points(self, sweep_key: str) -> dict:
-        """Recorded parameter -> value pairs for one sweep key."""
-        return {
-            row["parameter"]: row["value"]
-            for row in self._conn.execute(
-                "SELECT parameter, value FROM points WHERE sweep_key = ?",
-                (sweep_key,),
-            )
-        }
-
-    def record_point(
-        self,
-        sweep_key: str,
-        parameter: float,
-        value: float,
-        run_id: str | None = None,
-    ) -> None:
-        """Memoize one sweep sample (idempotent per (key, parameter))."""
-        self._conn.execute("BEGIN IMMEDIATE")
-        self._conn.execute(
-            "INSERT OR REPLACE INTO points "
-            "(sweep_key, parameter, value, run_id, created_at) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (sweep_key, float(parameter), float(value), run_id, _now()),
-        )
-        self._conn.execute("COMMIT")
-
 
 # -- running cells ----------------------------------------------------------
 
@@ -659,10 +620,6 @@ def run_cell(cell: dict, seed: int = 0) -> float:
     health fraction (inactive at 100% healthy, so fault-free cells run
     the untouched path the committed baselines were recorded from).
     """
-    from repro.harness.chaos import plan_for_healthy_fraction
-    from repro.pim.config import UPMEMConfig
-    from repro.pim.faults import use_fault_plan
-
     try:
         paper_workload = PAPER_WORKLOADS[cell["workload"]]
     except KeyError:
@@ -684,7 +641,6 @@ def drain(
     max_cells: int | None = None,
     baseline: dict | None = None,
     progress=None,
-    command: str = "grid run",
 ) -> dict:
     """Claim and run pending cells until the grid is drained.
 
@@ -721,9 +677,8 @@ def drain(
                 failures.append(record)
                 if not keep_going:
                     _record_drain(
-                        registry, identity, command, owner, done,
-                        failures, perf_counter() - t_start, baseline,
-                        metrics,
+                        registry, identity, owner, done, failures,
+                        perf_counter() - t_start, baseline, metrics,
                     )
                     raise
                 continue
@@ -735,14 +690,14 @@ def drain(
             )
             done.append({**cell, "modelled_ms": modelled_ms})
     return _record_drain(
-        registry, identity, command, owner, done, failures,
+        registry, identity, owner, done, failures,
         perf_counter() - t_start, baseline, metrics,
     )
 
 
 def _record_drain(
-    registry, identity, command, owner, done, failures, wall_s,
-    baseline, metrics,
+    registry, identity, owner, done, failures, wall_s, baseline,
+    metrics,
 ) -> dict:
     """Roll one drain up into the runs ledger; returns the run doc."""
     cells = registry.cells()
@@ -751,7 +706,7 @@ def _record_drain(
     doc = dict(identity)
     doc.update(
         {
-            "command": command,
+            "command": "grid run",
             "owner": owner,
             "cells_done": len(done),
             "cells_failed": len(failures),

@@ -58,6 +58,7 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "FaultPlan",
+    "plan_for_healthy_fraction",
     "DegradedRunReport",
     "redistribute_units",
     "unit_draws",
@@ -565,6 +566,20 @@ class FaultPlan:
         plan = replace(self, **changes)
         plan.reset()
         return plan
+
+
+def plan_for_healthy_fraction(
+    fraction: float, seed: int, config: UPMEMConfig
+) -> FaultPlan:
+    """A plan that fuses off ``(1 - fraction)`` of the fleet by count.
+
+    At ``fraction == 1.0`` the plan disables nothing and is inactive —
+    the pricing model runs its untouched fault-free path.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError(f"healthy fraction must be in (0, 1]: {fraction}")
+    disable = round(config.n_dpus * (1.0 - fraction))
+    return FaultPlan(seed=seed, disable_dpus=disable)
 
 
 @dataclass(frozen=True)

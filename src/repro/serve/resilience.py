@@ -57,7 +57,11 @@ from repro.obs.slo import (
 )
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import DEFAULT_RETRY_POLICY, FaultPlan
+from repro.pim.faults import (
+    DEFAULT_RETRY_POLICY,
+    FaultPlan,
+    plan_for_healthy_fraction,
+)
 from repro.serve.scheduler import BatchScheduler, RequestTimeline
 from repro.serve.service import (
     SCHEMA_VERSION,
@@ -368,8 +372,6 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     no-shed case), so the two can never diverge. The ``resil-point``
     document comes back without its run identity.
     """
-    from repro.harness.chaos import plan_for_healthy_fraction
-
     spec = rspec.serve
     config = UPMEMConfig()
     layout = make_layout(rspec.n_shards, config)

@@ -16,11 +16,7 @@ A **capacity sweep** (:func:`sweep_capacity`) asks the ROADMAP item-2
 question directly: for each security level and fleet-health fraction,
 step the offered QPS across a grid and report p50/p99/p99.9 modelled
 latency, burn rates, and the *sustainable QPS* — the highest offered
-rate whose point still meets every SLO objective. Sweeps can record
-through the PR-6 run registry (each point memoized in the ``points``
-table, the invocation logged in the ``runs`` ledger), so an
-interrupted sweep resumes with zero recomputation and repeated sweeps
-accumulate a longitudinal record.
+rate whose point still meets every SLO objective.
 
 Two invariants mirror the chaos harness:
 
@@ -192,10 +188,8 @@ class ServeSpec:
     def token(self) -> str:
         """A short stable hash of everything but the offered rates.
 
-        Used to namespace registry sweep keys: two sweeps with
-        different windows, batching, seeds, or objectives can share a
-        registry without colliding, while the same sweep re-run finds
-        its memoized points.
+        Two specs that differ only in offered load share a token; a
+        different window, batching, seed, or objective changes it.
         """
         doc = self.to_dict()
         for entry in doc["classes"]:
@@ -332,23 +326,6 @@ def simulate(spec: ServeSpec) -> ServeResult:
 
 # -- capacity sweep ----------------------------------------------------------
 
-#: Scalar metrics persisted per sweep point (None encoded as -1.0; all
-#: real values are non-negative).
-_POINT_METRICS = (
-    "completed",
-    "rejected",
-    "p50_ms",
-    "p99_ms",
-    "p999_ms",
-    "mean_ms",
-    "qps_completed",
-    "max_burn_rate",
-    "utilization",
-    "energy_j",
-    "avg_watts",
-    "j_per_request",
-)
-
 
 def _point_summary(result: ServeResult, class_key: str) -> dict:
     """The persistable scalar summary of one sweep point."""
@@ -377,14 +354,6 @@ def _point_verdict(summary: dict) -> str:
     return VERDICT_SLO_OK
 
 
-def _encode(value) -> float:
-    return -1.0 if value is None else float(value)
-
-
-def _decode(value: float):
-    return None if value == -1.0 else value
-
-
 def sweep_capacity(
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
@@ -397,23 +366,20 @@ def sweep_capacity(
     max_wait_s: float = 2e-3,
     margin_bits: float = 2.0,
     objectives=DEFAULT_OBJECTIVES,
-    registry=None,
     baseline: dict | None = None,
     progress=None,
 ) -> dict:
     """The capacity sweep: QPS × security level × fleet health.
 
-    ``registry`` (an open :class:`~repro.obs.registry.RunRegistry`)
-    memoizes each point's summary metrics in the points table —
-    re-running the same sweep re-prices nothing, an interrupted sweep
-    resumes where it stopped, and the resumed document is bit-identical
-    to the direct one (modulo run identity). ``baseline`` (a perf
-    baseline document) adds the zero-fault bit-identity cross-check.
-    ``progress`` receives a label as each point starts pricing.
+    ``baseline`` (a perf baseline document) adds the zero-fault
+    bit-identity cross-check. ``progress`` receives a label as each
+    point starts pricing.
     """
     levels = sorted(set(int(b) for b in security_levels))
     fractions = sorted(set(healthy_grid), reverse=True)
     rates = sorted(set(float(q) for q in qps_grid))
+    if not levels:
+        raise ParameterError("security levels must be non-empty")
     if not rates:
         raise ParameterError("qps grid must be non-empty")
 
@@ -435,8 +401,6 @@ def sweep_capacity(
     )
 
     cells: dict = {}
-    priced = 0
-    memoized = 0
     for bits in levels:
         by_health: dict = {}
         for fraction in fractions:
@@ -451,29 +415,9 @@ def sweep_capacity(
                 spec = replace(
                     base_spec, classes=(cls,), healthy=fraction
                 )
-                label = f"{cls.key} h={fraction:g} qps={qps:g}"
-                summary = None
-                key_prefix = (
-                    f"serve:v{SCHEMA_VERSION}:{spec.token()}:"
-                    f"class={cls.key}:healthy={fraction:g}"
-                )
-                if registry is not None:
-                    summary = _recalled_point(registry, key_prefix, qps)
-                if summary is None:
-                    if progress is not None:
-                        progress(label)
-                    result = simulate(spec)
-                    summary = _point_summary(result, cls.key)
-                    priced += 1
-                    if registry is not None:
-                        for name in _POINT_METRICS:
-                            registry.record_point(
-                                f"{key_prefix}:metric={name}",
-                                qps,
-                                _encode(summary[name]),
-                            )
-                else:
-                    memoized += 1
+                if progress is not None:
+                    progress(f"{cls.key} h={fraction:g} qps={qps:g}")
+                summary = _point_summary(simulate(spec), cls.key)
                 points.append(
                     {"qps": qps}
                     | summary
@@ -513,56 +457,7 @@ def sweep_capacity(
             security_levels=levels,
             ops_per_request=ops_per_request,
         )
-    if registry is not None:
-        # The ledger row shares the document's identity so the two can
-        # be correlated after the fact.
-        identity = {
-            k: doc[k] for k in ("run_id", "created_at", "git_sha")
-        }
-        registry.record_run(
-            identity
-            | {
-                "command": "serve sweep",
-                "owner": "serve",
-                "cells_done": priced,
-                "cells_failed": 0,
-                "wall_s": 0.0,
-                "modelled_ms": 0.0,
-                "rollups": {
-                    "serve": {
-                        "workload": workload,
-                        "points": priced + memoized,
-                        "memoized": memoized,
-                        "breaches": sum(
-                            1
-                            for by_health in cells.values()
-                            for entry in by_health.values()
-                            for p in entry["points"]
-                            if p["verdict"] == VERDICT_SLO_BREACH
-                        ),
-                        "energy_j": sum(
-                            p["energy_j"]
-                            for by_health in cells.values()
-                            for entry in by_health.values()
-                            for p in entry["points"]
-                        ),
-                    }
-                },
-            }
-        )
     return doc
-
-
-def _recalled_point(registry, key_prefix: str, qps: float):
-    """A memoized point summary from the registry, or ``None``."""
-    summary = {}
-    for name in _POINT_METRICS:
-        recorded = registry.points(f"{key_prefix}:metric={name}")
-        if qps not in recorded:
-            return None
-        summary[name] = _decode(recorded[qps])
-    # Counts round-trip through REAL columns; present them as recorded.
-    return summary
 
 
 # -- the zero-fault bit-identity gate ----------------------------------------

@@ -25,7 +25,7 @@ workload, how to build it at a (security level, batch) cell, the
 figure's batches and row label, and the noise-circuit shape of one
 serving request. :data:`EXPERIMENT_CELLS` names the cells of each
 figure experiment. The fig1/fig2 experiments, the run-registry grid,
-the registry-backed faults sweep and the serving layer all read them.
+the faults sweep and the serving layer all read them.
 """
 
 from dataclasses import dataclass

@@ -10,6 +10,7 @@ from repro.harness.cli import EXIT_DATA, main
 from repro.harness.runner import run_experiment
 from repro.obs.baseline import series_totals
 from repro.pim.config import UPMEMConfig
+from repro.pim.faults import plan_for_healthy_fraction
 
 CFG = UPMEMConfig()
 
@@ -31,18 +32,18 @@ def sweep():
 
 class TestPlanForHealthyFraction:
     def test_full_health_is_inactive(self):
-        plan = chaos.plan_for_healthy_fraction(1.0, seed=0, config=CFG)
+        plan = plan_for_healthy_fraction(1.0, seed=0, config=CFG)
         assert not plan.active
         assert plan.effective_dpus(CFG) == CFG.n_dpus
 
     def test_fraction_maps_to_disable_count(self):
-        plan = chaos.plan_for_healthy_fraction(0.9, seed=0, config=CFG)
+        plan = plan_for_healthy_fraction(0.9, seed=0, config=CFG)
         assert plan.disable_dpus == round(CFG.n_dpus * 0.1)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.1])
     def test_rejects_bad_fractions(self, fraction):
         with pytest.raises(ParameterError):
-            chaos.plan_for_healthy_fraction(fraction, seed=0, config=CFG)
+            plan_for_healthy_fraction(fraction, seed=0, config=CFG)
 
 
 class TestSweepDocument:
@@ -211,81 +212,3 @@ class TestFaultsMissingDataExits:
 
     def test_exit_data_distinct_from_failure(self):
         assert EXIT_DATA == 2
-
-
-class TestRegistryBackedSweep:
-    def test_bit_identical_to_direct_path(self, tmp_path, sweep):
-        """The migration contract: recording the sweep through the run
-        registry changes nothing about the document (modulo identity)."""
-        recorded = chaos.recorded_sweep_degraded_fleet(
-            tmp_path / "grid.db", **SWEEP_ARGS
-        )
-        assert strip_identity(recorded) == strip_identity(sweep)
-
-    def test_rerun_recomputes_nothing_and_matches(
-        self, tmp_path, sweep, monkeypatch
-    ):
-        db = tmp_path / "grid.db"
-        first = chaos.recorded_sweep_degraded_fleet(db, **SWEEP_ARGS)
-
-        from repro.obs import registry as regmod
-
-        def no_pricing(cell, seed=0):
-            raise AssertionError("resume must not re-price done cells")
-
-        monkeypatch.setattr(regmod, "run_cell", no_pricing)
-        again = chaos.recorded_sweep_degraded_fleet(db, **SWEEP_ARGS)
-        assert strip_identity(again) == strip_identity(first)
-
-    def test_interrupted_sweep_resumes(self, tmp_path, sweep):
-        from repro.obs import registry as regmod
-
-        db = tmp_path / "grid.db"
-        spec = chaos.spec_for_experiments(**SWEEP_ARGS)
-        registry = regmod.RunRegistry.create(db, spec)
-        regmod.drain(registry, max_cells=5)
-        registry.claim_next("doomed")  # the worker dies here
-        registry.close()
-
-        recorded = chaos.recorded_sweep_degraded_fleet(db, **SWEEP_ARGS)
-        assert strip_identity(recorded) == strip_identity(sweep)
-
-    def test_mismatched_registry_rejected(self, tmp_path):
-        db = tmp_path / "grid.db"
-        chaos.recorded_sweep_degraded_fleet(db, **SWEEP_ARGS)
-        with pytest.raises(ParameterError, match="does not match"):
-            chaos.recorded_sweep_degraded_fleet(
-                db, ids=["fig1a"], grid=[1.0, 0.9], seed=99
-            )
-
-    def test_unmapped_experiment_rejected(self, tmp_path):
-        with pytest.raises(ParameterError, match="grid-cell mapping"):
-            chaos.recorded_sweep_degraded_fleet(
-                tmp_path / "grid.db", ids=["tab_security"]
-            )
-
-    def test_cli_sweep_with_registry_flag(self, tmp_path, capsys):
-        db = tmp_path / "grid.db"
-        out_json = tmp_path / "sweep.json"
-        status = main(
-            [
-                "faults",
-                "sweep",
-                "fig1a",
-                "--healthy",
-                "1.0",
-                "--healthy",
-                "0.9",
-                "--seed",
-                "3",
-                "--registry",
-                str(db),
-                "-o",
-                str(out_json),
-            ]
-        )
-        assert status == 0
-        assert "degraded-fleet sweep" in capsys.readouterr().out
-        doc = json.loads(out_json.read_text())
-        assert doc["experiments"]["fig1a"]["points"][0]["healthy"] == 1.0
-        assert db.exists()

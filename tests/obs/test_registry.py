@@ -7,9 +7,13 @@ import threading
 import pytest
 
 from repro.errors import ParameterError
+from repro.harness.runner import run_experiment
 from repro.obs import gate
 from repro.obs import registry as reg
-from repro.obs.baseline import read_run
+from repro.obs.baseline import read_run, series_totals
+from repro.pim.config import UPMEMConfig
+from repro.pim.faults import plan_for_healthy_fraction, use_fault_plan
+from repro.workloads import EXPERIMENT_CELLS
 
 #: One small grid most tests share: two workloads, truncated batches.
 TINY = dict(
@@ -379,15 +383,29 @@ class TestBaselineCrossCheck:
         assert stamp["perf"]["delta_ms"] == pytest.approx(-1.0)
 
 
-class TestSweepPoints:
-    def test_points_memoized_per_key(self, tmp_path):
-        registry = tiny_registry(tmp_path)
-        registry.record_point("k", 1.0, 10.0)
-        registry.record_point("k", 2.0, 20.0)
-        registry.record_point("other", 1.0, 99.0)
-        assert registry.points("k") == {1.0: 10.0, 2.0: 20.0}
-        registry.record_point("k", 1.0, 11.0)  # idempotent upsert
-        assert registry.points("k")[1.0] == 11.0
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_degraded_grid_cells_sum_to_the_experiment(tmp_path, seed):
+    """At every healthy fraction, fig1a's grid cells summed per backend
+    equal the experiment runner's series totals under the same fault
+    plan, with float ``==`` — the grid is the degraded-fleet record."""
+    workload, bits = EXPERIMENT_CELLS["fig1a"]
+    fractions = (1.0, 0.9, 0.8)
+    registry = reg.RunRegistry.create(
+        tmp_path / "grid.db",
+        reg.GridSpec(
+            workloads=(workload,),
+            security_bits=(bits,),
+            healthy=fractions,
+            seed=seed,
+        ),
+    )
+    reg.drain(registry)
+    cells = registry.cells()
+    for fraction in fractions:
+        plan = plan_for_healthy_fraction(fraction, seed, UPMEMConfig())
+        with use_fault_plan(plan):
+            expected = series_totals(run_experiment("fig1a"))
+        assert reg.experiment_totals(cells, fraction)["fig1a"] == expected
 
 
 class TestRenderStatus:

@@ -88,16 +88,6 @@ class TestServeSweep:
         assert "baseline gate:" not in out
         assert "baseline_check" not in json.loads(sweep.read_text())
 
-    def test_registry_backed_sweep_resumes(self, tmp_path, capsys):
-        db = tmp_path / "grid.db"
-        argv = self._ARGV + ["--registry", str(db), "--skip-baseline"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "memoized 0/4 points" in first
-        assert "memoized 4/4 points" in second
-
 
 class TestServeHtml:
     def test_html_from_recorded_sweep(self, tmp_path, capsys):

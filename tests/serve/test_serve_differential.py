@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 from repro.backends import get_backend
 from repro.core.params import BFVParameters
 from repro.core.planner import HeadroomGuard, plan_budget
-from repro.harness.chaos import plan_for_healthy_fraction
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.slo import VERDICT_SLO_BREACH, VERDICT_SLO_OK, SLOTracker
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import use_fault_plan
+from repro.pim.faults import plan_for_healthy_fraction, use_fault_plan
 from repro.serve.arrivals import OpenLoopArrivals
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.service import (

@@ -1,5 +1,5 @@
 """Serving points and capacity sweeps: determinism, bit-identity,
-registry resume, exports."""
+exports."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs.export import validate_chrome_trace
-from repro.obs.registry import GridSpec, RunRegistry
 from repro.obs.slo import VERDICT_SLO_BREACH, VERDICT_SLO_OK
 from repro.serve import (
     RequestClass,
@@ -66,7 +65,7 @@ class TestSpecValidation:
             ServeSpec(healthy=0.0)
 
     def test_spec_token_ignores_offered_rate(self):
-        # Same sweep at different QPS must share registry keys.
+        # Same sweep at different QPS shares a token.
         slow = _tiny_spec(classes=(RequestClass(rate_qps=100.0),))
         fast = _tiny_spec(classes=(RequestClass(rate_qps=9000.0),))
         assert slow.token() == fast.token()
@@ -187,52 +186,6 @@ class TestSweep:
             b, sort_keys=True
         )
 
-    def test_registry_memoizes_and_resumes(self, tmp_path):
-        db = tmp_path / "serve.db"
-        RunRegistry.create(
-            db,
-            GridSpec(
-                workloads=("vec_add",),
-                backends=("pim",),
-                security_bits=(54, 109),
-                healthy=(1.0, 0.9),
-                max_batches=1,
-            ),
-        )
-        with RunRegistry.open(db) as registry:
-            first = sweep_capacity(registry=registry, **self._KW)
-            second = sweep_capacity(registry=registry, **self._KW)
-            runs = registry.runs()
-        assert len(runs) == 2
-        by_memo = sorted(
-            runs, key=lambda r: r["rollups"]["serve"]["memoized"]
-        )
-        assert by_memo[0]["rollups"]["serve"]["memoized"] == 0
-        # The resumed sweep re-prices nothing...
-        assert by_memo[1]["rollups"]["serve"]["memoized"] == 8
-        assert by_memo[1]["cells_done"] == 0
-        # ...and reproduces the document bit-for-bit.
-        assert json.dumps(_stripped(first), sort_keys=True) == json.dumps(
-            _stripped(second), sort_keys=True
-        )
-
-    def test_registry_matches_the_direct_path(self, tmp_path):
-        db = tmp_path / "serve.db"
-        RunRegistry.create(
-            db,
-            GridSpec(
-                workloads=("vec_add",),
-                backends=("pim",),
-                security_bits=(54, 109),
-                healthy=(1.0, 0.9),
-                max_batches=1,
-            ),
-        )
-        direct = sweep_capacity(**self._KW)
-        with RunRegistry.open(db) as registry:
-            recorded = sweep_capacity(registry=registry, **self._KW)
-        assert _stripped(direct) == _stripped(recorded)
-
     def test_baseline_check_rides_along(self):
         with open("baselines/perf.json") as handle:
             baseline = json.load(handle)
@@ -245,9 +198,10 @@ class TestSweep:
         assert "SLO verdict summary:" in text
         assert "sustainable QPS" in text
 
-    def test_empty_qps_grid_rejected(self):
+    @pytest.mark.parametrize("grid", ["qps_grid", "security_levels"])
+    def test_empty_grid_rejected(self, grid):
         with pytest.raises(ParameterError):
-            sweep_capacity(qps_grid=())
+            sweep_capacity(**{grid: ()})
 
 
 class TestPersistence:
