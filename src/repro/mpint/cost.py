@@ -9,8 +9,8 @@ arithmetic layer reusable for the CPU and GPU cost models too.
 The ``expected_ops_*`` helpers give closed-form *expected* counts for
 the same routines, used by the analytic fast path when benchmarking
 workloads too large to execute limb-by-limb. Tests in
-``tests/mpint/test_cost_agreement.py`` check the closed forms against
-tallies of real executions.
+``tests/mpint/test_cost.py`` check the closed forms against tallies of
+real executions.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def expected_ops_mul32() -> dict:
     word), and — for set bits — performs a two-limb add. With uniformly
     random operands half the bits are set, giving the expected counts
     returned here. Functional executions charge the *actual*
-    data-dependent counts; see ``tests/mpint/test_cost_agreement.py``.
+    data-dependent counts; see ``tests/mpint/test_cost.py``.
     """
     return {
         "and": 32,  # bit-mask tests

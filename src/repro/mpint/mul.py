@@ -19,6 +19,8 @@ each charging its abstract operations to an
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.errors import ParameterError
 from repro.mpint.add import add_with_carry, sub_with_borrow
 from repro.mpint.cost import OpTally
@@ -29,6 +31,24 @@ from repro.mpint.limbs import LIMB_BITS, LIMB_MASK, Limbs
 #: operands (2 limbs) upward.
 KARATSUBA_THRESHOLD = 2
 
+#: Out-of-line call overhead of one :func:`mul32`: the compiler emits
+#: the routine as a ``__mulsi3``-style call, so each product pays the
+#: call/return branches and the prologue/epilogue register traffic.
+_MUL32_CALL_OPS = (("branch", 2), ("move", 12))
+
+#: Data ops of every shift-and-add iteration, whatever the multiplier
+#: bit: mask and test the low multiplier bit (``and`` + ``branch``),
+#: shift the multiplier (``lsr``), and shift the two-limb multiplicand
+#: (low-limb ``lsl``, high-limb ``lsl``, plus ``lsr`` + ``or`` to carry
+#: the low limb's top bit across).
+_MUL32_STEP_OPS = (
+    ("and", 1),
+    ("branch", 1),
+    ("lsr", 2),
+    ("lsl", 2),
+    ("or", 1),
+)
+
 #: Loop bookkeeping charged per shift-and-add iteration: the compiled
 #: routine maintains an iteration counter (add), compares it (cmp) and
 #: branches — on top of the data ops the loop body performs. Without
@@ -36,50 +56,48 @@ KARATSUBA_THRESHOLD = 2
 #: 24 KB UPMEM IRAM does not admit for a 32-iteration body.
 _MUL32_LOOP_OPS = (("move", 1), ("cmp", 1), ("branch", 1))
 
-_MASK64 = (1 << 64) - 1
+#: Extra ops of an iteration whose multiplier bit is set: the two-limb
+#: accumulate (``add`` + ``addc``); the operands live across registers,
+#: so the compiled body also shuffles a pair of moves.
+_MUL32_ACCUMULATE_OPS = (("add", 1), ("addc", 1), ("move", 2))
+
+
+def _mul32_fixed_ops() -> dict:
+    """The data-independent part of one :func:`mul32` tally: the call
+    overhead plus :data:`LIMB_BITS` iterations of step and loop ops."""
+    counts = Counter(dict(_MUL32_CALL_OPS))
+    for op, n in _MUL32_STEP_OPS + _MUL32_LOOP_OPS:
+        counts[op] += LIMB_BITS * n
+    return dict(counts)
+
+
+_MUL32_FIXED_OPS = _mul32_fixed_ops()
 
 
 def mul32(a: int, b: int, tally: OpTally) -> tuple:
     """Software 32x32→64 multiply; returns ``(low_limb, high_limb)``.
 
-    Models the compiler-generated shift-and-add routine: the loop walks
+    Prices the compiler-generated shift-and-add routine: the loop walks
     the 32 multiplier bits, shifting a two-limb multiplicand left each
     iteration and accumulating it (two-limb ``add``+``addc``) whenever
-    the current bit is set. Operation counts are data-dependent exactly
-    as on hardware: multiplying by a dense bit pattern costs more adds
-    than multiplying by a sparse one.
+    the current bit is set. The tally is charged in closed form — the
+    call overhead, 32 iterations of step and loop ops, and one
+    accumulate per set bit of ``b`` — so it equals the loop's
+    instruction-by-instruction count without running the loop. Counts
+    stay data-dependent exactly as on hardware, through the popcount
+    of ``b``: multiplying by a dense bit pattern costs more adds than
+    multiplying by a sparse one.
     """
     if not 0 <= a <= LIMB_MASK or not 0 <= b <= LIMB_MASK:
         raise ParameterError(f"mul32 operands must be 32-bit, got {a}, {b}")
-    # The compiler emits this routine as an out-of-line call
-    # (__mulsi3-style): charge the call/return branches and the
-    # prologue/epilogue register traffic.
-    tally.charge("branch", 2)
-    tally.charge("move", 12)
-    acc = 0
-    shifted = a
-    multiplier = b
-    for _ in range(LIMB_BITS):
-        tally.charge("and")  # mask the low multiplier bit
-        tally.charge("branch")  # test it
-        if multiplier & 1:
-            # Two-limb accumulate; the operands live across registers,
-            # so the compiled body also shuffles a pair of moves.
-            tally.charge("add")
-            tally.charge("addc")
-            tally.charge("move", 2)
-            acc = (acc + shifted) & _MASK64
-        multiplier >>= 1
-        tally.charge("lsr")  # shift the multiplier
-        # Two-limb multiplicand shift: low-limb lsl, high-limb lsl,
-        # plus lsr+or to carry the low limb's top bit across.
-        tally.charge("lsl", 2)
-        tally.charge("lsr")
-        tally.charge("or")
-        shifted = (shifted << 1) & _MASK64
-        for op, count in _MUL32_LOOP_OPS:
-            tally.charge(op, count)
-    return acc & LIMB_MASK, acc >> LIMB_BITS
+    for op, n in _MUL32_FIXED_OPS.items():
+        tally.charge(op, n)
+    set_bits = b.bit_count()
+    if set_bits:
+        for op, n in _MUL32_ACCUMULATE_OPS:
+            tally.charge(op, set_bits * n)
+    product = a * b
+    return product & LIMB_MASK, product >> LIMB_BITS
 
 
 def schoolbook_multiply(a: Limbs, b: Limbs, tally: OpTally) -> Limbs:

@@ -35,9 +35,20 @@ COST_SAMPLE_SIZE = 96
 #: deterministic run to run.
 COST_SAMPLE_SEED = 0x5EED
 
+#: Process-wide cost samples: ``(kernel class, cost_key())`` -> the
+#: summed :class:`OpTally` of the seeded sample.
+_COST_SAMPLES: dict = {}
+
 
 class Kernel(abc.ABC):
-    """One device kernel: per-element semantics + memory behaviour."""
+    """One device kernel: per-element semantics + memory behaviour.
+
+    A kernel's cost depends only on its configuration
+    (:meth:`cost_key`), so its cost sample is taken once per
+    configuration per process, on a fresh instance, and every kernel
+    built with the same arguments — whichever layer builds it — reuses
+    it.
+    """
 
     #: Human-readable kernel name (shown in timing breakdowns).
     name: str = "kernel"
@@ -46,7 +57,6 @@ class Kernel(abc.ABC):
         if limbs <= 0:
             raise ParameterError(f"limbs must be positive: {limbs}")
         self.limbs = limbs
-        self._cached_cycles_per_element: float | None = None
 
     # -- per-element contract -------------------------------------------------
 
@@ -62,6 +72,14 @@ class Kernel(abc.ABC):
     @abc.abstractmethod
     def random_element(self, rng: np.random.Generator):
         """A uniformly random valid input element (for cost sampling)."""
+
+    @abc.abstractmethod
+    def cost_key(self) -> tuple:
+        """The constructor arguments that determine the cost sample.
+
+        ``type(self)(*self.cost_key())`` must build a fresh kernel of
+        the same configuration: the sample is taken on that instance.
+        """
 
     @abc.abstractmethod
     def mram_bytes_per_element(self) -> int:
@@ -90,21 +108,26 @@ class Kernel(abc.ABC):
         return outputs, tally
 
     def cycles_per_element(self) -> float:
-        """Measured expected cycles per element (cached).
+        """Measured expected cycles per element.
 
-        Executes :data:`COST_SAMPLE_SIZE` seeded random elements and
-        prices the resulting tally with the DPU ISA table.
+        Executes :data:`COST_SAMPLE_SIZE` seeded random elements on a
+        fresh kernel built from :meth:`cost_key` and prices the
+        resulting tally with the DPU ISA table. The sample is taken
+        once per configuration per process and never touches this
+        instance's state; pricing happens on every call, so a
+        perturbed ISA table takes effect immediately.
         """
-        if self._cached_cycles_per_element is None:
+        key = (type(self), self.cost_key())
+        tally = _COST_SAMPLES.get(key)
+        if tally is None:
+            fresh = type(self)(*key[1])
             rng = np.random.default_rng(COST_SAMPLE_SEED)
             elements = [
-                self.random_element(rng) for _ in range(COST_SAMPLE_SIZE)
+                fresh.random_element(rng) for _ in range(COST_SAMPLE_SIZE)
             ]
-            _, tally = self.execute(elements)
-            self._cached_cycles_per_element = (
-                cycles_for_tally(tally) / COST_SAMPLE_SIZE
-            )
-        return self._cached_cycles_per_element
+            _, tally = fresh.execute(elements)
+            _COST_SAMPLES[key] = tally
+        return cycles_for_tally(tally) / COST_SAMPLE_SIZE
 
     # -- shared memory-access accounting ---------------------------------------
 

@@ -93,6 +93,9 @@ class NTTButterflyKernel(Kernel):
         self.charge_loop_overhead(tally)
         return upper, lower
 
+    def cost_key(self) -> tuple:
+        return (self.modulus,)
+
     def random_element(self, rng: np.random.Generator):
         p = self.modulus
         return (

@@ -66,6 +66,9 @@ class ReduceSumKernel(Kernel):
         """Current accumulated residue."""
         return from_limbs(self._accumulator)
 
+    def cost_key(self) -> tuple:
+        return (self.limbs, self.modulus)
+
     def random_element(self, rng: np.random.Generator):
         return random_residue(rng, self.modulus, self.limbs)
 

@@ -54,6 +54,9 @@ class TensorMulKernel(Kernel):
             from_limbs(d2),
         )
 
+    def cost_key(self) -> tuple:
+        return (self.limbs,)
+
     def random_element(self, rng: np.random.Generator):
         return tuple(random_limb_value(rng, self.limbs) for _ in range(4))
 

@@ -71,6 +71,9 @@ class VecAddKernel(Kernel):
         self.charge_loop_overhead(tally)
         return from_limbs(total)
 
+    def cost_key(self) -> tuple:
+        return (self.limbs, self.modulus)
+
     def random_element(self, rng: np.random.Generator):
         if self.modulus is None:
             from repro.pim.kernels.base import random_limb_value

@@ -56,6 +56,9 @@ class VecMulKernel(Kernel):
         self.charge_loop_overhead(tally)
         return from_limbs(product)
 
+    def cost_key(self) -> tuple:
+        return (self.limbs, self.algorithm)
+
     def random_element(self, rng: np.random.Generator):
         return (
             random_limb_value(rng, self.limbs),

@@ -12,10 +12,47 @@ from repro.pim.kernels import (
     VecAddKernel,
     VecMulKernel,
 )
+from repro.pim.kernels import base
+from repro.pim.kernels.nttkernel import NTTButterflyKernel
 from repro.poly.modring import find_ntt_prime
 
 Q109 = find_ntt_prime(109, 4096)
 Q27 = find_ntt_prime(27, 1024)
+P31 = find_ntt_prime(31, 4096)
+
+#: Exact ``repr(cycles_per_element())`` of each configuration. Every
+#: modelled second is built from these, so any drift is a model change.
+PINNED_COSTS = [
+    pytest.param(lambda: VecMulKernel(1), "403.0", id="vec_mul-1"),
+    pytest.param(lambda: VecMulKernel(2), "1227.5625", id="vec_mul-2"),
+    pytest.param(lambda: VecMulKernel(4), "3709.21875", id="vec_mul-4"),
+    pytest.param(
+        lambda: VecMulKernel(4, "schoolbook"),
+        "6410.84375",
+        id="vec_mul-4-schoolbook",
+    ),
+    pytest.param(
+        lambda: VecMulKernel(4, "karatsuba"),
+        "3709.21875",
+        id="vec_mul-4-karatsuba",
+    ),
+    pytest.param(
+        lambda: TensorMulKernel(1), "1605.9166666666667", id="tensor_mul-1"
+    ),
+    pytest.param(lambda: TensorMulKernel(2), "4904.78125", id="tensor_mul-2"),
+    pytest.param(lambda: TensorMulKernel(4), "14821.5625", id="tensor_mul-4"),
+    pytest.param(
+        lambda: ReduceSumKernel(4, Q109),
+        "12.958333333333334",
+        id="reduce_sum-4-q109",
+    ),
+    pytest.param(lambda: VecAddKernel(4, Q109), "17.125", id="vec_add-4-q109"),
+    pytest.param(
+        lambda: NTTButterflyKernel(P31),
+        "1172.3333333333333",
+        id="ntt_butterfly-p31",
+    ),
+]
 
 
 class TestVecAdd:
@@ -168,6 +205,20 @@ class TestReduceSum:
     def test_mram_traffic_is_read_only(self):
         assert ReduceSumKernel(4, Q109).mram_bytes_per_element() == 16
 
+    def test_cost_sample_ignores_and_keeps_the_accumulator(self):
+        """Sampling a kernel mid-run neither reads nor overwrites its
+        running accumulator."""
+        from repro.mpint.cost import OpTally
+
+        kernel = ReduceSumKernel(4, Q109)
+        kernel.run_element(Q109 - 1, OpTally())
+        kernel.run_element(Q109 - 2, OpTally())
+        before = kernel.accumulator
+        assert kernel.cycles_per_element() == (
+            ReduceSumKernel(4, Q109).cycles_per_element()
+        )
+        assert kernel.accumulator == before
+
 
 class TestCostFramework:
     def test_cycles_per_element_cached_and_deterministic(self):
@@ -175,6 +226,35 @@ class TestCostFramework:
         first = a.cycles_per_element()
         assert a.cycles_per_element() == first
         assert VecMulKernel(4).cycles_per_element() == first
+
+    @pytest.mark.parametrize("make, expected", PINNED_COSTS)
+    def test_pinned_cost(self, make, expected):
+        assert repr(make().cycles_per_element()) == expected
+
+    def test_configurations_get_distinct_samples(self, monkeypatch):
+        monkeypatch.setattr(base, "_COST_SAMPLES", {})
+        school = VecMulKernel(4, "schoolbook").cycles_per_element()
+        kar = VecMulKernel(4, "karatsuba").cycles_per_element()
+        assert (school, kar) == (6410.84375, 3709.21875)
+        VecAddKernel(4, Q109).cycles_per_element()
+        VecAddKernel(4, find_ntt_prime(100, 4096)).cycles_per_element()
+        VecAddKernel(4).cycles_per_element()
+        assert len(base._COST_SAMPLES) == 5
+
+    def test_one_sample_per_configuration(self, monkeypatch):
+        monkeypatch.setattr(base, "_COST_SAMPLES", {})
+        calls = []
+        execute = VecAddKernel.execute
+
+        def counting_execute(kernel, elements):
+            calls.append(kernel)
+            return execute(kernel, elements)
+
+        monkeypatch.setattr(VecAddKernel, "execute", counting_execute)
+        first, second = VecAddKernel(2, Q27), VecAddKernel(2, Q27)
+        assert first.cycles_per_element() == second.cycles_per_element()
+        assert len(calls) == 1
+        assert calls[0] is not first and calls[0] is not second
 
     def test_mram_fit_check(self):
         kernel = VecAddKernel(4, Q109)
