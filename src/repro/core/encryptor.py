@@ -9,7 +9,7 @@ from repro.core.keys import PublicKey, SecretKey
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Polynomial
+from repro.poly.polynomial import Operand, Polynomial
 from repro.poly.sampling import sample_centered_binomial, sample_ternary
 
 
@@ -24,8 +24,10 @@ class Encryptor:
     ``ct0 + ct1*s = delta*m + (e1 + e*u + e2*s)`` — the plaintext at
     scale ``delta`` plus small noise.
 
-    Encryption randomness is drawn from an explicit seeded generator so
-    experiments are reproducible.
+    ``u`` is forward-transformed once for both products, and the public
+    key's transforms are cached on the key. Encryption randomness is
+    drawn from an explicit seeded generator so experiments are
+    reproducible.
     """
 
     def __init__(self, params: BFVParameters, public_key: PublicKey, seed: int = 0):
@@ -43,15 +45,16 @@ class Encryptor:
         n, q = params.poly_degree, params.coeff_modulus
         rng = self._rng
 
-        u = Polynomial(sample_ternary(n, rng), q)
-        e1 = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
-        e2 = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
-
-        scaled_m = Polynomial(plaintext.poly.centered(), q).scalar_mul(
-            params.delta
-        )
-        c0 = self.public_key.p0 * u + e1 + scaled_m
-        c1 = self.public_key.p1 * u + e2
+        u = Operand(sample_ternary(n, rng))
+        e1 = sample_centered_binomial(n, rng, params.error_eta)
+        e2 = sample_centered_binomial(n, rng, params.error_eta)
+        delta = params.delta
+        e1_plus_m = [
+            e + delta * m for e, m in zip(e1, plaintext.poly.centered())
+        ]
+        p0, p1 = self.public_key.operands()
+        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=e1_plus_m)
+        c1 = Polynomial.sum_of_products([(p1, u)], q, addend=e2)
         ciphertext = Ciphertext(params, (c0, c1))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext
@@ -88,11 +91,15 @@ class SymmetricEncryptor:
         rng = self._rng
 
         a = Polynomial(sample_uniform(n, q, rng), q)
-        e = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
-        scaled_m = Polynomial(plaintext.poly.centered(), q).scalar_mul(
-            params.delta
+        e = sample_centered_binomial(n, rng, params.error_eta)
+        delta = params.delta
+        m_minus_e = [
+            delta * m - x for x, m in zip(e, plaintext.poly.centered())
+        ]
+        neg_a = Operand([-c for c in a.centered()])
+        c0 = Polynomial.sum_of_products(
+            [(neg_a, self.secret_key.power_operand())], q, addend=m_minus_e
         )
-        c0 = -(a * self.secret_key.poly + e) + scaled_m
         ciphertext = Ciphertext(params, (c0, a))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext

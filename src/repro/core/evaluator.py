@@ -8,33 +8,30 @@ plaintext operands, relinearization, squaring).
 
 Multiplication follows the textbook BFV construction: the ciphertexts'
 centered lifts are tensored **exactly over the integers** (no modular
-wrap — this is why :func:`repro.poly.polynomial.negacyclic_convolve`
-works over Z), each tensor component is scaled by ``t/q`` with
-rounding, and the resulting size-3 ciphertext is folded back to size 2
-with the relinearization key's base-``T`` digits.
+wrap — this is why :func:`repro.poly.polynomial.negacyclic_sum` works
+over Z), each tensor component is scaled by ``t/q`` with rounding, and
+the resulting size-3 ciphertext is folded back to size 2 with the
+relinearization key's base-``T`` digits.
+
+Both steps run in the evaluation domain of the exact CRT bundle. A
+multiply forward-transforms its four input polynomials once per prime
+(a square, two), sums the cross terms pointwise, and takes three
+inverse transforms. Relinearization transforms its ``k`` digits once,
+multiplies them against the relinearization key's cached transforms
+and takes two inverse transforms (:func:`repro.core.keys.key_switch`).
+Every result is the exact integer of the one-product-at-a-time
+construction, so outputs are bit-identical to it.
 """
 
 from __future__ import annotations
 
 from repro.core.ciphertext import Ciphertext, Plaintext
-from repro.core.keys import RelinKey
+from repro.core.decryptor import round_scale
+from repro.core.keys import RelinKey, key_switch
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Polynomial, negacyclic_convolve
-
-
-def _round_scale_list(values, numerator: int, denominator: int) -> list:
-    """Element-wise ``round(v * numerator / denominator)``, half away
-    from zero, exact integer arithmetic."""
-    out = []
-    for v in values:
-        num = v * numerator
-        if num >= 0:
-            out.append((2 * num + denominator) // (2 * denominator))
-        else:
-            out.append(-((-2 * num + denominator) // (2 * denominator)))
-    return out
+from repro.poly.polynomial import Operand, Polynomial, negacyclic_sum
 
 
 class Evaluator:
@@ -90,13 +87,8 @@ class Evaluator:
         self._check(a)
         a.check_compatible(b)
         self._guard_check("add", (a, b))
-        size = max(a.size, b.size)
-        zero = Polynomial.zero(self.params.poly_degree, self.params.coeff_modulus)
-        polys = []
-        for i in range(size):
-            pa = a.polys[i] if i < a.size else zero
-            pb = b.polys[i] if i < b.size else zero
-            polys.append(pa + pb)
+        short, long = sorted((a.polys, b.polys), key=len)
+        polys = [x + y for x, y in zip(short, long)] + list(long[len(short):])
         result = Ciphertext(self.params, polys)
         get_noise_ledger().record_op("add", result, (a, b))
         return result
@@ -187,22 +179,7 @@ class Evaluator:
                 f"(got sizes {a.size} and {b.size})"
             )
         self._guard_check("multiply", (a, b))
-        params = self.params
-        n, q, t = params.poly_degree, params.coeff_modulus, params.plain_modulus
-
-        a0, a1 = (p.centered() for p in a.polys)
-        b0, b1 = (p.centered() for p in b.polys)
-
-        d0 = negacyclic_convolve(a0, b0, n)
-        cross1 = negacyclic_convolve(a0, b1, n)
-        cross2 = negacyclic_convolve(a1, b0, n)
-        d1 = [x + y for x, y in zip(cross1, cross2)]
-        d2 = negacyclic_convolve(a1, b1, n)
-
-        polys = tuple(
-            Polynomial(_round_scale_list(d, t, q), q) for d in (d0, d1, d2)
-        )
-        product = Ciphertext(params, polys)
+        product = Ciphertext(self.params, self._tensor(a, b))
         get_noise_ledger().record_op("multiply", product, (a, b))
         if relinearize and self.relin_key is not None:
             return self.relinearize(product)
@@ -211,23 +188,15 @@ class Evaluator:
     def square(self, a: Ciphertext, relinearize: bool = True) -> Ciphertext:
         """Homomorphic squaring — the variance workload's inner step.
 
-        Same construction as :meth:`multiply` with the symmetric tensor
-        (one fewer convolution: ``d1 = 2 * a0 * a1``).
+        Same construction as :meth:`multiply` with both operands the
+        same ciphertext, so each prime takes two forward transforms,
+        not four.
         """
         self._check(a)
         if a.size != 2:
             raise CiphertextError("square expects a size-2 ciphertext")
         self._guard_check("square", (a,))
-        params = self.params
-        n, q, t = params.poly_degree, params.coeff_modulus, params.plain_modulus
-        a0, a1 = (p.centered() for p in a.polys)
-        d0 = negacyclic_convolve(a0, a0, n)
-        d1 = [2 * x for x in negacyclic_convolve(a0, a1, n)]
-        d2 = negacyclic_convolve(a1, a1, n)
-        polys = tuple(
-            Polynomial(_round_scale_list(d, t, q), q) for d in (d0, d1, d2)
-        )
-        product = Ciphertext(params, polys)
+        product = Ciphertext(self.params, self._tensor(a, a))
         get_noise_ledger().record_op("square", product, (a,))
         if relinearize and self.relin_key is not None:
             return self.relinearize(product)
@@ -301,30 +270,31 @@ class Evaluator:
                 f"relinearize supports size-3 ciphertexts, got size {a.size}"
             )
         self._guard_check("relinearize", (a,))
-        params = self.params
-        q = params.coeff_modulus
-        base_bits = self.relin_key.base_bits
-        mask = (1 << base_bits) - 1
-
         c0, c1, c2 = a.polys
-        digits = []
-        remaining = list(c2.coeffs)
-        for _ in range(self.relin_key.component_count):
-            digits.append(Polynomial([r & mask for r in remaining], q))
-            remaining = [r >> base_bits for r in remaining]
-        if any(remaining):
-            raise CiphertextError(
-                "relinearization digit count too small for modulus"
-            )
-        new_c0, new_c1 = c0, c1
-        for digit, (rk0, rk1) in zip(digits, self.relin_key.pairs):
-            new_c0 = new_c0 + rk0 * digit
-            new_c1 = new_c1 + rk1 * digit
-        result = Ciphertext(params, (new_c0, new_c1))
+        key = self.relin_key
+        d0, d1 = key_switch(c2, key.operands(), key.base_bits, "relinearization")
+        result = Ciphertext(self.params, (c0 + d0, c1 + d1))
         get_noise_ledger().record_op("relinearize", result, (a,))
         return result
 
     # -- helpers ---------------------------------------------------------------
+
+    def _tensor(self, a: Ciphertext, b: Ciphertext) -> tuple:
+        """``round(t/q * (a0*b0, a0*b1 + a1*b0, a1*b1))`` mod q, exactly.
+
+        Each distinct component is forward-transformed once per prime
+        (a square shares its operands), and the cross terms are summed
+        in the evaluation domain before their one inverse transform.
+        """
+        params = self.params
+        n, q, t = params.poly_degree, params.coeff_modulus, params.plain_modulus
+        a0, a1 = (Operand(p.centered()) for p in a.polys)
+        b0, b1 = (a0, a1) if b is a else (Operand(p.centered()) for p in b.polys)
+        tensor = ([(a0, b0)], [(a0, b1), (a1, b0)], [(a1, b1)])
+        return tuple(
+            Polynomial(round_scale(negacyclic_sum(terms, n), t, q).tolist(), q)
+            for terms in tensor
+        )
 
     def _check(self, a: Ciphertext) -> None:
         if a.params != self.params:

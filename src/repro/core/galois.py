@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ciphertext import Ciphertext
-from repro.core.keys import SecretKey
+from repro.core.keys import KeyTransforms, SecretKey, key_switch
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, KeyError_, ParameterError
 from repro.obs.noise import get_noise_ledger
@@ -70,12 +70,15 @@ def apply_automorphism(poly: Polynomial, g: int) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class GaloisKeys:
+class GaloisKeys(KeyTransforms):
     """Key-switching keys for a set of Galois elements.
 
     ``components[g]`` is a tuple of RLWE pairs; pair ``j`` encrypts
     ``T^j * s(x^g)`` under ``s``, exactly mirroring the relinearization
-    key's structure (and therefore its noise behaviour).
+    key's structure (and therefore its noise behaviour). Like the
+    relinearization key, each element's key transforms are cached on
+    first use; the cache is lazy, is not a field and is never
+    serialized.
     """
 
     params: BFVParameters
@@ -94,6 +97,10 @@ class GaloisKeys:
                 f"no galois key for element {g}; available: "
                 f"{self.elements()}"
             ) from None
+
+    def operands_for(self, g: int) -> tuple:
+        """Transform handles of every ``(k0_j, k1_j)`` for element ``g``."""
+        return self._pair_operands(g, self.pairs_for(g))
 
 
 def rotation_elements(params: BFVParameters, steps) -> list:
@@ -164,25 +171,11 @@ def apply_galois(
         raise CiphertextError(
             "apply_galois expects a size-2 ciphertext; relinearize first"
         )
-    pairs = galois_keys.pairs_for(g)
-    q = params.coeff_modulus
-    base_bits = galois_keys.base_bits
-    mask = (1 << base_bits) - 1
-
+    operands = galois_keys.operands_for(g)
     c0 = apply_automorphism(ciphertext.polys[0], g)
     c1 = apply_automorphism(ciphertext.polys[1], g)
-
-    new_c0 = c0
-    new_c1 = Polynomial.zero(params.poly_degree, q)
-    remaining = list(c1.coeffs)
-    for k0, k1 in pairs:
-        digit = Polynomial([r & mask for r in remaining], q)
-        remaining = [r >> base_bits for r in remaining]
-        new_c0 = new_c0 + k0 * digit
-        new_c1 = new_c1 + k1 * digit
-    if any(remaining):
-        raise CiphertextError("galois digit count too small for modulus")
-    result = Ciphertext(params, (new_c0, new_c1))
+    d0, d1 = key_switch(c1, operands, galois_keys.base_bits, "galois")
+    result = Ciphertext(params, (c0 + d0, d1))
     get_noise_ledger().record_op("rotate", result, (ciphertext,))
     return result
 

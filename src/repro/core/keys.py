@@ -14,17 +14,26 @@ Key generation is textbook BFV:
 * relinearization key (base-``T`` variant): for each digit ``i``,
   ``(rk0_i, rk1_i) = (-(a_i*s + e_i) + T^i * s^2, a_i)``, so
   ``rk0_i + rk1_i*s ≈ T^i * s^2``.
+
+Every product with a key polynomial runs in the evaluation domain of
+the exact convolution's CRT bundle (:mod:`repro.poly.polynomial`), so
+each key keeps its polynomials' forward transforms: one
+:class:`~repro.poly.polynomial.Operand` per key polynomial, made on
+first use. :func:`key_switch` is the one base-``T`` key switch shared by
+relinearization and the Galois automorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem
 
 import numpy as np
 
 from repro.core.params import BFVParameters
-from repro.errors import KeyError_
-from repro.poly.polynomial import Polynomial
+from repro.errors import CiphertextError, KeyError_
+from repro.poly.polynomial import Operand, Polynomial
 from repro.poly.sampling import (
     sample_centered_binomial,
     sample_ternary,
@@ -32,30 +41,98 @@ from repro.poly.sampling import (
 )
 
 
+class KeyTransforms:
+    """Forward transforms of a key's polynomials, filled on first use.
+
+    The handles live in the instance ``__dict__``, not in a dataclass
+    field, so key equality, hashing, ``repr``,
+    :mod:`repro.core.serialization` and pickling see only the key
+    material. Each handle holds residue rows and the recipe ``make``
+    for its polynomial, never a copy of the coefficients.
+    """
+
+    def _operand(self, name, make) -> Operand:
+        """The cached handle ``name`` of the polynomial ``make()``."""
+        cache = self.__dict__.setdefault("_operands", {})
+        handle = cache.get(name)
+        if handle is None:
+            handle = cache[name] = Operand(make)
+        return handle
+
+    def _pair_operands(self, name, pairs) -> tuple:
+        """Handles of every ``(k0_i, k1_i)`` in ``pairs``, cached under
+        ``(name, i, 0)`` and ``(name, i, 1)``."""
+        return tuple(
+            tuple(
+                self._operand((name, i, side), partial(getitem, pair, side))
+                for side in (0, 1)
+            )
+            for i, pair in enumerate(pairs)
+        )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_operands", None)
+        return state
+
+
 @dataclass(frozen=True)
-class SecretKey:
-    """The ternary secret polynomial ``s`` (never leaves the client)."""
+class SecretKey(KeyTransforms):
+    """The ternary secret polynomial ``s`` (never leaves the client).
+
+    Decryption and noise measurement multiply by ``s`` (and ``s^2`` for
+    size-3 ciphertexts, ``s^i`` in general) in the evaluation domain.
+    Their transforms are cached on the key, not on a
+    :class:`~repro.core.decryptor.Decryptor`, because
+    :func:`~repro.core.noise.noise_budget` builds a fresh decryptor per
+    call. The cache is lazy, is not a field and is never serialized.
+    """
 
     params: BFVParameters
     poly: Polynomial
 
+    def power_operand(self, exponent: int = 1) -> Operand:
+        """Transform handle of ``s^exponent mod q`` (``exponent >= 1``)."""
+        return self._operand(("s", exponent), lambda: self._power(exponent))
+
+    def _power(self, exponent: int) -> Polynomial:
+        """``s^exponent mod q`` by repeated multiplication."""
+        power = self.poly
+        for _ in range(exponent - 1):
+            power = power * self.poly
+        return power
+
 
 @dataclass(frozen=True)
-class PublicKey:
-    """The RLWE public key pair ``(pk0, pk1) = (-(a*s + e), a)``."""
+class PublicKey(KeyTransforms):
+    """The RLWE public key pair ``(pk0, pk1) = (-(a*s + e), a)``.
+
+    Encryption multiplies both by the same ``u``; the transforms of
+    ``pk0`` and ``pk1`` are cached on the key on first use. The cache
+    is lazy, is not a field and is never serialized.
+    """
 
     params: BFVParameters
     p0: Polynomial
     p1: Polynomial
 
+    def operands(self) -> tuple:
+        """Transform handles of ``(pk0, pk1)``."""
+        return (
+            self._operand("p0", lambda: self.p0),
+            self._operand("p1", lambda: self.p1),
+        )
+
 
 @dataclass(frozen=True)
-class RelinKey:
+class RelinKey(KeyTransforms):
     """Base-``T`` relinearization key: one RLWE pair per digit of q.
 
     ``pairs[i]`` encrypts ``T^i * s^2`` under ``s``; the evaluator uses
     them to fold the cubic component of a ciphertext product back into
-    a standard two-polynomial ciphertext.
+    a standard two-polynomial ciphertext. The ``2k`` key transforms are
+    cached on the key on first use; the cache is lazy, is not a field
+    and is never serialized.
     """
 
     params: BFVParameters
@@ -65,6 +142,39 @@ class RelinKey:
     @property
     def component_count(self) -> int:
         return len(self.pairs)
+
+    def operands(self) -> tuple:
+        """Transform handles of every ``(rk0_i, rk1_i)``."""
+        return self._pair_operands("relin", self.pairs)
+
+
+def key_switch(poly: Polynomial, operands, base_bits: int, what: str) -> tuple:
+    """``(sum_i k0_i * d_i, sum_i k1_i * d_i)`` over the base-``T`` digits
+    ``d_i`` of ``poly``.
+
+    ``operands`` holds one ``(k0_i, k1_i)`` handle pair per digit; a
+    pair encrypting ``T^i * s'`` under ``s`` turns ``poly``'s
+    ``s'``-component into two components under ``s``. Each digit is
+    transformed once per prime, and each of the two sums takes one
+    inverse transform per prime (:meth:`Polynomial.sum_of_products`).
+    Raises :class:`~repro.errors.CiphertextError` naming ``what`` if
+    the digits do not cover the coefficients.
+    """
+    q = poly.modulus
+    mask = (1 << base_bits) - 1
+    digits = []
+    remaining = list(poly.coeffs)
+    for _ in operands:
+        digits.append(Operand([r & mask for r in remaining]))
+        remaining = [r >> base_bits for r in remaining]
+    if any(remaining):
+        raise CiphertextError(f"{what} digit count too small for modulus")
+    return tuple(
+        Polynomial.sum_of_products(
+            ((pair[side], digit) for pair, digit in zip(operands, digits)), q
+        )
+        for side in (0, 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.ciphertext import Ciphertext
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
@@ -32,19 +34,16 @@ def noise_budget(ciphertext: Ciphertext, secret_key: SecretKey) -> float:
     tens of bits per multiplication). Requires the secret key, so this
     is a *measurement* tool for experiments, not a server-side facility.
     """
-    from repro.core.decryptor import Decryptor
+    from repro.core.decryptor import Decryptor, round_scale
 
     params = ciphertext.params
     q, t = params.coeff_modulus, params.plain_modulus
     centered = Decryptor(params, secret_key).raw_decrypt_centered(ciphertext)
     # v_k = (t*x_k - q*round(t*x_k/q)) / q; budget = log2(q / (2*max|num|)).
-    worst_numerator = 0
-    for x in centered:
-        num = t * x
-        nearest = (2 * num + q) // (2 * q) if num >= 0 else -(
-            (-2 * num + q) // (2 * q)
-        )
-        worst_numerator = max(worst_numerator, abs(num - q * nearest))
+    numerators = np.array(centered, dtype=object) * t
+    worst_numerator = max(
+        abs(numerators - q * round_scale(centered, t, q)).tolist()
+    )
     if worst_numerator == 0:
         return float(q.bit_length())
     # |v|_max = worst_numerator / q, so the budget is

@@ -10,11 +10,9 @@ shift-and-add loop — the quantitative core of Key Takeaway 2.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ParameterError
 from repro.pim.isa import DEFAULT_CYCLES_PER_OP
-from repro.pim.kernels.base import COST_SAMPLE_SEED, Kernel
+from repro.pim.kernels.base import COST_SAMPLE_SIZE, Kernel
 
 #: Instruction classes for the breakdown report, mapping the fine-
 #: grained op names onto the architectural story.
@@ -58,19 +56,24 @@ def classification_gaps() -> dict:
     }
 
 
-def kernel_op_tally(kernel: Kernel, sample_size: int = 96) -> dict:
-    """Average per-element operation counts of a kernel (measured)."""
+def kernel_op_tally(kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE) -> dict:
+    """Average per-element operation counts of a kernel (measured).
+
+    Reads :meth:`Kernel.cost_sample`: at the default size that is the
+    very sample behind the kernel's modelled cycles, and at any size it
+    runs on a fresh kernel, never on ``kernel`` itself.
+    """
     if sample_size <= 0:
         raise ParameterError(f"sample_size must be positive: {sample_size}")
-    rng = np.random.default_rng(COST_SAMPLE_SEED)
-    elements = [kernel.random_element(rng) for _ in range(sample_size)]
-    _, tally = kernel.execute(elements)
+    tally = kernel.cost_sample(sample_size)
     return {
         op: count / sample_size for op, count in tally.as_dict().items()
     }
 
 
-def kernel_cycle_breakdown(kernel: Kernel, sample_size: int = 96) -> dict:
+def kernel_cycle_breakdown(
+    kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE
+) -> dict:
     """Fraction of a kernel's cycles per instruction class.
 
     Returns ``{class_name: fraction}`` summing to 1.0 (within float
@@ -93,7 +96,9 @@ def kernel_cycle_breakdown(kernel: Kernel, sample_size: int = 96) -> dict:
     return breakdown
 
 
-def software_multiply_share(kernel: Kernel, sample_size: int = 96) -> float:
+def software_multiply_share(
+    kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE
+) -> float:
     """Fraction of cycles attributable to the software multiply loop.
 
     The shift-and-add loop is made of shifts, logic, control, and the

@@ -107,27 +107,33 @@ class Kernel(abc.ABC):
         outputs = [self.run_element(e, tally) for e in elements]
         return outputs, tally
 
+    def cost_sample(self, size: int = COST_SAMPLE_SIZE) -> OpTally:
+        """Summed :class:`OpTally` of ``size`` seeded random elements.
+
+        The elements are drawn with :data:`COST_SAMPLE_SEED` and run on
+        a fresh kernel built from :meth:`cost_key`, so the sample never
+        touches this instance's state. The default-size sample is taken
+        once per configuration per process and shared; treat the
+        returned tally as read-only.
+        """
+        key = (type(self), self.cost_key())
+        if size == COST_SAMPLE_SIZE and key in _COST_SAMPLES:
+            return _COST_SAMPLES[key]
+        fresh = type(self)(*key[1])
+        rng = np.random.default_rng(COST_SAMPLE_SEED)
+        elements = [fresh.random_element(rng) for _ in range(size)]
+        _, tally = fresh.execute(elements)
+        if size == COST_SAMPLE_SIZE:
+            _COST_SAMPLES[key] = tally
+        return tally
+
     def cycles_per_element(self) -> float:
         """Measured expected cycles per element.
 
-        Executes :data:`COST_SAMPLE_SIZE` seeded random elements on a
-        fresh kernel built from :meth:`cost_key` and prices the
-        resulting tally with the DPU ISA table. The sample is taken
-        once per configuration per process and never touches this
-        instance's state; pricing happens on every call, so a
-        perturbed ISA table takes effect immediately.
+        Prices the shared :meth:`cost_sample` with the DPU ISA table on
+        every call, so a perturbed ISA table takes effect immediately.
         """
-        key = (type(self), self.cost_key())
-        tally = _COST_SAMPLES.get(key)
-        if tally is None:
-            fresh = type(self)(*key[1])
-            rng = np.random.default_rng(COST_SAMPLE_SEED)
-            elements = [
-                fresh.random_element(rng) for _ in range(COST_SAMPLE_SIZE)
-            ]
-            _, tally = fresh.execute(elements)
-            _COST_SAMPLES[key] = tally
-        return cycles_for_tally(tally) / COST_SAMPLE_SIZE
+        return cycles_for_tally(self.cost_sample()) / COST_SAMPLE_SIZE
 
     # -- shared memory-access accounting ---------------------------------------
 

@@ -12,9 +12,11 @@ scheme and the baselines need:
   big-integer convolution and the batch encoder;
 * :mod:`repro.poly.polynomial` — the ring element type with addition,
   negacyclic multiplication (schoolbook and CRT-NTT exact), and scalar
-  operations. Its CRT bundle of 31-bit NTT primes is the repo's one
-  residue number system: SEAL's RNS + NTT idea, run for real on
-  native words;
+  operations, plus the exact sum-of-products engine every BFV op runs
+  on (:class:`Operand` handles keep forward transforms; each sum takes
+  one inverse transform per prime). Its CRT bundle of 31-bit NTT
+  primes is the repo's one residue number system: SEAL's RNS + NTT
+  idea, run for real on native words;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,
   ternary, centered binomial) key generation and encryption draw from.
 """
@@ -28,7 +30,12 @@ from repro.poly.modring import (
     root_of_unity,
 )
 from repro.poly.ntt import NTTContext
-from repro.poly.polynomial import Polynomial, negacyclic_convolve
+from repro.poly.polynomial import (
+    Operand,
+    Polynomial,
+    negacyclic_convolve,
+    negacyclic_sum,
+)
 from repro.poly.sampling import (
     sample_centered_binomial,
     sample_ternary,
@@ -38,12 +45,14 @@ from repro.poly.sampling import (
 __all__ = [
     "BarrettReducer",
     "NTTContext",
+    "Operand",
     "Polynomial",
     "find_ntt_prime",
     "inverse_mod",
     "is_prime",
     "minimal_primitive_root",
     "negacyclic_convolve",
+    "negacyclic_sum",
     "root_of_unity",
     "sample_centered_binomial",
     "sample_ternary",

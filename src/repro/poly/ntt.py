@@ -63,6 +63,15 @@ def _bit_reversed_powers(root: int, n: int, p: int) -> np.ndarray:
     return powers[reversed_index]
 
 
+def _reduce_once(values: np.ndarray, p: np.uint64) -> np.ndarray:
+    """``values mod p`` for ``uint64`` values below ``2p``.
+
+    ``values - p`` wraps past ``2^64`` exactly when ``values < p``, so
+    the elementwise minimum picks the reduced value either way.
+    """
+    return np.minimum(values, values - p)
+
+
 class NTTContext:
     """Precomputed negacyclic NTT for ring degree ``n`` and prime ``p``.
 
@@ -126,13 +135,17 @@ class NTTContext:
         return result if isinstance(template, np.ndarray) else result.tolist()
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
-        """Forward stages on an already-reduced array."""
+        """Forward stages on an already-reduced array.
+
+        Butterfly sums are below ``2p``, so they are reduced with one
+        conditional subtraction (:func:`_reduce_once`), not a division.
+        """
         p = self._p
         for w in self._fwd:
             pairs = a.reshape(len(w), 2, -1)
             u = pairs[:, 0]
             v = pairs[:, 1] * w % p
-            a = np.stack((u + v, u + p - v), axis=1).reshape(-1) % p
+            a = _reduce_once(np.stack((u + v, u + p - v), axis=1).reshape(-1), p)
         return a
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
@@ -142,7 +155,9 @@ class NTTContext:
             pairs = a.reshape(len(w), 2, -1)
             u = pairs[:, 0]
             v = pairs[:, 1]
-            a = np.stack((u + v, (u + p - v) * w), axis=1).reshape(-1) % p
+            a = np.stack(
+                (_reduce_once(u + v, p), (u + p - v) * w % p), axis=1
+            ).reshape(-1)
         return a * self._n_inv % p
 
     def forward(self, coeffs):

@@ -1,24 +1,38 @@
-"""Ring elements of ``R_q = Z_q[x] / (x^n + 1)``.
+"""Ring elements of ``R_q = Z_q[x] / (x^n + 1)``, and the exact engine
+behind every product of them.
 
 :class:`Polynomial` is the coefficient-domain representation used by
 the functional BFV scheme. Coefficients are Python ints (the 109-bit
 security level does not fit native words), stored reduced to
-``[0, q)``.
+``[0, q)``. The public constructor converts and reduces its input;
+ring operations that already produce reduced values skip that pass.
 
 Negacyclic multiplication needs the *exact* integer product before
-modular reduction in two places: BFV ciphertext multiplication scales
-the tensor product by ``t/q`` over the rationals, and noise analysis
-reasons over ``Z``. :func:`negacyclic_convolve` therefore computes the
-convolution exactly over the integers — schoolbook for small degrees,
-and a CRT bundle of negacyclic NTTs over 31-bit primes for large ones
-(the standard multiprecision-convolution technique). Each prime's
-transforms run on ``uint64`` numpy arrays, and the residue split and
-CRT recombination are array operations over Python ints; the tests
-check both paths against each other and against a scalar NTT.
+modular reduction: BFV ciphertext multiplication scales the tensor
+product by ``t/q`` over the rationals, and noise analysis reasons over
+``Z``. Products are therefore computed exactly over the integers —
+schoolbook for small degrees, and a CRT bundle of negacyclic NTTs over
+31-bit primes for large ones (SEAL's RNS + NTT, run on ``uint64``
+numpy arrays). The unit of work is a *sum* of products
+(:func:`negacyclic_sum`), the shape of every BFV operation:
+
+* each operand is an :class:`Operand` handle holding its forward
+  transforms, so a shared operand is transformed once per prime, and a
+  key object keeps its handles for the life of the key;
+* the bundle is sized once for the whole sum, the pointwise products
+  are accumulated per prime in the evaluation domain, and each prime
+  takes one inverse transform;
+* the residue rows are recombined once (Garner mixed-radix digits on
+  ``uint64`` words, then Python ints).
+
+:func:`negacyclic_convolve` is the one-term case. The tests check the
+engine against schoolbook convolution, a scalar NTT, and a
+one-product-at-a-time BFV oracle.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,48 +93,163 @@ def _crt_contexts(n: int, bound: int) -> list:
     return contexts
 
 
+def _pairs(start: int, stop: int) -> list:
+    """Index ranges ``[i, i + 2)`` (the last may be shorter) covering
+    ``[start, stop)``: two 31-bit primes multiply to under 2^62, so a
+    pair's residues fit one ``uint64`` word."""
+    return [range(i, min(i + 2, stop)) for i in range(start, stop, 2)]
+
+
 @lru_cache(maxsize=64)
-def _crt_recombination(moduli: tuple) -> tuple:
-    """Precompute (Q, [Q_i, Q_i^{-1} mod p_i]) for CRT composition."""
+def _garner_constants(moduli: tuple) -> tuple:
+    """Constants for :func:`_crt_compose` over the bundle ``moduli``.
+
+    Returns ``(half, offsets, inverses)``: ``half = Q // 2`` for the
+    bundle modulus ``Q``, ``offsets[i] = half mod p_i`` and
+    ``inverses[i][j] = p_j^{-1} mod p_i`` for ``j < i``.
+    """
     product = 1
     for p in moduli:
         product *= p
-    partials = []
-    for p in moduli:
-        q_i = product // p
-        partials.append((q_i, inverse_mod(q_i % p, p)))
-    return product, tuple(partials)
+    half = product // 2
+    offsets = tuple(half % p for p in moduli)
+    inverses = tuple(
+        tuple(inverse_mod(p_j % p_i, p_i) for p_j in moduli[:i])
+        for i, p_i in enumerate(moduli)
+    )
+    return half, offsets, inverses
+
+
+def _crt_compose(rows: list, moduli: tuple) -> np.ndarray:
+    """The signed integers in ``(-Q/2, Q/2]`` with residues ``rows``.
+
+    ``Q`` is the product of ``moduli`` (odd, so the signed range is
+    exactly ``(-Q/2, Q/2]``). Shifting every residue by ``Q // 2``
+    first makes the mixed-radix value ``X + Q // 2`` land in
+    ``[0, Q)``, so one subtraction at the end recenters it. Garner's
+    mixed-radix digits are computed on ``uint64`` words, merged two
+    primes to a word, and only the Horner evaluation over those words
+    runs on Python ints.
+    """
+    half, offsets, inverses = _garner_constants(moduli)
+    digits = []
+    for row, p, offset, row_inverses in zip(rows, moduli, offsets, inverses):
+        p64 = np.uint64(p)
+        digit = (row + np.uint64(offset)) % p64
+        for earlier, inverse in zip(digits, row_inverses):
+            digit = (digit + p64 - earlier % p64) * np.uint64(inverse) % p64
+        digits.append(digit)
+    words = []
+    radices = []
+    for pair in _pairs(0, len(moduli)):
+        word, radix = digits[pair[0]], moduli[pair[0]]
+        if len(pair) == 2:
+            word = word + np.uint64(radix) * digits[pair[1]]
+            radix *= moduli[pair[1]]
+        words.append(word)
+        radices.append(radix)
+    value = words[-1].astype(object)
+    for word, radix in zip(words[-2::-1], radices[-2::-1]):
+        value = value * radix + word.astype(object)
+    return value - half
+
+
+class Operand:
+    """One exact integer operand of the CRT engine, transformed lazily.
+
+    Holds the operand's ``max|a|`` and its forward NTT over each prime
+    of the CRT bundle it has been used with, as ``uint64`` rows. A sum
+    that needs a longer bundle extends the rows in place: the bundle for
+    ``k`` primes is a prefix of the bundle for ``k + 1``, so rows
+    already held stay valid.
+
+    ``source`` is the list of exact signed coefficients, or a
+    zero-argument callable returning the :class:`Polynomial` whose
+    centered lift they are. A callable is called again only when the
+    rows grow, so a key object's handle keeps residue rows and no copy
+    of the key's coefficients; each key is transformed once per prime
+    for the life of the key.
+    """
+
+    __slots__ = ("n", "bound", "_source", "_rows")
+
+    def __init__(self, source):
+        self._source = source
+        exact = self._exact()
+        self.n = len(exact)
+        self.bound = max(map(abs, exact), default=0)
+        self._rows = []
+
+    def _exact(self) -> list:
+        """The operand's exact signed coefficients."""
+        source = self._source
+        return source().centered() if callable(source) else source
+
+    def rows(self, count: int) -> list:
+        """Forward transforms over the first ``count`` CRT primes.
+
+        Residues are split off two primes at a time: one reduction of
+        the exact coefficients modulo the pair's product (below 2^62)
+        yields ``uint64`` words, reduced per prime on native arrays.
+        """
+        rows = self._rows
+        if len(rows) < count:
+            # Extend a copy and publish it whole, so a handle shared by
+            # two callers never holds a half-built row list.
+            rows = list(rows)
+            exact = np.array(self._exact(), dtype=object)
+            for pair in _pairs(len(rows), count):
+                primes = [_crt_prime(self.n, index) for index in pair]
+                words = (exact % math.prod(primes)).astype(np.uint64)
+                for p in primes:
+                    ctx = ntt_context(self.n, p)
+                    rows.append(ctx.forward(words % np.uint64(p)))
+            self._rows = rows
+        return rows[:count]
+
+
+def _crt_sum(terms, n: int) -> np.ndarray:
+    """Exact ``sum(a_i * b_i)`` mod ``x^n + 1`` over Z via CRT-bundled NTTs.
+
+    The bundle is sized once for the whole sum: every coefficient of
+    the result is at most ``n * sum(max|a_i| * max|b_i|)`` in absolute
+    value, and the CRT modulus must cover that signed range. Each
+    operand is forward-transformed once per prime (shared operands and
+    cached key operands are not transformed again); for each prime the
+    pointwise products are accumulated in the evaluation domain, then
+    one :meth:`NTTContext.inverse` runs, and the residue rows are
+    recombined once over Python ints. Returns an object array of ints.
+    """
+    contexts = _crt_contexts(
+        n, 2 * n * sum(a.bound * b.bound for a, b in terms) + 1
+    )
+    count = len(contexts)
+    term_rows = [(a.rows(count), b.rows(count)) for a, b in terms]
+    rows = []
+    for index, ctx in enumerate(contexts):
+        p = np.uint64(ctx.p)
+        acc = None
+        for fa, fb in term_rows:
+            product = fa[index] * fb[index] % p
+            acc = product if acc is None else acc + product
+        rows.append(ctx.inverse(acc))
+    return _crt_compose(rows, tuple(ctx.p for ctx in contexts))
+
+
+def _check_degree(n: int) -> None:
+    if n <= 0 or n & (n - 1):
+        raise ParameterError(f"ring degree must be a power of two: {n}")
 
 
 def _crt_negacyclic(a: list, b: list, n: int) -> list:
-    """Exact negacyclic convolution over Z via CRT-bundled NTTs.
+    """One exact product through the CRT engine (any degree).
 
-    Each prime's residues are split off the exact inputs with one
-    object-array ``% p``, convolved through that prime's
-    :meth:`NTTContext.forward` / :meth:`NTTContext.inverse`, and the
-    residue rows are recombined over Python ints. A square (``b is a``)
+    The one-term case of :func:`_crt_sum`; a square (``b is a``)
     transforms its operand once per prime.
     """
-    max_a = max(map(abs, a), default=0)
-    max_b = max(map(abs, b), default=0)
-    # |result coefficient| <= n * max|a| * max|b|; the CRT modulus Q
-    # must cover that signed range, i.e. Q > 2 * n * max|a| * max|b|.
-    contexts = _crt_contexts(n, 2 * n * max_a * max_b + 1)
-    exact_a = np.array(a, dtype=object)
-    exact_b = exact_a if b is a else np.array(b, dtype=object)
-    rows = []
-    for ctx in contexts:
-        fa = ctx.forward((exact_a % ctx.p).astype(np.uint64))
-        fb = fa if b is a else ctx.forward((exact_b % ctx.p).astype(np.uint64))
-        rows.append(ctx.inverse(ctx.pointwise(fa, fb)))
-    moduli = tuple(ctx.p for ctx in contexts)
-    q_total, partials = _crt_recombination(moduli)
-    acc = 0
-    for row, ctx, (q_i, q_i_inv) in zip(rows, contexts, partials):
-        digit = row * np.uint64(q_i_inv) % np.uint64(ctx.p)
-        acc = acc + digit.astype(object) * q_i
-    acc %= q_total
-    return np.where(acc > q_total // 2, acc - q_total, acc).tolist()
+    left = Operand(a)
+    right = left if b is a else Operand(b)
+    return _crt_sum([(left, right)], n).tolist()
 
 
 def negacyclic_convolve(a: list, b: list, n: int) -> list:
@@ -129,17 +258,43 @@ def negacyclic_convolve(a: list, b: list, n: int) -> list:
     Inputs are coefficient lists of length ``n`` (signed ints allowed);
     the result is the exact signed integer convolution — no modular
     reduction is applied, so the caller can scale or reduce as the
-    scheme requires.
+    scheme requires. The one-term case of :func:`negacyclic_sum`.
     """
     if len(a) != n or len(b) != n:
         raise ParameterError(
             f"operands must have length {n}, got {len(a)} and {len(b)}"
         )
-    if n <= 0 or n & (n - 1):
-        raise ParameterError(f"ring degree must be a power of two: {n}")
+    _check_degree(n)
     if n <= SCHOOLBOOK_MAX_DEGREE:
         return _schoolbook_negacyclic(a, b, n)
     return _crt_negacyclic(a, b, n)
+
+
+def negacyclic_sum(terms, n: int) -> list:
+    """Exact ``sum(a_i * b_i)`` mod ``x^n + 1`` over Z, as signed ints.
+
+    ``terms`` is a sequence of ``(Operand, Operand)`` pairs of degree
+    ``n``. Schoolbook at ``n <= SCHOOLBOOK_MAX_DEGREE``; above, one CRT
+    bundle sized for the whole sum, one inverse transform per prime and
+    one recombination (:func:`_crt_sum`).
+    """
+    return _exact_sum(list(terms), n).tolist()
+
+
+def _exact_sum(terms: list, n: int) -> np.ndarray:
+    """:func:`negacyclic_sum` as an object array of ints."""
+    if not terms:
+        raise ParameterError("negacyclic_sum needs at least one term")
+    _check_degree(n)
+    if any(a.n != n or b.n != n for a, b in terms):
+        raise ParameterError(f"every operand must have degree {n}")
+    if n > SCHOOLBOOK_MAX_DEGREE:
+        return _crt_sum(terms, n)
+    total = [0] * n
+    for a, b in terms:
+        product = _schoolbook_negacyclic(a._exact(), b._exact(), n)
+        total = [x + y for x, y in zip(total, product)]
+    return np.array(total, dtype=object)
 
 
 class Polynomial:
@@ -163,12 +318,37 @@ class Polynomial:
         self.coeffs = coeffs
         self.modulus = modulus
 
+    @classmethod
+    def _reduced(cls, coeffs: tuple, modulus: int) -> "Polynomial":
+        """Wrap a tuple of ints already in ``[0, modulus)``, as is."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        poly.modulus = modulus
+        return poly
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, modulus: int) -> "Polynomial":
         """The additive identity of ``R_q`` with degree bound ``n``."""
         return cls([0] * n, modulus)
+
+    @classmethod
+    def sum_of_products(cls, terms, modulus: int, addend=None) -> "Polynomial":
+        """``addend + sum(a_i * b_i)`` in ``R_q`` for ``(Operand, Operand)``
+        terms.
+
+        One exact :func:`negacyclic_sum`, plus ``addend`` (``n`` signed
+        ints) when given, reduced modulo ``modulus`` once. Equal to
+        adding the per-term ``Polynomial`` products and the addend.
+        """
+        terms = list(terms)
+        if not terms:
+            raise ParameterError("sum_of_products needs at least one term")
+        exact = _exact_sum(terms, terms[0][0].n)
+        if addend is not None:
+            exact += np.array(addend, dtype=object)
+        return cls._reduced(tuple((exact % modulus).tolist()), modulus)
 
     # -- basic protocol -------------------------------------------------
 
@@ -208,20 +388,20 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial(
-            [(x + y) % q for x, y in zip(self.coeffs, other.coeffs)], q
+        return Polynomial._reduced(
+            tuple([(x + y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial(
-            [(x - y) % q for x, y in zip(self.coeffs, other.coeffs)], q
+        return Polynomial._reduced(
+            tuple([(x - y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
         )
 
     def __neg__(self) -> "Polynomial":
         q = self.modulus
-        return Polynomial([(-x) % q for x in self.coeffs], q)
+        return Polynomial._reduced(tuple([(-x) % q for x in self.coeffs]), q)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -242,7 +422,7 @@ class Polynomial:
         """Multiply every coefficient by an integer scalar (mod q)."""
         q = self.modulus
         s = scalar % q
-        return Polynomial([c * s % q for c in self.coeffs], q)
+        return Polynomial._reduced(tuple([c * s % q for c in self.coeffs]), q)
 
     # -- representation helpers ------------------------------------------
 

@@ -56,7 +56,7 @@ def sample_ternary(n: int, rng: np.random.Generator) -> list:
     """``n`` coefficients drawn uniformly from ``{-1, 0, 1}``."""
     if n <= 0:
         raise ParameterError(f"sample count must be positive, got {n}")
-    return [int(v) for v in rng.integers(-1, 2, size=n)]
+    return rng.integers(-1, 2, size=n).tolist()
 
 
 def sample_centered_binomial(
@@ -74,4 +74,4 @@ def sample_centered_binomial(
         raise ParameterError(f"eta must be positive, got {eta}")
     ones = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
     zeros = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
-    return [int(a - b) for a, b in zip(ones, zeros)]
+    return (ones - zeros).tolist()

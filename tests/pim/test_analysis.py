@@ -11,7 +11,8 @@ from repro.pim.analysis import (
     software_multiply_share,
 )
 from repro.pim.isa import DEFAULT_CYCLES_PER_OP
-from repro.pim.kernels import VecAddKernel, VecMulKernel
+from repro.pim.kernels import ReduceSumKernel, VecAddKernel, VecMulKernel
+from repro.pim.kernels.base import COST_SAMPLE_SIZE
 from repro.poly.modring import find_ntt_prime
 
 Q109 = find_ntt_prime(109, 4096)
@@ -58,6 +59,20 @@ class TestOpTally:
     def test_rejects_bad_sample(self):
         with pytest.raises(ParameterError):
             kernel_op_tally(VecAddKernel(1, 97), sample_size=0)
+
+    @pytest.mark.parametrize("sample_size", [96, 32])
+    def test_leaves_the_kernel_untouched(self, sample_size):
+        """The sample runs on a fresh kernel: a stateful kernel's
+        accumulator is the same after the call as before it."""
+        kernel = ReduceSumKernel(4, 2**109 - 1)
+        kernel_op_tally(kernel, sample_size=sample_size)
+        assert kernel.accumulator == 0
+
+    def test_default_size_reads_the_cost_sample(self):
+        kernel = VecMulKernel(4)
+        per_op = kernel_op_tally(kernel)
+        sample = kernel.cost_sample().as_dict()
+        assert per_op == {op: n / COST_SAMPLE_SIZE for op, n in sample.items()}
 
 
 class TestBreakdown:

@@ -31,6 +31,23 @@ class TestConstruction:
         # degree must be power of two: 2 coefficients is fine
         assert p.coeffs == (5, Q - 3)
 
+    def test_accepts_numpy_unreduced_and_negative_ints(self):
+        import numpy as np
+
+        q = 97
+        raw = [np.int64(-1), np.uint64(200), 3 * q + 4, -5 * q - 6]
+        p = Polynomial(raw, q)
+        assert p.coeffs == (q - 1, 200 % q, 4, q - 6)
+        assert all(type(c) is int for c in p.coeffs)
+        assert Polynomial(np.array([-1, 98, 0, 1]), q).coeffs == (96, 1, 0, 1)
+
+    def test_ring_operations_stay_reduced(self):
+        a = Polynomial([Q - 1, 0, 5, Q - 2], Q)
+        b = Polynomial([Q - 3, 7, Q - 1, 1], Q)
+        for result in (a + b, a - b, -a, a.scalar_mul(-3), a.scalar_mul(Q + 2)):
+            assert all(type(c) is int and 0 <= c < Q for c in result.coeffs)
+            assert result == Polynomial(list(result.coeffs), Q)
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(ParameterError):
             Polynomial([1, 2], 1)
