@@ -174,11 +174,6 @@ class BatchEncoder:
         """Number of SIMD slots (equals the ring degree)."""
         return self.params.poly_degree
 
-    @property
-    def row_size(self) -> int:
-        """Slots per SIMD row (half the ring degree)."""
-        return self.params.poly_degree // 2
-
     def encode(self, values) -> Plaintext:
         """Pack a list of centered integers into SIMD slots (zero-padded)."""
         values = list(values)

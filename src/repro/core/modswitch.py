@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.ciphertext import Ciphertext
+from repro.core.decryptor import round_scale
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
@@ -57,13 +60,6 @@ def switched_parameters(
     )
 
 
-def _round_scale(value: int, numerator: int, denominator: int) -> int:
-    num = value * numerator
-    if num >= 0:
-        return (2 * num + denominator) // (2 * denominator)
-    return -((-2 * num + denominator) // (2 * denominator))
-
-
 def switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
     """Rescale a ciphertext to a smaller coefficient modulus.
 
@@ -77,12 +73,10 @@ def switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
     params = ciphertext.params
     new_params = switched_parameters(params, new_modulus)
     q = params.coeff_modulus
-    polys = []
-    for poly in ciphertext.polys:
-        scaled = [
-            _round_scale(c, new_modulus, q) for c in poly.centered()
-        ]
-        polys.append(Polynomial(scaled, new_modulus))
+    polys = [
+        Polynomial(round_scale(poly.centered(), new_modulus, q), new_modulus)
+        for poly in ciphertext.polys
+    ]
     result = Ciphertext(new_params, polys)
     get_noise_ledger().record_op(
         "mod_switch", result, (ciphertext,), params=new_params
@@ -118,15 +112,12 @@ def bgv_switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
     half_t = t // 2
     polys = []
     for poly in ciphertext.polys:
-        coeffs = []
-        for c in poly.centered():
-            scaled = _round_scale(c, new_modulus, q)
-            # Residue correction: keep scaled == c (mod t).
-            delta = (c - scaled) % t
-            if delta > half_t:
-                delta -= t
-            coeffs.append(scaled + delta)
-        polys.append(Polynomial(coeffs, new_modulus))
+        centered = np.array(poly.centered(), dtype=object)
+        scaled = round_scale(centered, new_modulus, q)
+        # Residue correction: keep scaled == c (mod t).
+        delta = (centered - scaled) % t
+        delta = np.where(delta > half_t, delta - t, delta)
+        polys.append(Polynomial(scaled + delta, new_modulus))
     result = Ciphertext(new_params, polys)
     get_noise_ledger().record_op(
         "mod_switch", result, (ciphertext,), params=new_params

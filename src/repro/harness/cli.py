@@ -139,14 +139,12 @@ def _cmd_obs(args) -> int:
         print(f"wrote {n} spans to {args.trace}", file=sys.stderr)
         exported = True
     if args.chrome:
-        obs.write_chrome_trace(spans, args.chrome)
-        print(f"wrote Chrome trace to {args.chrome}", file=sys.stderr)
+        _write_chrome(args.chrome, obs.to_chrome_trace(spans))
         exported = True
     if args.metrics:
         import json
 
-        with open(args.metrics, "w") as handle:
-            handle.write(json.dumps(registry.snapshot()) + "\n")
+        _write(args.metrics, json.dumps(registry.snapshot()) + "\n")
         print(f"wrote metrics snapshot to {args.metrics}", file=sys.stderr)
         exported = True
     if args.tree or not exported:
@@ -200,6 +198,14 @@ def _write(path, document: str) -> None:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(document)
+
+
+def _write_chrome(path, document: dict) -> None:
+    """Write a Chrome-trace document: the one ``--chrome`` writer."""
+    import json
+
+    _write(path, json.dumps(document))
+    print(f"wrote Chrome trace to {path}", file=sys.stderr)
 
 
 def _emit(document: str, output) -> None:
@@ -330,12 +336,10 @@ def _cmd_why(args) -> int:
         _write(args.html, htmlreport.render_forensics_report(report))
         print(f"wrote {args.html}")
     if args.collapsed:
-        with open(args.collapsed, "w") as handle:
-            handle.write(
-                fx.to_diff_collapsed(
-                    report["families"]["spans"]["aligned"]
-                )
-            )
+        _write(
+            args.collapsed,
+            fx.to_diff_collapsed(report["families"]["spans"]["aligned"]),
+        )
         print(f"wrote {args.collapsed}")
     return fx.why_exit_code(report)
 
@@ -369,13 +373,15 @@ def _cmd_forensics_html(args) -> int:
     )
     _emit(htmlreport.render_forensics_report(report), args.output)
     if args.collapsed:
-        with open(args.collapsed, "w") as handle:
-            for eid in sorted(report["experiments"]):
-                handle.write(
-                    fx.to_diff_collapsed(
-                        report["experiments"][eid]["spans"]["aligned"]
-                    )
+        _write(
+            args.collapsed,
+            "".join(
+                fx.to_diff_collapsed(
+                    report["experiments"][eid]["spans"]["aligned"]
                 )
+                for eid in sorted(report["experiments"])
+            ),
+        )
         print(f"wrote {args.collapsed}")
     return 0
 
@@ -432,8 +438,7 @@ def _cmd_forensics_shifts(args) -> int:
     print(f"scanned {len(series)} series from {', '.join(sources)}")
     print(fx.render_shifts(shifts))
     if args.json:
-        with open(args.json, "w") as handle:
-            _json.dump(shifts, handle, indent=1, sort_keys=True)
+        _write(args.json, _json.dumps(shifts, indent=1, sort_keys=True))
         print(f"wrote {args.json}")
     return 0
 
@@ -727,16 +732,6 @@ def _serve_spec_from_args(args, security_bits, rate_qps, healthy):
     )
 
 
-def _write_serve_chrome(path, timelines) -> None:
-    import json
-
-    from repro.serve import service as serve
-
-    with open(path, "w") as handle:
-        json.dump(serve.timelines_to_chrome_trace(timelines), handle)
-    print(f"wrote Chrome trace to {path}", file=sys.stderr)
-
-
 def _cmd_serve_run(args) -> int:
     """Simulate one serving point and print its SLO report."""
     import json
@@ -750,11 +745,12 @@ def _cmd_serve_run(args) -> int:
     serve.emit_request_spans(result)  # no-op unless REPRO_TRACE is set
     print(serve.render_point_text(result))
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(result.doc, handle, indent=1, sort_keys=True)
+        _write(args.output, json.dumps(result.doc, indent=1, sort_keys=True))
         print(f"wrote point document to {args.output}", file=sys.stderr)
     if args.chrome:
-        _write_serve_chrome(args.chrome, result.timelines)
+        _write_chrome(
+            args.chrome, serve.timelines_to_chrome_trace(result.timelines)
+        )
     return 0
 
 
@@ -803,7 +799,10 @@ def _cmd_serve_sweep(args) -> int:
             max(args.qps),
             max(args.healthy),
         )
-        _write_serve_chrome(args.chrome, serve.simulate(spec).timelines)
+        _write_chrome(
+            args.chrome,
+            serve.timelines_to_chrome_trace(serve.simulate(spec).timelines),
+        )
     return exit_code(
         Verdict(row["experiment"], row["verdict"])
         for row in doc.get("baseline_check", [])
@@ -834,7 +833,6 @@ def _cmd_profile(args) -> int:
     """
     from repro.obs import export, htmlreport
     from repro.obs import profile as prof
-    from repro.pim.config import UPMEMConfig
 
     tolerance = (
         args.tolerance
@@ -866,23 +864,12 @@ def _cmd_profile(args) -> int:
         documents = []
         if spans:
             documents.append(export.to_chrome_trace(spans))
-        # Band up issue segments: saturated interleaves otherwise emit
-        # one event per instruction (hundreds of MB for compute-bound
-        # experiments). A gap just above max_tasklets merges round-robin
-        # turns while keeping DMA blocks visible as breaks.
-        gap = 2 * UPMEMConfig().max_tasklets
         documents.extend(
-            p.trace.to_chrome_trace(
-                process_name=f"DPU sim: {p.label}", coalesce_gap=gap
-            )
+            p.trace.to_chrome_trace(process_name=f"DPU sim: {p.label}")
             for p in profiles
         )
         if documents:
-            import json
-
-            with open(args.chrome, "w") as handle:
-                json.dump(export.merge_chrome_traces(documents), handle)
-            print(f"wrote Chrome trace to {args.chrome}", file=sys.stderr)
+            _write_chrome(args.chrome, export.merge_chrome_traces(documents))
         else:
             print(
                 f"nothing to export to {args.chrome}: no spans and no "

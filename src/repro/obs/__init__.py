@@ -3,14 +3,39 @@
 The pipeline (workloads -> backends -> PIM runtime -> kernels) computes
 rich intermediate results — per-kernel compute/DMA breakdowns, tasklet
 counts, limb-operation tallies — and historically discarded everything
-but final scalars. This package keeps that story observable:
+but final scalars. This package keeps that story observable.
 
-* :mod:`repro.obs.trace` — nested spans with wall-clock *and* modelled
-  device time, a process-global tracer, and a null no-op default;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with the same
-  null-by-default discipline;
-* :mod:`repro.obs.export` — JSONL, Chrome-trace, and text-tree
-  exporters over finished spans.
+Module map:
+
+* **Recording.** :mod:`~repro.obs.trace` — nested spans with
+  wall-clock *and* modelled device time, a process-global tracer and a
+  null no-op default; :mod:`~repro.obs.metrics` —
+  counters/gauges/histograms with the same null-by-default discipline;
+  :mod:`~repro.obs.instrument` — the workloads' span helper and the
+  fault-metric hook.
+* **Exporting.** :mod:`~repro.obs.export` — JSONL, text-tree,
+  path-table and collapsed-stack exporters over finished spans, and
+  the one owner of the Chrome-trace event format (the simulator's and
+  the serving loop's timelines use its builders).
+* **Gates.** :mod:`~repro.obs.gate` — the one ledger and verdict
+  framework; :mod:`~repro.obs.baseline` and :mod:`~repro.obs.perf`
+  record and check modelled and wall times (``repro perf``);
+  :mod:`~repro.obs.noise` and :mod:`~repro.obs.noisegate` track each
+  ciphertext's predicted noise budget and gate the growth model
+  (``repro noise``); :mod:`~repro.obs.energy` prices each kernel's
+  joules and bytes moved (``repro energy``); :mod:`~repro.obs.slo`
+  holds the latency digests, SLO objectives and burn rates behind
+  ``repro serve`` and ``repro resil``.
+* **Explaining.** :mod:`~repro.obs.profile` — per-tasklet occupancy,
+  DMA contention and bottleneck verdicts (``repro profile``);
+  :mod:`~repro.obs.forensics` — span-aligned drift attribution,
+  change-point scans and differential flamegraphs (``repro why``,
+  ``repro forensics``).
+* **Storing and rendering.** :mod:`~repro.obs.runident` — the run
+  identity stamp (uuid, timestamp, git SHA);
+  :mod:`~repro.obs.registry` — the sqlite grid and runs ledger
+  (``repro grid``); :mod:`~repro.obs.htmlreport` — every
+  self-contained HTML dashboard.
 
 Quick start::
 
@@ -24,67 +49,6 @@ Quick start::
 
 Or, without touching code: ``REPRO_TRACE=trace.jsonl repro-experiments
 run fig1a``. See ``docs/observability.md``.
-
-Layered on top (PR 2): :mod:`repro.obs.baseline` records
-schema-versioned performance runs, :mod:`repro.obs.perf` compares them
-(exact modelled times, noise-aware wall times) and diffs attribution,
-and :mod:`repro.obs.htmlreport` renders the run history as a
-self-contained HTML dashboard — all driven by ``repro perf``.
-
-PR 3 adds :mod:`repro.obs.profile`: the pipeline profiler behind
-``repro profile`` — per-tasklet occupancy, DMA contention, load
-balance, and bottleneck verdicts cross-checked against the analytic
-cost model (disagreement raises
-:class:`~repro.errors.ModelValidationError`).
-
-PR 4 makes the *correctness* axis observable: :mod:`repro.obs.noise`
-stamps every ciphertext with its predicted invariant-noise budget
-(updated by each evaluator operation, measured on demand with the
-secret key), and :mod:`repro.obs.noisegate` gates the growth model
-against committed predicted-vs-measured trajectories
-(``NOISE-DRIFT``) — driven by ``repro noise record|check|report``.
-
-PR 6 makes the whole evaluation matrix *persistent and resumable*:
-:mod:`repro.obs.runident` is the shared run-identity stamp (uuid,
-timestamp, git SHA) every recorder now uses, and
-:mod:`repro.obs.registry` is a sqlite-backed run store — a grid table
-of enumerated parameter combinations (workload × backend × security
-level × fleet health × batch size) with atomic claim/run/record/resume
-semantics, plus a runs ledger for longitudinal trends — driven by
-``repro grid init|run|status|resume|html``.
-
-PR 7 adds request-level SLO observability: :mod:`repro.obs.slo` turns
-per-request modelled latencies from the :mod:`repro.serve` substrate
-into streaming percentile digests (mergeable, log-bucketed), SLO
-objectives with burn-rate and error-budget accounting, and
-``SLO-OK`` / ``SLO-BREACH`` verdicts — driven by
-``repro serve run|sweep|html`` with the capacity dashboard in
-:func:`repro.obs.htmlreport.render_serve_report`.
-
-PR 8 adds the *energy* dimension: :mod:`repro.obs.energy` prices every
-modelled kernel's joules mechanistically from its timing decomposition
-(DPU pipeline-active vs idle, WRAM↔MRAM DMA per byte, host-link
-transfers, CPU/GPU TDP envelopes — constants with provenance in
-:class:`~repro.obs.energy.EnergyConfig`), attributes the bytes moved at
-each memory level to ``movement.bytes.*`` counters and span
-attributes, and gates the deterministic model against the committed
-``baselines/energy.json`` (``ENERGY-DRIFT``) — driven by
-``repro energy record|check|report`` with the dashboard in
-:func:`repro.obs.htmlreport.render_energy_report`.
-
-PR 9 adds drift *forensics* — the first layer to join all four gate
-families (MODEL-DRIFT, NOISE-DRIFT, ENERGY-DRIFT, SLO) behind one
-attribution engine: :mod:`repro.obs.forensics` aligns two recorded
-runs by span path (self-vs-children time split from
-:func:`repro.obs.export.path_tree`), ranks the top drift contributors
-per family, runs CUSUM change-point detection over the longitudinal
-histories (``baselines/*history.jsonl``) and the registry runs ledger
-to flag the first git SHA of each shift, and exports differential
-flamegraphs — collapsed-stack text (:func:`repro.obs.export.to_collapsed`
-/ :func:`repro.obs.forensics.to_diff_collapsed`) and self-contained
-HTML (:func:`repro.obs.htmlreport.render_forensics_report`) — driven
-by ``repro why <experiment> --against <baseline|run-id>`` and
-``repro forensics html|shifts``.
 """
 
 from repro.obs.baseline import (

@@ -1,8 +1,8 @@
 """Performance-run capture and schema-versioned baselines.
 
-PR 1 made the pipeline observable; this module makes it *comparable
-over time*. A **run record** is one JSON document capturing, for each
-recorded experiment:
+Tracing (:mod:`repro.obs.trace`) makes the pipeline observable; this
+module makes it *comparable over time*. A **run record** is one JSON
+document capturing, for each recorded experiment:
 
 * the **modelled** numbers (per-series totals across rows) — fully
   deterministic outputs of the cost model, the paper's actual story;

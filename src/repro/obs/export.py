@@ -9,7 +9,10 @@ Three consumers of the same finished-span list:
   :func:`write_chrome_trace`): a ``{"traceEvents": [...]}`` document
   loadable in ``chrome://tracing`` or Perfetto, with spans as complete
   ("ph": "X") events on a wall-clock timeline and attributes as event
-  ``args``;
+  ``args``. This module owns the event format: the simulator's and the
+  serving loop's timelines are built with the same
+  :func:`chrome_metadata` / :func:`chrome_complete` /
+  :func:`chrome_document` builders;
 * **text tree** (:func:`render_time_tree`): an aggregated terminal
   report attributing wall and modelled time down the span hierarchy —
   the quick "where did the time go" answer;
@@ -22,6 +25,7 @@ Three consumers of the same finished-span list:
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro.errors import ParameterError
 
@@ -29,6 +33,9 @@ __all__ = [
     "span_to_dict",
     "write_jsonl",
     "read_jsonl",
+    "chrome_metadata",
+    "chrome_complete",
+    "chrome_document",
     "to_chrome_trace",
     "write_chrome_trace",
     "merge_chrome_traces",
@@ -63,6 +70,16 @@ def span_to_dict(span) -> dict:
     }
 
 
+def _write_text(text: str, path_or_file) -> None:
+    """Write to an open text file, or to a path, creating its directories."""
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+        return
+    path = pathlib.Path(path_or_file)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _as_records(spans_or_records) -> list:
     records = []
     for item in spans_or_records:
@@ -80,13 +97,7 @@ def write_jsonl(spans_or_records, path_or_file) -> int:
     written.
     """
     records = _as_records(spans_or_records)
-    if hasattr(path_or_file, "write"):
-        for record in records:
-            path_or_file.write(json.dumps(record) + "\n")
-    else:
-        with open(path_or_file, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
+    _write_text("".join(json.dumps(r) + "\n" for r in records), path_or_file)
     return len(records)
 
 
@@ -103,6 +114,42 @@ def read_jsonl(path_or_file) -> list:
 # -- Chrome trace -----------------------------------------------------------
 
 
+def chrome_metadata(kind: str, label: str, tid: int = 0) -> dict:
+    """A ``process_name`` / ``thread_name`` metadata event ("ph": "M")."""
+    return {
+        "name": kind,
+        "ph": "M",
+        "pid": 1,
+        "tid": tid,
+        "args": {"name": label},
+    }
+
+
+def chrome_complete(
+    name: str, cat: str, tid: int, ts: float, dur: float, args: dict
+) -> dict:
+    """A complete event ("ph": "X") on lane ``tid``, times in µs."""
+    return {
+        "name": name,
+        "cat": cat,
+        "ph": "X",
+        "pid": 1,
+        "tid": tid,
+        "ts": ts,
+        "dur": dur,
+        "args": args,
+    }
+
+
+def chrome_document(events) -> dict:
+    """Events as a Chrome-trace document.
+
+    Every builder places its events in process 1;
+    :func:`merge_chrome_traces` gives each merged document its own.
+    """
+    return {"traceEvents": list(events), "displayTimeUnit": "ms"}
+
+
 def to_chrome_trace(spans, process_name: str = "repro model") -> dict:
     """Spans as a Chrome-trace (``chrome://tracing`` / Perfetto) document.
 
@@ -113,40 +160,25 @@ def to_chrome_trace(spans, process_name: str = "repro model") -> dict:
     """
     spans = [s for s in spans if s.end_s is not None]
     origin = min((s.start_s for s in spans), default=0.0)
-    events = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
+    events = [chrome_metadata("process_name", process_name)]
     for span in spans:
         events.append(
-            {
-                "name": span.name,
-                "cat": span.name.split(".", 1)[0],
-                "ph": "X",
-                "pid": 1,
-                "tid": 1,
-                "ts": (span.start_s - origin) * 1e6,
-                "dur": span.wall_s * 1e6,
-                "args": _jsonable(span.attrs)
+            chrome_complete(
+                span.name,
+                span.name.split(".", 1)[0],
+                1,
+                (span.start_s - origin) * 1e6,
+                span.wall_s * 1e6,
+                _jsonable(span.attrs)
                 | {"span_id": span.span_id, "parent_id": span.parent_id},
-            }
+            )
         )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return chrome_document(events)
 
 
 def write_chrome_trace(spans, path_or_file, **kwargs) -> None:
     """Serialize :func:`to_chrome_trace` output as a JSON file."""
-    document = to_chrome_trace(spans, **kwargs)
-    if hasattr(path_or_file, "write"):
-        json.dump(document, path_or_file)
-    else:
-        with open(path_or_file, "w") as handle:
-            json.dump(document, handle)
+    _write_text(json.dumps(to_chrome_trace(spans, **kwargs)), path_or_file)
 
 
 def merge_chrome_traces(documents) -> dict:
@@ -168,7 +200,7 @@ def merge_chrome_traces(documents) -> dict:
         validate_chrome_trace(document)
         for event in document["traceEvents"]:
             merged.append(dict(event, pid=index + 1))
-    return {"traceEvents": merged, "displayTimeUnit": "ms"}
+    return chrome_document(merged)
 
 
 # -- text attribution tree --------------------------------------------------
@@ -341,12 +373,7 @@ def to_collapsed(tree: dict, metric: str = "self_modelled_s") -> str:
 
 def write_collapsed(tree: dict, path_or_file, **kwargs) -> None:
     """Serialize :func:`to_collapsed` output to a file."""
-    text = to_collapsed(tree, **kwargs)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as handle:
-            handle.write(text)
+    _write_text(to_collapsed(tree, **kwargs), path_or_file)
 
 
 def validate_chrome_trace(document) -> None:

@@ -286,10 +286,11 @@ class RunRegistry:
     def _migrate(conn: sqlite3.Connection) -> None:
         """Additive in-place migrations for older registries.
 
-        ``drift_annotations`` (PR 9) is a pure annotation column — its
-        absence never changed how ledger rows were read, so existing
-        databases are upgraded with an ``ALTER TABLE`` instead of a
-        schema-version bump that would force a re-init.
+        ``drift_annotations`` (added with :mod:`repro.obs.forensics`)
+        is a pure annotation column — its absence never changed how
+        ledger rows were read, so existing databases are upgraded with
+        an ``ALTER TABLE`` instead of a schema-version bump that would
+        force a re-init.
         """
         columns = {
             row[1] for row in conn.execute("PRAGMA table_info(runs)")

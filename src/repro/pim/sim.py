@@ -36,11 +36,19 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, TransientDeviceError
+from repro.obs.export import chrome_complete, chrome_document, chrome_metadata
 from repro.pim.config import UPMEMConfig
 
 #: Phase kinds.
 COMPUTE = "compute"
 DMA = "dma"
+
+#: Largest idle gap, in cycles, bridged when a tasklet's issue segments
+#: are banded for the Chrome export. A saturated round-robin turn is at
+#: most ``max_tasklets`` cycles, so twice that merges the turns of a
+#: busy tasklet while every DMA block (over a thousand cycles for a
+#: 2 KB transfer) still shows as a break.
+CHROME_BAND_GAP = 2 * UPMEMConfig().max_tasklets
 
 
 @dataclass(frozen=True)
@@ -193,20 +201,20 @@ class SimTrace:
         )
         return records
 
-    def _coalesced_segments(self, coalesce_gap: float) -> list:
-        """Issue segments merged across gaps of ``coalesce_gap`` cycles.
+    def _banded_segments(self) -> list:
+        """Issue segments merged across gaps of :data:`CHROME_BAND_GAP`.
 
         In a saturated interleave every tasklet issues once per
         round-robin turn, so raw segments are one instruction each —
         per-instruction events at millions per run. Merging segments of
-        one tasklet whose separation is at most ``coalesce_gap`` turns
-        them into *activity bands* broken only by real pauses (DMA
-        blocks, long starvation), which is what a timeline should show.
+        one tasklet whose separation is at most the gap turns them into
+        *activity bands* broken only by real pauses (DMA blocks, long
+        starvation), which is what a timeline should show.
         """
         merged: dict = {}
         for tasklet, first, last, count in self.issue_segments():
             runs = merged.setdefault(tasklet, [])
-            if runs and first - runs[-1][1] - 1 <= coalesce_gap:
+            if runs and first - runs[-1][1] - 1 <= CHROME_BAND_GAP:
                 prev_first, _prev_last, prev_count = runs[-1]
                 runs[-1] = (prev_first, last, prev_count + count)
             else:
@@ -218,89 +226,53 @@ class SimTrace:
         ]
 
     def to_chrome_trace(
-        self,
-        pid: int = 1,
-        process_name: str = "DPU (modelled cycles)",
-        coalesce_gap: float = 0.0,
+        self, process_name: str = "DPU (modelled cycles)"
     ) -> dict:
         """The run as a Chrome-trace document (cycles as microseconds).
 
-        ``pid`` / ``process_name`` place the lanes in their own process
-        group, so several simulated DPUs (or a host-span trace) can be
-        merged into one document with
-        :func:`repro.obs.export.merge_chrome_traces`.
-
-        ``coalesce_gap`` merges a tasklet's issue segments separated by
-        at most that many cycles into one band
-        (:meth:`_coalesced_segments`); 0 keeps exact per-issue events.
-        Saturated compute-bound runs need a gap of at least the tasklet
-        count to band up — the profiler's exporter uses one comfortably
-        above ``max_tasklets``.
+        ``process_name`` labels the lanes' process group, so several
+        simulated DPUs (or a host-span trace) can be merged into one
+        document with :func:`repro.obs.export.merge_chrome_traces`.
+        Issue events are banded (:meth:`_banded_segments`), one event
+        per activity band rather than per instruction.
         """
         events = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": process_name},
-            },
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": "dma engine"},
-            },
+            chrome_metadata("process_name", process_name),
+            chrome_metadata("thread_name", "dma engine"),
         ]
         seen_tasklets = set()
-        segments = (
-            self._coalesced_segments(coalesce_gap)
-            if coalesce_gap > 0
-            else self.issue_segments()
-        )
-        for tasklet, first, last, count in segments:
+        for tasklet, first, last, count in self._banded_segments():
             seen_tasklets.add(tasklet)
             events.append(
-                {
-                    "name": "issue",
-                    "cat": "pipeline",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tasklet + 1,
-                    "ts": float(first),
-                    "dur": float(last - first + 1),
-                    "args": {"instructions": count},
-                }
+                chrome_complete(
+                    "issue",
+                    "pipeline",
+                    tasklet + 1,
+                    float(first),
+                    float(last - first + 1),
+                    {"instructions": count},
+                )
             )
         for tasklet, request, start, end, n_bytes in self.dmas:
             events.append(
-                {
-                    "name": f"dma t{tasklet}",
-                    "cat": "dma",
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": float(start),
-                    "dur": float(end - start),
-                    "args": {
+                chrome_complete(
+                    f"dma t{tasklet}",
+                    "dma",
+                    0,
+                    float(start),
+                    float(end - start),
+                    {
                         "tasklet": tasklet,
                         "bytes": n_bytes,
                         "queue_wait_cycles": start - request,
                     },
-                }
+                )
             )
-        for tasklet in sorted(seen_tasklets):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tasklet + 1,
-                    "args": {"name": f"tasklet {tasklet}"},
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        events.extend(
+            chrome_metadata("thread_name", f"tasklet {tasklet}", tasklet + 1)
+            for tasklet in sorted(seen_tasklets)
+        )
+        return chrome_document(events)
 
     def tasklet_activity(
         self, revolve_cycles: int, total_cycles: int

@@ -55,7 +55,6 @@ from repro.obs.slo import (
     VERDICT_SLO_OK,
     SLOTracker,
 )
-from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import (
     DEFAULT_RETRY_POLICY,
@@ -94,7 +93,6 @@ __all__ = [
     "check_resilience_runs",
     "render_resilience_text",
     "read_resilience_run",
-    "emit_resilient_spans",
 ]
 
 BREAKER_CLOSED = "closed"
@@ -747,36 +745,6 @@ def simulate_resilient(rspec: ResilienceSpec) -> ResilienceResult:
     result = _serve(rspec)
     result.doc.update(run_identity())
     return result
-
-
-def emit_resilient_spans(result: ResilienceResult) -> int:
-    """Re-emit resilient launches as ``repro.obs`` spans.
-
-    One span per dispatched launch copy with shard/home/hedge
-    attributes on the modelled clock; no-op under the null tracer.
-    """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return 0
-    emitted = 0
-    for launch in result.launches:
-        with tracer.span(
-            "serve.shard.launch",
-            attrs={
-                "class": launch.class_key,
-                "shard": launch.shard,
-                "home_shard": launch.home_shard,
-                "routed": launch.shard != launch.home_shard,
-                "hedged": launch.hedged,
-                "hedge_winner": launch.hedge_winner,
-                "batch_size": launch.batch_size,
-                "modelled_s": launch.complete_s - launch.service_start_s,
-                "seal_s": launch.seal_s,
-            },
-        ):
-            pass
-        emitted += 1
-    return emitted
 
 
 # -- the RESILIENCE gate -----------------------------------------------------

@@ -33,14 +33,18 @@ Two invariants mirror the chaos harness:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 
 from repro.backends.base import TimingBreakdown
 from repro.core.params import BFVParameters
 from repro.core.planner import HeadroomGuard, plan_budget
 from repro.errors import ParameterError
+from repro.obs.export import (
+    chrome_complete,
+    chrome_document,
+    chrome_metadata,
+    merge_chrome_traces,
+)
 from repro.obs.gate import Ledger
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
@@ -184,18 +188,6 @@ class ServeSpec:
             "margin_bits": self.margin_bits,
             "objectives": [o.to_dict() for o in self.objectives],
         }
-
-    def token(self) -> str:
-        """A short stable hash of everything but the offered rates.
-
-        Two specs that differ only in offered load share a token; a
-        different window, batching, seed, or objective changes it.
-        """
-        doc = self.to_dict()
-        for entry in doc["classes"]:
-            entry.pop("rate_qps")
-        text = json.dumps(doc, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -665,8 +657,6 @@ def timelines_to_chrome_trace(timelines) -> dict:
     requests of one class spread across a small pool of lanes
     (``tid``) so concurrent lifetimes stay readable.
     """
-    from repro.obs.export import merge_chrome_traces
-
     by_class: dict = {}
     for timeline in timelines:
         by_class.setdefault(timeline.class_key, []).append(timeline)
@@ -675,15 +665,7 @@ def timelines_to_chrome_trace(timelines) -> dict:
 
     documents = []
     for class_key in sorted(by_class):
-        events = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": f"serve class {class_key}"},
-            }
-        ]
+        events = [chrome_metadata("process_name", f"serve class {class_key}")]
         lanes: list = []
         for timeline in sorted(
             by_class[class_key], key=lambda t: (t.arrival_s, t.request_id)
@@ -701,25 +683,20 @@ def timelines_to_chrome_trace(timelines) -> dict:
                     tid = min(range(len(lanes)), key=lanes.__getitem__)
             lanes[tid] = timeline.complete_s
             tid += 1  # tid 0 carries the metadata event
-            base = {
-                "cat": "serve",
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-            }
             events.append(
-                base
-                | {
-                    "name": "serve.request",
-                    "ts": timeline.arrival_s * 1e6,
-                    "dur": timeline.latency_s * 1e6,
-                    "args": {
+                chrome_complete(
+                    "serve.request",
+                    "serve",
+                    tid,
+                    timeline.arrival_s * 1e6,
+                    timeline.latency_s * 1e6,
+                    {
                         "request_id": timeline.request_id,
                         "batch_index": timeline.batch_index,
                         "batch_size": timeline.batch_size,
                         "latency_ms": timeline.latency_s * 1e3,
                     },
-                }
+                )
             )
             phases = (
                 ("serve.queue", timeline.arrival_s, timeline.queue_s),
@@ -744,21 +721,19 @@ def timelines_to_chrome_trace(timelines) -> dict:
                     timeline.transfer_s,
                 ),
             )
-            for name, start, duration in phases:
-                if duration <= 0:
-                    continue
-                events.append(
-                    base
-                    | {
-                        "name": name,
-                        "ts": start * 1e6,
-                        "dur": duration * 1e6,
-                        "args": {"request_id": timeline.request_id},
-                    }
+            events.extend(
+                chrome_complete(
+                    name,
+                    "serve",
+                    tid,
+                    start * 1e6,
+                    duration * 1e6,
+                    {"request_id": timeline.request_id},
                 )
-        documents.append(
-            {"traceEvents": events, "displayTimeUnit": "ms"}
-        )
+                for name, start, duration in phases
+                if duration > 0
+            )
+        documents.append(chrome_document(events))
     return merge_chrome_traces(documents)
 
 

@@ -242,10 +242,6 @@ class ShardedPricer:
             return shard_config.n_dpus
         return view.effective_dpus(shard_config)
 
-    def shard_plan(self, shard: int) -> FaultPlan:
-        """The shard-scoped fault view (for reports and tests)."""
-        return self._views[shard]
-
     def price(
         self, shard: int, class_key: str, batch_size: int
     ) -> TimingBreakdown:

@@ -12,6 +12,7 @@ from repro.core.noise import noise_budget
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime
 from repro.poly.polynomial import Polynomial
+from tests.core import reference_bfv as oracle
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +202,42 @@ class TestBGVSwitchModulus:
         after = bgv_noise_budget(switched, new_sk)
         assert after > 0
         assert after < before
+
+
+class TestExactCoefficients:
+    """Every switched coefficient equals the scalar rounding oracle."""
+
+    def test_bfv_coefficients(self, tiny_ctx, q40):
+        ct = tiny_ctx.evaluator.multiply(
+            tiny_ctx.encrypt_slots([6, -7]), tiny_ctx.encrypt_slots([3, 3])
+        )
+        q = ct.params.coeff_modulus
+        centered = [poly.centered() for poly in ct.polys]
+        assert min(map(min, centered)) < 0 < max(map(max, centered))
+        switched = switch_modulus(ct, q40)
+        for coeffs, new in zip(centered, switched.polys):
+            assert list(new.coeffs) == [
+                oracle._round_scale(c, q40, q) % q40 for c in coeffs
+            ]
+
+    def test_bgv_coefficients_keep_their_residues(self):
+        from repro.core import BatchEncoder
+        from repro.core.bgv import BGVEncryptor, BGVKeyGenerator
+        from repro.core.modswitch import bgv_switch_modulus
+
+        params, q40 = _bgv_congruent_params()
+        q, t = params.coeff_modulus, params.plain_modulus
+        keys = BGVKeyGenerator(params, seed=19).generate()
+        ct = BGVEncryptor(params, keys.public_key, seed=20).encrypt(
+            BatchEncoder(params).encode([5, -9, 100])
+        )
+        switched = bgv_switch_modulus(ct, q40)
+        for poly, new in zip(ct.polys, switched.polys):
+            expected = []
+            for c in poly.centered():
+                scaled = oracle._round_scale(c, q40, q)
+                delta = (c - scaled) % t
+                if delta > t // 2:
+                    delta -= t
+                expected.append((scaled + delta) % q40)
+            assert list(new.coeffs) == expected

@@ -7,6 +7,8 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.obs.export import (
+    chrome_complete,
+    chrome_metadata,
     merge_chrome_traces,
     read_jsonl,
     render_time_tree,
@@ -17,6 +19,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.trace import Tracer
+from repro.serve.service import ServeSpec, simulate, timelines_to_chrome_trace
 
 
 class TestMergeChromeTraces:
@@ -157,6 +160,30 @@ class TestChromeTrace:
             validate_chrome_trace(
                 {"traceEvents": [{"name": "x", "ph": "X", "pid": 1, "tid": 1}]}
             )
+
+
+class TestOneEventFormat:
+    """Every producer's events come from the same builders."""
+
+    def test_every_event_has_the_builder_key_order(self, nested_spans):
+        order = {
+            "M": list(chrome_metadata("process_name", "p")),
+            "X": list(chrome_complete("n", "c", 1, 0.0, 1.0, {})),
+        }
+        timelines = simulate(ServeSpec(duration_s=0.02)).timelines
+        documents = {
+            "spans": to_chrome_trace(nested_spans),
+            "sim": TestMergeChromeTraces()._sim_document(),
+            "serve": timelines_to_chrome_trace(timelines),
+        }
+        for producer, document in documents.items():
+            validate_chrome_trace(document)
+            assert list(document) == ["traceEvents", "displayTimeUnit"]
+            phases = set()
+            for event in document["traceEvents"]:
+                phases.add(event["ph"])
+                assert list(event) == order[event["ph"]], (producer, event)
+            assert phases == {"M", "X"}, producer
 
 
 class TestTimeTree:

@@ -90,3 +90,28 @@ class TestObsCliEndToEnd:
             seen.add(node["span_id"])
             node = by_id[node["parent_id"]]
         assert node["name"] == "experiment.fig1a"
+
+
+def test_exports_create_missing_directories(tmp_path, capsys):
+    paths = {
+        flag: tmp_path / flag / "new" / "artifact"
+        for flag in ("trace", "chrome", "metrics")
+    }
+    status = main(
+        [
+            "obs",
+            "--trace",
+            str(paths["trace"]),
+            "--chrome",
+            str(paths["chrome"]),
+            "--metrics",
+            str(paths["metrics"]),
+            "run",
+            "fig1a",
+        ]
+    )
+    capsys.readouterr()
+    assert status == 0
+    assert read_jsonl(paths["trace"])
+    validate_chrome_trace(json.loads(paths["chrome"].read_text()))
+    assert json.loads(paths["metrics"].read_text())

@@ -45,6 +45,22 @@ class TestProfileKernelSpec:
         assert "dma-bound" in html
         assert "occbar" in html
 
+    def test_chrome_under_a_missing_directory(self, tmp_path, capsys):
+        chrome_path = tmp_path / "new" / "profile.json"
+        status = main(
+            [
+                "profile",
+                "vec_mul:128",
+                "--elements",
+                "64",
+                "--chrome",
+                str(chrome_path),
+            ]
+        )
+        capsys.readouterr()
+        assert status == 0
+        validate_chrome_trace(json.loads(chrome_path.read_text()))
+
 
 class TestProfileExperiment:
     @pytest.fixture()

@@ -198,3 +198,12 @@ class TestEnvConfiguration:
 
         document = json.loads(out.read_text())
         assert "traceEvents" in document
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.json"])
+    def test_env_destination_under_a_missing_directory(self, tmp_path, name):
+        out = tmp_path / "new" / name
+        tracer = Tracer()
+        with tracer.span("span"):
+            pass
+        flush_env_trace(tracer, str(out))
+        assert out.read_text()

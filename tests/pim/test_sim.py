@@ -279,26 +279,24 @@ class TestSimTrace:
         assert trace.dmas
 
     def test_chrome_export_coalescing_shrinks_saturated_interleaves(self):
-        """A saturated interleave emits one event per instruction when
-        exported raw; banding with a gap above the tasklet count must
-        collapse that to a handful of events per tasklet while
-        preserving the instruction totals and the DMA lane exactly."""
+        """A saturated interleave has one raw issue segment per
+        instruction; the export's banding must collapse that to one
+        event per tasklet while preserving the instruction total."""
         from repro.obs.export import validate_chrome_trace
         from repro.pim.sim import SimTrace
 
         trace = SimTrace()
         DPUSimulator(CFG).run([compute_program(200)] * 16, trace=trace)
-        raw = trace.to_chrome_trace()
-        banded = trace.to_chrome_trace(coalesce_gap=2 * 16)
+        raw = trace.issue_segments()
+        banded = trace.to_chrome_trace()
         validate_chrome_trace(banded)
-        raw_issues = [e for e in raw["traceEvents"] if e.get("cat") == "pipeline"]
         banded_issues = [
             e for e in banded["traceEvents"] if e.get("cat") == "pipeline"
         ]
-        assert len(raw_issues) == 16 * 200  # one event per instruction
+        assert len(raw) == 16 * 200  # one segment per instruction
         assert len(banded_issues) == 16  # one band per tasklet
         assert sum(e["args"]["instructions"] for e in banded_issues) == sum(
-            e["args"]["instructions"] for e in raw_issues
+            count for _tasklet, _first, _last, count in raw
         )
 
     def test_chrome_export_coalescing_keeps_dma_breaks(self):
@@ -315,7 +313,7 @@ class TestSimTrace:
             ],
             trace=trace,
         )
-        banded = trace.to_chrome_trace(coalesce_gap=48)
+        banded = trace.to_chrome_trace()
         issues = [e for e in banded["traceEvents"] if e.get("cat") == "pipeline"]
         assert len(issues) == 2  # the DMA block splits the bands
 

@@ -40,6 +40,26 @@ class TestServeRun:
         assert doc["classes"]
         validate_chrome_trace(json.loads(trace_path.read_text()))
 
+    def test_artifacts_under_a_missing_directory(self, tmp_path, capsys):
+        doc_path = tmp_path / "new" / "point.json"
+        trace_path = tmp_path / "other" / "trace.json"
+        status = main(
+            [
+                "serve",
+                "run",
+                "--duration",
+                "0.05",
+                "-o",
+                str(doc_path),
+                "--chrome",
+                str(trace_path),
+            ]
+        )
+        capsys.readouterr()
+        assert status == 0
+        assert json.loads(doc_path.read_text())["kind"] == "serve-point"
+        validate_chrome_trace(json.loads(trace_path.read_text()))
+
 
 class TestServeSweep:
     _ARGV = [

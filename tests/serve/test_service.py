@@ -64,13 +64,6 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             ServeSpec(healthy=0.0)
 
-    def test_spec_token_ignores_offered_rate(self):
-        # Same sweep at different QPS shares a token.
-        slow = _tiny_spec(classes=(RequestClass(rate_qps=100.0),))
-        fast = _tiny_spec(classes=(RequestClass(rate_qps=9000.0),))
-        assert slow.token() == fast.token()
-        assert slow.token() != _tiny_spec(seed=1).token()
-
 
 class TestSimulateDeterminism:
     def test_same_spec_yields_byte_identical_documents(self):
