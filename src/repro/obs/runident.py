@@ -15,10 +15,16 @@ Keeping the capture here (rather than per-recorder) is what makes
 records *joinable*: a registry cell, a perf-history line, and a noise
 trajectory recorded by the same process share a ``run_id``, and the
 longitudinal dashboards trend any of them against ``git_sha``.
+
+The SHA is read once per process for each ``cwd`` argument: a serving
+sweep stamps every point, and each ``git rev-parse`` is a fork. A
+commit made while the process runs is therefore not seen; the stamp
+stays the commit the process started from.
 """
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import uuid
 from datetime import datetime, timezone
@@ -26,8 +32,13 @@ from datetime import datetime, timezone
 __all__ = ["git_sha", "run_identity", "stamp"]
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha(cwd=None) -> str | None:
-    """The current git commit SHA, or ``None`` outside a checkout."""
+    """The current git commit SHA, or ``None`` outside a checkout.
+
+    Memoized per ``cwd`` argument: ``git rev-parse`` runs once per
+    process.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

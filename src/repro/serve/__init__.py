@@ -12,9 +12,10 @@ computable, regression-gated model:
   discipline);
 * :mod:`repro.serve.scheduler` — per-class batch formation (seal on
   ``max_batch`` or a ``max_wait`` timer) and the
-  :class:`~repro.serve.scheduler.RequestTimeline` every request
-  carries, decomposing modelled latency into queue → dispatch →
-  launch → kernel → transfer phases. Its serial
+  :class:`~repro.serve.scheduler.RequestTimeline` of every completed
+  request (built on first read from per-batch records), decomposing
+  modelled latency into queue → dispatch → launch → kernel → transfer
+  phases. Its serial
   :meth:`~repro.serve.scheduler.BatchScheduler.schedule` is kept only
   as the reference the serving loop is tested against;
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.ServeSpec`,

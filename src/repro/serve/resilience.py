@@ -44,7 +44,7 @@ is ``RESILIENCE-DRIFT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, PermanentDeviceError
 from repro.obs import gate, htmlreport
@@ -61,7 +61,7 @@ from repro.pim.faults import (
     FaultPlan,
     plan_for_healthy_fraction,
 )
-from repro.serve.scheduler import BatchScheduler, RequestTimeline
+from repro.serve.scheduler import BatchScheduler, ServedBatches
 from repro.serve.service import (
     SCHEMA_VERSION,
     RequestClass,
@@ -316,10 +316,15 @@ class ResilienceResult:
 
     spec: ResilienceSpec
     layout: object
-    timelines: list
     launches: list
     reports: dict
     doc: dict
+    batches: ServedBatches = field(repr=False, compare=False)
+
+    @property
+    def timelines(self) -> list:
+        """Every completed request's timeline, built on first read."""
+        return self.batches.timelines
 
 
 def _running_burn(trackers: dict) -> float:
@@ -333,6 +338,17 @@ def _running_burn(trackers: dict) -> float:
             burn = (bad / completed) / objective.allowed_bad_fraction
             worst = max(worst, burn)
     return worst
+
+
+def _good_requests(tracker: SLOTracker) -> int:
+    """Completed requests that met every objective, i.e. the tightest."""
+    objectives = tracker.objectives
+    if not objectives:
+        return tracker.digest.count
+    tightest = min(
+        range(len(objectives)), key=lambda i: objectives[i].threshold_s
+    )
+    return tracker.digest.count - tracker.bad[tightest]
 
 
 def _failure_cost_s(policy, config: UPMEMConfig) -> float:
@@ -421,11 +437,6 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     sheddable = {
         c.key for c in spec.classes if c.priority == min_priority
     }
-    # A request is good when it meets every objective, i.e. the
-    # tightest one.
-    good_threshold_s = min(
-        (o.threshold_s for o in spec.objectives), default=float("inf")
-    )
 
     shard_free = [0.0] * n_shards
     shard_busy = [0.0] * n_shards
@@ -440,11 +451,12 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     hedge_overhead_s = 0.0
     shed_batches = 0
     shed_by_class = {c.key: 0 for c in spec.classes}
-    good_by_class = {c.key: 0 for c in spec.classes}
     energy_total_j = 0.0
     movement_total_bytes = 0
-    timelines: list = []
     launches: list = []
+    # (winning launch index, batch index, members) per served batch:
+    # all a request timeline needs besides its arrival time.
+    records: list = []
 
     def usable(shard: int, now: float) -> bool:
         return healthy[shard] > 0 and breakers[shard].allows(now)
@@ -563,7 +575,7 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
             registry.counter("serve.launches").inc()
             registry.histogram("serve.batch_size").observe(batch_size)
         winner = min(finished, key=lambda item: (item[0], item[1]))
-        complete, win_shard, win_start, win_bd = winner
+        complete, win_shard = winner[:2]
         if len(finished) > 1:
             if win_shard != target:
                 hedges_won += 1
@@ -572,6 +584,9 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
                 item[0] - item[2] for item in finished if item is not winner
             )
 
+        records.append(
+            (len(launches) + finished.index(winner), batch_index, members)
+        )
         for copy_complete, shard, copy_start, bd in finished:
             launches.append(
                 ShardLaunch(
@@ -594,40 +609,11 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
                 )
             )
 
-        phases = _phases(win_bd)
-        launch_s = phases["launch_s"]
-        kernel_s = phases["kernel_s"]
-        fault_s = phases["fault_s"]
-        transfer_s = phases["transfer_s"]
+        # RequestTimeline.latency_s, in request order.
         arrivals = class_arrivals[class_key]
-        latencies = []
-        for member in members:
-            arrival_s = arrivals[member]
-            # Positional, in field order: keyword arguments would cost
-            # more than the rest of the per-request work.
-            timelines.append(
-                RequestTimeline(
-                    f"{class_key}/{member}",
-                    class_key,
-                    arrival_s,
-                    seal,
-                    win_start,
-                    launch_s,
-                    kernel_s,
-                    fault_s,
-                    transfer_s,
-                    complete,
-                    batch_index,
-                    batch_size,
-                )
-            )
-            # RequestTimeline.latency_s, in request order.
-            latencies.append(complete - arrival_s)
+        latencies = [complete - arrivals[member] for member in members]
         trackers[class_key].observe_many(latencies)
         registry.histogram("serve.latency_s").observe_many(latencies)
-        good_by_class[class_key] += sum(
-            1 for latency_s in latencies if latency_s <= good_threshold_s
-        )
 
     for shard in range(n_shards):
         if breakers[shard].opened_count:
@@ -652,7 +638,7 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     completed = sum(r["completed"] for r in reports.values())
     rejected = sum(r["rejected"] for r in reports.values())
     offered = completed + rejected
-    good = sum(good_by_class.values())
+    good = sum(_good_requests(tracker) for tracker in trackers.values())
 
     shards_doc = []
     for shard in range(n_shards):
@@ -727,10 +713,10 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     return ResilienceResult(
         spec=rspec,
         layout=layout,
-        timelines=timelines,
         launches=launches,
         reports=reports,
         doc=doc,
+        batches=ServedBatches(launches, records, class_arrivals),
     )
 
 

@@ -22,8 +22,10 @@ serving loop (:mod:`repro.serve.resilience`). The serial
 production path: they are the reference that loop's one-shard case is
 differentially tested against.
 
-Every request carries a :class:`RequestTimeline` decomposing its
-modelled latency into the phases the dashboard reports::
+Every completed request has a :class:`RequestTimeline` decomposing
+its modelled latency into the phases the dashboard reports (the
+serving loop keeps a :class:`ServedBatches` record and builds them on
+first read)::
 
     arrival --queue--> sealed --dispatch--> service start
             --launch--> --kernel--> --transfer--> complete
@@ -42,7 +44,12 @@ from dataclasses import dataclass
 
 from repro.errors import ParameterError
 
-__all__ = ["RequestTimeline", "BatchLaunch", "BatchScheduler"]
+__all__ = [
+    "RequestTimeline",
+    "ServedBatches",
+    "BatchLaunch",
+    "BatchScheduler",
+]
 
 
 @dataclass(slots=True)
@@ -101,6 +108,63 @@ class RequestTimeline:
             "batch_index": self.batch_index,
             "batch_size": self.batch_size,
         }
+
+
+class ServedBatches:
+    """The serving loop's per-batch record; request timelines on demand.
+
+    ``records`` holds one ``(launch index, batch index, members)`` per
+    served batch, in service order: the launch in ``launches`` that
+    served it (a hedged batch's winning copy), the batch's index in its
+    formation stream, and its members' indices into
+    ``arrivals[class key]``. :attr:`timelines` builds every request's
+    :class:`RequestTimeline` from them on first read, so a run nobody
+    reads timelines from never makes one.
+    """
+
+    __slots__ = ("launches", "records", "arrivals", "_timelines")
+
+    def __init__(self, launches: list, records: list, arrivals: dict):
+        self.launches = launches
+        self.records = records
+        self.arrivals = arrivals
+        self._timelines = None
+
+    @property
+    def timelines(self) -> list:
+        """Every served request's timeline: service order, then arrival
+        order within a batch. Built once, on first read."""
+        if self._timelines is None:
+            self._timelines = self._build()
+        return self._timelines
+
+    def _build(self) -> list:
+        timelines = []
+        for launch_index, batch_index, members in self.records:
+            launch = self.launches[launch_index]
+            class_key = launch.class_key
+            arrivals = self.arrivals[class_key]
+            fields = (
+                launch.seal_s,
+                launch.service_start_s,
+                launch.launch_s,
+                launch.kernel_s,
+                launch.fault_s,
+                launch.transfer_s,
+                launch.complete_s,
+                batch_index,
+                launch.batch_size,
+            )
+            timelines.extend(
+                RequestTimeline(
+                    f"{class_key}/{member}",
+                    class_key,
+                    arrivals[member],
+                    *fields,
+                )
+                for member in members
+            )
+        return timelines
 
 
 @dataclass

@@ -33,7 +33,7 @@ Two invariants mirror the chaos harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.backends.base import TimingBreakdown
 from repro.core.params import BFVParameters
@@ -56,6 +56,7 @@ from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan
 from repro.serve.arrivals import OpenLoopArrivals
+from repro.serve.scheduler import ServedBatches
 from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
@@ -195,10 +196,15 @@ class ServeResult:
     """Everything one serving point produced."""
 
     spec: ServeSpec
-    timelines: list
     launches: list
     reports: dict
     doc: dict
+    batches: ServedBatches = field(repr=False, compare=False)
+
+    @property
+    def timelines(self) -> list:
+        """Every completed request's timeline, built on first read."""
+        return self.batches.timelines
 
 
 def price_launch(backend, cls: RequestClass, batch_size: int) -> TimingBreakdown:
@@ -309,10 +315,10 @@ def simulate(spec: ServeSpec) -> ServeResult:
     doc["verdict"] = served.doc["verdict"]
     return ServeResult(
         spec=spec,
-        timelines=served.timelines,
         launches=served.launches,
         reports=served.reports,
         doc=doc,
+        batches=served.batches,
     )
 
 

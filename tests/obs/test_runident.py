@@ -1,8 +1,33 @@
 """Shared run-identity stamping, and its re-export compatibility."""
 
+import subprocess
 import uuid
 
+import pytest
+
 from repro.obs import runident
+
+
+@pytest.fixture(autouse=True)
+def fresh_git_sha():
+    """Each test starts and ends with an empty ``git_sha`` memo."""
+    runident.git_sha.cache_clear()
+    yield
+    runident.git_sha.cache_clear()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``subprocess.run`` calls made while the test runs."""
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(runident.subprocess, "run", counting_run)
+    return calls
 
 
 class TestRunIdentity:
@@ -32,6 +57,24 @@ class TestRunIdentity:
 
     def test_git_sha_outside_repo_is_none(self, tmp_path):
         assert runident.git_sha(cwd=tmp_path) is None
+
+
+class TestGitShaMemo:
+    def test_repeated_calls_fork_once(self, forks):
+        first = runident.git_sha()
+        assert [runident.git_sha() for _ in range(5)] == [first] * 5
+        assert len(forks) == 1
+
+    def test_identities_share_one_fork(self, forks):
+        shas = {runident.run_identity()["git_sha"] for _ in range(4)}
+        assert len(shas) == 1
+        assert len(forks) == 1
+
+    def test_memo_is_per_directory(self, forks, tmp_path):
+        assert runident.git_sha(cwd=tmp_path) is None
+        assert runident.git_sha(cwd=tmp_path) is None
+        runident.git_sha()
+        assert len(forks) == 2
 
 
 class TestReExports:

@@ -1,8 +1,10 @@
 """Seeded open-loop arrivals: determinism, ordering, rate semantics."""
 
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.pim.faults import _STREAM_CHUNK, unit_draws
 from repro.serve import OpenLoopArrivals
+from repro.serve.arrivals import _gap_stream
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -135,6 +138,7 @@ class TestStreamedDraws:
         if order == "fast-first":
             rates = rates[::-1]
         unit_draws.cache_clear()
+        _gap_stream.cache_clear()
         got = {
             rate: OpenLoopArrivals("vec_add@54", rate, seed=7).times_until(
                 0.05
@@ -145,3 +149,70 @@ class TestStreamedDraws:
             assert got[rate] == fresh_process_times(
                 "vec_add@54", rate, 7, 0.05
             ), rate
+
+    def test_random_points_equal_per_index_sum(self):
+        """The cumulative sum over memoized gaps against the per-index
+        oracle, bit for bit, across seeds, classes, rates and windows
+        (rates revisit streams whose gap memo is already longer)."""
+        rng = random.Random(2023)
+        for _ in range(60):
+            arrivals = OpenLoopArrivals(
+                rng.choice(("vec_add@54", "mean@109", "k")),
+                rng.choice((rng.uniform(0.5, 200.0), rng.uniform(1e3, 6e4))),
+                seed=rng.randrange(-3, 12),
+            )
+            duration_s = rng.uniform(1e-3, 0.05)
+            got = arrivals.times_until(duration_s)
+            want = per_index_times(arrivals, duration_s)
+            assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    def test_each_gap_is_computed_once(self, monkeypatch):
+        """Longer windows and other rates extend the gap memo; no gap
+        is ever computed twice."""
+        import repro.serve.arrivals as arrivals_module
+
+        logs = []
+
+        class CountingMath:
+            sqrt = staticmethod(math.sqrt)
+
+            @staticmethod
+            def log(x):
+                logs.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(arrivals_module, "math", CountingMath)
+        _gap_stream.cache_clear()
+        lengths = [
+            len(OpenLoopArrivals("grow", rate, seed=4).times_until(window))
+            for rate, window in (
+                (10000.0, 0.05),
+                (10000.0, 0.05),
+                (10000.0, 0.2),
+                (2000.0, 0.2),
+                (40000.0, 0.2),
+            )
+        ]
+        assert lengths[0] == lengths[1] < lengths[2] < lengths[4]
+        assert len(logs) == len(_gap_stream(4, "grow")._gaps) > lengths[4]
+
+    def test_short_first_estimate_grows_to_the_window(self, monkeypatch):
+        """A window holding more arrivals than the first estimate keeps
+        growing the memo and still gives the per-index times."""
+        import repro.serve.arrivals as arrivals_module
+
+        class NoMargin:
+            log = staticmethod(math.log)
+
+            @staticmethod
+            def sqrt(x):
+                return 0.0
+
+        monkeypatch.setattr(arrivals_module, "math", NoMargin)
+        _gap_stream.cache_clear()
+        # 553 arrivals where 500 are expected: the estimate of 508
+        # gaps falls short several times.
+        arrivals = OpenLoopArrivals("grow", 10000.0, seed=6)
+        times = arrivals.times_until(0.05)
+        assert len(times) == 553
+        assert times == per_index_times(arrivals, 0.05)

@@ -1,7 +1,9 @@
 """Resilient sharded serving: breakers, routing, hedging, the gate."""
 
+import hashlib
 import json
 import pathlib
+from dataclasses import asdict
 
 import pytest
 
@@ -26,8 +28,8 @@ from repro.serve.resilience import (
     render_resilience_text,
     simulate_resilient,
 )
-from repro.serve.service import RequestClass, ServeSpec
-from repro.serve.shard import make_layout
+from repro.serve import scheduler
+from repro.serve.service import RequestClass, ServeSpec, simulate
 
 CONFIG = UPMEMConfig()
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -262,6 +264,141 @@ class TestShedding:
             ResilienceSpec(serve=_spec(qps=2000.0), n_shards=2)
         )
         assert res.doc["resilience"]["shed_batches"] == 0
+
+
+class TestPinnedTimelines:
+    """Request timelines at points the serial oracle cannot reach.
+
+    The sha256 of every timeline, in order, was recorded before the
+    loop stopped building timelines per request; a lazily built list
+    must reproduce it exactly.
+    """
+
+    @staticmethod
+    def _digest(result) -> str:
+        return hashlib.sha256(
+            json.dumps([asdict(t) for t in result.timelines]).encode()
+        ).hexdigest()
+
+    @pytest.mark.parametrize(
+        "qps, expected",
+        [
+            (
+                144000.0,
+                "05065c98267d9dcc59dfd4637f8910b616cd9bcc1e12c16773d1178945c58cc8",
+            ),
+            (
+                176000.0,
+                "246f4a1971cc4a45d15c53f2f2585a58002147c686a9b798b122d07a674d0057",
+            ),
+        ],
+    )
+    def test_degraded_hedged_knee_points(self, qps, expected):
+        plan, _ = degraded_plan(0, (1, 4), CONFIG)
+        res = simulate_resilient(
+            ResilienceSpec(
+                serve=_spec(qps=qps, seed=0, security=54),
+                n_shards=4,
+                hedge_after_s=5e-3,
+                plan=plan.scaled(),
+            )
+        )
+        assert self._digest(res) == expected
+
+    def test_shedding_two_class_point(self):
+        plan, _ = degraded_plan(0, (1, 4), CONFIG)
+        spec = ServeSpec(
+            classes=(
+                RequestClass(
+                    security_bits=54, rate_qps=150000.0, priority=1
+                ),
+                RequestClass(
+                    security_bits=109, rate_qps=30000.0, priority=0
+                ),
+            ),
+            duration_s=0.05,
+            seed=0,
+        )
+        res = simulate_resilient(
+            ResilienceSpec(
+                serve=spec,
+                n_shards=4,
+                hedge_after_s=5e-3,
+                shed_burn_threshold=1.0,
+                plan=plan.scaled(),
+            )
+        )
+        resilience = res.doc["resilience"]
+        assert resilience["shed_by_class"]["vec_add@109"] > 0
+        assert resilience["hedges_issued"] > 0
+        assert (resilience["good_requests"], len(res.timelines)) == (
+            5342,
+            8263,
+        )
+        assert self._digest(res) == (
+            "093fd38016a52db55ad9feb4ebc5b3d3c77c89ed11aa1845971327df486c3a6b"
+        )
+
+
+class TestLazyTimelines:
+    def test_gate_capture_builds_no_timelines(self, monkeypatch):
+        built = []
+        real_init = scheduler.RequestTimeline.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            scheduler.RequestTimeline, "__init__", counting_init
+        )
+        assert capture_resilience_run(**TestResilienceGate.GRID)["points"]
+        res = simulate_resilient(ResilienceSpec(serve=_spec(), n_shards=2))
+        plain = simulate(_spec())
+        assert built == []
+        for result in (res, plain):
+            built.clear()
+            completed = sum(r["completed"] for r in result.reports.values())
+            assert len(result.timelines) == len(built) == completed
+            assert result.timelines is result.timelines
+
+    def test_timelines_are_read_only(self):
+        res = simulate_resilient(ResilienceSpec(serve=_spec(), n_shards=2))
+        with pytest.raises(AttributeError):
+            res.timelines = []
+
+
+class TestGoodRequests:
+    """``good_requests`` comes from the trackers' bad counts."""
+
+    def _point(self, objectives):
+        return simulate_resilient(
+            ResilienceSpec(
+                serve=_spec(
+                    qps=176000.0, security=54, objectives=objectives
+                ),
+                n_shards=4,
+            )
+        )
+
+    def test_two_objectives_count_the_tightest(self):
+        objectives = (
+            SLOObjective("p99-10ms", threshold_s=10e-3, target=0.99),
+            SLOObjective("p50-3ms", threshold_s=3e-3, target=0.5),
+        )
+        res = self._point(objectives)
+        latencies = [t.latency_s for t in res.timelines]
+        good = sum(1 for s in latencies if s <= 3e-3)
+        assert 0 < good < len(latencies)
+        assert sum(1 for s in latencies if s <= 10e-3) > good
+        assert res.doc["resilience"]["good_requests"] == good
+
+    def test_no_objectives_every_completion_is_good(self):
+        res = self._point(())
+        completed = sum(r["completed"] for r in res.reports.values())
+        assert completed > 0
+        assert res.doc["resilience"]["good_requests"] == completed
+        assert res.doc["resilience"]["attainment"] == 1.0
 
 
 class TestDegradationAcceptance:
