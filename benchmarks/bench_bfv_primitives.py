@@ -6,8 +6,6 @@ performance visible and catch regressions in the hot paths (exact
 convolution, NTT bundles, relinearization).
 """
 
-import pytest
-
 
 def test_bench_encrypt(benchmark, tiny_crypto):
     pt = tiny_crypto.batch_encoder.encode([1, 2, 3])

@@ -272,7 +272,6 @@ class CKKSCipher:
         )
 
     def decrypt(self, ciphertext: CKKSCiphertext) -> CKKSPlaintext:
-        q = ciphertext.modulus
         s = self._at_level(self.keys.secret_key, ciphertext.level)
         acc = ciphertext.polys[0]
         s_power = None

@@ -24,7 +24,6 @@ from repro.core.ciphertext import Plaintext
 from repro.core.params import BFVParameters
 from repro.errors import EncodingError
 from repro.poly.ntt import ntt_context
-from repro.poly.polynomial import Polynomial
 
 
 def _center(value: int, modulus: int) -> int:

@@ -17,7 +17,7 @@ ciphertext byte sizes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import ParameterError

@@ -1767,11 +1767,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.errors import ReproError
     from repro.obs import configure_from_env
 
     configure_from_env()  # honour the REPRO_TRACE switch
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A library error names its cause; a traceback adds nothing.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

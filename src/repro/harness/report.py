@@ -11,7 +11,7 @@ Two consumers:
 
 from __future__ import annotations
 
-from repro.harness.experiments import Experiment, ExperimentRow, get_experiment
+from repro.harness.experiments import Experiment, get_experiment
 from repro.harness.paper import claims_for
 
 
@@ -101,7 +101,6 @@ def render_markdown_report(ids=None) -> str:
 
     This is the generator behind ``EXPERIMENTS.md``.
     """
-    from repro.harness.experiments import EXPERIMENTS
     from repro.harness.runner import run_all
 
     results = run_all(ids)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.errors import ParameterError
 
 __all__ = [
@@ -131,23 +133,27 @@ class Histogram:
     def observe_many(self, values) -> None:
         """:meth:`observe` each of a sequence in order, in one call.
 
-        The state is exactly that of the sequential calls: ``sum``
-        accumulates in the same order, so it is bit-identical.
+        Takes a list or an array; the state is exactly that of the
+        sequential calls. Buckets come from one ``searchsorted`` (the
+        ``bisect_left`` of :meth:`observe`), ``sum`` from one
+        ``cumsum`` seeded with the old sum (a strict left-to-right
+        accumulate, so it is bit-identical), and min/max keep the first
+        of equal extremes, as the strict comparisons in :meth:`observe`
+        do.
         """
-        if not values:
+        values = np.asarray(values)
+        if not len(values):
             return
-        bounds = self.bounds
+        slots = np.searchsorted(self.bounds, values, "left")
         counts = self.bucket_counts
-        total = self.sum
-        for value in values:
-            total += value
-            counts[bisect_left(bounds, value)] += 1
-        self.sum = total
+        for slot, n in enumerate(
+            np.bincount(slots, minlength=len(counts)).tolist()
+        ):
+            counts[slot] += n
+        self.sum = np.cumsum(np.append(self.sum, values))[-1].item()
         self.count += len(values)
-        # min/max return the first of equal extremes, as strict
-        # comparisons in observe() keep the first seen.
-        low = min(values)
-        high = max(values)
+        low = values[values.argmin()].item()
+        high = values[values.argmax()].item()
         if self.min is None or low < self.min:
             self.min = low
         if self.max is None or high > self.max:

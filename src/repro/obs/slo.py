@@ -1,8 +1,10 @@
 """Request-level SLO accounting: latency digests, objectives, budgets.
 
-The serving substrate (:mod:`repro.serve`) produces one
-``RequestTimeline`` per simulated request. This module turns streams of
-those latencies into the operator-facing story:
+The serving loop (:mod:`repro.serve.resilience`) hands each request
+class's end-to-end latencies (completion minus arrival, in modelled
+seconds) to an :class:`SLOTracker` as arrays in service order: one per
+serving point, or one per shedding decision when shedding is on. This
+module turns those latencies into the operator-facing story:
 
 * :class:`LatencyDigest` — a streaming percentile digest over
   fixed log-scaled buckets (built on
@@ -32,6 +34,8 @@ are :data:`VERDICT_SLO_OK` / :data:`VERDICT_SLO_BREACH`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ParameterError
 from repro.obs.metrics import Histogram
@@ -93,10 +97,13 @@ class LatencyDigest:
         self._hist.observe(seconds)
 
     def observe_many(self, latencies) -> None:
-        """:meth:`observe` each of a sequence in order, in one call."""
-        if latencies and min(latencies) < 0:
+        """:meth:`observe` each of a sequence (list or array) in order,
+        in one call; a negative latency raises before anything is
+        recorded."""
+        latencies = np.asarray(latencies, dtype=np.float64)
+        if len(latencies) and latencies.min() < 0:
             raise ParameterError(
-                f"latency must be non-negative: {min(latencies)}"
+                f"latency must be non-negative: {latencies.min()}"
             )
         self._hist.observe_many(latencies)
 
@@ -235,16 +242,19 @@ class SLOTracker:
                 self.bad[i] += 1
 
     def observe_many(self, latencies) -> None:
-        """:meth:`observe` each of a sequence in order (one batch's
-        requests), with the same digest state and bad counts."""
+        """:meth:`observe` each of a sequence (list or array) in order,
+        with the same digest state and bad counts."""
+        latencies = np.asarray(latencies, dtype=np.float64)
         self.digest.observe_many(latencies)
         for i, objective in enumerate(self.objectives):
-            threshold = objective.threshold_s
-            self.bad[i] += sum(1 for s in latencies if s > threshold)
+            self.bad[i] += int(
+                np.count_nonzero(latencies > objective.threshold_s)
+            )
 
-    def reject(self) -> None:
-        """Count one request refused at admission (it has no latency)."""
-        self.rejected += 1
+    def reject(self, count: int = 1) -> None:
+        """Count ``count`` requests refused at admission, or shed or
+        failed before service (they have no latency)."""
+        self.rejected += count
 
     def report(self, duration_s: float | None = None) -> dict:
         """Snapshot: counts, throughput, percentiles, objective verdicts."""

@@ -95,8 +95,9 @@ class OpenLoopArrivals:
         # u is in [0, 1); 1-u is in (0, 1], so log never sees zero.
         return -math.log(1.0 - u) / self.rate_qps
 
-    def times_until(self, duration_s: float) -> list:
-        """All arrival times in ``[0, duration_s)``, strictly ordered."""
+    def times_until(self, duration_s: float) -> np.ndarray:
+        """All arrival times in ``[0, duration_s)``, strictly ordered,
+        as a float64 array."""
         if duration_s <= 0:
             raise ParameterError(
                 f"duration must be positive: {duration_s}"
@@ -117,5 +118,5 @@ class OpenLoopArrivals:
             times = np.cumsum(steps)
             if times[-1] >= duration_s:
                 end = int(np.searchsorted(times, duration_s))
-                return times[1:end].tolist()
+                return times[1:end]
             count += margin

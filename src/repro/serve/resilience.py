@@ -46,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ParameterError, PermanentDeviceError
 from repro.obs import gate, htmlreport
 from repro.obs.metrics import get_registry
@@ -378,6 +380,77 @@ def _phases(breakdown) -> dict:
     }
 
 
+def _seal_batches(spec: ServeSpec, layout, class_arrivals: dict) -> list:
+    """Placement and batch formation, in device order.
+
+    Every admitted request goes to its home shard, and batches form per
+    (class, home shard): each shard runs its own formation timer.
+    Returns ``(seal, class key, home, batch index, members)`` per
+    sealed batch, sorted by the first four; ``members`` is a view of
+    the batch's indices into ``class_arrivals[class key]``.
+    """
+    scheduler = BatchScheduler(
+        max_batch=spec.max_batch, max_wait_s=spec.max_wait_s
+    )
+    sealed = []
+    for class_key in sorted(class_arrivals):
+        arrivals = class_arrivals[class_key]
+        homes = home_shards(layout, spec.seed, class_key, len(arrivals))
+        for home in range(layout.n_shards):
+            owners = np.flatnonzero(homes == home)
+            for batch_index, (seal, members) in enumerate(
+                scheduler.form_batches(arrivals[owners])
+            ):
+                sealed.append(
+                    (
+                        seal,
+                        class_key,
+                        home,
+                        batch_index,
+                        owners[members.start : members.stop],
+                    )
+                )
+    sealed.sort(key=lambda item: item[:4])
+    return sealed
+
+
+def _account(
+    pending: list, class_arrivals: dict, trackers: dict, registry
+) -> None:
+    """Charge served requests to the SLO trackers and the
+    ``serve.latency_s`` histogram, then empty ``pending``.
+
+    ``pending`` holds ``(class key, complete, members)`` per served
+    batch, in service order. Each request's latency is its batch's
+    completion minus its arrival (:attr:`RequestTimeline.latency_s`).
+    The latencies are computed as one array; each tracker observes its
+    class's share and the histogram all of them, both in service order,
+    so the state is exactly that of observing batch by batch.
+    """
+    if not pending:
+        return
+    keys = [key for key, _, _ in pending]
+    sizes = [len(members) for _, _, members in pending]
+    completes = np.repeat([complete for _, complete, _ in pending], sizes)
+    members = np.concatenate([members for _, _, members in pending])
+    classes = sorted(set(keys))
+    if len(classes) == 1:
+        (key,) = classes
+        latencies = completes - class_arrivals[key][members]
+        trackers[key].observe_many(latencies)
+    else:
+        owner = np.repeat([classes.index(key) for key in keys], sizes)
+        latencies = np.empty(len(members))
+        for index, key in enumerate(classes):
+            mine = owner == index
+            latencies[mine] = (
+                completes[mine] - class_arrivals[key][members[mine]]
+            )
+            trackers[key].observe_many(latencies[mine])
+    registry.histogram("serve.latency_s").observe_many(latencies)
+    pending.clear()
+
+
 def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     """The serving loop: admission, placement, batching, dispatch.
 
@@ -403,35 +476,7 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     policy = pricer.retry_policy or DEFAULT_RETRY_POLICY
     failure_cost = _failure_cost_s(policy, config)
 
-    scheduler = BatchScheduler(
-        max_batch=spec.max_batch, max_wait_s=spec.max_wait_s
-    )
-
-    # Place every admitted request on its home shard, then form batches
-    # per (class, home shard) — each shard runs its own formation timer.
-    sealed = []
-    for class_key in sorted(class_arrivals):
-        arrivals = class_arrivals[class_key]
-        per_shard: dict = {}
-        homes = home_shards(layout, spec.seed, class_key, len(arrivals))
-        for index, home in enumerate(homes):
-            per_shard.setdefault(home, []).append(index)
-        for home in sorted(per_shard):
-            owners = per_shard[home]
-            times = [arrivals[i] for i in owners]
-            for batch_index, (seal, members) in enumerate(
-                scheduler.form_batches(times)
-            ):
-                sealed.append(
-                    (
-                        seal,
-                        class_key,
-                        home,
-                        batch_index,
-                        [owners[i] for i in members],
-                    )
-                )
-    sealed.sort(key=lambda item: (item[0], item[1], item[2], item[3]))
+    sealed = _seal_batches(spec, layout, class_arrivals)
 
     min_priority = min(c.priority for c in spec.classes)
     sheddable = {
@@ -457,6 +502,9 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     # (winning launch index, batch index, members) per served batch:
     # all a request timeline needs besides its arrival time.
     records: list = []
+    # (class key, complete, members) per served batch not yet charged
+    # to the trackers (see _account).
+    pending: list = []
 
     def usable(shard: int, now: float) -> bool:
         return healthy[shard] > 0 and breakers[shard].allows(now)
@@ -476,17 +524,15 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
         registry.counter("serve.shard.failures").inc()
 
     for seal, class_key, home, batch_index, members in sealed:
-        if (
-            rspec.shed_burn_threshold is not None
-            and class_key in sheddable
-            and _running_burn(trackers) > rspec.shed_burn_threshold
-        ):
-            for _ in members:
-                trackers[class_key].reject()
-            shed_batches += 1
-            shed_by_class[class_key] += len(members)
-            registry.counter(f"serve.shed.{class_key}").inc(len(members))
-            continue
+        if rspec.shed_burn_threshold is not None and class_key in sheddable:
+            # The burn rate must see every batch served so far.
+            _account(pending, class_arrivals, trackers, registry)
+            if _running_burn(trackers) > rspec.shed_burn_threshold:
+                trackers[class_key].reject(len(members))
+                shed_batches += 1
+                shed_by_class[class_key] += len(members)
+                registry.counter(f"serve.shed.{class_key}").inc(len(members))
+                continue
 
         batch_size = len(members)
         tried: set = set()
@@ -518,8 +564,7 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
         if target is None or breakdown is None:
             failed_batches += 1
             failed_requests += batch_size
-            for _ in members:
-                trackers[class_key].reject()
+            trackers[class_key].reject(batch_size)
             registry.counter(f"serve.failed.{class_key}").inc(batch_size)
             continue
         if target != home:
@@ -609,12 +654,9 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
                 )
             )
 
-        # RequestTimeline.latency_s, in request order.
-        arrivals = class_arrivals[class_key]
-        latencies = [complete - arrivals[member] for member in members]
-        trackers[class_key].observe_many(latencies)
-        registry.histogram("serve.latency_s").observe_many(latencies)
+        pending.append((class_key, complete, members))
 
+    _account(pending, class_arrivals, trackers, registry)
     for shard in range(n_shards):
         if breakers[shard].opened_count:
             registry.counter("serve.breaker.opened").inc(

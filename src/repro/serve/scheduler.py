@@ -40,7 +40,10 @@ from the cost model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ParameterError
 
@@ -117,7 +120,8 @@ class ServedBatches:
     served batch, in service order: the launch in ``launches`` that
     served it (a hedged batch's winning copy), the batch's index in its
     formation stream, and its members' indices into
-    ``arrivals[class key]``. :attr:`timelines` builds every request's
+    ``arrivals[class key]`` (an ``intp`` array; ``arrivals`` maps class
+    key -> float64 arrival times). :attr:`timelines` builds every request's
     :class:`RequestTimeline` from them on first read, so a run nobody
     reads timelines from never makes one.
     """
@@ -157,12 +161,11 @@ class ServedBatches:
             )
             timelines.extend(
                 RequestTimeline(
-                    f"{class_key}/{member}",
-                    class_key,
-                    arrivals[member],
-                    *fields,
+                    f"{class_key}/{member}", class_key, arrival_s, *fields
                 )
-                for member in members
+                for member, arrival_s in zip(
+                    members.tolist(), arrivals[members].tolist()
+                )
             )
         return timelines
 
@@ -221,26 +224,31 @@ class BatchScheduler:
     def form_batches(self, arrivals) -> list:
         """Group one class's arrival times into sealed batches.
 
-        Returns ``[(seal_time, [arrival_index, ...]), ...]`` in seal
-        order. A batch seals at the arrival of its ``max_batch``-th
-        request, or ``max_wait_s`` after its first request — the timer
-        fires even when no later request arrives to observe it.
+        Returns ``[(seal_time, range(first, stop)), ...]`` in seal
+        order, each range the batch's arrival indices. A batch seals at
+        the arrival of its ``max_batch``-th request, or ``max_wait_s``
+        after its first request — the timer fires even when no later
+        request arrives to observe it. An arrival exactly at the
+        deadline still joins the batch.
+
+        The walk steps batch by batch, not arrival by arrival: each
+        batch's end is one bisection over at most ``max_batch`` arrival
+        times after its first.
         """
+        times = memoryview(np.ascontiguousarray(arrivals, dtype=np.float64))
+        count = len(times)
+        max_batch = self.max_batch
         batches = []
-        current: list = []
-        deadline = 0.0
-        for index, t in enumerate(arrivals):
-            if current and t > deadline:
-                batches.append((deadline, current))
-                current = []
-            if not current:
-                deadline = t + self.max_wait_s
-            current.append(index)
-            if len(current) == self.max_batch:
-                batches.append((t, current))
-                current = []
-        if current:
-            batches.append((deadline, current))
+        first = 0
+        while first < count:
+            deadline = times[first] + self.max_wait_s
+            stop = bisect_right(
+                times, deadline, first, min(first + max_batch, count)
+            )
+            # Full: sealed by its max_batch-th arrival; else by the timer.
+            seal = times[stop - 1] if stop - first == max_batch else deadline
+            batches.append((seal, range(first, stop)))
+            first = stop
         return batches
 
     def schedule(self, class_arrivals: dict, pricer) -> tuple:

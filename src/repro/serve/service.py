@@ -251,10 +251,11 @@ def price_launch(backend, cls: RequestClass, batch_size: int) -> TimingBreakdown
 def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
     """Noise-headroom admission over every class's arrival stream.
 
-    Returns class key -> admitted arrival times; rejected arrivals are
-    charged to the class's tracker and counters. Shared by the plain
-    point simulation and the sharded resilience simulation so admission
-    semantics can never diverge between the two.
+    Returns class key -> admitted arrival times (a float64 array, empty
+    for a rejected class); rejected arrivals are charged to the class's
+    tracker and counters. Shared by the plain point simulation and the
+    sharded resilience simulation so admission semantics can never
+    diverge between the two.
 
     The planned budget is a property of the class, so a class is either
     admitted or rejected whole: an admitted stream is counted with one
@@ -273,7 +274,7 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
         ).times_until(spec.duration_s)
         if plan_bits >= spec.margin_bits:
             # The guard passes every arrival without a trace.
-            if arrivals:
+            if len(arrivals):
                 registry.counter(f"serve.requests.{key}").inc(len(arrivals))
             class_arrivals[key] = arrivals
             continue
@@ -282,7 +283,7 @@ def _admitted_arrivals(spec: ServeSpec, trackers: dict, registry) -> dict:
             guard.check(f"serve.admit.{key}", stamp, params)
             trackers[key].reject()
             registry.counter(f"serve.rejected.{key}").inc()
-        class_arrivals[key] = []
+        class_arrivals[key] = arrivals[:0]
     return class_arrivals
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.backends.base import TimingBreakdown
 from repro.backends.pim import PIMBackend
 from repro.errors import ParameterError
@@ -172,18 +174,22 @@ def home_shard(
 
 def home_shards(
     layout: ShardLayout, seed: int, class_key: str, count: int
-) -> list:
-    """:func:`home_shard` of requests ``0 .. count - 1``, in order.
+) -> np.ndarray:
+    """:func:`home_shard` of requests ``0 .. count - 1``, in order, as
+    an ``intp`` array.
 
     The draws come from the ``(seed, class)`` placement stream of
     :func:`~repro.pim.faults.unit_draws`, which every shard count
-    shares; one shard makes no draws.
+    shares; one shard makes no draws. Scaling and truncating the draw
+    array is the same IEEE multiply and truncation as ``int(u * n)``.
     """
     n_shards = layout.n_shards
     if n_shards == 1:
-        return [0] * count
-    draws = unit_draws("serve.place", seed, class_key).first(count)
-    return [int(u * n_shards) for u in draws]
+        return np.zeros(count, dtype=np.intp)
+    draws = np.frombuffer(
+        unit_draws("serve.place", seed, class_key).first(count)
+    )
+    return (draws * n_shards).astype(np.intp)
 
 
 class ShardedPricer:

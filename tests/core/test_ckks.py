@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.ckks import (
     CKKSCipher,
-    CKKSEncoder,
     CKKSKeyGenerator,
     CKKSParameters,
 )

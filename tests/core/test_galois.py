@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.ciphertext import Plaintext
 from repro.core.galois import (
-    GaloisKeys,
     apply_automorphism,
     apply_galois,
     galois_element_for_step,
-    generate_galois_keys,
     rotate_columns,
     rotate_rows,
     rotation_elements,
@@ -20,8 +18,6 @@ from repro.poly.polynomial import Polynomial
 
 @pytest.fixture(scope="module")
 def galois_setup():
-    import numpy as np
-
     from tests.conftest import make_tiny_params
     from repro.workloads.context import WorkloadContext
 
@@ -231,9 +227,7 @@ class TestSlotSumViaRotations:
         row = ctx.params.poly_degree // 2
         values = [1] * 8 + [0] * (row - 8)  # one row, sum = 8
         ct = ctx.encrypt_slots(values + [0] * row)
-        step = row // 2
         acc = ct
-        steps_available = {1, 2, 4}
         # Compose power-of-two rotations: 16 = 4+4+4+4, 8 = 4+4, etc.
         def rotate_by(ct_in, k):
             out = ct_in

@@ -23,7 +23,6 @@ def params():
 
 class TestSecretKey:
     def test_ternary_coefficients(self, keys, params):
-        q = params.coeff_modulus
         for c in keys.secret_key.poly.centered():
             assert c in (-1, 0, 1)
 

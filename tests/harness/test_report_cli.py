@@ -80,8 +80,9 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_unknown_experiment_raises(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["run", "fig99"])
+    def test_run_unknown_experiment_raises(self, capsys):
+        # The ExperimentError is reported as one line, exit status 1.
+        assert main(["run", "fig99"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ExperimentError: unknown experiment 'fig99'")
+        assert "fig1a" in err  # the known ids are listed

@@ -180,9 +180,12 @@ class TestKeepGoingCLI:
         assert "1 of 2 experiments failed" in captured.err
         assert "fig1a" in captured.out  # the good experiment still printed
 
-    def test_cli_without_flag_raises(self, broken_experiment):
-        with pytest.raises(ExperimentError):
-            main(["run", "broken"])
+    def test_cli_without_flag_raises(self, broken_experiment, capsys):
+        # The ExperimentError is reported as one line, exit status 1.
+        assert main(["run", "broken"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ExperimentError: experiment 'broken' failed")
+        assert "synthetic failure" in err
 
     def test_cli_success_exits_zero(self, capsys):
         assert main(["run", "fig1a"]) == 0

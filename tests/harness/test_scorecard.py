@@ -3,11 +3,7 @@
 import pytest
 
 from repro.harness.paper import PAPER_CLAIMS, PaperClaim
-from repro.harness.scorecard import (
-    ClaimVerdict,
-    build_scorecard,
-    render_scorecard,
-)
+from repro.harness.scorecard import build_scorecard, render_scorecard
 
 
 def claim(lo=2.0, hi=4.0):

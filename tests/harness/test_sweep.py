@@ -1,7 +1,5 @@
 """Sweep and crossover utilities."""
 
-import math
-
 import pytest
 
 from repro.errors import ParameterError

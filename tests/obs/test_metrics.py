@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,63 @@ class TestHistogramObserveMany:
         assert batched.count == sequential.count
         assert batched.sum.hex() == sequential.sum.hex()
         assert (batched.min, batched.max) == (sequential.min, sequential.max)
+
+    @staticmethod
+    def _exact(histogram) -> tuple:
+        """State with the sum as hex and extremes by ``repr`` (so 0.0
+        and -0.0 differ)."""
+        assert type(histogram.sum) is float
+        return (
+            list(histogram.bucket_counts),
+            histogram.count,
+            histogram.sum.hex(),
+            repr(histogram.min),
+            repr(histogram.max),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(
+                        min_value=-1e3, max_value=1e3, allow_nan=False
+                    ),
+                    st.sampled_from((0.0, -0.0, 1.0, 10.0, 1e-300)),
+                ),
+                max_size=30,
+            ),
+            max_size=4,
+        )
+    )
+    def test_arrays_equal_sequential_observe(self, batches):
+        batched = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        sequential = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        for batch in batches:
+            batched.observe_many(np.array(batch, dtype=np.float64))
+            for value in batch:
+                sequential.observe(value)
+        assert self._exact(batched) == self._exact(sequential)
+
+    @pytest.mark.parametrize(
+        "values, low, high",
+        [
+            ([0.0, -0.0, 1e-3], "0.0", "0.001"),
+            ([-0.0, 0.0], "-0.0", "-0.0"),
+            ([2.0, -0.0, 0.0, 2.0], "-0.0", "2.0"),
+        ],
+    )
+    def test_first_of_equal_extremes_is_kept(self, values, low, high):
+        batched = MetricsRegistry().histogram("h")
+        batched.observe_many(np.array(values))
+        sequential = _hist(values, buckets=batched.bounds)
+        assert (repr(batched.min), repr(batched.max)) == (low, high)
+        assert self._exact(batched) == self._exact(sequential)
+
+    def test_empty_array_changes_nothing(self):
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe_many(np.array([]))
+        assert (histogram.count, histogram.min, histogram.sum) == (0, None, 0.0)
 
     def test_null_instrument_accepts_batches(self):
         NULL_REGISTRY.histogram("h").observe_many([1.0, 2.0])

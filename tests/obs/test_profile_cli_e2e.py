@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.errors import ParameterError
 from repro.harness.cli import EXIT_DATA, main
 from repro.obs.export import validate_chrome_trace
 
@@ -24,9 +23,12 @@ class TestProfileKernelSpec:
         assert "verdict: pipeline-bound" in out
         assert "dma engine" in out
 
-    def test_unknown_target_raises_parameter_error(self):
-        with pytest.raises(ParameterError, match="unknown kernel"):
-            main(["profile", "no_such_thing"])
+    def test_unknown_target_raises_parameter_error(self, capsys):
+        # The ParameterError is reported as one line, exit status 1.
+        assert main(["profile", "no_such_thing"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError: ")
+        assert "unknown kernel" in err
 
     def test_html_artifact(self, tmp_path, capsys):
         html_path = tmp_path / "profile.html"

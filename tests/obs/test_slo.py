@@ -1,5 +1,6 @@
 """SLO accounting: digests, objectives, burn rates, tracker verdicts."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,35 @@ class TestObserveMany:
                 sequential.observe(latency)
         assert _state(batched) == _state(sequential)
         assert batched.report() == sequential.report()
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=st.lists(latencies, max_size=5))
+    def test_arrays_equal_sequential_observe(self, batches):
+        batched, sequential = SLOTracker(), SLOTracker()
+        for batch in batches:
+            batched.observe_many(np.array(batch, dtype=np.float64))
+            for latency in batch:
+                sequential.observe(latency)
+        assert _state(batched) == _state(sequential)
+        assert repr(batched.digest.min) == repr(sequential.digest.min)
+        assert type(batched.bad[0]) is int
+        assert batched.report() == sequential.report()
+
+    def test_array_first_of_equal_extremes_is_kept(self):
+        batched, sequential = SLOTracker(), SLOTracker()
+        batched.observe_many(np.array([0.0, -0.0, 1e-3, 1e-3]))
+        for latency in (0.0, -0.0, 1e-3, 1e-3):
+            sequential.observe(latency)
+        assert repr(batched.digest.min) == repr(sequential.digest.min) == "0.0"
+        assert _state(batched) == _state(sequential)
+
+    def test_array_with_a_negative_latency_changes_nothing(self):
+        tracker = SLOTracker()
+        tracker.observe_many(np.array([2e-3, 60e-3]))
+        before = _state(tracker)
+        with pytest.raises(ParameterError, match="-1e-09"):
+            tracker.observe_many(np.array([1e-3, -1e-9, 300e-3]))
+        assert _state(tracker) == before
 
     def test_first_of_equal_extremes_is_kept(self):
         batched, sequential = SLOTracker(), SLOTracker()

@@ -1,6 +1,5 @@
 """Device kernels: functional correctness and derived costs."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

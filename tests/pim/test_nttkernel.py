@@ -1,6 +1,5 @@
 """NTT-on-PIM future-work kernel: functional butterflies + cost story."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ParameterError

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import DeviceError, ParameterError
-from repro.pim.config import UPMEMConfig
 from repro.pim.kernels import ReduceSumKernel, VecAddKernel, VecMulKernel
 from repro.pim.runtime import PIMRuntime
 from repro.poly.modring import find_ntt_prime

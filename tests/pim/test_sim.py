@@ -11,7 +11,6 @@ from repro.pim.kernels import VecAddKernel, VecMulKernel
 from repro.pim.sim import (
     DPUSimulator,
     Phase,
-    SimResult,
     TaskletProgram,
     simulate_kernel,
 )

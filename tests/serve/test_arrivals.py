@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
@@ -31,6 +32,12 @@ def per_index_times(arrivals: OpenLoopArrivals, duration_s: float) -> list:
         index += 1
 
 
+def assert_same_times(got, want) -> None:
+    """``got`` is a float64 array of exactly the floats of ``want``."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert [t.hex() for t in got.tolist()] == [float(t).hex() for t in want]
+
+
 def fresh_process_times(class_key, rate_qps, seed, duration_s) -> list:
     """``times_until`` in a new interpreter, with an empty stream memo."""
     code = (
@@ -38,7 +45,7 @@ def fresh_process_times(class_key, rate_qps, seed, duration_s) -> list:
         "from repro.serve import OpenLoopArrivals\n"
         "key, rate, seed, duration = json.loads(sys.argv[1])\n"
         "times = OpenLoopArrivals(key, rate, seed=seed).times_until(duration)\n"
-        "print(json.dumps([t.hex() for t in times]))\n"
+        "print(json.dumps([t.hex() for t in times.tolist()]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -63,23 +70,23 @@ class TestOpenLoopArrivals:
     def test_same_seed_is_bit_identical(self):
         a = OpenLoopArrivals("vec_add@109", 1000.0, seed=7)
         b = OpenLoopArrivals("vec_add@109", 1000.0, seed=7)
-        assert a.times_until(0.25) == b.times_until(0.25)
+        assert_same_times(a.times_until(0.25), b.times_until(0.25))
 
     def test_different_seeds_differ(self):
         a = OpenLoopArrivals("vec_add@109", 1000.0, seed=0)
         b = OpenLoopArrivals("vec_add@109", 1000.0, seed=1)
-        assert a.times_until(0.25) != b.times_until(0.25)
+        assert not np.array_equal(a.times_until(0.25), b.times_until(0.25))
 
     def test_different_classes_draw_independently(self):
         a = OpenLoopArrivals("vec_add@109", 1000.0, seed=0)
         b = OpenLoopArrivals("vec_mul@109", 1000.0, seed=0)
-        assert a.times_until(0.25) != b.times_until(0.25)
+        assert not np.array_equal(a.times_until(0.25), b.times_until(0.25))
 
     def test_strictly_increasing_within_window(self):
         times = OpenLoopArrivals("k", 5000.0, seed=3).times_until(0.1)
-        assert times == sorted(times)
-        assert all(0.0 < t < 0.1 for t in times)
-        assert all(b > a for a, b in zip(times, times[1:]))
+        assert times.dtype == np.float64
+        assert all(0.0 < t < 0.1 for t in times.tolist())
+        assert np.all(np.diff(times) > 0.0)
 
     def test_rate_sets_the_expected_count(self):
         # Poisson with rate 2000/s over 1 s: ~2000 arrivals; 10
@@ -119,8 +126,9 @@ class TestStreamedDraws:
         self, class_key, rate_qps, seed, duration_s
     ):
         arrivals = OpenLoopArrivals(class_key, rate_qps, seed=seed)
-        assert arrivals.times_until(duration_s) == per_index_times(
-            arrivals, duration_s
+        assert_same_times(
+            arrivals.times_until(duration_s),
+            per_index_times(arrivals, duration_s),
         )
 
     def test_long_window_crosses_chunks(self):
@@ -128,7 +136,7 @@ class TestStreamedDraws:
         duration_s = 3 * _STREAM_CHUNK / 1000.0
         times = arrivals.times_until(duration_s)
         assert len(times) > 2 * _STREAM_CHUNK
-        assert times == per_index_times(arrivals, duration_s)
+        assert_same_times(times, per_index_times(arrivals, duration_s))
 
     @pytest.mark.parametrize("order", ["slow-first", "fast-first"])
     def test_memo_carries_no_rate(self, order):
@@ -146,9 +154,9 @@ class TestStreamedDraws:
             for rate in rates
         }
         for rate in rates:
-            assert got[rate] == fresh_process_times(
-                "vec_add@54", rate, 7, 0.05
-            ), rate
+            assert_same_times(
+                got[rate], fresh_process_times("vec_add@54", rate, 7, 0.05)
+            )
 
     def test_random_points_equal_per_index_sum(self):
         """The cumulative sum over memoized gaps against the per-index
@@ -162,9 +170,10 @@ class TestStreamedDraws:
                 seed=rng.randrange(-3, 12),
             )
             duration_s = rng.uniform(1e-3, 0.05)
-            got = arrivals.times_until(duration_s)
-            want = per_index_times(arrivals, duration_s)
-            assert [t.hex() for t in got] == [t.hex() for t in want]
+            assert_same_times(
+                arrivals.times_until(duration_s),
+                per_index_times(arrivals, duration_s),
+            )
 
     def test_each_gap_is_computed_once(self, monkeypatch):
         """Longer windows and other rates extend the gap memo; no gap
@@ -215,4 +224,4 @@ class TestStreamedDraws:
         arrivals = OpenLoopArrivals("grow", 10000.0, seed=6)
         times = arrivals.times_until(0.05)
         assert len(times) == 553
-        assert times == per_index_times(arrivals, 0.05)
+        assert_same_times(times, per_index_times(arrivals, 0.05))

@@ -340,6 +340,46 @@ class TestPinnedTimelines:
         )
 
 
+class TestShedFlush:
+    """Shedding reads the burn rate of every batch served before it.
+
+    The loop charges served requests to the SLO trackers in bulk; at
+    this point one shed decision turns on the batch served just before
+    it (charging one batch late sheds 44 requests instead of 46). The
+    sha256 of the point document (without run identity) and of the
+    timelines were recorded before the accounting was deferred.
+    """
+
+    def test_two_class_point_is_unchanged(self):
+        spec = ServeSpec(
+            classes=(
+                RequestClass(security_bits=54, rate_qps=2000.0, priority=1),
+                RequestClass(security_bits=109, rate_qps=2000.0, priority=0),
+            ),
+            duration_s=0.05,
+            seed=0,
+            objectives=(
+                SLOObjective("p99-under-3ms", threshold_s=3e-3, target=0.99),
+            ),
+        )
+        res = simulate_resilient(
+            ResilienceSpec(serve=spec, n_shards=2, shed_burn_threshold=1.5)
+        )
+        resilience = res.doc["resilience"]
+        assert resilience["shed_by_class"] == {
+            "vec_add@109": 46,
+            "vec_add@54": 0,
+        }
+        assert (resilience["shed_batches"], len(res.timelines)) == (19, 152)
+        doc = json.dumps(_stripped(res.doc), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "8e17b41b3d222475f7e23c9bf7c9b1ef80748abfbf0818a32e476c5c607a868f"
+        )
+        assert TestPinnedTimelines._digest(res) == (
+            "184f42a4819b28274adf03f2a117cb58b81fdcd5899fe77146ae66de00bcdf17"
+        )
+
+
 class TestLazyTimelines:
     def test_gate_capture_builds_no_timelines(self, monkeypatch):
         built = []

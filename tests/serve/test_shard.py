@@ -3,7 +3,10 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.errors import ParameterError
@@ -25,6 +28,12 @@ from repro.serve.shard import (
 
 CONFIG = UPMEMConfig()
 REPO = pathlib.Path(__file__).resolve().parents[2]
+
+
+def assert_same_homes(got, want) -> None:
+    """``got`` is an ``intp`` array of exactly the shards of ``want``."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.intp
+    assert got.tolist() == [int(home) for home in want]
 
 
 class TestShardLayout:
@@ -110,21 +119,38 @@ class TestHomeShards:
     def test_equals_per_index_home_shard(self, n_shards, seed):
         layout = make_layout(n_shards, CONFIG)
         count = 2500  # crosses the stream's chunk boundaries
-        assert home_shards(layout, seed, "vec_add@54", count) == [
-            home_shard(layout, seed, "vec_add@54", i) for i in range(count)
-        ]
+        assert_same_homes(
+            home_shards(layout, seed, "vec_add@54", count),
+            [home_shard(layout, seed, "vec_add@54", i) for i in range(count)],
+        )
 
     def test_shard_counts_share_one_stream(self):
         """Placement at 4 shards after 7, and 7 after 4, is unchanged."""
         four, seven = make_layout(4, CONFIG), make_layout(7, CONFIG)
         a = home_shards(four, 3, "mean@54", 300)
         b = home_shards(seven, 3, "mean@54", 900)
-        assert home_shards(four, 3, "mean@54", 900)[:300] == a
-        assert home_shards(seven, 3, "mean@54", 300) == b[:300]
+        assert_same_homes(home_shards(four, 3, "mean@54", 900)[:300], a)
+        assert_same_homes(home_shards(seven, 3, "mean@54", 300), b[:300])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_shards=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=-5, max_value=50),
+        class_key=st.sampled_from(("vec_add@54", "mean@109", "k")),
+        count=st.integers(min_value=0, max_value=300),
+    )
+    def test_random_layouts_equal_per_index_home_shard(
+        self, n_shards, seed, class_key, count
+    ):
+        layout = make_layout(n_shards, CONFIG)
+        assert_same_homes(
+            home_shards(layout, seed, class_key, count),
+            [home_shard(layout, seed, class_key, i) for i in range(count)],
+        )
 
     def test_zero_requests(self):
-        assert home_shards(make_layout(4, CONFIG), 0, "k", 0) == []
-        assert home_shards(make_layout(1, CONFIG), 0, "k", 0) == []
+        assert_same_homes(home_shards(make_layout(4, CONFIG), 0, "k", 0), [])
+        assert_same_homes(home_shards(make_layout(1, CONFIG), 0, "k", 0), [])
 
 
 class TestShardedPricerBitIdentity:

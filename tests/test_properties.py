@@ -5,8 +5,6 @@ group structure, scheme-level algebra, and planner monotonicity —
 the properties a downstream user implicitly relies on.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
