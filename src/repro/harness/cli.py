@@ -29,12 +29,11 @@ Subcommands:
   a seeded fault plan (disabled DPUs, transient launches, transfer
   corruption, stuck tasklets), sweep the fig1/fig2 experiments across
   a degraded-fleet grid, and render the availability-vs-slowdown card;
-* ``grid init|run|status|resume|html`` — the persistent run registry:
-  enumerate the workload × backend × security × fleet-health × batch
-  grid into a sqlite store once, drain pending cells with atomic
-  worker claims, resume an interrupted sweep with zero recomputation,
-  and render the longitudinal dashboard (status heatmap, modelled-time
-  trends across git SHAs, verdict history);
+* ``grid run|html`` — the experiment grid: price every workload ×
+  backend × security × fleet-health × batch cell, cross-check the
+  fault-free cells against the perf baseline, write the cells as one
+  JSON document, and render it as the dashboard (status heatmap,
+  verdict history);
 * ``serve run|sweep|html`` — the batched serving model: simulate a
   seeded open-loop serving point with request-level SLO accounting
   (latency decomposition, streaming percentiles, burn rates), sweep
@@ -55,7 +54,7 @@ Subcommands:
 * ``forensics html|shifts`` — differential flamegraphs (HTML +
   collapsed-stack text) between two recorded runs, and the
   change-point scan over every longitudinal store (perf / energy /
-  noise histories, the grid runs ledger).
+  noise histories).
 
 Installed as both ``repro-experiments`` and the shorter ``repro``.
 
@@ -166,7 +165,7 @@ def _load_recorded(loader, *args, hint: str = "repro perf record"):
     """Load recorded data under the EXIT_DATA convention.
 
     Every subcommand that *reads* recorded artifacts (gate baselines and
-    histories, fault sweeps, serving sweeps, the run registry) shares
+    histories, fault sweeps, serving sweeps, grid documents) shares
     one failure mode — "the data this command needs is missing or
     unreadable" — reported identically: the loader's
     :class:`~repro.errors.ParameterError` message (naming the file, and
@@ -389,9 +388,7 @@ def _cmd_forensics_html(args) -> int:
 def _cmd_forensics_shifts(args) -> int:
     """CUSUM change-point scan over every longitudinal store."""
     import json as _json
-    import os
 
-    from repro.errors import ParameterError
     from repro.obs import baseline as bl
     from repro.obs import energy as en
     from repro.obs import forensics as fx
@@ -418,21 +415,9 @@ def _cmd_forensics_shifts(args) -> int:
     if noise_history:
         series.update(fx.noise_series(noise_history))
         sources.append(f"noise:{args.noise_history}")
-    if os.path.exists(args.db):
-        from repro.obs.registry import RunRegistry
-
-        try:
-            with RunRegistry.open(args.db) as registry:
-                runs = registry.runs()
-        except ParameterError:
-            runs = []
-        if runs:
-            series.update(fx.registry_series(runs))
-            sources.append(f"grid:{args.db}")
     if not series:
         return _no_data(
-            "no longitudinal history found (perf, energy, noise, or "
-            "registry ledger)"
+            "no longitudinal history found (perf, energy or noise)"
         )
     shifts = fx.scan_shifts(series, k_rel=args.k_rel, h_mult=args.h_mult)
     print(f"scanned {len(series)} series from {', '.join(sources)}")
@@ -522,10 +507,6 @@ def _cmd_faults_html(args) -> int:
     return 0
 
 
-def _grid_progress(label: str) -> None:
-    print(f"  cell {label} ...", file=sys.stderr)
-
-
 def _perf_baseline(path):
     """``(perf baseline or None, None)``, or ``(None, EXIT_DATA)``."""
     from repro.obs import baseline as bl
@@ -533,145 +514,54 @@ def _perf_baseline(path):
     return _load_recorded(_read_optional, bl.LEDGER, path)
 
 
-def _open_registry(args):
-    """Open the registry named by ``--db``; ``(registry, None)`` or
-    ``(None, exit_status)`` with the EXIT_DATA convention applied."""
-    from repro.obs import registry as regmod
+def _cmd_grid_run(args) -> int:
+    """Price every grid cell, cross-check the fault-free ones."""
+    import dataclasses
 
-    return _load_recorded(
-        regmod.RunRegistry.open, args.db, hint="repro grid init"
-    )
-
-
-def _cmd_grid_init(args) -> int:
-    """Enumerate the parameter grid into a fresh registry database."""
-    from repro.errors import ParameterError
-    from repro.obs import registry as regmod
-
-    if args.preset == "tiny":
-        spec = regmod.GridSpec(
-            workloads=("vec_add", "mean"),
-            security_bits=(109,),
-            healthy=(1.0, 0.9),
-            max_batches=2,
-            seed=args.seed,
-        )
-    else:
-        spec = regmod.GridSpec(seed=args.seed)
-    overrides = {}
-    if args.workloads:
-        overrides["workloads"] = tuple(args.workloads)
-    if args.security:
-        overrides["security_bits"] = tuple(args.security)
-    if args.healthy:
-        overrides["healthy"] = tuple(args.healthy)
-    if args.backends:
-        overrides["backends"] = tuple(args.backends)
-    if args.max_batches is not None:
-        overrides["max_batches"] = args.max_batches
-    if overrides:
-        import dataclasses
-
-        spec = dataclasses.replace(spec, **overrides)
-    try:
-        registry = regmod.RunRegistry.create(args.db, spec, force=args.force)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    n = len(registry.cells())
-    print(
-        f"initialised {args.db}: {n} pending cells "
-        f"({len(spec.workloads)} workloads × {len(spec.backends)} "
-        f"backends × {len(spec.security_bits)} security levels × "
-        f"{len(spec.healthy)} health fractions, seed {spec.seed})"
-    )
-    print("drain it with: repro grid run")
-    return 0
-
-
-def _drain_and_report(args, registry) -> int:
-    """Shared tail of ``grid run`` / ``grid resume``: drain, report."""
     from repro.obs import registry as regmod
     from repro.obs.gate import exit_code
 
+    overrides = {"seed": args.seed}
+    for field, values in (
+        ("workloads", args.workloads),
+        ("security_bits", args.security),
+        ("healthy", args.healthy),
+        ("backends", args.backends),
+    ):
+        if values:
+            overrides[field] = tuple(values)
+    if args.max_batches is not None:
+        overrides["max_batches"] = args.max_batches
+    spec = dataclasses.replace(regmod.PRESETS[args.preset], **overrides)
     baseline, status = _perf_baseline(args.baseline)
     if status:
         return status
-    doc = regmod.drain(
-        registry,
-        owner=args.owner,
-        keep_going=args.keep_going,
-        max_cells=args.max_cells,
-        baseline=baseline,
-        progress=_grid_progress,
-    )
-    print(regmod.render_status(registry, baseline))
-    for header in doc["rollups"]["failures"]:
-        print(f"cell FAILED — {header}", file=sys.stderr)
-    if doc["cells_failed"]:
+    cells = regmod.run_grid(spec, keep_going=args.keep_going)
+    print(regmod.render_status(spec, cells, baseline))
+    if args.output:
+        regmod.GRIDS.write(regmod.grid_document(spec, cells), args.output)
+        print(f"wrote {args.output}", file=sys.stderr)
+    failed = [c for c in cells if c["status"] == regmod.STATUS_FAILED]
+    for cell in failed:
+        print(f"cell FAILED — {cell['failure_header']}", file=sys.stderr)
+    if failed:
         return 1
-    verdicts = regmod.check_against_baseline(registry.cells(), baseline)
-    return exit_code(verdicts)
-
-
-def _cmd_grid_run(args) -> int:
-    """Drain pending grid cells (atomic claims; resumable)."""
-    registry, status = _open_registry(args)
-    if registry is None:
-        return status
-    with registry:
-        return _drain_and_report(args, registry)
-
-
-def _cmd_grid_resume(args) -> int:
-    """Release interrupted claims, then drain what is still pending."""
-    registry, status = _open_registry(args)
-    if registry is None:
-        return status
-    with registry:
-        released = registry.release_stale()
-        if released:
-            print(
-                f"released {released} interrupted cell(s) back to pending",
-                file=sys.stderr,
-            )
-        if args.retry_failed:
-            retried = registry.retry_failed()
-            if retried:
-                print(
-                    f"returned {retried} failed cell(s) to pending",
-                    file=sys.stderr,
-                )
-        return _drain_and_report(args, registry)
-
-
-def _cmd_grid_status(args) -> int:
-    """Report grid progress, failures, ledger, and the baseline gate."""
-    from repro.obs import registry as regmod
-    from repro.obs.gate import exit_code
-
-    registry, status = _open_registry(args)
-    if registry is None:
-        return status
-    with registry:
-        baseline, status = _perf_baseline(args.baseline)
-        if status:
-            return status
-        print(regmod.render_status(registry, baseline))
-        verdicts = regmod.check_against_baseline(
-            registry.cells(), baseline
-        )
-        return exit_code(verdicts)
+    return exit_code(regmod.check_against_baseline(cells, baseline))
 
 
 def _cmd_grid_html(args) -> int:
-    """Render the registry as the longitudinal HTML dashboard."""
+    """Render a grid document as the HTML dashboard."""
     from repro.obs import baseline as bl
     from repro.obs import htmlreport
     from repro.obs import noisegate as ng
     from repro.obs import perf
     from repro.obs import registry as regmod
 
+    grid, status = _load_recorded(
+        regmod.read_grid, args.grid, hint=regmod.GRIDS.hint
+    )
+    if grid is None:
+        return status
     loaded, status = _load_recorded(
         lambda: (
             _read_optional(bl.LEDGER, args.baseline),
@@ -682,6 +572,7 @@ def _cmd_grid_html(args) -> int:
     )
     if loaded is None:
         return status
+    spec, cells = grid
     baseline, perf_history, noise_baseline, noise_history = loaded
     # Each recorded perf and noise run's verdicts, as `perf check
     # --skip-wall` and `noise check` report them.
@@ -695,18 +586,12 @@ def _cmd_grid_html(args) -> int:
         if gate_baseline is not None
         for doc in history
     ]
-    registry, status = _open_registry(args)
-    if registry is None:
-        return status
-    with registry:
-        cells = registry.cells()
-        document = htmlreport.render_grid_dashboard(
-            cells,
-            registry.runs(),
-            registry.spec,
-            verdicts=regmod.check_against_baseline(cells, baseline),
-            gate_runs=gate_runs,
-        )
+    document = htmlreport.render_grid_dashboard(
+        cells,
+        spec,
+        verdicts=regmod.check_against_baseline(cells, baseline),
+        gate_runs=gate_runs,
+    )
     _emit(document, args.output)
     return 0
 
@@ -1126,7 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.obs.forensics import H_MULT as _H_MULT
     from repro.obs.forensics import K_REL as _K_REL
-    from repro.obs.registry import DEFAULT_DB_PATH as _GRID_DB
 
     _PERF_BASELINE = perf.GATE.baseline_path
 
@@ -1181,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'html' aligns two recorded runs span by span and renders "
             "differential flamegraphs; 'shifts' runs CUSUM "
             "change-point detection over every longitudinal series "
-            "(perf, energy, noise histories and the grid runs ledger), "
+            "(the perf, energy and noise histories), "
             "flagging the first git SHA of each shift."
         ),
     )
@@ -1229,13 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_history(forensics_shifts, perf.GATE)
     _add_history(forensics_shifts, energy.GATE, "energy-")
     _add_history(forensics_shifts, noisegate.GATE, "noise-")
-    forensics_shifts.add_argument(
-        "--db",
-        default=_GRID_DB,
-        metavar="FILE",
-        help="run-registry database; skipped when absent "
-        f"(default: {_GRID_DB})",
-    )
     forensics_shifts.add_argument(
         "--k-rel",
         type=float,
@@ -1371,32 +1248,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid_parser = sub.add_parser(
         "grid",
-        help="persistent run registry: init, drain, resume, and trend "
-        "the full experiment grid",
+        help="price the full experiment grid and cross-check it against "
+        "the perf baseline",
         description=(
-            "A sqlite-backed run store over the workload × backend × "
-            "security × fleet-health × batch grid. 'init' enumerates "
-            "the parameter combinations once; 'run' drains pending "
-            "cells with atomic worker claims; 'resume' picks up an "
-            "interrupted sweep without recomputing done cells; 'html' "
-            "renders the longitudinal dashboard. Fault-free cells are "
-            "cross-checked bit-for-bit against the committed perf "
-            "baseline (MODEL-DRIFT otherwise). See "
-            "docs/observability.md."
+            "The workload × backend × security × fleet-health × batch "
+            "grid. 'run' prices every cell (a pure function of its "
+            "coordinates and the fault seed), prints the status and "
+            "cross-checks the fault-free cells bit-for-bit against the "
+            "committed perf baseline (MODEL-DRIFT otherwise); with -o it "
+            "writes the cells as one JSON document, which 'html' "
+            "renders. See docs/observability.md."
         ),
     )
     grid_sub = grid_parser.add_subparsers(dest="grid_command", required=True)
 
-    def _grid_common(p) -> None:
+    def _grid_baseline(p) -> None:
         from repro.obs.baseline import DEFAULT_BASELINE_PATH
-        from repro.obs.registry import DEFAULT_DB_PATH
 
-        p.add_argument(
-            "--db",
-            default=DEFAULT_DB_PATH,
-            metavar="FILE",
-            help=f"registry database (default: {DEFAULT_DB_PATH})",
-        )
         p.add_argument(
             "--baseline",
             default=DEFAULT_BASELINE_PATH,
@@ -1405,114 +1273,72 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default: {DEFAULT_BASELINE_PATH})",
         )
 
-    def _grid_drain_common(p) -> None:
-        p.add_argument(
-            "--owner",
-            default="worker",
-            help="worker name recorded on claimed cells (default: worker)",
-        )
-        p.add_argument(
-            "--max-cells",
-            type=int,
-            default=None,
-            metavar="N",
-            help="claim at most N cells, then stop (partial drains "
-            "resume later)",
-        )
-        p.add_argument(
-            "-k",
-            "--keep-going",
-            action="store_true",
-            help="record a failing cell (type, message, fault class) "
-            "and continue draining",
-        )
-
-    grid_init = grid_sub.add_parser(
-        "init", help="enumerate the parameter grid into a fresh registry"
+    grid_run = grid_sub.add_parser(
+        "run", help="price every grid cell and cross-check the baseline"
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--preset",
         choices=("paper", "tiny"),
         default="paper",
         help="'paper': every workload/backend/security level; 'tiny': "
         "a truncated CI-sized grid (default: paper)",
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--workloads", nargs="+", metavar="W", help="workloads to enumerate"
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--security",
         nargs="+",
         type=int,
         metavar="BITS",
         help="security levels to enumerate (default: 27 54 109)",
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--healthy",
         nargs="+",
         type=float,
         metavar="FRACTION",
         help="fleet-health fractions to enumerate (default: 1.0 0.9 0.8)",
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--backends", nargs="+", metavar="B", help="backends to enumerate"
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--max-batches",
         type=int,
         default=None,
         metavar="N",
         help="truncate every workload's batch list to its first N sizes",
     )
-    grid_init.add_argument(
+    grid_run.add_argument(
         "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
     )
-    grid_init.add_argument(
-        "--force",
+    grid_run.add_argument(
+        "-k",
+        "--keep-going",
         action="store_true",
-        help="drop and refill an already-initialised registry",
+        help="record a failing cell (type, message, fault class) "
+        "and continue",
     )
-    grid_init.add_argument(
-        "--db",
-        default="grid.db",
-        metavar="FILE",
-        help="registry database (default: grid.db)",
+    _grid_baseline(grid_run)
+    grid_run.add_argument(
+        "-o", "--output", metavar="FILE", help="write the grid document to FILE"
     )
-    grid_init.set_defaults(func=_cmd_grid_init)
-
-    grid_run = grid_sub.add_parser(
-        "run", help="drain pending cells (atomic claims; resumable)"
-    )
-    _grid_common(grid_run)
-    _grid_drain_common(grid_run)
     grid_run.set_defaults(func=_cmd_grid_run)
-
-    grid_status = grid_sub.add_parser(
-        "status",
-        help="report grid progress, failed cells, and the baseline gate",
-    )
-    _grid_common(grid_status)
-    grid_status.set_defaults(func=_cmd_grid_status)
-
-    grid_resume = grid_sub.add_parser(
-        "resume",
-        help="release interrupted claims and drain the remaining cells",
-    )
-    _grid_common(grid_resume)
-    _grid_drain_common(grid_resume)
-    grid_resume.add_argument(
-        "--retry-failed",
-        action="store_true",
-        help="also return failed cells to pending before draining",
-    )
-    grid_resume.set_defaults(func=_cmd_grid_resume)
 
     grid_html = grid_sub.add_parser(
         "html",
-        help="render the longitudinal dashboard (heatmap, trends, "
+        help="render a grid document as the dashboard (heatmap, "
         "verdict history)",
     )
-    _grid_common(grid_html)
+    grid_html.add_argument(
+        "--grid",
+        default="grid.json",
+        metavar="FILE",
+        help="grid document written by 'repro grid run -o' "
+        "(default: grid.json)",
+    )
+    _grid_baseline(grid_html)
     _add_output(grid_html)
     _add_history(grid_html, perf.GATE)
     _add_ledger_paths(grid_html, noisegate.GATE, "noise-")

@@ -23,7 +23,7 @@ def failure_record(label: str, exc: BaseException) -> dict:
 
     The canonical shape every reporting surface shares — batch runs
     (:meth:`BatchResults.failure_records`), the chaos harness, and the
-    run registry's failed cells all record ``{"experiment",
+    experiment grid's failed cells all record ``{"experiment",
     "error_type", "message", "fault_class", "header"}``. ``header`` is
     the one-line form reports lead with, the label first;
     fault-injected failures carry their class (``[permanent]`` /

@@ -33,8 +33,8 @@ Module map:
   ``repro forensics``).
 * **Storing and rendering.** :mod:`~repro.obs.runident` — the run
   identity stamp (uuid, timestamp, git SHA);
-  :mod:`~repro.obs.registry` — the sqlite grid and runs ledger
-  (``repro grid``); :mod:`~repro.obs.htmlreport` — every
+  :mod:`~repro.obs.registry` — the experiment grid and its perf
+  cross-check (``repro grid``); :mod:`~repro.obs.htmlreport` — every
   self-contained HTML dashboard.
 
 Quick start::
@@ -234,7 +234,7 @@ __all__ = [
     "render_noise_report",
     # degraded-fleet sweep card (repro faults)
     "render_faults_report",
-    # run registry & longitudinal dashboard (repro grid)
+    # experiment grid dashboard (repro grid)
     "render_grid_dashboard",
     # request-level SLOs & serving capacity (repro serve)
     "LatencyDigest",

@@ -23,7 +23,7 @@ against it. Every record also carries an identity — ``run_id`` (uuid),
 ISO timestamp, git SHA, captured by the shared
 :mod:`repro.obs.runident` helpers (re-exported here) — and the same
 identity helpers stamp the benchmark suite's ``metrics.jsonl`` lines
-and the run registry's ledger (:mod:`repro.obs.registry`).
+and the grid documents of :mod:`repro.obs.registry`.
 
 Documents are schema-versioned (:data:`SCHEMA_VERSION`); readers
 refuse unknown versions so a future layout change cannot be silently

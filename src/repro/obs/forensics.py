@@ -17,8 +17,7 @@ leave open:
   gate's config + joules ledger — ranking top contributors per family.
 * **When** — :func:`cusum_changepoints` runs two-sided CUSUM
   change-point detection over the longitudinal series in
-  ``baselines/*history.jsonl`` and the run registry's ledger
-  (:mod:`repro.obs.registry`), flagging the first recorded run — and
+  ``baselines/*history.jsonl``, flagging the first recorded run — and
   its git SHA — of each shift per experiment.
 
 Comparison policy follows the perf gate: the modelled clock domain is
@@ -59,7 +58,6 @@ __all__ = [
     "perf_series",
     "energy_series",
     "noise_series",
-    "registry_series",
     "scan_shifts",
     "render_shifts",
 ]
@@ -553,20 +551,6 @@ def noise_series(history) -> dict:
                     continue
                 out.setdefault(f"noise.{bits}b.{name}_bits", []).append(
                     (float(trajectory[-1].get("meas_bits", 0.0)), meta)
-                )
-    return out
-
-
-def registry_series(runs) -> dict:
-    """Longitudinal per-backend grid totals out of registry ledger rows."""
-    out: dict = {}
-    for row in runs:
-        meta = _meta_of(row)
-        experiments = row.get("rollups", {}).get("experiments", {})
-        for eid, backends in experiments.items():
-            for backend, total_ms in backends.items():
-                out.setdefault(f"grid.{eid}.{backend}_ms", []).append(
-                    (float(total_ms), meta)
                 )
     return out
 

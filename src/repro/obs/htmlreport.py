@@ -458,11 +458,9 @@ def render_faults_report(doc: dict) -> str:
     return _page("repro degraded-fleet sweep", meta, sections)
 
 
-# -- run registry (repro grid html) ----------------------------------------------
+# -- experiment grid (repro grid html) -------------------------------------------
 
-_STATUS_COLORS = {
-    "done": _GREEN, "failed": _RED, "running": _AMBER, "pending": "#b0bec5",
-}
+_STATUS_COLORS = {"done": _GREEN, "failed": _RED}
 
 
 def _heatmap_card(workload: str, cells) -> str:
@@ -499,104 +497,44 @@ def _heatmap_card(workload: str, cells) -> str:
                  subtitle=f"{done}/{len(cells)} cells done")
 
 
-def _trends_card(runs) -> str:
-    """PIM modelled totals across recorded registry runs, per group."""
-    series: dict = {}
-    for run in runs:
-        rollups = run.get("rollups", {})
-        # Experiment groups when the grid covers them fully, plus the
-        # per-workload totals any grid (even a truncated one) produces.
-        merged = {**rollups.get("workloads", {}), **rollups.get("experiments", {})}
-        for eid, totals in merged.items():
-            series.setdefault(eid, []).append(
-                (str(run.get("git_sha"))[:12], totals.get("pim"))
-            )
-    rows = []
-    for eid, points in sorted(series.items()):
-        values = [v for _sha, v in points]
-        latest = next((v for v in reversed(values) if v is not None), None)
-        shas = " → ".join(sha for sha, _v in points)
-        rows.append([
-            f"<span title='{_esc(shas)}'>{_esc(eid)}</span>",
-            _sparkline(values, "pim modelled", lambda v: f"{v:,.4f} ms"),
-            _num(latest, ",.4f"),
-            len(values),
-        ])
-    return _card(
-        "Modelled-time trends",
-        _table(["experiment", "trend (old → new)", "latest [ms]", "runs"], rows,
-               empty="No recorded runs yet — drain the grid with 'repro grid run'."),
-        subtitle="pim totals across registry runs, by git SHA",
-    )
-
-
-def _annotation_links(annotations: dict) -> str:
-    """Drift-annotation stamps: ``perf`` links to the per-experiment
-    forensics artifact (``forensics-<experiment>.html``, as ``repro why
-    <experiment> --html`` writes it in CI); ``failures`` is text."""
-    parts = []
-    perf = annotations.get("perf")
-    if perf:
-        label = (f"top drift: {perf.get('experiment', '?')}/"
-                 f"{perf.get('backend', '?')} "
-                 f"Δ{perf.get('delta_ms', 0.0):+.4g} ms")
-        href = f"forensics-{perf.get('experiment', '')}.html"
-        parts.append(f"<a href='{_esc(href)}'>{_esc(label)}</a>")
-    failures = annotations.get("failures")
-    if failures:
-        parts.append(_esc(f"{failures.get('count', 0)} failure(s): "
-                          f"{failures.get('first', '')}"))
-    return f"<br><span class='meta'>{' · '.join(parts)}</span>" if parts else ""
-
-
-def _history_card(runs, gate_runs) -> str:
+def _history_card(gate_runs) -> str:
     """Every recorded gate outcome over time, one tally per run: the
-    runs ledger's grid verdicts (with their drift annotations) and the
     ``(source, doc, verdicts)`` gate rows, failing rows named."""
-    rows = [
-        ("grid", run,
-         [_gate.Verdict(v["experiment"], v["verdict"])
-          for v in run.get("rollups", {}).get("verdicts", [])],
-         run.get("drift_annotations") or {})
-        for run in runs
-    ]
-    rows += [(source, doc, list(vs), {}) for source, doc, vs in gate_runs]
-    rows.sort(key=lambda row: row[1].get("created_at", ""))
     body = []
-    for source, doc, verdicts, annotations in rows:
+    for source, doc, verdicts in sorted(
+        gate_runs, key=lambda row: row[1].get("created_at", "")
+    ):
+        verdicts = list(verdicts)
         bad = "; ".join(f"{v.key}: {v.verdict}" for v in verdicts if v.failed)
         body.append([
             _esc(doc.get("created_at", "")),
             f"<code>{_esc(str(doc.get('git_sha'))[:12])}</code>",
             _esc(source),
             _tally(v.verdict for v in verdicts)
-            + (f"<br><span class='meta'>{_esc(bad)}</span>" if bad else "")
-            + _annotation_links(annotations),
+            + (f"<br><span class='meta'>{_esc(bad)}</span>" if bad else ""),
         ])
     return _card("Verdict history",
                  _table(["recorded", "git", "gate", "verdicts"], body,
                         empty="No recorded verdicts yet."),
-                 subtitle="grid · perf · noise gates over time")
+                 subtitle="perf · noise gates over time")
 
 
-def render_grid_dashboard(cells, runs, spec, verdicts=None, gate_runs=()) -> str:
-    """The ``repro grid html`` dashboard over a run registry's plain data
-    (:class:`~repro.obs.registry.RunRegistry` cells, runs and spec).
+def render_grid_dashboard(cells, spec, verdicts=None, gate_runs=()) -> str:
+    """The ``repro grid html`` dashboard over a grid run's plain data
+    (:func:`repro.obs.registry.read_grid` cells and spec).
 
     ``verdicts`` are the fault-free cells' perf-baseline cross-check
     (:func:`repro.obs.registry.check_against_baseline`); ``gate_runs``
     are ``(source, doc, verdicts)`` rows the caller checked (perf and
-    noise histories), interleaved by time with the grid's own verdicts.
+    noise histories), shown by time in the verdict history.
     """
-    cells, runs = list(cells), list(runs)
+    cells = list(cells)
     counts = Counter(cell["status"] for cell in cells)
     meta = [
         f"{len(cells)} cells — "
         + " · ".join(f"{status}: {n}" for status, n in sorted(counts.items()))
-        + f" · seed {_esc(spec.seed)} · {len(runs)} recorded run(s)"
+        + f" · seed {_esc(spec.seed)}"
     ]
-    if runs:
-        meta.append(f"latest: {_identity(runs[-1])}")
     sections = [
         _verdict_card("Baseline cross-check",
                       "fault-free cells vs the committed perf baseline", verdicts),
@@ -607,8 +545,8 @@ def render_grid_dashboard(cells, runs, spec, verdicts=None, gate_runs=()) -> str
         by_workload.setdefault(cell["workload"], []).append(cell)
     sections.extend(_heatmap_card(w, by_workload[w])
                     for w in spec.workloads if w in by_workload)
-    sections += [_trends_card(runs), _history_card(runs, gate_runs)]
-    return _page("repro run registry", meta, sections)
+    sections.append(_history_card(gate_runs))
+    return _page("repro experiment grid", meta, sections)
 
 
 # -- serving capacity (repro serve html) -----------------------------------------

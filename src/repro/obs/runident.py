@@ -3,7 +3,7 @@
 Every persistent record this project produces — perf baselines
 (:mod:`repro.obs.baseline`), noise calibrations
 (:mod:`repro.obs.noisegate`), chaos sweeps
-(:mod:`repro.harness.chaos`), and the run registry
+(:mod:`repro.harness.chaos`), and grid documents
 (:mod:`repro.obs.registry`) — carries the same three identity fields:
 
 * ``run_id`` — a fresh uuid4 hex string, unique per recording;
@@ -12,7 +12,7 @@ Every persistent record this project produces — perf baselines
   outside a checkout.
 
 Keeping the capture here (rather than per-recorder) is what makes
-records *joinable*: a registry cell, a perf-history line, and a noise
+records *joinable*: a grid document, a perf-history line, and a noise
 trajectory recorded by the same process share a ``run_id``, and the
 longitudinal dashboards trend any of them against ``git_sha``.
 

@@ -21,9 +21,8 @@ computable, regression-gated model:
 * :mod:`repro.serve.service` — :class:`~repro.serve.service.ServeSpec`,
   the single-point simulation, the launch pricer and its bit-identity
   check against ``baselines/perf.json``, the capacity sweep over QPS ×
-  security level × fleet health (resumable through the run registry),
-  the sweep document persistence, and the Chrome-trace export (one
-  lane per request class);
+  security level × fleet health, the sweep document persistence, and
+  the Chrome-trace export (one lane per request class);
 * :mod:`repro.serve.shard` — rank-aligned fleet partitioning with
   deterministic ciphertext→shard placement and per-shard pricing
   (single shard + zero faults stays bit-identical to

@@ -84,7 +84,7 @@ SCHEMA_VERSION = 1
 DEFAULT_QPS_GRID = (1000.0, 4000.0, 16000.0)
 
 #: Fleet-health fractions swept by default (>= 3 points; matches the
-#: grid registry's axis).
+#: experiment grid's axis).
 DEFAULT_HEALTHY_GRID = (1.0, 0.9, 0.8)
 
 #: The backend serving batches are priced on.

@@ -1,138 +1,84 @@
-"""``repro grid`` end to end: init/run/status/resume/html, the
-EXIT_DATA convention on missing registries, and the dashboard artifact."""
+"""``repro grid`` end to end: run (axes, presets, the baseline
+cross-check, failed cells), the grid document and its dashboard."""
+
+import json
 
 import pytest
 
-from repro.harness.cli import EXIT_DATA, main
+from repro.harness.cli import main
 from repro.obs import registry as reg
 
-TINY_INIT = ["grid", "init", "--preset", "tiny"]
 
-
-def init_tiny(tmp_path, seed="0"):
-    db = tmp_path / "grid.db"
-    assert main(TINY_INIT + ["--db", str(db), "--seed", seed]) == 0
-    return db
-
-
-class TestGridMissingDataExits:
-    """Locked alongside the perf/noise/faults conventions: a missing
-    or uninitialised registry is EXIT_DATA (2), never a stack trace
-    or a bare 1."""
+class TestGridRun:
+    def test_paper_preset_cross_checks_nine_experiments(self, capsys):
+        assert main(["grid", "run"]) == 0
+        out = capsys.readouterr().out
+        assert "experiment grid — 648 cells (seed 0)" in out
+        assert "done: 648  failed: 0" in out
+        rows = [line for line in out.splitlines() if line.startswith("  [")]
+        assert len(rows) == 9
+        assert sum("[         ok]" in row for row in rows) == 8
+        assert "  [        new] fig2b" in rows
+        assert out.rstrip().endswith("gate passes")
 
     @pytest.mark.parametrize(
-        "subcommand", ["status", "resume", "html", "run"]
+        ("axis", "message"),
+        [
+            (["--backends", "foo", "pim"], "unknown grid backend 'foo'"),
+            (["--security", "64"], "unknown grid security level 64"),
+        ],
+        ids=["backends", "security"],
     )
-    def test_missing_db_exits_data(self, subcommand, tmp_path, capsys):
-        status = main(
-            ["grid", subcommand, "--db", str(tmp_path / "none.db")]
-        )
-        assert status == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "no run registry" in err
-        assert "repro grid init" in err
+    def test_bad_axis_rejected_before_pricing(
+        self, axis, message, monkeypatch, capsys
+    ):
+        def never(cell, seed=0):
+            raise AssertionError(f"priced {reg.cell_label(cell)}")
 
-    @pytest.mark.parametrize("subcommand", ["status", "resume", "html"])
-    def test_empty_db_file_exits_data(self, subcommand, tmp_path, capsys):
-        empty = tmp_path / "empty.db"
-        empty.touch()
-        status = main(["grid", subcommand, "--db", str(empty)])
-        assert status == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "repro grid init" in err
-
-    def test_exit_data_distinct_from_failure(self):
-        assert EXIT_DATA == 2
-
-
-class TestGridInit:
-    def test_init_enumerates_and_reports(self, tmp_path, capsys):
-        db = init_tiny(tmp_path)
-        out = capsys.readouterr().out
-        assert "32 pending cells" in out
-        assert reg.RunRegistry.open(db).counts()["pending"] == 32
-
-    def test_reinit_without_force_fails(self, tmp_path, capsys):
-        db = init_tiny(tmp_path)
-        assert main(TINY_INIT + ["--db", str(db)]) == 1
-        assert "already initialised" in capsys.readouterr().err
-        assert main(TINY_INIT + ["--db", str(db), "--force"]) == 0
+        monkeypatch.setattr(reg, "run_cell", never)
+        assert main(["grid", "run", *axis]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("ParameterError: ")
+        assert message in line
 
     def test_explicit_axes_override_preset(self, tmp_path):
-        db = tmp_path / "grid.db"
-        assert (
-            main(
-                [
-                    "grid",
-                    "init",
-                    "--db",
-                    str(db),
-                    "--workloads",
-                    "vec_mul",
-                    "--security",
-                    "54",
-                    "--healthy",
-                    "1.0",
-                    "--backends",
-                    "pim",
-                    "cpu",
-                    "--max-batches",
-                    "1",
-                ]
-            )
-            == 0
+        path = tmp_path / "grid.json"
+        argv = ["grid", "run", "--preset", "tiny", "--workloads", "vec_mul",
+                "--security", "54", "--healthy", "1.0", "--backends", "pim",
+                "cpu", "--max-batches", "1", "--seed", "4", "-o", str(path)]
+        assert main(argv) == 0
+        spec, rows = reg.read_grid(path)
+        assert spec == reg.GridSpec(
+            workloads=("vec_mul",), backends=("pim", "cpu"),
+            security_bits=(54,), healthy=(1.0,), max_batches=1, seed=4,
         )
-        spec = reg.RunRegistry.open(db).spec
-        assert spec.workloads == ("vec_mul",)
-        assert spec.security_bits == (54,)
-        assert spec.backends == ("pim", "cpu")
+        assert [row["backend"] for row in rows] == ["pim", "cpu"]
 
 
 class TestGridRunResumeHtml:
     def test_full_cycle(self, tmp_path, capsys):
-        """The CI shape: init tiny, run half, kill the worker mid-claim,
-        resume to completion, render the dashboard artifact."""
-        db = init_tiny(tmp_path)
+        """The CI shape: run the tiny preset to a document, render the
+        dashboard artifact from it."""
+        doc = tmp_path / "grid.json"
+        assert main(["grid", "run", "--preset", "tiny", "-o", str(doc)]) == 0
+        captured = capsys.readouterr()
+        assert "done: 32  failed: 0" in captured.out
+        assert f"wrote {doc}" in captured.err
+        assert len(json.loads(doc.read_text())["cells"]) == 32
 
-        # run half the grid, then stop
-        assert (
-            main(["grid", "run", "--db", str(db), "--max-cells", "16"])
-            == 0
-        )
-        registry = reg.RunRegistry.open(db)
-        assert registry.counts()["done"] == 16
-
-        # a worker dies holding a claim
-        assert registry.claim_next("doomed") is not None
-        registry.close()
-
-        # resume drains the rest without touching done cells
-        assert main(["grid", "resume", "--db", str(db)]) == 0
-        err = capsys.readouterr().err
-        assert "released 1 interrupted cell" in err
-        registry = reg.RunRegistry.open(db)
-        assert registry.counts()["done"] == 32
-        assert registry.counts()["pending"] == 0
-        assert len(registry.runs()) == 2
-
-        # status reports the drained grid
-        assert main(["grid", "status", "--db", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "done: 32" in out
-
-        # the longitudinal dashboard renders as a standalone artifact
         html = tmp_path / "dash.html"
-        assert (
-            main(["grid", "html", "--db", str(db), "-o", str(html)]) == 0
-        )
+        assert main(
+            ["grid", "html", "--grid", str(doc), "-o", str(html)]
+        ) == 0
         document = html.read_text()
         assert "<!doctype html" in document
         assert "vec_add" in document
+        assert "32 cells — done: 32" in document
         assert "Verdict history" in document
 
-    def test_run_reports_failed_cells(self, tmp_path, capsys, monkeypatch):
-        db = init_tiny(tmp_path)
-
+    def test_run_reports_failed_cells(self, capsys, monkeypatch):
         real_run_cell = reg.run_cell
 
         def flaky(cell, seed=0):
@@ -141,23 +87,9 @@ class TestGridRunResumeHtml:
             return real_run_cell(cell, seed=seed)
 
         monkeypatch.setattr(reg, "run_cell", flaky)
-        status = main(["grid", "run", "--db", str(db), "--keep-going"])
+        status = main(["grid", "run", "--preset", "tiny", "--keep-going"])
         assert status == 1
         captured = capsys.readouterr()
+        assert "done: 24  failed: 8" in captured.out
         assert "cell FAILED" in captured.err
         assert "RuntimeError: no device" in captured.err
-        # resume --retry-failed clears them once the fault is gone
-        monkeypatch.undo()
-        assert (
-            main(
-                [
-                    "grid",
-                    "resume",
-                    "--db",
-                    str(db),
-                    "--retry-failed",
-                ]
-            )
-            == 0
-        )
-        assert reg.RunRegistry.open(db).counts()["done"] == 32

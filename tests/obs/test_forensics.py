@@ -218,22 +218,6 @@ class TestSeriesExtraction:
         assert named["perf.fig1a.pim"][0][0] == 1.0
         assert named["perf.fig1a.pim"][0][1]["git_sha"] == "s1"
 
-    def test_registry_series_reads_rollups(self):
-        runs = [
-            {
-                "run_id": "r1",
-                "git_sha": "s1",
-                "created_at": "t1",
-                "rollups": {
-                    "experiments": {"fig1a": {"pim": 128.0, "cpu": 16000.0}}
-                },
-            }
-        ]
-        named = fx.registry_series(runs)
-        assert named["grid.fig1a.pim_ms"] == [
-            (128.0, {"run_id": "r1", "git_sha": "s1", "created_at": "t1"})
-        ]
-
 
 class TestWhyReport:
     def test_unmodified_tree_reports_zero_drift(self):

@@ -44,7 +44,6 @@ def paths(tmp_path):
         "energy_baseline": str(tmp_path / "energy.json"),
         "energy_history": str(tmp_path / "energy-history.jsonl"),
         "noise_history": str(tmp_path / "noise-history.jsonl"),
-        "db": str(tmp_path / "grid.db"),
         "html": str(tmp_path / "forensics.html"),
         "collapsed": str(tmp_path / "flame.collapsed"),
         "json": str(tmp_path / "shifts.json"),
@@ -279,8 +278,6 @@ class TestForensicsShiftsCli:
                 paths["energy_history"],
                 "--noise-history",
                 paths["noise_history"],
-                "--db",
-                paths["db"],
                 *extra,
             ]
         )

@@ -199,7 +199,7 @@ class TestProfileReport:
 
 class TestGridDashboard:
     @pytest.fixture
-    def drained(self, tmp_path):
+    def grid(self):
         from repro.obs import registry as reg
 
         spec = reg.GridSpec(
@@ -208,70 +208,53 @@ class TestGridDashboard:
             healthy=(1.0, 0.9),
             max_batches=2,
         )
-        registry = reg.RunRegistry.create(tmp_path / "grid.db", spec)
-        reg.drain(registry)
-        return registry
+        return spec, reg.run_grid(spec)
 
-    def test_renders_all_panels(self, drained):
-        document = htmlreport.render_grid_dashboard(
-            drained.cells(), drained.runs(), drained.spec
-        )
+    def test_renders_all_panels(self, grid):
+        spec, cells = grid
+        document = htmlreport.render_grid_dashboard(cells, spec)
         assert document.startswith("<!doctype html")
         assert "vec_add" in document  # status heatmap card
         assert "gridcell" in document  # per-backend status squares
-        assert "Modelled-time trends" in document
+        assert "16 cells — done: 16" in document
         assert "Verdict history" in document
-        assert "grid" in document  # ledger verdicts labelled by source
 
-    def test_trends_appear_after_multiple_runs(self, drained):
-        # a second ledger entry makes the pim series trendable
-        run = dict(drained.runs()[0])
-        run["run_id"] = "x" * 32
-        run["created_at"] = "2099-01-01T00:00:00+00:00"
-        drained.record_run(run)
-        document = htmlreport.render_grid_dashboard(
-            drained.cells(), drained.runs(), drained.spec
-        )
-        assert "<svg" in document  # at least one sparkline drawn
-
-    def test_failed_cells_carry_headers_in_tooltips(
-        self, drained
-    ):
-        drained._conn.execute(
-            "UPDATE grid SET status = 'failed', "
-            "failure_header = 'cell: [permanent] Boom: x < y' "
-            "WHERE backend = 'gpu'"
-        )
-        document = htmlreport.render_grid_dashboard(
-            drained.cells(), drained.runs(), drained.spec
-        )
+    def test_failed_cells_carry_headers_in_tooltips(self, grid):
+        spec, cells = grid
+        for cell in cells:
+            if cell["backend"] == "gpu":
+                cell.update(status="failed", modelled_ms=None,
+                            failure_header="cell: [permanent] Boom: x < y")
+        document = htmlreport.render_grid_dashboard(cells, spec)
         assert "[permanent] Boom: x &lt; y" in document
 
-    def test_baseline_and_histories_fold_in(self, drained):
+    def test_baseline_and_histories_fold_in(self, grid):
         from repro.obs import registry as reg
 
+        spec, cells = grid
         baseline = bl.read_run("baselines/perf.json")
         history = [baseline, make_run({"fig1a": make_exp(pim_total=9.99)})]
         document = htmlreport.render_grid_dashboard(
-            drained.cells(),
-            drained.runs(),
-            drained.spec,
-            verdicts=reg.check_against_baseline(drained.cells(), baseline),
+            cells,
+            spec,
+            verdicts=reg.check_against_baseline(cells, baseline),
             gate_runs=[
                 ("perf", doc, perf.check_runs(baseline, doc, skip_wall=True))
                 for doc in history
             ],
         )
         assert "Verdict history" in document
-        assert ">perf<" in document  # perf gate rows interleaved
+        assert ">perf<" in document  # perf gate rows by time
         assert "fig1a: MODEL-DRIFT" in document  # the failing row named
 
-    def test_write_helper(self, drained, tmp_path, capsys):
-        drained.close()
+    def test_write_helper(self, grid, tmp_path, capsys):
+        from repro.obs import registry as reg
+
+        spec, cells = grid
+        doc = tmp_path / "grid.json"
+        reg.GRIDS.write(reg.grid_document(spec, cells), doc)
         out = tmp_path / "nested" / "dash.html"
-        assert main(
-            ["grid", "html", "--db", str(tmp_path / "grid.db"), "-o", str(out)]
-        ) == 0
+        assert main(["grid", "html", "--grid", str(doc), "-o", str(out)]) == 0
         assert out.read_text().startswith("<!doctype html")
 
 
@@ -348,15 +331,11 @@ def _page_grid(profile):
     cells = [{"workload": HOSTILE, "backend": "pim", "status": "failed",
               "security_bits": 109, "healthy": 1.0, "batch": 1,
               "failure_header": HOSTILE, "modelled_ms": None}]
-    run = {"run_id": "r" * 12, "created_at": "t", "git_sha": "s",
-           "rollups": {"workloads": {HOSTILE: {"pim": 1.0}},
-                       "verdicts": [{"experiment": HOSTILE, "verdict": "ok"}]},
-           "drift_annotations": {"perf": {"experiment": HOSTILE, "backend": "pim",
-                                          "delta_ms": 1.0}}}
+    run = {"run_id": "r" * 12, "created_at": "t", "git_sha": HOSTILE}
     spec = SimpleNamespace(seed=HOSTILE, workloads=(HOSTILE,))
     verdicts = [gate.Verdict(HOSTILE, gate.MODEL_DRIFT, (HOSTILE,))]
     gate_runs = [("perf", run, [gate.Verdict(HOSTILE, gate.MODEL_DRIFT)])]
-    html = htmlreport.render_grid_dashboard(cells, [run], spec, verdicts, gate_runs)
+    html = htmlreport.render_grid_dashboard(cells, spec, verdicts, gate_runs)
     return html, 1
 
 
@@ -448,6 +427,10 @@ HTML_COMMANDS = {
     "faults-sweep-html": lambda tmp, out: [
         ["faults", "sweep", "fig1a", "--healthy", "1.0", "--healthy", "0.9",
          "--html", out]],
+    "grid-html": lambda tmp, out: [
+        ["grid", "run", "--preset", "tiny", "-o", str(tmp / "grid.json")],
+        ["grid", "html", "--grid", str(tmp / "grid.json"), "--history",
+         _absent(tmp), "--noise-history", _absent(tmp), "-o", out]],
     "faults-html": lambda tmp, out: [
         ["faults", "sweep", "fig1a", "--healthy", "1.0",
          "-o", str(tmp / "sweep.json")],
@@ -467,7 +450,7 @@ HTML_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(HTML_COMMANDS))
 def test_html_written_under_missing_dirs(command, tmp_path, capsys):
-    """``perf html`` and ``grid html`` are covered by the write tests above."""
+    """``perf html`` is covered by the write tests above."""
     out = tmp_path / "nested" / "dir" / "page.html"
     for argv in HTML_COMMANDS[command](tmp_path, str(out)):
         assert main(argv) == 0

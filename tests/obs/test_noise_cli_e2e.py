@@ -105,12 +105,12 @@ class TestExitDataConvention:
             (["serve", "html"], ("--sweep",)),
             (["resil", "check"], _RECORDED),
             (["resil", "html"], _RECORDED),
-            (["grid", "status"], ("--db",)),
+            (["grid", "html"], ("--grid",)),
             (["why", "fig1a"], ("--against", "--history")),
             (["forensics", "html"], ("--run-a", "--run-b")),
             (
                 ["forensics", "shifts"],
-                ("--history", "--energy-history", "--noise-history", "--db"),
+                ("--history", "--energy-history", "--noise-history"),
             ),
         ],
         ids=lambda value: (
@@ -152,4 +152,29 @@ class TestExitDataConvention:
         assert status == EXIT_DATA
         assert f"{paths[corrupt]}" in captured.err
         assert "not valid JSON" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        ("argv", "flag", "text", "says"),
+        [
+            (["grid", "html"], "--grid", None, "no grid document"),
+            (["grid", "html"], "--grid", '{"schema": 1, "cel\n', "not valid JSON"),
+            (["grid", "html"], "--grid", '{"schema": 1, "kind": "grid", '
+             '"cells": {}}', "malformed grid document"),
+            (["grid", "run", "--preset", "tiny"], "--baseline",
+             '{"schema": 1, "experi\n', "not valid JSON"),
+        ],
+        ids=["html-missing", "html-corrupt", "html-no-spec", "run-baseline-corrupt"],
+    )
+    def test_grid_data_exits_two_naming_the_file(
+        self, argv, flag, text, says, tmp_path, capsys
+    ):
+        path = tmp_path / "recorded.json"
+        if text is not None:
+            path.write_text(text)
+        status = main(argv + [flag, str(path)])
+        captured = capsys.readouterr()
+        assert status == EXIT_DATA
+        assert f"{path}" in captured.err
+        assert says in captured.err
         assert "Traceback" not in captured.err
