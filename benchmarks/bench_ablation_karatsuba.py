@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import to_limbs
+from repro.mpint.limbs import to_planes
 from repro.mpint.mul import karatsuba_multiply, schoolbook_multiply
 
 
@@ -25,28 +25,22 @@ def test_abl_karatsuba_regenerate(benchmark, regenerate):
     assert savings[8] > savings[4] > savings[2]
 
 
-def _random_pairs(limbs, count, seed):
+def _random_operands(limbs, count, seed):
+    """Two limb-plane operands of ``count`` random elements each."""
     rng = np.random.default_rng(seed)
-    return [
-        (
-            to_limbs(int.from_bytes(rng.bytes(4 * limbs), "little"), limbs),
-            to_limbs(int.from_bytes(rng.bytes(4 * limbs), "little"), limbs),
-        )
-        for _ in range(count)
+    values = [
+        int.from_bytes(rng.bytes(4 * limbs), "little") for _ in range(2 * count)
     ]
+    return to_planes(values[0::2], limbs), to_planes(values[1::2], limbs)
 
 
 @pytest.mark.parametrize("limbs", [2, 4, 8])
 def test_bench_karatsuba(benchmark, limbs):
-    pairs = _random_pairs(limbs, 64, seed=limbs)
-    benchmark(
-        lambda: [karatsuba_multiply(a, b, OpTally()) for a, b in pairs]
-    )
+    a, b = _random_operands(limbs, 64, seed=limbs)
+    benchmark(lambda: karatsuba_multiply(a, b, OpTally()))
 
 
 @pytest.mark.parametrize("limbs", [2, 4, 8])
 def test_bench_schoolbook(benchmark, limbs):
-    pairs = _random_pairs(limbs, 64, seed=limbs)
-    benchmark(
-        lambda: [schoolbook_multiply(a, b, OpTally()) for a, b in pairs]
-    )
+    a, b = _random_operands(limbs, 64, seed=limbs)
+    benchmark(lambda: schoolbook_multiply(a, b, OpTally()))

@@ -156,8 +156,14 @@ def _progress(eid: str) -> None:
 
 
 def _no_data(message: str, hint: str = "repro perf record") -> int:
-    """Report missing recorded data; :data:`EXIT_DATA`, never a trace."""
-    print(f"{message}\nrecord a run first: {hint}", file=sys.stderr)
+    """Report missing recorded data; :data:`EXIT_DATA`, never a trace.
+
+    The record-it-first hint is printed once: a message that already
+    names it (a ledger's "record one with '<hint>'") goes out as is.
+    """
+    if f"'{hint}'" not in message:
+        message = f"{message}\nrecord a run first: {hint}"
+    print(message, file=sys.stderr)
     return EXIT_DATA
 
 

@@ -17,7 +17,7 @@ from repro.backends.base import OpRequest
 from repro.backends.registry import BACKEND_ORDER
 from repro.errors import ExperimentError
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import to_limbs
+from repro.mpint.limbs import to_planes
 from repro.mpint.mul import karatsuba_multiply, schoolbook_multiply
 from repro.pim.isa import cycles_for_tally
 from repro.pim.kernels import VecAddKernel, VecMulKernel
@@ -311,7 +311,7 @@ def _run_karatsuba_ablation() -> list:
     for limbs in (2, 4, 8):
         tk, ts = OpTally(), OpTally()
         # Worst-case dense operands make the comparison deterministic.
-        dense = to_limbs((1 << (32 * limbs)) - 1, limbs)
+        dense = to_planes([(1 << (32 * limbs)) - 1], limbs)
         karatsuba_multiply(dense, dense, tk)
         schoolbook_multiply(dense, dense, ts)
         k_cycles = cycles_for_tally(tk)

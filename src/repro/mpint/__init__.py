@@ -16,6 +16,11 @@ Every routine here does double duty:
   :class:`~repro.mpint.cost.OpTally`, from which the PIM device model
   (:mod:`repro.pim.isa`) derives cycle counts.
 
+The routines run many elements at once: operands are *limb planes*
+(:func:`to_planes`), one ``uint64`` array per limb with one element per
+lane, and the tally is the exact sum of what each element would charge
+on its own.
+
 Counts are therefore **derived from execution**, never asserted; the
 closed-form expectation helpers (used by the analytic fast path for
 large workloads) are tested against tallies of real executions.
@@ -26,13 +31,16 @@ from repro.mpint.limbs import (
     LIMB_BITS,
     LIMB_MASK,
     from_limbs,
+    from_planes,
     limbs_for_bits,
     to_limbs,
+    to_planes,
 )
 from repro.mpint.add import (
     add_with_carry,
     compare,
     conditional_subtract,
+    reduce_once,
     sub_with_borrow,
 )
 from repro.mpint.mul import (
@@ -54,11 +62,14 @@ __all__ = [
     "expected_ops_add",
     "expected_ops_mul",
     "from_limbs",
+    "from_planes",
     "karatsuba_multiply",
     "limbs_for_bits",
     "mul32",
     "multiply",
+    "reduce_once",
     "schoolbook_multiply",
     "sub_with_borrow",
     "to_limbs",
+    "to_planes",
 ]

@@ -15,6 +15,7 @@ real executions.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -58,12 +59,18 @@ class OpTally:
     counts: Counter = field(default_factory=Counter)
 
     def charge(self, op: str, n: int = 1) -> None:
-        """Record ``n`` occurrences of operation ``op``."""
+        """Record ``n`` occurrences of operation ``op``.
+
+        Counts are stored as Python ints (numpy integers are converted),
+        and a zero charge records nothing, so a tally holds only the
+        operations that ran.
+        """
         if op not in KNOWN_OPS:
             raise ParameterError(f"unknown operation {op!r}")
         if n < 0:
             raise ParameterError(f"cannot charge a negative count: {n}")
-        self.counts[op] += n
+        if n:
+            self.counts[op] += operator.index(n)
 
     def merge(self, other: "OpTally") -> None:
         """Fold another tally's counts into this one."""

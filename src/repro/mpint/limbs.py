@@ -5,13 +5,20 @@ little-endian (least significant limb first). This mirrors how the
 paper's DPU kernels lay out 64- and 128-bit coefficients in WRAM as
 arrays of native 32-bit words.
 
-The representation is deliberately a plain tuple rather than a class:
-the arithmetic routines in :mod:`repro.mpint.add` and
-:mod:`repro.mpint.mul` are the interesting objects here, and tuples keep
-them transparent and hashable for property-based testing.
+The arithmetic routines in :mod:`repro.mpint.add` and
+:mod:`repro.mpint.mul` work on many elements at once, as *limb
+planes*: a list with one ``uint64`` array per limb, where array ``i``
+holds limb ``i`` of every element (one element per *lane*). Each value
+stays below ``2**32``, so sums and 32x32 products of limbs are exact
+in ``uint64``. A plane may also be a ``numpy.uint64`` scalar, which
+broadcasts one constant (a modulus, a zero) across every lane.
+:func:`to_planes` and :func:`from_planes` convert to and from Python
+ints.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import ParameterError
 
@@ -75,3 +82,44 @@ def from_limbs(limbs: Limbs) -> int:
             raise ParameterError(f"limb {i} out of range: {limb}")
         value |= limb << (LIMB_BITS * i)
     return value
+
+
+def to_planes(values, n_limbs: int) -> list:
+    """Split non-negative integers into ``n_limbs`` limb planes.
+
+    Plane ``i`` is a ``uint64`` array holding limb ``i`` of every value,
+    in order; the same bounds as :func:`to_limbs` apply to each value.
+
+    >>> [p.tolist() for p in to_planes([0x1_0000_0003, 7], 2)]
+    [[3, 7], [1, 0]]
+    """
+    if n_limbs <= 0:
+        raise ParameterError(f"need at least one limb, got {n_limbs}")
+    width = 4 * n_limbs
+    try:
+        raw = b"".join([v.to_bytes(width, "little") for v in values])
+    except OverflowError:
+        for v in values:
+            to_limbs(v, n_limbs)  # raises with the offending value
+        raise
+    words = np.frombuffer(raw, dtype="<u4").reshape(-1, n_limbs)
+    return [words[:, i].astype(np.uint64) for i in range(n_limbs)]
+
+
+def from_planes(planes) -> list:
+    """Reassemble limb planes into one Python int per lane.
+
+    Inverse of :func:`to_planes`:
+
+    >>> from_planes(to_planes([12345678901234567890, 0], 4))
+    [12345678901234567890, 0]
+    """
+    words = np.stack(planes, axis=-1)
+    if (words > LIMB_MASK).any():
+        raise ParameterError("limb plane value out of range")
+    raw = words.astype("<u4").tobytes()
+    width = 4 * len(planes)
+    return [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, len(raw), width)
+    ]

@@ -19,8 +19,9 @@ executes without host help:
 
 Every call returns the result plus a :class:`DeviceRun` record holding
 the exact operation tally and the modelled timing for the same shape.
-Intended for verification and small demos — Python limb arithmetic at
-n = 4096 is slow; the timing path alone handles paper-scale sizes.
+The kernels run every coefficient of an operation at once on numpy
+limb planes, so even the n = 4096 tensor product at 109 bits runs in
+well under a second.
 """
 
 from __future__ import annotations
@@ -141,19 +142,11 @@ class DeviceEvaluator:
             "device.sum_many", attrs={"n_ciphertexts": len(cts)}
         ) as span:
             tally = OpTally()
-            sums = []
-            for component in range(size):
-                component_sums = []
-                for position in range(n):
-                    self._reduce_kernel.reset()
-                    for ct in cts:
-                        self._reduce_kernel.run_element(
-                            ct.polys[component].coeffs[position], tally
-                        )
-                    component_sums.append(self._reduce_kernel.accumulator)
-                sums.append(
-                    Polynomial(component_sums, self.params.coeff_modulus)
-                )
+            flat = self._reduce_kernel.accumulate(
+                [[c for poly in ct.polys for c in poly.coeffs] for ct in cts],
+                tally,
+            )
+            sums = self._rebuild_polys(flat, size)
             n_elements = len(cts) * size * n
             timing = self.runtime.time_kernel(
                 self._reduce_kernel, n_elements, work_units=len(cts)

@@ -14,11 +14,11 @@ Each kernel corresponds to one of the paper's device-side routines
 * :class:`~repro.pim.kernels.reduce.ReduceSumKernel` — the many-to-one
   modular accumulation used by the arithmetic-mean workload.
 
-A kernel is simultaneously an *executable* (its ``run_element`` does
-real limb arithmetic via :mod:`repro.mpint`) and a *cost source* (the
-same execution charges an operation tally). Cycle counts per element
-are therefore measured from execution, then cached and scaled — never
-hand-asserted.
+A kernel is simultaneously an *executable* (its ``run_elements`` does
+real limb arithmetic via :mod:`repro.mpint`, every element at once) and
+a *cost source* (the same execution charges an operation tally). Cycle
+counts per element are therefore measured from execution, then cached
+and scaled — never hand-asserted.
 """
 
 from repro.pim.kernels.base import Kernel

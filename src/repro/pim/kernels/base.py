@@ -1,10 +1,11 @@
 """Kernel framework: functional execution with derived cycle costs.
 
 Design rule (DESIGN.md Section 5): *instruction counts are derived, not
-asserted*. A concrete kernel implements ``run_element`` — the real limb
-arithmetic for one element, charging every abstract operation it
-performs — plus a description of its memory behaviour. The framework
-provides:
+asserted*. A concrete kernel implements ``run_elements`` — the real
+limb arithmetic for a batch of elements, one per lane of the
+element-parallel routines in :mod:`repro.mpint`, charging every
+abstract operation each element performs — plus a description of its
+memory behaviour. The framework provides:
 
 * :meth:`Kernel.execute` — run a whole buffer functionally, returning
   outputs and the exact total tally (used by tests and small
@@ -14,7 +15,7 @@ provides:
   (used by the analytic path for paper-sized workloads, where executing
   billions of limb operations in Python would be pointless).
 
-Both paths run the same ``run_element`` code, so they cannot drift.
+Both paths run the same ``run_elements`` code, so they cannot drift.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.errors import CapacityError, ParameterError
 from repro.mpint.cost import OpTally
+from repro.mpint.limbs import to_limbs
 from repro.pim.isa import cycles_for_tally
 
 #: Sample size for measured per-element costs. Large enough to average
@@ -61,13 +63,19 @@ class Kernel(abc.ABC):
     # -- per-element contract -------------------------------------------------
 
     @abc.abstractmethod
-    def run_element(self, element, tally: OpTally):
-        """Process one element functionally, charging operations.
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        """Process every element at once, charging operations.
 
-        ``element`` is whatever :meth:`random_element` produces (a
-        tuple of ints for binary kernels); the return value is the
-        kernel's per-element output.
+        Each element is whatever :meth:`random_element` produces (a
+        tuple of ints for binary kernels) and runs in its own lane; the
+        return value lists the kernel's per-element outputs in order.
+        ``tally`` receives the exact sum of what each element would
+        charge on its own.
         """
+
+    def run_element(self, element, tally: OpTally):
+        """Process one element: :meth:`run_elements` with one lane."""
+        return self.run_elements([element], tally)[0]
 
     @abc.abstractmethod
     def random_element(self, rng: np.random.Generator):
@@ -104,7 +112,7 @@ class Kernel(abc.ABC):
         operation count of the run.
         """
         tally = OpTally()
-        outputs = [self.run_element(e, tally) for e in elements]
+        outputs = self.run_elements(list(elements), tally)
         return outputs, tally
 
     def cost_sample(self, size: int = COST_SAMPLE_SIZE) -> OpTally:
@@ -137,23 +145,26 @@ class Kernel(abc.ABC):
 
     # -- shared memory-access accounting ---------------------------------------
 
-    def charge_loads(self, tally: OpTally, limbs: int) -> None:
-        """Charge WRAM loads for ``limbs`` 32-bit words.
+    def charge_loads(self, tally: OpTally, limbs: int, lanes: int) -> None:
+        """Charge each of ``lanes`` elements WRAM loads for ``limbs``
+        32-bit words.
 
         The DPU has 64-bit load/store instructions, so two limbs move
         per instruction.
         """
-        tally.charge("load", -(-limbs // 2))
+        tally.charge("load", lanes * -(-limbs // 2))
 
-    def charge_stores(self, tally: OpTally, limbs: int) -> None:
-        """Charge WRAM stores for ``limbs`` 32-bit words (64-bit wide)."""
-        tally.charge("store", -(-limbs // 2))
+    def charge_stores(self, tally: OpTally, limbs: int, lanes: int) -> None:
+        """Charge each of ``lanes`` elements WRAM stores for ``limbs``
+        32-bit words (64-bit wide)."""
+        tally.charge("store", lanes * -(-limbs // 2))
 
-    def charge_loop_overhead(self, tally: OpTally) -> None:
-        """Per-element loop bookkeeping: pointer bump, bound check, branch."""
-        tally.charge("move")
-        tally.charge("cmp")
-        tally.charge("branch")
+    def charge_loop_overhead(self, tally: OpTally, lanes: int) -> None:
+        """Per-element loop bookkeeping for ``lanes`` elements: pointer
+        bump, bound check, branch."""
+        tally.charge("move", lanes)
+        tally.charge("cmp", lanes)
+        tally.charge("branch", lanes)
 
     # -- capacity checks ---------------------------------------------------------
 
@@ -174,16 +185,32 @@ class Kernel(abc.ABC):
         return f"{type(self).__name__}(limbs={self.limbs})"
 
 
-def random_limb_value(rng: np.random.Generator, limbs: int) -> int:
-    """A uniform random ``limbs * 32``-bit unsigned integer."""
-    raw = rng.bytes(4 * limbs)
-    return int.from_bytes(raw, "little")
+def constant_planes(value: int, limbs: int) -> list:
+    """Limb planes of one constant, broadcasting across every lane."""
+    return [np.uint64(limb) for limb in to_limbs(value, limbs)]
 
 
-def random_residue(rng: np.random.Generator, modulus: int, limbs: int) -> int:
-    """A roughly uniform residue below ``modulus`` (fits in ``limbs``).
+def random_limb_values(rng: np.random.Generator, limbs: int, count: int) -> tuple:
+    """``count`` uniform random ``limbs * 32``-bit unsigned integers.
+
+    Drawn with one ``rng.bytes`` call. The generator hands out the same
+    stream of 32-bit words however the draws are split into calls, so
+    the values equal ``count`` successive single-value draws.
+    """
+    width = 4 * limbs
+    raw = rng.bytes(width * count)
+    return tuple(
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, width * count, width)
+    )
+
+
+def random_residues(
+    rng: np.random.Generator, modulus: int, limbs: int, count: int
+) -> tuple:
+    """``count`` roughly uniform residues below ``modulus`` (fit in ``limbs``).
 
     Cost sampling does not need cryptographic uniformity; a single
     modulo is fine.
     """
-    return random_limb_value(rng, limbs) % modulus
+    return tuple(v % modulus for v in random_limb_values(rng, limbs, count))

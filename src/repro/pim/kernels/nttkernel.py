@@ -20,7 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.mpint.add import count_set
 from repro.mpint.cost import OpTally
+from repro.mpint.limbs import LIMB_MASK
 from repro.mpint.mul import mul32
 from repro.pim.kernels.base import Kernel
 from repro.poly.modring import BarrettReducer, is_prime
@@ -50,48 +52,55 @@ class NTTButterflyKernel(Kernel):
         self.modulus = modulus
         self._barrett = BarrettReducer(modulus)
 
-    def _mulmod(self, a: int, b: int, tally: OpTally) -> int:
-        """Barrett modular multiply on the 32-bit datapath.
+    def _mulmod(self, a, b, tally: OpTally):
+        """Barrett modular multiply on the 32-bit datapath, per lane.
 
         One product ``a*b`` (64-bit), one multiply by the precomputed
         ``mu`` to estimate the quotient, one multiply by ``p`` to
         subtract — each a software :func:`mul32` pair on this hardware
         — plus shifts and a conditional subtraction.
         """
+        lanes = a.size
         lo, hi = mul32(a, b, tally)
         product = lo | (hi << 32)
         # Quotient estimate: multiply the product's high part by mu.
         # On the DPU this is two more 32x32 software products.
-        mul32(hi, self._barrett.mu & 0xFFFFFFFF, tally)
-        tally.charge("lsr", 4)  # assemble/shift the 64-bit estimate
-        mul32((product >> 32) & 0xFFFFFFFF, self.modulus & 0xFFFFFFFF, tally)
-        tally.charge("sub")
-        tally.charge("cmp")
-        tally.charge("branch")
-        result = product % self.modulus  # functional result is exact
-        return result
+        mul32(hi, np.uint64(self._barrett.mu & LIMB_MASK), tally)
+        tally.charge("lsr", 4 * lanes)  # assemble/shift the 64-bit estimate
+        mul32(
+            (product >> 32) & LIMB_MASK,
+            np.uint64(self.modulus & LIMB_MASK),
+            tally,
+        )
+        tally.charge("sub", lanes)
+        tally.charge("cmp", lanes)
+        tally.charge("branch", lanes)
+        return product % np.uint64(self.modulus)  # functional result is exact
 
-    def run_element(self, element, tally: OpTally):
-        u, v, w = element
-        self.charge_loads(tally, 3)
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        lanes = len(elements)
+        u, v, w = (
+            np.array([e[i] for e in elements], dtype=np.uint64) for i in range(3)
+        )
+        p = np.uint64(self.modulus)
+        self.charge_loads(tally, 3, lanes)
         t = self._mulmod(v, w, tally)
-        tally.charge("add")
-        tally.charge("cmp")
-        tally.charge("branch")
+        tally.charge("add", lanes)
+        tally.charge("cmp", lanes)
+        tally.charge("branch", lanes)
         upper = u + t
-        if upper >= self.modulus:
-            tally.charge("sub")
-            upper -= self.modulus
-        tally.charge("sub")
-        tally.charge("cmp")
-        tally.charge("branch")
-        lower = u - t
-        if lower < 0:
-            tally.charge("add")
-            lower += self.modulus
-        self.charge_stores(tally, 2)
-        self.charge_loop_overhead(tally)
-        return upper, lower
+        wraps = upper >= p
+        tally.charge("sub", count_set(wraps))
+        upper = np.where(wraps, upper - p, upper)
+        tally.charge("sub", lanes)
+        tally.charge("cmp", lanes)
+        tally.charge("branch", lanes)
+        borrows = u < t
+        tally.charge("add", count_set(borrows))
+        lower = np.where(borrows, u + p - t, u - t)
+        self.charge_stores(tally, 2, lanes)
+        self.charge_loop_overhead(tally, lanes)
+        return list(zip(upper.tolist(), lower.tolist()))
 
     def cost_key(self) -> tuple:
         return (self.modulus,)

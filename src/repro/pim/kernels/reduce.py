@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.mpint.add import add_with_carry, conditional_subtract, sub_with_borrow
+from repro.mpint.add import add_with_carry, reduce_once
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import from_limbs, to_limbs
-from repro.pim.kernels.base import Kernel, random_residue
+from repro.mpint.limbs import from_planes, to_planes
+from repro.pim.kernels.base import Kernel, constant_planes, random_residues
 
 
 class ReduceSumKernel(Kernel):
@@ -41,36 +41,72 @@ class ReduceSumKernel(Kernel):
                 f"{limbs} limbs"
             )
         self.modulus = modulus
-        self._modulus_limbs = to_limbs(modulus, limbs)
-        self._accumulator = to_limbs(0, limbs)
+        self._modulus_planes = constant_planes(modulus, limbs)
+        self._accumulator = 0
 
     def reset(self) -> None:
         """Clear the running accumulator (between independent runs)."""
-        self._accumulator = to_limbs(0, self.limbs)
+        self._accumulator = 0
 
-    def run_element(self, element, tally: OpTally) -> int:
+    def _fold(self, accumulators: list, values: list, tally: OpTally) -> list:
+        """One accumulation step per lane: ``(acc + value) mod q``."""
+        lanes = values[0].size
+        self.charge_loads(tally, self.limbs, lanes)  # only the streamed operand
+        total, carry = add_with_carry(accumulators, values, tally)
+        total = reduce_once(total, carry, self._modulus_planes, tally)
+        self.charge_loop_overhead(tally, lanes)
+        return total
+
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        """Fold ``elements`` into the running accumulator, in order.
+
+        Returns the accumulator after each element. Its values before
+        each element are the running sums mod ``q``, known up front, so
+        every fold runs in its own lane from that state; the last lane's
+        result becomes the new accumulator.
+        """
+        q = self.modulus
+        states = [self._accumulator]
+        for value in elements:
+            if not 0 <= value < q:
+                raise ParameterError(f"not a residue mod q: {value}")
+            states.append((states[-1] + value) % q)
         limbs = self.limbs
-        self.charge_loads(tally, limbs)  # only the streamed operand
-        value = to_limbs(element, limbs)
-        total, carry = add_with_carry(self._accumulator, value, tally)
-        if carry:
-            total, _ = sub_with_borrow(total, self._modulus_limbs, tally)
-        else:
-            total = conditional_subtract(total, self._modulus_limbs, tally)
-        self._accumulator = total
-        self.charge_loop_overhead(tally)
-        return from_limbs(total)
+        outputs = from_planes(
+            self._fold(
+                to_planes(states[:-1], limbs), to_planes(elements, limbs), tally
+            )
+        )
+        if outputs:
+            self._accumulator = outputs[-1]
+        return outputs
+
+    def accumulate(self, rows, tally: OpTally) -> list:
+        """Sum the columns of ``rows``, one fresh accumulator per lane.
+
+        ``rows[k][j]`` is the ``k``-th value streamed into lane ``j``'s
+        accumulator; each row is one element-parallel fold. Returns the
+        lanes' sums. The running :attr:`accumulator` is left untouched.
+        """
+        rows = list(rows)
+        if not rows:
+            raise ParameterError("accumulate needs at least one row")
+        limbs = self.limbs
+        sums = [np.zeros(len(rows[0]), np.uint64)] * limbs
+        for row in rows:
+            sums = self._fold(sums, to_planes(row, limbs), tally)
+        return from_planes(sums)
 
     @property
     def accumulator(self) -> int:
         """Current accumulated residue."""
-        return from_limbs(self._accumulator)
+        return self._accumulator
 
     def cost_key(self) -> tuple:
         return (self.limbs, self.modulus)
 
     def random_element(self, rng: np.random.Generator):
-        return random_residue(rng, self.modulus, self.limbs)
+        return random_residues(rng, self.modulus, self.limbs, 1)[0]
 
     def mram_bytes_per_element(self) -> int:
         # One streamed read; the accumulator lives in WRAM.

@@ -7,7 +7,8 @@ output polynomials from four coefficient products::
     d1 = a0 * b1 + a1 * b0
     d2 = a1 * b1
 
-This kernel processes one coefficient slot at a time: it loads the four
+This kernel processes every coefficient slot at once, one per lane of
+:mod:`repro.mpint`'s limb planes. Per slot it loads the four
 operand coefficients (a0, a1 from one ciphertext, b0, b1 from the
 other), performs the four multi-limb multiplications (software
 shift-and-add + Karatsuba) and one double-width addition, and stores
@@ -22,9 +23,9 @@ import numpy as np
 
 from repro.mpint.add import add_with_carry
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import from_limbs, to_limbs
+from repro.mpint.limbs import from_planes, to_planes
 from repro.mpint.mul import multiply
-from repro.pim.kernels.base import Kernel, random_limb_value
+from repro.pim.kernels.base import Kernel, random_limb_values
 
 
 class TensorMulKernel(Kernel):
@@ -32,33 +33,31 @@ class TensorMulKernel(Kernel):
 
     name = "tensor_mul"
 
-    def run_element(self, element, tally: OpTally) -> tuple:
-        a0, a1, b0, b1 = element
-        limbs = self.limbs
-        self.charge_loads(tally, 4 * limbs)
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        limbs, lanes = self.limbs, len(elements)
+        self.charge_loads(tally, 4 * limbs, lanes)
 
-        a0_l, a1_l = to_limbs(a0, limbs), to_limbs(a1, limbs)
-        b0_l, b1_l = to_limbs(b0, limbs), to_limbs(b1, limbs)
-
-        d0 = multiply(a0_l, b0_l, tally)
-        cross1 = multiply(a0_l, b1_l, tally)
-        cross2 = multiply(a1_l, b0_l, tally)
+        a0, a1, b0, b1 = (
+            to_planes([e[i] for e in elements], limbs) for i in range(4)
+        )
+        d0 = multiply(a0, b0, tally)
+        cross1 = multiply(a0, b1, tally)
+        cross2 = multiply(a1, b0, tally)
         d1, carry = add_with_carry(cross1, cross2, tally)
-        d2 = multiply(a1_l, b1_l, tally)
+        d2 = multiply(a1, b1, tally)
 
-        self.charge_stores(tally, 3 * 2 * limbs)
-        self.charge_loop_overhead(tally)
-        return (
-            from_limbs(d0),
-            from_limbs(d1) + (carry << (64 * limbs)),
-            from_limbs(d2),
+        self.charge_stores(tally, 3 * 2 * limbs, lanes)
+        self.charge_loop_overhead(tally, lanes)
+        # The carry out of d1 is its extra top limb.
+        return list(
+            zip(from_planes(d0), from_planes(d1 + [carry]), from_planes(d2))
         )
 
     def cost_key(self) -> tuple:
         return (self.limbs,)
 
     def random_element(self, rng: np.random.Generator):
-        return tuple(random_limb_value(rng, self.limbs) for _ in range(4))
+        return random_limb_values(rng, self.limbs, 4)
 
     def mram_bytes_per_element(self) -> int:
         # Four container reads, three double-width writes.

@@ -5,7 +5,8 @@ PIM thread running on a PIM core performs the element-wise addition of
 the coefficients of two polynomials", using the native 32-bit
 ``add``/``addc`` carry chain for 64- and 128-bit coefficients.
 
-Per element the kernel:
+Per element (all elements run at once, one per lane of
+:mod:`repro.mpint`'s limb planes) the kernel:
 
 1. loads both operands from WRAM (64-bit loads, 2 limbs each),
 2. runs the ``add`` + ``addc`` carry chain,
@@ -20,10 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.mpint.add import add_with_carry, conditional_subtract, sub_with_borrow
+from repro.mpint.add import add_with_carry, reduce_once
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import from_limbs, to_limbs
-from repro.pim.kernels.base import Kernel, random_residue
+from repro.mpint.limbs import from_planes, to_planes
+from repro.pim.kernels.base import (
+    Kernel,
+    constant_planes,
+    random_limb_values,
+    random_residues,
+)
 
 
 class VecAddKernel(Kernel):
@@ -47,45 +53,32 @@ class VecAddKernel(Kernel):
                     f"{limbs} limbs"
                 )
         self.modulus = modulus
-        self._modulus_limbs = (
-            None if modulus is None else to_limbs(modulus, limbs)
+        self._modulus_planes = (
+            None if modulus is None else constant_planes(modulus, limbs)
         )
 
-    def run_element(self, element, tally: OpTally) -> int:
-        a, b = element
-        limbs = self.limbs
-        self.charge_loads(tally, 2 * limbs)
-        a_limbs = to_limbs(a, limbs)
-        b_limbs = to_limbs(b, limbs)
-        total, _carry = add_with_carry(a_limbs, b_limbs, tally)
-        if self._modulus_limbs is not None:
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        limbs, lanes = self.limbs, len(elements)
+        self.charge_loads(tally, 2 * limbs, lanes)
+        total, carry = add_with_carry(
+            to_planes([a for a, _ in elements], limbs),
+            to_planes([b for _, b in elements], limbs),
+            tally,
+        )
+        if self._modulus_planes is not None:
             # a, b < q, so a + b < 2q: one subtraction of q suffices.
-            # When q uses every container bit the sum may carry out of
-            # the top limb; the carry means "certainly >= q", so the
-            # wrapped subtraction is exact (2^(32L) + total - q).
-            if _carry:
-                total, _ = sub_with_borrow(total, self._modulus_limbs, tally)
-            else:
-                total = conditional_subtract(total, self._modulus_limbs, tally)
-        self.charge_stores(tally, limbs)
-        self.charge_loop_overhead(tally)
-        return from_limbs(total)
+            total = reduce_once(total, carry, self._modulus_planes, tally)
+        self.charge_stores(tally, limbs, lanes)
+        self.charge_loop_overhead(tally, lanes)
+        return from_planes(total)
 
     def cost_key(self) -> tuple:
         return (self.limbs, self.modulus)
 
     def random_element(self, rng: np.random.Generator):
         if self.modulus is None:
-            from repro.pim.kernels.base import random_limb_value
-
-            return (
-                random_limb_value(rng, self.limbs),
-                random_limb_value(rng, self.limbs),
-            )
-        return (
-            random_residue(rng, self.modulus, self.limbs),
-            random_residue(rng, self.modulus, self.limbs),
-        )
+            return random_limb_values(rng, self.limbs, 2)
+        return random_residues(rng, self.modulus, self.limbs, 2)
 
     def mram_bytes_per_element(self) -> int:
         # Two operand reads plus one result write, container width each.

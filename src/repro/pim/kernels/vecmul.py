@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import from_limbs, to_limbs
+from repro.mpint.limbs import from_planes, to_planes
 from repro.mpint.mul import multiply
-from repro.pim.kernels.base import Kernel, random_limb_value
+from repro.pim.kernels.base import Kernel, random_limb_values
 
 
 class VecMulKernel(Kernel):
@@ -42,28 +42,24 @@ class VecMulKernel(Kernel):
             raise ParameterError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
 
-    def run_element(self, element, tally: OpTally) -> int:
-        a, b = element
-        limbs = self.limbs
-        self.charge_loads(tally, 2 * limbs)
+    def run_elements(self, elements: list, tally: OpTally) -> list:
+        limbs, lanes = self.limbs, len(elements)
+        self.charge_loads(tally, 2 * limbs, lanes)
         product = multiply(
-            to_limbs(a, limbs),
-            to_limbs(b, limbs),
+            to_planes([a for a, _ in elements], limbs),
+            to_planes([b for _, b in elements], limbs),
             tally,
             algorithm=self.algorithm,
         )
-        self.charge_stores(tally, 2 * limbs)  # double-width result
-        self.charge_loop_overhead(tally)
-        return from_limbs(product)
+        self.charge_stores(tally, 2 * limbs, lanes)  # double-width result
+        self.charge_loop_overhead(tally, lanes)
+        return from_planes(product)
 
     def cost_key(self) -> tuple:
         return (self.limbs, self.algorithm)
 
     def random_element(self, rng: np.random.Generator):
-        return (
-            random_limb_value(rng, self.limbs),
-            random_limb_value(rng, self.limbs),
-        )
+        return random_limb_values(rng, self.limbs, 2)
 
     def mram_bytes_per_element(self) -> int:
         # Two container reads plus a double-width product write.

@@ -53,3 +53,35 @@ def test_repro_error_exits_1_with_one_stderr_line():
         "ReproError: stub subcommand failed: nothing to do"
     ]
     assert done.stdout == ""
+
+
+def _run_repro(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_missing_data_names_its_record_hint_once(tmp_path):
+    """EXIT_DATA messages print the record-it-first hint a single time."""
+    absent = tmp_path / "absent.json"
+    for argv, expected in (
+        (
+            ["grid", "html", "--grid"],
+            f"no grid document at {absent}; "
+            "record one with 'repro grid run -o <file>'",
+        ),
+        (
+            ["perf", "check", "--baseline"],
+            f"no perf baseline at {absent}; record one with 'repro perf record'",
+        ),
+    ):
+        done = _run_repro(*argv, str(absent))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [expected]

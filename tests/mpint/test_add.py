@@ -1,4 +1,8 @@
-"""Carry-chain addition/subtraction/comparison: correctness + costs."""
+"""Carry-chain addition/subtraction/comparison: correctness + costs.
+
+Operands are one-lane limb planes (``planes(value, n)``), so every test
+exercises the production element-parallel routines on a single element.
+"""
 
 import pytest
 from hypothesis import given
@@ -13,7 +17,15 @@ from repro.mpint.add import (
     sub_with_borrow,
 )
 from repro.mpint.cost import OpTally
-from repro.mpint.limbs import from_limbs, to_limbs
+from repro.mpint.limbs import from_planes, to_planes
+
+
+def planes(value, n_limbs):
+    return to_planes([value], n_limbs)
+
+
+def value(planes_):
+    return from_planes(planes_)[0]
 
 
 def limb_pair(n_limbs):
@@ -29,23 +41,23 @@ class TestAddWithCarry:
     def test_matches_integer_addition(self, pair):
         a, b = pair
         total, carry = add_with_carry(
-            to_limbs(a, 4), to_limbs(b, 4), OpTally()
+            planes(a, 4), planes(b, 4), OpTally()
         )
-        assert from_limbs(total) + (carry << 128) == a + b
+        assert value(total) + (int(carry[0]) << 128) == a + b
 
     def test_carry_propagates_through_all_limbs(self):
-        a = to_limbs(2**128 - 1, 4)
-        b = to_limbs(1, 4)
+        a = planes(2**128 - 1, 4)
+        b = planes(1, 4)
         total, carry = add_with_carry(a, b, OpTally())
-        assert from_limbs(total) == 0
-        assert carry == 1
+        assert value(total) == 0
+        assert carry.tolist() == [1]
 
     @pytest.mark.parametrize("n_limbs", [1, 2, 4, 8])
     def test_instruction_pattern_is_add_then_addc(self, n_limbs):
         # The paper's wide addition: one add + (n-1) addc, exactly.
         tally = OpTally()
         add_with_carry(
-            to_limbs(0, n_limbs), to_limbs(0, n_limbs), tally
+            planes(0, n_limbs), planes(0, n_limbs), tally
         )
         expected = {"add": 1}
         if n_limbs > 1:
@@ -54,11 +66,11 @@ class TestAddWithCarry:
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
-            add_with_carry((1, 2), (1,), OpTally())
+            add_with_carry(planes(1, 2), planes(1, 1), OpTally())
 
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
-            add_with_carry((), (), OpTally())
+            add_with_carry([], [], OpTally())
 
 
 class TestSubWithBorrow:
@@ -66,40 +78,40 @@ class TestSubWithBorrow:
     def test_matches_integer_subtraction(self, pair):
         a, b = pair
         diff, borrow = sub_with_borrow(
-            to_limbs(a, 4), to_limbs(b, 4), OpTally()
+            planes(a, 4), planes(b, 4), OpTally()
         )
-        assert from_limbs(diff) - (borrow << 128) == a - b
+        assert value(diff) - (int(borrow[0]) << 128) == a - b
 
     def test_borrow_set_when_a_less_than_b(self):
-        _, borrow = sub_with_borrow(to_limbs(1, 2), to_limbs(2, 2), OpTally())
-        assert borrow == 1
+        _, borrow = sub_with_borrow(planes(1, 2), planes(2, 2), OpTally())
+        assert borrow.tolist() == [1]
 
     @given(limb_pair(2))
     def test_add_then_sub_roundtrips(self, pair):
         a, b = pair
         tally = OpTally()
-        total, carry = add_with_carry(to_limbs(a, 2), to_limbs(b, 2), tally)
-        diff, borrow = sub_with_borrow(total, to_limbs(b, 2), tally)
-        assert from_limbs(diff) == a if not carry else True
-        if not carry:
-            assert borrow == 0
+        total, carry = add_with_carry(planes(a, 2), planes(b, 2), tally)
+        diff, borrow = sub_with_borrow(total, planes(b, 2), tally)
+        if not carry[0]:
+            assert value(diff) == a
+            assert borrow.tolist() == [0]
 
 
 class TestCompare:
     @given(limb_pair(4))
     def test_matches_integer_compare(self, pair):
         a, b = pair
-        result = compare(to_limbs(a, 4), to_limbs(b, 4), OpTally())
-        assert result == (a > b) - (a < b)
+        result = compare(planes(a, 4), planes(b, 4), OpTally())
+        assert result.tolist() == [(a > b) - (a < b)]
 
     def test_equal_scans_all_limbs(self):
         tally = OpTally()
-        compare(to_limbs(5, 4), to_limbs(5, 4), tally)
+        compare(planes(5, 4), planes(5, 4), tally)
         assert tally.as_dict()["cmp"] == 4
 
     def test_top_limb_difference_stops_early(self):
         tally = OpTally()
-        compare(to_limbs(1 << 96, 4), to_limbs(0, 4), tally)
+        compare(planes(1 << 96, 4), planes(0, 4), tally)
         assert tally.as_dict()["cmp"] == 1
 
 
@@ -110,26 +122,26 @@ class TestConditionalSubtract:
         b = data.draw(st.integers(min_value=0, max_value=modulus - 1))
         total = a + b  # < 2 * modulus, fits 3 limbs
         result = conditional_subtract(
-            to_limbs(total, 3), to_limbs(modulus, 3), OpTally()
+            planes(total, 3), planes(modulus, 3), OpTally()
         )
-        assert from_limbs(result) == total % modulus
+        assert value(result) == total % modulus
 
     def test_below_modulus_is_identity(self):
-        a = to_limbs(5, 2)
-        assert conditional_subtract(a, to_limbs(100, 2), OpTally()) == a
+        result = conditional_subtract(planes(5, 2), planes(100, 2), OpTally())
+        assert value(result) == 5
 
 
 class TestNegateMod:
     @given(st.integers(min_value=2, max_value=2**64 - 1), st.data())
     def test_matches_modular_negation(self, modulus, data):
         a = data.draw(st.integers(min_value=0, max_value=modulus - 1))
-        result = negate_mod(to_limbs(a, 2), to_limbs(modulus, 2), OpTally())
-        assert from_limbs(result) == (-a) % modulus
+        result = negate_mod(planes(a, 2), planes(modulus, 2), OpTally())
+        assert value(result) == (-a) % modulus
 
     def test_zero_maps_to_zero(self):
-        result = negate_mod(to_limbs(0, 2), to_limbs(97, 2), OpTally())
-        assert from_limbs(result) == 0
+        result = negate_mod(planes(0, 2), planes(97, 2), OpTally())
+        assert value(result) == 0
 
     def test_rejects_value_above_modulus(self):
         with pytest.raises(ParameterError):
-            negate_mod(to_limbs(100, 2), to_limbs(97, 2), OpTally())
+            negate_mod(planes(100, 2), planes(97, 2), OpTally())

@@ -13,8 +13,12 @@ from repro.mpint.cost import (
     expected_ops_mul32,
 )
 from repro.mpint.add import add_with_carry
-from repro.mpint.limbs import to_limbs
+from repro.mpint.limbs import to_planes
 from repro.mpint.mul import mul32, multiply
+
+
+def planes(value, n_limbs):
+    return to_planes([value], n_limbs)
 
 
 class TestOpTally:
@@ -67,7 +71,7 @@ class TestExpectedAdd:
     @pytest.mark.parametrize("n_limbs", [1, 2, 4, 8])
     def test_matches_execution_exactly(self, n_limbs):
         tally = OpTally()
-        add_with_carry(to_limbs(1, n_limbs), to_limbs(2, n_limbs), tally)
+        add_with_carry(planes(1, n_limbs), planes(2, n_limbs), tally)
         assert tally.as_dict() == expected_ops_add(n_limbs)
 
     def test_rejects_zero_limbs(self):
@@ -80,7 +84,7 @@ class TestExpectedMul32:
         """Shift/branch/compare counts never depend on operand bits."""
         expected = expected_ops_mul32()
         tally = OpTally()
-        mul32(0x9E3779B9, 0x85EBCA6B, tally)
+        mul32(*planes(0x9E3779B9, 1), *planes(0x85EBCA6B, 1), tally)
         got = tally.as_dict()
         for op in ("lsl", "lsr", "cmp", "and"):
             assert got[op] == expected[op], op
@@ -90,8 +94,11 @@ class TestExpectedMul32:
         rng = np.random.default_rng(42)
         total = OpTally()
         n = 400
-        for _ in range(n):
-            mul32(int(rng.integers(0, 2**32)), int(rng.integers(0, 2**32)), total)
+        mul32(
+            rng.integers(0, 2**32, size=n, dtype=np.uint64),
+            rng.integers(0, 2**32, size=n, dtype=np.uint64),
+            total,
+        )
         expected = expected_ops_mul32()
         for op, count in expected.items():
             mean = total.counts[op] / n
@@ -115,7 +122,7 @@ class TestExpectedMul:
             a = int.from_bytes(rng.bytes(4 * n_limbs), "little")
             b = int.from_bytes(rng.bytes(4 * n_limbs), "little")
             multiply(
-                to_limbs(a, n_limbs), to_limbs(b, n_limbs), measured, algorithm
+                planes(a, n_limbs), planes(b, n_limbs), measured, algorithm
             )
         mean_total = measured.total() / n
         expected_total = sum(expected_ops_mul(n_limbs, algorithm).values())

@@ -1,5 +1,6 @@
 """Limb representation: conversions, bounds, and error handling."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +10,10 @@ from repro.mpint.limbs import (
     LIMB_BITS,
     LIMB_MASK,
     from_limbs,
+    from_planes,
     limbs_for_bits,
     to_limbs,
+    to_planes,
 )
 
 
@@ -90,3 +93,26 @@ def test_roundtrip_property(value, extra):
 def test_limb_values_in_range(value):
     for limb in to_limbs(value, 4):
         assert 0 <= limb <= LIMB_MASK
+
+
+class TestPlanes:
+    @given(st.lists(st.integers(min_value=0, max_value=2**128 - 1), max_size=8))
+    def test_planes_hold_each_values_limbs(self, values):
+        planes = to_planes(values, 4)
+        assert [p.dtype for p in planes] == ["uint64"] * 4
+        assert [tuple(int(p[k]) for p in planes) for k in range(len(values))] == [
+            to_limbs(v, 4) for v in values
+        ]
+        assert from_planes(planes) == values
+
+    def test_rejects_values_to_limbs_rejects(self):
+        with pytest.raises(ParameterError):
+            to_planes([1, 2**64], 2)
+        with pytest.raises(ParameterError):
+            to_planes([-1], 2)
+        with pytest.raises(ParameterError):
+            to_planes([1], 0)
+
+    def test_rejects_out_of_range_plane(self):
+        with pytest.raises(ParameterError):
+            from_planes([np.array([LIMB_MASK + 1], np.uint64)])

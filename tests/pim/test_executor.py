@@ -6,6 +6,18 @@ from repro.errors import CiphertextError, ParameterError
 from repro.pim.executor import DeviceEvaluator
 
 
+def elementwise_tensor(a, b) -> tuple:
+    """The raw (d0, d1, d2) tensor of two size-2 ciphertexts, per
+    coefficient slot with Python ints."""
+    a0, a1 = (p.coeffs for p in a.polys)
+    b0, b1 = (p.coeffs for p in b.polys)
+    return (
+        tuple(x * y for x, y in zip(a0, b0)),
+        tuple(x0 * y1 + x1 * y0 for x0, x1, y0, y1 in zip(a0, a1, b0, b1)),
+        tuple(x * y for x, y in zip(a1, b1)),
+    )
+
+
 @pytest.fixture(scope="module")
 def device(request):
     from tests.conftest import make_tiny_params
@@ -103,13 +115,7 @@ class TestDeviceTensor:
         (d0, d1, d2), run = device.tensor(a, b)
         n = tiny_ctx.params.poly_degree
         assert len(d0) == len(d1) == len(d2) == n
-        for k in range(n):
-            assert d0[k] == a.polys[0].coeffs[k] * b.polys[0].coeffs[k]
-            assert d1[k] == (
-                a.polys[0].coeffs[k] * b.polys[1].coeffs[k]
-                + a.polys[1].coeffs[k] * b.polys[0].coeffs[k]
-            )
-            assert d2[k] == a.polys[1].coeffs[k] * b.polys[1].coeffs[k]
+        assert (d0, d1, d2) == elementwise_tensor(a, b)
         assert run.kernel_name == "tensor_mul"
 
     def test_rejects_size_three(self, tiny_ctx, device):
