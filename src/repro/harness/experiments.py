@@ -306,16 +306,27 @@ _register(
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _limb_multiply_tallies(limbs: int) -> tuple:
+    """The ``(karatsuba, schoolbook)`` op tallies of one dense multiply.
+
+    Worst-case dense operands make the comparison deterministic. The
+    tallies are shared: read them, never charge them.
+    """
+    tk, ts = OpTally(), OpTally()
+    dense = to_planes([(1 << (32 * limbs)) - 1], limbs)
+    karatsuba_multiply(dense, dense, tk)
+    schoolbook_multiply(dense, dense, ts)
+    return tk, ts
+
+
 def _run_karatsuba_ablation() -> list:
     rows = []
     for limbs in (2, 4, 8):
-        tk, ts = OpTally(), OpTally()
-        # Worst-case dense operands make the comparison deterministic.
-        dense = to_planes([(1 << (32 * limbs)) - 1], limbs)
-        karatsuba_multiply(dense, dense, tk)
-        schoolbook_multiply(dense, dense, ts)
-        k_cycles = cycles_for_tally(tk)
-        s_cycles = cycles_for_tally(ts)
+        # Priced on every run, so a perturbed ISA table takes effect.
+        k_cycles, s_cycles = map(
+            cycles_for_tally, _limb_multiply_tallies(limbs)
+        )
         rows.append(
             ExperimentRow(
                 label=f"{32 * limbs}-bit operands",

@@ -10,6 +10,8 @@ shift-and-add loop — the quantitative core of Key Takeaway 2.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ParameterError
 from repro.pim.isa import DEFAULT_CYCLES_PER_OP
 from repro.pim.kernels.base import COST_SAMPLE_SIZE, Kernel
@@ -56,6 +58,14 @@ def classification_gaps() -> dict:
     }
 
 
+def _sample_counts(kernel: Kernel, sample_size: int) -> dict:
+    """Summed op counts of the kernel's ``sample_size``-element cost
+    sample (:meth:`Kernel.cost_sample`)."""
+    if sample_size <= 0:
+        raise ParameterError(f"sample_size must be positive: {sample_size}")
+    return kernel.cost_sample(sample_size).as_dict()
+
+
 def kernel_op_tally(kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE) -> dict:
     """Average per-element operation counts of a kernel (measured).
 
@@ -63,11 +73,9 @@ def kernel_op_tally(kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE) -> dict
     very sample behind the kernel's modelled cycles, and at any size it
     runs on a fresh kernel, never on ``kernel`` itself.
     """
-    if sample_size <= 0:
-        raise ParameterError(f"sample_size must be positive: {sample_size}")
-    tally = kernel.cost_sample(sample_size)
     return {
-        op: count / sample_size for op, count in tally.as_dict().items()
+        op: count / sample_size
+        for op, count in _sample_counts(kernel, sample_size).items()
     }
 
 
@@ -77,23 +85,27 @@ def kernel_cycle_breakdown(
     """Fraction of a kernel's cycles per instruction class.
 
     Returns ``{class_name: fraction}`` summing to 1.0 (within float
-    error), using the ISA cost table's weights.
+    error), using the ISA cost table's weights. Each class's cycles and
+    the total are correctly rounded sums (:func:`math.fsum`) of the
+    sample's whole op counts times their weights, divided once, so the
+    breakdown does not depend on the order the tally lists its ops in.
     """
-    per_op = kernel_op_tally(kernel, sample_size)
-    total = sum(
-        count * DEFAULT_CYCLES_PER_OP.get(op, 1.0)
-        for op, count in per_op.items()
-    )
+    counts = _sample_counts(kernel, sample_size)
+
+    def cycles(ops) -> float:
+        return math.fsum(
+            counts[op] * DEFAULT_CYCLES_PER_OP.get(op, 1.0)
+            for op in ops
+            if op in counts
+        )
+
+    total = cycles(counts)
     if total == 0:
         raise ParameterError(f"kernel {kernel.name!r} executed no operations")
-    breakdown = {}
-    for class_name, ops in OP_CLASSES.items():
-        cycles = sum(
-            per_op.get(op, 0.0) * DEFAULT_CYCLES_PER_OP.get(op, 1.0)
-            for op in ops
-        )
-        breakdown[class_name] = cycles / total
-    return breakdown
+    return {
+        class_name: cycles(ops) / total
+        for class_name, ops in OP_CLASSES.items()
+    }
 
 
 def software_multiply_share(

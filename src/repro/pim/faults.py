@@ -44,6 +44,7 @@ import itertools
 import math
 import threading
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -379,10 +380,9 @@ class FaultPlan:
     # -- permanent faults --------------------------------------------------
 
     def _survivor_index(self, config: UPMEMConfig) -> tuple:
-        """The cached ``(disabled set, sorted ids, prefix sums)`` index.
+        """The cached ``(disabled set, sorted ids)`` index.
 
-        ``prefix[i]`` counts disabled DPUs with id ``< i``, so any span
-        query is two array reads after the one-time O(n) build.
+        Span queries are two bisections of the sorted ids.
         """
         cached = self._survivors.get(config)
         if cached is not None:
@@ -415,11 +415,7 @@ class FaultPlan:
                 for dpu in range(config.n_dpus)
                 if _unit_hash(self.seed, "dpu", dpu) < self.dpu_fail_rate
             )
-        ordered = tuple(sorted(disabled))
-        prefix = [0] * (config.n_dpus + 1)
-        for index in range(config.n_dpus):
-            prefix[index + 1] = prefix[index] + (index in disabled)
-        cached = (frozenset(disabled), ordered, tuple(prefix))
+        cached = (frozenset(disabled), tuple(sorted(disabled)))
         self._survivors[config] = cached
         return cached
 
@@ -439,7 +435,7 @@ class FaultPlan:
         """Healthy fleet size under this plan."""
         return config.n_dpus - len(self.disabled_dpu_ids(config))
 
-    # -- shard-scoped queries (all O(1) via the survivor index) ------------
+    # -- shard-scoped queries (all from the survivor index) ---------------
 
     def is_disabled(self, config: UPMEMConfig, dpu: int) -> bool:
         """Whether one DPU is permanently disabled under this plan."""
@@ -458,8 +454,8 @@ class FaultPlan:
                 f"span [{start}, {stop}) out of range "
                 f"[0, {config.n_dpus}]"
             )
-        prefix = self._survivor_index(config)[2]
-        return prefix[stop] - prefix[start]
+        ordered = self._survivor_index(config)[1]
+        return bisect_left(ordered, stop) - bisect_left(ordered, start)
 
     def effective_in_span(
         self, config: UPMEMConfig, start: int, stop: int

@@ -367,19 +367,6 @@ def _failure_cost_s(policy, config: UPMEMConfig) -> float:
     return cost
 
 
-def _phases(breakdown) -> dict:
-    """The launch/kernel/fault/transfer seconds of one priced launch."""
-    detail = breakdown.detail
-    launch_s = float(detail.get("launch_s", 0.0))
-    kernel_s = float(detail.get("kernel_s", 0.0))
-    return {
-        "launch_s": launch_s,
-        "kernel_s": kernel_s,
-        "fault_s": breakdown.seconds - launch_s - kernel_s,
-        "transfer_s": float(detail.get("transfer_s", 0.0)),
-    }
-
-
 def _seal_batches(spec: ServeSpec, layout, class_arrivals: dict) -> list:
     """Placement and batch formation, in device order.
 
@@ -451,6 +438,169 @@ def _account(
     pending.clear()
 
 
+class _Fleet:
+    """The shards' modelled state over one serving point.
+
+    Per shard: its healthy DPUs, when it is next free, its busy seconds,
+    its launch count and its circuit breaker. Over the point: the
+    dispatch event counts and every launch's energy and data movement.
+    """
+
+    def __init__(
+        self, healthy: list, breaker: BreakerSpec, failure_cost: float
+    ):
+        n_shards = len(healthy)
+        self.healthy = healthy
+        self.free = [0.0] * n_shards
+        self.busy = [0.0] * n_shards
+        self.launches = [0] * n_shards
+        self.breakers = [CircuitBreaker(breaker) for _ in range(n_shards)]
+        self.failure_cost = failure_cost
+        self.failures = 0
+        self.routed = 0
+        self.redispatches = 0
+        self.hedges_issued = 0
+        self.hedges_won = 0
+        self.hedge_overhead_s = 0.0
+        self.energy_j = 0.0
+        self.movement_bytes = 0
+
+    def usable(self, shard: int, now: float) -> bool:
+        return self.healthy[shard] > 0 and self.breakers[shard].allows(now)
+
+    def best(self, key, now: float, excluded) -> int | None:
+        """The usable shard outside ``excluded`` that minimizes ``key``."""
+        candidates = [
+            shard
+            for shard in range(len(self.healthy))
+            if shard not in excluded and self.usable(shard, now)
+        ]
+        return min(candidates, key=key) if candidates else None
+
+    def charge_failure(self, shard: int, now: float) -> None:
+        """Occupy a shard with one exhausted dispatch's cost."""
+        start = max(now, self.free[shard])
+        self.free[shard] = start + self.failure_cost
+        self.busy[shard] += self.failure_cost
+        self.breakers[shard].record_failure(start + self.failure_cost)
+        self.failures += 1
+
+
+def _dispatch(
+    fleet: _Fleet,
+    pricer: ShardedPricer,
+    rspec: ResilienceSpec,
+    seal: float,
+    class_key: str,
+    home: int,
+    batch_size: int,
+) -> tuple:
+    """Dispatch one sealed batch and occupy the shards that serve it.
+
+    The home shard goes first when it is usable. Otherwise, and after
+    each failed try, the healthiest usable untried shard goes
+    (earliest-free, then lowest index, break ties). A failed try costs
+    its shard (:meth:`_Fleet.charge_failure`) and spends one
+    redispatch of the retry budget. A batch that would wait more than
+    ``hedge_after_s`` is copied onto the earliest-free other usable
+    shard (healthiest, then lowest index, break ties). Every copy
+    occupies its shard for its full priced duration: hedging buys
+    latency with capacity, and the loser's busy time is the price.
+
+    Returns ``(copies, winner)``: ``(shard, start, complete, priced)``
+    per copy, the first target first, and the index of the copy that
+    completes first (earliest, then lowest shard). ``copies`` is empty
+    when every try failed.
+    """
+    healthy = fleet.healthy
+    free = fleet.free
+    tried: set = set()
+    budget = rspec.retry_budget
+    while True:
+        if home not in tried and fleet.usable(home, seal):
+            target = home
+        else:
+            target = fleet.best(
+                lambda s: (-healthy[s], free[s], s), seal, tried | {home}
+            )
+            if target is None:
+                return [], 0
+        try:
+            priced = pricer.price(target, class_key, batch_size)
+        except PermanentDeviceError:
+            tried.add(target)
+            fleet.charge_failure(target, seal)
+            fleet.redispatches += 1
+            if budget == 0:
+                return [], 0
+            budget -= 1
+            continue
+        break
+    if target != home:
+        fleet.routed += 1
+
+    start = max(seal, free[target])
+    copies = [(target, start, priced)]
+    hedge_after_s = rspec.hedge_after_s
+    if hedge_after_s is not None and (start - seal) > hedge_after_s:
+        alt = fleet.best(
+            lambda s: (free[s], -healthy[s], s), seal, tried | {target}
+        )
+        if alt is not None:
+            try:
+                alt_priced = pricer.price(alt, class_key, batch_size)
+            except PermanentDeviceError:
+                fleet.charge_failure(alt, seal)
+            else:
+                copies.append((alt, max(seal, free[alt]), alt_priced))
+                fleet.hedges_issued += 1
+
+    finished = []
+    for shard, start_s, priced in copies:
+        complete = start_s + priced.seconds + priced.transfer_s
+        free[shard] = complete
+        fleet.busy[shard] += complete - start_s
+        fleet.launches[shard] += 1
+        fleet.breakers[shard].record_success(complete)
+        fleet.energy_j += priced.energy_j
+        fleet.movement_bytes += priced.movement_bytes
+        finished.append((shard, start_s, complete, priced))
+    if len(finished) == 1:
+        return finished, 0
+    winner = min((0, 1), key=lambda i: (finished[i][2], finished[i][0]))
+    if winner:
+        fleet.hedges_won += 1
+    loser = finished[1 - winner]
+    fleet.hedge_overhead_s += loser[2] - loser[1]
+    return finished, winner
+
+
+def _shards_doc(layout, fleet: _Fleet, horizon: float) -> list:
+    """The per-shard section of the ``resil-point`` document."""
+    shards = []
+    for shard in range(layout.n_shards):
+        start, stop = layout.span_of(shard)
+        busy = fleet.busy[shard]
+        breaker = fleet.breakers[shard]
+        shards.append(
+            {
+                "shard": shard,
+                "span": [start, stop],
+                "ranks": list(layout.ranks_of(shard)),
+                "total_dpus": stop - start,
+                "healthy_dpus": fleet.healthy[shard],
+                "launches": fleet.launches[shard],
+                "busy_s": busy,
+                "utilization": busy / horizon if horizon > 0 else 0.0,
+                "breaker": {
+                    "opened": breaker.opened_count,
+                    "final_state": breaker.state(horizon),
+                },
+            }
+        )
+    return shards
+
+
 def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     """The serving loop: admission, placement, batching, dispatch.
 
@@ -472,9 +622,12 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
 
     pricer = ShardedPricer(spec.classes, layout, plan, config)
     n_shards = layout.n_shards
-    healthy = [pricer.healthy_dpus(s) for s in range(n_shards)]
     policy = pricer.retry_policy or DEFAULT_RETRY_POLICY
-    failure_cost = _failure_cost_s(policy, config)
+    fleet = _Fleet(
+        [pricer.healthy_dpus(s) for s in range(n_shards)],
+        rspec.breaker,
+        _failure_cost_s(policy, config),
+    )
 
     sealed = _seal_batches(spec, layout, class_arrivals)
 
@@ -483,21 +636,10 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
         c.key for c in spec.classes if c.priority == min_priority
     }
 
-    shard_free = [0.0] * n_shards
-    shard_busy = [0.0] * n_shards
-    shard_launches = [0] * n_shards
-    breakers = [CircuitBreaker(rspec.breaker) for _ in range(n_shards)]
-    routed_batches = 0
-    redispatches = 0
     failed_batches = 0
     failed_requests = 0
-    hedges_issued = 0
-    hedges_won = 0
-    hedge_overhead_s = 0.0
     shed_batches = 0
     shed_by_class = {c.key: 0 for c in spec.classes}
-    energy_total_j = 0.0
-    movement_total_bytes = 0
     launches: list = []
     # (winning launch index, batch index, members) per served batch:
     # all a request timeline needs besides its arrival time.
@@ -505,23 +647,6 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     # (class key, complete, members) per served batch not yet charged
     # to the trackers (see _account).
     pending: list = []
-
-    def usable(shard: int, now: float) -> bool:
-        return healthy[shard] > 0 and breakers[shard].allows(now)
-
-    def ranked(now: float) -> list:
-        # Healthiest first; earliest-free then lowest index break ties.
-        return sorted(
-            range(n_shards),
-            key=lambda s: (-healthy[s], shard_free[s], s),
-        )
-
-    def charge_failure(shard: int, now: float) -> None:
-        start = max(now, shard_free[shard])
-        shard_free[shard] = start + failure_cost
-        shard_busy[shard] += failure_cost
-        breakers[shard].record_failure(start + failure_cost)
-        registry.counter("serve.shard.failures").inc()
 
     for seal, class_key, home, batch_index, members in sealed:
         if rspec.shed_burn_threshold is not None and class_key in sheddable:
@@ -535,137 +660,67 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
                 continue
 
         batch_size = len(members)
-        tried: set = set()
-        budget = rspec.retry_budget
-        target = None
-        breakdown = None
-        while True:
-            order = [home] + [s for s in ranked(seal) if s != home]
-            pick = None
-            for shard in order:
-                if shard not in tried and usable(shard, seal):
-                    pick = shard
-                    break
-            if pick is None:
-                break
-            try:
-                breakdown = pricer.price(pick, class_key, batch_size)
-            except PermanentDeviceError:
-                tried.add(pick)
-                charge_failure(pick, seal)
-                redispatches += 1
-                registry.counter("serve.redispatch").inc()
-                if budget == 0:
-                    break
-                budget -= 1
-                continue
-            target = pick
-            break
-        if target is None or breakdown is None:
+        copies, winner = _dispatch(
+            fleet, pricer, rspec, seal, class_key, home, batch_size
+        )
+        if not copies:
             failed_batches += 1
             failed_requests += batch_size
             trackers[class_key].reject(batch_size)
             registry.counter(f"serve.failed.{class_key}").inc(batch_size)
             continue
-        if target != home:
-            routed_batches += 1
-            registry.counter("serve.shard.routed").inc()
-
-        start = max(seal, shard_free[target])
-        copies = [(target, start, breakdown)]
-
-        if (
-            rspec.hedge_after_s is not None
-            and (start - seal) > rspec.hedge_after_s
-        ):
-            # Straggler: duplicate on the earliest-free other usable
-            # shard (idle-first — the whole point is spare capacity).
-            alternates = [
-                s
-                for s in sorted(
-                    range(n_shards),
-                    key=lambda s: (shard_free[s], -healthy[s], s),
-                )
-                if s != target and s not in tried and usable(s, seal)
-            ]
-            if alternates:
-                alt = alternates[0]
-                try:
-                    alt_breakdown = pricer.price(alt, class_key, batch_size)
-                except PermanentDeviceError:
-                    charge_failure(alt, seal)
-                else:
-                    alt_start = max(seal, shard_free[alt])
-                    copies.append((alt, alt_start, alt_breakdown))
-                    hedges_issued += 1
-                    registry.counter("serve.hedge.issued").inc()
-
-        # Every dispatched copy occupies its shard for its full priced
-        # duration — hedging buys latency with capacity, and the
-        # loser's busy time is the price.
-        finished = []
-        for shard, start_s, bd in copies:
-            bd_detail = bd.detail
-            transfer_s = float(bd_detail.get("transfer_s", 0.0))
-            complete = start_s + bd.seconds + transfer_s
-            shard_free[shard] = complete
-            shard_busy[shard] += complete - start_s
-            shard_launches[shard] += 1
-            breakers[shard].record_success(complete)
-            energy_total_j += float(bd_detail.get("energy_j", 0.0))
-            movement_total_bytes += int(
-                bd_detail.get("movement_bytes", 0)
-            )
-            finished.append((complete, shard, start_s, bd))
-            registry.counter("serve.launches").inc()
-            registry.histogram("serve.batch_size").observe(batch_size)
-        winner = min(finished, key=lambda item: (item[0], item[1]))
-        complete, win_shard = winner[:2]
-        if len(finished) > 1:
-            if win_shard != target:
-                hedges_won += 1
-                registry.counter("serve.hedge.won").inc()
-            hedge_overhead_s += sum(
-                item[0] - item[2] for item in finished if item is not winner
-            )
-
-        records.append(
-            (len(launches) + finished.index(winner), batch_index, members)
-        )
-        for copy_complete, shard, copy_start, bd in finished:
+        records.append((len(launches) + winner, batch_index, members))
+        hedged = len(copies) > 1
+        for copy, (shard, start, complete, priced) in enumerate(copies):
             launches.append(
                 ShardLaunch(
-                    index=len(launches),
-                    class_key=class_key,
-                    shard=shard,
-                    home_shard=home,
-                    batch_size=batch_size,
-                    ops=int(bd.detail.get("ops", batch_size)),
-                    seal_s=seal,
-                    service_start_s=copy_start,
-                    complete_s=copy_complete,
-                    service_seconds=bd.seconds,
-                    **_phases(bd),
-                    bound=str(bd.detail.get("bound", "?")),
-                    dpus_used=int(bd.detail.get("dpus_used", 0)),
-                    hedged=len(finished) > 1,
-                    hedge_winner=len(finished) > 1
-                    and shard == win_shard,
+                    len(launches),
+                    class_key,
+                    shard,
+                    home,
+                    batch_size,
+                    priced.ops,
+                    seal,
+                    start,
+                    complete,
+                    priced.seconds,
+                    priced.launch_s,
+                    priced.kernel_s,
+                    priced.fault_s,
+                    priced.transfer_s,
+                    priced.bound,
+                    priced.dpus_used,
+                    hedged,
+                    hedged and copy == winner,
                 )
             )
-
-        pending.append((class_key, complete, members))
+        pending.append((class_key, copies[winner][2], members))
 
     _account(pending, class_arrivals, trackers, registry)
-    for shard in range(n_shards):
-        if breakers[shard].opened_count:
+    # Event counts are charged once per point; a counter with nothing
+    # to count is never created, as with per-event increments.
+    for name, count in (
+        ("serve.shard.failures", fleet.failures),
+        ("serve.redispatch", fleet.redispatches),
+        ("serve.shard.routed", fleet.routed),
+        ("serve.hedge.issued", fleet.hedges_issued),
+        ("serve.hedge.won", fleet.hedges_won),
+        ("serve.launches", len(launches)),
+    ):
+        if count:
+            registry.counter(name).inc(count)
+    for breaker in fleet.breakers:
+        if breaker.opened_count:
             registry.counter("serve.breaker.opened").inc(
-                breakers[shard].opened_count
+                breaker.opened_count
             )
 
     if launches:
-        registry.counter("serve.energy_j").inc(energy_total_j)
-        registry.counter("serve.movement_bytes").inc(movement_total_bytes)
+        registry.histogram("serve.batch_size").observe_many(
+            [launch.batch_size for launch in launches]
+        )
+        registry.counter("serve.energy_j").inc(fleet.energy_j)
+        registry.counter("serve.movement_bytes").inc(fleet.movement_bytes)
 
     horizon = max(
         [spec.duration_s] + [launch.complete_s for launch in launches]
@@ -681,28 +736,7 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
     rejected = sum(r["rejected"] for r in reports.values())
     offered = completed + rejected
     good = sum(_good_requests(tracker) for tracker in trackers.values())
-
-    shards_doc = []
-    for shard in range(n_shards):
-        start, stop = layout.span_of(shard)
-        shards_doc.append(
-            {
-                "shard": shard,
-                "span": [start, stop],
-                "ranks": list(layout.ranks_of(shard)),
-                "total_dpus": stop - start,
-                "healthy_dpus": healthy[shard],
-                "launches": shard_launches[shard],
-                "busy_s": shard_busy[shard],
-                "utilization": (
-                    shard_busy[shard] / horizon if horizon > 0 else 0.0
-                ),
-                "breaker": {
-                    "opened": breakers[shard].opened_count,
-                    "final_state": breakers[shard].state(horizon),
-                },
-            }
-        )
+    busy_s = sum(fleet.busy)
 
     doc = {
         "schema": SCHEMA_VERSION,
@@ -712,44 +746,41 @@ def _serve(rspec: ResilienceSpec) -> ResilienceResult:
         "n_shards": n_shards,
         "layout": layout.to_dict(),
         "plan": _plan_spec(plan),
-        "effective_dpus": sum(healthy),
+        "effective_dpus": sum(fleet.healthy),
     }
     doc["classes"] = {key: reports[key] for key in sorted(reports)}
-    doc["shards"] = shards_doc
+    doc["shards"] = _shards_doc(layout, fleet, horizon)
     doc["resilience"] = {
-        "routed_batches": routed_batches,
-        "redispatches": redispatches,
+        "routed_batches": fleet.routed,
+        "redispatches": fleet.redispatches,
         "failed_batches": failed_batches,
         "failed_requests": failed_requests,
-        "hedges_issued": hedges_issued,
-        "hedges_won": hedges_won,
-        "hedge_overhead_s": hedge_overhead_s,
+        "hedges_issued": fleet.hedges_issued,
+        "hedges_won": fleet.hedges_won,
+        "hedge_overhead_s": fleet.hedge_overhead_s,
         "shed_batches": shed_batches,
         "shed_by_class": {
             key: shed_by_class[key] for key in sorted(shed_by_class)
         },
-        "breaker_opened": sum(b.opened_count for b in breakers),
+        "breaker_opened": sum(b.opened_count for b in fleet.breakers),
         "attainment": good / offered if offered else None,
         "good_requests": good,
         "offered_requests": offered,
     }
     doc["device"] = {
         "launches": len(launches),
-        "busy_s": sum(shard_busy),
+        "busy_s": busy_s,
         "horizon_s": horizon,
         "utilization": (
-            sum(shard_busy) / (horizon * n_shards)
-            if horizon > 0
-            else 0.0
+            busy_s / (horizon * n_shards) if horizon > 0 else 0.0
         ),
     }
+    energy_j = fleet.energy_j
     doc["energy"] = {
-        "total_j": energy_total_j,
-        "avg_watts": energy_total_j / horizon if horizon > 0 else 0.0,
-        "j_per_request": (
-            energy_total_j / completed if completed else None
-        ),
-        "movement_bytes": movement_total_bytes,
+        "total_j": energy_j,
+        "avg_watts": energy_j / horizon if horizon > 0 else 0.0,
+        "j_per_request": energy_j / completed if completed else None,
+        "movement_bytes": fleet.movement_bytes,
     }
     doc["verdict"] = VERDICT_SLO_BREACH if breached else VERDICT_SLO_OK
     return ResilienceResult(

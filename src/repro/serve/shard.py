@@ -16,8 +16,10 @@ complete UPMEM system in miniature:
 * :class:`ShardedPricer` — per-shard batch pricing through an
   unmodified :class:`~repro.pim.runtime.PIMRuntime` whose config is
   the shard's slice of the fleet, under the shard's
-  :meth:`~repro.pim.faults.FaultPlan.shard_view`. The single-shard
-  zero-fault pricer is the one serving pricer:
+  :meth:`~repro.pim.faults.FaultPlan.shard_view`, into immutable
+  :class:`PricedLaunch` records that fault-free shards share through
+  one per-process memo. The single-shard zero-fault pricer is the one
+  serving pricer:
   :func:`repro.serve.service.check_serving_baseline` gates it against
   ``baselines/perf.json`` series totals exactly (a single shard of the
   whole fleet *is* the whole fleet, so MODEL-DRIFT stays green).
@@ -34,7 +36,10 @@ import numpy as np
 
 from repro.backends.base import TimingBreakdown
 from repro.backends.pim import PIMBackend
+from repro.core.params import BFVParameters
 from repro.errors import ParameterError
+from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import (
     FaultPlan,
@@ -42,6 +47,7 @@ from repro.pim.faults import (
     unit_draws,
     use_fault_plan,
 )
+from repro.pim.isa import DEFAULT_CYCLES_PER_OP
 from repro.pim.runtime import PIMRuntime
 from repro.pim.tasklet import split_evenly
 from repro.serve.service import price_launch
@@ -51,7 +57,10 @@ __all__ = [
     "make_layout",
     "home_shard",
     "home_shards",
+    "PricedLaunch",
     "ShardedPricer",
+    "LAUNCH_MEMO_LIMIT",
+    "clear_launch_memo",
 ]
 
 
@@ -192,6 +201,62 @@ def home_shards(
     return (draws * n_shards).astype(np.intp)
 
 
+#: Most fault-free launch prices the per-process memo holds; once it
+#: is full, the oldest entry makes room for the next.
+LAUNCH_MEMO_LIMIT = 4096
+
+#: (shard config, class pricing model, batch size) -> PricedLaunch, for
+#: launches priced with no faults, no retry policy and observability
+#: off. Shared by every :class:`ShardedPricer` in the process.
+_LAUNCH_MEMO: dict = {}
+
+
+def clear_launch_memo() -> None:
+    """Forget every memoized fault-free launch price."""
+    _LAUNCH_MEMO.clear()
+
+
+@dataclass(frozen=True, slots=True)
+class PricedLaunch:
+    """One successfully priced shared launch, as dispatch reads it.
+
+    Built once from :func:`~repro.serve.service.price_launch`'s
+    breakdown. Immutable, because one record is shared by every pricer
+    and shard that draws it from the per-process memo.
+    """
+
+    seconds: float
+    launch_s: float
+    kernel_s: float
+    #: Retry/backoff seconds: whatever of ``seconds`` is neither launch
+    #: overhead nor kernel time.
+    fault_s: float
+    transfer_s: float
+    energy_j: float
+    movement_bytes: int
+    ops: int
+    bound: str
+    dpus_used: int
+
+    @classmethod
+    def of(cls, breakdown: TimingBreakdown) -> "PricedLaunch":
+        detail = breakdown.detail
+        launch_s = float(detail["launch_s"])
+        kernel_s = float(detail["kernel_s"])
+        return cls(
+            seconds=breakdown.seconds,
+            launch_s=launch_s,
+            kernel_s=kernel_s,
+            fault_s=breakdown.seconds - launch_s - kernel_s,
+            transfer_s=float(detail["transfer_s"]),
+            energy_j=float(detail["energy_j"]),
+            movement_bytes=int(detail["movement_bytes"]),
+            ops=int(detail["ops"]),
+            bound=str(detail["bound"]),
+            dpus_used=int(detail["dpus_used"]),
+        )
+
+
 class ShardedPricer:
     """Per-shard batch pricing through shard-local runtimes.
 
@@ -200,10 +265,23 @@ class ShardedPricer:
     config is the shard's slice of the fleet, plus the installed fault
     plan's :meth:`~repro.pim.faults.FaultPlan.shard_view` — so all
     fault pricing (retries, backoff, redispatch, permanent failures)
-    reuses the PR-5 machinery verbatim, just scoped to the shard.
+    reuses the runtime's fault machinery verbatim, just scoped to the
+    shard.
 
-    Successful breakdowns are memoized per ``(shard, class, batch)``;
-    failed pricings are never cached, so a shard with live transient
+    Successful prices are kept at two levels:
+
+    * **per process**, for fault-free launches: the shard's view is
+      inactive, the pricer has no ``retry_policy``, and tracing and
+      metrics are both off (the runtime's bare path, so a traced or
+      metered run prices, and emits its spans and ``pim.*`` metrics,
+      exactly as without the memo). The key is what the price depends
+      on: the shard's config, the class's workload, BFV parameters and
+      ops per request, the ISA cycle table, and the batch size — not
+      the class's rate. :func:`clear_launch_memo` empties it;
+    * **per pricer** (one serving point), for every ``(shard, class,
+      batch)``, faulted shards included.
+
+    Failed pricings are never cached, so a shard with live transient
     channels re-draws on every retry (which is what lets circuit
     breakers observe repeated failures).
     """
@@ -226,6 +304,16 @@ class ShardedPricer:
         self.config = config
         self.retry_policy = retry_policy
         self._by_key = {c.key: c for c in classes}
+        cycles = tuple(sorted(DEFAULT_CYCLES_PER_OP.items()))
+        self._models = {
+            c.key: (
+                c.workload,
+                BFVParameters.security_level(c.security_bits),
+                c.ops_per_request,
+                cycles,
+            )
+            for c in classes
+        }
         self._views = []
         self._backends = []
         self._shard_configs = []
@@ -238,6 +326,9 @@ class ShardedPricer:
             self._backends.append(
                 PIMBackend(runtime=PIMRuntime(config=shard_config))
             )
+        self._shared = [
+            not view.active and retry_policy is None for view in self._views
+        ]
         self._cache: dict = {}
 
     def healthy_dpus(self, shard: int) -> int:
@@ -250,20 +341,39 @@ class ShardedPricer:
 
     def price(
         self, shard: int, class_key: str, batch_size: int
-    ) -> TimingBreakdown:
+    ) -> PricedLaunch:
         """Price one shared launch of ``batch_size`` requests on a shard.
 
         Raises :class:`~repro.errors.PermanentDeviceError` when the
         shard's fault view exhausts the retry budget — the caller's
         circuit breaker and redispatch logic decide what happens next.
         """
-        cached = self._cache.get((shard, class_key, batch_size))
-        if cached is not None:
-            return cached
-        with use_fault_plan(self._views[shard], self.retry_policy):
-            merged = price_launch(
-                self._backends[shard], self._by_key[class_key], batch_size
+        key = (shard, class_key, batch_size)
+        priced = self._cache.get(key)
+        if priced is not None:
+            return priced
+        memo_key = None
+        if self._shared[shard] and not (
+            get_tracer().enabled or get_registry().enabled
+        ):
+            memo_key = (
+                self._shard_configs[shard],
+                self._models[class_key],
+                batch_size,
             )
-        merged.detail["shard"] = shard
-        self._cache[(shard, class_key, batch_size)] = merged
-        return merged
+            priced = _LAUNCH_MEMO.get(memo_key)
+        if priced is None:
+            with use_fault_plan(self._views[shard], self.retry_policy):
+                priced = PricedLaunch.of(
+                    price_launch(
+                        self._backends[shard],
+                        self._by_key[class_key],
+                        batch_size,
+                    )
+                )
+            if memo_key is not None:
+                if len(_LAUNCH_MEMO) >= LAUNCH_MEMO_LIMIT:
+                    del _LAUNCH_MEMO[next(iter(_LAUNCH_MEMO))]
+                _LAUNCH_MEMO[memo_key] = priced
+        self._cache[key] = priced
+        return priced

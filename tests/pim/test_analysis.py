@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ParameterError
+from repro.mpint.cost import OpTally
 from repro.pim.analysis import (
     OP_CLASSES,
     classification_gaps,
@@ -100,6 +101,26 @@ class TestBreakdown:
         native-multiplier what-if)."""
         for kernel in (VecMulKernel(1), VecMulKernel(4), VecAddKernel(4, Q109)):
             assert kernel_cycle_breakdown(kernel)["multiply-hw"] == 0.0
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [VecMulKernel(4), ReduceSumKernel(4, 2**109 - 1)],
+        ids=["vec_mul", "reduce_sum"],
+    )
+    def test_independent_of_the_tally_order(self, kernel, monkeypatch):
+        """Permuting the order the sample lists its ops in leaves every
+        fraction bit-identical."""
+        expected = kernel_cycle_breakdown(kernel)
+        counts = kernel.cost_sample().as_dict()
+        for order in (sorted(counts), sorted(counts, reverse=True)):
+            permuted = OpTally()
+            for op in order:
+                permuted.charge(op, counts[op])
+            monkeypatch.setattr(
+                kernel, "cost_sample", lambda size, tally=permuted: tally
+            )
+            assert list(kernel.cost_sample(COST_SAMPLE_SIZE).as_dict()) == order
+            assert kernel_cycle_breakdown(kernel) == expected
 
     def test_software_multiply_share(self):
         assert software_multiply_share(VecMulKernel(4)) > 0.95

@@ -169,7 +169,7 @@ class TestShardedPricerBitIdentity:
             b = sharded.price(0, cls.key, batch)
             assert b.seconds == a.seconds
             for field in ("launch_s", "kernel_s", "transfer_s", "energy_j"):
-                assert b.detail[field] == a.detail[field]
+                assert getattr(b, field) == a.detail[field]
 
     def test_healthy_dpus_reflects_the_shard_view(self):
         layout = make_layout(4, CONFIG)
