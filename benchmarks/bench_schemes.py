@@ -1,77 +1,6 @@
-"""Cross-scheme benchmarks: BGV and CKKS primitives, simulator runs.
-
-Real wall-clock timings of the extension schemes' primitives, and of
-the cycle-level simulator that validates the analytic device model.
+"""Benchmarks of host-side helpers: modulus switching, the cycle-level
+simulator that validates the analytic device model, and the planner.
 """
-
-import pytest
-
-from repro.core import BatchEncoder
-from repro.core.bgv import (
-    BGVDecryptor,
-    BGVEncryptor,
-    BGVEvaluator,
-    BGVKeyGenerator,
-)
-from repro.core.ckks import CKKSCipher, CKKSKeyGenerator, CKKSParameters
-
-
-@pytest.fixture(scope="module")
-def bgv(tiny_crypto):
-    params = tiny_crypto.params
-    keys = BGVKeyGenerator(params, seed=11).generate()
-    return {
-        "params": params,
-        "keys": keys,
-        "enc": BGVEncryptor(params, keys.public_key, seed=12),
-        "dec": BGVDecryptor(params, keys.secret_key),
-        "ev": BGVEvaluator(params, relin_key=keys.relin_key),
-        "encoder": BatchEncoder(params),
-    }
-
-
-@pytest.fixture(scope="module")
-def ckks():
-    params = CKKSParameters(poly_degree=64, levels=1)
-    return CKKSCipher(params, CKKSKeyGenerator(params, seed=13).generate(), seed=14)
-
-
-def test_bench_bgv_encrypt(benchmark, bgv):
-    pt = bgv["encoder"].encode([1, 2, 3])
-    ct = benchmark(lambda: bgv["enc"].encrypt(pt))
-    assert ct.size == 2
-
-
-def test_bench_bgv_multiply(benchmark, bgv):
-    a = bgv["enc"].encrypt(bgv["encoder"].encode([3, 4]))
-    b = bgv["enc"].encrypt(bgv["encoder"].encode([5, -2]))
-    product = benchmark(lambda: bgv["ev"].multiply(a, b))
-    decoded = bgv["encoder"].decode(bgv["dec"].decrypt(product))
-    assert decoded[:2] == [15, -8]
-
-
-def test_bench_ckks_encode(benchmark, ckks):
-    values = [float(i) * 0.5 for i in range(32)]
-    pt = benchmark(lambda: ckks.encoder.encode(values))
-    assert pt.scale == ckks.params.scale
-
-
-def test_bench_ckks_encrypt_decrypt(benchmark, ckks):
-    pt = ckks.encoder.encode([1.25, -3.5])
-
-    def roundtrip():
-        return ckks.decrypt_values(ckks.encrypt(pt))
-
-    got = benchmark(roundtrip)
-    assert got[0] == pytest.approx(1.25, abs=1e-4)
-
-
-def test_bench_ckks_multiply_rescale(benchmark, ckks):
-    a = ckks.encrypt(ckks.encoder.encode([2.0]))
-    b = ckks.encrypt(ckks.encoder.encode([3.5]))
-    product = benchmark(lambda: ckks.multiply(a, b))
-    assert ckks.decrypt_values(product)[0] == pytest.approx(7.0, rel=1e-3)
-
 
 def test_bench_modulus_switch(benchmark, tiny_crypto):
     from repro.core.modswitch import switch_modulus

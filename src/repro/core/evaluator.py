@@ -202,56 +202,6 @@ class Evaluator:
             return self.relinearize(product)
         return product
 
-    def multiply_many(self, ciphertexts) -> Ciphertext:
-        """Product of several ciphertexts, balanced-tree order.
-
-        The tree shape minimizes multiplicative depth
-        (``ceil(log2(count))`` levels instead of ``count - 1``), which
-        directly minimizes noise-budget consumption. Requires a
-        relinearization key (intermediate products must return to size
-        2 before the next level).
-        """
-        items = list(ciphertexts)
-        if not items:
-            raise CiphertextError("multiply_many needs at least one ciphertext")
-        if len(items) > 1 and self.relin_key is None:
-            raise CiphertextError(
-                "multiply_many requires a relinearization key"
-            )
-        while len(items) > 1:
-            paired = []
-            for i in range(0, len(items) - 1, 2):
-                paired.append(self.multiply(items[i], items[i + 1]))
-            if len(items) % 2:
-                paired.append(items[-1])
-            items = paired
-        return items[0]
-
-    def exponentiate(self, a: Ciphertext, exponent: int) -> Ciphertext:
-        """``a`` raised to a positive integer power, square-and-multiply.
-
-        Consumes one multiplicative level per bit of the exponent, so
-        check :mod:`repro.core.planner` before using large exponents.
-        """
-        if exponent <= 0:
-            raise CiphertextError(
-                f"exponent must be a positive integer, got {exponent} "
-                "(inverses do not exist homomorphically)"
-            )
-        self._check(a)
-        if exponent > 1 and self.relin_key is None:
-            raise CiphertextError("exponentiate requires a relinearization key")
-        result = None
-        base = a
-        remaining = exponent
-        while remaining:
-            if remaining & 1:
-                result = base if result is None else self.multiply(result, base)
-            remaining >>= 1
-            if remaining:
-                base = self.square(base)
-        return result
-
     def relinearize(self, a: Ciphertext) -> Ciphertext:
         """Fold a size-3 ciphertext back to size 2 using the relin key.
 

@@ -32,7 +32,7 @@ from operator import getitem
 import numpy as np
 
 from repro.core.params import BFVParameters
-from repro.errors import CiphertextError, KeyError_
+from repro.errors import CiphertextError
 from repro.poly.polynomial import Operand, Polynomial
 from repro.poly.sampling import (
     sample_centered_binomial,
@@ -253,30 +253,3 @@ class KeyGenerator:
             pairs.append((rk0, a_i))
             power = power * base % q
         return RelinKey(params, params.relin_base_bits, tuple(pairs))
-
-
-def check_relin_key(relin: RelinKey, secret: SecretKey) -> int:
-    """Verify ``rk0_i + rk1_i * s == T^i * s^2 + small`` for every digit.
-
-    Returns the largest error norm observed; raises
-    :class:`~repro.errors.KeyError_` if any digit's error is larger
-    than the error distribution could produce. Used by tests and by
-    :mod:`repro.harness` sanity checks.
-    """
-    params = relin.params
-    s = secret.poly
-    s_squared = s * s
-    base = 1 << relin.base_bits
-    worst = 0
-    power = 1
-    for i, (rk0, rk1) in enumerate(relin.pairs):
-        residual = rk0 + rk1 * s - s_squared.scalar_mul(power)
-        norm = residual.infinity_norm()
-        if norm > params.error_eta:
-            raise KeyError_(
-                f"relin digit {i} error norm {norm} exceeds eta "
-                f"{params.error_eta}: inconsistent key material"
-            )
-        worst = max(worst, norm)
-        power = power * base % params.coeff_modulus
-    return worst

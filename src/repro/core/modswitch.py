@@ -1,6 +1,6 @@
 """Modulus switching: trading modulus size for noise headroom.
 
-The classic BFV/BGV noise-management tool the paper's future work
+The classic BFV noise-management tool the paper's future work
 ("more homomorphic operations and optimizations") points at: a
 ciphertext under modulus ``q`` is rescaled to a smaller modulus ``q'``
 by ``c' = round(q'/q * c)`` per coefficient. The *invariant* noise is
@@ -20,8 +20,6 @@ the new ciphertext and helpers to carry keys across.
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
 
 from repro.core.ciphertext import Ciphertext
 from repro.core.decryptor import round_scale
@@ -77,47 +75,6 @@ def switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
         Polynomial(round_scale(poly.centered(), new_modulus, q), new_modulus)
         for poly in ciphertext.polys
     ]
-    result = Ciphertext(new_params, polys)
-    get_noise_ledger().record_op(
-        "mod_switch", result, (ciphertext,), params=new_params
-    )
-    return result
-
-
-def bgv_switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
-    """BGV-flavoured modulus switch: rescale *and* fix the residue mod t.
-
-    BGV embeds the plaintext in the low bits (``c0 + c1*s = m + t*v``),
-    so a correct switch must keep each coefficient's residue modulo
-    ``t`` unchanged: after the ``new_q/q`` scaling with rounding, every
-    coefficient is nudged by the (centered) difference of residues —
-    a correction of magnitude at most ``t/2``, absorbed by the noise.
-
-    As in the original BGV construction, correctness additionally
-    requires **both moduli to be congruent to 1 modulo t**: decryption
-    reduces modulo the ciphertext modulus, and the dropped multiples of
-    ``q`` must not disturb the plaintext residue. Generate suitable
-    primes with ``find_ntt_prime(bits, n, also_one_mod=t)``.
-    """
-    params = ciphertext.params
-    new_params = switched_parameters(params, new_modulus)
-    q = params.coeff_modulus
-    t = params.plain_modulus
-    if q % t != 1 or new_modulus % t != 1:
-        raise ParameterError(
-            "BGV modulus switching requires q == q' == 1 (mod t); got "
-            f"q mod t = {q % t}, q' mod t = {new_modulus % t}. Generate "
-            "moduli with find_ntt_prime(bits, n, also_one_mod=t)."
-        )
-    half_t = t // 2
-    polys = []
-    for poly in ciphertext.polys:
-        centered = np.array(poly.centered(), dtype=object)
-        scaled = round_scale(centered, new_modulus, q)
-        # Residue correction: keep scaled == c (mod t).
-        delta = (centered - scaled) % t
-        delta = np.where(delta > half_t, delta - t, delta)
-        polys.append(Polynomial(scaled + delta, new_modulus))
     result = Ciphertext(new_params, polys)
     get_noise_ledger().record_op(
         "mod_switch", result, (ciphertext,), params=new_params

@@ -24,7 +24,7 @@ from repro.core.noise import (
     keyswitch_floor_bits,
     multiply_noise_growth_bits,
 )
-from repro.core.params import SECURITY_LEVELS, BFVParameters
+from repro.core.params import BFVParameters
 from repro.errors import NoiseBudgetExhaustedError, ParameterError
 
 
@@ -134,27 +134,6 @@ def plan_budget(
     )
 
 
-def minimum_security_level(
-    circuit: CircuitShape, margin_bits: float = 2.0
-) -> BFVParameters:
-    """Smallest paper security level whose budget fits ``circuit``.
-
-    Raises :class:`~repro.errors.ParameterError` when even the 109-bit
-    level cannot support it (the caller then needs custom parameters —
-    larger ``q`` or smaller ``t``).
-    """
-    for bits in SECURITY_LEVELS:
-        params = BFVParameters.security_level(bits)
-        if plan_budget(params, circuit, margin_bits).feasible:
-            return params
-    raise ParameterError(
-        f"no paper security level supports depth "
-        f"{circuit.multiplicative_depth} with "
-        f"{circuit.additions_per_level} additions per level; "
-        f"use custom parameters"
-    )
-
-
 class HeadroomGuard:
     """Pre-op guard against decryption-failure by noise exhaustion.
 
@@ -218,26 +197,3 @@ class HeadroomGuard:
                 "likely not decrypt. Use larger parameters, reduce the "
                 "circuit depth, or relax the guard."
             )
-
-
-def workload_circuit(workload) -> CircuitShape:
-    """The circuit shape of one of the paper's statistical workloads."""
-    from repro.workloads.linreg import LinearRegressionWorkload
-    from repro.workloads.mean import MeanWorkload
-    from repro.workloads.variance import VarianceWorkload
-
-    if isinstance(workload, MeanWorkload):
-        return CircuitShape(
-            multiplicative_depth=0, additions_per_level=workload.n_users
-        )
-    if isinstance(workload, VarianceWorkload):
-        return CircuitShape(
-            multiplicative_depth=1, additions_per_level=workload.n_users
-        )
-    if isinstance(workload, LinearRegressionWorkload):
-        return CircuitShape(
-            multiplicative_depth=1,
-            additions_per_level=workload.n_users
-            * workload.ciphertexts_per_user,
-        )
-    raise ParameterError(f"unknown workload type {type(workload).__name__}")

@@ -1,49 +1,13 @@
-"""Parameter sweeps and crossover finding.
+"""Crossover finding.
 
 The paper's shape claims are about *crossovers*: where PIM overtakes a
-baseline, or loses to one, as a parameter moves. This module provides
-the small generic machinery for asking such questions of the cost
-models — sweep a callable over a parameter, locate sign changes of a
-comparison, bisect continuous parameters to a tolerance.
+baseline, or loses to one, as a parameter moves. This module bisects a
+comparison of the cost models to the parameter where it changes sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ParameterError
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sample of a sweep: parameter value and metric value."""
-
-    parameter: float
-    value: float
-
-
-def sweep(metric, parameters) -> list:
-    """Evaluate ``metric(p)`` over the given parameter values."""
-    points = [SweepPoint(float(p), float(metric(p))) for p in parameters]
-    if not points:
-        raise ParameterError("sweep needs at least one parameter value")
-    return points
-
-
-def find_sign_change(points) -> tuple | None:
-    """First adjacent pair of sweep points where the value crosses zero.
-
-    Returns ``(left, right)`` :class:`SweepPoint` objects bracketing the
-    crossover, or ``None`` if the sign never changes. Exact zeros count
-    as crossings.
-    """
-    points = list(points)
-    for left, right in zip(points, points[1:]):
-        if left.value == 0 or left.value * right.value < 0:
-            return left, right
-    if points and points[-1].value == 0:
-        return points[-1], points[-1]
-    return None
 
 
 def bisect_crossover(

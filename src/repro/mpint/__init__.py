@@ -21,12 +21,10 @@ The routines run many elements at once: operands are *limb planes*
 lane, and the tally is the exact sum of what each element would charge
 on its own.
 
-Counts are therefore **derived from execution**, never asserted; the
-closed-form expectation helpers (used by the analytic fast path for
-large workloads) are tested against tallies of real executions.
+Counts are therefore **derived from execution**, never asserted.
 """
 
-from repro.mpint.cost import OpTally, expected_ops_add, expected_ops_mul
+from repro.mpint.cost import OpTally
 from repro.mpint.limbs import (
     LIMB_BITS,
     LIMB_MASK,
@@ -59,8 +57,6 @@ __all__ = [
     "add_with_carry",
     "compare",
     "conditional_subtract",
-    "expected_ops_add",
-    "expected_ops_mul",
     "from_limbs",
     "from_planes",
     "karatsuba_multiply",

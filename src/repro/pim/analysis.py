@@ -17,7 +17,9 @@ from repro.pim.isa import DEFAULT_CYCLES_PER_OP
 from repro.pim.kernels.base import COST_SAMPLE_SIZE, Kernel
 
 #: Instruction classes for the breakdown report, mapping the fine-
-#: grained op names onto the architectural story.
+#: grained op names onto the architectural story. Every op the ISA
+#: table prices belongs to exactly one class; ``tests/pim/test_analysis.py``
+#: guards that, so a new op is classified in the change that prices it.
 OP_CLASSES = {
     "arithmetic": ("add", "addc", "sub", "subc"),
     "shifts/logic": ("lsl", "lsr", "and", "or", "xor"),
@@ -25,37 +27,6 @@ OP_CLASSES = {
     "memory": ("load", "store"),
     "multiply-hw": ("mul8",),
 }
-
-
-def classification_gaps() -> dict:
-    """Drift between the ISA cost table and the breakdown classes.
-
-    Returns ``{"unclassified": [...], "unknown": [...],
-    "duplicated": [...]}``:
-
-    * **unclassified** — ops priced in
-      :data:`~repro.pim.isa.DEFAULT_CYCLES_PER_OP` that no class in
-      :data:`OP_CLASSES` covers (their cycles would silently vanish
-      from every breakdown);
-    * **unknown** — ops a class references that the cost table does not
-      price (a typo, or a class outliving a renamed op);
-    * **duplicated** — ops claimed by more than one class (their cycles
-      would be double-counted).
-
-    All three empty is the invariant ``tests/pim/test_analysis.py``
-    guards; new ISA ops must be classified in the same change that
-    prices them.
-    """
-    claimed: list = []
-    for ops in OP_CLASSES.values():
-        claimed.extend(ops)
-    return {
-        "unclassified": sorted(set(DEFAULT_CYCLES_PER_OP) - set(claimed)),
-        "unknown": sorted(set(claimed) - set(DEFAULT_CYCLES_PER_OP)),
-        "duplicated": sorted(
-            op for op in set(claimed) if claimed.count(op) > 1
-        ),
-    }
 
 
 def _sample_counts(kernel: Kernel, sample_size: int) -> dict:
@@ -106,18 +77,3 @@ def kernel_cycle_breakdown(
         class_name: cycles(ops) / total
         for class_name, ops in OP_CLASSES.items()
     }
-
-
-def software_multiply_share(
-    kernel: Kernel, sample_size: int = COST_SAMPLE_SIZE
-) -> float:
-    """Fraction of cycles attributable to the software multiply loop.
-
-    The shift-and-add loop is made of shifts, logic, control, and the
-    conditional accumulate adds; on a multiply-dominated kernel the
-    non-memory classes approximate the loop's share. Reported as
-    ``1 - memory_fraction`` minus the carry-chain floor measured on the
-    equivalent addition kernel — a simple, honest attribution.
-    """
-    breakdown = kernel_cycle_breakdown(kernel, sample_size)
-    return 1.0 - breakdown["memory"]

@@ -9,17 +9,16 @@ software loops, which is exactly why this table can be flat).
 
 The table maps the abstract operation names charged by
 :mod:`repro.mpint` and the kernels to cycles. Keeping it explicit (and
-all-ones) documents the assumption and gives ablation experiments a
-single point to perturb — e.g. ``bench_ablation_native_mul`` prices a
-hypothetical future DPU with a native 32-bit multiplier by overriding
-the ``mul32_native`` entry, quantifying the paper's Key Takeaway 2.
+all-ones) documents the assumption; :func:`cycles_for_tally` takes a
+custom table for what-ifs, and the ``abl_native_mul`` experiment weights
+``mul8`` to price a hypothetical DPU with a native 32-bit multiplier
+(the paper's Key Takeaway 2).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.errors import ParameterError
 from repro.mpint.cost import KNOWN_OPS, OpTally
 
 #: Cycles per abstract operation on the first-generation DPU. Loads and
@@ -38,36 +37,3 @@ def cycles_for_tally(
     """
     table = DEFAULT_CYCLES_PER_OP if cycles_per_op is None else cycles_per_op
     return tally.weighted_total(table)
-
-
-def hypothetical_native_mul_table(mul_cycles: int = 3) -> dict:
-    """Cost table for a future DPU with native 32-bit multiply.
-
-    Used by the ablation benchmark for the paper's Key Takeaway 2
-    ("Future PIM systems with native 32-bit multiplication hardware
-    could potentially outperform CPUs and GPUs"): the entire software
-    shift-and-add loop is charged as if each :func:`repro.mpint.mul.mul32`
-    call were ``mul_cycles`` cycles. Implemented by zero-weighting the
-    loop's constituent ops is not possible (they are shared with other
-    code), so callers should instead rebuild tallies with
-    :func:`native_mul_tally`.
-    """
-    if mul_cycles <= 0:
-        raise ParameterError(f"mul_cycles must be positive: {mul_cycles}")
-    table = dict(DEFAULT_CYCLES_PER_OP)
-    table["mul8"] = float(mul_cycles)
-    return table
-
-
-def native_mul_tally(n_mul32: int, mul_cycles_each: int = 3) -> OpTally:
-    """A tally pricing ``n_mul32`` native 32-bit multiplies.
-
-    Charged as ``mul8`` operations (the only multiply opcode in the
-    table) with a custom weight applied via
-    :func:`hypothetical_native_mul_table`.
-    """
-    if n_mul32 < 0:
-        raise ParameterError(f"count must be non-negative: {n_mul32}")
-    tally = OpTally()
-    tally.charge("mul8", n_mul32)
-    return tally

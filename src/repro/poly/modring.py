@@ -52,22 +52,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def find_ntt_prime(
-    bit_length: int,
-    ring_degree: int,
-    index: int = 0,
-    also_one_mod: int = 1,
-) -> int:
+def find_ntt_prime(bit_length: int, ring_degree: int, index: int = 0) -> int:
     """Return the ``index``-th largest prime of ``bit_length`` bits that
-    is congruent to 1 modulo ``2 * ring_degree`` (and, optionally,
-    modulo ``also_one_mod`` as well).
+    is congruent to 1 modulo ``2 * ring_degree``.
 
     Such primes admit a primitive ``2n``-th root of unity, which the
-    negacyclic NTT over ``Z_p[x]/(x^n + 1)`` requires. The extra
-    congruence serves BGV modulus switching, which needs
-    ``q == q' == 1 (mod t)``. Searching from the top of the bit range
-    downward makes the choice deterministic, so parameter sets are
-    stable across runs and machines.
+    negacyclic NTT over ``Z_p[x]/(x^n + 1)`` requires. Searching from
+    the top of the bit range downward makes the choice deterministic,
+    so parameter sets are stable across runs and machines.
 
     >>> p = find_ntt_prime(27, 1024)
     >>> p.bit_length(), p % 2048
@@ -81,13 +73,7 @@ def find_ntt_prime(
         raise ParameterError(f"bit length too small: {bit_length}")
     if index < 0:
         raise ParameterError(f"index must be non-negative: {index}")
-    if also_one_mod < 1:
-        raise ParameterError(f"also_one_mod must be >= 1: {also_one_mod}")
-    import math as _math
-
-    step = 2 * ring_degree * also_one_mod // _math.gcd(
-        2 * ring_degree, also_one_mod
-    )
+    step = 2 * ring_degree
     if bit_length <= step.bit_length():
         raise ParameterError(
             f"no {bit_length}-bit prime can be 1 mod {step}; "

@@ -86,13 +86,13 @@ class LinearRegressionWorkload:
                 # Baselines run one evaluator multiply per product.
                 op_dispatches=ct_mults,
             ),
-            # Accumulate the product ciphertexts into the 3x3 terms —
-            # fused into the per-product pass on every platform (one
-            # running sum per normal-equation entry).
+            # Accumulate every product ciphertext into its
+            # normal-equation entry — fused into the per-product pass
+            # on every platform (one running sum per entry).
             OpRequest(
                 op="reduce_sum",
                 width_bits=width,
-                n_elements=total_cts * 3 * n,
+                n_elements=ct_mults * n,
                 work_units=self.n_users,
             ),
         ]

@@ -1,94 +1,6 @@
-"""Extended evaluator operations: products of many, exponentiation."""
+"""The base-2 binary encoder under homomorphic evaluation."""
 
 import pytest
-
-from repro.errors import CiphertextError
-
-
-class TestMultiplyMany:
-    def test_product_of_four(self, tiny_ctx):
-        ev = tiny_ctx.evaluator
-        cts = [tiny_ctx.encrypt_slots([v]) for v in (2, -3, 1, 4)]
-        product = ev.multiply_many(cts)
-        assert tiny_ctx.decrypt_slots(product, 1) == [-24]
-
-    def test_odd_count(self, tiny_ctx):
-        ev = tiny_ctx.evaluator
-        cts = [tiny_ctx.encrypt_slots([v]) for v in (2, 3, -1)]
-        assert tiny_ctx.decrypt_slots(ev.multiply_many(cts), 1) == [-6]
-
-    def test_single(self, tiny_ctx):
-        ct = tiny_ctx.encrypt_slots([5])
-        assert tiny_ctx.evaluator.multiply_many([ct]) is ct
-
-    def test_empty_rejected(self, tiny_ctx):
-        with pytest.raises(CiphertextError):
-            tiny_ctx.evaluator.multiply_many([])
-
-    def test_requires_relin_key(self, tiny_ctx):
-        from repro.core.evaluator import Evaluator
-
-        ev = Evaluator(tiny_ctx.params)
-        cts = [tiny_ctx.encrypt_slots([2]), tiny_ctx.encrypt_slots([3])]
-        with pytest.raises(CiphertextError):
-            ev.multiply_many(cts)
-
-    def test_slotwise(self, tiny_ctx):
-        ev = tiny_ctx.evaluator
-        cts = [
-            tiny_ctx.encrypt_slots([1, 2]),
-            tiny_ctx.encrypt_slots([3, -4]),
-        ]
-        assert tiny_ctx.decrypt_slots(ev.multiply_many(cts), 2) == [3, -8]
-
-
-class TestExponentiate:
-    @pytest.mark.parametrize("base,exp", [(2, 1), (3, 2), (-2, 3), (2, 4)])
-    def test_small_powers(self, tiny_ctx, base, exp):
-        ev = tiny_ctx.evaluator
-        ct = tiny_ctx.encrypt_slots([base])
-        result = ev.exponentiate(ct, exp)
-        assert tiny_ctx.decrypt_slots(result, 1) == [base**exp]
-
-    def test_power_one_is_identity_value(self, tiny_ctx):
-        ev = tiny_ctx.evaluator
-        ct = tiny_ctx.encrypt_slots([7])
-        assert tiny_ctx.decrypt_slots(ev.exponentiate(ct, 1), 1) == [7]
-
-    def test_rejects_non_positive(self, tiny_ctx):
-        ct = tiny_ctx.encrypt_slots([2])
-        with pytest.raises(CiphertextError):
-            tiny_ctx.evaluator.exponentiate(ct, 0)
-        with pytest.raises(CiphertextError):
-            tiny_ctx.evaluator.exponentiate(ct, -1)
-
-    def test_requires_relin_key_above_one(self, tiny_ctx):
-        from repro.core.evaluator import Evaluator
-
-        ev = Evaluator(tiny_ctx.params)
-        ct = tiny_ctx.encrypt_slots([2])
-        with pytest.raises(CiphertextError):
-            ev.exponentiate(ct, 2)
-
-    def test_uses_logarithmic_depth(self, tiny_ctx):
-        """x^4 by squaring consumes 2 levels; a naive 3-multiplication
-        chain consumes 3 — which on the tiny ring is the difference
-        between decrypting correctly and exhausting the budget."""
-        from repro.core.noise import noise_budget
-
-        ev = tiny_ctx.evaluator
-        ct = tiny_ctx.encrypt_slots([2])
-        fast = ev.exponentiate(ct, 4)
-        chain = ct
-        for _ in range(3):
-            chain = ev.multiply(chain, ct)
-        # The square-and-multiply result survives with budget to spare.
-        assert tiny_ctx.decrypt_slots(fast, 1) == [16]
-        assert noise_budget(fast, tiny_ctx.keys.secret_key) > 1.0
-        # The sequential chain sits a full level deeper in noise.
-        assert noise_budget(chain, tiny_ctx.keys.secret_key) < noise_budget(
-            fast, tiny_ctx.keys.secret_key
-        )
 
 
 class TestBinaryEncoder:

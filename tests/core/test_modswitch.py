@@ -11,7 +11,6 @@ from repro.core.modswitch import (
 from repro.core.noise import noise_budget
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime
-from repro.poly.polynomial import Polynomial
 from tests.core import reference_bfv as oracle
 
 
@@ -113,97 +112,6 @@ class TestSwitchSecretKey:
             switch_secret_key(tiny_ctx.keys.secret_key, tiny128_params)
 
 
-def _bgv_congruent_params():
-    """BGV modulus-switch parameters: both primes == 1 (mod t)."""
-    from repro.core.params import BFVParameters
-
-    t = 257
-    q = find_ntt_prime(60, 64, also_one_mod=t)
-    q_small = find_ntt_prime(40, 64, also_one_mod=t)
-    return BFVParameters(poly_degree=64, coeff_modulus=q, plain_modulus=t), q_small
-
-
-class TestBGVSwitchModulus:
-    def test_requires_congruent_moduli(self, q40):
-        """The original BGV condition q == q' == 1 (mod t) is enforced
-        — NTT-only primes are rejected with a helpful error."""
-        from tests.conftest import make_tiny_params
-        from repro.core import BatchEncoder
-        from repro.core.bgv import BGVEncryptor, BGVKeyGenerator
-        from repro.core.modswitch import bgv_switch_modulus
-
-        params = make_tiny_params()  # q is NTT-friendly but != 1 mod t
-        keys = BGVKeyGenerator(params, seed=14).generate()
-        ct = BGVEncryptor(params, keys.public_key, seed=14).encrypt(
-            BatchEncoder(params).encode([1])
-        )
-        with pytest.raises(ParameterError):
-            bgv_switch_modulus(ct, q40)
-
-    def test_bgv_decrypts_after_switch(self):
-        """The BGV variant preserves the plaintext's mod-t residues
-        through the rescale."""
-        from repro.core import BatchEncoder
-        from repro.core.bgv import (
-            BGVDecryptor,
-            BGVEncryptor,
-            BGVKeyGenerator,
-            BGVSecretKey,
-        )
-        from repro.core.modswitch import bgv_switch_modulus
-
-        params, q40 = _bgv_congruent_params()
-        keys = BGVKeyGenerator(params, seed=15).generate()
-        encryptor = BGVEncryptor(params, keys.public_key, seed=16)
-        encoder = BatchEncoder(params)
-        values = [11, -23, 77]
-        ct = encryptor.encrypt(encoder.encode(values))
-
-        switched = bgv_switch_modulus(ct, q40)
-        new_params = switched.params
-        new_sk = BGVSecretKey(
-            new_params,
-            Polynomial(
-                keys.secret_key.poly.centered(), new_params.coeff_modulus
-            ),
-        )
-        decryptor = BGVDecryptor(new_params, new_sk)
-        decoded = BatchEncoder(new_params).decode(decryptor.decrypt(switched))
-        assert decoded[:3] == values
-
-    def test_bgv_budget_shrinks_with_modulus_but_survives(self):
-        """BGV's budget is log2(q / noise): dropping 20 modulus bits
-        costs ~20 budget bits (noise scales down with q, headroom
-        scales down too) — unlike BFV where the budget is preserved.
-        The switch must still leave a decryptable ciphertext."""
-        from repro.core import BatchEncoder
-        from repro.core.bgv import (
-            BGVEncryptor,
-            BGVKeyGenerator,
-            BGVSecretKey,
-            bgv_noise_budget,
-        )
-        from repro.core.modswitch import bgv_switch_modulus
-
-        params, q40 = _bgv_congruent_params()
-        keys = BGVKeyGenerator(params, seed=17).generate()
-        encryptor = BGVEncryptor(params, keys.public_key, seed=18)
-        ct = encryptor.encrypt(BatchEncoder(params).encode([1]))
-        before = bgv_noise_budget(ct, keys.secret_key)
-
-        switched = bgv_switch_modulus(ct, q40)
-        new_sk = BGVSecretKey(
-            switched.params,
-            Polynomial(
-                keys.secret_key.poly.centered(),
-                switched.params.coeff_modulus,
-            ),
-        )
-        after = bgv_noise_budget(switched, new_sk)
-        assert after > 0
-        assert after < before
-
-
 class TestExactCoefficients:
     """Every switched coefficient equals the scalar rounding oracle."""
 
@@ -219,25 +127,3 @@ class TestExactCoefficients:
             assert list(new.coeffs) == [
                 oracle._round_scale(c, q40, q) % q40 for c in coeffs
             ]
-
-    def test_bgv_coefficients_keep_their_residues(self):
-        from repro.core import BatchEncoder
-        from repro.core.bgv import BGVEncryptor, BGVKeyGenerator
-        from repro.core.modswitch import bgv_switch_modulus
-
-        params, q40 = _bgv_congruent_params()
-        q, t = params.coeff_modulus, params.plain_modulus
-        keys = BGVKeyGenerator(params, seed=19).generate()
-        ct = BGVEncryptor(params, keys.public_key, seed=20).encrypt(
-            BatchEncoder(params).encode([5, -9, 100])
-        )
-        switched = bgv_switch_modulus(ct, q40)
-        for poly, new in zip(ct.polys, switched.polys):
-            expected = []
-            for c in poly.centered():
-                scaled = oracle._round_scale(c, q40, q)
-                delta = (c - scaled) % t
-                if delta > t // 2:
-                    delta -= t
-                expected.append((scaled + delta) % q40)
-            assert list(new.coeffs) == expected

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.params import BFVParameters
-from repro.core.planner import (
-    CircuitShape,
-    minimum_security_level,
-    plan_budget,
-    workload_circuit,
-)
+from repro.core.planner import CircuitShape, plan_budget
 from repro.errors import ParameterError
 
 
@@ -110,61 +105,22 @@ class TestPredictionsMatchReality:
         assert measured >= plan.remaining_bits - 1
 
 
-class TestMinimumLevel:
-    def test_additions_pick_small_level(self):
-        level = minimum_security_level(
-            CircuitShape(additions_per_level=4), margin_bits=1.0
-        )
-        assert level.security_bits in (27, 54)
-
-    def test_multiplication_picks_109(self):
-        level = minimum_security_level(
-            CircuitShape(multiplicative_depth=1, additions_per_level=640)
-        )
-        assert level.security_bits == 109
-
-    def test_impossible_depth_rejected(self):
-        with pytest.raises(ParameterError):
-            minimum_security_level(CircuitShape(multiplicative_depth=4))
-
-
 class TestWorkloadCircuits:
-    def test_mean_is_depth_zero(self):
-        from repro.workloads import MeanWorkload
-
-        shape = workload_circuit(MeanWorkload(n_users=640))
-        assert shape.multiplicative_depth == 0
-        assert shape.additions_per_level == 640
-
-    def test_variance_is_depth_one(self):
-        from repro.workloads import VarianceWorkload
-
-        assert workload_circuit(
-            VarianceWorkload(n_users=64)
-        ).multiplicative_depth == 1
-
     def test_paper_workloads_feasible_at_their_level(self):
         """Every Figure 2 configuration must be feasible at 109 bits —
-        otherwise the paper's evaluation would decrypt garbage."""
-        from repro.workloads import (
-            LinearRegressionWorkload,
-            MeanWorkload,
-            VarianceWorkload,
-        )
-
+        otherwise the paper's evaluation would decrypt garbage. Mean
+        sums 2,560 users at depth 0, variance squares then sums 2,560,
+        and linear regression multiplies then sums 640 users x 64
+        ciphertexts."""
         params = BFVParameters.security_level(109)
-        workloads = [
-            MeanWorkload(n_users=2560),
-            VarianceWorkload(n_users=2560),
-            LinearRegressionWorkload(n_users=640, ciphertexts_per_user=64),
+        shapes = [
+            CircuitShape(multiplicative_depth=0, additions_per_level=2560),
+            CircuitShape(multiplicative_depth=1, additions_per_level=2560),
+            CircuitShape(multiplicative_depth=1, additions_per_level=640 * 64),
         ]
-        for workload in workloads:
-            plan = plan_budget(params, workload_circuit(workload))
+        for shape in shapes:
+            plan = plan_budget(params, shape)
             assert plan.feasible, plan.describe()
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ParameterError):
-            workload_circuit(object())
 
 
 class TestHeadroomGuard:

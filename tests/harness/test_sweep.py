@@ -1,40 +1,9 @@
-"""Sweep and crossover utilities."""
+"""Crossover bisection."""
 
 import pytest
 
 from repro.errors import ParameterError
-from repro.harness.sweep import (
-    SweepPoint,
-    bisect_crossover,
-    find_sign_change,
-    ratio_metric,
-    sweep,
-)
-
-
-class TestSweep:
-    def test_evaluates_metric(self):
-        points = sweep(lambda p: p * p, [1, 2, 3])
-        assert [p.value for p in points] == [1.0, 4.0, 9.0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ParameterError):
-            sweep(lambda p: p, [])
-
-
-class TestFindSignChange:
-    def test_finds_bracket(self):
-        points = sweep(lambda p: p - 2.5, [1, 2, 3, 4])
-        left, right = find_sign_change(points)
-        assert left.parameter == 2.0 and right.parameter == 3.0
-
-    def test_none_when_no_change(self):
-        assert find_sign_change(sweep(lambda p: p + 1, [1, 2, 3])) is None
-
-    def test_exact_zero_counts(self):
-        points = [SweepPoint(1, -1.0), SweepPoint(2, 0.0), SweepPoint(3, 1.0)]
-        left, right = find_sign_change(points)
-        assert left.value == -1.0 or left.value == 0.0
+from repro.harness.sweep import bisect_crossover, ratio_metric
 
 
 class TestBisect:

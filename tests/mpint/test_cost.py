@@ -6,15 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.mpint.cost import (
-    OpTally,
+from repro.mpint.cost import OpTally
+from repro.mpint.add import add_with_carry
+from repro.mpint.limbs import to_planes
+from repro.mpint.mul import mul32, multiply
+from tests.mpint.expected_ops import (
     expected_ops_add,
     expected_ops_mul,
     expected_ops_mul32,
 )
-from repro.mpint.add import add_with_carry
-from repro.mpint.limbs import to_planes
-from repro.mpint.mul import mul32, multiply
 
 
 def planes(value, n_limbs):

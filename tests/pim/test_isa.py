@@ -1,15 +1,7 @@
-"""ISA cost table and the native-multiplier what-if helpers."""
+"""ISA cost table."""
 
-import pytest
-
-from repro.errors import ParameterError
 from repro.mpint.cost import KNOWN_OPS, OpTally
-from repro.pim.isa import (
-    DEFAULT_CYCLES_PER_OP,
-    cycles_for_tally,
-    hypothetical_native_mul_table,
-    native_mul_tally,
-)
+from repro.pim.isa import DEFAULT_CYCLES_PER_OP, cycles_for_tally
 
 
 class TestDefaultTable:
@@ -32,20 +24,3 @@ class TestDefaultTable:
         t.charge("mul8", 2)
         t.charge("add", 1)
         assert cycles_for_tally(t, {"mul8": 3.0}) == 7.0
-
-
-class TestNativeMulWhatIf:
-    def test_table_prices_mul(self):
-        table = hypothetical_native_mul_table(3)
-        assert table["mul8"] == 3.0
-        assert table["add"] == 1.0
-
-    def test_tally_charges_mul8(self):
-        t = native_mul_tally(9)
-        assert t.as_dict() == {"mul8": 9}
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ParameterError):
-            hypothetical_native_mul_table(0)
-        with pytest.raises(ParameterError):
-            native_mul_tally(-1)

@@ -1,7 +1,7 @@
 """Cross-cutting property-based tests.
 
 Broader invariants spanning modules: cost-model monotonicity, Galois
-group structure, scheme-level algebra, and planner monotonicity —
+group structure and planner monotonicity —
 the properties a downstream user implicitly relies on.
 """
 
@@ -91,54 +91,6 @@ class TestGaloisGroupStructure:
             orbit.add(e)
             orbit.add(two_n - e)
         assert orbit == {k for k in range(1, two_n) if k % 2 == 1}
-
-
-class TestSchemeAlgebra:
-    @given(
-        values=st.lists(
-            st.integers(min_value=-40, max_value=40), min_size=2, max_size=6
-        )
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_bfv_bgv_agree_on_linear_forms(self, values):
-        """3a - 2b computed identically by both exact schemes."""
-        from tests.conftest import make_tiny_params
-        from repro.core import BatchEncoder
-        from repro.core.bgv import (
-            BGVDecryptor,
-            BGVEncryptor,
-            BGVEvaluator,
-            BGVKeyGenerator,
-        )
-        from repro.workloads.context import WorkloadContext
-
-        params = make_tiny_params()
-        a = values
-        b = values[::-1]
-        expected = [3 * x - 2 * y for x, y in zip(a, b)]
-        if any(abs(e) > params.plain_modulus // 2 for e in expected):
-            return
-
-        ctx = WorkloadContext.from_params(params, seed=3)
-        ev = ctx.evaluator
-        ct = ev.sub(
-            ev.add_many([ctx.encrypt_slots(a)] * 3),
-            ev.add_many([ctx.encrypt_slots(b)] * 2),
-        )
-        bfv = ctx.decrypt_slots(ct, len(a))
-
-        keys = BGVKeyGenerator(params, seed=4).generate()
-        enc = BGVEncryptor(params, keys.public_key, seed=5)
-        dec = BGVDecryptor(params, keys.secret_key)
-        bev = BGVEvaluator(params)
-        encoder = BatchEncoder(params)
-        ca = enc.encrypt(encoder.encode(a))
-        cb = enc.encrypt(encoder.encode(b))
-        three_a = bev.add(bev.add(ca, ca), ca)
-        two_b = bev.add(cb, cb)
-        bgv = encoder.decode(dec.decrypt(bev.sub(three_a, two_b)))[: len(a)]
-
-        assert bfv == bgv == expected
 
 
 class TestPlannerMonotonicity:

@@ -94,6 +94,16 @@ class TestLinReg:
         assert tensor.op_dispatches == 640 * 32 * 3
         assert reduce_.n_elements == 640 * 32 * 3 * 4096
 
+    @pytest.mark.parametrize("n_features", [2, 4])
+    def test_accumulate_sized_by_products(self, n_features):
+        """One running-sum pass per product ciphertext at any feature
+        count, not the three the 3-feature case happens to give."""
+        w = LinearRegressionWorkload(
+            n_users=640, ciphertexts_per_user=32, n_features=n_features
+        )
+        tensor, reduce_ = w.device_requests()
+        assert reduce_.n_elements == tensor.n_elements
+
     def test_double_ciphertexts_double_work(self):
         w32 = LinearRegressionWorkload(ciphertexts_per_user=32)
         w64 = LinearRegressionWorkload(ciphertexts_per_user=64)
