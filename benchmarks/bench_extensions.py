@@ -2,14 +2,13 @@
 
 These go beyond the paper's figures (provenance in each experiment's
 registry entry); the benchmarks regenerate their tables and time the
-new real primitives (rotation, serialization, binary encoding).
+new real primitives (rotation, binary encoding).
 """
 
 import pytest
 
 from repro.core import BinaryEncoder, KeyGenerator
 from repro.core.galois import rotate_rows
-from repro.core.serialization import dump_ciphertext, load_ciphertext
 
 
 def test_ext_energy_regenerate(benchmark, regenerate):
@@ -79,15 +78,6 @@ def test_bench_galois_keygen(benchmark, tiny_crypto):
         rounds=3,
     )
     assert len(keys.elements()) == 2  # step 1 + column swap
-
-
-def test_bench_ciphertext_serialization(benchmark, tiny_crypto):
-    ct = tiny_crypto.encrypt_slots([1, 2, 3])
-
-    def roundtrip():
-        return load_ciphertext(dump_ciphertext(ct))
-
-    assert benchmark(roundtrip) == ct
 
 
 def test_bench_binary_encoder(benchmark, tiny_crypto):

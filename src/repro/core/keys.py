@@ -45,9 +45,8 @@ class KeyTransforms:
     """Forward transforms of a key's polynomials, filled on first use.
 
     The handles live in the instance ``__dict__``, not in a dataclass
-    field, so key equality, hashing, ``repr``,
-    :mod:`repro.core.serialization` and pickling see only the key
-    material. Each handle holds residue rows and the recipe ``make``
+    field, so key equality, hashing, ``repr`` and pickling see only the
+    key material. Each handle holds residue rows and the recipe ``make``
     for its polynomial, never a copy of the coefficients.
     """
 

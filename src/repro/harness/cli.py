@@ -25,15 +25,15 @@ Subcommands:
   gate the deterministic model against the committed baseline
   (``ENERGY-DRIFT``), and render the energy-per-op / EDP / movement
   dashboard;
-* ``faults run|sweep|html`` — the chaos harness: run experiments under
-  a seeded fault plan (disabled DPUs, transient launches, transfer
-  corruption, stuck tasklets), sweep the fig1/fig2 experiments across
-  a degraded-fleet grid, and render the availability-vs-slowdown card;
+* ``faults run`` — the chaos harness: run experiments under a seeded
+  fault plan (disabled DPUs, transient launches, transfer corruption,
+  stuck tasklets);
 * ``grid run|html`` — the experiment grid: price every workload ×
   backend × security × fleet-health × batch cell, cross-check the
-  fault-free cells against the perf baseline, write the cells as one
-  JSON document, and render it as the dashboard (status heatmap,
-  verdict history);
+  fault-free cells against the perf baseline, report the PIM slowdown
+  per experiment as the fleet degrades, write the cells as one JSON
+  document, and render it as the dashboard (status heatmap, slowdown
+  curves, verdict history);
 * ``serve run|sweep|html`` — the batched serving model: simulate a
   seeded open-loop serving point with request-level SLO accounting
   (latency decomposition, streaming percentiles, burn rates), sweep
@@ -171,7 +171,7 @@ def _load_recorded(loader, *args, hint: str = "repro perf record"):
     """Load recorded data under the EXIT_DATA convention.
 
     Every subcommand that *reads* recorded artifacts (gate baselines and
-    histories, fault sweeps, serving sweeps, grid documents) shares
+    histories, serving sweeps, grid documents) shares
     one failure mode — "the data this command needs is missing or
     unreadable" — reported identically: the loader's
     :class:`~repro.errors.ParameterError` message (naming the file, and
@@ -475,44 +475,6 @@ def _cmd_faults_run(args) -> int:
     return status
 
 
-def _cmd_faults_sweep(args) -> int:
-    """Sweep experiments across a degraded-fleet grid."""
-    from repro.harness import chaos
-    from repro.obs import htmlreport
-
-    def progress(eid, fraction):
-        print(f"  sweeping {eid} at {fraction * 100:.0f}% ...", file=sys.stderr)
-
-    doc = chaos.sweep_degraded_fleet(
-        args.ids or None,
-        grid=args.healthy or None,
-        seed=args.seed,
-        progress=progress,
-    )
-    print(chaos.render_sweep_text(doc))
-    if args.output:
-        chaos.SWEEPS.write(doc, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if args.html:
-        _write(args.html, htmlreport.render_faults_report(doc))
-        print(f"wrote HTML card to {args.html}", file=sys.stderr)
-    return 0
-
-
-def _cmd_faults_html(args) -> int:
-    """Render a recorded sweep as the availability-vs-slowdown card."""
-    from repro.harness import chaos
-    from repro.obs import htmlreport
-
-    doc, status = _load_recorded(
-        chaos.SWEEPS.read, args.sweep, hint=chaos.SWEEPS.hint
-    )
-    if doc is None:
-        return status
-    _emit(htmlreport.render_faults_report(doc), args.output)
-    return 0
-
-
 def _perf_baseline(path):
     """``(perf baseline or None, None)``, or ``(None, EXIT_DATA)``."""
     from repro.obs import baseline as bl
@@ -597,6 +559,7 @@ def _cmd_grid_html(args) -> int:
         spec,
         verdicts=regmod.check_against_baseline(cells, baseline),
         gate_runs=gate_runs,
+        slowdowns=regmod.pim_slowdowns(spec, cells),
     )
     _emit(document, args.output)
     return 0
@@ -1143,15 +1106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     faults_parser = sub.add_parser(
         "faults",
-        help="chaos harness: inject faults, sweep degraded fleets, "
-        "render the availability card",
+        help="chaos harness: run experiments under injected faults",
         description=(
             "Deterministic fault injection for the PIM model: run "
             "experiments under a seeded FaultPlan (disabled DPUs, "
             "transient launch failures, transfer corruption, stuck "
-            "tasklets), or sweep the fig1/fig2 experiments across a "
-            "degraded-fleet grid. Same seed, same faults, same "
-            "modelled times — see docs/robustness.md."
+            "tasklets). Same seed, same faults, same modelled times — "
+            "see docs/robustness.md. 'repro grid run --healthy ...' "
+            "reports the PIM slowdown across degraded fleets."
         ),
     )
     faults_sub = faults_parser.add_subparsers(
@@ -1206,51 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_keep_going(faults_run)
     faults_run.set_defaults(func=_cmd_faults_run)
-
-    faults_sweep = faults_sub.add_parser(
-        "sweep",
-        help="replay experiments across a degraded-fleet grid "
-        "(100%% ... 80%% healthy)",
-    )
-    faults_sweep.add_argument(
-        "ids",
-        nargs="*",
-        help="experiments to sweep (default: fig1a fig1b fig2a fig2b fig2c)",
-    )
-    faults_sweep.add_argument(
-        "--healthy",
-        type=float,
-        action="append",
-        metavar="FRACTION",
-        help="healthy fraction to include (repeatable; default: "
-        "1.0 0.95 0.9 0.85 0.8)",
-    )
-    faults_sweep.add_argument(
-        "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
-    )
-    faults_sweep.add_argument(
-        "-o", "--output", metavar="FILE", help="write the sweep JSON to FILE"
-    )
-    faults_sweep.add_argument(
-        "--html",
-        metavar="FILE",
-        help="write the availability-vs-slowdown HTML card to FILE",
-    )
-    faults_sweep.set_defaults(func=_cmd_faults_sweep)
-
-    faults_html = faults_sub.add_parser(
-        "html",
-        help="render a recorded sweep as the availability-vs-slowdown card",
-    )
-    faults_html.add_argument(
-        "--sweep",
-        default="faults-sweep.json",
-        metavar="FILE",
-        help="sweep JSON recorded by 'repro faults sweep -o' "
-        "(default: faults-sweep.json)",
-    )
-    _add_output(faults_html)
-    faults_html.set_defaults(func=_cmd_faults_html)
 
     grid_parser = sub.add_parser(
         "grid",
@@ -1335,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_html = grid_sub.add_parser(
         "html",
         help="render a grid document as the dashboard (heatmap, "
-        "verdict history)",
+        "slowdown curves, verdict history)",
     )
     grid_html.add_argument(
         "--grid",

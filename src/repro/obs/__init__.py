@@ -104,7 +104,6 @@ from repro.obs.export import (
 from repro.obs.htmlreport import (
     render_dashboard,
     render_energy_report,
-    render_faults_report,
     render_forensics_report,
     render_grid_dashboard,
     render_noise_report,
@@ -232,8 +231,6 @@ __all__ = [
     "check_noise_runs",
     "read_noise_run",
     "render_noise_report",
-    # degraded-fleet sweep card (repro faults)
-    "render_faults_report",
     # experiment grid dashboard (repro grid)
     "render_grid_dashboard",
     # request-level SLOs & serving capacity (repro serve)

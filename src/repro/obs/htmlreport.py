@@ -26,7 +26,6 @@ __all__ = [
     "render_dashboard",
     "render_profile_report",
     "render_noise_report",
-    "render_faults_report",
     "render_grid_dashboard",
     "render_serve_report",
     "render_energy_report",
@@ -420,13 +419,16 @@ def render_noise_report(current: dict, baseline=None, history=(), verdicts=None)
     return _page("repro noise calibration", _identities(current, baseline), sections)
 
 
-# -- degraded-fleet availability (repro faults) ----------------------------------
+# -- experiment grid (repro grid html) -------------------------------------------
+
+_STATUS_COLORS = {"done": _GREEN, "failed": _RED}
 
 
-def _faults_card(eid: str, points) -> str:
-    worst = max((p.get("slowdown") or 1.0 for p in points), default=1.0)
-    usable = [p for p in points
-              if p.get("slowdown") is not None and p.get("healthy") is not None]
+def _slowdown_card(eid: str, points) -> str:
+    """One experiment's PIM slowdown curve and table as the fleet
+    degrades (:func:`repro.obs.registry.pim_slowdowns` points)."""
+    worst = max((p["slowdown"] or 1.0 for p in points), default=1.0)
+    usable = [p for p in points if p["slowdown"] is not None]
     # Availability decreases left to right: 100% healthy at the left.
     chart = _chart(
         [([p["slowdown"] for p in usable], _RED, False)],
@@ -436,31 +438,13 @@ def _faults_card(eid: str, points) -> str:
     )
     rows = [
         [f"{p['healthy'] * 100:.1f}%", p["disabled_dpus"], p["effective_dpus"],
-         _num(p.get("pim_total"), ",.4f"), _num(p.get("slowdown"), ".4f", "x")]
+         _num(p["pim_total"], ",.4f"), _num(p["slowdown"], ".4f", "x")]
         for p in points
     ]
     headers = ["healthy", "disabled", "effective DPUs", "pim total", "slowdown"]
     return _card(eid, chart, _table(headers, rows),
                  subtitle=f"worst slowdown {worst:.3f}x")
 
-
-def render_faults_report(doc: dict) -> str:
-    """The availability-vs-slowdown page for a ``repro faults sweep``
-    document (:func:`repro.harness.chaos.sweep_degraded_fleet`): per
-    experiment the PIM slowdown curve and the full grid table."""
-    meta = [
-        _identity(doc),
-        f"seed {_esc(doc.get('seed'))} · fleet {_esc(doc.get('n_dpus'))} "
-        "DPUs · grid " + ", ".join(f"{f * 100:.0f}%" for f in doc.get("grid", [])),
-    ]
-    sections = [_faults_card(eid, entry.get("points", []))
-                for eid, entry in doc.get("experiments", {}).items()]
-    return _page("repro degraded-fleet sweep", meta, sections)
-
-
-# -- experiment grid (repro grid html) -------------------------------------------
-
-_STATUS_COLORS = {"done": _GREEN, "failed": _RED}
 
 
 def _heatmap_card(workload: str, cells) -> str:
@@ -519,14 +503,19 @@ def _history_card(gate_runs) -> str:
                  subtitle="perf · noise gates over time")
 
 
-def render_grid_dashboard(cells, spec, verdicts=None, gate_runs=()) -> str:
+def render_grid_dashboard(
+    cells, spec, verdicts=None, gate_runs=(), slowdowns=None
+) -> str:
     """The ``repro grid html`` dashboard over a grid run's plain data
     (:func:`repro.obs.registry.read_grid` cells and spec).
 
     ``verdicts`` are the fault-free cells' perf-baseline cross-check
-    (:func:`repro.obs.registry.check_against_baseline`); ``gate_runs``
-    are ``(source, doc, verdicts)`` rows the caller checked (perf and
-    noise histories), shown by time in the verdict history.
+    (:func:`repro.obs.registry.check_against_baseline`); ``slowdowns``
+    are the PIM slowdown-vs-health points by experiment
+    (:func:`repro.obs.registry.pim_slowdowns`), one card each;
+    ``gate_runs`` are ``(source, doc, verdicts)`` rows the caller
+    checked (perf and noise histories), shown by time in the verdict
+    history.
     """
     cells = list(cells)
     counts = Counter(cell["status"] for cell in cells)
@@ -545,6 +534,8 @@ def render_grid_dashboard(cells, spec, verdicts=None, gate_runs=()) -> str:
         by_workload.setdefault(cell["workload"], []).append(cell)
     sections.extend(_heatmap_card(w, by_workload[w])
                     for w in spec.workloads if w in by_workload)
+    sections.extend(_slowdown_card(eid, points)
+                    for eid, points in (slowdowns or {}).items())
     sections.append(_history_card(gate_runs))
     return _page("repro experiment grid", meta, sections)
 

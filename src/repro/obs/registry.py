@@ -31,12 +31,15 @@ from repro.obs.gate import Ledger, Verdict
 from repro.obs.perf import baseline_pairs
 from repro.obs.runident import run_identity
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import plan_for_healthy_fraction, use_fault_plan
+from repro.pim.faults import (
+    DEFAULT_HEALTHY,
+    plan_for_healthy_fraction,
+    use_fault_plan,
+)
 from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
     "SECURITY_LEVELS",
-    "DEFAULT_HEALTHY",
     "STATUS_DONE",
     "STATUS_FAILED",
     "GridSpec",
@@ -49,14 +52,12 @@ __all__ = [
     "read_grid",
     "check_against_baseline",
     "experiment_totals",
+    "pim_slowdowns",
     "render_status",
 ]
 
 #: The paper's security levels (bits of q), the grid's security axis.
 SECURITY_LEVELS = (27, 54, 109)
-
-#: Fleet-health fractions enumerated by default (100% … 80%).
-DEFAULT_HEALTHY = (1.0, 0.9, 0.8)
 
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
@@ -71,7 +72,8 @@ class GridSpec:
 
     ``max_batches`` truncates every workload's canonical batch list (a
     tiny-grid switch for CI and tests). Every axis is validated here,
-    so a bad axis is rejected before any cell is priced.
+    so a bad or repeated axis value is rejected before any cell is
+    priced.
     """
 
     workloads: tuple = tuple(PAPER_WORKLOADS)
@@ -82,6 +84,14 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for axis in ("workloads", "backends", "security_bits", "healthy"):
+            values = getattr(self, axis)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ParameterError(
+                    f"grid axis {axis!r} repeats {repeated}: each value "
+                    "may appear once"
+                )
         for workload in self.workloads:
             if workload not in PAPER_WORKLOADS:
                 raise ParameterError(
@@ -335,6 +345,47 @@ def experiment_totals(cells, healthy: float = 1.0) -> dict:
     return totals
 
 
+#: The backend whose slowdown :func:`pim_slowdowns` reports.
+PIM_BACKEND = "pim"
+
+
+def pim_slowdowns(spec: GridSpec, cells) -> dict:
+    """The PIM slowdown-vs-fleet-health view, by experiment.
+
+    For each experiment the grid covers, one point per enumerated
+    health, healthiest first: the disabled and effective DPU counts of
+    the cells' :func:`~repro.pim.faults.plan_for_healthy_fraction` plan,
+    the pim total (:func:`experiment_totals`) and its slowdown against
+    the experiment's 100%-healthy pim total. Slowdown is ``None`` when
+    the grid has no 100% column or either total is missing. Empty when
+    the grid does not enumerate the pim backend.
+    """
+    if PIM_BACKEND not in spec.backends:
+        return {}
+    cells = list(cells)
+    config = UPMEMConfig()
+    full: dict = {}
+    view: dict = {}
+    for healthy in sorted(spec.healthy, reverse=True):
+        effective = plan_for_healthy_fraction(
+            healthy, spec.seed, config
+        ).effective_dpus(config)
+        totals = experiment_totals(cells, healthy)
+        for eid in _covered(cells, healthy):
+            pim = totals.get(eid, {}).get(PIM_BACKEND)
+            if healthy == 1.0:
+                full[eid] = pim
+            base = full.get(eid)
+            view.setdefault(eid, []).append({
+                "healthy": healthy,
+                "disabled_dpus": config.n_dpus - effective,
+                "effective_dpus": effective,
+                "pim_total": pim,
+                "slowdown": pim / base if pim is not None and base else None,
+            })
+    return view
+
+
 #: The note each non-``ok`` (experiment, backend) pair contributes.
 _PAIR_NOTES = {
     gate.MODEL_DRIFT: "{backend}: grid total {got_ms!r} != baseline {expected_ms!r}",
@@ -383,8 +434,9 @@ def render_status(spec: GridSpec, cells, baseline: dict | None = None) -> str:
     """A grid run as a text status report.
 
     Counts by status, per-(workload, security, health) completion, the
-    failed-cell headers, and — when a perf baseline is given — the grid
-    MODEL-DRIFT verdicts.
+    failed-cell headers, the PIM slowdown per experiment as the fleet
+    degrades (:func:`pim_slowdowns`), and — when a perf baseline is
+    given — the grid MODEL-DRIFT verdicts.
     """
     cells = list(cells)
     failed = [c for c in cells if c["status"] == STATUS_FAILED]
@@ -412,6 +464,24 @@ def render_status(spec: GridSpec, cells, baseline: dict | None = None) -> str:
     if failed:
         lines.append("\nfailed cells:")
         lines.extend(f"  {c['failure_header']}" for c in failed)
+
+    slowdowns = pim_slowdowns(spec, cells)
+    if slowdowns:
+        lines.append("\nPIM slowdown vs fleet health:")
+    for eid, points in slowdowns.items():
+        lines.append(f"\n{eid}:")
+        lines.append(
+            "  healthy   disabled  effective  pim total      slowdown"
+        )
+        for point in points:
+            pim, slowdown = point["pim_total"], point["slowdown"]
+            lines.append(
+                f"  {point['healthy'] * 100:6.1f}%  "
+                f"{point['disabled_dpus']:8d}  "
+                f"{point['effective_dpus']:9d}  "
+                + (f"{pim:12.4f}  " if pim is not None else f"{'-':>12}  ")
+                + (f"{slowdown:7.4f}x" if slowdown is not None else f"{'-':>8}")
+            )
 
     verdicts = check_against_baseline(cells, baseline)
     if verdicts:

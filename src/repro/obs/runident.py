@@ -2,9 +2,8 @@
 
 Every persistent record this project produces — perf baselines
 (:mod:`repro.obs.baseline`), noise calibrations
-(:mod:`repro.obs.noisegate`), chaos sweeps
-(:mod:`repro.harness.chaos`), and grid documents
-(:mod:`repro.obs.registry`) — carries the same three identity fields:
+(:mod:`repro.obs.noisegate`), serving sweeps (:mod:`repro.serve`),
+and grid documents (:mod:`repro.obs.registry`) — carries the same three identity fields:
 
 * ``run_id`` — a fresh uuid4 hex string, unique per recording;
 * ``created_at`` — an ISO-8601 UTC timestamp (second precision);

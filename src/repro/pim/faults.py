@@ -61,6 +61,7 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "FaultPlan",
+    "DEFAULT_HEALTHY",
     "plan_for_healthy_fraction",
     "DegradedRunReport",
     "redistribute_units",
@@ -566,6 +567,11 @@ class FaultPlan:
         plan = replace(self, **changes)
         plan.reset()
         return plan
+
+
+#: Fleet-health fractions the experiment grid and the serving sweep
+#: enumerate by default (100% … 80%).
+DEFAULT_HEALTHY = (1.0, 0.9, 0.8)
 
 
 def plan_for_healthy_fraction(

@@ -60,7 +60,6 @@ from repro.serve.resilience import (
     simulate_resilient,
 )
 from repro.serve.service import (
-    DEFAULT_HEALTHY_GRID,
     DEFAULT_QPS_GRID,
     RequestClass,
     ServeSpec,
@@ -87,7 +86,6 @@ __all__ = [
     "BatchScheduler",
     "RequestClass",
     "ServeSpec",
-    "DEFAULT_HEALTHY_GRID",
     "DEFAULT_QPS_GRID",
     "simulate",
     "sweep_capacity",

@@ -54,7 +54,7 @@ from repro.obs.slo import (
 )
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
-from repro.pim.faults import FaultPlan
+from repro.pim.faults import DEFAULT_HEALTHY, FaultPlan
 from repro.serve.arrivals import OpenLoopArrivals
 from repro.serve.scheduler import ServedBatches
 from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
@@ -62,7 +62,6 @@ from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_QPS_GRID",
-    "DEFAULT_HEALTHY_GRID",
     "RequestClass",
     "ServeSpec",
     "ServeResult",
@@ -82,10 +81,6 @@ SCHEMA_VERSION = 1
 
 #: Offered-QPS grid swept by default (requests/s per class).
 DEFAULT_QPS_GRID = (1000.0, 4000.0, 16000.0)
-
-#: Fleet-health fractions swept by default (>= 3 points; matches the
-#: experiment grid's axis).
-DEFAULT_HEALTHY_GRID = (1.0, 0.9, 0.8)
 
 #: The backend serving batches are priced on.
 SERVE_BACKEND = "pim"
@@ -356,7 +351,7 @@ def _point_verdict(summary: dict) -> str:
 def sweep_capacity(
     workload: str = "vec_add",
     security_levels=(27, 54, 109),
-    healthy_grid=DEFAULT_HEALTHY_GRID,
+    healthy_grid=DEFAULT_HEALTHY,
     qps_grid=DEFAULT_QPS_GRID,
     duration_s: float = 0.5,
     seed: int = 0,

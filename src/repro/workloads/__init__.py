@@ -24,8 +24,8 @@ timed op counts are the op counts of the verified computation.
 workload, how to build it at a (security level, batch) cell, the
 figure's batches and row label, and the noise-circuit shape of one
 serving request. :data:`EXPERIMENT_CELLS` names the cells of each
-figure experiment. The fig1/fig2 experiments, the run-registry grid,
-the faults sweep and the serving layer all read them.
+figure experiment. The fig1/fig2 experiments, the experiment grid and
+the serving layer all read them.
 """
 
 from dataclasses import dataclass
@@ -90,8 +90,8 @@ class PaperWorkload:
         )
 
 
-#: The paper's workloads, keyed by the name the grid, the faults sweep
-#: and the serving layer use.
+#: The paper's workloads, keyed by the name the grid and the serving
+#: layer use.
 PAPER_WORKLOADS = {
     "vec_add": PaperWorkload(
         factory=lambda bits, batch: VectorAddWorkload(

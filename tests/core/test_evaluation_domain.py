@@ -198,20 +198,13 @@ class TestBundleSizing:
 
 class TestKeyCaches:
     """Key transforms are filled on first use and are invisible to key
-    equality, hashing, serialization and pickling."""
+    equality, hashing and pickling."""
 
     def test_filled_lazily_and_kept_off_the_fields(self, tiny128_params):
         import dataclasses
         import pickle
 
-        from repro.core import serialization
-
         keys = KeyGenerator(tiny128_params, seed=3).generate()
-        dumps = {
-            "secret": serialization.dump_secret_key(keys.secret_key),
-            "public": serialization.dump_public_key(keys.public_key),
-            "relin": serialization.dump_relin_key(keys.relin_key),
-        }
         key_objects = (keys.secret_key, keys.public_key, keys.relin_key)
         assert all("_operands" not in vars(key) for key in key_objects)
 
@@ -225,11 +218,6 @@ class TestKeyCaches:
         )
         assert all(vars(key)["_operands"] for key in key_objects)
 
-        assert dumps == {
-            "secret": serialization.dump_secret_key(keys.secret_key),
-            "public": serialization.dump_public_key(keys.public_key),
-            "relin": serialization.dump_relin_key(keys.relin_key),
-        }
         fresh = KeyGenerator(tiny128_params, seed=3).generate()
         for used, unused in zip(key_objects, (
             fresh.secret_key, fresh.public_key, fresh.relin_key

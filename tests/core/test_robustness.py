@@ -1,26 +1,15 @@
-"""Robustness: tampering, wrong keys, fuzzed inputs.
+"""Robustness: tampering, wrong keys, statistical sanity.
 
 These tests pin down *failure* behaviour: corrupted ciphertexts must
 decrypt to garbage (never silently to the right value with a broken
-scheme), wrong keys must not decrypt, and malformed serialized bytes
-must raise clean errors rather than crash or return partial objects.
+scheme), and wrong keys must not decrypt.
 """
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import Decryptor, KeyGenerator
 from repro.core.ciphertext import Ciphertext
 from repro.core.noise import noise_budget
-from repro.core.serialization import (
-    MAGIC,
-    SerializationError,
-    dump_ciphertext,
-    load_ciphertext,
-    load_params,
-)
 from repro.poly.polynomial import Polynomial
 
 
@@ -69,66 +58,6 @@ class TestTampering:
         ct = tiny_ctx.encrypt_slots([5])
         swapped = Ciphertext(tiny_ctx.params, (ct.polys[1], ct.polys[0]))
         assert tiny_ctx.decrypt_slots(swapped, 1) != [5]
-
-
-class TestSerializationFuzz:
-    @given(st.binary(min_size=0, max_size=64))
-    @settings(max_examples=100)
-    def test_random_bytes_never_crash(self, data):
-        """Arbitrary bytes either parse (astronomically unlikely) or
-        raise SerializationError/ParameterError — never an unhandled
-        exception type."""
-        from repro.errors import ReproError
-
-        try:
-            load_params(data)
-        except ReproError:
-            pass
-
-    @given(st.integers(min_value=6, max_value=200), st.integers(min_value=0, max_value=255))
-    @settings(max_examples=50)
-    def test_single_byte_corruption_detected(self, position, new_byte):
-        """Corrupting any single byte of a serialized ciphertext either
-        raises or yields a ciphertext differing from the original."""
-        from tests.conftest import make_tiny_params
-        from repro.workloads.context import WorkloadContext
-        from repro.errors import ReproError
-
-        ctx = _fuzz_ctx()
-        original = ctx.encrypt_slots([13])
-        blob = bytearray(dump_ciphertext(original))
-        position %= len(blob)
-        if blob[position] == new_byte:
-            return
-        blob[position] = new_byte
-        try:
-            restored = load_ciphertext(bytes(blob))
-        except ReproError:
-            return
-        assert restored != original
-
-    @given(st.binary(min_size=1, max_size=16))
-    @settings(max_examples=30)
-    def test_magic_prefix_required(self, suffix):
-        with pytest.raises(SerializationError):
-            load_params(b"XXXX" + suffix)
-
-    def test_magic_alone_rejected(self):
-        with pytest.raises(SerializationError):
-            load_params(MAGIC)
-
-
-_FUZZ_CTX = None
-
-
-def _fuzz_ctx():
-    global _FUZZ_CTX
-    if _FUZZ_CTX is None:
-        from tests.conftest import make_tiny_params
-        from repro.workloads.context import WorkloadContext
-
-        _FUZZ_CTX = WorkloadContext.from_params(make_tiny_params(), seed=77)
-    return _FUZZ_CTX
 
 
 class TestStatisticalSanity:

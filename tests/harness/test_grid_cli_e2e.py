@@ -19,6 +19,7 @@ class TestGridRun:
         assert len(rows) == 9
         assert sum("[         ok]" in row for row in rows) == 8
         assert "  [        new] fig2b" in rows
+        assert "PIM slowdown vs fleet health:" in out
         assert out.rstrip().endswith("gate passes")
 
     @pytest.mark.parametrize(
@@ -26,8 +27,9 @@ class TestGridRun:
         [
             (["--backends", "foo", "pim"], "unknown grid backend 'foo'"),
             (["--security", "64"], "unknown grid security level 64"),
+            (["--healthy", "0.9", "0.9"], "grid axis 'healthy' repeats [0.9]"),
         ],
-        ids=["backends", "security"],
+        ids=["backends", "security", "duplicate"],
     )
     def test_bad_axis_rejected_before_pricing(
         self, axis, message, monkeypatch, capsys
@@ -42,6 +44,23 @@ class TestGridRun:
         (line,) = captured.err.splitlines()
         assert line.startswith("ParameterError: ")
         assert message in line
+
+    def test_prints_the_pim_slowdown_table(self, capsys):
+        """Each covered experiment gets one row per fleet health: the
+        disabled/effective DPUs, pim total and slowdown vs 100%."""
+        argv = ["grid", "run", "--workloads", "vec_add", "--security",
+                "109", "--healthy", "1", "0.8", "--seed", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("PIM slowdown vs fleet health:"):]
+        lines = table.splitlines()
+        assert lines[2:5] == [
+            "fig1a:",
+            "  healthy   disabled  effective  pim total      slowdown",
+            "   100.0%         0       2524      128.1097   1.0000x",
+        ]
+        assert lines[5].startswith("    80.0%       505       2019  ")
+        assert lines[5].endswith("x")
 
     def test_explicit_axes_override_preset(self, tmp_path):
         path = tmp_path / "grid.json"
@@ -77,6 +96,16 @@ class TestGridRunResumeHtml:
         assert "vec_add" in document
         assert "32 cells — done: 32" in document
         assert "Verdict history" in document
+
+    def test_html_draws_the_slowdown_curves(self, tmp_path, capsys):
+        doc = tmp_path / "grid.json"
+        assert main(["grid", "run", "--workloads", "mean", "--security",
+                     "109", "--healthy", "1", "0.9", "-o", str(doc)]) == 0
+        html = tmp_path / "dash.html"
+        assert main(["grid", "html", "--grid", str(doc), "-o", str(html)]) == 0
+        document = html.read_text()
+        assert "fig2a: PIM slowdown vs healthy fraction" in document
+        assert "worst slowdown" in document
 
     def test_run_reports_failed_cells(self, capsys, monkeypatch):
         real_run_cell = reg.run_cell

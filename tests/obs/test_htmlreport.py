@@ -315,18 +315,6 @@ def _page_resilience(profile):
     return html, len(verdicts) + len(doc["baseline_check"])
 
 
-def _page_faults(profile):
-    points = [
-        {"healthy": 1.0, "disabled_dpus": 0, "effective_dpus": 8,
-         "pim_total": 1.0, "slowdown": 1.0},
-        {"healthy": 0.5, "disabled_dpus": 4, "effective_dpus": 4,
-         "pim_total": None, "slowdown": None},
-    ]
-    doc = {"seed": HOSTILE, "n_dpus": 8, "grid": [1.0, 0.5],
-           "experiments": {HOSTILE: {"points": points}}}
-    return htmlreport.render_faults_report(doc), 0
-
-
 def _page_grid(profile):
     cells = [{"workload": HOSTILE, "backend": "pim", "status": "failed",
               "security_bits": 109, "healthy": 1.0, "batch": 1,
@@ -335,7 +323,15 @@ def _page_grid(profile):
     spec = SimpleNamespace(seed=HOSTILE, workloads=(HOSTILE,))
     verdicts = [gate.Verdict(HOSTILE, gate.MODEL_DRIFT, (HOSTILE,))]
     gate_runs = [("perf", run, [gate.Verdict(HOSTILE, gate.MODEL_DRIFT)])]
-    html = htmlreport.render_grid_dashboard(cells, spec, verdicts, gate_runs)
+    slowdowns = {HOSTILE: [
+        {"healthy": 1.0, "disabled_dpus": 0, "effective_dpus": 8,
+         "pim_total": 1.0, "slowdown": 1.0},
+        {"healthy": 0.5, "disabled_dpus": 4, "effective_dpus": 4,
+         "pim_total": None, "slowdown": None},
+    ]}
+    html = htmlreport.render_grid_dashboard(
+        cells, spec, verdicts, gate_runs, slowdowns
+    )
     return html, 1
 
 
@@ -378,7 +374,6 @@ PAGES = {
     "noise": _page_noise,
     "energy": _page_energy,
     "resilience": _page_resilience,
-    "faults": _page_faults,
     "grid": _page_grid,
     "serve": _page_serve,
     "forensics": _page_forensics,
@@ -424,17 +419,10 @@ HTML_COMMANDS = {
     "why-html": lambda tmp, out: [
         ["why", "fig1a", "--history", _absent(tmp),
          "--energy-history", _absent(tmp), "--html", out]],
-    "faults-sweep-html": lambda tmp, out: [
-        ["faults", "sweep", "fig1a", "--healthy", "1.0", "--healthy", "0.9",
-         "--html", out]],
     "grid-html": lambda tmp, out: [
         ["grid", "run", "--preset", "tiny", "-o", str(tmp / "grid.json")],
         ["grid", "html", "--grid", str(tmp / "grid.json"), "--history",
          _absent(tmp), "--noise-history", _absent(tmp), "-o", out]],
-    "faults-html": lambda tmp, out: [
-        ["faults", "sweep", "fig1a", "--healthy", "1.0",
-         "-o", str(tmp / "sweep.json")],
-        ["faults", "html", "--sweep", str(tmp / "sweep.json"), "-o", out]],
     "serve-sweep-html": lambda tmp, out: [
         ["serve", "sweep", "--security", "109", "--qps", "500", "--healthy",
          "1.0", "--duration", "0.05", "--skip-baseline", "--html", out]],

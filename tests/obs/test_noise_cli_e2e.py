@@ -2,8 +2,8 @@
 
 Drives record → check → report through the real CLI against the tiny
 security levels, then locks the ``EXIT_DATA`` (2) convention for
-*every* recorded-artifact-consuming subcommand — perf, noise, faults,
-grid, and serve alike — so "nothing recorded yet" can never regress
+*every* recorded-artifact-consuming subcommand — perf, noise, energy,
+resil, grid, and serve alike — so "nothing recorded yet" can never regress
 into a traceback or be confused with a tripped gate (exit 1).
 """
 
@@ -102,17 +102,16 @@ class TestExitDataConvention:
             (["perf", "check"], _RECORDED),
             (["perf", "diff", "a", "b"], _RECORDED),
             (["perf", "html"], _RECORDED),
-            (["faults", "html"], ("--sweep",)),
+            (
+                ["forensics", "shifts"],
+                ("--history", "--energy-history", "--noise-history"),
+            ),
             (["serve", "html"], ("--sweep",)),
             (["resil", "check"], _RECORDED),
             (["resil", "html"], _RECORDED),
             (["grid", "html"], ("--grid",)),
             (["why", "fig1a"], ("--against", "--history")),
             (["forensics", "html"], ("--run-a", "--run-b")),
-            (
-                ["forensics", "shifts"],
-                ("--history", "--energy-history", "--noise-history"),
-            ),
         ],
         ids=lambda value: (
             "-".join(value[:2]) if isinstance(value, list) else None

@@ -1,6 +1,7 @@
 """The experiment grid: enumeration, pricing every cell, the grid
 document, and the bit-identical baseline cross-check."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -89,6 +90,22 @@ class TestGridSpec:
     def test_rejects_bad_max_batches(self):
         with pytest.raises(ParameterError, match="max_batches"):
             reg.GridSpec(max_batches=0)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"workloads": ("mean", "vec_add", "mean")},
+            {"backends": ("pim", "pim")},
+            {"security_bits": (109, 27, 109)},
+            {"healthy": (0.9, 1.0, 0.9)},
+        ],
+        ids=["workloads", "backends", "security_bits", "healthy"],
+    )
+    def test_rejects_repeated_axis_values(self, axis):
+        """A repeated value would price its cells twice."""
+        (name,) = axis
+        with pytest.raises(ParameterError, match=f"grid axis '{name}' repeats"):
+            reg.GridSpec(**axis)
 
 
 class TestPinnedCells:
@@ -277,26 +294,100 @@ class TestBaselineCrossCheck:
         assert "partial" not in out
 
 
-@pytest.mark.parametrize("seed", [1, 3, 7])
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
 def test_degraded_grid_cells_sum_to_the_experiment(seed):
-    """At every healthy fraction, fig1a's grid cells summed per backend
-    equal the experiment runner's series totals under the same fault
-    plan, with float ``==`` — the grid is the degraded-fleet record."""
-    workload, bits = EXPERIMENT_CELLS["fig1a"]
+    """At every healthy fraction, fig1a's and fig2a's grid cells summed
+    per backend equal the experiment runner's series totals under the
+    same fault plan, with float ``==``, and the slowdown view divides
+    exactly those pim totals — the grid is the degraded-fleet record."""
+    eids = ("fig1a", "fig2a")
     fractions = (1.0, 0.9, 0.8)
-    cells = reg.run_grid(
-        reg.GridSpec(
-            workloads=(workload,),
-            security_bits=(bits,),
-            healthy=fractions,
-            seed=seed,
-        )
+    spec = reg.GridSpec(
+        workloads=tuple(EXPERIMENT_CELLS[eid][0] for eid in eids),
+        security_bits=(109,),
+        healthy=fractions,
+        seed=seed,
     )
-    for fraction in fractions:
-        plan = plan_for_healthy_fraction(fraction, seed, UPMEMConfig())
-        with use_fault_plan(plan):
-            expected = series_totals(run_experiment("fig1a"))
-        assert reg.experiment_totals(cells, fraction)["fig1a"] == expected
+    cells = reg.run_grid(spec)
+    slowdowns = reg.pim_slowdowns(spec, cells)
+    for eid in eids:
+        for fraction, point in zip(fractions, slowdowns[eid], strict=True):
+            plan = plan_for_healthy_fraction(fraction, seed, UPMEMConfig())
+            with use_fault_plan(plan):
+                expected = series_totals(run_experiment(eid))
+            if fraction == 1.0:
+                full = expected["pim"]
+            assert reg.experiment_totals(cells, fraction)[eid] == expected
+            assert point["pim_total"] == expected["pim"]
+            assert point["slowdown"] == expected["pim"] / full
+
+
+class TestPimSlowdowns:
+    """The PIM slowdown-vs-health view over a degraded-fleet grid."""
+
+    SPEC = reg.GridSpec(
+        workloads=("vec_add",), security_bits=(109,),
+        healthy=(0.8, 1.0, 0.9), seed=3,
+    )
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        return reg.run_grid(self.SPEC)
+
+    def test_one_point_per_health_healthiest_first(self, cells):
+        view = reg.pim_slowdowns(self.SPEC, cells)
+        assert list(view) == ["fig1a"]
+        points = view["fig1a"]
+        assert [p["healthy"] for p in points] == [1.0, 0.9, 0.8]
+        fleet = UPMEMConfig().n_dpus
+        for point in points:
+            plan = plan_for_healthy_fraction(point["healthy"], 3, UPMEMConfig())
+            assert point["effective_dpus"] == plan.effective_dpus(UPMEMConfig())
+            assert point["disabled_dpus"] == fleet - point["effective_dpus"]
+
+    def test_slowdown_monotone_as_fleet_degrades(self, cells):
+        slowdowns = [
+            p["slowdown"] for p in reg.pim_slowdowns(self.SPEC, cells)["fig1a"]
+        ]
+        assert slowdowns[0] == 1.0
+        assert slowdowns == sorted(slowdowns)
+        assert slowdowns[-1] > 1.0
+
+    def test_full_health_point_is_the_fault_free_run(self, cells):
+        """The 100% point is priced on the untouched path: equal to the
+        experiment run with no plan and to the committed baseline."""
+        point = reg.pim_slowdowns(self.SPEC, cells)["fig1a"][0]
+        assert point["disabled_dpus"] == 0
+        assert point["effective_dpus"] == UPMEMConfig().n_dpus
+        committed = read_run("baselines/perf.json")["experiments"]["fig1a"][
+            "modelled"
+        ]["series_totals"]
+        fault_free = series_totals(run_experiment("fig1a"))
+        assert reg.experiment_totals(cells)["fig1a"] == fault_free == committed
+        assert point["pim_total"] == committed["pim"]
+
+    def test_same_seed_is_bit_identical(self, cells):
+        """Apart from its run identity, the document repeats exactly."""
+        identity = ("run_id", "created_at", "git_sha")
+        docs = [
+            reg.grid_document(self.SPEC, rows)
+            for rows in (cells, reg.run_grid(self.SPEC))
+        ]
+        for doc in docs:
+            for key in identity:
+                doc.pop(key)
+        assert docs[0] == docs[1]
+
+    def test_no_full_health_column_means_no_slowdown(self, cells):
+        spec = dataclasses.replace(self.SPEC, healthy=(0.9, 0.8))
+        degraded = [c for c in cells if c["healthy"] != 1.0]
+        points = reg.pim_slowdowns(spec, degraded)["fig1a"]
+        assert [p["slowdown"] for p in points] == [None, None]
+        assert all(p["pim_total"] > 0 for p in points)
+
+    def test_empty_without_the_pim_backend(self):
+        spec = dataclasses.replace(self.SPEC, backends=("cpu",))
+        assert reg.pim_slowdowns(spec, reg.run_grid(spec)) == {}
 
 
 class TestRenderStatus:

@@ -27,6 +27,7 @@ from repro.pim.faults import (
     _unit_hash,
     get_active_plan,
     get_active_policy,
+    plan_for_healthy_fraction,
     redistribute_units,
     set_fault_plan,
     unit_draws,
@@ -37,6 +38,9 @@ from repro.pim.runtime import PIMRuntime
 
 #: The paper's physical machine: 2,560 DPUs over 40 ranks.
 PHYSICAL = UPMEMConfig(n_dpus=2560)
+
+#: The modelled fleet: the 2,524 DPUs that work.
+CFG = UPMEMConfig()
 
 
 def make_runtime(**config_changes) -> PIMRuntime:
@@ -215,6 +219,22 @@ class TestFaultPlanValidation:
     )
     def test_any_fault_source_makes_it_active(self, kwargs):
         assert FaultPlan(**kwargs).active
+
+
+class TestPlanForHealthyFraction:
+    def test_full_health_is_inactive(self):
+        plan = plan_for_healthy_fraction(1.0, seed=0, config=CFG)
+        assert not plan.active
+        assert plan.effective_dpus(CFG) == CFG.n_dpus
+
+    def test_fraction_maps_to_disable_count(self):
+        plan = plan_for_healthy_fraction(0.9, seed=0, config=CFG)
+        assert plan.disable_dpus == round(CFG.n_dpus * 0.1)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.1])
+    def test_rejects_bad_fractions(self, fraction):
+        with pytest.raises(ParameterError):
+            plan_for_healthy_fraction(fraction, seed=0, config=CFG)
 
 
 class TestDisabledDPUs:
