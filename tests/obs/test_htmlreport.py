@@ -247,6 +247,22 @@ class TestGridDashboard:
         assert ">perf<" in document  # perf gate rows by time
         assert "fig1a: MODEL-DRIFT" in document  # the failing row named
 
+    def test_renders_slowdown_curve_and_table(self):
+        """Every batch of vec_add priced, so fig1a is covered and gets
+        its slowdown card."""
+        from repro.obs import registry as reg
+
+        spec = reg.GridSpec(workloads=("vec_add",), security_bits=(109,),
+                            healthy=(1.0, 0.9))
+        cells = reg.run_grid(spec)
+        document = htmlreport.render_grid_dashboard(
+            cells, spec, slowdowns=reg.pim_slowdowns(spec, cells)
+        )
+        assert "fig1a: PIM slowdown vs healthy fraction" in document
+        assert "polyline" in document  # the availability-vs-slowdown curve
+        assert "effective DPUs" in document
+        assert "worst slowdown" in document
+
     def test_write_helper(self, grid, tmp_path, capsys):
         from repro.obs import registry as reg
 
@@ -323,16 +339,23 @@ def _page_grid(profile):
     spec = SimpleNamespace(seed=HOSTILE, workloads=(HOSTILE,))
     verdicts = [gate.Verdict(HOSTILE, gate.MODEL_DRIFT, (HOSTILE,))]
     gate_runs = [("perf", run, [gate.Verdict(HOSTILE, gate.MODEL_DRIFT)])]
+    html = htmlreport.render_grid_dashboard(cells, spec, verdicts, gate_runs)
+    return html, 1
+
+
+def _page_grid_slowdowns(profile):
+    cells = [{"workload": "vec_add", "backend": "pim", "status": "done",
+              "security_bits": 109, "healthy": 1.0, "batch": 1,
+              "modelled_ms": 1.0}]
+    spec = SimpleNamespace(seed=0, workloads=("vec_add",))
     slowdowns = {HOSTILE: [
         {"healthy": 1.0, "disabled_dpus": 0, "effective_dpus": 8,
          "pim_total": 1.0, "slowdown": 1.0},
         {"healthy": 0.5, "disabled_dpus": 4, "effective_dpus": 4,
          "pim_total": None, "slowdown": None},
     ]}
-    html = htmlreport.render_grid_dashboard(
-        cells, spec, verdicts, gate_runs, slowdowns
-    )
-    return html, 1
+    html = htmlreport.render_grid_dashboard(cells, spec, slowdowns=slowdowns)
+    return html, 0
 
 
 def _page_serve(profile):
@@ -375,6 +398,7 @@ PAGES = {
     "energy": _page_energy,
     "resilience": _page_resilience,
     "grid": _page_grid,
+    "grid-slowdowns": _page_grid_slowdowns,
     "serve": _page_serve,
     "forensics": _page_forensics,
     "profile": _page_profile,
