@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from repro.core.ciphertext import Plaintext
 from repro.core.params import BFVParameters
 from repro.errors import EncodingError
 from repro.poly.ntt import ntt_context
+from repro.poly.planes import to_ints
+from repro.poly.polynomial import Polynomial
 
 
 def _center(value: int, modulus: int) -> int:
@@ -48,7 +52,8 @@ class IntegerEncoder:
             raise EncodingError(
                 f"value {value} outside the centered range of t={t}"
             )
-        coeffs = [value] + [0] * (self.params.poly_degree - 1)
+        coeffs = np.zeros(self.params.poly_degree, dtype=np.int64)
+        coeffs[0] = value
         return Plaintext.from_coefficients(self.params, coeffs)
 
     def decode(self, plaintext: Plaintext) -> int:
@@ -58,13 +63,13 @@ class IntegerEncoder:
         the value was not produced by scalar arithmetic and decoding
         only the constant term would silently discard information.
         """
-        coeffs = plaintext.poly.coeffs
-        if any(coeffs[1:]):
+        planes = plaintext.poly.planes
+        if planes[:, 1:].any():
             raise EncodingError(
                 "plaintext has non-constant coefficients; it was not "
                 "produced by IntegerEncoder arithmetic"
             )
-        return _center(coeffs[0], self.params.plain_modulus)
+        return _center(to_ints(planes[:, :1])[0], self.params.plain_modulus)
 
 
 class BinaryEncoder:
@@ -149,7 +154,9 @@ class BatchEncoder:
 
     Encoding places values at the polynomial's evaluation points (via
     the inverse negacyclic NTT over ``Z_t``), so ring multiplication is
-    element-wise multiplication of slots. Slots are presented in the
+    element-wise multiplication of slots. ``t`` is below ``2^31``, so a
+    plaintext is one limb row, which the slot transform takes and gives
+    back as is. Slots are presented in the
     **canonical BFV order**: a ``2 x (n/2)`` matrix, row-major, where
     :func:`repro.core.galois.rotate_rows` cyclically rotates each row
     and :func:`repro.core.galois.rotate_columns` swaps the rows.
@@ -164,8 +171,8 @@ class BatchEncoder:
             )
         self.params = params
         self._ntt = ntt_context(params.poly_degree, params.plain_modulus)
-        self._slot_map = _canonical_slot_map(
-            params.poly_degree, params.plain_modulus
+        self._slot_map = np.array(
+            _canonical_slot_map(params.poly_degree, params.plain_modulus)
         )
 
     @property
@@ -181,22 +188,26 @@ class BatchEncoder:
             raise EncodingError(
                 f"{len(values)} values exceed the {n} available slots"
             )
-        for v in values:
-            if not -(t // 2) <= v <= t // 2:
-                raise EncodingError(
-                    f"slot value {v} outside the centered range of t={t}"
-                )
-        evaluations = [0] * n
-        for canonical, value in enumerate(values):
-            evaluations[self._slot_map[canonical]] = value % t
-        coeffs = self._ntt.inverse(evaluations)
-        return Plaintext.from_coefficients(self.params, coeffs)
+        try:
+            slots = np.array(values, dtype=np.int64)
+        except OverflowError:
+            slots = None
+        half = t // 2
+        if slots is None or ((slots < -half) | (slots > half)).any():
+            bad = next(v for v in values if not -half <= v <= half)
+            raise EncodingError(
+                f"slot value {bad} outside the centered range of t={t}"
+            )
+        evaluations = np.zeros(n, dtype=np.uint64)
+        evaluations[self._slot_map[: len(values)]] = slots % np.int64(t)
+        coeffs = self._ntt._inverse(evaluations)
+        return Plaintext(
+            self.params, Polynomial.from_planes(coeffs[None, :], t)
+        )
 
     def decode(self, plaintext: Plaintext) -> list:
         """Unpack all ``n`` slots as centered integers."""
-        evaluations = self._ntt.forward(list(plaintext.poly.coeffs))
         t = self.params.plain_modulus
-        return [
-            _center(evaluations[self._slot_map[canonical]], t)
-            for canonical in range(self.params.poly_degree)
-        ]
+        evaluations = self._ntt._forward(plaintext.poly.planes[0])
+        slots = evaluations[self._slot_map].astype(np.int64)
+        return np.where(slots > t // 2, slots - t, slots).tolist()

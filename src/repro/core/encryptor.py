@@ -25,7 +25,9 @@ class Encryptor:
     scale ``delta`` plus small noise.
 
     ``u`` is forward-transformed once for both products, and the public
-    key's transforms are cached on the key. Encryption randomness is
+    key's transforms are cached on the key. The errors join each sum in
+    the coefficient domain, and ``delta*m`` is the plaintext's own
+    exit from the CRT engine, ``(delta, 1, q)``. Encryption randomness is
     drawn from an explicit seeded generator so experiments are
     reproducible.
     """
@@ -46,14 +48,11 @@ class Encryptor:
         rng = self._rng
 
         u = Operand(sample_ternary(n, rng))
-        e1 = sample_centered_binomial(n, rng, params.error_eta)
-        e2 = sample_centered_binomial(n, rng, params.error_eta)
-        delta = params.delta
-        e1_plus_m = [
-            e + delta * m for e, m in zip(e1, plaintext.poly.centered())
-        ]
+        e1 = Operand(sample_centered_binomial(n, rng, params.error_eta))
+        e2 = Operand(sample_centered_binomial(n, rng, params.error_eta))
         p0, p1 = self.public_key.operands()
-        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=e1_plus_m)
+        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=e1)
+        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
         c1 = Polynomial.sum_of_products([(p1, u)], q, addend=e2)
         ciphertext = Ciphertext(params, (c0, c1))
         get_noise_ledger().stamp_fresh(ciphertext)
@@ -90,16 +89,12 @@ class SymmetricEncryptor:
         n, q = params.poly_degree, params.coeff_modulus
         rng = self._rng
 
-        a = Polynomial(sample_uniform(n, q, rng), q)
-        e = sample_centered_binomial(n, rng, params.error_eta)
-        delta = params.delta
-        m_minus_e = [
-            delta * m - x for x, m in zip(e, plaintext.poly.centered())
-        ]
-        neg_a = Operand([-c for c in a.centered()])
+        a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
+        minus_e = Operand(-sample_centered_binomial(n, rng, params.error_eta))
         c0 = Polynomial.sum_of_products(
-            [(neg_a, self.secret_key.power_operand())], q, addend=m_minus_e
+            [(Operand(-a), self.secret_key.power_operand())], q, addend=minus_e
         )
+        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
         ciphertext = Ciphertext(params, (c0, a))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext

@@ -8,10 +8,12 @@ plaintext operands, relinearization, squaring).
 
 Multiplication follows the textbook BFV construction: the ciphertexts'
 centered lifts are tensored **exactly over the integers** (no modular
-wrap — this is why :func:`repro.poly.polynomial.negacyclic_sum` works
-over Z), each tensor component is scaled by ``t/q`` with rounding, and
-the resulting size-3 ciphertext is folded back to size 2 with the
-relinearization key's base-``T`` digits.
+wrap — this is why :func:`repro.poly.polynomial.exact_sum` works over
+Z), each tensor component is scaled by ``t/q`` with rounding, and the
+resulting size-3 ciphertext is folded back to size 2 with the
+relinearization key's base-``T`` digits. The scaling is the CRT
+engine's exit ``round(t * x / q) mod q``, taken once per component
+straight from its residues.
 
 Both steps run in the evaluation domain of the exact CRT bundle. A
 multiply forward-transforms its four input polynomials once per prime
@@ -26,12 +28,11 @@ construction, so outputs are bit-identical to it.
 from __future__ import annotations
 
 from repro.core.ciphertext import Ciphertext, Plaintext
-from repro.core.decryptor import round_scale
 from repro.core.keys import RelinKey, key_switch
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Operand, Polynomial, negacyclic_sum
+from repro.poly.polynomial import Operand, Polynomial
 
 
 class Evaluator:
@@ -127,9 +128,8 @@ class Evaluator:
         self._check(a)
         if plain.params != self.params:
             raise ParameterError("plaintext belongs to different parameters")
-        scaled = Polynomial(
-            plain.poly.centered(), self.params.coeff_modulus
-        ).scalar_mul(self.params.delta)
+        params = self.params
+        scaled = plain.poly.scale(params.delta, 1, params.coeff_modulus)
         polys = list(a.polys)
         polys[0] = polys[0] + scaled
         result = Ciphertext(self.params, polys)
@@ -148,12 +148,12 @@ class Evaluator:
         self._check(a)
         if plain.params != self.params:
             raise ParameterError("plaintext belongs to different parameters")
-        lifted = Polynomial(plain.poly.centered(), self.params.coeff_modulus)
-        if not any(plain.poly.coeffs):
+        if not plain.poly.planes.any():
             raise CiphertextError(
                 "multiply_plain by zero produces a transparent ciphertext"
             )
         self._guard_check("multiply_plain", (a,), plain=plain)
+        lifted = plain.poly.lift_centered_to(self.params.coeff_modulus)
         result = Ciphertext(
             self.params, tuple(p * lifted for p in a.polys)
         )
@@ -237,13 +237,12 @@ class Evaluator:
         in the evaluation domain before their one inverse transform.
         """
         params = self.params
-        n, q, t = params.poly_degree, params.coeff_modulus, params.plain_modulus
-        a0, a1 = (Operand(p.centered()) for p in a.polys)
-        b0, b1 = (a0, a1) if b is a else (Operand(p.centered()) for p in b.polys)
+        q, t = params.coeff_modulus, params.plain_modulus
+        a0, a1 = (Operand(p) for p in a.polys)
+        b0, b1 = (a0, a1) if b is a else (Operand(p) for p in b.polys)
         tensor = ([(a0, b0)], [(a0, b1), (a1, b0)], [(a1, b1)])
         return tuple(
-            Polynomial(round_scale(negacyclic_sum(terms, n), t, q).tolist(), q)
-            for terms in tensor
+            Polynomial.sum_of_products(terms, q, scale=(t, q)) for terms in tensor
         )
 
     def _check(self, a: Ciphertext) -> None:

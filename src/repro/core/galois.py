@@ -30,6 +30,7 @@ from repro.core.keys import KeyTransforms, SecretKey, key_switch
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, KeyError_, ParameterError
 from repro.obs.noise import get_noise_ledger
+from repro.poly import planes as pl
 from repro.poly.polynomial import Polynomial
 from repro.poly.sampling import sample_centered_binomial, sample_uniform
 
@@ -48,7 +49,8 @@ def apply_automorphism(poly: Polynomial, g: int) -> Polynomial:
 
     Coefficient ``i`` moves to position ``i*g mod 2n``; positions at or
     beyond ``n`` wrap with a sign flip (``x^n == -1``). ``g`` must be
-    odd so the map is a bijection on coefficients.
+    odd so the map is a bijection on coefficients, applied to whole limb
+    rows at once.
 
     >>> p = Polynomial([1, 2, 0, 0], 97)     # 1 + 2x, n = 4
     >>> apply_automorphism(p, 3).coeffs      # 1 + 2x^3
@@ -57,16 +59,11 @@ def apply_automorphism(poly: Polynomial, g: int) -> Polynomial:
     n = poly.degree_bound
     _check_galois_element(g, n)
     q = poly.modulus
-    out = [0] * n
-    for i, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
-        j = i * g % (2 * n)
-        if j < n:
-            out[j] = (out[j] + c) % q
-        else:
-            out[j - n] = (out[j - n] - c) % q
-    return Polynomial(out, q)
+    target = np.arange(n) * g % (2 * n)
+    wraps = target >= n
+    planes = np.empty_like(poly.planes)
+    planes[:, target % n] = np.where(wraps, pl.neg_mod(poly.planes, q), poly.planes)
+    return Polynomial.from_planes(planes, q)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def generate_galois_keys(
         pairs = []
         power = 1
         for _ in range(params.relin_components):
-            a_j = Polynomial(sample_uniform(n, q, rng), q)
+            a_j = Polynomial.from_planes(sample_uniform(n, q, rng), q)
             e_j = Polynomial(
                 sample_centered_binomial(n, rng, params.error_eta), q
             )

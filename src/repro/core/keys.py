@@ -32,7 +32,8 @@ from operator import getitem
 import numpy as np
 
 from repro.core.params import BFVParameters
-from repro.errors import CiphertextError
+from repro.errors import CiphertextError, ParameterError
+from repro.mpint.limbs import LIMB_BITS
 from repro.poly.polynomial import Operand, Polynomial
 from repro.poly.sampling import (
     sample_centered_binomial,
@@ -153,27 +154,54 @@ def key_switch(poly: Polynomial, operands, base_bits: int, what: str) -> tuple:
 
     ``operands`` holds one ``(k0_i, k1_i)`` handle pair per digit; a
     pair encrypting ``T^i * s'`` under ``s`` turns ``poly``'s
-    ``s'``-component into two components under ``s``. Each digit is
+    ``s'``-component into two components under ``s``. The digits are
+    cut straight from the limb planes (:func:`base_digits`); each is
     transformed once per prime, and each of the two sums takes one
     inverse transform per prime (:meth:`Polynomial.sum_of_products`).
     Raises :class:`~repro.errors.CiphertextError` naming ``what`` if
     the digits do not cover the coefficients.
     """
     q = poly.modulus
-    mask = (1 << base_bits) - 1
-    digits = []
-    remaining = list(poly.coeffs)
-    for _ in operands:
-        digits.append(Operand([r & mask for r in remaining]))
-        remaining = [r >> base_bits for r in remaining]
-    if any(remaining):
+    digits = base_digits(poly.planes, base_bits, len(operands))
+    if digits is None:
         raise CiphertextError(f"{what} digit count too small for modulus")
+    digits = [Operand(digit) for digit in digits]
     return tuple(
         Polynomial.sum_of_products(
             ((pair[side], digit) for pair, digit in zip(operands, digits)), q
         )
         for side in (0, 1)
     )
+
+
+def base_digits(planes: np.ndarray, base_bits: int, count: int):
+    """The first ``count`` base-``2^base_bits`` digits of every lane of a
+    limb-plane array, as ``int64`` rows, or ``None`` if the lanes do not
+    fit ``count`` digits.
+
+    Digit ``i`` is bits ``[i * base_bits, (i + 1) * base_bits)``, read
+    from a 64-bit window of the two limbs holding its lowest bit, plus
+    the next limb where the digit reaches past that window. A digit
+    must fit an ``int64`` operand: ``base_bits`` is at most 62.
+    """
+    if not 1 <= base_bits <= 62:
+        raise ParameterError(f"digit base must be 1 to 62 bits, got {base_bits}")
+    limbs, n = planes.shape
+    padded = np.zeros((max(limbs, count * base_bits // LIMB_BITS) + 3, n), np.uint64)
+    padded[:limbs] = planes
+    width = np.uint64(LIMB_BITS)
+    digits = []
+    for i in range(count):
+        j, shift = divmod(i * base_bits, LIMB_BITS)
+        digit = (padded[j] | padded[j + 1] << width) >> np.uint64(shift)
+        if shift + base_bits > 2 * LIMB_BITS:
+            digit |= padded[j + 2] << np.uint64(2 * LIMB_BITS - shift)
+        digits.append((digit & np.uint64((1 << base_bits) - 1)).astype(np.int64))
+    # Every bit from count * base_bits up must be clear.
+    j, shift = divmod(count * base_bits, LIMB_BITS)
+    if (padded[j] >> np.uint64(shift)).any() or padded[j + 1 :].any():
+        return None
+    return digits
 
 
 @dataclass(frozen=True)
@@ -206,7 +234,7 @@ class KeyGenerator:
         s = Polynomial(sample_ternary(n, rng), q)
         secret = SecretKey(params, s)
 
-        a = Polynomial(sample_uniform(n, q, rng), q)
+        a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
         e = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
         public = PublicKey(params, -(a * s + e), a)
 
@@ -244,7 +272,7 @@ class KeyGenerator:
         pairs = []
         power = 1  # T^i mod q
         for _ in range(params.relin_components):
-            a_i = Polynomial(sample_uniform(n, q, rng), q)
+            a_i = Polynomial.from_planes(sample_uniform(n, q, rng), q)
             e_i = Polynomial(
                 sample_centered_binomial(n, rng, params.error_eta), q
             )

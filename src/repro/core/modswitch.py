@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.ciphertext import Ciphertext
-from repro.core.decryptor import round_scale
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.noise import get_noise_ledger
-from repro.poly.polynomial import Polynomial
 
 
 def switched_parameters(
@@ -62,7 +60,9 @@ def switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
     """Rescale a ciphertext to a smaller coefficient modulus.
 
     Each component's centered coefficients are scaled by
-    ``new_q / q`` with exact rational rounding. The result decrypts
+    ``new_q / q`` with exact rational rounding: the CRT engine's exit
+    ``(new_q, q, new_q)``
+    (:meth:`~repro.poly.polynomial.Polynomial.scale`). The result decrypts
     under the *same secret polynomial* reduced modulo the new modulus
     (see :func:`switch_secret_key`); its invariant noise gains only the
     rounding term ``~ t * n / (2 * new_q)`` — negligible while
@@ -71,10 +71,7 @@ def switch_modulus(ciphertext: Ciphertext, new_modulus: int) -> Ciphertext:
     params = ciphertext.params
     new_params = switched_parameters(params, new_modulus)
     q = params.coeff_modulus
-    polys = [
-        Polynomial(round_scale(poly.centered(), new_modulus, q), new_modulus)
-        for poly in ciphertext.polys
-    ]
+    polys = [poly.scale(new_modulus, q, new_modulus) for poly in ciphertext.polys]
     result = Ciphertext(new_params, polys)
     get_noise_ledger().record_op(
         "mod_switch", result, (ciphertext,), params=new_params
@@ -91,6 +88,5 @@ def switch_secret_key(secret: SecretKey, new_params: BFVParameters) -> SecretKey
     if new_params.poly_degree != secret.params.poly_degree:
         raise ParameterError("modulus switching cannot change the ring degree")
     return SecretKey(
-        new_params,
-        Polynomial(secret.poly.centered(), new_params.coeff_modulus),
+        new_params, secret.poly.lift_centered_to(new_params.coeff_modulus)
     )

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.ciphertext import Ciphertext
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
@@ -34,16 +32,13 @@ def noise_budget(ciphertext: Ciphertext, secret_key: SecretKey) -> float:
     tens of bits per multiplication). Requires the secret key, so this
     is a *measurement* tool for experiments, not a server-side facility.
     """
-    from repro.core.decryptor import Decryptor, round_scale
+    from repro.core.decryptor import Decryptor
 
     params = ciphertext.params
     q, t = params.coeff_modulus, params.plain_modulus
-    centered = Decryptor(params, secret_key).raw_decrypt_centered(ciphertext)
     # v_k = (t*x_k - q*round(t*x_k/q)) / q; budget = log2(q / (2*max|num|)).
-    numerators = np.array(centered, dtype=object) * t
-    worst_numerator = max(
-        abs(numerators - q * round_scale(centered, t, q)).tolist()
-    )
+    phase = Decryptor(params, secret_key).phase(ciphertext)
+    worst_numerator = phase.remainder_bound(t, q)
     if worst_numerator == 0:
         return float(q.bit_length())
     # |v|_max = worst_numerator / q, so the budget is

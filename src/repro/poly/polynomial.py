@@ -2,56 +2,55 @@
 behind every product of them.
 
 :class:`Polynomial` is the coefficient-domain representation used by
-the functional BFV scheme. Coefficients are Python ints (the 109-bit
-security level does not fit native words), stored reduced to
-``[0, q)``. The public constructor converts and reduces its input;
-ring operations that already produce reduced values skip that pass.
+the functional BFV scheme. Coefficients are held reduced to ``[0, q)``
+as 32-bit limbs in one ``(L, n)`` ``uint64`` array
+(:mod:`repro.poly.planes`), ``L = 1, 2, 4`` at the paper's 27-, 54- and
+109-bit levels: the layout of the paper's 32/64/128-bit containers of
+native DPU words. Ring operations run on whole limb rows. ``coeffs``
+is a read-only tuple of Python ints, built on first use, for callers
+that want ints; no BFV operation reads it.
 
 Negacyclic multiplication needs the *exact* integer product before
 modular reduction: BFV ciphertext multiplication scales the tensor
 product by ``t/q`` over the rationals, and noise analysis reasons over
-``Z``. Products are therefore computed exactly over the integers —
-schoolbook for small degrees, and a CRT bundle of negacyclic NTTs over
-31-bit primes for large ones (SEAL's RNS + NTT, run on ``uint64``
-numpy arrays). The unit of work is a *sum* of products
-(:func:`negacyclic_sum`), the shape of every BFV operation:
+``Z``. Products are therefore computed exactly over the integers on a
+CRT bundle of negacyclic NTTs over 31-bit primes (SEAL's RNS + NTT, run
+on ``uint64`` numpy arrays). The unit of work is a *sum* of products,
+the shape of every BFV operation:
 
 * each operand is an :class:`Operand` handle holding its forward
   transforms, so a shared operand is transformed once per prime, and a
   key object keeps its handles for the life of the key;
+* operands enter the bundle straight from their limb planes
+  (:func:`repro.poly.crt.residues`);
 * the bundle is sized once for the whole sum, the pointwise products
   are accumulated per prime in the evaluation domain, and each prime
   takes one inverse transform;
-* the residue rows are recombined once (Garner mixed-radix digits on
-  ``uint64`` words, then Python ints).
+* the residue rows leave the bundle once, through
+  :meth:`repro.poly.crt.MixedRadix.scale_round`:
+  ``round(num * x / den) mod out`` as limb planes, which is a plain sum
+  mod ``q``, the BFV tensor's ``t/q`` scaling or decryption depending on
+  ``(num, den, out)``.
 
-:func:`negacyclic_convolve` is the one-term case. The tests check the
-engine against schoolbook convolution, a scalar NTT, and a
-one-product-at-a-time BFV oracle.
+:func:`negacyclic_sum` and :func:`negacyclic_convolve` return the exact
+signed integers themselves. The tests check the engine against
+schoolbook convolution, a scalar NTT, an object-integer CRT composition
+and a one-product-at-a-time BFV oracle.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.poly.modring import find_ntt_prime, inverse_mod
+from repro.poly import crt
+from repro.poly import planes as pl
+from repro.poly.crt import MixedRadix, crt_contexts, crt_prime
 from repro.poly.ntt import ntt_context
 
-#: Degrees at or below this use schoolbook convolution; above, CRT-NTT.
-#: 64 keeps the crossover comfortably inside the regime where Python
-#: schoolbook is still fast, while every paper-sized ring (1024–4096)
-#: takes the O(n log n) path.
+#: :func:`negacyclic_sum` uses schoolbook convolution at or below this
+#: degree and the CRT engine above it.
 SCHOOLBOOK_MAX_DEGREE = 64
-
-#: Bit width of the auxiliary CRT primes used for exact convolution.
-#: 31 bits keeps every butterfly product inside a ``uint64`` word (see
-#: :data:`repro.poly.ntt.NATIVE_PRIME_LIMIT`), so each transform runs
-#: on native numpy arrays; a wider result just takes more primes.
-_CRT_PRIME_BITS = 31
 
 
 def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
@@ -72,88 +71,6 @@ def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
     return out
 
 
-@lru_cache(maxsize=64)
-def _crt_prime(n: int, index: int) -> int:
-    """The ``index``-th CRT prime for degree ``n``: 31-bit, == 1 mod 2n."""
-    return find_ntt_prime(_CRT_PRIME_BITS, n, index=index)
-
-
-def _crt_contexts(n: int, bound: int) -> list:
-    """The shortest prefix of the CRT bundle whose modulus reaches ``bound``.
-
-    The bundle for ``k`` primes is a prefix of the bundle for ``k + 1``,
-    and every context comes from the shared :func:`ntt_context` cache.
-    """
-    contexts = []
-    product = 1
-    while product < bound or not contexts:
-        ctx = ntt_context(n, _crt_prime(n, len(contexts)))
-        contexts.append(ctx)
-        product *= ctx.p
-    return contexts
-
-
-def _pairs(start: int, stop: int) -> list:
-    """Index ranges ``[i, i + 2)`` (the last may be shorter) covering
-    ``[start, stop)``: two 31-bit primes multiply to under 2^62, so a
-    pair's residues fit one ``uint64`` word."""
-    return [range(i, min(i + 2, stop)) for i in range(start, stop, 2)]
-
-
-@lru_cache(maxsize=64)
-def _garner_constants(moduli: tuple) -> tuple:
-    """Constants for :func:`_crt_compose` over the bundle ``moduli``.
-
-    Returns ``(half, offsets, inverses)``: ``half = Q // 2`` for the
-    bundle modulus ``Q``, ``offsets[i] = half mod p_i`` and
-    ``inverses[i][j] = p_j^{-1} mod p_i`` for ``j < i``.
-    """
-    product = 1
-    for p in moduli:
-        product *= p
-    half = product // 2
-    offsets = tuple(half % p for p in moduli)
-    inverses = tuple(
-        tuple(inverse_mod(p_j % p_i, p_i) for p_j in moduli[:i])
-        for i, p_i in enumerate(moduli)
-    )
-    return half, offsets, inverses
-
-
-def _crt_compose(rows: list, moduli: tuple) -> np.ndarray:
-    """The signed integers in ``(-Q/2, Q/2]`` with residues ``rows``.
-
-    ``Q`` is the product of ``moduli`` (odd, so the signed range is
-    exactly ``(-Q/2, Q/2]``). Shifting every residue by ``Q // 2``
-    first makes the mixed-radix value ``X + Q // 2`` land in
-    ``[0, Q)``, so one subtraction at the end recenters it. Garner's
-    mixed-radix digits are computed on ``uint64`` words, merged two
-    primes to a word, and only the Horner evaluation over those words
-    runs on Python ints.
-    """
-    half, offsets, inverses = _garner_constants(moduli)
-    digits = []
-    for row, p, offset, row_inverses in zip(rows, moduli, offsets, inverses):
-        p64 = np.uint64(p)
-        digit = (row + np.uint64(offset)) % p64
-        for earlier, inverse in zip(digits, row_inverses):
-            digit = (digit + p64 - earlier % p64) * np.uint64(inverse) % p64
-        digits.append(digit)
-    words = []
-    radices = []
-    for pair in _pairs(0, len(moduli)):
-        word, radix = digits[pair[0]], moduli[pair[0]]
-        if len(pair) == 2:
-            word = word + np.uint64(radix) * digits[pair[1]]
-            radix *= moduli[pair[1]]
-        words.append(word)
-        radices.append(radix)
-    value = words[-1].astype(object)
-    for word, radix in zip(words[-2::-1], radices[-2::-1]):
-        value = value * radix + word.astype(object)
-    return value - half
-
-
 class Operand:
     """One exact integer operand of the CRT engine, transformed lazily.
 
@@ -163,67 +80,102 @@ class Operand:
     ``k`` primes is a prefix of the bundle for ``k + 1``, so rows
     already held stay valid.
 
-    ``source`` is the list of exact signed coefficients, or a
-    zero-argument callable returning the :class:`Polynomial` whose
-    centered lift they are. A callable is called again only when the
-    rows grow, so a key object's handle keeps residue rows and no copy
-    of the key's coefficients; each key is transformed once per prime
-    for the life of the key.
+    ``source`` is a :class:`Polynomial` (standing for its centered
+    lift), a zero-argument callable returning one, or the exact signed
+    integers themselves (an ``int64`` array, or any sequence of ints). A
+    callable is called again only when the rows grow, so a key object's
+    handle keeps residue rows and no copy of the key's coefficients;
+    each key is transformed once per prime for the life of the key.
     """
 
     __slots__ = ("n", "bound", "_source", "_rows")
 
     def __init__(self, source):
+        if not callable(source) and not isinstance(source, Polynomial):
+            source = _exact_values(source)
         self._source = source
-        exact = self._exact()
-        self.n = len(exact)
-        self.bound = max(map(abs, exact), default=0)
+        value = self._value()
+        if isinstance(value, Polynomial):
+            self.n = value.degree_bound
+            self.bound = pl.max_int(pl.magnitudes(value.planes, value.modulus))
+        else:
+            self.n = len(value)
+            self.bound = int(np.abs(value).max(initial=0))
         self._rows = []
 
-    def _exact(self) -> list:
-        """The operand's exact signed coefficients."""
+    def _value(self):
+        """The :class:`Polynomial` or ``int64`` array behind the operand."""
         source = self._source
-        return source().centered() if callable(source) else source
+        return source() if callable(source) else source
+
+    def _exact(self) -> list:
+        """The operand's exact signed coefficients, as Python ints."""
+        value = self._value()
+        if isinstance(value, Polynomial):
+            return value.centered()
+        return value.tolist()
+
+    def residues(self, primes: tuple) -> np.ndarray:
+        """``(k, n)`` residues of the exact coefficients modulo ``primes``."""
+        value = self._value()
+        if isinstance(value, Polynomial):
+            return crt.residues(value.planes, value.modulus, primes)
+        return crt.signed_residues(value, primes)
 
     def rows(self, count: int) -> list:
-        """Forward transforms over the first ``count`` CRT primes.
-
-        Residues are split off two primes at a time: one reduction of
-        the exact coefficients modulo the pair's product (below 2^62)
-        yields ``uint64`` words, reduced per prime on native arrays.
-        """
+        """Forward transforms over the first ``count`` CRT primes."""
         rows = self._rows
         if len(rows) < count:
             # Extend a copy and publish it whole, so a handle shared by
             # two callers never holds a half-built row list.
             rows = list(rows)
-            exact = np.array(self._exact(), dtype=object)
-            for pair in _pairs(len(rows), count):
-                primes = [_crt_prime(self.n, index) for index in pair]
-                words = (exact % math.prod(primes)).astype(np.uint64)
-                for p in primes:
-                    ctx = ntt_context(self.n, p)
-                    rows.append(ctx.forward(words % np.uint64(p)))
+            primes = tuple(crt_prime(self.n, i) for i in range(len(rows), count))
+            for p, residue in zip(primes, self.residues(primes)):
+                rows.append(ntt_context(self.n, p)._forward(residue))
             self._rows = rows
         return rows[:count]
 
 
-def _crt_sum(terms, n: int) -> np.ndarray:
-    """Exact ``sum(a_i * b_i)`` mod ``x^n + 1`` over Z via CRT-bundled NTTs.
+def _exact_values(values):
+    """Exact signed integers as an ``int64`` array, or, when some do not
+    fit one, as a :class:`Polynomial` over an odd modulus wide enough
+    that its centered lift gives them back."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        width = max(abs(int(v)) for v in values).bit_length()
+        return Polynomial(values, (1 << (width + 1)) + 1)
+
+
+def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
+    """``addend + sum(a_i * b_i)`` mod ``x^n + 1`` over Z, in the CRT
+    bundle.
 
     The bundle is sized once for the whole sum: every coefficient of
-    the result is at most ``n * sum(max|a_i| * max|b_i|)`` in absolute
-    value, and the CRT modulus must cover that signed range. Each
-    operand is forward-transformed once per prime (shared operands and
-    cached key operands are not transformed again); for each prime the
-    pointwise products are accumulated in the evaluation domain, then
-    one :meth:`NTTContext.inverse` runs, and the residue rows are
-    recombined once over Python ints. Returns an object array of ints.
+    the result is at most ``n * sum(max|a_i| * max|b_i|) + max|addend|``
+    in absolute value, and the CRT modulus must cover that signed range.
+    Each operand is forward-transformed once per prime (shared operands
+    and cached key operands are not transformed again); for each prime
+    the pointwise products are accumulated in the evaluation domain,
+    then one inverse transform runs, and the addend's residues join in
+    the coefficient domain. The result leaves the bundle through
+    :meth:`~repro.poly.crt.MixedRadix.scale_round`.
     """
-    contexts = _crt_contexts(
-        n, 2 * n * sum(a.bound * b.bound for a, b in terms) + 1
+    terms = list(terms)
+    if not terms:
+        raise ParameterError("an exact sum needs at least one term")
+    _check_degree(n)
+    operands = [op for term in terms for op in term]
+    if addend is not None:
+        operands.append(addend)
+    if any(op.n != n for op in operands):
+        raise ParameterError(f"every operand must have degree {n}")
+    extra = addend.bound if addend is not None else 0
+    contexts = crt_contexts(
+        n, 2 * (n * sum(a.bound * b.bound for a, b in terms) + extra) + 1
     )
     count = len(contexts)
+    moduli = tuple(ctx.p for ctx in contexts)
     term_rows = [(a.rows(count), b.rows(count)) for a, b in terms]
     rows = []
     for index, ctx in enumerate(contexts):
@@ -233,7 +185,11 @@ def _crt_sum(terms, n: int) -> np.ndarray:
             product = fa[index] * fb[index] % p
             acc = product if acc is None else acc + product
         rows.append(ctx.inverse(acc))
-    return _crt_compose(rows, tuple(ctx.p for ctx in contexts))
+    if addend is not None:
+        rows = (np.stack(rows) + addend.residues(moduli)) % np.array(
+            moduli, dtype=np.uint64
+        )[:, None]
+    return MixedRadix(rows, moduli)
 
 
 def _check_degree(n: int) -> None:
@@ -244,12 +200,12 @@ def _check_degree(n: int) -> None:
 def _crt_negacyclic(a: list, b: list, n: int) -> list:
     """One exact product through the CRT engine (any degree).
 
-    The one-term case of :func:`_crt_sum`; a square (``b is a``)
+    The one-term case of :func:`exact_sum`; a square (``b is a``)
     transforms its operand once per prime.
     """
     left = Operand(a)
     right = left if b is a else Operand(b)
-    return _crt_sum([(left, right)], n).tolist()
+    return exact_sum([(left, right)], n).signed()
 
 
 def negacyclic_convolve(a: list, b: list, n: int) -> list:
@@ -266,7 +222,7 @@ def negacyclic_convolve(a: list, b: list, n: int) -> list:
         )
     _check_degree(n)
     if n <= SCHOOLBOOK_MAX_DEGREE:
-        return _schoolbook_negacyclic(a, b, n)
+        return _schoolbook_negacyclic(list(a), list(b), n)
     return _crt_negacyclic(a, b, n)
 
 
@@ -275,55 +231,64 @@ def negacyclic_sum(terms, n: int) -> list:
 
     ``terms`` is a sequence of ``(Operand, Operand)`` pairs of degree
     ``n``. Schoolbook at ``n <= SCHOOLBOOK_MAX_DEGREE``; above, one CRT
-    bundle sized for the whole sum, one inverse transform per prime and
-    one recombination (:func:`_crt_sum`).
+    bundle sized for the whole sum (:func:`exact_sum`).
     """
-    return _exact_sum(list(terms), n).tolist()
-
-
-def _exact_sum(terms: list, n: int) -> np.ndarray:
-    """:func:`negacyclic_sum` as an object array of ints."""
+    terms = list(terms)
     if not terms:
         raise ParameterError("negacyclic_sum needs at least one term")
     _check_degree(n)
+    if n > SCHOOLBOOK_MAX_DEGREE:
+        return exact_sum(terms, n).signed()
     if any(a.n != n or b.n != n for a, b in terms):
         raise ParameterError(f"every operand must have degree {n}")
-    if n > SCHOOLBOOK_MAX_DEGREE:
-        return _crt_sum(terms, n)
     total = [0] * n
     for a, b in terms:
         product = _schoolbook_negacyclic(a._exact(), b._exact(), n)
         total = [x + y for x, y in zip(total, product)]
-    return np.array(total, dtype=object)
+    return total
 
 
 class Polynomial:
     """An element of ``Z_q[x] / (x^n + 1)``, coefficients in ``[0, q)``.
 
-    Immutable by convention: all operations return new instances.
-    Equality and hashing follow the (coefficients, modulus) value.
+    Immutable: ``planes`` is a read-only ``(L, n)`` limb array and all
+    operations return new instances. Equality and hashing follow the
+    (coefficients, modulus) value.
     """
 
-    __slots__ = ("coeffs", "modulus")
+    __slots__ = ("planes", "modulus", "_coeffs")
 
     def __init__(self, coeffs, modulus: int):
         if modulus < 2:
             raise ParameterError(f"modulus must be >= 2, got {modulus}")
-        coeffs = tuple(int(c) % modulus for c in coeffs)
-        n = len(coeffs)
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
+            planes = pl.from_signed(coeffs.astype(np.int64), modulus)
+        else:
+            coeffs = list(coeffs)
+            planes = pl.from_ints(coeffs, modulus) if coeffs else None
+        n = 0 if planes is None else planes.shape[1]
         if n == 0 or n & (n - 1):
             raise ParameterError(
                 f"ring degree must be a nonzero power of two, got {n}"
             )
-        self.coeffs = coeffs
+        self._set(planes, modulus)
+
+    def _set(self, planes: np.ndarray, modulus: int) -> None:
+        planes.flags.writeable = False
+        self.planes = planes
         self.modulus = modulus
+        self._coeffs = None
 
     @classmethod
-    def _reduced(cls, coeffs: tuple, modulus: int) -> "Polynomial":
-        """Wrap a tuple of ints already in ``[0, modulus)``, as is."""
+    def from_planes(cls, planes: np.ndarray, modulus: int) -> "Polynomial":
+        """Wrap an ``(L, n)`` limb array already reduced to ``[0, modulus)``."""
+        if planes.shape[0] != pl.limb_count(modulus):
+            raise ParameterError(
+                f"modulus of {modulus.bit_length()} bits takes "
+                f"{pl.limb_count(modulus)} limbs, got {planes.shape[0]}"
+            )
         poly = object.__new__(cls)
-        poly.coeffs = coeffs
-        poly.modulus = modulus
+        poly._set(planes, modulus)
         return poly
 
     # -- constructors ---------------------------------------------------
@@ -331,47 +296,63 @@ class Polynomial:
     @classmethod
     def zero(cls, n: int, modulus: int) -> "Polynomial":
         """The additive identity of ``R_q`` with degree bound ``n``."""
-        return cls([0] * n, modulus)
+        return cls(np.zeros(n, dtype=np.int64), modulus)
 
     @classmethod
-    def sum_of_products(cls, terms, modulus: int, addend=None) -> "Polynomial":
-        """``addend + sum(a_i * b_i)`` in ``R_q`` for ``(Operand, Operand)``
-        terms.
+    def sum_of_products(
+        cls, terms, modulus: int, addend: Operand | None = None, scale=(1, 1)
+    ) -> "Polynomial":
+        """``round(num/den * (addend + sum(a_i * b_i)))`` in ``R_modulus``
+        for ``(Operand, Operand)`` terms and ``scale = (num, den)``.
 
-        One exact :func:`negacyclic_sum`, plus ``addend`` (``n`` signed
-        ints) when given, reduced modulo ``modulus`` once. Equal to
-        adding the per-term ``Polynomial`` products and the addend.
+        One :func:`exact_sum` and one exit. With the default scale this
+        is the plain sum mod ``modulus``, equal to adding the per-term
+        ``Polynomial`` products and the addend.
         """
         terms = list(terms)
         if not terms:
             raise ParameterError("sum_of_products needs at least one term")
-        exact = _exact_sum(terms, terms[0][0].n)
-        if addend is not None:
-            exact += np.array(addend, dtype=object)
-        return cls._reduced(tuple((exact % modulus).tolist()), modulus)
+        num, den = scale
+        exact = exact_sum(terms, terms[0][0].n, addend)
+        return cls.from_planes(exact.scale_round(num, den, modulus), modulus)
 
     # -- basic protocol -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Python ints, built on first use."""
+        if self._coeffs is None:
+            self._coeffs = tuple(pl.to_ints(self.planes))
+        return self._coeffs
+
+    @property
     def degree_bound(self) -> int:
         """The ring degree ``n`` (number of coefficient slots)."""
-        return len(self.coeffs)
+        return self.planes.shape[1]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
+            and bool(np.array_equal(self.planes, other.planes))
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.modulus))
+        return hash((self.planes.tobytes(), self.modulus))
+
+    def __getstate__(self):
+        return self.planes, self.modulus
+
+    def __setstate__(self, state):
+        planes, modulus = state
+        self._set(planes, modulus)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:4])
-        tail = ", ..." if len(self.coeffs) > 4 else ""
+        n = self.degree_bound
+        head = ", ".join(str(c) for c in pl.to_ints(self.planes[:, :4]))
+        tail = ", ..." if n > 4 else ""
         return (
-            f"Polynomial(n={len(self.coeffs)}, "
+            f"Polynomial(n={n}, "
             f"q~2^{self.modulus.bit_length()}, [{head}{tail}])"
         )
 
@@ -380,7 +361,7 @@ class Polynomial:
             raise ParameterError(f"expected Polynomial, got {type(other)}")
         if self.modulus != other.modulus:
             raise ParameterError("polynomial moduli differ")
-        if len(self.coeffs) != len(other.coeffs):
+        if self.degree_bound != other.degree_bound:
             raise ParameterError("polynomial degrees differ")
 
     # -- ring operations ------------------------------------------------
@@ -388,20 +369,16 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial._reduced(
-            tuple([(x + y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
-        )
+        return Polynomial.from_planes(pl.add_mod(self.planes, other.planes, q), q)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         q = self.modulus
-        return Polynomial._reduced(
-            tuple([(x - y) % q for x, y in zip(self.coeffs, other.coeffs)]), q
-        )
+        return Polynomial.from_planes(pl.sub_mod(self.planes, other.planes, q), q)
 
     def __neg__(self) -> "Polynomial":
         q = self.modulus
-        return Polynomial._reduced(tuple([(-x) % q for x in self.coeffs]), q)
+        return Polynomial.from_planes(pl.neg_mod(self.planes, q), q)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -411,18 +388,28 @@ class Polynomial:
         # secret enters as +-1, not as q - 1, so the exact product needs
         # CRT primes for |a| * |b|, not for q^2. The result mod q is
         # the same.
-        product = negacyclic_convolve(
-            self.centered(), other.centered(), len(self.coeffs)
-        )
-        return Polynomial(product, self.modulus)
+        left = Operand(self)
+        right = left if other is self else Operand(other)
+        return Polynomial.sum_of_products([(left, right)], self.modulus)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, scalar: int) -> "Polynomial":
         """Multiply every coefficient by an integer scalar (mod q)."""
-        q = self.modulus
-        s = scalar % q
-        return Polynomial._reduced(tuple([c * s % q for c in self.coeffs]), q)
+        return self.scale(scalar % self.modulus, 1, self.modulus)
+
+    def scale(self, num: int, den: int, modulus: int) -> "Polynomial":
+        """``round(num * x / den) mod modulus`` for the centered lift ``x``.
+
+        The engine's exit applied to this polynomial itself: a scalar
+        multiple is ``(s, 1, q)``, a centered lift to another modulus
+        ``(1, 1, q')``, a modulus switch ``(q', q, q')``. ``den`` must be
+        1 or odd.
+        """
+        n, q = self.degree_bound, self.modulus
+        moduli = tuple(ctx.p for ctx in crt_contexts(n, q))
+        exact = MixedRadix(crt.residues(self.planes, q, moduli), moduli)
+        return Polynomial.from_planes(exact.scale_round(num, den, modulus), modulus)
 
     # -- representation helpers ------------------------------------------
 
@@ -433,13 +420,14 @@ class Polynomial:
         analysis measures.
         """
         q = self.modulus
-        half = q // 2
-        return [c - q if c > half else c for c in self.coeffs]
+        magnitudes = pl.to_ints(pl.magnitudes(self.planes, q))
+        upper = pl.above(self.planes, q // 2)
+        return [-m if up else m for m, up in zip(magnitudes, upper.tolist())]
 
     def infinity_norm(self) -> int:
         """Max absolute value of the centered coefficients."""
-        return max((abs(c) for c in self.centered()), default=0)
+        return pl.max_int(pl.magnitudes(self.planes, self.modulus))
 
     def lift_centered_to(self, new_modulus: int) -> "Polynomial":
         """Re-reduce the centered representative modulo a new modulus."""
-        return Polynomial(self.centered(), new_modulus)
+        return self.scale(1, 1, new_modulus)

@@ -19,50 +19,60 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.poly import planes
 
 #: Centered-binomial parameter giving sigma = sqrt(21/2) ~ 3.24, the
 #: customary RLWE error width.
 DEFAULT_CBD_ETA = 21
 
 
-def sample_uniform(n: int, modulus: int, rng: np.random.Generator) -> list:
-    """``n`` independent uniform residues in ``[0, modulus)``.
+def sample_uniform(n: int, modulus: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` independent uniform residues in ``[0, modulus)``, as an
+    ``(L, n)`` limb-plane array (:mod:`repro.poly.planes`).
 
     Works for moduli of any width (the 109-bit security level exceeds
-    64-bit words): residues are assembled from random bytes with
-    rejection sampling, which is exact — no modulo bias.
+    64-bit words): each candidate is ``ceil(bits / 8)`` little-endian
+    random bytes masked to the modulus's bit width, and candidates at
+    or above the modulus are rejected, which is exact — no modulo bias.
+    A batch's candidates are parsed, masked and compared as limb planes,
+    accepted in order, and the rest of the batch is discarded.
     """
     if n <= 0:
         raise ParameterError(f"sample count must be positive, got {n}")
     if modulus < 2:
         raise ParameterError(f"modulus must be >= 2, got {modulus}")
     n_bytes = (modulus.bit_length() + 7) // 8
-    excess_bits = 8 * n_bytes - modulus.bit_length()
-    mask = (1 << (8 * n_bytes)) - 1 >> excess_bits
-    out = []
-    while len(out) < n:
+    count = planes.limb_count(modulus)
+    top_mask = np.uint64(((1 << modulus.bit_length()) - 1) >> (32 * (count - 1)))
+    batches = []
+    drawn = 0
+    while drawn < n:
         # Draw a batch; rejection rate is < 50% by the mask construction.
-        raw = rng.bytes(n_bytes * (n - len(out) + 8))
-        for i in range(0, len(raw) - n_bytes + 1, n_bytes):
-            candidate = int.from_bytes(raw[i : i + n_bytes], "little") & mask
-            if candidate < modulus:
-                out.append(candidate)
-                if len(out) == n:
-                    break
-    return out
+        raw = rng.bytes(n_bytes * (n - drawn + 8))
+        candidates = np.zeros((len(raw) // n_bytes, 4 * count), dtype=np.uint8)
+        candidates[:, :n_bytes] = np.frombuffer(raw, dtype=np.uint8).reshape(
+            -1, n_bytes
+        )
+        words = candidates.view("<u4").T.astype(np.uint64)
+        words[-1] &= top_mask
+        accepted = words[:, ~planes.above(words, modulus - 1)][:, : n - drawn]
+        batches.append(accepted)
+        drawn += accepted.shape[1]
+    return np.concatenate(batches, axis=1)
 
 
-def sample_ternary(n: int, rng: np.random.Generator) -> list:
-    """``n`` coefficients drawn uniformly from ``{-1, 0, 1}``."""
+def sample_ternary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` coefficients drawn uniformly from ``{-1, 0, 1}`` (``int64``)."""
     if n <= 0:
         raise ParameterError(f"sample count must be positive, got {n}")
-    return rng.integers(-1, 2, size=n).tolist()
+    return rng.integers(-1, 2, size=n)
 
 
 def sample_centered_binomial(
     n: int, rng: np.random.Generator, eta: int = DEFAULT_CBD_ETA
-) -> list:
-    """``n`` centered-binomial samples: sum of ``eta`` coin differences.
+) -> np.ndarray:
+    """``n`` centered-binomial samples (``int64``): sum of ``eta`` coin
+    differences.
 
     Each sample is ``sum(b_i) - sum(b'_i)`` over ``eta`` fair coin
     pairs, giving mean 0, variance ``eta / 2``, and support
@@ -74,4 +84,4 @@ def sample_centered_binomial(
         raise ParameterError(f"eta must be positive, got {eta}")
     ones = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
     zeros = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
-    return (ones - zeros).tolist()
+    return (ones - zeros).astype(np.int64)

@@ -50,7 +50,7 @@ def symmetric_encrypt(params, secret_key, plaintext, seed: int) -> Ciphertext:
     """The first encryption of a ``SymmetricEncryptor(..., seed=seed)``."""
     n, q = params.poly_degree, params.coeff_modulus
     rng = np.random.default_rng(seed)
-    a = Polynomial(sample_uniform(n, q, rng), q)
+    a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
     e = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
     scaled_m = Polynomial(plaintext.poly.centered(), q).scalar_mul(params.delta)
     c0 = -(a * secret_key.poly + e) + scaled_m

@@ -21,10 +21,10 @@ from repro.core.ciphertext import Plaintext
 from repro.core.encryptor import SymmetricEncryptor
 from repro.core.galois import rotate_rows
 from repro.core.noise import noise_budget
+from repro.poly.crt import crt_contexts as _crt_contexts
 from repro.poly.polynomial import (
     Operand,
     Polynomial,
-    _crt_contexts,
     negacyclic_convolve,
     negacyclic_sum,
 )

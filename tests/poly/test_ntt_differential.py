@@ -20,11 +20,11 @@ from repro.core import BFVParameters
 from repro.core.encoder import BatchEncoder
 from repro.poly.modring import find_ntt_prime
 from repro.poly.ntt import NATIVE_PRIME_LIMIT, ntt_context
+from repro.poly.crt import crt_contexts as _crt_contexts
+from repro.poly.crt import crt_prime as _crt_prime
 from repro.poly.polynomial import (
     Polynomial,
-    _crt_contexts,
     _crt_negacyclic,
-    _crt_prime,
     _schoolbook_negacyclic,
 )
 from tests.poly.reference_ntt import ReferenceNTT

@@ -5,12 +5,67 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.poly.modring import find_ntt_prime
+from repro.poly.planes import to_ints
 from repro.poly.sampling import (
     DEFAULT_CBD_ETA,
     sample_centered_binomial,
     sample_ternary,
-    sample_uniform,
 )
+from repro.poly.sampling import sample_uniform as sample_uniform_planes
+
+
+def sample_uniform(n, modulus, rng) -> list:
+    """The sampler's draws as Python ints."""
+    return to_ints(sample_uniform_planes(n, modulus, rng))
+
+
+def reference_uniform(n: int, modulus: int, rng) -> list:
+    """The sampler one candidate at a time: the same ``rng.bytes``
+    calls, each ``n_bytes``-wide candidate parsed with
+    ``int.from_bytes``, masked, and kept while below the modulus."""
+    n_bytes = (modulus.bit_length() + 7) // 8
+    excess_bits = 8 * n_bytes - modulus.bit_length()
+    mask = (1 << (8 * n_bytes)) - 1 >> excess_bits
+    out = []
+    while len(out) < n:
+        raw = rng.bytes(n_bytes * (n - len(out) + 8))
+        for i in range(0, len(raw) - n_bytes + 1, n_bytes):
+            candidate = int.from_bytes(raw[i : i + n_bytes], "little") & mask
+            if candidate < modulus:
+                out.append(candidate)
+                if len(out) == n:
+                    break
+    return out
+
+
+class TestUniformAgainstTheLoop:
+    """Vectorized rejection sampling draws exactly what the
+    per-candidate loop draws, and leaves the generator where it does."""
+
+    @pytest.mark.parametrize(
+        "modulus",
+        [
+            find_ntt_prime(27, 1024),
+            find_ntt_prime(54, 2048),
+            find_ntt_prime(109, 4096),
+            7,  # one byte
+            (1 << 20) + 7,  # three bytes: n_bytes not a multiple of 4
+            (1 << 40) + 15,  # six bytes
+            (1 << 64) - 59,  # eight bytes, top limb all ones below q
+            (1 << 72) + 1,  # ten bytes, bit 72 alone in its byte
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 37, 4096])
+    def test_equal_draws(self, modulus, n):
+        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        assert sample_uniform(n, modulus, fast) == reference_uniform(n, modulus, slow)
+        assert fast.bytes(16) == slow.bytes(16)
+
+    def test_returns_reduced_limb_planes(self):
+        q = find_ntt_prime(109, 4096)
+        planes = sample_uniform_planes(64, q, np.random.default_rng(2))
+        assert planes.shape == (4, 64) and planes.dtype == np.uint64
+        assert int(planes.max()) < 1 << 32
 
 
 class TestUniform:
@@ -50,9 +105,9 @@ class TestUniform:
 
     def test_rejects_bad_args(self, rng):
         with pytest.raises(ParameterError):
-            sample_uniform(0, 97, rng)
+            sample_uniform_planes(0, 97, rng)
         with pytest.raises(ParameterError):
-            sample_uniform(4, 1, rng)
+            sample_uniform_planes(4, 1, rng)
 
 
 class TestTernary:
@@ -64,7 +119,7 @@ class TestTernary:
     def test_roughly_uniform(self, rng):
         values = sample_ternary(9000, rng)
         for v in (-1, 0, 1):
-            assert abs(values.count(v) / 9000 - 1 / 3) < 0.03
+            assert abs(np.count_nonzero(values == v) / 9000 - 1 / 3) < 0.03
 
     def test_rejects_zero_count(self, rng):
         with pytest.raises(ParameterError):
