@@ -16,11 +16,12 @@ engine's exit ``round(t * x / q) mod q``, taken once per component
 straight from its residues.
 
 Both steps run in the evaluation domain of the exact CRT bundle. A
-multiply forward-transforms its four input polynomials once per prime
-(a square, two), sums the cross terms pointwise, and takes three
-inverse transforms. Relinearization transforms its ``k`` digits once,
-multiplies them against the relinearization key's cached transforms
-and takes two inverse transforms (:func:`repro.core.keys.key_switch`).
+multiply forward-transforms its four input polynomials once, over every
+prime of the bundle in one call (a square, two), sums the cross terms
+pointwise, and takes three inverse transforms. Relinearization
+transforms its ``k`` digits once, multiplies them against the
+relinearization key's cached transforms and takes two inverse
+transforms (:func:`repro.core.keys.key_switch`).
 Every result is the exact integer of the one-product-at-a-time
 construction, so outputs are bit-identical to it.
 """

@@ -156,8 +156,9 @@ def key_switch(poly: Polynomial, operands, base_bits: int, what: str) -> tuple:
     pair encrypting ``T^i * s'`` under ``s`` turns ``poly``'s
     ``s'``-component into two components under ``s``. The digits are
     cut straight from the limb planes (:func:`base_digits`); each is
-    transformed once per prime, and each of the two sums takes one
-    inverse transform per prime (:meth:`Polynomial.sum_of_products`).
+    transformed once over the bundle, and each of the two sums takes
+    one inverse transform of the bundle
+    (:meth:`Polynomial.sum_of_products`).
     Raises :class:`~repro.errors.CiphertextError` naming ``what`` if
     the digits do not cover the coefficients.
     """

@@ -78,8 +78,17 @@ class Kernel(abc.ABC):
         return self.run_elements([element], tally)[0]
 
     @abc.abstractmethod
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
+        """``count`` uniformly random valid input elements (the cost
+        sample's inputs).
+
+        The elements must not depend on how the draws are split into
+        calls: ``count`` single-element draws give the same list.
+        """
+
     def random_element(self, rng: np.random.Generator):
-        """A uniformly random valid input element (for cost sampling)."""
+        """One uniformly random valid input element."""
+        return self.random_elements(rng, 1)[0]
 
     @abc.abstractmethod
     def cost_key(self) -> tuple:
@@ -129,8 +138,7 @@ class Kernel(abc.ABC):
             return _COST_SAMPLES[key]
         fresh = type(self)(*key[1])
         rng = np.random.default_rng(COST_SAMPLE_SEED)
-        elements = [fresh.random_element(rng) for _ in range(size)]
-        _, tally = fresh.execute(elements)
+        _, tally = fresh.execute(fresh.random_elements(rng, size))
         if size == COST_SAMPLE_SIZE:
             _COST_SAMPLES[key] = tally
         return tally
@@ -214,3 +222,9 @@ def random_residues(
     modulo is fine.
     """
     return tuple(v % modulus for v in random_limb_values(rng, limbs, count))
+
+
+def grouped(values, width: int) -> list:
+    """``values`` cut into consecutive ``width``-tuples: the elements of
+    kernels that take ``width`` operands each."""
+    return [tuple(values[i : i + width]) for i in range(0, len(values), width)]

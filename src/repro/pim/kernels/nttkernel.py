@@ -105,13 +105,14 @@ class NTTButterflyKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.modulus,)
 
-    def random_element(self, rng: np.random.Generator):
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
+        # One draw per value, in element order: the generator's stream
+        # for bounded integers depends on how the draws are split.
         p = self.modulus
-        return (
-            int(rng.integers(0, p)),
-            int(rng.integers(0, p)),
-            int(rng.integers(1, p)),
-        )
+        return [
+            (int(rng.integers(0, p)), int(rng.integers(0, p)), int(rng.integers(1, p)))
+            for _ in range(count)
+        ]
 
     def mram_bytes_per_element(self) -> int:
         # u, v in + twiddle + two results out, 4 bytes each.

@@ -105,8 +105,8 @@ class ReduceSumKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.limbs, self.modulus)
 
-    def random_element(self, rng: np.random.Generator):
-        return random_residues(rng, self.modulus, self.limbs, 1)[0]
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
+        return list(random_residues(rng, self.modulus, self.limbs, count))
 
     def mram_bytes_per_element(self) -> int:
         # One streamed read; the accumulator lives in WRAM.

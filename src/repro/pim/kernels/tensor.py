@@ -25,7 +25,7 @@ from repro.mpint.add import add_with_carry
 from repro.mpint.cost import OpTally
 from repro.mpint.limbs import from_planes, to_planes
 from repro.mpint.mul import multiply
-from repro.pim.kernels.base import Kernel, random_limb_values
+from repro.pim.kernels.base import Kernel, grouped, random_limb_values
 
 
 class TensorMulKernel(Kernel):
@@ -56,8 +56,8 @@ class TensorMulKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.limbs,)
 
-    def random_element(self, rng: np.random.Generator):
-        return random_limb_values(rng, self.limbs, 4)
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
+        return grouped(random_limb_values(rng, self.limbs, 4 * count), 4)
 
     def mram_bytes_per_element(self) -> int:
         # Four container reads, three double-width writes.

@@ -27,6 +27,7 @@ from repro.mpint.limbs import from_planes, to_planes
 from repro.pim.kernels.base import (
     Kernel,
     constant_planes,
+    grouped,
     random_limb_values,
     random_residues,
 )
@@ -75,10 +76,10 @@ class VecAddKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.limbs, self.modulus)
 
-    def random_element(self, rng: np.random.Generator):
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
         if self.modulus is None:
-            return random_limb_values(rng, self.limbs, 2)
-        return random_residues(rng, self.modulus, self.limbs, 2)
+            return grouped(random_limb_values(rng, self.limbs, 2 * count), 2)
+        return grouped(random_residues(rng, self.modulus, self.limbs, 2 * count), 2)
 
     def mram_bytes_per_element(self) -> int:
         # Two operand reads plus one result write, container width each.

@@ -23,7 +23,7 @@ from repro.errors import ParameterError
 from repro.mpint.cost import OpTally
 from repro.mpint.limbs import from_planes, to_planes
 from repro.mpint.mul import multiply
-from repro.pim.kernels.base import Kernel, random_limb_values
+from repro.pim.kernels.base import Kernel, grouped, random_limb_values
 
 
 class VecMulKernel(Kernel):
@@ -58,8 +58,8 @@ class VecMulKernel(Kernel):
     def cost_key(self) -> tuple:
         return (self.limbs, self.algorithm)
 
-    def random_element(self, rng: np.random.Generator):
-        return random_limb_values(rng, self.limbs, 2)
+    def random_elements(self, rng: np.random.Generator, count: int) -> list:
+        return grouped(random_limb_values(rng, self.limbs, 2 * count), 2)
 
     def mram_bytes_per_element(self) -> int:
         # Two container reads plus a double-width product write.

@@ -8,8 +8,8 @@ scheme and the baselines need:
   primality, NTT-friendly prime generation, primitive roots, Barrett
   reduction;
 * :mod:`repro.poly.ntt` — the iterative negacyclic Number Theoretic
-  Transform over 31-bit primes on ``uint64`` words, behind the exact
-  big-integer convolution and the batch encoder;
+  Transform over bundles of 31-bit primes on ``uint64`` words, behind
+  the exact big-integer convolution and the batch encoder;
 * :mod:`repro.poly.planes` — residues mod ``q`` as 32-bit limbs in
   ``uint64`` rows (1/2/4 limbs at the paper's 27/54/109-bit levels, its
   DPU containers), with modular add, subtract and negate on whole rows;
@@ -21,9 +21,9 @@ scheme and the baselines need:
   planes, with addition, negacyclic multiplication and scalar
   operations, plus the exact sum-of-products engine every BFV op runs
   on (:class:`Operand` handles keep forward transforms; each sum takes
-  one inverse transform per prime and one exit). Its CRT bundle of
-  31-bit NTT primes is the repo's one residue number system: SEAL's
-  RNS + NTT idea, run for real on native words;
+  one inverse transform of the whole bundle and one exit). Its CRT
+  bundle of 31-bit NTT primes is the repo's one residue number system:
+  SEAL's RNS + NTT idea, run for real on native words;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,
   as limb planes; ternary and centered binomial, as ``int64`` arrays)
   key generation and encryption draw from.

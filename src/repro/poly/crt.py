@@ -48,7 +48,7 @@ from repro.errors import ParameterError
 from repro.mpint.limbs import LIMB_BITS, LIMB_MASK
 from repro.poly import planes as pl
 from repro.poly.modring import find_ntt_prime, inverse_mod
-from repro.poly.ntt import ntt_context
+from repro.poly.ntt import Twiddles
 
 #: Bit width of the bundle's primes. 31 bits keeps every butterfly
 #: product inside a ``uint64`` word (see
@@ -79,19 +79,35 @@ def crt_prime(n: int, index: int) -> int:
     return find_ntt_prime(CRT_PRIME_BITS, n, index=index)
 
 
-def crt_contexts(n: int, bound: int) -> list:
+def crt_moduli(n: int, bound: int) -> tuple:
     """The shortest prefix of the bundle whose modulus reaches ``bound``.
 
-    The bundle for ``k`` primes is a prefix of the bundle for ``k + 1``,
-    and every context comes from the shared :func:`ntt_context` cache.
+    The bundle for ``k`` primes is a prefix of the bundle for ``k + 1``.
     """
-    contexts = []
+    moduli = []
     product = 1
-    while product < bound or not contexts:
-        ctx = ntt_context(n, crt_prime(n, len(contexts)))
-        contexts.append(ctx)
-        product *= ctx.p
-    return contexts
+    while product < bound or not moduli:
+        moduli.append(crt_prime(n, len(moduli)))
+        product *= moduli[-1]
+    return tuple(moduli)
+
+
+#: Ring degree -> the one :class:`~repro.poly.ntt.Twiddles` table of
+#: its bundle's first primes, rebuilt longer when a longer bundle is
+#: first needed.
+_TWIDDLES: dict = {}
+
+
+def crt_twiddles(n: int, start: int, stop: int) -> Twiddles:
+    """NTT tables of bundle primes ``start .. stop - 1`` at degree ``n``.
+
+    Views of the degree's one table, so a bundle adds no copy.
+    """
+    table = _TWIDDLES.get(n)
+    if table is None or len(table) < stop:
+        # Published whole, so a reader never sees a half-built table.
+        table = _TWIDDLES[n] = Twiddles(n, tuple(crt_prime(n, i) for i in range(stop)))
+    return table[start:stop]
 
 
 # -- entry -------------------------------------------------------------------

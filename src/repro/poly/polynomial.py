@@ -24,8 +24,8 @@ the shape of every BFV operation:
 * operands enter the bundle straight from their limb planes
   (:func:`repro.poly.crt.residues`);
 * the bundle is sized once for the whole sum, the pointwise products
-  are accumulated per prime in the evaluation domain, and each prime
-  takes one inverse transform;
+  are accumulated in the evaluation domain, and one inverse transform
+  (:func:`repro.poly.ntt.inverse`) takes every prime back at once;
 * the residue rows leave the bundle once, through
   :meth:`repro.poly.crt.MixedRadix.scale_round`:
   ``round(num * x / den) mod out`` as limb planes, which is a plain sum
@@ -43,10 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.poly import crt
+from repro.poly import crt, ntt
 from repro.poly import planes as pl
-from repro.poly.crt import MixedRadix, crt_contexts, crt_prime
-from repro.poly.ntt import ntt_context
+from repro.poly.crt import MixedRadix, crt_moduli, crt_twiddles
 
 #: :func:`negacyclic_sum` uses schoolbook convolution at or below this
 #: degree and the CRT engine above it.
@@ -75,10 +74,11 @@ class Operand:
     """One exact integer operand of the CRT engine, transformed lazily.
 
     Holds the operand's ``max|a|`` and its forward NTT over each prime
-    of the CRT bundle it has been used with, as ``uint64`` rows. A sum
-    that needs a longer bundle extends the rows in place: the bundle for
-    ``k`` primes is a prefix of the bundle for ``k + 1``, so rows
-    already held stay valid.
+    of the CRT bundle it has been used with, as one ``(k, n)`` ``uint64``
+    array. A sum that needs a longer bundle transforms only the new
+    primes, in one call, and appends their rows: the bundle for ``k``
+    primes is a prefix of the bundle for ``k + 1``, so rows already held
+    stay valid.
 
     ``source`` is a :class:`Polynomial` (standing for its centered
     lift), a zero-argument callable returning one, or the exact signed
@@ -100,8 +100,9 @@ class Operand:
             self.bound = pl.max_int(pl.magnitudes(value.planes, value.modulus))
         else:
             self.n = len(value)
-            self.bound = int(np.abs(value).max(initial=0))
-        self._rows = []
+            # Not np.abs: it wraps -2^63 to itself.
+            self.bound = max(int(value.max(initial=0)), -int(value.min(initial=0)))
+        self._rows = np.empty((0, self.n), dtype=np.uint64)
 
     def _value(self):
         """The :class:`Polynomial` or ``int64`` array behind the operand."""
@@ -122,17 +123,16 @@ class Operand:
             return crt.residues(value.planes, value.modulus, primes)
         return crt.signed_residues(value, primes)
 
-    def rows(self, count: int) -> list:
-        """Forward transforms over the first ``count`` CRT primes."""
+    def rows(self, count: int) -> np.ndarray:
+        """``(count, n)`` forward transforms over the first ``count`` CRT
+        primes (a view: read only)."""
         rows = self._rows
         if len(rows) < count:
-            # Extend a copy and publish it whole, so a handle shared by
-            # two callers never holds a half-built row list.
-            rows = list(rows)
-            primes = tuple(crt_prime(self.n, i) for i in range(len(rows), count))
-            for p, residue in zip(primes, self.residues(primes)):
-                rows.append(ntt_context(self.n, p)._forward(residue))
-            self._rows = rows
+            twiddles = crt_twiddles(self.n, len(rows), count)
+            new = ntt.forward(self.residues(twiddles.primes), twiddles)
+            # Published whole, so a handle shared by two callers never
+            # holds a half-built array.
+            rows = self._rows = np.concatenate((rows, new)) if len(rows) else new
         return rows[:count]
 
 
@@ -154,11 +154,12 @@ def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
     The bundle is sized once for the whole sum: every coefficient of
     the result is at most ``n * sum(max|a_i| * max|b_i|) + max|addend|``
     in absolute value, and the CRT modulus must cover that signed range.
-    Each operand is forward-transformed once per prime (shared operands
-    and cached key operands are not transformed again); for each prime
-    the pointwise products are accumulated in the evaluation domain,
-    then one inverse transform runs, and the addend's residues join in
-    the coefficient domain. The result leaves the bundle through
+    Each operand is forward-transformed once over the bundle (shared
+    operands and cached key operands are not transformed again); the
+    pointwise products are accumulated in the evaluation domain over the
+    whole ``(k, n)`` bundle, one inverse transform takes every prime
+    back, and the addend's residues join in the coefficient domain. The
+    result leaves the bundle through
     :meth:`~repro.poly.crt.MixedRadix.scale_round`.
     """
     terms = list(terms)
@@ -171,24 +172,26 @@ def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
     if any(op.n != n for op in operands):
         raise ParameterError(f"every operand must have degree {n}")
     extra = addend.bound if addend is not None else 0
-    contexts = crt_contexts(
+    moduli = crt_moduli(
         n, 2 * (n * sum(a.bound * b.bound for a, b in terms) + extra) + 1
     )
-    count = len(contexts)
-    moduli = tuple(ctx.p for ctx in contexts)
-    term_rows = [(a.rows(count), b.rows(count)) for a, b in terms]
-    rows = []
-    for index, ctx in enumerate(contexts):
-        p = np.uint64(ctx.p)
-        acc = None
-        for fa, fb in term_rows:
-            product = fa[index] * fb[index] % p
-            acc = product if acc is None else acc + product
-        rows.append(ctx.inverse(acc))
+    count = len(moduli)
+    twiddles = crt_twiddles(n, 0, count)
+    p = twiddles.p
+    acc = None
+    for a, b in terms:
+        product = a.rows(count) * b.rows(count)
+        np.remainder(product, p, out=product)
+        if acc is None:
+            acc = product
+        else:
+            acc += product
+    if len(terms) > 1:
+        np.remainder(acc, p, out=acc)
+    rows = ntt.inverse(acc, twiddles)
     if addend is not None:
-        rows = (np.stack(rows) + addend.residues(moduli)) % np.array(
-            moduli, dtype=np.uint64
-        )[:, None]
+        rows += addend.residues(moduli)
+        np.minimum(rows, rows - p, out=rows)
     return MixedRadix(rows, moduli)
 
 
@@ -407,7 +410,7 @@ class Polynomial:
         1 or odd.
         """
         n, q = self.degree_bound, self.modulus
-        moduli = tuple(ctx.p for ctx in crt_contexts(n, q))
+        moduli = crt_moduli(n, q)
         exact = MixedRadix(crt.residues(self.planes, q, moduli), moduli)
         return Polynomial.from_planes(exact.scale_round(num, den, modulus), modulus)
 

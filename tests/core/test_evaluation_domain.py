@@ -21,7 +21,7 @@ from repro.core.ciphertext import Plaintext
 from repro.core.encryptor import SymmetricEncryptor
 from repro.core.galois import rotate_rows
 from repro.core.noise import noise_budget
-from repro.poly.crt import crt_contexts as _crt_contexts
+from repro.poly.crt import crt_moduli as _crt_moduli
 from repro.poly.polynomial import (
     Operand,
     Polynomial,
@@ -158,11 +158,11 @@ class TestBundleSizing:
         params = level.params
         n, q = params.poly_degree, params.coeff_modulus
         half, digit = q // 2, (1 << params.relin_base_bits) - 1
-        per_term = len(_crt_contexts(n, 2 * n * half * digit + 1))
+        per_term = len(_crt_moduli(n, 2 * n * half * digit + 1))
         k = next(
             k
             for k in range(2, 1 << 12)
-            if len(_crt_contexts(n, 2 * n * k * half * digit + 1)) > per_term
+            if len(_crt_moduli(n, 2 * n * k * half * digit + 1)) > per_term
         )
         key = [sign * half] * n
         digits = [digit] * n

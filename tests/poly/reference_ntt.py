@@ -1,10 +1,11 @@
 """Scalar negacyclic NTT: the differential oracle for ``repro.poly.ntt``.
 
 One Python-int butterfly per inner-loop iteration, with twiddles from
-``pow`` over a bit-reversed index: the textbook Cooley–Tukey /
-Gentleman–Sande pair that :class:`repro.poly.ntt.NTTContext`
-vectorizes stage by stage. It is a test oracle only; production code
-never calls it.
+``pow`` over a bit-reversed index: the textbook in-place Cooley–Tukey /
+Gentleman–Sande pair that :func:`repro.poly.ntt.forward` and
+:func:`repro.poly.ntt.inverse` vectorize stage by stage over a bundle
+of primes, in constant geometry. It is a test oracle only; production
+code never calls it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Vectorized NTT and CRT convolution against their scalar references.
 
-:class:`repro.poly.ntt.NTTContext` runs each butterfly stage as numpy
-array operations; :class:`tests.poly.reference_ntt.ReferenceNTT` is the
-scalar loop it replaced. Both must agree exactly, including on the
+:func:`repro.poly.ntt.forward` and :func:`~repro.poly.ntt.inverse` run
+each butterfly stage of every prime of a bundle as numpy array
+operations, and :class:`repro.poly.ntt.NTTContext` is their one-prime
+case; :class:`tests.poly.reference_ntt.ReferenceNTT` is the scalar loop
+they replaced. They must agree exactly, row by row, including on the
 all-``(p - 1)`` input, which drives every butterfly product to its
 largest value, and on the 31-bit primes where ``uint64`` headroom is
 smallest. The CRT convolution is checked against schoolbook at signed
@@ -10,6 +12,7 @@ coefficients up to ``2^120`` and at bounds where the prime count steps.
 """
 
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from hypothesis import strategies as st
 from repro.core import BFVParameters
 from repro.core.encoder import BatchEncoder
 from repro.poly.modring import find_ntt_prime
-from repro.poly.ntt import NATIVE_PRIME_LIMIT, ntt_context
-from repro.poly.crt import crt_contexts as _crt_contexts
+from repro.poly import ntt
+from repro.poly.ntt import NATIVE_PRIME_LIMIT, Twiddles, ntt_context
+from repro.poly.crt import crt_moduli as _crt_moduli
 from repro.poly.crt import crt_prime as _crt_prime
+from repro.poly.crt import crt_twiddles
 from repro.poly.polynomial import (
     Polynomial,
     _crt_negacyclic,
@@ -145,8 +150,8 @@ class TestCrtConvolution:
         for i in range(k):
             modulus *= _crt_prime(n, i)
         edge = (modulus - 1) // (2 * n)
-        assert len(_crt_contexts(n, 2 * n * edge + 1)) == k
-        assert len(_crt_contexts(n, 2 * n * (edge + 1) + 1)) == k + 1
+        assert len(_crt_moduli(n, 2 * n * edge + 1)) == k
+        assert len(_crt_moduli(n, 2 * n * (edge + 1) + 1)) == k + 1
         ones = [1] * n
         for magnitude in (edge, edge + 1):
             for sign in (1, -1):
@@ -155,14 +160,19 @@ class TestCrtConvolution:
                 assert result == _schoolbook_negacyclic(a, ones, n)
                 assert result[n - 1] == sign * n * magnitude
 
+    def test_int64_minimum_sizes_the_bundle(self):
+        """``-2^63`` is exact in ``int64`` but its ``np.abs`` is not."""
+        a = [0] * 7 + [1]
+        b = [0] * 7 + [-(2**63)]
+        assert _crt_negacyclic(a, b, 8) == _schoolbook_negacyclic(a, b, 8)
+
     def test_square_matches_schoolbook(self):
         rng = random.Random(5)
         a = [rng.randrange(-(2**110), 2**110) for _ in range(128)]
         assert _crt_negacyclic(a, a, 128) == _schoolbook_negacyclic(a, a, 128)
 
     def test_crt_primes_run_on_uint64(self):
-        contexts = _crt_contexts(4096, 2**400)
-        assert all(ctx.p < NATIVE_PRIME_LIMIT for ctx in contexts)
+        assert all(p < NATIVE_PRIME_LIMIT for p in _crt_moduli(4096, 2**400))
 
 
 class TestSharedContexts:
@@ -171,10 +181,10 @@ class TestSharedContexts:
         assert ntt_context(1024, p) is ntt_context(1024, p)
 
     def test_bundles_are_prefixes(self):
-        small = _crt_contexts(4096, 2**150)
-        large = _crt_contexts(4096, 2**250)
+        small = _crt_moduli(4096, 2**150)
+        large = _crt_moduli(4096, 2**250)
         assert len(small) < len(large)
-        assert all(a is b for a, b in zip(small, large))
+        assert large[: len(small)] == small
 
     def test_encoder_shares_the_cache(self):
         params = BFVParameters(
@@ -183,6 +193,134 @@ class TestSharedContexts:
             plain_modulus=257,
         )
         assert BatchEncoder(params)._ntt is ntt_context(64, 257)
+
+
+#: Ring degrees of the bundle tests, and the single primes they add.
+BUNDLE_DEGREES = (2, 8, 64, 1024, 4096)
+SINGLE_PRIMES = (17, 65537)
+
+
+@lru_cache(maxsize=None)
+def _reference(n: int, p: int) -> ReferenceNTT:
+    return ReferenceNTT(n, p)
+
+
+def _bundle_rows(primes: tuple, n: int, kind: str, seed: int) -> np.ndarray:
+    """``(k, n)`` rows: uniform residues, or every value at ``p - 1``."""
+    p = np.array(primes, dtype=np.uint64)[:, None]
+    if kind == "all p-1":
+        return np.repeat(p - np.uint64(1), n, axis=1)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**62, size=(len(primes), n), dtype=np.uint64) % p
+
+
+def _assert_rows_match_reference(rows: np.ndarray, twiddles: Twiddles) -> None:
+    forward, inverse = ntt.forward(rows, twiddles), ntt.inverse(rows, twiddles)
+    for row, p, fwd, inv in zip(rows.tolist(), twiddles.primes, forward, inverse):
+        ref = _reference(twiddles.n, p)
+        assert fwd.tolist() == ref.forward(row)
+        assert inv.tolist() == ref.inverse(row)
+
+
+@pytest.mark.parametrize("n", BUNDLE_DEGREES)
+class TestBundle:
+    """:func:`repro.poly.ntt.forward` and :func:`~repro.poly.ntt.inverse`
+    over 1-8 CRT primes, row by row against the scalar reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_rows_match_reference(self, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=8))
+        twiddles = crt_twiddles(n, 0, k)
+        kind = data.draw(st.sampled_from(["uniform", "all p-1"]))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rows = _bundle_rows(twiddles.primes, n, kind, seed)
+        _assert_rows_match_reference(rows, twiddles)
+
+    def test_all_max_rows_over_eight_primes(self, n):
+        twiddles = crt_twiddles(n, 0, 8)
+        rows = _bundle_rows(twiddles.primes, n, "all p-1", 0)
+        _assert_rows_match_reference(rows, twiddles)
+
+    @pytest.mark.parametrize("start,stop", [(0, 1), (2, 5), (7, 8), (3, 3)])
+    def test_slice_of_primes_matches_the_full_bundle(self, n, start, stop):
+        full = crt_twiddles(n, 0, 8)
+        rows = _bundle_rows(full.primes, n, "uniform", n + start)
+        part = crt_twiddles(n, start, stop)
+        assert part.primes == full.primes[start:stop]
+        for transform in (ntt.forward, ntt.inverse):
+            expected = transform(rows, full)[start:stop]
+            assert np.array_equal(transform(rows[start:stop], part), expected)
+            sliced = transform(rows[start:stop], full[start:stop])
+            assert np.array_equal(sliced, expected)
+
+    def test_inputs_are_not_written(self, n):
+        twiddles = crt_twiddles(n, 0, 8)
+        rows = _bundle_rows(twiddles.primes, n, "uniform", 9)
+        before = rows.copy()
+        forward = ntt.forward(rows, twiddles)
+        assert np.array_equal(rows, before)
+        kept = forward.copy()
+        back = ntt.inverse(forward, twiddles)
+        assert np.array_equal(forward, kept)
+        assert np.array_equal(back, rows)
+        assert not np.shares_memory(back, forward)
+        assert not np.shares_memory(forward, rows)
+
+    def test_one_prime_context_does_not_write_its_input(self, n):
+        ctx = ntt.NTTContext(n, _crt_prime(n, 0))
+        values = _bundle_rows((ctx.p,), n, "uniform", 4)[0]
+        before = values.copy()
+        ctx._inverse(ctx._forward(values))
+        assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [(n, p) for n in BUNDLE_DEGREES for p in SINGLE_PRIMES if (p - 1) % (2 * n) == 0],
+)
+def test_single_small_prime_matches_reference(n, p):
+    twiddles = Twiddles(n, (p,))
+    for kind, seed in (("uniform", 1), ("all p-1", 0)):
+        _assert_rows_match_reference(_bundle_rows((p,), n, kind, seed), twiddles)
+
+
+class TestTableMemory:
+    """One twiddle table per ring degree; bundles are views of it."""
+
+    def test_sub_bundle_tables_are_views(self):
+        whole = crt_twiddles(1024, 0, 6)
+        part = crt_twiddles(1024, 2, 5)
+        for name in ("fwd", "fwd_shoup", "scale", "scale_shoup"):
+            assert np.shares_memory(getattr(part, name), getattr(whole, name))
+
+    def test_growing_the_bundle_keeps_one_table(self):
+        n = 512
+        short = crt_twiddles(n, 0, 2)
+        long = crt_twiddles(n, 0, 9)
+        assert long.primes[:2] == short.primes
+        assert np.array_equal(long.fwd[:2], short.fwd)
+        again = crt_twiddles(n, 0, 2)
+        assert np.shares_memory(again.fwd, long.fwd)
+        assert np.shares_memory(again.fwd_shoup, long.fwd_shoup)
+
+    def test_crt_products_build_no_ntt_context(self, monkeypatch):
+        built = []
+        original = ntt.NTTContext.__init__
+
+        def counting(self, n, p):
+            built.append((n, p))
+            original(self, n, p)
+
+        monkeypatch.setattr(ntt.NTTContext, "__init__", counting)
+        ntt_context.cache_clear()
+        rng = random.Random(3)
+        a = [rng.randrange(-(2**90), 2**90) for _ in range(256)]
+        assert _crt_negacyclic(a, a, 256) == _schoolbook_negacyclic(a, a, 256)
+        q = find_ntt_prime(109, 256)
+        poly = Polynomial(a, q)
+        assert (poly * poly).scale(1, 1, q) == poly * poly
+        assert built == []
 
 
 def test_polynomial_product_ignores_representative():
