@@ -6,6 +6,13 @@ performance visible and catch regressions in the hot paths (exact
 convolution, NTT bundles, relinearization).
 """
 
+import numpy as np
+import pytest
+
+from repro.poly import ntt
+from repro.poly.crt import crt_moduli, crt_twiddles
+from repro.poly.polynomial import Operand, Polynomial, exact_sum
+
 
 def test_bench_encrypt(benchmark, tiny_crypto):
     pt = tiny_crypto.batch_encoder.encode([1, 2, 3])
@@ -68,3 +75,70 @@ def test_bench_noise_budget(benchmark, tiny_crypto):
         lambda: noise_budget(ct, tiny_crypto.keys.secret_key)
     )
     assert budget > 0
+
+
+# -- the CRT engine, layer by layer -------------------------------------------
+
+#: ``(n, k)``: ring degree and CRT primes of the bundles the paper's
+#: rings use: sums at 27/54 bits, 109-bit sums and the 109-bit tensor.
+BUNDLES = [(1024, 2), (2048, 3), (4096, 4), (4096, 8)]
+
+
+def _per_butterfly(benchmark, n: int, k: int) -> None:
+    """Record the median time per butterfly (``k n/2 log2 n`` of them)."""
+    stats = getattr(benchmark, "stats", None)
+    if stats is not None:
+        butterflies = k * n // 2 * (n.bit_length() - 1)
+        benchmark.extra_info["ns_per_butterfly"] = stats.stats.median * 1e9 / butterflies
+
+
+def _bundle(n: int, k: int):
+    twiddles = crt_twiddles(n, 0, k)
+    p = np.array(twiddles.primes, dtype=np.uint64)[:, None]
+    rows = np.random.default_rng(n + k).integers(0, 2**62, size=(k, n), dtype=np.uint64)
+    return rows % p, twiddles
+
+
+@pytest.mark.parametrize("n,k", BUNDLES)
+def test_bench_bundle_forward(benchmark, n, k):
+    rows, twiddles = _bundle(n, k)
+    out = benchmark(lambda: ntt.forward(rows, twiddles))
+    assert out.shape == (k, n)
+    _per_butterfly(benchmark, n, k)
+
+
+@pytest.mark.parametrize("n,k", BUNDLES)
+def test_bench_bundle_inverse(benchmark, n, k):
+    rows, twiddles = _bundle(n, k)
+    out = benchmark(lambda: ntt.inverse(rows, twiddles))
+    assert out.shape == (k, n)
+    _per_butterfly(benchmark, n, k)
+
+
+def _operands_for(n: int, k: int) -> list:
+    """Two terms of :class:`~repro.poly.polynomial.Operand` pairs whose
+    exact sum takes a ``k``-prime bundle: centered coefficients up to
+    ``q // 2`` for the widest odd ``q`` that keeps the bundle at ``k``."""
+    bits = 31 * k
+    while True:
+        q = (1 << bits) + 1
+        if len(crt_moduli(n, 2 * (n * 2 * (q // 2) ** 2) + 1)) == k:
+            break
+        bits -= 1
+    rng = np.random.default_rng(bits)
+    operands = []
+    for _ in range(4):
+        coeffs = [int(v) for v in rng.integers(0, 2**62, size=n)]
+        coeffs[0] = q // 2
+        operands.append(Operand(Polynomial([c % q for c in coeffs], q)))
+    return [(operands[0], operands[1]), (operands[2], operands[3])]
+
+
+@pytest.mark.parametrize("n,k", BUNDLES)
+def test_bench_exact_sum(benchmark, n, k):
+    """Pointwise products, one inverse bundle transform and the Garner
+    digits; the operands' forward transforms are cached after the
+    first call."""
+    terms = _operands_for(n, k)
+    exact = benchmark(lambda: exact_sum(terms, n))
+    assert len(exact.moduli) == k

@@ -26,9 +26,10 @@ class Encryptor:
 
     ``u`` is forward-transformed once for both products, and the public
     key's transforms are cached on the key. The errors join each sum in
-    the coefficient domain, and ``delta*m`` is the plaintext's own
-    exit from the CRT engine, ``(delta, 1, q)``. Encryption randomness is
-    drawn from an explicit seeded generator so experiments are
+    the coefficient domain, and ``delta*m`` joins ``e1`` there as one
+    addend (:meth:`~repro.poly.polynomial.Operand.scaled_sum`), so
+    ``c0`` leaves the CRT engine through one exit. Encryption randomness
+    is drawn from an explicit seeded generator so experiments are
     reproducible.
     """
 
@@ -48,11 +49,11 @@ class Encryptor:
         rng = self._rng
 
         u = Operand(sample_ternary(n, rng))
-        e1 = Operand(sample_centered_binomial(n, rng, params.error_eta))
+        e1 = sample_centered_binomial(n, rng, params.error_eta)
         e2 = Operand(sample_centered_binomial(n, rng, params.error_eta))
         p0, p1 = self.public_key.operands()
-        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=e1)
-        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
+        scaled_m = Operand.scaled_sum(plaintext.poly, params.delta, e1)
+        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=scaled_m)
         c1 = Polynomial.sum_of_products([(p1, u)], q, addend=e2)
         ciphertext = Ciphertext(params, (c0, c1))
         get_noise_ledger().stamp_fresh(ciphertext)
@@ -90,11 +91,11 @@ class SymmetricEncryptor:
         rng = self._rng
 
         a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
-        minus_e = Operand(-sample_centered_binomial(n, rng, params.error_eta))
+        minus_e = -sample_centered_binomial(n, rng, params.error_eta)
+        scaled_m = Operand.scaled_sum(plaintext.poly, params.delta, minus_e)
         c0 = Polynomial.sum_of_products(
-            [(Operand(-a), self.secret_key.power_operand())], q, addend=minus_e
+            [(Operand(-a), self.secret_key.power_operand())], q, addend=scaled_m
         )
-        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
         ciphertext = Ciphertext(params, (c0, a))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext

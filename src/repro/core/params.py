@@ -18,7 +18,7 @@ ciphertext byte sizes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import ParameterError
 from repro.mpint.limbs import LIMB_BITS, limbs_for_bits
@@ -122,11 +122,12 @@ class BFVParameters:
         base = self.relin_base_bits
         return -(-self.security_bits // base)
 
-    @property
+    @cached_property
     def supports_batching(self) -> bool:
         """True when ``t`` is a prime with ``t == 1 (mod 2n)``, i.e.
         the plaintext ring splits into ``n`` SIMD slots, and ``t`` is
-        narrow enough for the slot NTT's ``uint64`` words."""
+        narrow enough for the slot NTT's ``uint64`` words. Tested once
+        per parameter set."""
         return (
             self.plain_modulus < NATIVE_PRIME_LIMIT
             and is_prime(self.plain_modulus)

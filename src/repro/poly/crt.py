@@ -8,17 +8,25 @@ is made per coefficient on either side.
 
 * **Entry** (:func:`residues`): the centered lift ``x`` in
   ``(-q/2, q/2]`` of residues held as limb planes, reduced modulo each
-  prime. One limb-wise Horner pass over ``2^32 mod p``, plus a
-  ``q mod p`` correction on the lanes above ``q // 2``.
+  prime. Per prime, one limb-wise Horner pass over ``2^32 mod p``,
+  plus a ``-q mod p`` correction on the lanes above ``q // 2``.
 * **Digits** (:class:`MixedRadix`): Garner's mixed-radix digits of the
   signed ``x`` in ``(-P/2, P/2]`` with given residues:
   ``x + P // 2 = sum_i d_i R_i`` with ``R_i = p_0 ... p_{i-1}`` and
-  ``0 <= d_i < p_i``, computed on ``uint64`` words.
+  ``0 <= d_i < p_i``, computed on ``uint64`` words and held as one
+  float64 block.
 * **Exit** (:meth:`MixedRadix.scale_round`): ``round(num * x / den) mod
   out`` as limb planes. Every caller is one setting of
   ``(num, den, out)``: a plain sum mod ``q`` is ``(1, 1, q)``, the BFV
   tensor's ``t/q`` scaling ``(t, q, q)``, decryption ``(t, q, t)`` and
   modulus switching ``(q', q, q')``.
+
+The entry and the digits work one prime row at a time, against 0-d
+constants: numpy runs those on its fast path, where a ``(k, 1)`` column
+of primes would send every operation through its general iterator, and
+a ``%`` by a column costs as much as seven multiplies. Every reduction is
+one scalar floor division ``x - (x // p) p`` (numpy divides by a 0-d
+integer with a multiply and a shift), of a value below ``2^64``.
 
 The exit splits ``num * R_i = A_i * den + B_i`` and
 ``num * (P // 2) = A_h * den + B_h`` once per setting, so that
@@ -33,8 +41,10 @@ quotients the exit needs, ``c`` and ``g = floor(U / out)`` for
 in ``float64`` from the digits, low by at most one, and settled exactly
 with one conditional correction: the remainders ``F + (den - 1)/2 -
 c den`` and ``U - g out`` are computed exactly as 32-bit limbs
-(:func:`_combine`). Every estimate is below ``2^37``, so its float error
-is far below the slack taken off it.
+(:func:`_combine`), by one float matrix product over the digit block,
+its row of ones and the quotients the exit writes into the block's
+spare rows. Every estimate is below ``2^37``, so its float error is
+far below the slack taken off it.
 """
 
 from __future__ import annotations
@@ -97,17 +107,47 @@ def crt_moduli(n: int, bound: int) -> tuple:
 #: first needed.
 _TWIDDLES: dict = {}
 
+#: ``(n, start, stop)`` -> the view of the degree's table that
+#: :func:`crt_twiddles` returns, so a bundle builds its view once.
+_VIEWS: dict = {}
+
 
 def crt_twiddles(n: int, start: int, stop: int) -> Twiddles:
     """NTT tables of bundle primes ``start .. stop - 1`` at degree ``n``.
 
-    Views of the degree's one table, so a bundle adds no copy.
+    Cached row views of the degree's one table, so a bundle adds no
+    copy.
     """
+    view = _VIEWS.get((n, start, stop))
+    if view is not None:
+        return view
     table = _TWIDDLES.get(n)
     if table is None or len(table) < stop:
-        # Published whole, so a reader never sees a half-built table.
+        # Published whole, so a reader never sees a half-built table;
+        # the views of the table it replaces would keep that alive.
         table = _TWIDDLES[n] = Twiddles(n, tuple(crt_prime(n, i) for i in range(stop)))
-    return table[start:stop]
+        for key in [key for key in _VIEWS if key[0] == n]:
+            del _VIEWS[key]
+    view = _VIEWS[(n, start, stop)] = table[start:stop]
+    return view
+
+
+def reduce_rows(rows: np.ndarray, moduli: tuple) -> None:
+    """``rows[i] mod moduli[i]`` in place, for ``uint64`` rows.
+
+    One scalar ``//`` per prime: numpy divides by a 0-d integer with a
+    multiply and a shift, several times faster than ``%``.
+    """
+    scratch = np.empty(rows.shape[1], dtype=np.uint64)
+    for row, p in zip(rows, moduli):
+        _reduce_row(row, np.uint64(p), scratch)
+
+
+def _reduce_row(row: np.ndarray, p: np.uint64, scratch: np.ndarray) -> None:
+    """``row mod p`` in place: ``x - (x // p) p``, exact."""
+    np.floor_divide(row, p, out=scratch)
+    np.multiply(scratch, p, out=scratch)
+    np.subtract(row, scratch, out=row)
 
 
 # -- entry -------------------------------------------------------------------
@@ -115,34 +155,74 @@ def crt_twiddles(n: int, start: int, stop: int) -> Twiddles:
 
 @lru_cache(maxsize=256)
 def _entry_constants(modulus: int, primes: tuple) -> tuple:
-    """``(p, 2^32 mod p, -modulus mod p)`` as ``(k, 1)`` columns."""
-    p = np.array(primes, dtype=np.uint64)[:, None]
-    radix = np.array([(1 << LIMB_BITS) % pi for pi in primes], dtype=np.uint64)
-    fix = np.array([-modulus % pi for pi in primes], dtype=np.uint64)
-    return p, radix[:, None], fix[:, None]
+    """``(p, 2^32 mod p, -modulus mod p)`` per prime, as 0-d ``uint64``."""
+    return tuple(
+        (np.uint64(p), np.uint64((1 << LIMB_BITS) % p), np.uint64(-modulus % p))
+        for p in primes
+    )
 
 
 def residues(planes: np.ndarray, modulus: int, primes: tuple) -> np.ndarray:
     """``(k, n)`` residues modulo ``primes`` of the centered lift of
     ``planes`` (residues modulo ``modulus``).
 
-    Horner over the limbs from the most significant: the top limb times
-    ``2^32 mod p`` is below ``2^63``, and every later partial value is
-    reduced before its multiply. Lanes above ``modulus // 2`` stand for
-    ``v - modulus`` and take ``-modulus mod p`` in the last reduction.
+    Per prime, Horner over the limbs from the most significant: a
+    partial value below ``p`` times ``2^32 mod p`` plus a limb is below
+    ``2^63``, and is reduced by one scalar ``//`` before the next
+    multiply. Lanes above ``modulus // 2`` stand for ``v - modulus``
+    and add ``-modulus mod p`` before the last reduction, which values
+    below ``modulus <= p`` do not need. Every
+    operation is on one row and 0-d constants.
     """
-    p, radix, fix = _entry_constants(modulus, primes)
-    upper = pl.above(planes, modulus // 2)
-    acc = planes[-1]
-    for limb in planes[-2::-1]:
-        acc = (acc % p if acc.ndim == 2 else acc) * radix + limb
-    return (acc + fix * upper) % p
+    upper = pl.above(planes, modulus // 2).astype(np.uint64)
+    out = np.empty((len(primes), planes.shape[1]), dtype=np.uint64)
+    scratch = np.empty(planes.shape[1], dtype=np.uint64)
+    for row, (p, radix, fix) in zip(out, _entry_constants(modulus, primes)):
+        np.copyto(row, planes[-1])
+        for j in range(len(planes) - 2, -1, -1):
+            np.multiply(row, radix, out=row)
+            np.add(row, planes[j], out=row)
+            if j:
+                _reduce_row(row, p, scratch)
+        np.multiply(upper, fix, out=scratch)
+        np.add(row, scratch, out=row)
+        if modulus > p:
+            _reduce_row(row, p, scratch)
+    return out
+
+
+def scaled_residues(
+    planes: np.ndarray, modulus: int, scale: int, values: np.ndarray, primes: tuple
+) -> np.ndarray:
+    """``(k, n)`` residues modulo ``primes`` of ``scale * x + values``,
+    for the centered lift ``x`` of ``planes`` and an ``int64`` array
+    ``values``: the two residue rows combined per prime, a product below
+    ``p^2`` plus a residue, reduced by one scalar ``//``."""
+    out = residues(planes, modulus, primes)
+    extra = signed_residues(values, primes)
+    scratch = np.empty(planes.shape[1], dtype=np.uint64)
+    for row, add, p in zip(out, extra, primes):
+        np.multiply(row, np.uint64(scale % p), out=row)
+        np.add(row, add, out=row)
+        _reduce_row(row, np.uint64(p), scratch)
+    return out
 
 
 def signed_residues(values: np.ndarray, primes: tuple) -> np.ndarray:
-    """``(k, n)`` residues modulo ``primes`` of an ``int64`` array."""
-    p = np.array(primes, dtype=np.int64)[:, None]
-    return (values % p).astype(np.uint64)
+    """``(k, n)`` residues modulo ``primes`` of an ``int64`` array.
+
+    Per prime, ``v - (v // p) p`` with a scalar floor division, which
+    lands in ``[0, p)`` for either sign (the product may wrap past
+    ``-2^63``; the difference wraps back).
+    """
+    out = np.empty((len(primes), len(values)), dtype=np.uint64)
+    quotient = np.empty(len(values), dtype=np.int64)
+    for row, p in zip(out.view(np.int64), primes):
+        p64 = np.int64(p)
+        np.floor_divide(values, p64, out=quotient)
+        np.multiply(quotient, p64, out=quotient)
+        np.subtract(values, quotient, out=row)
+    return out
 
 
 # -- digits ------------------------------------------------------------------
@@ -150,25 +230,45 @@ def signed_residues(values: np.ndarray, primes: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _garner_constants(moduli: tuple) -> tuple:
-    """``(half mod p_i, [p_j^{-1} mod p_i for j < i])`` per prime, for
-    ``half = P // 2``."""
+    """``(p_i, 2 p_i, half mod p_i, [p_j^{-1} mod p_i for j < i])`` per
+    prime as 0-d ``uint64``, for ``half = P // 2``."""
     half = math.prod(moduli) // 2
     return tuple(
-        (half % p_i, tuple(inverse_mod(p_j % p_i, p_i) for p_j in moduli[:i]))
+        (
+            np.uint64(p_i),
+            np.uint64(2 * p_i),
+            np.uint64(half % p_i),
+            tuple(np.uint64(inverse_mod(p_j % p_i, p_i)) for p_j in moduli[:i]),
+        )
         for i, p_i in enumerate(moduli)
     )
 
 
+#: Rows of a :class:`MixedRadix` block after the digits: a row of ones
+#: (the exits' constant term), then two exact quotients of an exit as
+#: ``(low, high)`` row pairs (:func:`_split`).
+_SPARE_ROWS = 5
+
+
 class MixedRadix:
     """The signed integers ``x`` in ``(-P/2, P/2]`` with residues ``rows``
-    over the bundle ``moduli``, held as Garner digits.
+    (each in ``[0, p_i)``) over the bundle ``moduli``, held as Garner
+    digits.
 
     Shifting every residue by ``P // 2`` first makes the mixed-radix
     value ``x + P // 2`` land in ``[0, P)``. ``P`` is odd, so the signed
     range is exactly ``(-P/2, P/2]``.
+
+    The digits live in one ``(k + 5, n)`` float64 block, the layout the
+    exits' float matrix products read: ``k`` digit rows, a row of ones,
+    then four spare rows into which each exit writes its quotients, so
+    no exit copies the digits. Garner's recurrence runs on ``uint64``
+    rows with 0-d constants: for ``j < i``, ``d_i <- (d_i + 2 p_i - d_j)
+    (p_j^{-1} mod p_i) mod p_i``, the product below ``3 p_i^2 < 2^64``
+    and each reduction one scalar ``//``.
     """
 
-    __slots__ = ("moduli", "digits", "_floats")
+    __slots__ = ("moduli", "_block")
 
     def __init__(self, rows, moduli: tuple):
         if len(moduli) > MAX_PRIMES:
@@ -176,19 +276,27 @@ class MixedRadix:
                 f"a CRT bundle holds at most {MAX_PRIMES} primes, "
                 f"got {len(moduli)}"
             )
-        digits = []
-        for row, p, (offset, inverses) in zip(
-            rows, moduli, _garner_constants(moduli)
+        k, n = len(moduli), len(rows[0])
+        block = np.empty((k + _SPARE_ROWS, n))
+        block[k] = 1.0
+        digits = np.empty((k, n), dtype=np.uint64)
+        scratch = np.empty(n, dtype=np.uint64)
+        constants = _garner_constants(moduli)
+        for row, digit, floats, (p, p2, offset, inverses) in zip(
+            rows, digits, block, constants
         ):
-            p64 = np.uint64(p)
-            digit = (row + np.uint64(offset)) % p64
+            np.add(row, offset, out=digit)
+            np.subtract(digit, p, out=scratch)
+            np.minimum(digit, scratch, out=digit)
+            # Every prime is above 2^30, so an earlier digit is below 2 p.
             for earlier, inverse in zip(digits, inverses):
-                earlier = np.minimum(earlier, earlier - p64)  # below 2p
-                digit = (digit + p64 - earlier) * np.uint64(inverse) % p64
-            digits.append(digit)
+                np.add(digit, p2, out=digit)
+                np.subtract(digit, earlier, out=digit)
+                np.multiply(digit, inverse, out=digit)
+                _reduce_row(digit, p, scratch)
+            floats[:] = digit
         self.moduli = moduli
-        self.digits = np.stack(digits)
-        self._floats = self.digits.astype(np.float64)
+        self._block = block
 
     # -- the exit ------------------------------------------------------------
 
@@ -196,20 +304,24 @@ class MixedRadix:
         """``round(num * x / den) mod out`` as a limb-plane array.
 
         ``den`` must be 1 or odd, so no value is a tie; ``num >= 0``.
+        Writes ``-g`` (and ``c`` when ``den > 1``) into the block's
+        spare rows.
         """
         exit_ = _exit(self.moduli, num, den, out)
+        k, block = len(self.moduli), self._block
+        estimate = exit_.alpha @ block[:k]
+        estimate += exit_.alpha0
+        rows = k + 3
         if den > 1:
             carry = self._carry(exit_)[0]
-        else:
-            carry = np.zeros(self._floats.shape[1])
-        estimate = exit_.alpha @ self._floats + (
-            carry * exit_.inv_out + exit_.alpha0
-        )
-        quotient = np.floor(estimate - _SLACK)
-        value = _combine(
-            exit_.out_halves,
-            np.vstack((self._floats, *_halves(carry), *_halves(-quotient))),
-        )
+            estimate += carry * exit_.inv_out
+            _split(carry, block[k + 3 : k + 5])
+            rows = k + 5
+        estimate -= _SLACK
+        np.floor(estimate, out=estimate)
+        np.negative(estimate, out=estimate)
+        _split(estimate, block[k + 1 : k + 3])
+        value = _combine(exit_.out_halves, block[:rows])
         return _reduce_once(value, exit_.out_col)[: exit_.out_limbs]
 
     def remainder_bound(self, num: int, den: int) -> int:
@@ -240,13 +352,14 @@ class MixedRadix:
         The float estimate of ``(2F + den) / (2 den)`` is lowered by the
         slack before its floor, so ``c`` starts exact or one low; the
         exact limb value then reads ``den`` or more exactly where it is
-        one low.
+        one low. Writes ``-c`` into the block's first spare rows.
         """
-        estimate = exit_.beta @ self._floats + exit_.beta0
-        carry = np.floor(estimate - _SLACK)
-        value = _combine(
-            exit_.round_halves, np.vstack((self._floats, *_halves(-carry)))
-        )
+        k, block = len(self.moduli), self._block
+        carry = exit_.beta @ block[:k]
+        carry += exit_.beta0 - _SLACK
+        np.floor(carry, out=carry)
+        _split(-carry, block[k + 1 : k + 3])
+        value = _combine(exit_.round_halves, block[: k + 3])
         low = ~pl.subtract(value, exit_.den_col)[1]
         carry += low
         value = _reduce_once(value, exit_.den_col)
@@ -272,10 +385,11 @@ class _Exit:
         offset = out - whole_h % out  # adds -A_h mod out, keeping U >= 0
         self.out_limbs = pl.limb_count(out)
         width = self.out_limbs + 1  # U - g out is below 2 out
-        # Coefficient rows: the digits, c as (low, high), -g as (low,
-        # high); the offset rides on the row of ones _combine appends.
+        # Block rows: the digits, the ones (times the offset), -g as
+        # (low, high), then c as (low, high) when there is a carry.
+        carry = [1, 1 << 31] if den > 1 else []
         self.out_halves = _constant_halves(
-            [*scaled, 1, 1 << 31, out, out << 31], width, offset
+            [*scaled, offset, out, out << 31, *carry], width
         )
         self.out_col = pl.constant(out, width)
         self.alpha = np.array([a / out for a in scaled])
@@ -286,9 +400,8 @@ class _Exit:
         self.den_limbs = pl.limb_count(den)
         width = self.den_limbs + 1  # F - den c + (den - 1)/2 is in [0, 2 den)
         self.round_halves = _constant_halves(
-            [*(frac for _, frac in split), den, den << 31],
+            [*(frac for _, frac in split), (den - 1) // 2 - frac_h, den, den << 31],
             width,
-            (den - 1) // 2 - frac_h,
         )
         self.den_col = pl.constant(den, width)
         self.beta = np.array([frac / den for _, frac in split])
@@ -300,25 +413,26 @@ def _exit(moduli: tuple, num: int, den: int, out: int) -> _Exit:
     return _Exit(moduli, num, den, out)
 
 
-def _halves(values: np.ndarray) -> tuple:
-    """``values`` (exact integers in float64, below ``2^53``) as
-    ``(low, high)`` rows with ``values = low + high * 2^31``,
-    ``0 <= low < 2^31``."""
-    high = np.floor(values / _SPLIT)
-    return values - high * _SPLIT, high
+def _split(values: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``values`` (exact integers in float64, below ``2^53``) into
+    the ``(2, n)`` ``rows`` as ``(low, high)`` with ``values = low + high
+    * 2^31``, ``0 <= low < 2^31``."""
+    low, high = rows
+    np.multiply(values, 1.0 / _SPLIT, out=high)
+    np.floor(high, out=high)
+    np.multiply(high, _SPLIT, out=low)
+    np.subtract(values, low, out=low)
 
 
-def _constant_halves(constants: list, width: int, offset: int) -> np.ndarray:
-    """The ``(2 width, m + 1)`` float matrix :func:`_combine` multiplies.
+def _constant_halves(columns: list, width: int) -> np.ndarray:
+    """The ``(2 width, m)`` float matrix :func:`_combine` multiplies.
 
-    ``constants`` are non-negative and pair with the ``m`` coefficient
-    rows; ``offset`` (any sign) is a trailing constant, added through
-    the coefficient row of ones that :func:`_combine` appends. Each is
-    taken modulo ``2^(32 width)`` and split into 16-bit halves of its
-    32-bit limbs.
+    ``columns`` pair with the ``m`` block rows, in order; each (any
+    sign) is taken modulo ``2^(32 width)`` and split into 16-bit halves
+    of its 32-bit limbs.
     """
     wrap = 1 << (LIMB_BITS * width)
-    columns = [c % wrap for c in constants] + [offset % wrap]
+    columns = [c % wrap for c in columns]
     limbs = [
         [(c >> (LIMB_BITS * j)) & LIMB_MASK for c in columns] for j in range(width)
     ]
@@ -327,19 +441,18 @@ def _constant_halves(constants: list, width: int, offset: int) -> np.ndarray:
     return np.array(low + high, dtype=np.float64)
 
 
-def _combine(halves: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """``sum_m coefficients[m] * constant_m + offset`` per lane, exactly,
-    modulo ``2^(32 width)``, as ``width`` limbs (``uint64``).
+def _combine(halves: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_m rows[m] * constant_m`` per lane, exactly, modulo
+    ``2^(32 width)``, as ``width`` limbs (``uint64``).
 
-    Coefficients are integers below ``2^31`` in magnitude, held in
-    float64; the constants' limbs enter as 16-bit halves, so every
+    ``rows`` are block rows: integers below ``2^31`` in magnitude, held
+    in float64; the constants' limbs enter as 16-bit halves, so every
     product is below ``2^47`` and every partial sum of at most
     ``MAX_PRIMES + 5`` of them below ``2^53``: the float matrix product
     is exact in any summation order.
     """
     width = len(halves) // 2
-    ones = np.ones((1, coefficients.shape[1]))
-    sums = (halves @ np.vstack((coefficients, ones))).astype(np.int64)
+    sums = (halves @ rows).astype(np.int64)
     low, high = sums[:width], sums[width:]
     limbs = low + ((high & 0xFFFF) << 16)
     limbs[1:] += high[:-1] >> 16

@@ -20,8 +20,8 @@ The forward output is in bit-reversed order, the inverse takes it back.
 One call transforms every prime of a bundle: ``(k, n)`` ``uint64``
 rows, one row per prime, against a :class:`Twiddles` table of those
 primes (:class:`NTTContext` is the one-prime case). Each of the
-``log2 n`` stages is one constant-geometry (Pease) pass of about ten
-numpy operations over the whole bundle:
+``log2 n`` stages is one constant-geometry (Pease) pass of about a
+dozen numpy operations over the whole bundle:
 
 * a forward stage pairs the two contiguous halves of the rows and
   writes each butterfly's outputs as an interleaved pair;
@@ -30,19 +30,51 @@ numpy operations over the whole bundle:
 The pairing is the same at every stage and the index bits rotate by
 one per stage, so after ``log2 n`` stages the outputs sit in the
 in-place transform's order. The twiddle of pair ``j`` at a stage of
-``m`` blocks is ``W[m + j % m]``: a ``(k, 1, m)`` view of the table,
-broadcast over the rows. The inverse needs no table of its own: for
-these twiddles ``W_inv[m + r] = p - W[2m - 1 - r]``, a reversed view.
-Stages write into buffers allocated once per call; the caller's rows
-are never written.
+``m`` blocks is ``W[m + j % m]``. The inverse needs no powers of its
+own: for these twiddles ``W_inv[m + r] = p - W[2m - 1 - r]``, a
+reversed view of the forward powers.
+
+numpy runs an operation on its fast path only when every operand is
+one whole contiguous array of the same shape, or a 0-d scalar. A
+broadcast ``(k, 1)`` column, a strided view or an inner loop a few
+words long sends it through the general iterator, two to five times
+slower per word. So the stage tables and buffers are laid out for the
+stages, once per ring degree and set of primes (:class:`Twiddles`):
+
+* **Modulus rows**: ``p`` and ``2p`` repeated over ``n/2`` words per
+  prime, two contiguous ``(k, n/2)`` arrays, the shape of a butterfly
+  half. Every conditional subtraction and every Shoup quotient times
+  ``p`` runs on same-shape operands.
+* **Twiddle blocks**: a stage of ``m >= BLOCK_WIDTH`` blocks reads
+  ``W[m:2m]`` (forward) or its reversal (inverse) straight from the
+  powers, ``m`` contiguous words broadcast over the ``n / 2m`` blocks.
+  The ``log2 BLOCK_WIDTH`` stages with fewer blocks read their twiddles
+  pre-tiled to ``BLOCK_WIDTH`` words, so no inner loop is shorter than
+  a block. The inverse's last stage folds ``n^{-1}`` into its two
+  blocks.
+* **Halves-major stage buffers**: between the first and the last stage
+  the two stage buffers hold every row's first half, then every
+  second half, so the halves a stage computes on are contiguous
+  ``(k, n/2)`` arrays. Butterflies compute into contiguous temporaries;
+  only the twiddle products and the reads or writes of interleaved
+  pairs take the general iterator.
+
+A table of ``k`` primes at degree ``n`` holds ``16 k n`` bytes of
+powers and Shoup companions, ``8 k n`` bytes of modulus rows and
+``16 k (2 log2 BLOCK_WIDTH + 1) BLOCK_WIDTH`` bytes of blocks
+(:attr:`Twiddles.nbytes`): 109 KiB per prime at ``n = 4096``, 872 KiB
+for the 8-prime bundle of a 109-bit tensor product. Each call
+allocates its result, one other stage buffer and two ``(k, n/2)``
+temporaries; the caller's rows are never written.
 
 Twiddle products use Shoup multiplication: with ``w' = floor(w 2^32 /
 p)`` precomputed, ``x w - floor(x w' / 2^32) p`` is ``x w mod p`` or
 that plus ``p`` for any ``x < 2^32``, so no butterfly divides. Forward
-stages keep values below ``2p`` (Harvey's lazy reduction) and reduce
-once at the end. Every prime is below :data:`NATIVE_PRIME_LIMIT`, so
-every value and product fits a ``uint64`` word; a wider modulus takes
-a CRT bundle of such primes, not a wider prime.
+stages keep values below ``2p`` (Harvey's lazy reduction) and the last
+one reduces below ``p``. Every prime is below
+:data:`NATIVE_PRIME_LIMIT`, so every value and product fits a
+``uint64`` word; a wider modulus takes a CRT bundle of such primes,
+not a wider prime.
 """
 
 from __future__ import annotations
@@ -59,68 +91,97 @@ from repro.poly.modring import inverse_mod, is_prime, root_of_unity
 #: ``2^64`` and the twiddle product ``x * w`` below ``2^63``.
 NATIVE_PRIME_LIMIT = 1 << 31
 
+#: Words per twiddle block: stages with fewer twiddles than this read
+#: them tiled to this width (or to ``n/2``, when that is smaller).
+BLOCK_WIDTH = 64
+
 _SHOUP_SHIFT = np.uint64(32)
 
 
-def _bit_reversed_powers(roots: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """``roots^bitrev(i) mod p`` for ``i < n``: ``(k, n)`` ``uint64``.
-
-    ``roots`` and ``p`` are ``(k, 1)`` columns. Powers come from running
-    products (each doubling multiplies the table so far by the next
-    power of two of the root), and the bit-reversal permutation is built
-    one index bit at a time.
-    """
-    powers = np.ones((len(p), 1), dtype=np.uint64)
-    step = roots
-    while powers.shape[1] < n:
-        powers = np.concatenate((powers, powers * step % p), axis=1)
-        step = step * step % p
+def _bit_reversal(n: int) -> np.ndarray:
+    """The bit-reversal permutation of ``range(n)``, built one index
+    bit at a time."""
     log_n = n.bit_length() - 1
     index = np.arange(n)
     reversed_index = np.zeros(n, dtype=index.dtype)
     for bit in range(log_n):
         reversed_index |= ((index >> bit) & 1) << (log_n - 1 - bit)
-    return powers[:, reversed_index]
+    return reversed_index
 
 
-def _shoup(values: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``floor(values * 2^32 / p)``: the Shoup companions of ``values < p``."""
-    return (values << _SHOUP_SHIFT) // p
+def _bit_reversed_powers(root: int, p: int, order: np.ndarray) -> np.ndarray:
+    """``root^order[i] mod p``, as ``uint64``, for the bit-reversal
+    ``order`` of ``range(n)``.
+
+    Powers come from running products: each doubling multiplies the
+    table so far by the next power of two of the root.
+    """
+    n = len(order)
+    p64 = np.uint64(p)
+    powers = np.ones(1, dtype=np.uint64)
+    step = root
+    while len(powers) < n:
+        powers = np.concatenate((powers, powers * np.uint64(step) % p64))
+        step = step * step % p
+    return powers[order]
 
 
 class Twiddles:
     """Stage tables of the negacyclic NTT over ``primes`` at degree ``n``.
 
-    Every table has one row per prime: ``fwd`` holds the bit-reversed
-    powers ``W`` of ``psi`` (``(k, n)``), which serve the inverse too,
-    and ``scale`` holds ``n^{-1}`` and ``W[1] n^{-1}``, the inverse's
-    last-stage factors (``(k, 2)``); each has its Shoup companion.
+    Every table has one row per prime, and each value sits beside its
+    Shoup companion ``floor(w 2^32 / p)`` on axis 1:
+
+    * ``powers``: ``(k, 2, n)``, the bit-reversed powers ``W`` of
+      ``psi``, read by the stages of ``BLOCK_WIDTH`` or more blocks;
+    * ``blocks``: ``(k, 2, 2 s + 1, width)`` with ``width =
+      min(BLOCK_WIDTH, n/2)``: row ``log2 m`` holds a forward stage's
+      ``W[m:2m]`` tiled to ``width`` words, row ``s + log2 m`` an
+      inverse stage's reversed ``W[m:2m]``, except that the inverse's
+      last stage (``m = 1``) holds ``W[1] n^{-1}``; row ``2 s`` holds
+      ``n^{-1}``, that stage's other factor;
+    * ``modulus``: ``(2, k, n/2)``, ``p`` and ``2p`` repeated over a
+      butterfly half: two contiguous ``(k, n/2)`` arrays.
+
     Slicing selects primes and returns views, so the tables of a
     sub-bundle share the memory of the whole.
     """
 
-    __slots__ = (
-        "n", "primes", "roots", "p",
-        "fwd", "fwd_shoup", "scale", "scale_shoup",
-    )
+    __slots__ = ("n", "primes", "roots", "width", "powers", "blocks", "modulus")
 
     def __init__(self, n: int, primes: tuple):
+        k, half = len(primes), max(n // 2, 1)
+        width = min(BLOCK_WIDTH, half)
+        stages = max(width.bit_length() - 1, 1)
         roots = tuple(root_of_unity(p, 2 * n) for p in primes)
-        p = np.array(primes, dtype=np.uint64)[:, None]
-        fwd = _bit_reversed_powers(np.array(roots, dtype=np.uint64)[:, None], n, p)
-        n_inv = np.array([inverse_mod(n, q) for q in primes], dtype=np.uint64)[:, None]
-        scale = np.hstack((n_inv, fwd[:, 1:2] * n_inv % p))
-        self._set(
-            n, tuple(primes), tuple(roots),
-            (fwd, _shoup(fwd, p), scale, _shoup(scale, p)),
-        )
+        powers = np.empty((k, 2, n), dtype=np.uint64)
+        blocks = np.zeros((k, 2, 2 * stages + 1, width), dtype=np.uint64)
+        modulus = np.empty((2, k, half), dtype=np.uint64)
+        order = _bit_reversal(n)
+        for p, root, power, block, mod in zip(
+            primes, roots, powers, blocks, modulus.transpose(1, 0, 2)
+        ):
+            w = power[0] = _bit_reversed_powers(root, p, order)
+            n_inv = inverse_mod(n, p)
+            for s in range(stages if n > 1 else 0):
+                m = 1 << s
+                block[0, s] = np.tile(w[m : 2 * m], width // m)
+                block[0, stages + s] = np.tile(w[2 * m - 1 : m - 1 : -1], width // m)
+            if n > 1:
+                block[0, stages] = int(w[1]) * n_inv % p
+            block[0, 2 * stages] = n_inv
+            p64 = np.uint64(p)
+            for table in (power, block):
+                np.floor_divide(table[0] << _SHOUP_SHIFT, p64, out=table[1])
+            mod[0], mod[1] = p, 2 * p
+        self._set(n, tuple(primes), roots, width, (powers, blocks, modulus))
 
-    def _set(self, n: int, primes: tuple, roots: tuple, tables: tuple) -> None:
+    def _set(self, n, primes, roots, width, tables) -> None:
         self.n = n
         self.primes = primes
         self.roots = roots
-        self.fwd, self.fwd_shoup, self.scale, self.scale_shoup = tables
-        self.p = np.array(primes, dtype=np.uint64)[:, None]
+        self.width = width
+        self.powers, self.blocks, self.modulus = tables
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -129,34 +190,80 @@ class Twiddles:
         """The tables of ``primes[rows]``, as views of these."""
         view = object.__new__(Twiddles)
         view._set(
-            self.n, self.primes[rows], self.roots[rows],
-            (self.fwd[rows], self.fwd_shoup[rows], self.scale[rows],
-             self.scale_shoup[rows]),
+            self.n, self.primes[rows], self.roots[rows], self.width,
+            (self.powers[rows], self.blocks[rows], self.modulus[:, rows]),
         )
         return view
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the tables (a view reports its share)."""
+        return self.powers.nbytes + self.blocks.nbytes + self.modulus.nbytes
+
+    def forward_stage(self, m: int) -> tuple:
+        """``(W, W')`` of the forward stage of ``m`` blocks: ``(k, 1,
+        width)`` views, ``width`` being ``m`` or the block width."""
+        if m < self.width:
+            return self._block(m.bit_length() - 1)
+        stage = self.powers[:, :, None, m : 2 * m]
+        return stage[:, 0], stage[:, 1]
+
+    def inverse_stage(self, m: int) -> tuple:
+        """``(W, W')`` of the inverse stage of ``m`` blocks, in the
+        shape :meth:`forward_stage` gives; at ``m = 1`` the bottom
+        factor ``W[1] n^{-1}``."""
+        stages = (self.blocks.shape[2] - 1) // 2
+        if m < self.width or m == 1:
+            return self._block(stages + m.bit_length() - 1)
+        stage = self.powers[:, :, None, 2 * m - 1 : m - 1 : -1]
+        return stage[:, 0], stage[:, 1]
+
+    def n_inverse(self) -> tuple:
+        """``(n^{-1}, n^{-1}')``: the inverse's top factor at its last
+        stage, as blocks."""
+        return self._block(-1)
+
+    def _block(self, row: int) -> tuple:
+        block = self.blocks[:, :, None, row]
+        return block[:, 0], block[:, 1]
 
 
 def _mul_shoup(x, w, w_shoup, p, out, quotient) -> None:
     """``out = x * w mod p + (0 or p)``, for ``x < 2^32``, ``w < p``.
 
-    The quotient estimate ``floor(x w' / 2^32)`` is the true quotient or
-    one below it, so the remainder lands in ``[0, 2p)``. ``x``, ``out``
-    and the twiddles are 3-D stage views; ``quotient`` is 2-D scratch of
-    the same size.
+    ``x``, ``out``, ``quotient`` and the modulus rows ``p`` are ``(k,
+    n/2)``; the twiddles are ``(k, 1, width)`` stage views, and the
+    two twiddle products run on ``(k, n/2 / width, width)`` views of
+    ``x``. The quotient estimate ``floor(x w' / 2^32)`` is the true
+    quotient or one below it, so the remainder lands in ``[0, 2p)``.
     """
-    np.multiply(x, w_shoup, out=quotient.reshape(x.shape))
+    k, half = x.shape
+    shape = (k, half // w.shape[-1], w.shape[-1])
+    np.multiply(x.reshape(shape), w_shoup, out=quotient.reshape(shape))
     np.right_shift(quotient, _SHOUP_SHIFT, out=quotient)
     np.multiply(quotient, p, out=quotient)
-    np.multiply(x, w, out=out)
-    np.subtract(out, quotient.reshape(x.shape), out=out)
+    np.multiply(x.reshape(shape), w, out=out.reshape(shape))
+    np.subtract(out, quotient, out=out)
 
 
 def _reduce(values: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> None:
     """``values mod p`` in place, for ``values < 2p``: ``values - p``
     wraps past ``2^64`` exactly when ``values < p``, so the minimum is
-    right."""
+    right. All three have the modulus rows' shape."""
     np.subtract(values, p, out=scratch)
     np.minimum(values, scratch, out=values)
+
+
+def add_mod(rows: np.ndarray, other: np.ndarray, twiddles: Twiddles) -> None:
+    """``rows = (rows + other) mod p`` in place, for ``(k, n)`` residues
+    in ``[0, p)`` of ``twiddles``' primes."""
+    k, n = _check_rows(rows, twiddles)
+    rows += other
+    p = twiddles.modulus[0][:, None]
+    shape = (k, n // p.shape[-1], p.shape[-1])
+    scratch = np.empty_like(rows)
+    np.subtract(rows.reshape(shape), p, out=scratch.reshape(shape))
+    np.minimum(rows, scratch, out=rows)
 
 
 def _check_rows(rows: np.ndarray, twiddles: Twiddles) -> tuple:
@@ -169,13 +276,48 @@ def _check_rows(rows: np.ndarray, twiddles: Twiddles) -> tuple:
     return k, n
 
 
-def _buffers(k: int, n: int) -> tuple:
-    """The result array, then one block for the other stage buffer and
-    the scratch: allocated in that order, so the block freed on return
-    sits above the result and does not split the heap."""
+def _buffers(k: int, n: int, temporaries: int) -> tuple:
+    """The result array, the other stage buffer, then ``temporaries``
+    contiguous ``(k, n/2)`` arrays: allocated in that order, so the
+    blocks freed on return sit above the result and do not split the
+    heap."""
     out = np.empty((k, n), np.uint64)
-    work, scratch = np.empty((2, k, n), np.uint64)
-    return out, work, scratch
+    work = np.empty((k, n), np.uint64)
+    return out, work, np.empty((temporaries, k, n // 2), np.uint64)
+
+
+def _stage_buffers(out: np.ndarray, work: np.ndarray, stages: int) -> list:
+    """The buffer each stage writes: ``out`` at the last stage, and
+    before it, alternately, ``work`` and ``out`` in halves-major layout
+    (``(2, k, n/2)``: every row's first half, then every second half),
+    so every stage reads a buffer the stage before it wrote, and the
+    halves a stage computes on are contiguous."""
+    k, n = out.shape
+    halves = (out.reshape(2, k, n // 2), work.reshape(2, k, n // 2))
+    return [halves[(stages - 1 - s) % 2] for s in range(stages - 1)] + [out]
+
+
+def _halves(buffer: np.ndarray) -> tuple:
+    """The first and second halves of a stage buffer's rows: ``(k,
+    n/2)`` views, contiguous in halves-major layout."""
+    if buffer.ndim == 3:
+        return buffer[0], buffer[1]
+    half = buffer.shape[1] // 2
+    return buffer[:, :half], buffer[:, half:]
+
+
+def _pairs(buffer: np.ndarray) -> tuple:
+    """The even and odd entries of a stage buffer's rows: views indexed
+    by pair. From a ``(k, n)`` buffer they are ``(k, n/2)``; from a
+    halves-major one ``(k, 2, n/4)``, pair ``j`` at ``[:, j // (n/4), j %
+    (n/4)]``, which a contiguous ``(k, n/2)`` array reshapes to."""
+    if buffer.ndim == 3:
+        _, k, half = buffer.shape
+        pairs = buffer.reshape(2, k, half // 2, 2).transpose(1, 0, 2, 3)
+    else:
+        k, n = buffer.shape
+        pairs = buffer.reshape(k, n // 2, 2)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def forward(rows: np.ndarray, twiddles: Twiddles) -> np.ndarray:
@@ -184,38 +326,39 @@ def forward(rows: np.ndarray, twiddles: Twiddles) -> np.ndarray:
 
     Stage of ``m`` blocks, pair ``j``: ``u = x[j]``, ``v = x[j + n/2]``,
     ``t = v W[m + j % m]``; writes ``u + t`` and ``u - t`` to positions
-    ``2j`` and ``2j + 1``, each kept below ``2p``.
+    ``2j`` and ``2j + 1``, each kept below ``2p``, and the last stage
+    below ``p``.
     """
     k, n = _check_rows(rows, twiddles)
+    p, p2 = twiddles.modulus
     if n == 1:
-        return rows % twiddles.p
-    half = n // 2
-    p = twiddles.p
-    p2 = p + p
-    out, work, scratch = _buffers(k, n)
-    t, tmp = scratch.reshape(2, k, half)
-    # Stages alternate between the buffers, the first writing
-    # buffers[0]; ordered so the last of the log2(n) stages writes out.
-    buffers = (out, work) if (n.bit_length() - 1) % 2 else (work, out)
-    src, m = rows, 1
-    while m < n:
-        dst = buffers[src is buffers[0]]
-        shape = (k, half // m, m)
-        u = src[:, :half]
-        _mul_shoup(
-            src[:, half:].reshape(shape),
-            twiddles.fwd[:, None, m : 2 * m],
-            twiddles.fwd_shoup[:, None, m : 2 * m],
-            p, t.reshape(shape), tmp,
-        )
-        pairs = dst.reshape(k, half, 2)
-        np.add(u, t, out=pairs[..., 0])  # below 4p
-        np.subtract(p2, t, out=tmp)
-        np.add(u, tmp, out=pairs[..., 1])  # u - t + 2p, below 4p
-        _reduce(dst, p2, scratch)
-        src, m = dst, 2 * m
-    _reduce(src, p, scratch)
-    return src
+        out = rows - p
+        np.minimum(rows, out, out=out)
+        return out
+    out, work, (a, t) = _buffers(k, n, 2)
+    stages = n.bit_length() - 1
+    src = rows
+    for stage, dst in enumerate(_stage_buffers(out, work, stages)):
+        u, v = _halves(src)
+        _mul_shoup(v, *twiddles.forward_stage(1 << stage), p, t, a)
+        np.add(u, t, out=a)  # u + t, below 4p
+        np.subtract(u, t, out=t)  # u - t, wrapped below zero
+        # Scratch: a half of a stage buffer that nothing reads until the
+        # copies below (n = 2 has no such buffer).
+        e = dst[0] if dst.ndim == 3 else src[0] if src.ndim == 3 else np.empty_like(t)
+        # u - t + 2p where u < t, else u - t: below 2p either way.
+        np.add(t, p2, out=e)
+        np.minimum(t, e, out=t)
+        np.subtract(a, p2, out=e)
+        np.minimum(a, e, out=a)
+        if dst is out:
+            _reduce(a, p, e)
+            _reduce(t, p, e)
+        even, odd = _pairs(dst)
+        np.copyto(even, a.reshape(even.shape))
+        np.copyto(odd, t.reshape(odd.shape))
+        src = dst
+    return out
 
 
 def inverse(rows: np.ndarray, twiddles: Twiddles) -> np.ndarray:
@@ -225,43 +368,33 @@ def inverse(rows: np.ndarray, twiddles: Twiddles) -> np.ndarray:
     Stage of ``m`` blocks, pair ``j``: ``u = x[2j]``, ``v = x[2j + 1]``;
     writes ``u + v`` and ``(u - v) W_inv[m + j % m]`` to positions ``j``
     and ``j + n/2``. For the negacyclic twiddles ``W_inv[m + r] = p -
-    W[2m - 1 - r]``, so that product is ``(v - u) W[2m - 1 - j % m]``: a
-    reversed view of the forward table. The last stage (``m = 1``)
-    multiplies both outputs by its :attr:`Twiddles.scale` factors.
+    W[2m - 1 - r]``, so that product is ``(v - u) W[2m - 1 - j % m]``
+    (:meth:`Twiddles.inverse_stage`). The last stage (``m = 1``)
+    multiplies both outputs by their ``n^{-1}`` factors.
     """
     k, n = _check_rows(rows, twiddles)
     if n == 1:
-        return rows % twiddles.p
-    half = n // 2
-    p = twiddles.p
-    out, work, scratch = _buffers(k, n)
-    s, tmp = scratch.reshape(2, k, half)
-    buffers = (out, work) if (n.bit_length() - 1) % 2 else (work, out)
-    src, m = rows, half
-    while m >= 1:
-        dst = buffers[src is buffers[0]]
-        shape = (k, half // m, m)
-        pairs = src.reshape(k, half, 2)
-        u, v = pairs[..., 0], pairs[..., 1]
-        top, bottom = dst[:, :half], dst[:, half:].reshape(shape)
+        return rows.copy()  # n^{-1} = 1
+    p = twiddles.modulus[0]
+    out, work, (s, q) = _buffers(k, n, 2)
+    stages = n.bit_length() - 1
+    src = rows
+    for stage, dst in enumerate(_stage_buffers(out, work, stages)):
+        m = n >> (stage + 1)
+        u, v = _pairs(src)
+        top, bottom = _halves(dst)
         if m > 1:
-            w = twiddles.fwd[:, None, 2 * m - 1 : m - 1 : -1]
-            w_shoup = twiddles.fwd_shoup[:, None, 2 * m - 1 : m - 1 : -1]
-            np.add(u, v, out=top)  # below 2p
+            np.add(u, v, out=top.reshape(u.shape))  # below 2p
         else:
-            w = twiddles.scale[:, None, 1:]
-            w_shoup = twiddles.scale_shoup[:, None, 1:]
-            np.add(u, v, out=s)
-            _mul_shoup(
-                s.reshape(shape), twiddles.scale[:, None, :1],
-                twiddles.scale_shoup[:, None, :1], p, top.reshape(shape), tmp,
-            )
-        np.add(v, p, out=s)
-        np.subtract(s, u, out=s)  # v - u + p, below 2p
-        _mul_shoup(s.reshape(shape), w, w_shoup, p, bottom, tmp)
-        _reduce(dst, p, scratch)
-        src, m = dst, m // 2
-    return src
+            np.add(u, v, out=s.reshape(u.shape))
+            _mul_shoup(s, *twiddles.n_inverse(), p, top, q)
+        _reduce(top, p, q)
+        np.subtract(v, u, out=s.reshape(u.shape))
+        np.add(s, p, out=s)  # v - u + p, in (0, 2p)
+        _mul_shoup(s, *twiddles.inverse_stage(m), p, bottom, q)
+        _reduce(bottom, p, q)
+        src = dst
+    return out
 
 
 class NTTContext:

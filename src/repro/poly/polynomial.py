@@ -24,7 +24,8 @@ the shape of every BFV operation:
 * operands enter the bundle straight from their limb planes
   (:func:`repro.poly.crt.residues`);
 * the bundle is sized once for the whole sum, the pointwise products
-  are accumulated in the evaluation domain, and one inverse transform
+  are accumulated in the evaluation domain (four at a time, then one
+  scalar-``//`` reduction per prime), and one inverse transform
   (:func:`repro.poly.ntt.inverse`) takes every prime back at once;
 * the residue rows leave the bundle once, through
   :meth:`repro.poly.crt.MixedRadix.scale_round`:
@@ -50,6 +51,11 @@ from repro.poly.crt import MixedRadix, crt_moduli, crt_twiddles
 #: :func:`negacyclic_sum` uses schoolbook convolution at or below this
 #: degree and the CRT engine above it.
 SCHOOLBOOK_MAX_DEGREE = 64
+
+#: :func:`exact_sum` adds this many pointwise products, each at most
+#: ``(p - 1)^2``, to a running sum below ``p`` before reducing it: the
+#: sum stays below ``4 p^2 < 2^64``.
+_LAZY_TERMS = 4
 
 
 def _schoolbook_negacyclic(a: list, b: list, n: int) -> list:
@@ -86,26 +92,41 @@ class Operand:
     callable is called again only when the rows grow, so a key object's
     handle keeps residue rows and no copy of the key's coefficients;
     each key is transformed once per prime for the life of the key.
+    :meth:`scaled_sum` makes the one other kind, ``scale * x + e``.
     """
 
     __slots__ = ("n", "bound", "_source", "_rows")
 
     def __init__(self, source):
-        if not callable(source) and not isinstance(source, Polynomial):
+        if not callable(source) and not isinstance(source, (Polynomial, _ScaledSum)):
             source = _exact_values(source)
         self._source = source
         value = self._value()
         if isinstance(value, Polynomial):
             self.n = value.degree_bound
             self.bound = pl.max_int(pl.magnitudes(value.planes, value.modulus))
+        elif isinstance(value, _ScaledSum):
+            poly = value.poly
+            self.n = poly.degree_bound
+            self.bound = value.scale * poly.infinity_norm() + _bound(value.values)
         else:
             self.n = len(value)
-            # Not np.abs: it wraps -2^63 to itself.
-            self.bound = max(int(value.max(initial=0)), -int(value.min(initial=0)))
+            self.bound = _bound(value)
         self._rows = np.empty((0, self.n), dtype=np.uint64)
 
+    @classmethod
+    def scaled_sum(cls, poly: "Polynomial", scale: int, values: np.ndarray) -> "Operand":
+        """``scale * x + values`` for the centered lift ``x`` of ``poly``
+        and an ``int64`` array ``values``: encryption's ``delta * m + e``.
+
+        Its residues are ``scale * residues(x) + residues(values)``, so
+        the wide integers are never formed.
+        """
+        return cls(_ScaledSum(poly, scale, values))
+
     def _value(self):
-        """The :class:`Polynomial` or ``int64`` array behind the operand."""
+        """The :class:`Polynomial`, ``int64`` array or scaled sum behind
+        the operand."""
         source = self._source
         return source() if callable(source) else source
 
@@ -114,6 +135,11 @@ class Operand:
         value = self._value()
         if isinstance(value, Polynomial):
             return value.centered()
+        if isinstance(value, _ScaledSum):
+            return [
+                value.scale * x + v
+                for x, v in zip(value.poly.centered(), value.values.tolist())
+            ]
         return value.tolist()
 
     def residues(self, primes: tuple) -> np.ndarray:
@@ -121,6 +147,11 @@ class Operand:
         value = self._value()
         if isinstance(value, Polynomial):
             return crt.residues(value.planes, value.modulus, primes)
+        if isinstance(value, _ScaledSum):
+            poly = value.poly
+            return crt.scaled_residues(
+                poly.planes, poly.modulus, value.scale, value.values, primes
+            )
         return crt.signed_residues(value, primes)
 
     def rows(self, count: int) -> np.ndarray:
@@ -134,6 +165,27 @@ class Operand:
             # holds a half-built array.
             rows = self._rows = np.concatenate((rows, new)) if len(rows) else new
         return rows[:count]
+
+
+def _bound(values: np.ndarray) -> int:
+    """``max |v|`` of an ``int64`` array (not np.abs: it wraps ``-2^63``
+    to itself)."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+
+
+class _ScaledSum:
+    """``scale * x + values``: the source of :meth:`Operand.scaled_sum`."""
+
+    __slots__ = ("poly", "scale", "values")
+
+    def __init__(self, poly: "Polynomial", scale: int, values: np.ndarray):
+        if scale < 0 or len(values) != poly.degree_bound:
+            raise ParameterError(
+                f"a scaled sum needs scale >= 0 and {poly.degree_bound} values"
+            )
+        self.poly = poly
+        self.scale = scale
+        self.values = np.asarray(values, dtype=np.int64)
 
 
 def _exact_values(values):
@@ -157,7 +209,8 @@ def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
     Each operand is forward-transformed once over the bundle (shared
     operands and cached key operands are not transformed again); the
     pointwise products are accumulated in the evaluation domain over the
-    whole ``(k, n)`` bundle, one inverse transform takes every prime
+    whole ``(k, n)`` bundle, reduced every :data:`_LAZY_TERMS` terms by
+    one scalar ``//`` per prime, one inverse transform takes every prime
     back, and the addend's residues join in the coefficient domain. The
     result leaves the bundle through
     :meth:`~repro.poly.crt.MixedRadix.scale_round`.
@@ -176,22 +229,18 @@ def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
         n, 2 * (n * sum(a.bound * b.bound for a, b in terms) + extra) + 1
     )
     count = len(moduli)
+    (a, b), *rest = terms
+    acc = a.rows(count) * b.rows(count)
+    for index, (a, b) in enumerate(rest, start=1):
+        if index % _LAZY_TERMS == 0:
+            crt.reduce_rows(acc, moduli)
+        acc += a.rows(count) * b.rows(count)
+    crt.reduce_rows(acc, moduli)
     twiddles = crt_twiddles(n, 0, count)
-    p = twiddles.p
-    acc = None
-    for a, b in terms:
-        product = a.rows(count) * b.rows(count)
-        np.remainder(product, p, out=product)
-        if acc is None:
-            acc = product
-        else:
-            acc += product
-    if len(terms) > 1:
-        np.remainder(acc, p, out=acc)
     rows = ntt.inverse(acc, twiddles)
+    del acc  # freed before the digits are allocated
     if addend is not None:
-        rows += addend.residues(moduli)
-        np.minimum(rows, rows - p, out=rows)
+        ntt.add_mod(rows, addend.residues(moduli), twiddles)
     return MixedRadix(rows, moduli)
 
 

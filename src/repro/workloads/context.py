@@ -9,7 +9,7 @@ everything a client+server round trip needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.core import (
     BFVParameters,
@@ -34,8 +34,9 @@ class WorkloadContext:
     decryptor: Decryptor
     evaluator: Evaluator
 
-    @property
+    @cached_property
     def batch_encoder(self) -> BatchEncoder:
+        """The context's one batch encoder, built on first use."""
         return BatchEncoder(self.params)
 
     @property

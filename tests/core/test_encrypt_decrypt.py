@@ -108,3 +108,84 @@ class TestStructureValidation:
         b = tiny128_ctx.encrypt_slots([1])
         with pytest.raises(CiphertextError):
             a.check_compatible(b)
+
+
+class TestEncryptionFold:
+    """Encryption adds ``delta * m`` to ``c0`` inside the CRT engine, as
+    part of the error addend. The ciphertext must equal the two-step
+    formula it replaced, ``sum_of_products(..., addend=e) +
+    m.scale(delta, 1, q)``, bit for bit, at every paper level and with
+    plaintext coefficients at ``0``, ``t // 2``, ``t // 2 + 1`` and
+    ``t - 1``, where ``delta * |m|`` is largest."""
+
+    @staticmethod
+    def _plaintext(params, seed: int) -> Plaintext:
+        import numpy as np
+
+        t, n = params.plain_modulus, params.poly_degree
+        coeffs = np.random.default_rng(seed).integers(0, t, size=n)
+        coeffs[:4] = (0, t // 2, t // 2 + 1, t - 1)
+        return Plaintext.from_coefficients(params, coeffs.tolist())
+
+    @pytest.mark.parametrize("bits", [27, 54, 109])
+    def test_addend_bound_covers_delta_m(self, bits):
+        """The folded addend sizes the CRT bundle for ``delta * |m|``
+        plus the error: ``delta * (t // 2) + max |e|``."""
+        import numpy as np
+
+        from repro.poly.polynomial import Operand
+        from repro.workloads.context import WorkloadContext
+
+        params = WorkloadContext.create(bits).params
+        error = np.zeros(params.poly_degree, dtype=np.int64)
+        error[-1] = -3
+        addend = Operand.scaled_sum(self._plaintext(params, 0).poly, params.delta, error)
+        assert addend.bound == params.delta * (params.plain_modulus // 2) + 3
+
+    @pytest.mark.parametrize("bits", [27, 54, 109])
+    def test_public_key_encryption(self, bits):
+        import numpy as np
+
+        from repro.core.encryptor import Encryptor
+        from repro.poly.polynomial import Operand, Polynomial
+        from repro.poly.sampling import sample_centered_binomial, sample_ternary
+        from repro.workloads.context import WorkloadContext
+
+        ctx = WorkloadContext.create(bits)
+        params, key = ctx.params, ctx.keys.public_key
+        n, q = params.poly_degree, params.coeff_modulus
+        plaintext = self._plaintext(params, bits)
+        got = Encryptor(params, key, seed=11).encrypt(plaintext)
+
+        rng = np.random.default_rng(11)
+        u = Operand(sample_ternary(n, rng))
+        e1 = Operand(sample_centered_binomial(n, rng, params.error_eta))
+        e2 = Operand(sample_centered_binomial(n, rng, params.error_eta))
+        p0, p1 = key.operands()
+        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=e1)
+        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
+        c1 = Polynomial.sum_of_products([(p1, u)], q, addend=e2)
+        assert got.polys == (c0, c1)
+
+    @pytest.mark.parametrize("bits", [27, 54, 109])
+    def test_symmetric_encryption(self, bits):
+        import numpy as np
+
+        from repro.poly.polynomial import Operand, Polynomial
+        from repro.poly.sampling import sample_centered_binomial, sample_uniform
+        from repro.workloads.context import WorkloadContext
+
+        ctx = WorkloadContext.create(bits)
+        params, secret = ctx.params, ctx.keys.secret_key
+        n, q = params.poly_degree, params.coeff_modulus
+        plaintext = self._plaintext(params, bits + 1)
+        got = SymmetricEncryptor(params, secret, seed=12).encrypt(plaintext)
+
+        rng = np.random.default_rng(12)
+        a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
+        minus_e = Operand(-sample_centered_binomial(n, rng, params.error_eta))
+        c0 = Polynomial.sum_of_products(
+            [(Operand(-a), secret.power_operand())], q, addend=minus_e
+        )
+        c0 = c0 + plaintext.poly.scale(params.delta, 1, q)
+        assert got.polys == (c0, a)

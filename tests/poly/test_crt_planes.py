@@ -99,6 +99,15 @@ class TestEntry:
         got = residues(pl.from_ints(values, q), q, primes)
         assert got.tolist() == oracle.centered_residues(values, q, primes)
 
+    @pytest.mark.parametrize("q", [3, 2**31 - 1, 2**32 - 5])
+    def test_one_limb_moduli(self, q):
+        """One-limb moduli below, near and above the 31-bit primes: the
+        last reduction may be skipped only below them."""
+        values = edge_values(q) + [q // 3, 2 * q // 3]
+        primes = bundle(8)
+        got = residues(pl.from_ints(values, q), q, primes)
+        assert got.tolist() == oracle.centered_residues(values, q, primes)
+
     def test_signed_residues(self):
         values = np.array([0, 1, -1, 2**62, -(2**62), 2**63 - 1], dtype=np.int64)
         primes = bundle(3)
@@ -128,6 +137,33 @@ class TestDigits:
         xs = [half, -half, 0, 1]
         rows = np.array([[x % p for x in xs] for p in moduli], dtype=np.uint64)
         assert MixedRadix(rows, moduli).signed() == xs
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 32])
+    def test_garner_digits_match_the_object_int_digits(self, k):
+        """The digits in the float block are the mixed-radix digits of
+        ``x + P // 2`` computed with Python ints, lanes at ``+-P/2``
+        included; the row after them is the exits' row of ones."""
+        moduli = bundle(k)
+        product = math.prod(moduli)
+        half = (product - 1) // 2
+        rng = random.Random(k)
+        xs = [rng.randint(-half, half) for _ in range(24)]
+        xs += [0, 1, -1, half, -half, half - 1, -half + 1]
+        # Every earlier digit at p_j - 1 and a first value of 0 for digit
+        # i: the largest subtraction Garner's step makes (the primes
+        # descend, so p_j - 1 may exceed p_i).
+        for i in range(1, k):
+            radix = math.prod(moduli[:i])
+            scale = -(radix - 1) * inverse_mod(radix % moduli[i], moduli[i])
+            xs.append(radix - 1 + radix * (scale % moduli[i]) - product // 2)
+        rows = np.array([[x % p for x in xs] for p in moduli], dtype=np.uint64)
+        block = MixedRadix(rows, moduli)._block
+        expected = []
+        for i, p in enumerate(moduli):
+            radix = math.prod(moduli[:i])
+            expected.append([(x + product // 2) // radix % p for x in xs])
+        assert block[:k].astype(np.int64).tolist() == expected
+        assert (block[k] == 1.0).all()
 
     def test_bundle_size_is_bounded(self):
         moduli = tuple(range(3, 3 + 2 * 33, 2))
@@ -204,6 +240,41 @@ class TestExit:
                 xs += [x, -x]
         _check_exit(xs, moduli, PLAIN, q, q)
         _check_exit(xs, moduli, PLAIN, q, PLAIN)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32])
+    def test_exits_reuse_the_block_without_copies(self, k, monkeypatch):
+        """Exits write their quotients into the block's spare rows: no
+        ``np.stack``/``np.vstack`` copy, the digits untouched, and any
+        sequence of exits on one value matches the oracle, lanes at
+        ``+-P/2`` included."""
+        q = PAPER_MODULI[-1]
+        moduli = bundle(k)
+        half = (math.prod(moduli) - 1) // 2
+        rng = random.Random(k)
+        xs = [rng.randint(-half, half) for _ in range(24)] + [0, 1, -1, half, -half]
+        rows = np.array([[x % p for x in xs] for p in moduli], dtype=np.uint64)
+        exact = MixedRadix(rows, moduli)
+        digits = exact._block[: k + 1].copy()
+        expected = {
+            setting: (oracle.round_scale(xs, setting[0], setting[1]) % setting[2]).tolist()
+            for setting in _settings(q)
+        }
+
+        def no_copies(*args, **kwargs):
+            raise AssertionError("an exit copied the digit block")
+
+        monkeypatch.setattr(np, "vstack", no_copies)
+        monkeypatch.setattr(np, "stack", no_copies)
+        order = [*_settings(q), *reversed(_settings(q))]
+        got = [exact.scale_round(*setting) for setting in order]
+        monkeypatch.undo()
+        for setting, planes in zip(order, got):
+            assert pl.to_ints(planes) == expected[setting], setting
+        rounded = oracle.round_scale(xs, PLAIN, q).tolist()
+        worst = max(abs(PLAIN * x - q * r) for x, r in zip(xs, rounded))
+        assert exact.remainder_bound(PLAIN, q) == worst
+        assert exact.signed() == xs
+        assert np.array_equal(exact._block[: k + 1], digits)
 
     def test_rejects_an_even_denominator(self):
         exact = MixedRadix(np.zeros((1, 1), dtype=np.uint64), bundle(1))

@@ -166,6 +166,31 @@ class TestCrtConvolution:
         b = [0] * 7 + [-(2**63)]
         assert _crt_negacyclic(a, b, 8) == _schoolbook_negacyclic(a, b, 8)
 
+    @pytest.mark.parametrize("count", [1, 4, 5, 9])
+    def test_lazy_sum_of_largest_products(self, count):
+        """Pointwise products are summed unreduced in groups: with every
+        transform row at ``p - 1`` each product is ``(p - 1)^2``, the
+        largest a group can hold, and the sum must still be ``count``
+        in every lane of every prime."""
+        from repro.poly.crt import MixedRadix
+        from repro.poly.polynomial import Operand, exact_sum
+
+        n = 256
+
+        class LargestRows(Operand):
+            __slots__ = ()
+
+            def rows(self, k):
+                p = np.array([_crt_prime(n, i) for i in range(k)], dtype=np.uint64)
+                return np.repeat(p[:, None] - np.uint64(1), n, axis=1)
+
+        operand = LargestRows(np.full(n, 2**62, dtype=np.int64))
+        got = exact_sum([(operand, operand)] * count, n)
+        twiddles = crt_twiddles(n, 0, len(got.moduli))
+        sums = np.array([[count % p] * n for p in got.moduli], dtype=np.uint64)
+        expected = MixedRadix(ntt.inverse(sums, twiddles), got.moduli)
+        assert got.signed() == expected.signed()
+
     def test_square_matches_schoolbook(self):
         rng = random.Random(5)
         a = [rng.randrange(-(2**110), 2**110) for _ in range(128)]
@@ -196,7 +221,10 @@ class TestSharedContexts:
 
 
 #: Ring degrees of the bundle tests, and the single primes they add.
-BUNDLE_DEGREES = (2, 8, 64, 1024, 4096)
+#: Degrees below, at and above the twiddle block width's reach: tiled
+#: blocks narrower than BLOCK_WIDTH (n/2 < 64), exactly one block
+#: (n = 128), and stages past the blocks.
+BUNDLE_DEGREES = (2, 4, 8, 64, 128, 256, 1024, 4096)
 SINGLE_PRIMES = (17, 65537)
 
 
@@ -206,12 +234,16 @@ def _reference(n: int, p: int) -> ReferenceNTT:
 
 
 def _bundle_rows(primes: tuple, n: int, kind: str, seed: int) -> np.ndarray:
-    """``(k, n)`` rows: uniform residues, or every value at ``p - 1``."""
+    """``(k, n)`` rows: uniform residues, every value at ``p - 1``, or
+    (``"lazy"``) residues plus ``p`` at random, below ``2p``."""
     p = np.array(primes, dtype=np.uint64)[:, None]
     if kind == "all p-1":
         return np.repeat(p - np.uint64(1), n, axis=1)
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2**62, size=(len(primes), n), dtype=np.uint64) % p
+    rows = rng.integers(0, 2**62, size=(len(primes), n), dtype=np.uint64) % p
+    if kind == "lazy":
+        rows += p * rng.integers(0, 2, size=rows.shape, dtype=np.uint64)
+    return rows
 
 
 def _assert_rows_match_reference(rows: np.ndarray, twiddles: Twiddles) -> None:
@@ -241,6 +273,32 @@ class TestBundle:
         twiddles = crt_twiddles(n, 0, 8)
         rows = _bundle_rows(twiddles.primes, n, "all p-1", 0)
         _assert_rows_match_reference(rows, twiddles)
+
+    def test_forward_takes_inputs_below_2p(self, n):
+        """The forward transform's inputs may be lazy, below ``2p``:
+        the same transform as their residues, up to all ``2p - 1``."""
+        twiddles = crt_twiddles(n, 0, 8)
+        p = np.array(twiddles.primes, dtype=np.uint64)[:, None]
+        lazy = _bundle_rows(twiddles.primes, n, "lazy", n)
+        top = np.repeat(p + p - np.uint64(1), n, axis=1)
+        for rows in (lazy, top):
+            reduced = rows % p
+            assert np.array_equal(ntt.forward(rows, twiddles), ntt.forward(reduced, twiddles))
+        _assert_rows_match_reference(lazy % p, twiddles)
+
+    def test_every_sub_bundle_view(self, n):
+        """Every ``crt_twiddles(n, start, stop)`` with ``start > 0``
+        transforms its rows as the whole bundle does."""
+        full = crt_twiddles(n, 0, 8)
+        rows = _bundle_rows(full.primes, n, "uniform", 3 * n)
+        expected = ntt.forward(rows, full), ntt.inverse(rows, full)
+        for start in range(1, 8):
+            for stop in range(start + 1, 9):
+                part = crt_twiddles(n, start, stop)
+                assert part.primes == full.primes[start:stop]
+                for transform, whole in zip((ntt.forward, ntt.inverse), expected):
+                    got = transform(rows[start:stop], part)
+                    assert np.array_equal(got, whole[start:stop]), (start, stop)
 
     @pytest.mark.parametrize("start,stop", [(0, 1), (2, 5), (7, 8), (3, 3)])
     def test_slice_of_primes_matches_the_full_bundle(self, n, start, stop):
@@ -291,18 +349,38 @@ class TestTableMemory:
     def test_sub_bundle_tables_are_views(self):
         whole = crt_twiddles(1024, 0, 6)
         part = crt_twiddles(1024, 2, 5)
-        for name in ("fwd", "fwd_shoup", "scale", "scale_shoup"):
+        for name in ("powers", "blocks", "modulus"):
             assert np.shares_memory(getattr(part, name), getattr(whole, name))
+
+    def test_every_view_shares_the_degree_table(self):
+        whole = crt_twiddles(256, 0, 8)
+        for start in range(8):
+            for stop in range(start + 1, 9):
+                part = crt_twiddles(256, start, stop)
+                assert part is crt_twiddles(256, start, stop)
+                for name in ("powers", "blocks", "modulus"):
+                    assert np.shares_memory(getattr(part, name), getattr(whole, name))
+
+    @pytest.mark.parametrize(
+        "n,k,nbytes",
+        # 16 k n of powers and companions, 8 k n of modulus rows and
+        # 16 k (2 log2(w) + 1) w of blocks, w = min(64, n / 2).
+        [(2, 1, 96), (64, 2, 14336), (1024, 2, 75776), (2048, 3, 187392), (4096, 8, 892928)],
+    )
+    def test_table_bytes_per_degree(self, n, k, nbytes):
+        table = crt_twiddles(n, 0, k)
+        assert table.nbytes == nbytes
+        assert crt_twiddles(n, 1, k).nbytes == nbytes * (k - 1) // k
 
     def test_growing_the_bundle_keeps_one_table(self):
         n = 512
         short = crt_twiddles(n, 0, 2)
         long = crt_twiddles(n, 0, 9)
         assert long.primes[:2] == short.primes
-        assert np.array_equal(long.fwd[:2], short.fwd)
+        assert np.array_equal(long.powers[:2], short.powers)
         again = crt_twiddles(n, 0, 2)
-        assert np.shares_memory(again.fwd, long.fwd)
-        assert np.shares_memory(again.fwd_shoup, long.fwd_shoup)
+        for name in ("powers", "blocks", "modulus"):
+            assert np.shares_memory(getattr(again, name), getattr(long, name))
 
     def test_crt_products_build_no_ntt_context(self, monkeypatch):
         built = []
