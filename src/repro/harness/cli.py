@@ -46,6 +46,9 @@ Subcommands:
   and with one shard's ranks disabled, lock every point's SLO
   attainment exactly (``RESILIENCE-DRIFT``), and render the
   shard-health dashboard;
+* ``gates [--skip-wall]`` — every drift gate's ``check`` (perf, noise,
+  energy, resil) in one process: one row per gate with its verdict,
+  exit code and duration; exits with the worst code;
 * ``why <experiment> --against <baseline|run-id>`` — drift forensics:
   re-run one experiment and attribute any drift span by span
   (path-aligned self-time deltas), over the exact model surface, and
@@ -253,6 +256,45 @@ def _gate_check(gate, args) -> int:
         print(f"{gate.ledger.what} re-recorded: {args.baseline}")
         return 0
     return exit_code(verdicts)
+
+
+def _cmd_gates(args) -> int:
+    """``repro gates``: every gate's ``check``, one row per gate.
+
+    Each gate runs as ``repro <gate> check`` with that command's
+    defaults (perf gets ``--skip-wall`` when given), so the reports,
+    history lines and exit codes are the separate commands'. The exit
+    status is the worst gate's.
+    """
+    import time
+
+    from repro.errors import ReproError
+    from repro.obs import energy, noisegate, perf
+    from repro.serve import resilience
+
+    parser = build_parser()
+    rows = []
+    for gate in (perf.GATE, noisegate.GATE, energy.GATE, resilience.GATE):
+        argv = [gate.name, "check"]
+        if gate is perf.GATE and args.skip_wall:
+            argv.append("--skip-wall")
+        gate_args = parser.parse_args(argv)
+        print(f"== repro {' '.join(argv)}")
+        start = time.perf_counter()
+        try:
+            code = gate_args.func(gate_args)
+            verdict = {0: "ok", 1: gate.drift, EXIT_DATA: "no data"}[code]
+        except ReproError as exc:
+            # As main() reports it: one line, exit 1.
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code, verdict = 1, "error"
+        rows.append((gate.name, verdict, code, time.perf_counter() - start))
+        print()
+    width = max(len("verdict"), *(len(verdict) for _, verdict, _, _ in rows))
+    print(f"{'gate':<6} {'verdict':<{width}}  exit  seconds")
+    for name, verdict, code, seconds in rows:
+        print(f"{name:<6} {verdict:<{width}}  {code:>4}  {seconds:7.2f}")
+    return max(code for _, _, code, _ in rows)
 
 
 def _gate_html(gate, args) -> int:
@@ -961,6 +1003,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.obs import energy, noisegate, perf
     from repro.serve import resilience
+
+    gates_parser = sub.add_parser(
+        "gates",
+        help="check every drift gate (perf, noise, energy, resil) in one "
+        "process",
+        description=(
+            "Run each gate's check as 'repro <gate> check' does, with "
+            "its defaults, and print one row per gate: verdict, exit "
+            "code and duration. Exits with the worst code."
+        ),
+    )
+    gates_parser.add_argument(
+        "--skip-wall",
+        action="store_true",
+        help="pass --skip-wall to the perf check",
+    )
+    gates_parser.set_defaults(func=_cmd_gates)
 
     perf_sub = _add_gate(sub, perf.GATE)
     diff_parser = perf_sub.add_parser(

@@ -32,7 +32,10 @@ simulation within a few percent across kernels and tasklet counts.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import defaultdict
+from itertools import compress
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError, TransientDeviceError
@@ -109,15 +112,28 @@ class TaskletProgram:
 
 @dataclass
 class SimTrace:
-    """Optional per-issue event trace of one simulated DPU run.
+    """Event trace of one simulated DPU run, stored as periodic segments.
 
-    Records every dispatcher issue (cycle, tasklet) and every DMA
-    transfer (tasklet, request, start, completion, bytes); issues of
-    rounds the simulator skips are appended in bulk, in issue order.
-    ``request`` is when the tasklet reached its DMA phase and enqueued
-    the transfer; ``start`` is when the shared engine actually began
-    it, so ``start - request`` is the queue wait contention adds.
-    Exportable two ways:
+    Between events the dispatcher's schedule is periodic (see
+    :class:`DPUSimulator`), so issues are kept the way the simulator
+    produces them: each segment ``(start, period, rounds, pattern)``
+    says that the issues of one period, ``pattern`` as ``(offset,
+    tasklet)`` pairs with ``0 <= offset < period``, happen at ``start +
+    r * period + offset`` for every ``r < rounds``. Segments are in time
+    order and equal patterns are stored once, so a trace grows with the
+    run's events and distinct patterns, not with its instructions.
+
+    DMA transfers are kept one record each, ``(tasklet, request, start,
+    end, bytes)``: ``request`` is when the tasklet reached its DMA phase
+    and enqueued the transfer; ``start`` is when the shared engine
+    actually began it, so ``start - request`` is the queue wait
+    contention adds.
+
+    Every reader computes from the segments: :meth:`tasklet_activity`
+    and :meth:`to_chrome_trace` in closed form per segment, while
+    :attr:`issues`, :meth:`issue_segments` and :meth:`events`
+    materialize per-issue records only when asked for. Exportable two
+    ways:
 
     * :meth:`events` — compacted dict records (consecutive issues by
       one tasklet merge into segments) suitable for
@@ -133,13 +149,30 @@ class SimTrace:
     occupancy story :mod:`repro.obs.profile` builds on.
     """
 
-    issues: list = field(default_factory=list)  # (cycle, tasklet)
+    segments: list = field(default_factory=list)  # (start, period, rounds, pattern)
     dmas: list = field(
         default_factory=list
     )  # (tasklet, request, start, end, bytes)
+    _patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def record_issue(self, cycle: int, tasklet: int) -> None:
-        self.issues.append((cycle, tasklet))
+    def record_segment(
+        self, start: int, period: int, rounds: int, issues
+    ) -> None:
+        """Record one period's ``(cycle, tasklet)`` issues from ``start``,
+        repeated ``rounds`` times; a repeat of the previous segment's
+        pattern extends it."""
+        pattern = tuple((cycle - start, tasklet) for cycle, tasklet in issues)
+        pattern = self._patterns.setdefault(pattern, pattern)
+        if self.segments:
+            first, last_period, last_rounds, last_pattern = self.segments[-1]
+            if (
+                last_pattern is pattern
+                and last_period == period
+                and first + last_rounds * period == start
+            ):
+                self.segments[-1] = (first, period, last_rounds + rounds, pattern)
+                return
+        self.segments.append((start, period, rounds, pattern))
 
     def record_dma(
         self,
@@ -151,6 +184,20 @@ class SimTrace:
     ) -> None:
         self.dmas.append((tasklet, request, start, end, n_bytes))
 
+    @property
+    def issues(self) -> list:
+        """Every issue as ``(cycle, tasklet)``, in issue order.
+
+        Expanded from the segments on each access: one tuple per
+        instruction.
+        """
+        return [
+            (shift + offset, tasklet)
+            for start, period, rounds, pattern in self.segments
+            for shift in range(start, start + rounds * period, period)
+            for offset, tasklet in pattern
+        ]
+
     def queue_waits(self) -> list:
         """Per-transfer engine queue waits, in cycles (issue order)."""
         return [start - request for _, request, start, _, _ in self.dmas]
@@ -160,23 +207,35 @@ class SimTrace:
 
         A segment covers consecutive cycles in which the dispatcher
         kept issuing for the same tasklet — the pipeline-occupancy
-        picture at a glance.
+        picture at a glance. Each pattern's runs are found once and
+        shifted per round; the list itself has one entry per run.
         """
         segments = []
-        for cycle, tasklet in sorted(self.issues):
-            if (
-                segments
-                and segments[-1][0] == tasklet
-                and segments[-1][2] == cycle - 1
-            ):
-                last = segments[-1]
-                segments[-1] = (tasklet, last[1], cycle, last[3] + 1)
-            else:
-                segments.append((tasklet, cycle, cycle, 1))
+        for start, period, rounds, pattern in self.segments:
+            runs = _pattern_runs(pattern)
+            for shift in range(start, start + rounds * period, period):
+                for tasklet, first, last, count in runs:
+                    if (
+                        segments
+                        and segments[-1][0] == tasklet
+                        and segments[-1][2] == shift + first - 1
+                    ):
+                        prev = segments[-1]
+                        segments[-1] = (
+                            tasklet, prev[1], shift + last, prev[3] + count
+                        )
+                    else:
+                        segments.append(
+                            (tasklet, shift + first, shift + last, count)
+                        )
         return segments
 
     def events(self) -> list:
-        """All activity as JSON-able records (for JSONL export)."""
+        """All activity as JSON-able records (for JSONL export).
+
+        Issue records come from :meth:`issue_segments`, so a saturated
+        interleave yields one record per instruction.
+        """
         records = [
             {
                 "kind": "issue",
@@ -209,16 +268,20 @@ class SimTrace:
         per-instruction events at millions per run. Merging segments of
         one tasklet whose separation is at most the gap turns them into
         *activity bands* broken only by real pauses (DMA blocks, long
-        starvation), which is what a timeline should show.
+        starvation), which is what a timeline should show. A segment
+        whose every gap is within the band is one chain, in closed form.
         """
         merged: dict = {}
-        for tasklet, first, last, count in self.issue_segments():
-            runs = merged.setdefault(tasklet, [])
-            if runs and first - runs[-1][1] - 1 <= CHROME_BAND_GAP:
-                prev_first, _prev_last, prev_count = runs[-1]
-                runs[-1] = (prev_first, last, prev_count + count)
-            else:
-                runs.append((first, last, count))
+        for start, period, rounds, pattern in self.segments:
+            for tasklet, offsets in _offsets_by_tasklet(pattern):
+                runs = merged.setdefault(tasklet, [])
+                for first, last, count in _chains(offsets, period, rounds):
+                    first += start
+                    if runs and first - runs[-1][1] - 1 <= CHROME_BAND_GAP:
+                        prev_first, _prev_last, prev_count = runs[-1]
+                        runs[-1] = (prev_first, start + last, prev_count + count)
+                    else:
+                        runs.append((first, start + last, count))
         return [
             (tasklet, first, last, count)
             for tasklet, runs in merged.items()
@@ -294,64 +357,187 @@ class SimTrace:
         * **idle** — before the program produced work or after it
           finished.
 
-        Purely derived — calling this never changes the trace.
+        Each DMA block is charged to the inter-issue gap it occupies (a
+        blocked tasklet cannot issue, so every block falls entirely
+        inside one gap). A segment's DMA-free gaps repeat every round
+        and are summed per round in closed form, with the same float
+        result as adding them one gap at a time. Purely derived —
+        calling this never changes the trace.
         """
         if revolve_cycles <= 0:
             raise ParameterError(
                 f"revolve_cycles must be positive: {revolve_cycles}"
             )
-        import bisect
-        from collections import defaultdict
-
-        issues_by_tasklet: dict = defaultdict(list)
-        for cycle, tasklet in self.issues:
-            issues_by_tasklet[tasklet].append(cycle)
-        blocks_by_tasklet: dict = defaultdict(list)
+        pieces: dict = defaultdict(list)
+        grouped: dict = {}  # patterns are stored once: group each once
+        for start, period, rounds, pattern in self.segments:
+            by_tasklet = grouped.get(id(pattern))
+            if by_tasklet is None:
+                by_tasklet = grouped[id(pattern)] = _offsets_by_tasklet(pattern)
+            for tasklet, offsets in by_tasklet:
+                pieces[tasklet].append((start, period, rounds, offsets))
+        blocks: dict = defaultdict(list)
         for tasklet, request, _start, end, _n in self.dmas:
-            blocks_by_tasklet[tasklet].append((request, end))
-
-        activity = {}
-        for tasklet in sorted(set(issues_by_tasklet) | set(blocks_by_tasklet)):
-            cycles = sorted(issues_by_tasklet[tasklet])
-            dma_blocked = sum(
-                end - request for request, end in blocks_by_tasklet[tasklet]
+            blocks[tasklet].append((request, end))
+        charges: dict = {}
+        return {
+            tasklet: _activity(
+                pieces[tasklet],
+                blocks[tasklet],
+                float(revolve_cycles - 1),
+                total_cycles,
+                charges,
             )
-            revolve_stall = dispatch_wait = idle = 0.0
-            if cycles:
-                # Attribute each DMA block to the inter-issue gap it
-                # occupies (a blocked tasklet cannot issue, so every
-                # block falls entirely inside one gap).
-                gap_dma: dict = defaultdict(float)
-                head_dma = tail_dma = 0.0
-                for request, end in blocks_by_tasklet[tasklet]:
-                    index = bisect.bisect_right(cycles, request)
-                    if index == 0:
-                        head_dma += end - request
-                    elif index == len(cycles):
-                        tail_dma += end - request
-                    else:
-                        gap_dma[index] += end - request
-                # Head: no prior issue, so no revolve constraint — any
-                # non-DMA wait is lost arbitration.
-                dispatch_wait += max(0.0, cycles[0] - head_dma)
-                for index in range(1, len(cycles)):
-                    gap = cycles[index] - cycles[index - 1] - 1
-                    non_dma = max(0.0, gap - gap_dma.get(index, 0.0))
-                    stalled = min(non_dma, float(revolve_cycles - 1))
-                    revolve_stall += stalled
-                    dispatch_wait += non_dma - stalled
-                tail = total_cycles - cycles[-1] - 1
-                idle = max(0.0, tail - tail_dma)
+            for tasklet in sorted(set(pieces) | set(blocks))
+        }
+
+
+def _pattern_runs(pattern) -> list:
+    """A pattern's issues as (tasklet, first, last, count) offset runs."""
+    runs = []
+    for offset, tasklet in pattern:
+        if runs and runs[-1][0] == tasklet and runs[-1][2] == offset - 1:
+            runs[-1] = (tasklet, runs[-1][1], offset, runs[-1][3] + 1)
+        else:
+            runs.append((tasklet, offset, offset, 1))
+    return runs
+
+
+def _offsets_by_tasklet(pattern) -> list:
+    """``[(tasklet, offsets)]`` in order of each tasklet's first issue."""
+    grouped: dict = {}
+    for offset, tasklet in pattern:
+        grouped.setdefault(tasklet, []).append(offset)
+    return [(tasklet, tuple(offsets)) for tasklet, offsets in grouped.items()]
+
+
+def _chains(offsets, period: int, rounds: int) -> list:
+    """One tasklet's issues in a segment, split at gaps over the band.
+
+    Returns ``(first, last, count)`` offset runs from the segment start
+    in which consecutive issues are at most :data:`CHROME_BAND_GAP`
+    cycles apart. When no gap of a round (the wrap into the next round
+    included) exceeds the band, the segment is one chain.
+    """
+    wrap = period - offsets[-1] + offsets[0] - 1
+    gaps = [b - a - 1 for a, b in zip(offsets, offsets[1:])]
+    if rounds > 1:
+        gaps.append(wrap)
+    if all(gap <= CHROME_BAND_GAP for gap in gaps):
+        return [
+            (offsets[0], (rounds - 1) * period + offsets[-1], len(offsets) * rounds)
+        ]
+    chains = []
+    for shift in range(0, rounds * period, period):
+        for offset in offsets:
+            cycle = shift + offset
+            if chains and cycle - chains[-1][1] - 1 <= CHROME_BAND_GAP:
+                chains[-1] = (chains[-1][0], cycle, chains[-1][2] + 1)
             else:
-                idle = max(0.0, total_cycles - dma_blocked)
-            activity[tasklet] = {
-                "issue": len(cycles),
-                "dma_blocked": dma_blocked,
-                "revolve_stall": revolve_stall,
-                "dispatch_wait": dispatch_wait,
-                "idle": idle,
-            }
-        return activity
+                chains.append((cycle, cycle, 1))
+    return chains
+
+
+def _activity(
+    pieces, blocks, max_stall: float, total_cycles: int, charges: dict
+) -> dict:
+    """One tasklet's cycle classes (see :meth:`SimTrace.tasklet_activity`).
+
+    ``pieces`` are the tasklet's ``(start, period, rounds, offsets)``
+    issue runs, one per segment it issues in; ``blocks`` its DMA
+    ``(request, end)`` pairs. The simulator ends a segment at every
+    phase change, so each block lies before one piece (or after the
+    last) and never between two issues of one piece. ``charges``
+    caches each ``(period, offsets)`` shape's per-gap charges.
+    """
+    dma_blocked = sum(end - request for request, end in blocks)
+    if not pieces:
+        return {
+            "issue": 0,
+            "dma_blocked": dma_blocked,
+            "revolve_stall": 0.0,
+            "dispatch_wait": 0.0,
+            "idle": max(0.0, total_cycles - dma_blocked),
+        }
+    firsts = [start + offsets[0] for start, _, _, offsets in pieces]
+    gap_dma = [0.0] * len(pieces)  # index 0: before the first issue
+    tail_dma = 0.0
+    for request, end in blocks:
+        index = bisect.bisect_right(firsts, request)
+        if index == len(pieces):
+            tail_dma += end - request
+        else:
+            gap_dma[index] += end - request
+
+    revolve_stall = 0.0
+    # Head: no prior issue, so no revolve constraint — any non-DMA wait
+    # is lost arbitration.
+    dispatch_wait = max(0.0, firsts[0] - gap_dma[0])
+    issued = 0
+    for index, (start, period, rounds, offsets) in enumerate(pieces):
+        issued += rounds * len(offsets)
+        if index:
+            non_dma = max(0.0, firsts[index] - last - 1 - gap_dma[index])
+            stalled = min(non_dma, max_stall)
+            revolve_stall += stalled
+            dispatch_wait += non_dma - stalled
+        # The inner gaps of round 0, then every later round's wrap gap
+        # and the same inner gaps: none holds a DMA block.
+        shape = charges.get((period, offsets))
+        if shape is None:
+            inner = [b - a - 1 for a, b in zip(offsets, offsets[1:])]
+            wrap = period - offsets[-1] + offsets[0] - 1
+            shape = charges[(period, offsets)] = (
+                _charge(inner, max_stall),
+                _charge([wrap] + inner, max_stall),
+            )
+        (inner_stalls, inner_waits), (round_stalls, round_waits) = shape
+        if inner_stalls:
+            revolve_stall = _repeat_add(revolve_stall, inner_stalls, 1)
+            dispatch_wait = _repeat_add(dispatch_wait, inner_waits, 1)
+        if rounds > 1:
+            revolve_stall = _repeat_add(revolve_stall, round_stalls, rounds - 1)
+            dispatch_wait = _repeat_add(dispatch_wait, round_waits, rounds - 1)
+        last = start + (rounds - 1) * period + offsets[-1]
+    return {
+        "issue": issued,
+        "dma_blocked": dma_blocked,
+        "revolve_stall": revolve_stall,
+        "dispatch_wait": dispatch_wait,
+        "idle": max(0.0, total_cycles - last - 1 - tail_dma),
+    }
+
+
+def _charge(gaps, max_stall: float) -> tuple:
+    """DMA-free gaps split into (revolve stalls, dispatch waits)."""
+    stalls = [min(float(gap), max_stall) for gap in gaps]
+    return stalls, [gap - stalled for gap, stalled in zip(gaps, stalls)]
+
+
+def _repeat_add(total: float, terms, times: int) -> float:
+    """``total`` after adding the integer-valued ``terms``, in order,
+    ``times`` over — the float a one-by-one loop gives, in closed form.
+
+    A float sum with a fractional part only rounds where it crosses a
+    power of two: inside one binade every partial sum is representable.
+    So whole rounds that stay in the current binade are added at once,
+    and the one round that crosses it is added term by term.
+    """
+    per_round = sum(terms)
+    while times and per_round:
+        if total.is_integer():
+            return total + times * per_round  # every partial sum is exact
+        bound = math.ldexp(1.0, math.frexp(total)[1])
+        whole = min(times, int((bound - total) // per_round))
+        while whole and total + whole * per_round >= bound:
+            whole -= 1
+        total += whole * per_round
+        times -= whole
+        if times:
+            for term in terms:
+                total += term
+            times -= 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -397,8 +583,9 @@ class DPUSimulator:
     active tasklets. :meth:`run` steps issue by issue until one period
     has repeated (same active set, same round-robin pointer, same
     ``next_issue - clock`` offsets), then advances as many whole
-    periods as the next event allows in closed form. Results and
-    traces equal the per-instruction stepper's exactly;
+    periods as the next event allows in closed form. A traced run
+    records that period once, as one :class:`SimTrace` segment. Results
+    and traces equal the per-instruction stepper's exactly;
     ``tests/pim/reference_sim.py`` keeps that stepper as the
     differential oracle.
     """
@@ -416,9 +603,9 @@ class DPUSimulator:
 
         Pass a :class:`SimTrace` to record every dispatcher issue and
         DMA transfer; tracing is off by default and does not change
-        the simulated outcome. Skipped rounds are recorded in bulk, so
-        the trace lists the same events in the same order as stepping
-        each instruction would.
+        the simulated outcome. Issues are recorded per stepped interval
+        and skipped run, as segments, so the trace expands to the same
+        events in the same order as stepping each instruction would.
 
         ``max_cycles`` arms a watchdog: if any tasklet is still running
         (issuing, or waiting on a DMA) past it, the run aborts with a
@@ -444,117 +631,130 @@ class DPUSimulator:
         n = len(states)
         dma_free = [0.0]  # shared engine: time it becomes available
         dma_busy = 0.0
-        issued = 0
         clock = 0
         last_issued = -1  # round-robin pointer
+        limit = math.inf if max_cycles is None else max_cycles
         for index, state in enumerate(states):
             dma_busy += self._advance_into_phase(
                 state, 0.0, dma_free, index, trace
             )
-        running = sum(not s.done for s in states)
+        # The loop's per-tasklet state lives in flat lists; the
+        # _TaskletState objects hold the phase bookkeeping and are
+        # synced only when a tasklet changes phase. A tasklet entering
+        # a compute phase gets ``next_issue`` no earlier than its DMA
+        # completion, so issuing checks one time, not two.
+        remaining = [s.remaining for s in states]
+        blocked = [s.blocked_until for s in states]
+        next_issue = [math.ceil(until) for until in blocked]
+        done = [s.done for s in states]
+        # Candidates in round-robin order after each last issuer; the
+        # pointer's start value -1 picks the last row, which is 0..n-1.
+        order = [list(range(i + 1, n)) + list(range(i + 1)) for i in range(n)]
+        # Stuck for good on a zero-instruction compute phase.
+        stalled = [i for i in range(n) if not remaining[i] and not done[i]]
+        running = n - sum(done)
         # Round skipping: a loop top snapshots the active tasklets. If
         # the loop top one period later, at ``mark``, has the same active
         # set, pointer and next_issue offsets, that period repeats until
         # the next event. A phase end sets ``mark = -1``, so the next
-        # loop top takes a fresh snapshot.
+        # loop top takes a fresh snapshot. A traced run collects the
+        # issues since the last snapshot in ``pending`` and records
+        # them, with any rounds skipped after them, as one segment.
         mark = -1
-        snap_clock = snap_last = snap_trace = 0
+        snap_clock = snap_last = 0
         snap_active = snap_offsets = snap_remaining = None
+        pending = []
 
-        while running:
-            if max_cycles is not None and clock > max_cycles:
-                raise _watchdog(
-                    [i for i, s in enumerate(states) if not s.done],
-                    max_cycles,
-                )
-            if clock >= mark:
-                # Active: in a compute phase and not blocked on DMA.
-                active = [
-                    i
-                    for i, s in enumerate(states)
-                    if s.remaining > 0 and s.blocked_until <= clock
-                ]
-                offsets = [states[i].next_issue - clock for i in active]
-                if (
-                    clock == mark
-                    and last_issued == snap_last
-                    and active == snap_active
-                    and offsets == snap_offsets
-                ):
-                    period = clock - snap_clock
-                    rounds = self._rounds_to_next_event(
-                        states, active, snap_remaining, clock, period,
-                        max_cycles,
+        try:
+            while running:
+                if clock > limit:
+                    raise _watchdog(
+                        [i for i in range(n) if not done[i]], max_cycles
                     )
+                if clock >= mark:
+                    # Active: in a compute phase and not blocked on DMA.
+                    active = [
+                        i
+                        for i in range(n)
+                        if remaining[i] and blocked[i] <= clock
+                    ]
+                    offsets = [next_issue[i] - clock for i in active]
+                    rounds = 0
+                    if (
+                        clock == mark
+                        and last_issued == snap_last
+                        and active == snap_active
+                        and offsets == snap_offsets
+                    ):
+                        period = clock - snap_clock
+                        rounds = _rounds_to_next_event(
+                            remaining, blocked, done, active,
+                            snap_remaining, clock, period, max_cycles,
+                        )
+                    if pending:
+                        trace.record_segment(
+                            snap_clock, clock - snap_clock, 1 + rounds, pending
+                        )
+                        pending = []
                     if rounds:
                         for i, before in zip(active, snap_remaining):
-                            state = states[i]
-                            per_round = before - state.remaining
-                            state.remaining -= rounds * per_round
-                            state.next_issue += rounds * period
-                            issued += rounds * per_round
-                        if trace is not None:
-                            pattern = trace.issues[snap_trace:]
-                            trace.issues.extend(
-                                [
-                                    (cycle + shift, tasklet)
-                                    for shift in range(
-                                        period, (rounds + 1) * period, period
-                                    )
-                                    for cycle, tasklet in pattern
-                                ]
-                            )
+                            remaining[i] -= rounds * (before - remaining[i])
+                            next_issue[i] += rounds * period
                         clock += rounds * period
-                snap_clock, snap_last = clock, last_issued
-                snap_active, snap_offsets = active, offsets
-                snap_remaining = [states[i].remaining for i in active]
-                snap_trace = len(trace.issues) if trace is not None else 0
-                mark = clock + max(len(active), revolve) if active else -1
-            # Round-robin: the first ready tasklet after the last issuer.
-            choice = last_issued
-            for _ in range(n):
-                choice = choice + 1 if choice + 1 < n else 0
-                state = states[choice]
-                if (
-                    state.remaining > 0
-                    and state.next_issue <= clock
-                    and state.blocked_until <= clock
-                ):
-                    state.remaining -= 1
-                    state.next_issue = clock + revolve
-                    issued += 1
-                    last_issued = choice
-                    if trace is not None:
-                        trace.record_issue(clock, choice)
-                    if state.remaining == 0:
-                        state.phase_index += 1
-                        dma_busy += self._advance_into_phase(
-                            state, float(clock + 1), dma_free, choice, trace
-                        )
-                        running -= state.done
-                        mark = -1
-                    clock += 1
-                    break
-            else:
-                # Nothing issuable: jump to the next event.
-                upcoming = None
-                for s in states:
-                    if s.done:
-                        continue
-                    if s.remaining > 0 and s.blocked_until <= clock:
-                        event = s.next_issue
-                    elif s.blocked_until > clock:
-                        event = s.blocked_until
-                    else:
-                        continue
-                    if upcoming is None or event < upcoming:
-                        upcoming = event
-                if upcoming is None:
-                    break  # only stalled tasklets are left
-                clock = max(clock + 1, math.ceil(upcoming))
+                    snap_clock, snap_last = clock, last_issued
+                    snap_active, snap_offsets = active, offsets
+                    snap_remaining = [remaining[i] for i in active]
+                    mark = clock + max(len(active), revolve) if active else -1
+                # Round-robin: the first ready tasklet after the last issuer.
+                for choice in order[last_issued]:
+                    if next_issue[choice] <= clock and (left := remaining[choice]):
+                        left -= 1
+                        remaining[choice] = left
+                        next_issue[choice] = clock + revolve
+                        last_issued = choice
+                        if trace is not None:
+                            pending.append((clock, choice))
+                        if not left:
+                            state = states[choice]
+                            state.phase_index += 1
+                            dma_busy += self._advance_into_phase(
+                                state, float(clock + 1), dma_free, choice,
+                                trace,
+                            )
+                            remaining[choice] = state.remaining
+                            blocked[choice] = state.blocked_until
+                            if state.remaining:
+                                next_issue[choice] = max(
+                                    clock + revolve, math.ceil(state.blocked_until)
+                                )
+                            if state.done:
+                                done[choice] = True
+                                running -= 1
+                            elif not state.remaining:
+                                stalled.append(choice)
+                            mark = -1
+                        clock += 1
+                        break
+                else:
+                    # Nothing issuable: jump to the next event, a
+                    # tasklet's next issue or a stalled one's DMA end.
+                    upcoming = min(
+                        compress(next_issue, remaining), default=math.inf
+                    )
+                    for i in stalled:
+                        if clock < blocked[i] < upcoming:
+                            upcoming = blocked[i]
+                    if upcoming == math.inf:
+                        break  # only stalled tasklets are left
+                    clock = max(clock + 1, math.ceil(upcoming))
+        finally:
+            if pending:
+                trace.record_segment(
+                    snap_clock, clock - snap_clock, 1, pending
+                )
 
         # Account for a trailing DMA that finishes after the last issue.
-        trailing = max((s.blocked_until for s in states), default=0.0)
+        trailing = max(blocked, default=0.0)
         total_cycles = max(clock, math.ceil(trailing))
         if max_cycles is not None and total_cycles > max_cycles:
             # Still running past the budget: the tasklet's last issue or
@@ -562,42 +762,28 @@ class DPUSimulator:
             raise _watchdog(
                 [
                     i
-                    for i, s in enumerate(states)
-                    if not s.done
-                    or s.next_issue - revolve >= max_cycles
-                    or s.blocked_until > max_cycles
+                    for i in range(n)
+                    if not done[i]
+                    or next_issue[i] - revolve >= max_cycles
+                    or blocked[i] > max_cycles
                 ],
                 max_cycles,
             )
+        # Every tasklet has issued all of each compute phase before its
+        # current one, and none of that one (a zero-instruction phase
+        # stalls it for good).
+        issued = sum(
+            phase.amount
+            for state in states
+            for phase in state.program.phases[: state.phase_index]
+            if phase.kind == COMPUTE
+        )
         return SimResult(
             cycles=total_cycles,
             instructions_issued=issued,
             dma_busy_cycles=dma_busy,
             tasklets=len(programs),
         )
-
-    @staticmethod
-    def _rounds_to_next_event(
-        states, active, remaining_before, clock, period, max_cycles
-    ) -> int:
-        """Whole periods that can be skipped from ``clock`` with no event.
-
-        Every active tasklet keeps at least one instruction of its
-        phase, no blocked tasklet's DMA completes inside a skipped
-        cycle, and the clock does not pass ``max_cycles``.
-        """
-        rounds = min(
-            (states[i].remaining - 1) // (before - states[i].remaining)
-            for i, before in zip(active, remaining_before)
-        )
-        for s in states:
-            if not s.done and s.blocked_until > clock:
-                rounds = min(
-                    rounds, (math.ceil(s.blocked_until) - clock) // period
-                )
-        if max_cycles is not None:
-            rounds = min(rounds, (max_cycles - clock) // period)
-        return rounds
 
     def _advance_into_phase(
         self,
@@ -642,6 +828,28 @@ class DPUSimulator:
                 )
             state.phase_index += 1
             now = completion
+
+
+def _rounds_to_next_event(
+    remaining, blocked, done, active, remaining_before, clock, period,
+    max_cycles,
+) -> int:
+    """Whole periods that can be skipped from ``clock`` with no event.
+
+    Every active tasklet keeps at least one instruction of its
+    phase, no blocked tasklet's DMA completes inside a skipped
+    cycle, and the clock does not pass ``max_cycles``.
+    """
+    rounds = min(
+        (remaining[i] - 1) // (before - remaining[i])
+        for i, before in zip(active, remaining_before)
+    )
+    for i, until in enumerate(blocked):
+        if not done[i] and until > clock:
+            rounds = min(rounds, (math.ceil(until) - clock) // period)
+    if max_cycles is not None:
+        rounds = min(rounds, (max_cycles - clock) // period)
+    return rounds
 
 
 def _watchdog(stuck: list, max_cycles: int) -> TransientDeviceError:

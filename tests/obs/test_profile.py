@@ -168,6 +168,30 @@ class TestProfileKernel:
             profile_kernel(kernel, n_elements=10, tasklets=0)
 
 
+class TestTraceSize:
+    def test_multiply_trace_grows_with_events_not_instructions(self):
+        """tensor_mul at 1,024 elements issues 15.2 M instructions. Its
+        trace keeps one segment per stepped interval or skipped run: no
+        more segments than DMA transfers plus phase changes, and no
+        per-issue records at all."""
+        from repro.pim.kernels import TensorMulKernel
+
+        profile = profile_kernel(TensorMulKernel(4), 1024)
+        trace = profile.trace
+        assert profile.instructions_issued == 15_177_280
+        assert profile.instructions_issued == sum(
+            rounds * len(pattern) for _, _, rounds, pattern in trace.segments
+        )
+        # 64 elements per tasklet stream as one block: DMA in, compute,
+        # DMA out.
+        phase_changes = 3 * profile.tasklets
+        assert len(trace.dmas) == 2 * profile.tasklets
+        assert len(trace.segments) <= len(trace.dmas) + phase_changes
+        assert sum(len(pattern) for pattern in trace._patterns) <= (
+            CFG.max_tasklets * len(trace.segments)
+        )
+
+
 class TestKernelSpecs:
     def test_default_width_is_128_bit(self):
         kernel = kernel_from_spec("vec_mul")
