@@ -24,13 +24,15 @@ class Encryptor:
     ``ct0 + ct1*s = delta*m + (e1 + e*u + e2*s)`` — the plaintext at
     scale ``delta`` plus small noise.
 
-    ``u`` is forward-transformed once for both products, and the public
-    key's transforms are cached on the key. The errors join each sum in
+    Both components are one pass through the CRT engine
+    (:meth:`~repro.poly.polynomial.Polynomial.sums_of_products`): ``u``
+    is forward-transformed once for both products (the public key's
+    transforms are cached on the key), both sums come back through one
+    inverse call and leave through one exit. The errors join each sum in
     the coefficient domain, and ``delta*m`` joins ``e1`` there as one
-    addend (:meth:`~repro.poly.polynomial.Operand.scaled_sum`), so
-    ``c0`` leaves the CRT engine through one exit. Encryption randomness
-    is drawn from an explicit seeded generator so experiments are
-    reproducible.
+    addend (:meth:`~repro.poly.polynomial.Operand.scaled_sum`).
+    Encryption randomness is drawn from an explicit seeded generator so
+    experiments are reproducible.
     """
 
     def __init__(self, params: BFVParameters, public_key: PublicKey, seed: int = 0):
@@ -53,8 +55,9 @@ class Encryptor:
         e2 = Operand(sample_centered_binomial(n, rng, params.error_eta))
         p0, p1 = self.public_key.operands()
         scaled_m = Operand.scaled_sum(plaintext.poly, params.delta, e1)
-        c0 = Polynomial.sum_of_products([(p0, u)], q, addend=scaled_m)
-        c1 = Polynomial.sum_of_products([(p1, u)], q, addend=e2)
+        c0, c1 = Polynomial.sums_of_products(
+            [[(p0, u)], [(p1, u)]], q, addends=[scaled_m, e2]
+        )
         ciphertext = Ciphertext(params, (c0, c1))
         get_noise_ledger().stamp_fresh(ciphertext)
         return ciphertext

@@ -15,13 +15,15 @@ relinearization key's base-``T`` digits. The scaling is the CRT
 engine's exit ``round(t * x / q) mod q``, taken once per component
 straight from its residues.
 
-Both steps run in the evaluation domain of the exact CRT bundle. A
-multiply forward-transforms its four input polynomials once, over every
-prime of the bundle in one call (a square, two), sums the cross terms
-pointwise, and takes three inverse transforms. Relinearization
-transforms its ``k`` digits once, multiplies them against the
-relinearization key's cached transforms and takes two inverse
-transforms (:func:`repro.core.keys.key_switch`).
+Both steps run in the evaluation domain of the exact CRT bundle, each
+as one pass (:meth:`~repro.poly.polynomial.Polynomial.sums_of_products`).
+A multiply forward-transforms its four input polynomials (a square,
+two) over every prime of the bundle in one call, sums the cross terms
+pointwise, and takes its three components back in one inverse call
+and one exit. Relinearization transforms its ``k`` digits in one call,
+multiplies them against the relinearization key's cached transforms
+and takes both sums back in one inverse call and one exit
+(:func:`repro.core.keys.key_switch`).
 Every result is the exact integer of the one-product-at-a-time
 construction, so outputs are bit-identical to it.
 """
@@ -235,16 +237,15 @@ class Evaluator:
 
         Each distinct component is forward-transformed once per prime
         (a square shares its operands), and the cross terms are summed
-        in the evaluation domain before their one inverse transform.
+        in the evaluation domain; the three sums share one bundle, one
+        inverse call and one exit.
         """
         params = self.params
         q, t = params.coeff_modulus, params.plain_modulus
         a0, a1 = (Operand(p) for p in a.polys)
         b0, b1 = (a0, a1) if b is a else (Operand(p) for p in b.polys)
         tensor = ([(a0, b0)], [(a0, b1), (a1, b0)], [(a1, b1)])
-        return tuple(
-            Polynomial.sum_of_products(terms, q, scale=(t, q)) for terms in tensor
-        )
+        return tuple(Polynomial.sums_of_products(tensor, q, scale=(t, q)))
 
     def _check(self, a: Ciphertext) -> None:
         if a.params != self.params:

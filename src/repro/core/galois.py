@@ -26,13 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ciphertext import Ciphertext
-from repro.core.keys import KeyTransforms, SecretKey, key_switch
+from repro.core.keys import (
+    KeyTransforms,
+    SecretKey,
+    draw_masks,
+    key_switch,
+    masked_products,
+    switching_pairs,
+)
 from repro.core.params import BFVParameters
 from repro.errors import CiphertextError, KeyError_, ParameterError
 from repro.obs.noise import get_noise_ledger
 from repro.poly import planes as pl
-from repro.poly.polynomial import Polynomial
-from repro.poly.sampling import sample_centered_binomial, sample_uniform
+from repro.poly.polynomial import Operand, Polynomial
 
 
 def _check_galois_element(g: int, n: int) -> None:
@@ -132,23 +138,19 @@ def generate_galois_keys(
     ``(k0_j, k1_j) = (-(a_j*s + e_j) + T^j * s(x^g), a_j)``.
     """
     params = secret.params
-    n, q = params.poly_degree, params.coeff_modulus
-    base = 1 << params.relin_base_bits
-    components = {}
+    elements = list(elements)
     for g in elements:
-        _check_galois_element(g, n)
-        rotated_secret = apply_automorphism(secret.poly, g)
-        pairs = []
-        power = 1
-        for _ in range(params.relin_components):
-            a_j = Polynomial.from_planes(sample_uniform(n, q, rng), q)
-            e_j = Polynomial(
-                sample_centered_binomial(n, rng, params.error_eta), q
-            )
-            k0 = -(a_j * secret.poly + e_j) + rotated_secret.scalar_mul(power)
-            pairs.append((k0, a_j))
-            power = power * base % q
-        components[g] = tuple(pairs)
+        _check_galois_element(g, params.poly_degree)
+    digits = params.relin_components
+    draws = draw_masks(params, rng, digits * len(elements))
+    q = params.coeff_modulus
+    masks = masked_products(Operand(secret.poly), draws, q) if draws else []
+    components = {}
+    for index, g in enumerate(elements):
+        span = slice(index * digits, (index + 1) * digits)
+        components[g] = switching_pairs(
+            params, draws[span], masks[span], apply_automorphism(secret.poly, g)
+        )
     return GaloisKeys(params, params.relin_base_bits, components)
 
 

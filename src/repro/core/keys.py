@@ -20,7 +20,14 @@ the exact convolution's CRT bundle (:mod:`repro.poly.polynomial`), so
 each key keeps its polynomials' forward transforms: one
 :class:`~repro.poly.polynomial.Operand` per key polynomial, made on
 first use. :func:`key_switch` is the one base-``T`` key switch shared by
-relinearization and the Galois automorphisms.
+relinearization and the Galois automorphisms, and
+:func:`switching_pairs` the one construction of their keys.
+
+Key generation draws every random polynomial first, in the order the
+textbook construction draws them, then takes every product with ``s``
+through the CRT engine in one pass
+(:meth:`Polynomial.sums_of_products`): the public key's ``a*s + e``,
+``s^2`` and each relinearization digit's ``a_i*s + e_i``.
 """
 
 from __future__ import annotations
@@ -155,10 +162,9 @@ def key_switch(poly: Polynomial, operands, base_bits: int, what: str) -> tuple:
     ``operands`` holds one ``(k0_i, k1_i)`` handle pair per digit; a
     pair encrypting ``T^i * s'`` under ``s`` turns ``poly``'s
     ``s'``-component into two components under ``s``. The digits are
-    cut straight from the limb planes (:func:`base_digits`); each is
-    transformed once over the bundle, and each of the two sums takes
-    one inverse transform of the bundle
-    (:meth:`Polynomial.sum_of_products`).
+    cut straight from the limb planes (:func:`base_digits`) and
+    transformed together in one call; both sums share one bundle, one
+    inverse call and one exit (:meth:`Polynomial.sums_of_products`).
     Raises :class:`~repro.errors.CiphertextError` naming ``what`` if
     the digits do not cover the coefficients.
     """
@@ -168,11 +174,53 @@ def key_switch(poly: Polynomial, operands, base_bits: int, what: str) -> tuple:
         raise CiphertextError(f"{what} digit count too small for modulus")
     digits = [Operand(digit) for digit in digits]
     return tuple(
-        Polynomial.sum_of_products(
-            ((pair[side], digit) for pair, digit in zip(operands, digits)), q
+        Polynomial.sums_of_products(
+            [[(pair[side], digit) for pair, digit in zip(operands, digits)]
+             for side in (0, 1)],
+            q,
         )
-        for side in (0, 1)
     )
+
+
+def draw_masks(params: BFVParameters, rng: np.random.Generator, count: int) -> list:
+    """``count`` RLWE mask draws ``(a, e)``: a uniform polynomial mod
+    ``q``, then a centered-binomial error (``int64``), draw by draw."""
+    n, q = params.poly_degree, params.coeff_modulus
+    return [
+        (
+            Polynomial.from_planes(sample_uniform(n, q, rng), q),
+            sample_centered_binomial(n, rng, params.error_eta),
+        )
+        for _ in range(count)
+    ]
+
+
+def masked_products(s: Operand, draws, modulus: int, extra=()) -> list:
+    """``a*s + e mod modulus`` for every draw ``(a, e)``, then each extra
+    term list's sum, as one :meth:`Polynomial.sums_of_products` pass.
+
+    ``s`` is a handle of its own, not the secret key's cached one: key
+    generation leaves every key's transform cache empty.
+    """
+    sums = [[(Operand(a), s)] for a, _ in draws] + list(extra)
+    addends = [Operand(e) for _, e in draws] + [None] * len(extra)
+    return Polynomial.sums_of_products(sums, modulus, addends)
+
+
+def switching_pairs(params: BFVParameters, draws, masks, target: Polynomial) -> tuple:
+    """Key-switching pairs ``(-(a_j*s + e_j) + T^j * target, a_j)``, one
+    per digit ``j``, from the draws and their :func:`masked_products`.
+
+    ``rk0_j + rk1_j*s = T^j * target - e_j``: the pair encrypts
+    ``T^j * target`` under ``s``.
+    """
+    q, base = params.coeff_modulus, 1 << params.relin_base_bits
+    pairs = []
+    power = 1  # T^j mod q
+    for (a, _), mask in zip(draws, masks):
+        pairs.append((-mask + target.scalar_mul(power), a))
+        power = power * base % q
+    return tuple(pairs)
 
 
 def base_digits(planes: np.ndarray, base_bits: int, count: int):
@@ -232,14 +280,17 @@ class KeyGenerator:
         n, q = params.poly_degree, params.coeff_modulus
         rng = self._rng
 
-        s = Polynomial(sample_ternary(n, rng), q)
-        secret = SecretKey(params, s)
-
-        a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
-        e = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
-        public = PublicKey(params, -(a * s + e), a)
-
-        relin = self._generate_relin(secret)
+        secret = SecretKey(params, Polynomial(sample_ternary(n, rng), q))
+        # The public key's (a, e), then one per relinearization digit.
+        draws = draw_masks(params, rng, 1 + params.relin_components)
+        s = Operand(secret.poly)
+        *masks, s_squared = masked_products(s, draws, q, extra=[[(s, s)]])
+        public = PublicKey(params, -masks[0], draws[0][0])
+        relin = RelinKey(
+            params,
+            params.relin_base_bits,
+            switching_pairs(params, draws[1:], masks[1:], s_squared),
+        )
         return KeySet(secret, public, relin)
 
     def generate_galois_keys(self, secret: SecretKey, steps=None):
@@ -262,22 +313,3 @@ class KeyGenerator:
             steps = steps or [0]
         elements = rotation_elements(self.params, steps)
         return generate_galois_keys(secret, elements, self._rng)
-
-    def _generate_relin(self, secret: SecretKey) -> RelinKey:
-        params = self.params
-        n, q = params.poly_degree, params.coeff_modulus
-        rng = self._rng
-        s = secret.poly
-        s_squared = s * s
-        base = 1 << params.relin_base_bits
-        pairs = []
-        power = 1  # T^i mod q
-        for _ in range(params.relin_components):
-            a_i = Polynomial.from_planes(sample_uniform(n, q, rng), q)
-            e_i = Polynomial(
-                sample_centered_binomial(n, rng, params.error_eta), q
-            )
-            rk0 = -(a_i * s + e_i) + s_squared.scalar_mul(power)
-            pairs.append((rk0, a_i))
-            power = power * base % q
-        return RelinKey(params, params.relin_base_bits, tuple(pairs))

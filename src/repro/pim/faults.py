@@ -404,21 +404,24 @@ class FaultPlan:
             disabled.update(
                 range(first, min(first + config.dpus_per_rank, config.n_dpus))
             )
+        # Draw i of a stream is _unit_hash(seed, channel, i): the per-DPU
+        # draws, hashed once per seed and channel and kept.
         if self.disable_dpus:
-            ranked = sorted(
-                range(config.n_dpus),
-                key=lambda dpu: _unit_hash(self.seed, "disable", dpu),
-            )
-            disabled.update(ranked[: self.disable_dpus])
+            draws = self._dpu_draws("disable", config.n_dpus)
+            # Stable, so tied draws rank by id, as sorted() would.
+            ranked = np.argsort(draws, kind="stable")[: self.disable_dpus]
+            disabled.update(ranked.tolist())
         if self.dpu_fail_rate:
-            disabled.update(
-                dpu
-                for dpu in range(config.n_dpus)
-                if _unit_hash(self.seed, "dpu", dpu) < self.dpu_fail_rate
-            )
+            draws = self._dpu_draws("dpu", config.n_dpus)
+            disabled.update(np.flatnonzero(draws < self.dpu_fail_rate).tolist())
         cached = (frozenset(disabled), tuple(sorted(disabled)))
         self._survivors[config] = cached
         return cached
+
+    def _dpu_draws(self, channel: str, count: int) -> np.ndarray:
+        """``_unit_hash(seed, channel, dpu)`` for the first ``count`` DPUs,
+        from the memoized stream (:func:`unit_draws`)."""
+        return np.frombuffer(unit_draws(self.seed, channel).first(count), np.float64)
 
     def disabled_dpu_ids(self, config: UPMEMConfig) -> frozenset:
         """The full set of permanently disabled DPU ids under ``config``.

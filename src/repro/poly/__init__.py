@@ -20,8 +20,9 @@ scheme and the baselines need:
 * :mod:`repro.poly.polynomial` — the ring element type, held as limb
   planes, with addition, negacyclic multiplication and scalar
   operations, plus the exact sum-of-products engine every BFV op runs
-  on (:class:`Operand` handles keep forward transforms; each sum takes
-  one inverse transform of the whole bundle and one exit). Its CRT
+  on (:class:`Operand` handles keep forward transforms; all sums of
+  one operation take one forward call, one inverse call and one exit).
+  Its CRT
   bundle of 31-bit NTT primes is the repo's one residue number system:
   SEAL's RNS + NTT idea, run for real on native words;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,

@@ -74,6 +74,13 @@ CRT_PRIME_BITS = 31
 #: :meth:`MixedRadix.signed`'s ``2^(32 L)`` modulus is a finite float.
 MAX_PRIMES = 32
 
+#: Most lanes one exit step works on: an exit over more (several ring
+#: elements of one operation, :func:`repro.poly.polynomial.exact_sums`)
+#: runs in steps of this many, so its temporaries, about ``8 (k + 8 L)``
+#: bytes per lane for ``L`` output limbs, stay those of one ``n = 4096``
+#: element.
+EXIT_LANES = 4096
+
 #: Amount subtracted from every float quotient estimate before its
 #: floor, so that the estimate is never above the true quotient and at
 #: most one below it.
@@ -133,13 +140,16 @@ def crt_twiddles(n: int, start: int, stop: int) -> Twiddles:
 
 
 def reduce_rows(rows: np.ndarray, moduli: tuple) -> None:
-    """``rows[i] mod moduli[i]`` in place, for ``uint64`` rows.
+    """``rows[..., i, :] mod moduli[i]`` in place, for ``(..., k, n)``
+    ``uint64`` rows.
 
-    One scalar ``//`` per prime: numpy divides by a 0-d integer with a
-    multiply and a shift, several times faster than ``%``.
+    One scalar ``//`` per prime, over that prime's row of every
+    polynomial at once: numpy divides by a 0-d integer with a multiply
+    and a shift, several times faster than ``%``.
     """
-    scratch = np.empty(rows.shape[1], dtype=np.uint64)
-    for row, p in zip(rows, moduli):
+    by_prime = rows.swapaxes(0, -2)
+    scratch = np.empty(by_prime.shape[1:], dtype=np.uint64)
+    for row, p in zip(by_prime, moduli):
         _reduce_row(row, np.uint64(p), scratch)
 
 
@@ -162,9 +172,10 @@ def _entry_constants(modulus: int, primes: tuple) -> tuple:
     )
 
 
-def residues(planes: np.ndarray, modulus: int, primes: tuple) -> np.ndarray:
+def residues(planes: np.ndarray, modulus: int, primes: tuple, out=None) -> np.ndarray:
     """``(k, n)`` residues modulo ``primes`` of the centered lift of
-    ``planes`` (residues modulo ``modulus``).
+    ``planes`` (residues modulo ``modulus``), written to ``out`` when
+    given.
 
     Per prime, Horner over the limbs from the most significant: a
     partial value below ``p`` times ``2^32 mod p`` plus a limb is below
@@ -175,7 +186,8 @@ def residues(planes: np.ndarray, modulus: int, primes: tuple) -> np.ndarray:
     operation is on one row and 0-d constants.
     """
     upper = pl.above(planes, modulus // 2).astype(np.uint64)
-    out = np.empty((len(primes), planes.shape[1]), dtype=np.uint64)
+    if out is None:
+        out = np.empty((len(primes), planes.shape[1]), dtype=np.uint64)
     scratch = np.empty(planes.shape[1], dtype=np.uint64)
     for row, (p, radix, fix) in zip(out, _entry_constants(modulus, primes)):
         np.copyto(row, planes[-1])
@@ -192,13 +204,18 @@ def residues(planes: np.ndarray, modulus: int, primes: tuple) -> np.ndarray:
 
 
 def scaled_residues(
-    planes: np.ndarray, modulus: int, scale: int, values: np.ndarray, primes: tuple
+    planes: np.ndarray,
+    modulus: int,
+    scale: int,
+    values: np.ndarray,
+    primes: tuple,
+    out=None,
 ) -> np.ndarray:
     """``(k, n)`` residues modulo ``primes`` of ``scale * x + values``,
     for the centered lift ``x`` of ``planes`` and an ``int64`` array
     ``values``: the two residue rows combined per prime, a product below
     ``p^2`` plus a residue, reduced by one scalar ``//``."""
-    out = residues(planes, modulus, primes)
+    out = residues(planes, modulus, primes, out)
     extra = signed_residues(values, primes)
     scratch = np.empty(planes.shape[1], dtype=np.uint64)
     for row, add, p in zip(out, extra, primes):
@@ -208,14 +225,15 @@ def scaled_residues(
     return out
 
 
-def signed_residues(values: np.ndarray, primes: tuple) -> np.ndarray:
+def signed_residues(values: np.ndarray, primes: tuple, out=None) -> np.ndarray:
     """``(k, n)`` residues modulo ``primes`` of an ``int64`` array.
 
     Per prime, ``v - (v // p) p`` with a scalar floor division, which
     lands in ``[0, p)`` for either sign (the product may wrap past
     ``-2^63``; the difference wraps back).
     """
-    out = np.empty((len(primes), len(values)), dtype=np.uint64)
+    if out is None:
+        out = np.empty((len(primes), len(values)), dtype=np.uint64)
     quotient = np.empty(len(values), dtype=np.int64)
     for row, p in zip(out.view(np.int64), primes):
         p64 = np.int64(p)
@@ -255,6 +273,11 @@ class MixedRadix:
     (each in ``[0, p_i)``) over the bundle ``moduli``, held as Garner
     digits.
 
+    ``rows`` is ``(k, n)``, or ``(s, k, n)`` for ``s`` polynomials over
+    the bundle: their lanes are taken in order, polynomial ``j``'s at
+    ``j n`` to ``(j + 1) n - 1``, so one set of digits and one exit
+    serve all of them (digits and exits work lane by lane).
+
     Shifting every residue by ``P // 2`` first makes the mixed-radix
     value ``x + P // 2`` land in ``[0, P)``. ``P`` is odd, so the signed
     range is exactly ``(-P/2, P/2]``.
@@ -276,25 +299,22 @@ class MixedRadix:
                 f"a CRT bundle holds at most {MAX_PRIMES} primes, "
                 f"got {len(moduli)}"
             )
-        k, n = len(moduli), len(rows[0])
-        block = np.empty((k + _SPARE_ROWS, n))
+        k, n = len(moduli), np.shape(rows)[-1]
+        polys = np.reshape(rows, (-1, k, n))
+        block = np.empty((k + _SPARE_ROWS, polys.shape[0] * n))
         block[k] = 1.0
-        digits = np.empty((k, n), dtype=np.uint64)
-        scratch = np.empty(n, dtype=np.uint64)
-        constants = _garner_constants(moduli)
-        for row, digit, floats, (p, p2, offset, inverses) in zip(
-            rows, digits, block, constants
-        ):
-            np.add(row, offset, out=digit)
-            np.subtract(digit, p, out=scratch)
-            np.minimum(digit, scratch, out=digit)
-            # Every prime is above 2^30, so an earlier digit is below 2 p.
-            for earlier, inverse in zip(digits, inverses):
-                np.add(digit, p2, out=digit)
-                np.subtract(digit, earlier, out=digit)
-                np.multiply(digit, inverse, out=digit)
-                _reduce_row(digit, p, scratch)
-            floats[:] = digit
+        # Digits run a few polynomials at a time, like the exit.
+        step = max(1, EXIT_LANES // n)
+        digits = np.empty((k, min(step, len(polys)) * n), dtype=np.uint64)
+        for start in range(0, len(polys), step):
+            chunk = polys[start : start + step].swapaxes(0, 1)
+            lanes = chunk[0].size
+            _garner(
+                chunk,
+                moduli,
+                digits[:, :lanes],
+                block[:k, start * n : start * n + lanes],
+            )
         self.moduli = moduli
         self._block = block
 
@@ -305,15 +325,33 @@ class MixedRadix:
 
         ``den`` must be 1 or odd, so no value is a tie; ``num >= 0``.
         Writes ``-g`` (and ``c`` when ``den > 1``) into the block's
-        spare rows.
+        spare rows. Runs over at most :data:`EXIT_LANES` lanes at a
+        time, so its temporaries stay those of one ring element.
         """
         exit_ = _exit(self.moduli, num, den, out)
-        k, block = len(self.moduli), self._block
+        result = np.empty((exit_.out_limbs, self._block.shape[1]), dtype=np.uint64)
+        for block, lanes in self._chunks():
+            result[:, lanes] = self._scale_round(exit_, den, block)
+        return result
+
+    def _chunks(self):
+        """``(block columns, lane slice)`` per run of at most
+        :data:`EXIT_LANES` lanes."""
+        total = self._block.shape[1]
+        for start in range(0, total, EXIT_LANES):
+            lanes = slice(start, min(start + EXIT_LANES, total))
+            yield self._block[:, lanes], lanes
+
+    @staticmethod
+    def _scale_round(exit_, den: int, block: np.ndarray) -> np.ndarray:
+        """:meth:`scale_round` over the lanes of ``block`` (columns of the
+        digit block)."""
+        k = len(exit_.alpha)
         estimate = exit_.alpha @ block[:k]
         estimate += exit_.alpha0
         rows = k + 3
         if den > 1:
-            carry = self._carry(exit_)[0]
+            carry = MixedRadix._carry(exit_, block)[0]
             estimate += carry * exit_.inv_out
             _split(carry, block[k + 3 : k + 5])
             rows = k + 5
@@ -334,10 +372,12 @@ class MixedRadix:
         if den == 1:
             return 0
         exit_ = _exit(self.moduli, num, den, den)
-        shifted = self._carry(exit_)[1]  # F - den c + (den - 1)/2, in [0, den)
-        middle = (den - 1) // 2
-        mirrored = pl.subtract(pl.constant(den - 1, len(shifted)), shifted)[0]
-        return max(pl.max_int(shifted), pl.max_int(mirrored)) - middle
+        largest = 0
+        for block, _ in self._chunks():
+            shifted = self._carry(exit_, block)[1]  # F - den c + (den - 1)/2, in [0, den)
+            mirrored = pl.subtract(pl.constant(den - 1, len(shifted)), shifted)[0]
+            largest = max(largest, pl.max_int(shifted), pl.max_int(mirrored))
+        return largest - (den - 1) // 2
 
     def signed(self) -> list:
         """The exact signed integers, as Python ints."""
@@ -346,15 +386,17 @@ class MixedRadix:
         top = 1 << (width - 1)
         return [v - (1 << width) if v >= top else v for v in wrapped]
 
-    def _carry(self, exit_) -> tuple:
-        """``c = round(F / den)`` and ``F - den c + (den - 1)/2`` (limbs).
+    @staticmethod
+    def _carry(exit_, block: np.ndarray) -> tuple:
+        """``c = round(F / den)`` and ``F - den c + (den - 1)/2`` (limbs),
+        over the lanes of ``block``.
 
         The float estimate of ``(2F + den) / (2 den)`` is lowered by the
         slack before its floor, so ``c`` starts exact or one low; the
         exact limb value then reads ``den`` or more exactly where it is
         one low. Writes ``-c`` into the block's first spare rows.
         """
-        k, block = len(self.moduli), self._block
+        k = len(exit_.beta)
         carry = exit_.beta @ block[:k]
         carry += exit_.beta0 - _SLACK
         np.floor(carry, out=carry)
@@ -364,6 +406,26 @@ class MixedRadix:
         carry += low
         value = _reduce_once(value, exit_.den_col)
         return carry, value[: exit_.den_limbs]
+
+
+def _garner(by_prime, moduli: tuple, digits: np.ndarray, floats: np.ndarray) -> None:
+    """Garner's digits of the residue rows ``by_prime`` (``(k, ..., n)``,
+    row ``i`` modulo ``moduli[i]``) into the float rows ``floats``, on
+    the ``uint64`` rows ``digits``, all ``(k, lanes)``."""
+    scratch = np.empty(digits.shape[1], dtype=np.uint64)
+    for row, digit, out, (p, p2, offset, inverses) in zip(
+        by_prime, digits, floats, _garner_constants(moduli)
+    ):
+        np.add(row, offset, out=digit.reshape(row.shape))
+        np.subtract(digit, p, out=scratch)
+        np.minimum(digit, scratch, out=digit)
+        # Every prime is above 2^30, so an earlier digit is below 2 p.
+        for earlier, inverse in zip(digits, inverses):
+            np.add(digit, p2, out=digit)
+            np.subtract(digit, earlier, out=digit)
+            np.multiply(digit, inverse, out=digit)
+            _reduce_row(digit, p, scratch)
+        out[:] = digit
 
 
 # -- exit constants and exact combination ----------------------------------------

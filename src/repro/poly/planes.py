@@ -135,8 +135,27 @@ def neg_mod(a: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def above(a: np.ndarray, value: int) -> np.ndarray:
-    """Boolean mask of the lanes holding more than ``value``."""
-    return subtract(constant(value, len(a)), a)[1]
+    """Boolean mask of the lanes holding more than ``value``.
+
+    Compares limb by limb from the most significant, each row against
+    one 0-d limb of ``value``: a lane is above where a higher limb is
+    above and every limb over it is tied. No borrow chain runs, and the
+    lower limbs are read only while some lane is still tied.
+    """
+    count = len(a)
+    if value >> (LIMB_BITS * count):
+        return np.zeros(a.shape[1], dtype=bool)
+    limbs = [np.uint64((value >> (LIMB_BITS * j)) & LIMB_MASK) for j in range(count)]
+    result = a[-1] > limbs[-1]
+    tied = a[-1] == limbs[-1]
+    for j in range(count - 2, -1, -1):
+        if not tied.any():
+            break
+        lower = a[j] > limbs[j]
+        lower &= tied
+        result |= lower
+        tied &= a[j] == limbs[j]
+    return result
 
 
 def magnitudes(a: np.ndarray, modulus: int) -> np.ndarray:
@@ -145,14 +164,54 @@ def magnitudes(a: np.ndarray, modulus: int) -> np.ndarray:
     return np.where(upper, subtract(constant(modulus, len(a)), a)[0], a)
 
 
-def max_int(a: np.ndarray) -> int:
-    """The largest lane of a plane array, as a Python int.
+def max_magnitude(a: np.ndarray, modulus: int) -> int:
+    """``max |x|`` over the lanes' centered lifts ``x``, as a Python int.
 
-    Compares limb by limb from the most significant, keeping only the
-    lanes still tied for the maximum.
+    The larger of the largest lane at or below ``modulus // 2`` and
+    ``modulus`` minus the smallest lane above it: equal to
+    ``max_int(magnitudes(a, modulus))``, without building the
+    magnitudes. Lanes of at most two limbs are one 64-bit word ``w``
+    each, and ``|x| = min(w, modulus - w)`` on that word.
     """
-    lanes = np.arange(a.shape[1])
-    for row in a[::-1]:
-        values = row[lanes]
-        lanes = lanes[values == values.max()]
-    return to_ints(a[:, lanes[:1]])[0]
+    if len(a) <= 2:
+        word = _words(a)[0]
+        return int(np.minimum(word, np.uint64(modulus) - word).max())
+    upper = above(a, modulus // 2)
+    largest = _extreme(a, ~upper, np.maximum) if not upper.all() else 0
+    if upper.any():
+        largest = max(largest, modulus - _extreme(a, upper, np.minimum))
+    return largest
+
+
+def max_int(a: np.ndarray) -> int:
+    """The largest lane of a plane array, as a Python int."""
+    return _extreme(a, np.ones(a.shape[1], dtype=bool), np.maximum)
+
+
+def _words(a: np.ndarray) -> list:
+    """The lanes as 64-bit words of two limbs each, least significant
+    first (an odd top limb is a word alone)."""
+    return [
+        a[j] | (a[j + 1] << _SHIFT) if j + 1 < len(a) else a[j]
+        for j in range(0, len(a), 2)
+    ]
+
+
+def _extreme(a: np.ndarray, lanes: np.ndarray, pick) -> int:
+    """The lane among those ``lanes`` (a non-empty boolean mask) marks
+    that ``pick`` (``np.maximum`` or ``np.minimum``) selects, as a Python
+    int.
+
+    Compares 64-bit words of two limbs each, from the most significant,
+    keeping only the lanes still tied for the pick.
+    """
+    words = _words(a)
+    # Lanes outside the mask read as the pick's identity.
+    other = np.uint64(0) if pick is np.maximum else ~np.uint64(0)
+    value = 0
+    for depth, word in enumerate(reversed(words)):
+        best = pick.reduce(np.where(lanes, word, other))
+        value |= int(best) << (2 * LIMB_BITS * (len(words) - 1 - depth))
+        if depth < len(words) - 1:
+            lanes = lanes & (word == best)
+    return value

@@ -15,23 +15,31 @@ modular reduction: BFV ciphertext multiplication scales the tensor
 product by ``t/q`` over the rationals, and noise analysis reasons over
 ``Z``. Products are therefore computed exactly over the integers on a
 CRT bundle of negacyclic NTTs over 31-bit primes (SEAL's RNS + NTT, run
-on ``uint64`` numpy arrays). The unit of work is a *sum* of products,
-the shape of every BFV operation:
+on ``uint64`` numpy arrays). The unit of work is one BFV operation: a
+set of *sums* of products (encryption's ``c0`` and ``c1``, the tensor's
+three components, key switching's two), taken through the engine
+together (:func:`exact_sums`):
 
 * each operand is an :class:`Operand` handle holding its forward
   transforms, so a shared operand is transformed once per prime, and a
   key object keeps its handles for the life of the key;
 * operands enter the bundle straight from their limb planes
   (:func:`repro.poly.crt.residues`);
-* the bundle is sized once for the whole sum, the pointwise products
-  are accumulated in the evaluation domain (four at a time, then one
-  scalar-``//`` reduction per prime), and one inverse transform
-  (:func:`repro.poly.ntt.inverse`) takes every prime back at once;
-* the residue rows leave the bundle once, through
-  :meth:`repro.poly.crt.MixedRadix.scale_round`:
+* the bundle is sized once for every sum of the operation, by the
+  largest bound; every operand that lacks rows is forward-transformed
+  in one call (:func:`repro.poly.ntt.forward` over an ``(m, k, n)``
+  batch);
+* the pointwise products go into one ``(s, k, n)`` accumulator (four
+  at a time, then one scalar-``//`` reduction per prime), and one
+  inverse call (:func:`repro.poly.ntt.inverse`) takes every prime of
+  every sum back at once;
+* the residue rows leave the bundle once, through one
+  :class:`~repro.poly.crt.MixedRadix` over all ``s n`` lanes and one
+  :meth:`~repro.poly.crt.MixedRadix.scale_round`:
   ``round(num * x / den) mod out`` as limb planes, which is a plain sum
   mod ``q``, the BFV tensor's ``t/q`` scaling or decryption depending on
-  ``(num, den, out)``.
+  ``(num, den, out)``. The digits and the exit work lane by lane, so
+  each sum's lanes come out as they would alone.
 
 :func:`negacyclic_sum` and :func:`negacyclic_convolve` return the exact
 signed integers themselves. The tests check the engine against
@@ -52,7 +60,7 @@ from repro.poly.crt import MixedRadix, crt_moduli, crt_twiddles
 #: degree and the CRT engine above it.
 SCHOOLBOOK_MAX_DEGREE = 64
 
-#: :func:`exact_sum` adds this many pointwise products, each at most
+#: :func:`exact_sums` adds this many pointwise products, each at most
 #: ``(p - 1)^2``, to a running sum below ``p`` before reducing it: the
 #: sum stays below ``4 p^2 < 2^64``.
 _LAZY_TERMS = 4
@@ -82,7 +90,8 @@ class Operand:
     Holds the operand's ``max|a|`` and its forward NTT over each prime
     of the CRT bundle it has been used with, as one ``(k, n)`` ``uint64``
     array. A sum that needs a longer bundle transforms only the new
-    primes, in one call, and appends their rows: the bundle for ``k``
+    primes and appends their rows (:func:`_transform`, which does so for
+    every operand of an operation in one call): the bundle for ``k``
     primes is a prefix of the bundle for ``k + 1``, so rows already held
     stay valid.
 
@@ -104,7 +113,7 @@ class Operand:
         value = self._value()
         if isinstance(value, Polynomial):
             self.n = value.degree_bound
-            self.bound = pl.max_int(pl.magnitudes(value.planes, value.modulus))
+            self.bound = pl.max_magnitude(value.planes, value.modulus)
         elif isinstance(value, _ScaledSum):
             poly = value.poly
             self.n = poly.degree_bound
@@ -142,29 +151,60 @@ class Operand:
             ]
         return value.tolist()
 
-    def residues(self, primes: tuple) -> np.ndarray:
-        """``(k, n)`` residues of the exact coefficients modulo ``primes``."""
+    def residues(self, primes: tuple, out=None) -> np.ndarray:
+        """``(k, n)`` residues of the exact coefficients modulo
+        ``primes``, written to ``out`` when given."""
         value = self._value()
         if isinstance(value, Polynomial):
-            return crt.residues(value.planes, value.modulus, primes)
+            return crt.residues(value.planes, value.modulus, primes, out)
         if isinstance(value, _ScaledSum):
             poly = value.poly
             return crt.scaled_residues(
-                poly.planes, poly.modulus, value.scale, value.values, primes
+                poly.planes, poly.modulus, value.scale, value.values, primes, out
             )
-        return crt.signed_residues(value, primes)
+        return crt.signed_residues(value, primes, out)
 
     def rows(self, count: int) -> np.ndarray:
         """``(count, n)`` forward transforms over the first ``count`` CRT
         primes (a view: read only)."""
+        if len(self._rows) < count:
+            _transform([self], count)
+        return self._rows[:count]
+
+    def _extend(self, new: np.ndarray) -> None:
+        """Append the transforms ``new`` over the next primes. Published
+        whole, so a handle shared by two callers never holds a
+        half-built array."""
         rows = self._rows
-        if len(rows) < count:
-            twiddles = crt_twiddles(self.n, len(rows), count)
-            new = ntt.forward(self.residues(twiddles.primes), twiddles)
-            # Published whole, so a handle shared by two callers never
-            # holds a half-built array.
-            rows = self._rows = np.concatenate((rows, new)) if len(rows) else new
-        return rows[:count]
+        self._rows = np.concatenate((rows, new)) if len(rows) else new
+
+
+def _transform(operands, count: int) -> None:
+    """Extend every operand's rows to the first ``count`` primes.
+
+    Operands holding the same number of rows are transformed together:
+    their residues are written into one ``(m, count - start, n)`` batch
+    and one :func:`~repro.poly.ntt.forward` call transforms it in place
+    (the batch becomes their rows). Key handles (callable sources) go in
+    a batch of their own, so the rows a key keeps for its life hold no
+    other operand's rows alive. After a key's first use, every operand
+    of an operation that lacks rows holds none, so that is one call.
+    """
+    pending = {}
+    for op in operands:
+        start = len(op._rows)
+        if start < count:
+            group = pending.setdefault((start, callable(op._source)), {})
+            group.setdefault(id(op), op)
+    for (start, _), group in pending.items():
+        group = list(group.values())
+        n = group[0].n
+        twiddles = crt_twiddles(n, start, count)
+        batch = np.empty((len(group), count - start, n), dtype=np.uint64)
+        for op, out in zip(group, batch):
+            op.residues(twiddles.primes, out)
+        for op, new in zip(group, ntt.forward(batch, twiddles, out=batch)):
+            op._extend(new)
 
 
 def _bound(values: np.ndarray) -> int:
@@ -199,49 +239,68 @@ def _exact_values(values):
         return Polynomial(values, (1 << (width + 1)) + 1)
 
 
-def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
-    """``addend + sum(a_i * b_i)`` mod ``x^n + 1`` over Z, in the CRT
-    bundle.
+def exact_sums(sums, n: int, addends=None) -> MixedRadix:
+    """``addend_j + sum(a_i * b_i)`` mod ``x^n + 1`` over Z for every
+    sum ``j`` of one operation, in one CRT bundle.
 
-    The bundle is sized once for the whole sum: every coefficient of
-    the result is at most ``n * sum(max|a_i| * max|b_i|) + max|addend|``
+    ``sums`` is a sequence of ``s`` term lists of ``(Operand, Operand)``
+    pairs and ``addends`` (optional) holds one :class:`Operand` or
+    ``None`` per sum. The result holds sum ``j`` at lanes ``j n`` to
+    ``(j + 1) n - 1``.
+
+    The bundle is sized once, for the largest sum: every coefficient of
+    sum ``j`` is at most ``n * sum(max|a_i| * max|b_i|) + max|addend_j|``
     in absolute value, and the CRT modulus must cover that signed range.
-    Each operand is forward-transformed once over the bundle (shared
-    operands and cached key operands are not transformed again); the
-    pointwise products are accumulated in the evaluation domain over the
-    whole ``(k, n)`` bundle, reduced every :data:`_LAZY_TERMS` terms by
-    one scalar ``//`` per prime, one inverse transform takes every prime
-    back, and the addend's residues join in the coefficient domain. The
-    result leaves the bundle through
+    Every operand lacking rows is forward-transformed in one call
+    (shared operands and cached key operands are not transformed
+    again); the pointwise products are accumulated in the evaluation
+    domain into one ``(s, k, n)`` array, reduced every
+    :data:`_LAZY_TERMS` terms by one scalar ``//`` per prime, one
+    inverse call takes every prime of every sum back, and each addend's
+    residues join its sum in the coefficient domain. The result leaves
+    the bundle through one
     :meth:`~repro.poly.crt.MixedRadix.scale_round`.
     """
-    terms = list(terms)
-    if not terms:
+    sums = [list(terms) for terms in sums]
+    addends = [None] * len(sums) if addends is None else list(addends)
+    if not sums or not all(sums):
         raise ParameterError("an exact sum needs at least one term")
+    if len(addends) != len(sums):
+        raise ParameterError(f"{len(sums)} sums take {len(sums)} addends")
     _check_degree(n)
-    operands = [op for term in terms for op in term]
-    if addend is not None:
-        operands.append(addend)
-    if any(op.n != n for op in operands):
+    operands = [op for terms in sums for term in terms for op in term]
+    if any(op.n != n for op in operands + [a for a in addends if a is not None]):
         raise ParameterError(f"every operand must have degree {n}")
-    extra = addend.bound if addend is not None else 0
-    moduli = crt_moduli(
-        n, 2 * (n * sum(a.bound * b.bound for a, b in terms) + extra) + 1
+    bound = max(
+        n * sum(a.bound * b.bound for a, b in terms)
+        + (addend.bound if addend is not None else 0)
+        for terms, addend in zip(sums, addends)
     )
+    moduli = crt_moduli(n, 2 * bound + 1)
     count = len(moduli)
-    (a, b), *rest = terms
-    acc = a.rows(count) * b.rows(count)
-    for index, (a, b) in enumerate(rest, start=1):
-        if index % _LAZY_TERMS == 0:
-            crt.reduce_rows(acc, moduli)
-        acc += a.rows(count) * b.rows(count)
+    _transform(operands, count)
+    acc = np.empty((len(sums), count, n), dtype=np.uint64)
+    for total, terms in zip(acc, sums):
+        (a, b), *rest = terms
+        np.multiply(a.rows(count), b.rows(count), out=total)
+        for index, (a, b) in enumerate(rest, start=1):
+            if index % _LAZY_TERMS == 0:
+                crt.reduce_rows(total, moduli)
+            total += a.rows(count) * b.rows(count)
     crt.reduce_rows(acc, moduli)
     twiddles = crt_twiddles(n, 0, count)
     rows = ntt.inverse(acc, twiddles)
     del acc  # freed before the digits are allocated
-    if addend is not None:
-        ntt.add_mod(rows, addend.residues(moduli), twiddles)
+    for total, addend in zip(rows, addends):
+        if addend is not None:
+            ntt.add_mod(total, addend.residues(moduli), twiddles)
     return MixedRadix(rows, moduli)
+
+
+def exact_sum(terms, n: int, addend: Operand | None = None) -> MixedRadix:
+    """``addend + sum(a_i * b_i)`` mod ``x^n + 1`` over Z: the one-sum
+    case of :func:`exact_sums`."""
+    return exact_sums([terms], n, [addend])
 
 
 def _check_degree(n: int) -> None:
@@ -252,7 +311,7 @@ def _check_degree(n: int) -> None:
 def _crt_negacyclic(a: list, b: list, n: int) -> list:
     """One exact product through the CRT engine (any degree).
 
-    The one-term case of :func:`exact_sum`; a square (``b is a``)
+    The one-term case of :func:`exact_sums`; a square (``b is a``)
     transforms its operand once per prime.
     """
     left = Operand(a)
@@ -283,7 +342,7 @@ def negacyclic_sum(terms, n: int) -> list:
 
     ``terms`` is a sequence of ``(Operand, Operand)`` pairs of degree
     ``n``. Schoolbook at ``n <= SCHOOLBOOK_MAX_DEGREE``; above, one CRT
-    bundle sized for the whole sum (:func:`exact_sum`).
+    bundle sized for the whole sum (:func:`exact_sums`).
     """
     terms = list(terms)
     if not terms:
@@ -351,22 +410,37 @@ class Polynomial:
         return cls(np.zeros(n, dtype=np.int64), modulus)
 
     @classmethod
+    def sums_of_products(
+        cls, sums, modulus: int, addends=None, scale=(1, 1)
+    ) -> list:
+        """``round(num/den * (addend_j + sum(a_i * b_i)))`` in
+        ``R_modulus`` for every sum ``j``: ``sums`` holds term lists of
+        ``(Operand, Operand)`` pairs, ``addends`` one :class:`Operand` or
+        ``None`` per sum, and ``scale = (num, den)`` applies to all.
+
+        One :func:`exact_sums` and one exit for every sum of an
+        operation. With the default scale each result is the plain sum
+        mod ``modulus``, equal to adding the per-term ``Polynomial``
+        products and the addend.
+        """
+        sums = [list(terms) for terms in sums]
+        if not sums or not all(sums):
+            raise ParameterError("sums_of_products needs at least one term per sum")
+        num, den = scale
+        n = sums[0][0][0].n
+        planes = exact_sums(sums, n, addends).scale_round(num, den, modulus)
+        return [
+            cls.from_planes(planes[:, j * n : (j + 1) * n], modulus)
+            for j in range(len(sums))
+        ]
+
+    @classmethod
     def sum_of_products(
         cls, terms, modulus: int, addend: Operand | None = None, scale=(1, 1)
     ) -> "Polynomial":
-        """``round(num/den * (addend + sum(a_i * b_i)))`` in ``R_modulus``
-        for ``(Operand, Operand)`` terms and ``scale = (num, den)``.
-
-        One :func:`exact_sum` and one exit. With the default scale this
-        is the plain sum mod ``modulus``, equal to adding the per-term
-        ``Polynomial`` products and the addend.
-        """
-        terms = list(terms)
-        if not terms:
-            raise ParameterError("sum_of_products needs at least one term")
-        num, den = scale
-        exact = exact_sum(terms, terms[0][0].n, addend)
-        return cls.from_planes(exact.scale_round(num, den, modulus), modulus)
+        """``round(num/den * (addend + sum(a_i * b_i)))`` in ``R_modulus``:
+        the one-sum case of :meth:`sums_of_products`."""
+        return cls.sums_of_products([terms], modulus, [addend], scale)[0]
 
     # -- basic protocol -------------------------------------------------
 
@@ -478,7 +552,7 @@ class Polynomial:
 
     def infinity_norm(self) -> int:
         """Max absolute value of the centered coefficients."""
-        return pl.max_int(pl.magnitudes(self.planes, self.modulus))
+        return pl.max_magnitude(self.planes, self.modulus)
 
     def lift_centered_to(self, new_modulus: int) -> "Polynomial":
         """Re-reduce the centered representative modulo a new modulus."""

@@ -16,6 +16,8 @@ so every experiment in the harness is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.errors import ParameterError
@@ -77,11 +79,52 @@ def sample_centered_binomial(
     Each sample is ``sum(b_i) - sum(b'_i)`` over ``eta`` fair coin
     pairs, giving mean 0, variance ``eta / 2``, and support
     ``[-eta, eta]`` — a bounded, easily-sampled error distribution.
+
+    The coins are the ones two ``rng.integers(0, 2, (n, eta))`` draws
+    give (the ``b_i``, then the ``b'_i``), read from one
+    :func:`_coin_words` block. The difference of the two coin blocks is
+    an ``int8`` array and its row sums one ``float32`` matrix-vector
+    product, exact for sums this small.
     """
     if n <= 0:
         raise ParameterError(f"sample count must be positive, got {n}")
     if eta <= 0:
         raise ParameterError(f"eta must be positive, got {eta}")
-    ones = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
-    zeros = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
-    return (ones - zeros).astype(np.int64)
+    count = n * eta
+    coins = _coin_words(rng, 2 * count)
+    if coins is None:
+        ones = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
+        zeros = rng.integers(0, 2, size=(n, eta)).sum(axis=1)
+        return (ones - zeros).astype(np.int64)
+    heads = np.less(coins, 0).view(np.int8)
+    diff = (heads[:count] - heads[count:]).reshape(n, eta)
+    return (diff.astype(np.float32) @ np.ones(eta, np.float32)).astype(np.int64)
+
+
+def _coin_words(rng: np.random.Generator, count: int):
+    """The ``count`` 32-bit words that ``count`` fair-coin draws
+    ``rng.integers(0, 2)`` read, as ``int32`` (a coin is the sign bit),
+    or ``None`` where that stream cannot be read directly.
+
+    ``Generator.integers(0, 2)`` takes one 32-bit word per coin from the
+    bit generator's ``next_uint32`` and keeps ``floor(2 w / 2^32)``, the
+    top bit of ``w``, by Lemire's bounded method, which never rejects at
+    range 2: its threshold is ``(2^32 - 2) mod 2 = 0``. ``PCG64``'s ``next_uint32``
+    returns the low half of a 64-bit word, then buffers the high half
+    for the next call. With no half word buffered, ``count`` coins (for
+    even ``count``) are therefore the sign bits of the ``count / 2``
+    raw words ``random_raw`` returns, read as 32-bit halves, low half
+    first (the word order of a little-endian host), and the generator
+    ends where the draws leave it: same state, nothing buffered. Any
+    other bit generator, a buffered half word or a big-endian host
+    returns ``None``, and the caller draws through ``rng.integers``.
+    """
+    bit_generator = rng.bit_generator
+    if (
+        type(bit_generator) is not np.random.PCG64
+        or sys.byteorder != "little"
+        or count % 2
+        or bit_generator.state["has_uint32"]
+    ):
+        return None
+    return bit_generator.random_raw(count // 2).view(np.int32)

@@ -33,6 +33,41 @@ def _round_scale(value: int, numerator: int, denominator: int) -> int:
     return -((-2 * num + denominator) // (2 * denominator))
 
 
+def _switching_pairs(params, s: Polynomial, target: Polynomial, rng) -> tuple:
+    """Pairs ``(-(a_j*s + e_j) + T^j * target, a_j)``, drawn and
+    multiplied digit by digit."""
+    n, q = params.poly_degree, params.coeff_modulus
+    pairs = []
+    power = 1
+    for _ in range(params.relin_components):
+        a_j = Polynomial.from_planes(sample_uniform(n, q, rng), q)
+        e_j = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
+        pairs.append((-(a_j * s + e_j) + target.scalar_mul(power), a_j))
+        power = power * (1 << params.relin_base_bits) % q
+    return tuple(pairs)
+
+
+def generate_keys(params, seed: int) -> tuple:
+    """``KeyGenerator(params, seed)``'s keys, one product at a time:
+    ``(s, (pk0, pk1), relinearization pairs, rng)``, the generator left
+    where a following Galois key generation starts."""
+    n, q = params.poly_degree, params.coeff_modulus
+    rng = np.random.default_rng(seed)
+    s = Polynomial(sample_ternary(n, rng), q)
+    a = Polynomial.from_planes(sample_uniform(n, q, rng), q)
+    e = Polynomial(sample_centered_binomial(n, rng, params.error_eta), q)
+    relin = _switching_pairs(params, s, s * s, rng)
+    return s, (-(a * s + e), a), relin, rng
+
+
+def galois_components(params, s: Polynomial, elements, rng) -> dict:
+    """Galois key pairs per element, one product at a time."""
+    return {
+        g: _switching_pairs(params, s, apply_automorphism(s, g), rng)
+        for g in elements
+    }
+
+
 def encrypt(params, public_key, plaintext, seed: int) -> Ciphertext:
     """The first encryption of an ``Encryptor(..., seed=seed)``."""
     n, q = params.poly_degree, params.coeff_modulus

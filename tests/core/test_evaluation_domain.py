@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import BFVParameters, Decryptor, Encryptor, Evaluator, KeyGenerator
 from repro.core.ciphertext import Plaintext
 from repro.core.encryptor import SymmetricEncryptor
-from repro.core.galois import rotate_rows
+from repro.core.galois import rotate_rows, rotation_elements
 from repro.core.noise import noise_budget
 from repro.poly.crt import crt_moduli as _crt_moduli
 from repro.poly.polynomial import (
@@ -143,6 +143,22 @@ class TestAgainstTheOracle:
         assert rotate_rows(a, steps, level.galois).polys == oracle.rotate_rows(
             a, steps, level.galois
         ).polys
+
+
+class TestKeyGeneration:
+    def test_keys_equal_the_one_product_loop(self, level):
+        """Key generation draws every mask first and multiplies in one
+        pass; the keys are those of the draw-and-multiply loop."""
+        params = level.params
+        s, public, relin, rng = oracle.generate_keys(params, params.security_bits)
+        keys = level.keys
+        assert keys.secret_key.poly == s
+        assert (keys.public_key.p0, keys.public_key.p1) == public
+        assert keys.relin_key.pairs == relin
+        if level.galois is not None:
+            elements = rotation_elements(params, [1, 2])
+            expected = oracle.galois_components(params, s, elements, rng)
+            assert level.galois.components == expected
 
 
 class TestBundleSizing:

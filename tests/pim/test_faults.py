@@ -270,6 +270,51 @@ class TestDisabledDPUs:
             FaultPlan(**kwargs).disabled_dpu_ids(PHYSICAL)
 
 
+class TestSurvivorsAgainstPerDPUHashes:
+    """Disabled DPUs ranked and drawn from the memoized streams equal
+    the per-DPU ``_unit_hash`` forms they replaced."""
+
+    @staticmethod
+    def reference(plan: FaultPlan, n_dpus: int) -> set:
+        ranked = sorted(
+            range(n_dpus), key=lambda dpu: _unit_hash(plan.seed, "disable", dpu)
+        )
+        disabled = set(ranked[: plan.disable_dpus])
+        if plan.dpu_fail_rate:
+            disabled.update(
+                dpu
+                for dpu in range(n_dpus)
+                if _unit_hash(plan.seed, "dpu", dpu) < plan.dpu_fail_rate
+            )
+        return disabled
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2023, 2**40 + 5])
+    @pytest.mark.parametrize("count", [1, 2, 36, 500, 2559, 2560])
+    def test_hash_ranked_counts(self, seed, count):
+        config = UPMEMConfig(n_dpus=2560)
+        plan = FaultPlan(seed=seed, disable_dpus=count)
+        assert plan.disabled_dpu_ids(config) == self.reference(plan, 2560)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("rate", [0.01, 0.3, 1.0])
+    def test_fail_rates_with_counts(self, seed, rate):
+        config = UPMEMConfig(n_dpus=640)
+        plan = FaultPlan(seed=seed, dpu_fail_rate=rate, disable_dpus=17)
+        assert plan.disabled_dpu_ids(config) == self.reference(plan, 640)
+
+    def test_tied_draws_rank_by_id(self, monkeypatch):
+        """Equal draws keep id order, as ``sorted`` does."""
+        import repro.pim.faults as faults
+
+        class Tied:
+            def first(self, count):
+                return faults.array("d", [0.5] * count)
+
+        monkeypatch.setattr(faults, "unit_draws", lambda *parts: Tied())
+        plan = FaultPlan(seed=1, disable_dpus=5)
+        assert sorted(plan.disabled_dpu_ids(UPMEMConfig(n_dpus=64))) == [0, 1, 2, 3, 4]
+
+
 class TestLaunchOutcomes:
     def test_script_consumed_fifo_then_rates(self):
         plan = FaultPlan(launch_script=("transient", "stuck", "ok"))

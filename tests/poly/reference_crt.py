@@ -86,3 +86,25 @@ def centered(value: int, modulus: int) -> int:
 def centered_residues(values, modulus: int, primes) -> list:
     """``centered(v) mod p`` for each prime and value."""
     return [[centered(v, modulus) % p for v in values] for p in primes]
+
+
+def per_sum(terms, n: int, addend=None):
+    """One exact sum through the CRT engine on its own: the path
+    :func:`repro.poly.polynomial.exact_sums` replaced, with a bundle
+    sized for this sum alone, every product reduced with ``%``, one
+    ``(k, n)`` inverse transform and its own digits."""
+    from repro.poly import ntt
+    from repro.poly.crt import MixedRadix, crt_moduli, crt_twiddles
+
+    bound = n * sum(a.bound * b.bound for a, b in terms)
+    bound += addend.bound if addend is not None else 0
+    moduli = crt_moduli(n, 2 * bound + 1)
+    count = len(moduli)
+    primes = np.array(moduli, dtype=np.uint64)[:, None]
+    total = np.zeros((count, n), dtype=np.uint64)
+    for a, b in terms:
+        total = (total + a.rows(count) * b.rows(count) % primes) % primes
+    rows = ntt.inverse(total, crt_twiddles(n, 0, count))
+    if addend is not None:
+        rows = (rows + addend.residues(moduli)) % primes
+    return MixedRadix(rows, moduli)

@@ -316,3 +316,64 @@ class TestBaseDigits:
             [v >> (i * base_bits) & mask for v in values] for i in range(count)
         ]
         assert base_digits(pl.from_ints(values, q), base_bits, count - 1) is None
+
+
+def tied_values(value: int, q: int, rng: random.Random) -> list:
+    """Lanes equal to ``value`` on every limb above limb ``j``, for each
+    ``j``, with random lower limbs (and ``value`` and its neighbours):
+    the lanes a top-down comparison must settle on a lower limb."""
+    limbs = pl.limb_count(q)
+    out = [value, value - 1, value + 1]
+    for j in range(1, limbs):
+        high = value >> (LIMB_BITS * j) << (LIMB_BITS * j)
+        out += [high | rng.getrandbits(LIMB_BITS * j) for _ in range(3)]
+        out += [high, high | ((1 << (LIMB_BITS * j)) - 1)]
+    return [v for v in out if 0 <= v < q]
+
+
+class TestComparisons:
+    """``above`` and ``max_magnitude`` against the borrow-chain forms
+    they replaced, at 1 to 7 limbs."""
+
+    @EXAMPLES
+    @given(data=st.data(), q=moduli_1_to_7_limbs)
+    def test_above_matches_the_borrow_form(self, data, q):
+        rng = random.Random(q)
+        value = data.draw(st.integers(0, q - 1))
+        values = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=16))
+        values += edge_values(q) + tied_values(value, q, rng)
+        values += tied_values(q // 2, q, rng)
+        planes = pl.from_ints(values, q)
+        for threshold in (value, q // 2, q - 1):
+            borrow = pl.subtract(pl.constant(threshold, len(planes)), planes)[1]
+            got = pl.above(planes, threshold)
+            assert got.tolist() == borrow.tolist()
+            assert got.tolist() == [v > threshold for v in values]
+
+    def test_above_a_value_wider_than_the_lanes(self):
+        planes = pl.from_ints([0, 5, (1 << 64) - 1], (1 << 64) + 1)[:2]
+        assert not pl.above(planes, 1 << 64).any()
+
+    @EXAMPLES
+    @given(data=st.data(), q=moduli_1_to_7_limbs)
+    def test_max_magnitude_matches_the_magnitudes_form(self, data, q):
+        rng = random.Random(q)
+        values = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=16))
+        values += data.draw(st.sampled_from([[], edge_values(q)]))
+        values += tied_values(data.draw(st.integers(0, q - 1)), q, rng)
+        planes = pl.from_ints(values, q)
+        expected = max(abs(oracle.centered(v, q)) for v in values)
+        assert pl.max_int(pl.magnitudes(planes, q)) == expected
+        assert pl.max_magnitude(planes, q) == expected
+
+    @pytest.mark.parametrize("limbs", range(1, 8))
+    def test_max_magnitude_of_one_half_only(self, limbs):
+        """Every lane in the lower half, then every lane in the upper
+        half, with lanes tied on all but their lowest limb."""
+        q = (1 << (LIMB_BITS * limbs)) - 1
+        half = q // 2
+        low = [half, half - 1, half >> 1, 0]
+        high = [q - 1, half + 1, half + 2]
+        for values in (low, high):
+            planes = pl.from_ints(values, q)
+            assert pl.max_magnitude(planes, q) == pl.max_int(pl.magnitudes(planes, q))

@@ -12,6 +12,7 @@ from repro.poly.sampling import (
     sample_ternary,
 )
 from repro.poly.sampling import sample_uniform as sample_uniform_planes
+from tests.poly.reference_sampling import reference_centered_binomial
 
 
 def sample_uniform(n, modulus, rng) -> list:
@@ -148,3 +149,67 @@ class TestCenteredBinomial:
             sample_centered_binomial(0, rng)
         with pytest.raises(ParameterError):
             sample_centered_binomial(4, rng, eta=0)
+
+
+def _later_draws(rng) -> tuple:
+    """Draws that read the generator's state after a sampler call: a
+    lone coin (which takes a buffered half word first), then 64-bit
+    integers and floats."""
+    return (
+        rng.integers(0, 2, size=3).tolist(),
+        rng.integers(0, 1 << 62, size=4).tolist(),
+        rng.random(2).tolist(),
+    )
+
+
+class TestCenteredBinomialAgainstTwoDraws:
+    """The raw-word sampler draws the coins of the two ``rng.integers``
+    draws it replaced, and leaves the generator where they do."""
+
+    @pytest.mark.parametrize("eta", [1, 2, 21])
+    @pytest.mark.parametrize("n", [1, 3, 64, 1024, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2023, 2**40 + 3])
+    def test_equal_samples_and_later_draws(self, seed, n, eta):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(
+            sample_centered_binomial(n, fast, eta),
+            reference_centered_binomial(n, slow, eta),
+        )
+        assert _later_draws(fast) == _later_draws(slow)
+
+    @pytest.mark.parametrize("n, eta", [(1, 1), (3, 21), (1024, 21)])
+    def test_buffered_half_word(self, n, eta):
+        """One coin drawn first leaves half a raw word buffered; the
+        sampler must start from it, as ``rng.integers`` does."""
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        assert fast.integers(0, 2) == slow.integers(0, 2)
+        assert fast.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(
+            sample_centered_binomial(n, fast, eta),
+            reference_centered_binomial(n, slow, eta),
+        )
+        assert _later_draws(fast) == _later_draws(slow)
+
+    @pytest.mark.parametrize("n, eta", [(3, 2), (1024, 21)])
+    def test_other_bit_generator(self, n, eta):
+        fast = np.random.Generator(np.random.Philox(9))
+        slow = np.random.Generator(np.random.Philox(9))
+        assert np.array_equal(
+            sample_centered_binomial(n, fast, eta),
+            reference_centered_binomial(n, slow, eta),
+        )
+        assert _later_draws(fast) == _later_draws(slow)
+
+    def test_many_seeds(self):
+        for seed in range(200):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                sample_centered_binomial(37, fast, 21),
+                reference_centered_binomial(37, slow, 21),
+            ), seed
+            # ``uinteger`` keeps a stale half word once it is consumed;
+            # only the PCG state and the buffered flag are observable.
+            after = fast.bit_generator.state, slow.bit_generator.state
+            assert [(s["state"], s["has_uint32"]) for s in after] == [
+                (after[1]["state"], 0)
+            ] * 2
