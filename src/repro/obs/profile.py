@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ModelValidationError, ParameterError
 from repro.pim.config import UPMEMConfig
-from repro.pim.sim import DMA, DPUSimulator, SimTrace, TaskletProgram
+from repro.pim.sim import DMA, DPUSimulator, SimTrace, streaming_programs
 from repro.pim.tasklet import pipeline_cycles, split_evenly
 
 __all__ = [
@@ -375,23 +375,6 @@ def profile_programs(
     )
 
 
-def _streaming_programs(
-    n_elements: int,
-    tasklets: int,
-    cycles_per_element: float,
-    in_bytes: int,
-    out_bytes: int,
-    block_elements: int,
-) -> list:
-    return [
-        TaskletProgram.streaming(
-            share, cycles_per_element, in_bytes, out_bytes, block_elements
-        )
-        for share in split_evenly(n_elements, tasklets)
-        if share > 0
-    ]
-
-
 def profile_kernel(
     kernel,
     n_elements: int = 256,
@@ -418,7 +401,7 @@ def profile_kernel(
     config = config if config is not None else UPMEMConfig()
     out_bytes = _kernel_out_bytes(kernel)
     in_bytes = kernel.mram_bytes_per_element() - out_bytes
-    programs = _streaming_programs(
+    programs = streaming_programs(
         n_elements,
         tasklets,
         kernel.cycles_per_element(),
@@ -553,7 +536,7 @@ def profile_experiment(
             work_units,
         ) = key
         simulated = min(int(elements_per_dpu), max_elements)
-        programs = _streaming_programs(
+        programs = streaming_programs(
             simulated,
             int(tasklets),
             float(cpe),

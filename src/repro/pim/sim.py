@@ -17,11 +17,14 @@ multiple tasklets, with
 
 The schedule is exact to the cycle, but the simulator does not step
 cycle by cycle. Between events (a phase ending, a DMA completion letting
-a tasklet rejoin, the watchdog limit) round-robin issue is periodic, so
-:class:`DPUSimulator` advances whole rounds in closed form, and a
-phase of ``k`` instructions costs a few rounds of Python work rather
-than ``k``. ``tests/pim/reference_sim.py`` keeps the per-instruction
-stepper as the differential oracle.
+a tasklet rejoin, the watchdog limit) round-robin issue is periodic.
+:class:`DPUSimulator` finds the period — directly from the tasklets'
+next-issue offsets, or by stepping one period and checking that it
+repeats — and then applies every issue before the next event in one
+closed-form step: the whole rounds and the partial round before the
+event. A phase of ``k`` instructions costs a few steps of Python work
+rather than ``k``, and so does each event. ``tests/pim/reference_sim.py``
+keeps the per-instruction stepper as the differential oracle.
 
 Kernels are simulated as **streaming programs**: alternating
 (DMA-in, compute, DMA-out) phases over WRAM-sized blocks — the shape of
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from repro.errors import ParameterError, TransientDeviceError
 from repro.obs.export import chrome_complete, chrome_document, chrome_metadata
 from repro.pim.config import UPMEMConfig
+from repro.pim.tasklet import split_evenly
 
 #: Phase kinds.
 COMPUTE = "compute"
@@ -84,22 +88,29 @@ class TaskletProgram:
         block_elements: int,
     ) -> "TaskletProgram":
         """The canonical streaming kernel: per WRAM block, DMA the
-        operands in, compute, DMA the results out."""
+        operands in, compute, DMA the results out.
+
+        Every full block's phases are the same three objects (phases are
+        frozen), so a long program costs one tuple, not one ``Phase``
+        per block.
+        """
         if n_elements < 0 or block_elements <= 0:
             raise ParameterError("bad streaming program shape")
-        phases = []
-        remaining = n_elements
-        while remaining > 0:
-            block = min(block_elements, remaining)
+
+        def block(elements: int) -> tuple:
+            instructions = max(1, round(elements * instructions_per_element))
+            phases = (Phase(COMPUTE, instructions),)
             if in_bytes_per_element:
-                phases.append(Phase(DMA, block * in_bytes_per_element))
-            phases.append(
-                Phase(COMPUTE, max(1, round(block * instructions_per_element)))
-            )
+                phases = (Phase(DMA, elements * in_bytes_per_element),) + phases
             if out_bytes_per_element:
-                phases.append(Phase(DMA, block * out_bytes_per_element))
-            remaining -= block
-        return cls(tuple(phases))
+                phases += (Phase(DMA, elements * out_bytes_per_element),)
+            return phases
+
+        whole, tail = divmod(n_elements, block_elements)
+        phases = block(block_elements) * whole
+        if tail:
+            phases += block(tail)
+        return cls(phases)
 
     @property
     def total_instructions(self) -> int:
@@ -108,6 +119,38 @@ class TaskletProgram:
     @property
     def total_dma_bytes(self) -> int:
         return sum(p.amount for p in self.phases if p.kind == DMA)
+
+
+def streaming_programs(
+    n_elements: int,
+    tasklets: int,
+    instructions_per_element: float,
+    in_bytes_per_element: int,
+    out_bytes_per_element: int,
+    block_elements: int,
+) -> list:
+    """The streaming programs of ``n_elements`` split evenly over
+    ``tasklets`` (see :func:`repro.pim.tasklet.split_evenly`), one per
+    tasklet with work.
+
+    An even split has at most two share sizes, so at most two programs
+    are built; tasklets with equal shares share one.
+    """
+    built: dict = {}
+    programs = []
+    for share in split_evenly(n_elements, tasklets):
+        if share:
+            program = built.get(share)
+            if program is None:
+                program = built[share] = TaskletProgram.streaming(
+                    share,
+                    instructions_per_element,
+                    in_bytes_per_element,
+                    out_bytes_per_element,
+                    block_elements,
+                )
+            programs.append(program)
+    return programs
 
 
 @dataclass
@@ -561,33 +604,51 @@ class SimResult:
 
 @dataclass
 class _TaskletState:
-    program: TaskletProgram
+    """A tasklet's place in its program.
+
+    ``costs`` holds each phase's DMA engine cycles (0.0 for compute),
+    priced once per distinct program.
+    """
+
+    phases: tuple
+    costs: tuple
     phase_index: int = 0
     remaining: int = 0
-    next_issue: int = 0
     blocked_until: float = 0.0
     done: bool = False
 
-    def current_phase(self):
-        if self.phase_index >= len(self.program.phases):
-            return None
-        return self.program.phases[self.phase_index]
-
 
 class DPUSimulator:
-    """Single-DPU simulator that advances whole round-robin rounds.
+    """Single-DPU simulator that advances to each event in closed form.
 
     Between events — a phase ending, a DMA completion letting a
     blocked tasklet rejoin, the watchdog limit — the dispatcher's issue
-    schedule is periodic with period ``max(m, revolve)`` for ``m``
-    active tasklets. :meth:`run` steps issue by issue until one period
-    has repeated (same active set, same round-robin pointer, same
-    ``next_issue - clock`` offsets), then advances as many whole
-    periods as the next event allows in closed form. A traced run
-    records that period once, as one :class:`SimTrace` segment. Results
-    and traces equal the per-instruction stepper's exactly;
-    ``tests/pim/reference_sim.py`` keeps that stepper as the
-    differential oracle.
+    schedule is periodic. At a decision point :meth:`run` takes the
+    *members*, the tasklets with work that can issue within one revolve,
+    and finds one period of their schedule:
+
+    * **directly**, with no stepping: members whose offsets
+      ``next_issue - clock`` are distinct and non-negative each issue
+      exactly when ready, once every ``revolve`` cycles; and at least
+      ``revolve`` members that are each ready by their turn in
+      round-robin order issue in that order, one per cycle;
+    * **verified**: otherwise it steps one period of ``max(members,
+      revolve)`` cycles. If every member issued once in it, one per
+      cycle, and in each turn no tasklet the round-robin scan meets
+      before the turn's owner is ready again (:func:`_repeats`), the
+      period repeats. A saturated pipeline can settle into a stable
+      order that is not round-robin order, so this check cannot be
+      skipped.
+
+    Each member issues once per period. :meth:`run` applies every issue
+    before the next event at once — whole rounds and the partial round
+    before the event — and steps the event itself. The next event is a
+    member's last instruction, a joiner's first issue (the first turn
+    it wins, when the period issues in every cycle; else its first
+    ready cycle) or the watchdog limit. A traced run records the whole
+    rounds as one :class:`SimTrace` segment. Results and traces equal
+    the per-instruction stepper's exactly; ``tests/pim/reference_sim.py``
+    keeps that stepper as the differential oracle.
     """
 
     def __init__(self, config: UPMEMConfig | None = None):
@@ -603,9 +664,10 @@ class DPUSimulator:
 
         Pass a :class:`SimTrace` to record every dispatcher issue and
         DMA transfer; tracing is off by default and does not change
-        the simulated outcome. Issues are recorded per stepped interval
-        and skipped run, as segments, so the trace expands to the same
-        events in the same order as stepping each instruction would.
+        the simulated outcome. Issues are recorded as segments — runs
+        of whole rounds, and the issues between them — so the trace
+        expands to the same events in the same order as stepping each
+        instruction would.
 
         ``max_cycles`` arms a watchdog: if any tasklet is still running
         (issuing, or waiting on a DMA) past it, the run aborts with a
@@ -627,17 +689,20 @@ class DPUSimulator:
             )
         revolve = self.config.pipeline_revolve_cycles
 
-        states = [_TaskletState(p) for p in programs]
+        costs: dict = {}  # programs are frozen and often shared
+        for program in programs:
+            if id(program) not in costs:
+                costs[id(program)] = self._dma_costs(program)
+        states = [_TaskletState(p.phases, costs[id(p)]) for p in programs]
         n = len(states)
         dma_free = [0.0]  # shared engine: time it becomes available
         dma_busy = 0.0
+        issued = 0  # instructions of the compute phases finished
         clock = 0
         last_issued = -1  # round-robin pointer
         limit = math.inf if max_cycles is None else max_cycles
         for index, state in enumerate(states):
-            dma_busy += self._advance_into_phase(
-                state, 0.0, dma_free, index, trace
-            )
+            dma_busy += _advance_into_phase(state, 0.0, dma_free, index, trace)
         # The loop's per-tasklet state lives in flat lists; the
         # _TaskletState objects hold the phase bookkeeping and are
         # synced only when a tasklet changes phase. A tasklet entering
@@ -653,16 +718,18 @@ class DPUSimulator:
         # Stuck for good on a zero-instruction compute phase.
         stalled = [i for i in range(n) if not remaining[i] and not done[i]]
         running = n - sum(done)
-        # Round skipping: a loop top snapshots the active tasklets. If
-        # the loop top one period later, at ``mark``, has the same active
-        # set, pointer and next_issue offsets, that period repeats until
-        # the next event. A phase end sets ``mark = -1``, so the next
-        # loop top takes a fresh snapshot. A traced run collects the
-        # issues since the last snapshot in ``pending`` and records
-        # them, with any rounds skipped after them, as one segment.
+        # A loop top at or past ``mark`` is a decision point (see the
+        # class docstring): it advances in closed form to just before
+        # the next event and sets ``mark`` to the event's decision
+        # point, or it takes a snapshot and sets ``mark`` one period
+        # ahead and sets ``stepping``. A phase end sets ``mark = -1``.
+        # ``pending`` holds the issues not yet in a trace segment; from
+        # ``snap_index`` on they are the issues stepped since the
+        # snapshot. An untraced run empties it at every decision, so it
+        # never holds more than a period and the event's steps.
         mark = -1
-        snap_clock = snap_last = 0
-        snap_active = snap_offsets = snap_remaining = None
+        stepping = False
+        snap_clock = snap_index = 0
         pending = []
 
         try:
@@ -672,39 +739,97 @@ class DPUSimulator:
                         [i for i in range(n) if not done[i]], max_cycles
                     )
                 if clock >= mark:
-                    # Active: in a compute phase and not blocked on DMA.
-                    active = [
+                    horizon = clock + revolve
+                    members = [  # in round-robin order
                         i
-                        for i in range(n)
-                        if remaining[i] and blocked[i] <= clock
+                        for i in order[last_issued]
+                        if remaining[i] and next_issue[i] < horizon
                     ]
-                    offsets = [next_issue[i] - clock for i in active]
-                    rounds = 0
+                    offsets = [next_issue[i] - clock for i in members]
+                    stepped = (  # the issues of a period stepped to ``mark``
+                        [i for _, i in pending[snap_index:]]
+                        if stepping and clock == mark
+                        else ()
+                    )
+                    # Verified: the period stepped since the snapshot
+                    # issued each member once, one per cycle, and repeats.
                     if (
-                        clock == mark
-                        and last_issued == snap_last
-                        and active == snap_active
-                        and offsets == snap_offsets
+                        members
+                        and len(stepped) == clock - snap_clock == len(members)
+                        and set(stepped) == set(members)
+                        and _repeats(stepped, revolve, n)
                     ):
+                        verified = True
                         period = clock - snap_clock
-                        rounds = _rounds_to_next_event(
-                            remaining, blocked, done, active,
-                            snap_remaining, clock, period, max_cycles,
+                        pattern = list(enumerate(stepped))
+                    # Direct: a saturated pipeline whose members are each
+                    # ready by their turn in round-robin order.
+                    elif len(members) >= revolve and all(
+                        offset <= turn for turn, offset in enumerate(offsets)
+                    ):
+                        verified = False
+                        period = len(members)
+                        pattern = list(enumerate(members))
+                    # Direct: members that never compete for a cycle.
+                    elif (
+                        members
+                        and min(offsets) >= 0
+                        and len(set(offsets)) == len(offsets)
+                    ):
+                        verified = False
+                        period = revolve
+                        pattern = sorted(zip(offsets, members))
+                    else:  # step one period from a snapshot
+                        if trace is None:
+                            pending.clear()
+                        stepping, snap_index, snap_clock = True, len(pending), clock
+                        mark = clock + max(len(members), revolve) if members else -1
+                        pattern = None
+                    if pattern:
+                        # Each member issues once per period. Apply every
+                        # issue before the next event: a member's last
+                        # instruction, a joiner's first issue or the
+                        # watchdog limit.
+                        stepping = False
+                        if trace is None:
+                            pending.clear()
+                        stop = clock + min(
+                            offset + (remaining[i] - 1) * period
+                            for offset, i in pattern
                         )
-                    if pending:
-                        trace.record_segment(
-                            snap_clock, clock - snap_clock, 1 + rounds, pending
-                        )
-                        pending = []
-                    if rounds:
-                        for i, before in zip(active, snap_remaining):
-                            remaining[i] -= rounds * (before - remaining[i])
-                            next_issue[i] += rounds * period
-                        clock += rounds * period
-                    snap_clock, snap_last = clock, last_issued
-                    snap_active, snap_offsets = active, offsets
-                    snap_remaining = [remaining[i] for i in active]
-                    mark = clock + max(len(active), revolve) if active else -1
+                        stop = min(stop, limit + 1)
+                        mark = stop + 1  # the stepper takes the event
+                        full = len(pattern) == period  # an issue every cycle
+                        for i, due in enumerate(next_issue):
+                            if horizon <= due < stop and remaining[i]:
+                                # A joiner: decide again when it issues.
+                                if full:
+                                    due = _first_turn(pattern, period, clock, i, due, n)
+                                if due < stop:
+                                    stop = mark = due
+                        rounds, cut = divmod(stop - clock, period)
+                        start = clock + rounds * period  # the partial round's
+                        if rounds:
+                            if trace is not None:
+                                _record_rounds(
+                                    trace, pending, verified, clock, period,
+                                    pattern, rounds,
+                                )
+                            for offset, i in pattern:
+                                remaining[i] -= rounds
+                                next_issue[i] = start - period + offset + revolve
+                            last_issued = pattern[-1][1]
+                            clock = start - period + pattern[-1][0] + 1
+                        for offset, i in pattern:
+                            if offset >= cut:
+                                break
+                            cycle = start + offset
+                            pending.append((cycle, i))
+                            remaining[i] -= 1
+                            next_issue[i] = cycle + revolve
+                            last_issued = i
+                            clock = cycle + 1
+                        continue
                 # Round-robin: the first ready tasklet after the last issuer.
                 for choice in order[last_issued]:
                     if next_issue[choice] <= clock and (left := remaining[choice]):
@@ -712,12 +837,12 @@ class DPUSimulator:
                         remaining[choice] = left
                         next_issue[choice] = clock + revolve
                         last_issued = choice
-                        if trace is not None:
-                            pending.append((clock, choice))
+                        pending.append((clock, choice))
                         if not left:
                             state = states[choice]
+                            issued += state.phases[state.phase_index].amount
                             state.phase_index += 1
-                            dma_busy += self._advance_into_phase(
+                            dma_busy += _advance_into_phase(
                                 state, float(clock + 1), dma_free, choice,
                                 trace,
                             )
@@ -732,6 +857,10 @@ class DPUSimulator:
                                 running -= 1
                             elif not state.remaining:
                                 stalled.append(choice)
+                            # A segment boundary at every phase end: no
+                            # DMA block lies between two issues of one
+                            # segment.
+                            _close_segment(trace, pending, clock + 1)
                             mark = -1
                         clock += 1
                         break
@@ -748,10 +877,7 @@ class DPUSimulator:
                         break  # only stalled tasklets are left
                     clock = max(clock + 1, math.ceil(upcoming))
         finally:
-            if pending:
-                trace.record_segment(
-                    snap_clock, clock - snap_clock, 1, pending
-                )
+            _close_segment(trace, pending, clock)
 
         # Account for a trailing DMA that finishes after the last issue.
         trailing = max(blocked, default=0.0)
@@ -769,15 +895,6 @@ class DPUSimulator:
                 ],
                 max_cycles,
             )
-        # Every tasklet has issued all of each compute phase before its
-        # current one, and none of that one (a zero-instruction phase
-        # stalls it for good).
-        issued = sum(
-            phase.amount
-            for state in states
-            for phase in state.program.phases[: state.phase_index]
-            if phase.kind == COMPUTE
-        )
         return SimResult(
             cycles=total_cycles,
             instructions_issued=issued,
@@ -785,71 +902,148 @@ class DPUSimulator:
             tasklets=len(programs),
         )
 
-    def _advance_into_phase(
-        self,
-        state: _TaskletState,
-        now: float,
-        dma_free: list,
-        tasklet: int = 0,
-        trace: SimTrace | None = None,
-    ) -> float:
-        """Move a tasklet into its next runnable phase.
-
-        Consumes consecutive DMA phases (enqueueing them on the shared
-        engine and blocking the tasklet) until a compute phase or the
-        program's end is reached. Returns the DMA busy time added.
-        """
-        busy_added = 0.0
-        while True:
-            phase = state.current_phase()
-            if phase is None:
-                state.done = True
-                state.remaining = 0
-                return busy_added
-            if phase.kind == COMPUTE:
-                state.remaining = phase.amount
-                return busy_added
-            # DMA phase: serialize on the shared engine. The tasklet
-            # requests the transfer as soon as it is unblocked; the
-            # engine starts it when free — the difference is queue wait.
-            cost = (
-                self.config.dma_fixed_cycles
-                + phase.amount * self.config.dma_cycles_per_byte
-            )
-            request = max(now, state.blocked_until)
-            start = max(request, dma_free[0])
-            completion = start + cost
-            dma_free[0] = completion
-            state.blocked_until = completion
-            busy_added += cost
-            if trace is not None:
-                trace.record_dma(
-                    tasklet, request, start, completion, phase.amount
-                )
-            state.phase_index += 1
-            now = completion
+    def _dma_costs(self, program: TaskletProgram) -> tuple:
+        """Each phase's DMA engine cycles (fixed cost + per-byte cost),
+        0.0 for a compute phase."""
+        fixed = self.config.dma_fixed_cycles
+        per_byte = self.config.dma_cycles_per_byte
+        return tuple(
+            fixed + phase.amount * per_byte if phase.kind == DMA else 0.0
+            for phase in program.phases
+        )
 
 
-def _rounds_to_next_event(
-    remaining, blocked, done, active, remaining_before, clock, period,
-    max_cycles,
-) -> int:
-    """Whole periods that can be skipped from ``clock`` with no event.
+def _repeats(tasklets: list, revolve: int, n: int) -> bool:
+    """Whether ``tasklets`` issuing in turn, one per cycle, is a period
+    the dispatcher repeats from the state it leaves.
 
-    Every active tasklet keeps at least one instruction of its
-    phase, no blocked tasklet's DMA completes inside a skipped
-    cycle, and the clock does not pass ``max_cycles``.
+    In every turn the dispatcher scans round-robin from the previous
+    issuer. The turn's owner issued a whole period ago, so it is ready;
+    it wins if no tasklet the scan meets first is ready, that is, none
+    of them issued ``revolve`` or more cycles before the turn.
     """
-    rounds = min(
-        (remaining[i] - 1) // (before - remaining[i])
-        for i, before in zip(active, remaining_before)
-    )
-    for i, until in enumerate(blocked):
-        if not done[i] and until > clock:
-            rounds = min(rounds, (math.ceil(until) - clock) // period)
-    if max_cycles is not None:
-        rounds = min(rounds, (max_cycles - clock) // period)
-    return rounds
+    period = len(tasklets)
+    turn_of = {tasklet: turn for turn, tasklet in enumerate(tasklets)}
+    previous = tasklets[-1]
+    for turn, owner in enumerate(tasklets):
+        other = (previous + 1) % n
+        while other != owner:
+            issued = turn_of.get(other)
+            if issued is not None and (turn - issued) % period >= revolve:
+                return False
+            other = (other + 1) % n
+        previous = owner
+    return True
+
+
+def _first_turn(pattern, period, clock, tasklet, ready, n) -> int:
+    """The first cycle from ``ready`` at which a joining ``tasklet`` wins
+    the dispatcher, in a schedule that issues ``pattern`` from ``clock``
+    in every cycle.
+
+    In each turn the dispatcher scans round-robin from the previous
+    issuer and meets the turn's owner first, so the joiner wins the
+    first turn whose previous issuer it follows before the owner.
+    """
+    first = math.inf
+    previous = pattern[-1][1]
+    for offset, owner in pattern:
+        if (tasklet - previous - 1) % n < (owner - previous - 1) % n:
+            first = min(first, ready + (clock + offset - ready) % period)
+        previous = owner
+    return first
+
+
+def _record_rounds(
+    trace, pending: list, verified: bool, clock: int, period: int,
+    pattern: list, rounds: int,
+) -> None:
+    """Record ``rounds`` rounds of ``pattern`` from ``clock`` as one
+    segment, and leave in ``pending`` the issues it cannot hold.
+
+    The schedule is periodic before ``clock`` too: over the stepped
+    period of a verified loop top (pending's last issues), and over as
+    many issues before that as follow the pattern. The segment starts at
+    the earliest of those, with the pattern rotated to start there; the
+    issues of its last, incomplete rotated round stay pending, and the
+    pending issues before it close a segment of their own.
+    """
+    count = len(pattern)
+    grid = clock - period if verified else clock  # where round 0 starts
+    known = len(pending) - count if verified else len(pending)
+    total = (1 + rounds if verified else rounds) * count  # issues from grid
+    back = 0
+    while back < known:
+        late, nth = divmod(back, count)
+        offset, tasklet = pattern[count - 1 - nth]
+        if pending[known - 1 - back] != (
+            grid - (late + 1) * period + offset, tasklet
+        ):
+            break
+        back += 1
+    late, nth = divmod(-back, count)  # the first issue's round and turn
+    shift = grid + late * period
+    rotated = [(shift + offset, i) for offset, i in pattern[nth:]] + [
+        (shift + period + offset, i) for offset, i in pattern[:nth]
+    ]
+    del pending[known - back:]
+    _close_segment(trace, pending, rotated[0][0])
+    trace.record_segment(rotated[0][0], period, (back + total) // count, rotated)
+    left = (back + total) % count
+    if left:
+        shift = grid + (total // count - 1) * period
+        pending.extend((shift + offset, i) for offset, i in pattern[-left:])
+
+
+def _close_segment(trace, pending: list, end: int) -> None:
+    """Record the ``pending`` issues as one segment from the first to
+    ``end`` (a traced run) and empty the list."""
+    if pending:
+        if trace is not None:
+            start = pending[0][0]
+            trace.record_segment(start, end - start, 1, pending)
+        pending.clear()
+
+
+def _advance_into_phase(
+    state: _TaskletState,
+    now: float,
+    dma_free: list,
+    tasklet: int,
+    trace: SimTrace | None,
+) -> float:
+    """Move a tasklet into its next runnable phase.
+
+    Consumes consecutive DMA phases (enqueueing them on the shared
+    engine and blocking the tasklet) until a compute phase or the
+    program's end is reached. Returns the DMA busy time added.
+    """
+    busy_added = 0.0
+    phases = state.phases
+    while True:
+        index = state.phase_index
+        if index == len(phases):
+            state.done = True
+            state.remaining = 0
+            return busy_added
+        phase = phases[index]
+        if phase.kind == COMPUTE:
+            state.remaining = phase.amount
+            return busy_added
+        # DMA phase: serialize on the shared engine. The tasklet
+        # requests the transfer as soon as it is unblocked; the engine
+        # starts it when free — the difference is queue wait.
+        cost = state.costs[index]
+        request = max(now, state.blocked_until)
+        start = max(request, dma_free[0])
+        completion = start + cost
+        dma_free[0] = completion
+        state.blocked_until = completion
+        busy_added += cost
+        if trace is not None:
+            trace.record_dma(tasklet, request, start, completion, phase.amount)
+        state.phase_index = index + 1
+        now = completion
 
 
 def _watchdog(stuck: list, max_cycles: int) -> TransientDeviceError:
@@ -877,20 +1071,17 @@ def simulate_kernel(
     analytic model uses, so differences isolate the *combination* step
     (max-of-rooflines vs real interleaving).
     """
-    from repro.pim.tasklet import split_evenly
-
     if tasklets <= 0:
         raise ParameterError(f"tasklets must be positive: {tasklets}")
-    cpe = kernel.cycles_per_element()
     out_bytes = _kernel_out_bytes(kernel)
-    in_bytes = kernel.mram_bytes_per_element() - out_bytes
-    programs = [
-        TaskletProgram.streaming(
-            share, cpe, in_bytes, out_bytes, block_elements
-        )
-        for share in split_evenly(n_elements, tasklets)
-        if share > 0
-    ]
+    programs = streaming_programs(
+        n_elements,
+        tasklets,
+        kernel.cycles_per_element(),
+        kernel.mram_bytes_per_element() - out_bytes,
+        out_bytes,
+        block_elements,
+    )
     return DPUSimulator(config).run(programs, trace=trace)
 
 

@@ -171,9 +171,9 @@ class TestProfileKernel:
 class TestTraceSize:
     def test_multiply_trace_grows_with_events_not_instructions(self):
         """tensor_mul at 1,024 elements issues 15.2 M instructions. Its
-        trace keeps one segment per stepped interval or skipped run: no
-        more segments than DMA transfers plus phase changes, and no
-        per-issue records at all."""
+        trace keeps segments of whole rounds and of the issues between
+        them: no more segments than DMA transfers plus phase changes,
+        and no per-issue records at all."""
         from repro.pim.kernels import TensorMulKernel
 
         profile = profile_kernel(TensorMulKernel(4), 1024)
@@ -190,6 +190,21 @@ class TestTraceSize:
         assert sum(len(pattern) for pattern in trace._patterns) <= (
             CFG.max_tasklets * len(trace.segments)
         )
+
+    def test_streaming_trace_grows_with_events_not_instructions(self):
+        """vec_add at 65,536 elements streams 64 blocks through each of
+        16 tasklets: 2,048 DMA transfers and 1,024 compute-phase ends
+        for 1.1 M instructions. Each event costs at most one segment."""
+        profile = profile_kernel(kernel_from_spec("vec_add:128"), 65536)
+        trace = profile.trace
+        blocks = 65536 // profile.tasklets // 64
+        assert profile.tasklets == 16 and blocks == 64
+        assert profile.instructions_issued == sum(
+            rounds * len(pattern) for _, _, rounds, pattern in trace.segments
+        )
+        phase_changes = profile.tasklets * blocks  # compute phases ended
+        assert len(trace.dmas) == 2 * profile.tasklets * blocks
+        assert len(trace.segments) <= len(trace.dmas) + phase_changes
 
 
 class TestKernelSpecs:

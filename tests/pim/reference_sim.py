@@ -3,7 +3,8 @@
 One Python iteration per issued instruction: find the ready tasklets,
 pick the round-robin winner, issue, and jump the clock over idle
 stretches. This is the loop :class:`repro.pim.sim.DPUSimulator`
-replaces with whole-round skipping. :class:`ReferenceSimTrace` is the
+replaces with closed-form advances to each event.
+:class:`ReferenceSimTrace` is the
 per-issue trace, with the per-issue readers :class:`repro.pim.sim.SimTrace`
 replaces with closed forms over periodic segments. Both are test
 oracles only; production code never calls them.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import ParameterError, TransientDeviceError
 from repro.obs.export import chrome_complete, chrome_document, chrome_metadata
 from repro.pim.config import UPMEMConfig
-from repro.pim.sim import CHROME_BAND_GAP, COMPUTE, SimResult, _TaskletState
+from repro.pim.sim import CHROME_BAND_GAP, COMPUTE, SimResult, TaskletProgram
 
 
 @dataclass
@@ -245,6 +246,21 @@ class ReferenceSimTrace:
                 "idle": idle,
             }
         return activity
+
+
+@dataclass
+class _TaskletState:
+    program: TaskletProgram
+    phase_index: int = 0
+    remaining: int = 0
+    next_issue: int = 0
+    blocked_until: float = 0.0
+    done: bool = False
+
+    def current_phase(self):
+        if self.phase_index >= len(self.program.phases):
+            return None
+        return self.program.phases[self.phase_index]
 
 
 class ReferenceDPUSimulator:

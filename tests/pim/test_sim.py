@@ -13,6 +13,7 @@ from repro.pim.sim import (
     Phase,
     TaskletProgram,
     simulate_kernel,
+    streaming_programs,
 )
 from repro.pim.tasklet import pipeline_cycles
 from repro.poly.modring import find_ntt_prime
@@ -118,6 +119,23 @@ class TestStreamingPrograms:
         assert kinds[:3] == ["dma", "compute", "dma"]
         assert program.total_dma_bytes == 100 * 12
         assert program.total_instructions == pytest.approx(1000, abs=4)
+
+    def test_full_blocks_share_their_phases(self):
+        program = TaskletProgram.streaming(100, 2.5, 8, 4, 32)
+        assert program.phases == (
+            Phase("dma", 256), Phase("compute", 80), Phase("dma", 128)
+        ) * 3 + (Phase("dma", 32), Phase("compute", 10), Phase("dma", 16))
+        first, second = program.phases[:3], program.phases[3:6]
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_one_program_per_share_size(self):
+        programs = streaming_programs(100, 16, 2.5, 8, 4, 32)
+        assert len(programs) == 16
+        assert [p.total_instructions for p in programs] == [18] * 4 + [15] * 12
+        assert len({id(p) for p in programs}) == 2
+        assert programs[0] == TaskletProgram.streaming(7, 2.5, 8, 4, 32)
+        # Tasklets left without work get no program.
+        assert len(streaming_programs(3, 16, 2.5, 8, 4, 32)) == 3
 
     def test_zero_output_streams_skip_dma(self):
         program = TaskletProgram.streaming(10, 5.0, 16, 0, 10)
