@@ -6,7 +6,7 @@ what-if table and checks that a native multiplier would flip the
 Figure 1(b) outcome against the GPU.
 """
 
-from repro.backends import get_backend
+from repro.backends.registry import get_backend
 from repro.backends.base import OpRequest
 
 

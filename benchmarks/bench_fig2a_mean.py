@@ -6,7 +6,7 @@ ring.
 """
 
 from repro.harness.report import measured_ratio_range
-from repro.workloads import MeanWorkload
+from repro.workloads.mean import MeanWorkload
 
 
 def test_fig2a_regenerate_table(benchmark, regenerate):

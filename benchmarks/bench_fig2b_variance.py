@@ -7,7 +7,7 @@ variance.
 """
 
 from repro.harness.report import measured_ratio_range
-from repro.workloads import VarianceWorkload
+from repro.workloads.variance import VarianceWorkload
 
 
 def test_fig2b_regenerate_table(benchmark, regenerate):

@@ -5,7 +5,7 @@ and benchmarks a real encrypted normal-equations solve.
 """
 
 from repro.harness.report import measured_ratio_range
-from repro.workloads import LinearRegressionWorkload
+from repro.workloads.linreg import LinearRegressionWorkload
 
 
 def test_fig2c_regenerate_table(benchmark, regenerate):

@@ -9,7 +9,7 @@ as the figure regenerations.
 
 import json
 
-from repro import obs
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve import RequestClass, ServeSpec, simulate
 
 _SPEC = ServeSpec(
@@ -46,8 +46,8 @@ def _point_gauges(registry, report, energy=None) -> None:
 
 
 def test_bench_serving_point(benchmark, _metrics_log, _run_identity):
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
+    registry = MetricsRegistry()
+    with use_registry(registry):
         result = benchmark.pedantic(
             simulate, args=(_SPEC,), iterations=1, rounds=3
         )

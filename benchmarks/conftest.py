@@ -18,9 +18,9 @@ import pathlib
 
 import pytest
 
-from repro import obs
 from repro.harness.experiments import get_experiment
 from repro.harness.report import format_experiment
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 METRICS_PATH = RESULTS_DIR / "metrics.jsonl"
@@ -57,7 +57,7 @@ def _metrics_log():
 def regenerate(_metrics_log, _run_identity):
     """Run an experiment, persist its table and metrics, return its rows.
 
-    Each regeneration runs under its own :class:`~repro.obs.MetricsRegistry`
+    Each regeneration runs under its own :class:`~repro.obs.metrics.MetricsRegistry`
     and appends one JSONL record — ``run_id``, ISO ``timestamp``, git
     SHA, the experiment id, and the metrics snapshot (kernel launches,
     DPU occupancy, compute-vs-DMA tallies, per-backend request counts)
@@ -67,8 +67,8 @@ def regenerate(_metrics_log, _run_identity):
 
     def _regenerate(experiment_id: str):
         experiment = get_experiment(experiment_id)
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
+        registry = MetricsRegistry()
+        with use_registry(registry):
             rows = experiment.run()
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{experiment_id}.txt").write_text(

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core import BFVParameters
 from repro.poly.modring import find_ntt_prime
-from repro.workloads import LinearRegressionWorkload, WorkloadContext
+from repro.workloads.context import WorkloadContext
+from repro.workloads.linreg import LinearRegressionWorkload
 from repro.workloads.dataset import RegressionDataset
 
 

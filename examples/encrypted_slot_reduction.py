@@ -17,7 +17,7 @@ from repro.core import BFVParameters, KeyGenerator
 from repro.core.galois import rotate_columns, rotate_rows
 from repro.core.noise import noise_budget
 from repro.poly.modring import find_ntt_prime
-from repro.workloads import WorkloadContext
+from repro.workloads.context import WorkloadContext
 
 
 def main() -> None:

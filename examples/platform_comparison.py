@@ -10,7 +10,7 @@ to this model's measured ratios.
 Run:  python examples/platform_comparison.py
 """
 
-from repro.backends import available_backends, get_backend
+from repro.backends.registry import available_backends, get_backend
 from repro.harness.experiments import get_experiment
 from repro.harness.report import format_experiment
 

@@ -15,7 +15,9 @@ Run:  python examples/private_statistics.py
 
 from repro.core import BFVParameters
 from repro.poly.modring import find_ntt_prime
-from repro.workloads import MeanWorkload, VarianceWorkload, WorkloadContext
+from repro.workloads.context import WorkloadContext
+from repro.workloads.mean import MeanWorkload
+from repro.workloads.variance import VarianceWorkload
 from repro.workloads.dataset import UserDataset
 
 

@@ -32,32 +32,3 @@ Quick start::
 """
 
 __version__ = "1.0.0"
-
-from repro.core import (
-    BFVParameters,
-    BatchEncoder,
-    Ciphertext,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    IntegerEncoder,
-    KeyGenerator,
-    Plaintext,
-    noise_budget,
-)
-from repro.errors import ReproError
-
-__all__ = [
-    "BFVParameters",
-    "BatchEncoder",
-    "Ciphertext",
-    "Decryptor",
-    "Encryptor",
-    "Evaluator",
-    "IntegerEncoder",
-    "KeyGenerator",
-    "Plaintext",
-    "ReproError",
-    "noise_budget",
-    "__version__",
-]

@@ -12,22 +12,3 @@ Functional results are computed once by the verified BFV core
 (:mod:`repro.core`); backends answer the question *"how long would this
 platform take"*, so that every platform is timed on identical work.
 """
-
-from repro.backends.base import Backend, OpRequest, TimingBreakdown
-from repro.backends.cpu import CustomCPUBackend
-from repro.backends.cpu_seal import SEALBackend
-from repro.backends.gpu import GPUBackend
-from repro.backends.pim import PIMBackend
-from repro.backends.registry import available_backends, get_backend
-
-__all__ = [
-    "Backend",
-    "CustomCPUBackend",
-    "GPUBackend",
-    "OpRequest",
-    "PIMBackend",
-    "SEALBackend",
-    "TimingBreakdown",
-    "available_backends",
-    "get_backend",
-]

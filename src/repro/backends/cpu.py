@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.backends.arch import CPUSpec
 from repro.backends.base import Backend, OpRequest, TimingBreakdown
+from repro.obs.energy import op_energy
 
 
 def container_traffic_bytes(request: OpRequest) -> int:
@@ -91,8 +92,6 @@ class CustomCPUBackend(Backend):
         )
 
     def energy_profile(self, request: OpRequest, breakdown: TimingBreakdown):
-        from repro.obs.energy import op_energy
-
         return op_energy(
             self.name, breakdown.seconds, container_traffic_bytes(request)
         )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.backends.arch import SEALSpec
 from repro.backends.base import Backend, OpRequest, TimingBreakdown
+from repro.obs.energy import op_energy
 
 
 def rns_traffic_bytes(request: OpRequest, rns_limbs: int) -> int:
@@ -87,8 +88,6 @@ class SEALBackend(Backend):
         )
 
     def energy_profile(self, request: OpRequest, breakdown: TimingBreakdown):
-        from repro.obs.energy import op_energy
-
         k = self.spec.rns_limbs(request.width_bits)
         return op_energy(
             self.name, breakdown.seconds, rns_traffic_bytes(request, k)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.backends.arch import GPUSpec
 from repro.backends.base import Backend, OpRequest, TimingBreakdown
 from repro.backends.cpu import container_traffic_bytes
+from repro.obs.energy import op_energy
 
 
 def gpu_int_ops_per_element(request: OpRequest) -> float:
@@ -81,8 +82,6 @@ class GPUBackend(Backend):
         )
 
     def energy_profile(self, request: OpRequest, breakdown: TimingBreakdown):
-        from repro.obs.energy import op_energy
-
         return op_energy(
             self.name,
             breakdown.seconds,

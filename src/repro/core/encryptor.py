@@ -10,7 +10,11 @@ from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.noise import get_noise_ledger
 from repro.poly.polynomial import Operand, Polynomial
-from repro.poly.sampling import sample_centered_binomial, sample_ternary
+from repro.poly.sampling import (
+    sample_centered_binomial,
+    sample_ternary,
+    sample_uniform,
+)
 
 
 class Encryptor:
@@ -85,8 +89,6 @@ class SymmetricEncryptor:
         self._rng = np.random.default_rng(seed)
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        from repro.poly.sampling import sample_uniform
-
         if plaintext.params != self.params:
             raise ParameterError("plaintext belongs to different parameters")
         params = self.params

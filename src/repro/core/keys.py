@@ -301,6 +301,7 @@ class KeyGenerator:
         plus the column-swap element. Returns a
         :class:`repro.core.galois.GaloisKeys`.
         """
+        # Deferred: repro.core.galois imports this module at its top.
         from repro.core.galois import generate_galois_keys, rotation_elements
 
         if steps is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.core.ciphertext import Ciphertext
+from repro.core.decryptor import Decryptor
 from repro.core.keys import SecretKey
 from repro.core.params import BFVParameters
 
@@ -32,8 +33,6 @@ def noise_budget(ciphertext: Ciphertext, secret_key: SecretKey) -> float:
     tens of bits per multiplication). Requires the secret key, so this
     is a *measurement* tool for experiments, not a server-side facility.
     """
-    from repro.core.decryptor import Decryptor
-
     params = ciphertext.params
     q, t = params.coeff_modulus, params.plain_modulus
     # v_k = (t*x_k - q*round(t*x_k/q)) / q; budget = log2(q / (2*max|num|)).

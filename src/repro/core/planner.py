@@ -26,6 +26,8 @@ from repro.core.noise import (
 )
 from repro.core.params import BFVParameters
 from repro.errors import NoiseBudgetExhaustedError, ParameterError
+from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,6 @@ class HeadroomGuard:
         if stamp is None or stamp.pred_bits >= self.margin_bits:
             return
         self.violations += 1
-        from repro.obs.metrics import get_registry
-        from repro.obs.trace import get_tracer
-
         with get_tracer().span(
             "noise.headroom",
             attrs={

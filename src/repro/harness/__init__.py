@@ -17,20 +17,3 @@ Each experiment produces rows of modelled per-backend times; the
 reporter renders them as the tables/series the paper plots, annotated
 with the paper's reported bands (:mod:`repro.harness.paper`).
 """
-
-from repro.harness.experiments import EXPERIMENTS, Experiment, ExperimentRow
-from repro.harness.paper import PAPER_CLAIMS, PaperClaim
-from repro.harness.report import format_experiment, render_markdown_report
-from repro.harness.runner import run_all, run_experiment
-
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "ExperimentRow",
-    "PAPER_CLAIMS",
-    "PaperClaim",
-    "format_experiment",
-    "render_markdown_report",
-    "run_all",
-    "run_experiment",
-]

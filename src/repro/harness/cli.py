@@ -68,7 +68,7 @@ the run history — is missing, empty, or corrupt, so scripts can tell
 gates' ``record``/``check``/``html`` commands are generated from their
 :class:`~repro.obs.gate.Gate` specs.
 
-Setting ``REPRO_TRACE`` (see :func:`repro.obs.configure_from_env`)
+Setting ``REPRO_TRACE`` (see :func:`repro.obs.trace.configure_from_env`)
 enables tracing for *any* subcommand and flushes at process exit.
 """
 
@@ -77,10 +77,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.backends import get_backend
-from repro.backends.registry import BACKEND_ORDER
-from repro.harness.experiments import EXPERIMENTS, get_experiment
-from repro.harness.report import format_experiment, render_markdown_report
+from repro.errors import ParameterError, ReproError
+from repro.obs.trace import configure_from_env
 
 #: Exit status for "the recorded data this command needs does not
 #: exist (yet)" — distinct from 1, which means a real failure.
@@ -88,6 +86,8 @@ EXIT_DATA = 2
 
 
 def _cmd_list(_args) -> int:
+    from repro.harness.experiments import EXPERIMENTS
+
     width = max(len(eid) for eid in EXPERIMENTS)
     for eid, experiment in EXPERIMENTS.items():
         print(f"{eid.ljust(width)}  {experiment.paper_ref}: {experiment.title}")
@@ -96,6 +96,8 @@ def _cmd_list(_args) -> int:
 
 def _run_and_print(ids, keep_going: bool) -> int:
     """Run experiments, print tables, report failures; exit status."""
+    from repro.harness.experiments import get_experiment
+    from repro.harness.report import format_experiment
     from repro.harness.runner import run_all
 
     results = run_all(ids, keep_going=keep_going)
@@ -122,26 +124,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.harness.report import render_markdown_report
+
     _emit(render_markdown_report(args.ids or None), args.output)
     return 0
 
 
 def _cmd_obs(args) -> int:
     """Run experiments under a recording tracer and export the spans."""
-    from repro import obs
+    from repro.obs.export import render_time_tree, to_chrome_trace, write_jsonl
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    from repro.obs.trace import Tracer, use_tracer
 
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
-    with obs.use_tracer(tracer), obs.use_registry(registry):
+    tracer = Tracer()
+    registry = MetricsRegistry()
+    with use_tracer(tracer), use_registry(registry):
         status = _run_and_print(args.ids, args.keep_going)
     spans = tracer.finished
     exported = False
     if args.trace:
-        n = obs.write_jsonl(spans, args.trace)
+        n = write_jsonl(spans, args.trace)
         print(f"wrote {n} spans to {args.trace}", file=sys.stderr)
         exported = True
     if args.chrome:
-        _write_chrome(args.chrome, obs.to_chrome_trace(spans))
+        _write_chrome(args.chrome, to_chrome_trace(spans))
         exported = True
     if args.metrics:
         import json
@@ -150,7 +156,7 @@ def _cmd_obs(args) -> int:
         print(f"wrote metrics snapshot to {args.metrics}", file=sys.stderr)
         exported = True
     if args.tree or not exported:
-        print(obs.render_time_tree(spans))
+        print(render_time_tree(spans))
     return status
 
 
@@ -184,8 +190,6 @@ def _load_recorded(loader, *args, hint: str = "repro perf record"):
     Returns ``(value, None)`` on success or ``(None, status)`` after
     reporting; callers return ``status`` when it is set.
     """
-    from repro.errors import ParameterError
-
     try:
         return loader(*args), None
     except ParameterError as exc:
@@ -268,7 +272,6 @@ def _cmd_gates(args) -> int:
     """
     import time
 
-    from repro.errors import ReproError
     from repro.obs import energy, noisegate, perf
     from repro.serve import resilience
 
@@ -345,11 +348,13 @@ def _cmd_perf_diff(args) -> int:
 
 def _cmd_why(args) -> int:
     """Drift forensics for one experiment against a recorded baseline."""
+    from repro.harness.experiments import get_experiment
     from repro.obs import baseline as bl
     from repro.obs import energy as en
     from repro.obs import forensics as fx
     from repro.obs import htmlreport
 
+    get_experiment(args.experiment)  # an unknown id is an error, not no data
     baseline_run, status = _load_recorded(
         bl.find_run, args.against, args.history
     )
@@ -478,7 +483,7 @@ def _cmd_forensics_shifts(args) -> int:
 
 def _cmd_faults_run(args) -> int:
     """Run experiments under a seeded fault plan (the chaos harness)."""
-    from repro import obs
+    from repro.obs.metrics import MetricsRegistry, use_registry
     from repro.pim.faults import FaultPlan, RetryPolicy, use_fault_plan
 
     plan = FaultPlan(
@@ -490,8 +495,8 @@ def _cmd_faults_run(args) -> int:
         disable_dpus=args.disable_dpus,
     )
     policy = RetryPolicy(max_attempts=args.max_attempts)
-    registry = obs.MetricsRegistry()
-    with use_fault_plan(plan, policy), obs.use_registry(registry):
+    registry = MetricsRegistry()
+    with use_fault_plan(plan, policy), use_registry(registry):
         status = _run_and_print(args.ids, args.keep_going)
     snapshot = registry.snapshot()
     fault_lines = [
@@ -727,6 +732,7 @@ def _cmd_profile(args) -> int:
     or a kernel spec like ``vec_mul:128`` (one DPU is simulated
     directly at ``--elements`` / ``--tasklets``).
     """
+    from repro.harness.experiments import EXPERIMENTS
     from repro.obs import export, htmlreport
     from repro.obs import profile as prof
 
@@ -779,6 +785,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_platforms(_args) -> int:
+    from repro.backends.registry import BACKEND_ORDER, get_backend
+
     for name in BACKEND_ORDER:
         print(f"{name}: {get_backend(name).describe()}")
     return 0
@@ -793,6 +801,7 @@ def _cmd_scorecard(_args) -> int:
 
 def _cmd_chart(args) -> int:
     from repro.harness.charts import render_experiment_chart
+    from repro.harness.experiments import get_experiment
 
     for eid in args.ids:
         experiment = get_experiment(eid)
@@ -812,14 +821,11 @@ def _cmd_verify(_args) -> int:
     from repro.core.galois import rotate_rows
     from repro.pim.executor import DeviceEvaluator
     from repro.poly.modring import find_ntt_prime
-    from repro.workloads import (
-        LinearRegressionWorkload,
-        MeanWorkload,
-        VarianceWorkload,
-        VectorAddWorkload,
-        VectorMulWorkload,
-        WorkloadContext,
-    )
+    from repro.workloads.context import WorkloadContext
+    from repro.workloads.linreg import LinearRegressionWorkload
+    from repro.workloads.mean import MeanWorkload
+    from repro.workloads.variance import VarianceWorkload
+    from repro.workloads.vectorops import VectorAddWorkload, VectorMulWorkload
     from repro.workloads.covariance import CovarianceWorkload
 
     params = BFVParameters(
@@ -1575,9 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from repro.errors import ReproError
-    from repro.obs import configure_from_env
-
     configure_from_env()  # honour the REPRO_TRACE switch
     args = build_parser().parse_args(argv)
     try:

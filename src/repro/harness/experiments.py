@@ -12,19 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from repro.backends import get_backend
+from repro.backends.arch import GPUSpec, SEALSpec
 from repro.backends.base import OpRequest
-from repro.backends.registry import BACKEND_ORDER
+from repro.backends.pim import PIMBackend, modulus_for_width
+from repro.backends.registry import BACKEND_ORDER, get_backend
 from repro.errors import ExperimentError
+from repro.harness.sweep import bisect_crossover, ratio_metric
 from repro.mpint.cost import OpTally
 from repro.mpint.limbs import to_planes
 from repro.mpint.mul import karatsuba_multiply, schoolbook_multiply
+from repro.obs.energy import workload_joules
+from repro.pim.analysis import kernel_cycle_breakdown
+from repro.pim.config import UPMEMConfig
+from repro.pim.dma import dma_cycles
 from repro.pim.isa import cycles_for_tally
-from repro.pim.kernels import VecAddKernel, VecMulKernel
+from repro.pim.kernels import (
+    ReduceSumKernel,
+    TensorMulKernel,
+    VecAddKernel,
+    VecMulKernel,
+)
+from repro.pim.kernels.nttkernel import (
+    NTTButterflyKernel,
+    ntt_polynomial_mult_cycles,
+    schoolbook_polynomial_mult_cycles,
+)
 from repro.pim.runtime import PIMRuntime
-from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
+from repro.pim.sim import simulate_kernel
+from repro.pim.tasklet import pipeline_cycles, split_evenly
+from repro.pim.transfer import TransferModel
+from repro.poly.modring import find_ntt_prime
+from repro.workloads.covariance import CovarianceWorkload
 from repro.workloads.linreg import LinearRegressionWorkload
 from repro.workloads.mean import MeanWorkload
+from repro.workloads.registry import EXPERIMENT_CELLS, PAPER_WORKLOADS
 from repro.workloads.variance import FIG2B_USERS, VarianceWorkload
 from repro.workloads.vectorops import (
     FIG1A_SIZES,
@@ -279,8 +300,6 @@ def _run_tasklet_scaling() -> list:
 
 
 def _default_modulus() -> int:
-    from repro.backends.pim import modulus_for_width
-
     return modulus_for_width(128)
 
 
@@ -468,8 +487,6 @@ _register(
 
 
 def _run_residency_ablation() -> list:
-    from repro.backends.pim import PIMBackend
-
     resident = PIMBackend()
     streaming = PIMBackend(include_transfer=True)
     rows = []
@@ -512,8 +529,6 @@ _register(
 
 
 def _run_energy_extension() -> list:
-    from repro.obs.energy import workload_joules
-
     rows = []
     for title, workload in (
         ("mean, 2560 users", MeanWorkload(n_users=2560)),
@@ -551,14 +566,6 @@ _register(
 
 
 def _run_ntt_pim_extension() -> list:
-    from repro.pim.kernels.nttkernel import (
-        NTTButterflyKernel,
-        ntt_polynomial_mult_cycles,
-        schoolbook_polynomial_mult_cycles,
-    )
-    from repro.pim.kernels.vecmul import VecMulKernel
-    from repro.poly.modring import find_ntt_prime
-
     config = PIMRuntime().config
     butterfly = NTTButterflyKernel(find_ntt_prime(30, 4096))
     coefficient_mul = VecMulKernel(4).cycles_per_element()
@@ -603,8 +610,6 @@ _register(
 
 
 def _run_covariance_extension() -> list:
-    from repro.workloads.covariance import CovarianceWorkload
-
     return [
         ExperimentRow(
             label=f"{users} users",
@@ -633,17 +638,6 @@ _register(
 
 
 def _run_op_breakdown_extension() -> list:
-    from repro.backends.pim import modulus_for_width
-    from repro.pim.analysis import kernel_cycle_breakdown
-    from repro.pim.kernels import (
-        ReduceSumKernel,
-        TensorMulKernel,
-        VecAddKernel,
-        VecMulKernel,
-    )
-    from repro.pim.kernels.nttkernel import NTTButterflyKernel
-    from repro.poly.modring import find_ntt_prime
-
     kernels = (
         ("vec_add 128-bit", VecAddKernel(4, modulus_for_width(128))),
         ("reduce_sum 128-bit", ReduceSumKernel(4, modulus_for_width(128))),
@@ -704,8 +698,6 @@ def _native_mul_vecmul_ms(mul_cycles: int, n_ct: int = 20480) -> float:
 
 
 def _run_mul_threshold_extension() -> list:
-    from repro.backends.base import OpRequest
-
     gpu_ms = (
         _backends()["gpu"]
         .time_op(
@@ -776,12 +768,6 @@ _register(
 
 
 def _run_sim_validation_extension() -> list:
-    from repro.backends.pim import modulus_for_width
-    from repro.pim.dma import dma_cycles
-    from repro.pim.kernels import ReduceSumKernel, TensorMulKernel, VecAddKernel
-    from repro.pim.sim import simulate_kernel
-    from repro.pim.tasklet import pipeline_cycles, split_evenly
-
     config = PIMRuntime().config
     cases = (
         ("vec_add 128-bit", VecAddKernel(4, modulus_for_width(128)), 4096),
@@ -839,9 +825,6 @@ _register(
 def _run_seal_crossover_extension() -> list:
     """PIM-vs-SEAL multiplication ratio across container widths, plus
     the bisected native-multiplier break-even against the GPU."""
-    from repro.backends.base import OpRequest
-    from repro.harness.sweep import bisect_crossover, ratio_metric
-
     backends = _backends()
     rows = []
     for width, n in ((32, 1024), (64, 2048), (128, 4096)):
@@ -916,10 +899,6 @@ _register(
 
 def _run_capacity_scaling() -> list:
     """Key Takeaway 3: performance scales with memory capacity."""
-    from repro.backends.pim import PIMBackend
-    from repro.pim.config import UPMEMConfig
-    from repro.pim.runtime import PIMRuntime
-
     base = UPMEMConfig()
     workload = VarianceWorkload(n_users=10240)  # loads even the 2x system
     rows = []
@@ -965,8 +944,6 @@ def _host_decrypt_ms(n_results: int = 1) -> float:
     """Client-side decryption cost: one NTT-form inner product plus
     rounding per result ciphertext — SEAL-like native-word work on the
     client CPU (paper deployment: clients decrypt)."""
-    from repro.backends.arch import SEALSpec
-
     spec = SEALSpec()
     n = 4096
     cycles = n_results * n * spec.rns_limbs(128) * 30.0
@@ -982,9 +959,6 @@ def _run_end_to_end_extension() -> list:
     also cross PCIe each run (they live in host DRAM between runs); the
     PIM system's inputs are resident by design (Section 2).
     """
-    from repro.backends.arch import GPUSpec
-    from repro.pim.transfer import TransferModel
-
     backends = _backends()
     transfer = TransferModel(PIMRuntime().config)
     pcie = GPUSpec().pcie_bytes_per_s

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.harness.experiments import Experiment, get_experiment
 from repro.harness.paper import claims_for
+from repro.harness.runner import run_all
 
 
 def _series_names(rows) -> list:
@@ -101,8 +102,6 @@ def render_markdown_report(ids=None) -> str:
 
     This is the generator behind ``EXPERIMENTS.md``.
     """
-    from repro.harness.runner import run_all
-
     results = run_all(ids)
     lines = [
         "# EXPERIMENTS — paper vs. model",

@@ -15,7 +15,7 @@ from repro.errors import (
 )
 from repro.harness.experiments import EXPERIMENTS, get_experiment
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs.trace import Tracer, get_tracer, use_tracer
 
 
 def failure_record(label: str, exc: BaseException) -> dict:
@@ -107,8 +107,6 @@ def trace_experiment(experiment_id: str) -> tuple:
     :func:`repro.obs.profile.profile_experiment` and for merging host
     timelines with simulated device lanes.
     """
-    from repro.obs.trace import Tracer, use_tracer
-
     tracer = Tracer()
     with use_tracer(tracer):
         rows = run_experiment(experiment_id)

@@ -7,6 +7,8 @@ comparison of the cost models to the parameter where it changes sign.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ParameterError
 
 
@@ -53,8 +55,6 @@ def bisect_crossover(
 def ratio_metric(numerator, denominator):
     """A metric ``log(numerator(p) / denominator(p))`` whose zero is
     the crossover point where the two quantities are equal."""
-    import math
-
     def metric(p: float) -> float:
         return math.log(numerator(p) / denominator(p))
 

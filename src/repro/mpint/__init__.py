@@ -17,55 +17,9 @@ Every routine here does double duty:
   (:mod:`repro.pim.isa`) derives cycle counts.
 
 The routines run many elements at once: operands are *limb planes*
-(:func:`to_planes`), one ``uint64`` array per limb with one element per
-lane, and the tally is the exact sum of what each element would charge
-on its own.
+(:func:`~repro.mpint.limbs.to_planes`), one ``uint64`` array per limb
+with one element per lane, and the tally is the exact sum of what each
+element would charge on its own.
 
 Counts are therefore **derived from execution**, never asserted.
 """
-
-from repro.mpint.cost import OpTally
-from repro.mpint.limbs import (
-    LIMB_BITS,
-    LIMB_MASK,
-    from_limbs,
-    from_planes,
-    limbs_for_bits,
-    to_limbs,
-    to_planes,
-)
-from repro.mpint.add import (
-    add_with_carry,
-    compare,
-    conditional_subtract,
-    reduce_once,
-    sub_with_borrow,
-)
-from repro.mpint.mul import (
-    KARATSUBA_THRESHOLD,
-    karatsuba_multiply,
-    mul32,
-    multiply,
-    schoolbook_multiply,
-)
-
-__all__ = [
-    "LIMB_BITS",
-    "LIMB_MASK",
-    "KARATSUBA_THRESHOLD",
-    "OpTally",
-    "add_with_carry",
-    "compare",
-    "conditional_subtract",
-    "from_limbs",
-    "from_planes",
-    "karatsuba_multiply",
-    "limbs_for_bits",
-    "mul32",
-    "multiply",
-    "reduce_once",
-    "schoolbook_multiply",
-    "sub_with_borrow",
-    "to_limbs",
-    "to_planes",
-]

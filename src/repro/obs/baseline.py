@@ -38,6 +38,7 @@ import statistics
 from time import perf_counter
 
 from repro.errors import ParameterError
+from repro.harness.experiments import get_experiment
 from repro.obs.export import path_tree
 from repro.obs.gate import Ledger
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -58,6 +59,7 @@ __all__ = [
     "series_totals",
     "prepare_metrics_log",
     "FRESH_ENV_VAR",
+    "FAST_SET",
 ]
 
 #: Version stamped into every run record / baseline document.
@@ -71,6 +73,28 @@ DEFAULT_HISTORY_PATH = "baselines/history.jsonl"
 
 #: Environment variable: truncate ``metrics.jsonl`` instead of appending.
 FRESH_ENV_VAR = "REPRO_BENCH_FRESH"
+
+#: Experiments cheap enough for the committed baseline and the CI gate
+#: (everything that evaluates in well under a second; the cycle-level
+#: simulator validation and the heaviest sweeps are excluded).
+FAST_SET = (
+    "fig1a",
+    "fig1a_32bit",
+    "fig1a_64bit",
+    "fig1b",
+    "fig1b_32bit",
+    "fig1b_64bit",
+    "fig2a",
+    "fig2c",
+    "tab_security",
+    "obs_tasklets",
+    "abl_karatsuba",
+    "abl_ntt",
+    "abl_residency",
+    "ext_energy",
+    "ext_covariance",
+    "ext_end_to_end",
+)
 
 
 # ``git_sha`` / ``run_identity`` live in :mod:`repro.obs.runident` and
@@ -183,8 +207,6 @@ def capture_experiment(experiment_id: str, repeats: int = 3) -> dict:
     don't inflate the recorded median; one extra traced run collects
     the modelled/attribution/counter story.
     """
-    from repro.harness.experiments import get_experiment
-
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1: {repeats}")
     experiment = get_experiment(experiment_id)
@@ -221,8 +243,6 @@ def capture_run(ids=None, repeats: int = 3, progress=None) -> dict:
     ``progress`` is an optional callable receiving each experiment id
     as it starts (the CLI uses it for live feedback).
     """
-    from repro.obs.perf import FAST_SET
-
     selected = list(FAST_SET) if ids is None else list(ids)
     experiments = {}
     for eid in selected:

@@ -438,6 +438,8 @@ def capture_energy_experiment(experiment_id: str) -> dict:
     Everything is deterministic arithmetic — the gate compares it
     exactly.
     """
+    # Deferred: repro.harness.experiments imports this module through
+    # repro.backends.pim.
     from repro.harness.experiments import get_experiment
 
     experiment = get_experiment(experiment_id)
@@ -467,7 +469,9 @@ def capture_energy_run(ids=None, progress=None) -> dict:
     per-experiment captures, so a perturbed constant is itself a
     gate-visible drift even where its joules happen to cancel.
     """
-    from repro.obs.perf import FAST_SET
+    # Deferred: repro.obs.baseline imports this module through
+    # repro.harness.experiments and repro.backends.pim.
+    from repro.obs.baseline import FAST_SET
 
     selected = list(FAST_SET) if ids is None else list(ids)
     experiments = {}

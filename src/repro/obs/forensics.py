@@ -36,7 +36,10 @@ from __future__ import annotations
 import statistics
 
 from repro.errors import ParameterError
+from repro.obs import baseline as _bl
+from repro.obs import energy as _energy
 from repro.obs import gate
+from repro.obs import perf as _perf
 from repro.obs.gate import exact_diffs
 from repro.obs.runident import run_identity
 
@@ -239,8 +242,6 @@ def _spans_family(base_exp: dict, cur_exp: dict, top_k: int) -> dict:
 
 
 def _model_family(base_exp: dict, cur_exp: dict) -> dict:
-    from repro.obs import perf as _perf
-
     notes = _perf.modelled_drift(base_exp, cur_exp)
     return {
         "verdict": gate.MODEL_DRIFT if notes else gate.VERDICT_OK,
@@ -349,9 +350,6 @@ def why_report(
             f"experiment {experiment_id!r} is not in the baseline run; "
             "re-record with 'repro perf record'"
         )
-    from repro.obs import baseline as _bl
-    from repro.obs import energy as _energy
-
     cur_exp = _bl.capture_experiment(experiment_id, repeats=1)
     families = compare_experiment(base_exp, cur_exp, top_k=top_k)
     families["energy"] = _energy_family(

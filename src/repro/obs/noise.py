@@ -33,6 +33,10 @@ from __future__ import annotations
 import threading
 import weakref
 
+from repro.errors import ParameterError
+from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer
+
 __all__ = [
     "NoiseStamp",
     "NoiseLedger",
@@ -115,8 +119,10 @@ class NoiseStamp:
 def _core_noise():
     """The analytic growth model, imported lazily.
 
-    ``repro.core`` imports this module (the evaluator hooks), so the
-    reverse import must wait until the first tracked operation.
+    Deferred to break the cycle ``repro.core`` -> ``core.encryptor`` ->
+    this module -> ``repro.core.noise``: the package init of
+    ``repro.core`` imports the evaluator hooks, so the reverse import
+    must wait until the first tracked operation.
     """
     import repro.core.noise as core_noise
 
@@ -209,8 +215,6 @@ class NoiseLedger:
         elif op == "mod_switch":
             pred = min(pred, noise.mod_switch_floor_bits(params)) - 1.0
         else:
-            from repro.errors import ParameterError
-
             raise ParameterError(
                 f"unknown noise-ledger op {op!r}; known: {OP_CLASSES}"
             )
@@ -257,8 +261,6 @@ class NoiseLedger:
         stamp = self.lookup(ciphertext)
         if stamp is not None:
             stamp.meas_bits = measured
-        from repro.obs.trace import get_tracer
-
         span = get_tracer().current_span
         if span is not None:
             span.set_attr("noise_meas_bits", measured)
@@ -267,9 +269,6 @@ class NoiseLedger:
     # -- trace / metrics fan-out ---------------------------------------------
 
     def _emit(self, op: str, stamp: NoiseStamp, consumed: float) -> None:
-        from repro.obs.metrics import get_registry
-        from repro.obs.trace import get_tracer
-
         span = get_tracer().current_span
         if span is not None:
             span.set_attr("noise_pred_bits", stamp.pred_bits)
@@ -306,9 +305,7 @@ class NullNoiseLedger:
         return None
 
     def measure(self, ciphertext, secret_key):
-        from repro.core.noise import noise_budget
-
-        return noise_budget(ciphertext, secret_key)
+        return _core_noise().noise_budget(ciphertext, secret_key)
 
     def __len__(self) -> int:
         return 0

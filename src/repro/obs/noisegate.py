@@ -35,6 +35,11 @@ ledger every gate shares (:mod:`repro.obs.gate`); :data:`GATE` is the
 
 from __future__ import annotations
 
+from repro.core.encoder import IntegerEncoder
+from repro.core.encryptor import SymmetricEncryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.params import SECURITY_LEVELS, BFVParameters
 from repro.errors import ParameterError
 from repro.obs import gate, htmlreport
 from repro.obs.noise import NoiseLedger, use_noise_ledger
@@ -89,10 +94,6 @@ def _workload_steps(name: str, params, keys, seed: int):
     squares before summing; linear regression multiplies pairs before
     summing. Every trajectory opens with a fresh-encryption probe.
     """
-    from repro.core.encoder import IntegerEncoder
-    from repro.core.encryptor import SymmetricEncryptor
-    from repro.core.evaluator import Evaluator
-
     encryptor = SymmetricEncryptor(params, keys.secret_key, seed=seed)
     encoder = IntegerEncoder(params)
     evaluator = Evaluator(params, keys.relin_key)
@@ -166,9 +167,6 @@ def capture_noise_run(
     tests can calibrate tiny rings quickly. ``progress`` receives a
     ``"<bits>b/<workload>"`` label as each trajectory starts.
     """
-    from repro.core.keys import KeyGenerator
-    from repro.core.params import SECURITY_LEVELS, BFVParameters
-
     if params_for is None:
         params_for = BFVParameters.security_level
     selected = list(SECURITY_LEVELS) if levels is None else list(levels)

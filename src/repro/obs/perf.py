@@ -30,7 +30,6 @@ from repro.obs import baseline as bl
 from repro.obs import gate, htmlreport
 
 __all__ = [
-    "FAST_SET",
     "GATE",
     "classify_wall",
     "modelled_drift",
@@ -39,28 +38,6 @@ __all__ = [
     "diff_runs",
     "render_diff",
 ]
-
-#: Experiments cheap enough for the committed baseline and the CI gate
-#: (everything that evaluates in well under a second; the cycle-level
-#: simulator validation and the heaviest sweeps are excluded).
-FAST_SET = (
-    "fig1a",
-    "fig1a_32bit",
-    "fig1a_64bit",
-    "fig1b",
-    "fig1b_32bit",
-    "fig1b_64bit",
-    "fig2a",
-    "fig2c",
-    "tab_security",
-    "obs_tasklets",
-    "abl_karatsuba",
-    "abl_ntt",
-    "abl_residency",
-    "ext_energy",
-    "ext_covariance",
-    "ext_end_to_end",
-)
 
 #: Wall-time policy defaults: the regression threshold is
 #: ``max(MIN_REL_THRESHOLD, SPREAD_FACTOR * baseline spread)``.
@@ -220,7 +197,7 @@ def diff_runs(run_a: dict, run_b: dict, top_k: int = 10) -> dict:
     as tiebreak); the top-k rows are returned per experiment as
     ``(name, modelled_a, modelled_b, wall_a, wall_b)`` tuples.
     """
-    # Imported lazily: forensics builds on this module at import time.
+    # Deferred: repro.obs.forensics imports this module at its top.
     from repro.obs import forensics
 
     if top_k < 1:

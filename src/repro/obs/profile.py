@@ -29,13 +29,27 @@ profiles as occupancy bars.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
+from repro.backends.pim import modulus_for_width
 from repro.errors import ModelValidationError, ParameterError
+from repro.harness.runner import trace_experiment
 from repro.pim.config import UPMEMConfig
-from repro.pim.sim import DMA, DPUSimulator, SimTrace, streaming_programs
-from repro.pim.tasklet import pipeline_cycles, split_evenly
+from repro.pim.kernels import (
+    ReduceSumKernel,
+    TensorMulKernel,
+    VecAddKernel,
+    VecMulKernel,
+)
+from repro.pim.runtime import LoadBalance
+from repro.pim.sim import (
+    DMA,
+    DPUSimulator,
+    SimTrace,
+    _kernel_out_bytes,
+    streaming_programs,
+)
+from repro.pim.tasklet import pipeline_cycles
 
 __all__ = [
     "VERDICT_PIPELINE_BOUND",
@@ -44,7 +58,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "TaskletOccupancy",
     "DMAEngineProfile",
-    "LoadBalance",
     "KernelProfile",
     "classify_bottleneck",
     "profile_programs",
@@ -151,61 +164,6 @@ class DMAEngineProfile:
         labels = [f"<= {bound:g}" for bound in bounds]
         labels.append(f"> {bounds[-1]:g}" if bounds else "all")
         return list(zip(labels, counts))
-
-
-@dataclass(frozen=True)
-class LoadBalance:
-    """Per-DPU element distribution of one full-system invocation."""
-
-    dpus_engaged: int
-    idle_dpus: int
-    ranks_engaged: int
-    min_elements: int
-    max_elements: int
-    mean_elements: float
-
-    @property
-    def imbalance(self) -> float:
-        """Slowest DPU's share over the mean (1.0 = perfectly even)."""
-        return (
-            self.max_elements / self.mean_elements
-            if self.mean_elements
-            else 1.0
-        )
-
-    @classmethod
-    def from_distribution(
-        cls,
-        n_elements: int,
-        work_units: int,
-        dpus: int,
-        config: UPMEMConfig,
-    ) -> "LoadBalance":
-        """The runtime's unit-granular distribution, summarized.
-
-        Work is assigned in indivisible units (paper Section 4.3); each
-        engaged DPU receives ``split_evenly`` units of
-        ``ceil(n_elements / work_units)`` elements each.
-        """
-        if work_units <= 0 or n_elements <= 0:
-            raise ParameterError(
-                "need positive n_elements and work_units for load stats"
-            )
-        if dpus <= 0:
-            raise ParameterError(f"dpus must be positive: {dpus}")
-        elements_per_unit = math.ceil(n_elements / work_units)
-        shares = [
-            units * elements_per_unit
-            for units in split_evenly(work_units, dpus)
-        ]
-        return cls(
-            dpus_engaged=dpus,
-            idle_dpus=max(0, config.n_dpus - dpus),
-            ranks_engaged=math.ceil(dpus / config.dpus_per_rank),
-            min_elements=min(shares),
-            max_elements=max(shares),
-            mean_elements=sum(shares) / len(shares),
-        )
 
 
 @dataclass(frozen=True)
@@ -392,8 +350,6 @@ def profile_kernel(
     ``work_units`` to additionally report the full-system load balance
     of an invocation carrying that many indivisible units.
     """
-    from repro.pim.sim import _kernel_out_bytes
-
     if n_elements <= 0:
         raise ParameterError(f"n_elements must be positive: {n_elements}")
     if tasklets <= 0:
@@ -438,14 +394,6 @@ def kernel_from_spec(spec: str):
     the paper's headline container width. Unknown names or widths
     raise :class:`~repro.errors.ParameterError`.
     """
-    from repro.backends.pim import modulus_for_width
-    from repro.pim.kernels import (
-        ReduceSumKernel,
-        TensorMulKernel,
-        VecAddKernel,
-        VecMulKernel,
-    )
-
     name, _, width_text = spec.partition(":")
     width_text = width_text or "128"
     try:
@@ -492,8 +440,6 @@ def profile_experiment(
     Returns ``(spans, profiles)`` — the spans so callers can merge the
     host timeline with the simulated device lanes in one Chrome trace.
     """
-    from repro.harness.runner import trace_experiment
-
     if max_elements <= 0:
         raise ParameterError(f"max_elements must be positive: {max_elements}")
     config = config if config is not None else UPMEMConfig()

@@ -9,7 +9,7 @@ workload/backend path the experiments use, so :func:`run_grid` simply
 prices every cell in order; nothing is stored between runs.
 
 The workloads and their batches are the paper's cells
-(:data:`repro.workloads.PAPER_WORKLOADS`); fault-free cells therefore
+(:data:`repro.workloads.registry.PAPER_WORKLOADS`); fault-free cells therefore
 reproduce the committed ``baselines/perf.json`` totals bit-identically,
 and :func:`check_against_baseline` formats the perf gate's one
 cross-check (:func:`repro.obs.perf.baseline_pairs`) over the grid.
@@ -23,9 +23,9 @@ import dataclasses
 from dataclasses import dataclass
 from itertools import groupby
 
-from repro.backends import get_backend
-from repro.backends.registry import BACKEND_ORDER
+from repro.backends.registry import BACKEND_ORDER, get_backend
 from repro.errors import ParameterError
+from repro.harness.runner import failure_record
 from repro.obs import gate
 from repro.obs.gate import Ledger, Verdict
 from repro.obs.perf import baseline_pairs
@@ -36,7 +36,7 @@ from repro.pim.faults import (
     plan_for_healthy_fraction,
     use_fault_plan,
 )
-from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
+from repro.workloads.registry import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
     "SECURITY_LEVELS",
@@ -211,8 +211,6 @@ def run_grid(spec: GridSpec, keep_going: bool = False) -> list:
     ``failure_header``). A failing cell is recorded as ``failed`` under
     ``keep_going``; otherwise its exception propagates.
     """
-    from repro.harness.runner import failure_record
-
     rows = []
     for cell in spec.cells():
         row = {
@@ -308,7 +306,7 @@ def _covered(cells, healthy: float) -> list:
 def experiment_totals(cells, healthy: float = 1.0) -> dict:
     """Per-backend modelled totals by experiment, at one fleet health.
 
-    For each experiment (:data:`repro.workloads.EXPERIMENT_CELLS`) whose
+    For each experiment (:data:`repro.workloads.registry.EXPERIMENT_CELLS`) whose
     cells the grid enumerates at ``healthy``, sums done cells per
     backend *in batch order* — the same float-accumulation order as
     :func:`repro.obs.baseline.series_totals` over the experiment's

@@ -28,11 +28,14 @@ variable (:func:`configure_from_env`).
 
 from __future__ import annotations
 
+import atexit
 import os
+import sys
 import threading
 from time import perf_counter
 
 from repro.errors import ParameterError
+from repro.obs.export import render_time_tree, write_chrome_trace, write_jsonl
 
 __all__ = [
     "Span",
@@ -312,20 +315,12 @@ def configure_from_env(environ=None, register_atexit: bool = True):
     tracer = Tracer()
     set_tracer(tracer)
     if register_atexit:
-        import atexit
-
         atexit.register(flush_env_trace, tracer, value)
     return tracer
 
 
 def flush_env_trace(tracer, destination: str) -> None:
     """Write a tracer's spans to a ``REPRO_TRACE``-style destination."""
-    from repro.obs.export import (
-        render_time_tree,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
     spans = tracer.finished
     if not spans:
         return
@@ -334,6 +329,4 @@ def flush_env_trace(tracer, destination: str) -> None:
     elif destination.endswith(".json"):
         write_chrome_trace(spans, destination)
     else:
-        import sys
-
         print(render_time_tree(spans), file=sys.stderr)

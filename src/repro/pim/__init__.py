@@ -25,20 +25,3 @@ Kernel *functionality* is not modelled but executed: the kernels in
 :mod:`repro.mpint` and derive their cycle counts from the operations
 actually performed.
 """
-
-from repro.pim.config import UPMEMConfig
-from repro.pim.dma import dma_cycles
-from repro.pim.isa import cycles_for_tally
-from repro.pim.runtime import KernelTiming, PIMRuntime
-from repro.pim.tasklet import pipeline_cycles
-from repro.pim.transfer import TransferModel
-
-__all__ = [
-    "KernelTiming",
-    "PIMRuntime",
-    "TransferModel",
-    "UPMEMConfig",
-    "cycles_for_tally",
-    "dma_cycles",
-    "pipeline_cycles",
-]

@@ -34,6 +34,7 @@ from repro.errors import CiphertextError, ParameterError
 from repro.mpint.cost import OpTally
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.pim.isa import cycles_for_tally
 from repro.pim.kernels import ReduceSumKernel, TensorMulKernel, VecAddKernel
 from repro.pim.runtime import KernelTiming, PIMRuntime
 from repro.poly.polynomial import Polynomial
@@ -58,8 +59,6 @@ class DeviceRun:
     @property
     def measured_cycles(self) -> float:
         """Cycles of the *actual* execution under the ISA table."""
-        from repro.pim.isa import cycles_for_tally
-
         return cycles_for_tally(self.tally)
 
 

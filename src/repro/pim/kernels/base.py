@@ -193,6 +193,26 @@ class Kernel(abc.ABC):
         return f"{type(self).__name__}(limbs={self.limbs})"
 
 
+def result_bytes(kernel: Kernel) -> int:
+    """Result bytes per element (for the transfer ablation).
+
+    Derived from the kernel type's semantics: full-width results for
+    addition, double-width for multiplication, triple double-width for
+    the tensor product, none streamed back for reductions.
+    """
+    name = kernel.name
+    if name == "vec_add":
+        return 4 * kernel.limbs
+    if name == "vec_mul":
+        return 8 * kernel.limbs
+    if name == "tensor_mul":
+        return 3 * 8 * kernel.limbs
+    if name == "reduce_sum":
+        return 0
+    # Conservative default: a full-width result per element.
+    return 4 * kernel.limbs
+
+
 def constant_planes(value: int, limbs: int) -> list:
     """Limb planes of one constant, broadcasting across every lane."""
     return [np.uint64(limb) for limb in to_limbs(value, limbs)]

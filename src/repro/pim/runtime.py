@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ParameterError, PermanentDeviceError
 from repro.obs.energy import kernel_energy
+from repro.obs.instrument import record_fault_metrics
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.pim.config import UPMEMConfig
@@ -36,7 +37,7 @@ from repro.pim.faults import (
     get_active_plan,
     get_active_policy,
 )
-from repro.pim.kernels.base import Kernel
+from repro.pim.kernels.base import Kernel, result_bytes
 from repro.pim.tasklet import effective_tasklets, pipeline_cycles, split_evenly
 from repro.pim.transfer import TransferModel
 
@@ -44,6 +45,61 @@ from repro.pim.transfer import TransferModel
 #: pipeline (see :mod:`repro.pim.tasklet`); 16 matches common UPMEM
 #: practice (power of two, comfortably above the revolve depth).
 DEFAULT_TASKLETS = 16
+
+
+@dataclass(frozen=True)
+class LoadBalance:
+    """Per-DPU element distribution of one full-system invocation."""
+
+    dpus_engaged: int
+    idle_dpus: int
+    ranks_engaged: int
+    min_elements: int
+    max_elements: int
+    mean_elements: float
+
+    @property
+    def imbalance(self) -> float:
+        """Slowest DPU's share over the mean (1.0 = perfectly even)."""
+        return (
+            self.max_elements / self.mean_elements
+            if self.mean_elements
+            else 1.0
+        )
+
+    @classmethod
+    def from_distribution(
+        cls,
+        n_elements: int,
+        work_units: int,
+        dpus: int,
+        config: UPMEMConfig,
+    ) -> "LoadBalance":
+        """The runtime's unit-granular distribution, summarized.
+
+        Work is assigned in indivisible units (paper Section 4.3); each
+        engaged DPU receives ``split_evenly`` units of
+        ``ceil(n_elements / work_units)`` elements each.
+        """
+        if work_units <= 0 or n_elements <= 0:
+            raise ParameterError(
+                "need positive n_elements and work_units for load stats"
+            )
+        if dpus <= 0:
+            raise ParameterError(f"dpus must be positive: {dpus}")
+        elements_per_unit = math.ceil(n_elements / work_units)
+        shares = [
+            units * elements_per_unit
+            for units in split_evenly(work_units, dpus)
+        ]
+        return cls(
+            dpus_engaged=dpus,
+            idle_dpus=max(0, config.n_dpus - dpus),
+            ranks_engaged=math.ceil(dpus / config.dpus_per_rank),
+            min_elements=min(shares),
+            max_elements=max(shares),
+            mean_elements=sum(shares) / len(shares),
+        )
 
 
 @dataclass(frozen=True)
@@ -264,8 +320,6 @@ class PIMRuntime:
             timing.total_seconds
         )
         if timing.faults is not None:
-            from repro.obs.instrument import record_fault_metrics
-
             record_fault_metrics(registry, timing.faults)
         return timing
 
@@ -358,7 +412,7 @@ class PIMRuntime:
         host_in = out = 0.0
         if include_transfer:
             total_bytes = n_elements * kernel.mram_bytes_per_element()
-            output_bytes = n_elements * _output_bytes(kernel)
+            output_bytes = n_elements * result_bytes(kernel)
             input_bytes = max(total_bytes - output_bytes, 0)
             host_in = self.transfer.host_to_dpu_seconds(input_bytes, dpus)
             out = self.transfer.dpu_to_host_seconds(output_bytes, dpus)
@@ -379,7 +433,7 @@ class PIMRuntime:
             elements_per_dpu=elements_per_dpu,
             mram_bytes_per_element=kernel.mram_bytes_per_element(),
             output_bytes_per_element=min(
-                _output_bytes(kernel), kernel.mram_bytes_per_element()
+                result_bytes(kernel), kernel.mram_bytes_per_element()
             ),
         )
 
@@ -433,9 +487,7 @@ class PIMRuntime:
             full_shares = split_evenly(base.work_units, full_dpus)
             redispatched = sum(full_shares[base.dpus_used :])
 
-        # The survivors' per-DPU load, via the profiler's load model.
-        from repro.obs.profile import LoadBalance
-
+        # The survivors' per-DPU load.
         load = LoadBalance.from_distribution(
             n_elements, base.work_units, base.dpus_used, self.config
         )
@@ -476,7 +528,7 @@ class PIMRuntime:
         armed = bool(plan.corruption_rate or plan.transfer_script)
         if include_transfer and armed:
             total_bytes = n_elements * kernel.mram_bytes_per_element()
-            output_bytes = n_elements * _output_bytes(kernel)
+            output_bytes = n_elements * result_bytes(kernel)
             input_bytes = max(total_bytes - output_bytes, 0)
             directions = (
                 ("host_to_dpu", input_bytes, base.host_to_dpu_seconds),
@@ -528,23 +580,3 @@ class PIMRuntime:
             dpus_disabled=len(disabled),
             faults=report,
         )
-
-
-def _output_bytes(kernel: Kernel) -> int:
-    """Result bytes per element (for the transfer ablation).
-
-    Derived from the kernel type's semantics: full-width results for
-    addition, double-width for multiplication, triple double-width for
-    the tensor product, none streamed back for reductions.
-    """
-    name = kernel.name
-    if name == "vec_add":
-        return 4 * kernel.limbs
-    if name == "vec_mul":
-        return 8 * kernel.limbs
-    if name == "tensor_mul":
-        return 3 * 8 * kernel.limbs
-    if name == "reduce_sum":
-        return 0
-    # Conservative default: a full-width result per element.
-    return 4 * kernel.limbs

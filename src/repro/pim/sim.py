@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from repro.errors import ParameterError, TransientDeviceError
 from repro.obs.export import chrome_complete, chrome_document, chrome_metadata
 from repro.pim.config import UPMEMConfig
+from repro.pim.kernels.base import result_bytes
 from repro.pim.tasklet import split_evenly
 
 #: Phase kinds.
@@ -1086,6 +1087,4 @@ def simulate_kernel(
 
 
 def _kernel_out_bytes(kernel) -> int:
-    from repro.pim.runtime import _output_bytes
-
-    return min(_output_bytes(kernel), kernel.mram_bytes_per_element())
+    return min(result_bytes(kernel), kernel.mram_bytes_per_element())

@@ -20,50 +20,12 @@ scheme and the baselines need:
 * :mod:`repro.poly.polynomial` — the ring element type, held as limb
   planes, with addition, negacyclic multiplication and scalar
   operations, plus the exact sum-of-products engine every BFV op runs
-  on (:class:`Operand` handles keep forward transforms; all sums of
-  one operation take one forward call, one inverse call and one exit).
-  Its CRT
-  bundle of 31-bit NTT primes is the repo's one residue number system:
-  SEAL's RNS + NTT idea, run for real on native words;
+  on (:class:`~repro.poly.polynomial.Operand` handles keep forward
+  transforms; all sums of one operation take one forward call, one
+  inverse call and one exit). Its CRT bundle of 31-bit NTT primes is
+  the repo's one residue number system: SEAL's RNS + NTT idea, run for
+  real on native words;
 * :mod:`repro.poly.sampling` — the deterministic samplers (uniform,
   as limb planes; ternary and centered binomial, as ``int64`` arrays)
   key generation and encryption draw from.
 """
-
-from repro.poly.modring import (
-    BarrettReducer,
-    find_ntt_prime,
-    inverse_mod,
-    is_prime,
-    minimal_primitive_root,
-    root_of_unity,
-)
-from repro.poly.ntt import NTTContext
-from repro.poly.polynomial import (
-    Operand,
-    Polynomial,
-    negacyclic_convolve,
-    negacyclic_sum,
-)
-from repro.poly.sampling import (
-    sample_centered_binomial,
-    sample_ternary,
-    sample_uniform,
-)
-
-__all__ = [
-    "BarrettReducer",
-    "NTTContext",
-    "Operand",
-    "Polynomial",
-    "find_ntt_prime",
-    "inverse_mod",
-    "is_prime",
-    "minimal_primitive_root",
-    "negacyclic_convolve",
-    "negacyclic_sum",
-    "root_of_unity",
-    "sample_centered_binomial",
-    "sample_ternary",
-    "sample_uniform",
-]

@@ -10,6 +10,7 @@ on native words).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from repro.errors import ParameterError
 
@@ -134,8 +135,6 @@ def _pollard_rho_factor(n: int) -> list:
     if is_prime(n):
         return [n]
     # Deterministic parameter sweep keeps this reproducible.
-    from math import gcd
-
     for c in range(1, 50):
         x = y = 2
         d = 1

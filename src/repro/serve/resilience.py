@@ -44,11 +44,13 @@ is ``RESILIENCE-DRIFT``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ParameterError, PermanentDeviceError
+from repro.obs import baseline as bl
 from repro.obs import gate, htmlreport
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
@@ -1216,10 +1218,6 @@ def _add_arguments(parser, command: str) -> None:
 
 def _capture(args, progress, **recorded) -> dict:
     """Capture the grid the CLI options name, overridden by ``recorded``."""
-    import os
-
-    from repro.obs import baseline as bl
-
     perf_baseline = None
     if not args.skip_baseline and os.path.exists(args.perf_baseline):
         perf_baseline = bl.read_run(args.perf_baseline)

@@ -9,7 +9,7 @@ timeline priced by the exact experiment pricing path
 :class:`~repro.core.planner.HeadroomGuard`, degraded fleets through the
 fault layer, and per-class SLO accounting
 (:class:`~repro.obs.slo.SLOTracker`). A request class names one of the
-paper's workloads (:data:`repro.workloads.PAPER_WORKLOADS`), which
+paper's workloads (:data:`repro.workloads.registry.PAPER_WORKLOADS`), which
 supplies both its launch factory and its noise-circuit shape.
 
 A **capacity sweep** (:func:`sweep_capacity`) asks the ROADMAP item-2
@@ -46,6 +46,7 @@ from repro.obs.export import (
     merge_chrome_traces,
 )
 from repro.obs.gate import Ledger
+from repro.obs.perf import baseline_pairs
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -57,7 +58,7 @@ from repro.pim.config import UPMEMConfig
 from repro.pim.faults import DEFAULT_HEALTHY, FaultPlan
 from repro.serve.arrivals import OpenLoopArrivals
 from repro.serve.scheduler import ServedBatches
-from repro.workloads import EXPERIMENT_CELLS, PAPER_WORKLOADS
+from repro.workloads.registry import EXPERIMENT_CELLS, PAPER_WORKLOADS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -292,7 +293,7 @@ def simulate(spec: ServeSpec) -> ServeResult:
     digest state, and document (modulo the run identity stamped into
     the document).
     """
-    # resilience imports this module, so the loop is imported lazily.
+    # Deferred: repro.serve.resilience imports this module at its top.
     from repro.serve.resilience import ResilienceSpec, _serve
 
     served = _serve(ResilienceSpec(serve=spec, n_shards=1))
@@ -466,7 +467,7 @@ def check_serving_baseline(
     """Gate the serving pricer against ``baselines/perf.json``.
 
     For every experiment whose cells are ``workload`` at one of the
-    requested security levels (:data:`repro.workloads.EXPERIMENT_CELLS`),
+    requested security levels (:data:`repro.workloads.registry.EXPERIMENT_CELLS`),
     price the workload's batches (one launch per batch) through the
     one-shard :class:`~repro.serve.shard.ShardedPricer` of the whole
     fleet under an inactive fault plan, and pair the accumulated pim
@@ -476,7 +477,7 @@ def check_serving_baseline(
     shard of the whole fleet *is* the whole fleet. Returns verdict
     dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.
     """
-    from repro.obs.perf import baseline_pairs
+    # Deferred: repro.serve.shard imports this module at its top.
     from repro.serve.shard import ShardedPricer, make_layout
 
     config = UPMEMConfig()

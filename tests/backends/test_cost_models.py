@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.backends import (
-    CustomCPUBackend,
-    GPUBackend,
-    OpRequest,
-    SEALBackend,
-)
 from repro.backends.arch import SEALSpec
-from repro.backends.cpu import container_traffic_bytes
+from repro.backends.base import OpRequest
+from repro.backends.cpu import CustomCPUBackend, container_traffic_bytes
+from repro.backends.cpu_seal import SEALBackend
+from repro.backends.gpu import GPUBackend
 from repro.core.params import SECURITY_LEVELS, BFVParameters
 from repro.poly.modring import find_ntt_prime
 

@@ -9,7 +9,8 @@ charges per backend and the platform ranking it produces.
 
 import pytest
 
-from repro.backends import OpRequest, get_backend
+from repro.backends.base import OpRequest
+from repro.backends.registry import get_backend
 from repro.obs.energy import (
     DEFAULT_ENERGY_CONFIG,
     envelope_joules,
@@ -80,7 +81,7 @@ class TestEnergyEstimates:
     def test_pim_wins_addition_energy(self):
         """For the addition workloads PIM wins time by 30-130x and the
         power gap cannot erase that — PIM is the energy winner too."""
-        from repro.workloads import MeanWorkload
+        from repro.workloads.mean import MeanWorkload
 
         workload = MeanWorkload(n_users=2560)
         pim = workload_joules(get_backend("pim"), workload)
@@ -91,7 +92,7 @@ class TestEnergyEstimates:
         """For multiplication-heavy workloads the 20 W CPU running the
         RNS+NTT algorithm is the most energy-efficient platform — the
         algorithmic advantage compounds with the small envelope."""
-        from repro.workloads import VarianceWorkload
+        from repro.workloads.variance import VarianceWorkload
 
         workload = VarianceWorkload(n_users=2560)
         seal = workload_joules(get_backend("cpu-seal"), workload)
@@ -99,7 +100,7 @@ class TestEnergyEstimates:
             assert seal < workload_joules(get_backend(name), workload), name
 
     def test_custom_cpu_worst_at_multiplication(self):
-        from repro.workloads import VarianceWorkload
+        from repro.workloads.variance import VarianceWorkload
 
         workload = VarianceWorkload(n_users=1280)
         cpu = workload_joules(get_backend("cpu"), workload)
@@ -119,7 +120,7 @@ class TestExperiment:
 
     def test_rows_are_the_workload_sums(self):
         from repro.harness.experiments import get_experiment
-        from repro.workloads import MeanWorkload
+        from repro.workloads.mean import MeanWorkload
 
         mean_row = get_experiment("ext_energy").run()[0]
         workload = MeanWorkload(n_users=2560)

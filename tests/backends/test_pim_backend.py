@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.backends import OpRequest, PIMBackend
-from repro.backends.pim import WIDTH_TO_SECURITY, modulus_for_width
+from repro.backends.base import OpRequest
+from repro.backends.pim import WIDTH_TO_SECURITY, PIMBackend, modulus_for_width
 from repro.pim.kernels import VecAddKernel
 from repro.pim.runtime import PIMRuntime
 
@@ -75,14 +75,14 @@ class TestAdapter:
 
 class TestRegistry:
     def test_all_paper_platforms(self):
-        from repro.backends import available_backends, get_backend
+        from repro.backends.registry import available_backends, get_backend
 
         assert available_backends() == ("cpu", "pim", "cpu-seal", "gpu")
         for name in available_backends():
             assert get_backend(name).name == name
 
     def test_unknown_backend_rejected(self):
-        from repro.backends import get_backend
+        from repro.backends.registry import get_backend
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError):

@@ -38,8 +38,9 @@ class TestEndToEnd:
         assert variance["pim"] < variance["cpu"]
 
     def test_end_to_end_at_least_device_time(self, rows):
-        from repro.workloads import MeanWorkload, VarianceWorkload
-        from repro.backends import get_backend
+        from repro.workloads.mean import MeanWorkload
+        from repro.workloads.variance import VarianceWorkload
+        from repro.backends.registry import get_backend
 
         workloads = (MeanWorkload(n_users=2560), VarianceWorkload(n_users=2560))
         for row, workload in zip(rows, workloads):

@@ -14,11 +14,11 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.errors import ParameterError
 from repro.harness.cli import main
 from repro.obs import energy as en
 from repro.obs import gate
+from repro.obs.metrics import MetricsRegistry
 from repro.pim.kernels import VecAddKernel
 from repro.pim.runtime import PIMRuntime
 
@@ -139,7 +139,7 @@ class TestOpEnergy:
 
 class TestEnergyRollup:
     def test_parses_counter_families(self):
-        registry = obs.MetricsRegistry()
+        registry = MetricsRegistry()
         registry.counter("energy.joules.pim.vec_add").inc(1.5)
         registry.counter("energy.joules.pim.vec_mul").inc(0.5)
         registry.counter("energy.joules.cpu").inc(10.0)

@@ -168,12 +168,13 @@ class TestWhyCli:
         assert "[          ok] spans" in out
 
     def test_missing_experiment_exits_data(self, paths, capsys):
+        """A registered experiment the baseline lacks: record it first."""
         record_fig1a(paths)
         capsys.readouterr()
         status = main(
             [
                 "why",
-                "fig2",
+                "fig2a",
                 "--against",
                 paths["baseline"],
                 "--history",
@@ -182,7 +183,28 @@ class TestWhyCli:
         )
         assert status == EXIT_DATA
         err = capsys.readouterr().err
-        assert "record a run first" in err
+        assert "record a run first: repro perf record fig2a" in err
+
+    def test_unknown_experiment_is_an_error(self, paths, capsys):
+        """An id no experiment has fails as 'run' does, before any data."""
+        record_fig1a(paths)
+        capsys.readouterr()
+        status = main(
+            [
+                "why",
+                "nope",
+                "--against",
+                paths["baseline"],
+                "--history",
+                paths["history"],
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ExperimentError: unknown experiment 'nope'")
+        assert main(["run", "nope"]) == 1
+        assert capsys.readouterr().err.splitlines() == err
 
 
 class TestForensicsHtmlCli:

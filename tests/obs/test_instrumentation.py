@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro import obs
 from repro.harness.runner import run_experiment
 from repro.obs.export import to_chrome_trace, validate_chrome_trace
+from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.obs.trace import Tracer, get_tracer, use_tracer
 
 
 @pytest.fixture(scope="module")
 def traced_fig1a():
     """Run fig1a once under a recording tracer + registry."""
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
-    with obs.use_tracer(tracer), obs.use_registry(registry):
+    tracer = Tracer()
+    registry = MetricsRegistry()
+    with use_tracer(tracer), use_registry(registry):
         rows = run_experiment("fig1a")
     return tracer, registry, rows
 
@@ -91,7 +92,7 @@ class TestDeviceExecutorInstrumentation:
         from repro.core import BFVParameters
         from repro.pim.executor import DeviceEvaluator
         from repro.poly.modring import find_ntt_prime
-        from repro.workloads import WorkloadContext
+        from repro.workloads.context import WorkloadContext
 
         params = BFVParameters(
             poly_degree=64,
@@ -103,9 +104,9 @@ class TestDeviceExecutorInstrumentation:
         a = context.encrypt_slots([1, 2, 3])
         b = context.encrypt_slots([10, 20, 30])
 
-        tracer = obs.Tracer()
-        registry = obs.MetricsRegistry()
-        with obs.use_tracer(tracer), obs.use_registry(registry):
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        with use_tracer(tracer), use_registry(registry):
             traced_sum, _run = device.add(a, b)
         plain_sum, _run = device.add(a, b)
 
@@ -124,7 +125,7 @@ class TestTracingChangesNoValues:
         assert traced_rows == untraced_rows
 
     def test_untraced_run_records_nothing(self):
-        assert not obs.get_tracer().enabled
+        assert not get_tracer().enabled
         run_experiment("fig1a")
-        assert obs.get_tracer().finished == ()
-        assert obs.get_registry().snapshot() == {}
+        assert get_tracer().finished == ()
+        assert get_registry().snapshot() == {}

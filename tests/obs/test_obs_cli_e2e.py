@@ -7,6 +7,10 @@ schema validator.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -115,3 +119,23 @@ def test_exports_create_missing_directories(tmp_path, capsys):
     assert read_jsonl(paths["trace"])
     validate_chrome_trace(json.loads(paths["chrome"].read_text()))
     assert json.loads(paths["metrics"].read_text())
+
+
+def test_repro_trace_env_writes_jsonl_at_exit(tmp_path):
+    """``REPRO_TRACE`` through a real ``repro run``: the atexit writer."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    out = tmp_path / "t.jsonl"
+    env = dict(os.environ, REPRO_TRACE=str(out))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", "run", "fig1a"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    records = read_jsonl(out)
+    assert records
+    assert any(r["name"].startswith("experiment.fig1a") for r in records)

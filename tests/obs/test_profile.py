@@ -8,7 +8,6 @@ from repro.obs.profile import (
     VERDICT_DISPATCH_STARVED,
     VERDICT_DMA_BOUND,
     VERDICT_PIPELINE_BOUND,
-    LoadBalance,
     classify_bottleneck,
     kernel_from_spec,
     profile_experiment,
@@ -18,6 +17,7 @@ from repro.obs.profile import (
     render_profiles_text,
 )
 from repro.pim.config import UPMEMConfig
+from repro.pim.runtime import LoadBalance
 from repro.pim.sim import Phase, TaskletProgram
 
 CFG = UPMEMConfig()

@@ -15,7 +15,7 @@ from repro.obs import registry as reg
 from repro.obs.baseline import read_run, series_totals
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import plan_for_healthy_fraction, use_fault_plan
-from repro.workloads import EXPERIMENT_CELLS
+from repro.workloads.registry import EXPERIMENT_CELLS
 
 #: One small grid most tests share: two workloads, truncated batches.
 TINY = dict(

@@ -80,10 +80,8 @@ class TestGitShaMemo:
 class TestReExports:
     def test_baseline_still_exposes_identity_helpers(self):
         """Callers predating runident keep importing these from
-        baseline (and the package root); all one function."""
-        from repro import obs
+        baseline; all one function."""
         from repro.obs import baseline
 
         assert baseline.run_identity is runident.run_identity
         assert baseline.git_sha is runident.git_sha
-        assert obs.run_identity is runident.run_identity

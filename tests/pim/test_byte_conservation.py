@@ -18,8 +18,9 @@ from repro.pim.kernels import (
     VecAddKernel,
     VecMulKernel,
 )
+from repro.pim.kernels.base import result_bytes
 from repro.pim.kernels.nttkernel import NTTButterflyKernel
-from repro.pim.runtime import PIMRuntime, _output_bytes
+from repro.pim.runtime import PIMRuntime
 from repro.poly.modring import find_ntt_prime
 
 #: The paper's security levels as container widths -> 32-bit limbs.
@@ -54,7 +55,7 @@ def test_ledger_matches_timing_and_transfer_model(
 
     # The timing record stores exactly the kernel's byte geometry.
     assert timing.mram_bytes_per_element == kernel.mram_bytes_per_element()
-    assert timing.output_bytes_per_element == _output_bytes(kernel)
+    assert timing.output_bytes_per_element == result_bytes(kernel)
 
     ledger = movement_bytes(timing)
     output_bytes = timing.n_elements * timing.output_bytes_per_element

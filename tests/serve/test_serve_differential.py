@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends.registry import get_backend
 from repro.core.params import BFVParameters
 from repro.core.planner import HeadroomGuard, plan_budget
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -32,7 +32,7 @@ from repro.serve.service import (
     price_launch,
     simulate,
 )
-from repro.workloads import PAPER_WORKLOADS
+from repro.workloads.registry import PAPER_WORKLOADS
 
 #: (workload, security bits) pairs a class is drawn from. At the default
 #: 2-bit margin vec_mul@54 is rejected (its planned budget is negative);

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends.registry import get_backend
 from repro.errors import ParameterError
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import FaultPlan

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import OpRequest, get_backend
-from repro.backends.registry import BACKEND_ORDER
+from repro.backends.base import OpRequest
+from repro.backends.registry import BACKEND_ORDER, get_backend
 
 
 class TestCostModelMonotonicity:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends.registry import get_backend
 from repro.errors import ParameterError
 from repro.workloads.covariance import CovarianceWorkload
 

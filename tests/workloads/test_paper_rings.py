@@ -9,7 +9,8 @@ goes through the vectorized CRT-NTT convolution.
 
 import random
 
-from repro.workloads import MeanWorkload, VectorAddWorkload, VectorMulWorkload
+from repro.workloads.mean import MeanWorkload
+from repro.workloads.vectorops import VectorAddWorkload, VectorMulWorkload
 from repro.workloads.context import WorkloadContext
 
 

@@ -3,15 +3,12 @@ billed for."""
 
 import pytest
 
-from repro.backends import get_backend
+from repro.backends.registry import get_backend
 from repro.errors import ParameterError
-from repro.workloads import (
-    LinearRegressionWorkload,
-    MeanWorkload,
-    VarianceWorkload,
-    VectorAddWorkload,
-    VectorMulWorkload,
-)
+from repro.workloads.linreg import LinearRegressionWorkload
+from repro.workloads.mean import MeanWorkload
+from repro.workloads.variance import VarianceWorkload
+from repro.workloads.vectorops import VectorAddWorkload, VectorMulWorkload
 
 
 class TestVectorOps:

@@ -11,13 +11,10 @@ rings' plaintext modulus (t = 257, centered range ±128).
 
 import math
 
-from repro.workloads import (
-    LinearRegressionWorkload,
-    MeanWorkload,
-    VarianceWorkload,
-    VectorAddWorkload,
-    VectorMulWorkload,
-)
+from repro.workloads.linreg import LinearRegressionWorkload
+from repro.workloads.mean import MeanWorkload
+from repro.workloads.variance import VarianceWorkload
+from repro.workloads.vectorops import VectorAddWorkload, VectorMulWorkload
 
 
 class TestVectorOpsFunctional:
