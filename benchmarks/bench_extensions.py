@@ -7,8 +7,9 @@ new real primitives (rotation, binary encoding).
 
 import pytest
 
-from repro.core import BinaryEncoder, KeyGenerator
+from repro.core.encoder import BinaryEncoder
 from repro.core.galois import rotate_rows
+from repro.core.keys import KeyGenerator
 
 
 def test_ext_energy_regenerate(benchmark, regenerate):

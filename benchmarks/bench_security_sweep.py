@@ -7,14 +7,12 @@ across 27/54/109 bits and benchmarks real BFV primitive latencies.
 
 import pytest
 
-from repro.core import (
-    BFVParameters,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    IntegerEncoder,
-    KeyGenerator,
-)
+from repro.core.decryptor import Decryptor
+from repro.core.encoder import IntegerEncoder
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.params import BFVParameters
 
 
 def test_tab_security_regenerate(benchmark, regenerate):

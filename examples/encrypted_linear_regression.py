@@ -12,7 +12,7 @@ Run:  python examples/encrypted_linear_regression.py
 
 import numpy as np
 
-from repro.core import BFVParameters
+from repro.core.params import BFVParameters
 from repro.poly.modring import find_ntt_prime
 from repro.workloads.context import WorkloadContext
 from repro.workloads.linreg import LinearRegressionWorkload

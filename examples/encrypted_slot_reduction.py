@@ -13,9 +13,10 @@ row/column structure of the SIMD layout.
 Run:  python examples/encrypted_slot_reduction.py
 """
 
-from repro.core import BFVParameters, KeyGenerator
 from repro.core.galois import rotate_columns, rotate_rows
+from repro.core.keys import KeyGenerator
 from repro.core.noise import noise_budget
+from repro.core.params import BFVParameters
 from repro.poly.modring import find_ntt_prime
 from repro.workloads.context import WorkloadContext
 

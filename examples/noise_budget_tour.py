@@ -11,16 +11,14 @@ Run:  python examples/noise_budget_tour.py   (takes ~30 s: real keygen
 and multiplications at n = 4096)
 """
 
-from repro.core import (
-    BFVParameters,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    IntegerEncoder,
-    KeyGenerator,
-    noise_budget,
-)
-from repro.core.noise import initial_budget_bits, multiply_noise_growth_bits
+from repro.core.decryptor import Decryptor
+from repro.core.encoder import IntegerEncoder
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.noise import noise_budget
+from repro.core.params import BFVParameters
+from repro.core.planner import initial_budget_bits, multiply_noise_growth_bits
 
 
 def tour_level(bits: int, depth: int) -> None:

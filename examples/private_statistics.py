@@ -13,7 +13,7 @@ paths are identical to the paper's 4096-degree level, only smaller.
 Run:  python examples/private_statistics.py
 """
 
-from repro.core import BFVParameters
+from repro.core.params import BFVParameters
 from repro.poly.modring import find_ntt_prime
 from repro.workloads.context import WorkloadContext
 from repro.workloads.mean import MeanWorkload

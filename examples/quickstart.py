@@ -9,15 +9,13 @@ operations the paper offloads to the PIM system.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    BFVParameters,
-    BatchEncoder,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    KeyGenerator,
-    noise_budget,
-)
+from repro.core.decryptor import Decryptor
+from repro.core.encoder import BatchEncoder
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.noise import noise_budget
+from repro.core.params import BFVParameters
 
 
 def main() -> None:

@@ -20,8 +20,12 @@ The library has four layers (see DESIGN.md for the full inventory):
 
 Quick start::
 
-    from repro.core import BFVParameters, KeyGenerator, Encryptor, \\
-        Decryptor, Evaluator, BatchEncoder
+    from repro.core.decryptor import Decryptor
+    from repro.core.encoder import BatchEncoder
+    from repro.core.encryptor import Encryptor
+    from repro.core.evaluator import Evaluator
+    from repro.core.keys import KeyGenerator
+    from repro.core.params import BFVParameters
 
     params = BFVParameters.security_level(109)
     keys = KeyGenerator(params, seed=1).generate()

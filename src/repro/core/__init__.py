@@ -6,12 +6,23 @@ implements — encryption, decryption, homomorphic addition, and
 homomorphic multiplication with relinearization — at the paper's three
 security levels (27-, 54-, and 109-bit, Section 3/4.1).
 
+Module map: :mod:`~repro.core.params` (parameter sets),
+:mod:`~repro.core.keys` (key generation), :mod:`~repro.core.encoder`
+(batch, integer and binary encoders), :mod:`~repro.core.encryptor`,
+:mod:`~repro.core.decryptor`, :mod:`~repro.core.evaluator`,
+:mod:`~repro.core.galois` (slot rotations), :mod:`~repro.core.modswitch`,
+:mod:`~repro.core.noise` (the measured budget) and
+:mod:`~repro.core.planner` (the analytic growth estimates and circuit
+planning).
+
 Typical round trip::
 
-    from repro.core import (
-        BFVParameters, KeyGenerator, Encryptor, Decryptor, Evaluator,
-        BatchEncoder,
-    )
+    from repro.core.decryptor import Decryptor
+    from repro.core.encoder import BatchEncoder
+    from repro.core.encryptor import Encryptor
+    from repro.core.evaluator import Evaluator
+    from repro.core.keys import KeyGenerator
+    from repro.core.params import BFVParameters
 
     params = BFVParameters.security_level(109)
     keys = KeyGenerator(params, seed=7).generate()
@@ -26,32 +37,7 @@ Typical round trip::
     prod = ev.multiply(ct_a, ct_b)
     assert encoder.decode(dec.decrypt(total))[:3] == [11, 22, 33]
     assert encoder.decode(dec.decrypt(prod))[:3] == [10, 40, 90]
+
+This package init imports none of them: import each name from its
+module, so loading the parameter sets does not load the engine.
 """
-
-from repro.core.ciphertext import Ciphertext, Plaintext
-from repro.core.decryptor import Decryptor
-from repro.core.encoder import BatchEncoder, BinaryEncoder, IntegerEncoder
-from repro.core.encryptor import Encryptor
-from repro.core.evaluator import Evaluator
-from repro.core.keys import KeyGenerator, KeySet, PublicKey, RelinKey, SecretKey
-from repro.core.noise import noise_budget
-from repro.core.params import SECURITY_LEVELS, BFVParameters
-
-__all__ = [
-    "BFVParameters",
-    "BatchEncoder",
-    "BinaryEncoder",
-    "Ciphertext",
-    "Decryptor",
-    "Encryptor",
-    "Evaluator",
-    "IntegerEncoder",
-    "KeyGenerator",
-    "KeySet",
-    "Plaintext",
-    "PublicKey",
-    "RelinKey",
-    "SECURITY_LEVELS",
-    "SecretKey",
-    "noise_budget",
-]

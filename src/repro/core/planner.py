@@ -3,10 +3,12 @@
 Somewhat-homomorphic encryption supports "addition and multiplication
 with constraints on multiplicative depth" (paper Section 2). Users of
 the library need to answer, *before* encrypting anything: does my
-parameter set support my circuit? This planner does that arithmetic
-from the analytic noise estimates in :mod:`repro.core.noise` with a
-configurable safety margin, and can pick the smallest paper security
-level for a given circuit.
+parameter set support my circuit? This module holds the analytic
+noise-growth estimates (fresh budget, per-operation growth, key-switch
+and modulus-switch floors) and does the planning arithmetic with them
+under a configurable safety margin; it can pick the smallest paper
+security level for a given circuit. The measured budget, which needs
+the secret key, is :func:`repro.core.noise.noise_budget`.
 
 The estimates are intentionally conservative; the tests check them
 against *measured* budgets on real ciphertexts (predicted-feasible
@@ -18,16 +20,114 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.noise import (
-    add_noise_growth_bits,
-    initial_budget_bits,
-    keyswitch_floor_bits,
-    multiply_noise_growth_bits,
-)
 from repro.core.params import BFVParameters
 from repro.errors import NoiseBudgetExhaustedError, ParameterError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+
+
+# -- analytic growth estimates ------------------------------------------------
+
+
+def fresh_noise_bits(params: BFVParameters) -> float:
+    """Analytic estimate of a fresh encryption's noise magnitude (bits).
+
+    Fresh invariant noise is roughly ``t/q * B * (2n + 1)`` with
+    ``B = eta`` the error bound; we report ``log2`` of that estimate.
+    """
+    n = params.poly_degree
+    estimate = (
+        params.plain_modulus
+        * params.error_eta
+        * (2 * n + 1)
+        / params.coeff_modulus
+    )
+    return math.log2(estimate) if estimate > 0 else float("-inf")
+
+
+def initial_budget_bits(params: BFVParameters) -> float:
+    """Predicted budget of a fresh encryption: ``-log2(2 * fresh_noise)``."""
+    return -1.0 - fresh_noise_bits(params)
+
+
+def add_noise_growth_bits(count: int) -> float:
+    """Budget consumed by summing ``count`` ciphertexts: ~``log2(count)``.
+
+    Addition adds noises linearly, so a balanced tree of ``count``
+    leaves multiplies the noise by at most ``count``.
+    """
+    return math.log2(max(count, 1))
+
+
+def keyswitch_floor_bits(params: BFVParameters) -> float:
+    """Budget ceiling after any key-switching operation, in bits.
+
+    Relinearization and Galois rotation both *add* a fresh noise term
+    of magnitude ``~ eta * T * l * n`` (digit errors times digit
+    magnitudes, convolved over the ring); in budget terms the resulting
+    ciphertext can never sit above
+    ``log2(q / (2 * t * eta * T * l * n))`` regardless of how clean its
+    input was. This is a floor effect, not a per-operation subtraction:
+    ``r`` successive key switches only cost a further ``log2(r)``.
+    """
+    estimate = (
+        params.plain_modulus
+        * params.error_eta
+        * (1 << params.relin_base_bits)
+        * params.relin_components
+        * params.poly_degree
+        / params.coeff_modulus
+    )
+    return -1.0 - math.log2(estimate) if estimate > 0 else float("inf")
+
+
+def multiply_plain_noise_growth_bits(plain) -> float:
+    """Budget consumed by a plaintext multiplication, in bits.
+
+    Plaintext multiplication convolves each component with the centered
+    plaintext, so the invariant noise grows by at most the plaintext's
+    L1 norm; the budget cost is ``log2`` of that norm (zero for a
+    monomial with a ±1 coefficient).
+    """
+    norm = sum(abs(c) for c in plain.poly.centered())
+    return math.log2(norm) if norm > 1 else 0.0
+
+
+def mod_switch_floor_bits(params: BFVParameters) -> float:
+    """Budget ceiling introduced by switching *to* ``params``.
+
+    Rescaling ``c' = round(q'/q * c)`` adds a rounding term of
+    invariant magnitude ``~ t * n / (2 * q')`` (see
+    :mod:`repro.core.modswitch`), so a switched ciphertext can never
+    report more than ``-log2(2 * t * n / (2 * q')) =
+    log2(q' / (t * n))`` bits of budget. ``params`` is the *new*
+    (smaller-modulus) parameter set.
+    """
+    estimate = (
+        params.plain_modulus
+        * params.poly_degree
+        / (2 * params.coeff_modulus)
+    )
+    return -1.0 - math.log2(estimate) if estimate > 0 else float("inf")
+
+
+def multiply_noise_growth_bits(params: BFVParameters) -> float:
+    """Rough budget consumed by one multiplication.
+
+    The dominant term of the BFV multiplication noise bound is
+    ``t * n * |v|`` on each operand's noise plus a relinearization term
+    ``~ n * T * B * l / q``; in budget terms a multiplication costs
+    about ``log2(t) + log2(n) + 1`` bits. This is the planning number
+    used by examples to pick a security level for a given depth.
+    """
+    return (
+        math.log2(params.plain_modulus)
+        + math.log2(params.poly_degree)
+        + 1.0
+    )
+
+
+# -- planning -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,9 @@ gate), :data:`EXIT_DATA` (2) when required recorded data — a baseline,
 the run history — is missing, empty, or corrupt, so scripts can tell
 "nothing usable recorded" from "something regressed". The four drift
 gates' ``record``/``check``/``html`` commands are generated from their
-:class:`~repro.obs.gate.Gate` specs.
+CLI faces (:class:`~repro.obs.gate.GateCli`), so building the parser,
+``--help`` and a usage error import no gate; the handler that runs a
+gate command loads that gate's :class:`~repro.obs.gate.Gate`.
 
 Setting ``REPRO_TRACE`` (see :func:`repro.obs.trace.configure_from_env`)
 enables tracing for *any* subcommand and flushes at process exit.
@@ -78,11 +80,23 @@ import argparse
 import sys
 
 from repro.errors import ParameterError, ReproError
+from repro.obs.gate import (
+    ENERGY_CLI,
+    GATE_CLIS,
+    NOISE_CLI,
+    PERF_CLI,
+    RESIL_CLI,
+)
 from repro.obs.trace import configure_from_env
 
 #: Exit status for "the recorded data this command needs does not
 #: exist (yet)" — distinct from 1, which means a real failure.
 EXIT_DATA = 2
+
+#: ``repro forensics shifts`` defaults: the CUSUM allowance and decision
+#: threshold of :mod:`repro.obs.forensics` (``K_REL``, ``H_MULT``).
+CUSUM_K_REL = 0.01
+CUSUM_H_MULT = 4.0
 
 
 def _cmd_list(_args) -> int:
@@ -229,8 +243,9 @@ def _emit(document: str, output) -> None:
         print(document)
 
 
-def _gate_record(gate, args) -> int:
+def _gate_record(face, args) -> int:
     """``repro <gate> record``: capture a baseline, append the history."""
+    gate = face.load()
     doc = gate.capture(args, _progress)
     gate.ledger.write(doc, args.baseline)
     gate.ledger.append(doc, args.history)
@@ -242,10 +257,11 @@ def _gate_record(gate, args) -> int:
     return 0
 
 
-def _gate_check(gate, args) -> int:
+def _gate_check(face, args) -> int:
     """``repro <gate> check``: re-capture and compare; 1 on drift."""
     from repro.obs.gate import exit_code
 
+    gate = face.load()
     baseline, status = _load_recorded(
         gate.ledger.read, args.baseline, hint=gate.ledger.hint
     )
@@ -266,22 +282,24 @@ def _cmd_gates(args) -> int:
     """``repro gates``: every gate's ``check``, one row per gate.
 
     Each gate runs as ``repro <gate> check`` with that command's
-    defaults (perf gets ``--skip-wall`` when given), so the reports,
-    history lines and exit codes are the separate commands'. The exit
-    status is the worst gate's.
+    defaults (perf gets ``--skip-wall`` when given) against the gate's
+    own baseline and history, so the reports, history lines and exit
+    codes are the separate commands'. The exit status is the worst
+    gate's.
     """
     import time
 
-    from repro.obs import energy, noisegate, perf
-    from repro.serve import resilience
-
     parser = build_parser()
     rows = []
-    for gate in (perf.GATE, noisegate.GATE, energy.GATE, resilience.GATE):
+    for face in GATE_CLIS:
+        gate = face.load()
         argv = [gate.name, "check"]
-        if gate is perf.GATE and args.skip_wall:
+        if face is PERF_CLI and args.skip_wall:
             argv.append("--skip-wall")
-        gate_args = parser.parse_args(argv)
+        gate_args = parser.parse_args(
+            argv
+            + ["--baseline", gate.baseline_path, "--history", gate.history_path]
+        )
         print(f"== repro {' '.join(argv)}")
         start = time.perf_counter()
         try:
@@ -300,8 +318,9 @@ def _cmd_gates(args) -> int:
     return max(code for _, _, code, _ in rows)
 
 
-def _gate_html(gate, args) -> int:
+def _gate_html(face, args) -> int:
     """``repro <gate> html|report``: render the recorded runs as HTML."""
+    gate = face.load()
     loaded, status = _load_recorded(
         lambda: (
             gate.ledger.history(args.history),
@@ -817,8 +836,9 @@ def _cmd_verify(_args) -> int:
     rotation and device-kernel paths; each step asserts exact agreement
     with plaintext references internally.
     """
-    from repro.core import BFVParameters, KeyGenerator
     from repro.core.galois import rotate_rows
+    from repro.core.keys import KeyGenerator
+    from repro.core.params import BFVParameters
     from repro.pim.executor import DeviceEvaluator
     from repro.poly.modring import find_ntt_prime
     from repro.workloads.context import WorkloadContext
@@ -892,30 +912,31 @@ def _add_keep_going(parser) -> None:
     )
 
 
-def _add_history(parser, gate, prefix: str = "") -> None:
+def _add_history(parser, face, prefix: str = "") -> None:
     """``--<prefix>history``: the gate's run-history JSONL."""
     parser.add_argument(
         f"--{prefix}history",
-        default=gate.history_path,
+        default=face.history_path,
         metavar="FILE",
-        help=f"{gate.ledger.noun} run-history JSONL "
-        f"(default: {gate.history_path})",
+        help=f"{face.ledger_noun} run-history JSONL "
+        f"(default: {face.history_path})",
     )
 
 
-def _add_ledger_paths(parser, gate, prefix: str = "") -> None:
+def _add_ledger_paths(parser, face, prefix: str = "") -> None:
     """``--<prefix>baseline`` and ``--<prefix>history`` for a gate."""
     parser.add_argument(
         f"--{prefix}baseline",
-        default=gate.baseline_path,
+        default=face.baseline_path,
         metavar="FILE",
-        help=f"{gate.ledger.what} JSON (default: {gate.baseline_path})",
+        help=f"{face.ledger_noun} baseline JSON "
+        f"(default: {face.baseline_path})",
     )
-    _add_history(parser, gate, prefix)
+    _add_history(parser, face, prefix)
 
 
-def _add_gate(sub, gate):
-    """``repro <gate> record|check|<html>`` from a gate spec.
+def _add_gate(sub, face):
+    """``repro <gate> record|check|<html>`` from a gate's CLI face.
 
     Every command gets the gate's own options plus ``--baseline`` and
     ``--history``; ``check`` adds ``--update`` and the HTML command
@@ -924,27 +945,27 @@ def _add_gate(sub, gate):
     import functools
 
     parser = sub.add_parser(
-        gate.name, help=gate.help, description=gate.description
+        face.name, help=face.help, description=face.description
     )
     commands = parser.add_subparsers(
-        dest=f"{gate.name}_command", required=True
+        dest=f"{face.name}_command", required=True
     )
-    for command, help_text in gate.commands.items():
+    for command, help_text in face.commands.items():
         handler = {"record": _gate_record, "check": _gate_check}.get(
             command, _gate_html
         )
         command_parser = commands.add_parser(command, help=help_text)
         if handler is _gate_html:
             _add_output(command_parser)
-        gate.add_arguments(command_parser, command)
+        face.add_arguments(command_parser, command)
         if handler is _gate_check:
             command_parser.add_argument(
                 "--update",
                 action="store_true",
                 help="adopt the current run as the new baseline (exit 0)",
             )
-        _add_ledger_paths(command_parser, gate)
-        command_parser.set_defaults(func=functools.partial(handler, gate))
+        _add_ledger_paths(command_parser, face)
+        command_parser.set_defaults(func=functools.partial(handler, face))
     return commands
 
 
@@ -1007,9 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parser.add_argument("ids", nargs="+", help="experiment ids")
     obs_parser.set_defaults(func=_cmd_obs)
 
-    from repro.obs import energy, noisegate, perf
-    from repro.serve import resilience
-
     gates_parser = sub.add_parser(
         "gates",
         help="check every drift gate (perf, noise, energy, resil) in one "
@@ -1027,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gates_parser.set_defaults(func=_cmd_gates)
 
-    perf_sub = _add_gate(sub, perf.GATE)
+    perf_sub = _add_gate(sub, PERF_CLI)
     diff_parser = perf_sub.add_parser(
         "diff", help="attribution diff between two recorded runs"
     )
@@ -1040,13 +1058,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument(
         "--top", type=int, default=10, help="rows per experiment"
     )
-    _add_ledger_paths(diff_parser, perf.GATE)
+    _add_ledger_paths(diff_parser, PERF_CLI)
     diff_parser.set_defaults(func=_cmd_perf_diff)
 
-    from repro.obs.forensics import H_MULT as _H_MULT
-    from repro.obs.forensics import K_REL as _K_REL
-
-    _PERF_BASELINE = perf.GATE.baseline_path
+    _PERF_BASELINE = PERF_CLI.baseline_path
 
     why_parser = sub.add_parser(
         "why",
@@ -1072,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline JSON file, or run-id prefix in the history "
         f"(default: {_PERF_BASELINE})",
     )
-    _add_history(why_parser, perf.GATE)
-    _add_ledger_paths(why_parser, energy.GATE, "energy-")
+    _add_history(why_parser, PERF_CLI)
+    _add_ledger_paths(why_parser, ENERGY_CLI, "energy-")
     why_parser.add_argument(
         "--top", type=int, default=10, help="contributors per family"
     )
@@ -1128,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run JSON file, run-id prefix, or 'latest' "
         "(default: the newest history entry)",
     )
-    _add_history(forensics_html, perf.GATE)
+    _add_history(forensics_html, PERF_CLI)
     forensics_html.add_argument(
         "--top", type=int, default=10, help="contributors per experiment"
     )
@@ -1144,30 +1159,30 @@ def build_parser() -> argparse.ArgumentParser:
         "shifts",
         help="CUSUM change-point scan over the longitudinal stores",
     )
-    _add_history(forensics_shifts, perf.GATE)
-    _add_history(forensics_shifts, energy.GATE, "energy-")
-    _add_history(forensics_shifts, noisegate.GATE, "noise-")
+    _add_history(forensics_shifts, PERF_CLI)
+    _add_history(forensics_shifts, ENERGY_CLI, "energy-")
+    _add_history(forensics_shifts, NOISE_CLI, "noise-")
     forensics_shifts.add_argument(
         "--k-rel",
         type=float,
-        default=_K_REL,
+        default=CUSUM_K_REL,
         help="CUSUM allowance as a fraction of the regime mean "
-        f"(default: {_K_REL})",
+        f"(default: {CUSUM_K_REL})",
     )
     forensics_shifts.add_argument(
         "--h-mult",
         type=float,
-        default=_H_MULT,
+        default=CUSUM_H_MULT,
         help="CUSUM decision threshold in allowances "
-        f"(default: {_H_MULT})",
+        f"(default: {CUSUM_H_MULT})",
     )
     forensics_shifts.add_argument(
         "--json", metavar="FILE", help="write the shift records as JSON"
     )
     forensics_shifts.set_defaults(func=_cmd_forensics_shifts)
 
-    _add_gate(sub, noisegate.GATE)
-    _add_gate(sub, energy.GATE)
+    _add_gate(sub, NOISE_CLI)
+    _add_gate(sub, ENERGY_CLI)
 
     faults_parser = sub.add_parser(
         "faults",
@@ -1251,14 +1266,12 @@ def build_parser() -> argparse.ArgumentParser:
     grid_sub = grid_parser.add_subparsers(dest="grid_command", required=True)
 
     def _grid_baseline(p) -> None:
-        from repro.obs.baseline import DEFAULT_BASELINE_PATH
-
         p.add_argument(
             "--baseline",
-            default=DEFAULT_BASELINE_PATH,
+            default=_PERF_BASELINE,
             metavar="FILE",
             help="perf baseline to cross-check fault-free cells against "
-            f"(default: {DEFAULT_BASELINE_PATH})",
+            f"(default: {_PERF_BASELINE})",
         )
 
     grid_run = grid_sub.add_parser(
@@ -1328,8 +1341,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _grid_baseline(grid_html)
     _add_output(grid_html)
-    _add_history(grid_html, perf.GATE)
-    _add_ledger_paths(grid_html, noisegate.GATE, "noise-")
+    _add_history(grid_html, PERF_CLI)
+    _add_ledger_paths(grid_html, NOISE_CLI, "noise-")
     grid_html.set_defaults(func=_cmd_grid_html)
 
     serve_parser = sub.add_parser(
@@ -1469,10 +1482,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_sweep.add_argument(
         "--baseline",
-        default="baselines/perf.json",
+        default=_PERF_BASELINE,
         metavar="FILE",
         help="perf baseline for the zero-fault bit-identity cross-check "
-        "(default: baselines/perf.json)",
+        f"(default: {_PERF_BASELINE})",
     )
     serve_sweep.add_argument(
         "--skip-baseline",
@@ -1496,7 +1509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(serve_html)
     serve_html.set_defaults(func=_cmd_serve_html)
 
-    _add_gate(sub, resilience.GATE)
+    _add_gate(sub, RESIL_CLI)
 
     profile_parser = sub.add_parser(
         "profile",

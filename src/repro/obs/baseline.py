@@ -40,7 +40,7 @@ from time import perf_counter
 from repro.errors import ParameterError
 from repro.harness.experiments import get_experiment
 from repro.obs.export import path_tree
-from repro.obs.gate import Ledger
+from repro.obs.gate import PERF_LEDGER
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import git_sha, run_identity
 from repro.obs.trace import Tracer, use_tracer
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: Version stamped into every run record / baseline document.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = PERF_LEDGER.schema
 
 #: Where ``repro perf record`` writes the baseline by default.
 DEFAULT_BASELINE_PATH = "baselines/perf.json"
@@ -257,14 +257,10 @@ def capture_run(ids=None, repeats: int = 3, progress=None) -> dict:
 
 # -- persistence ------------------------------------------------------------
 
-#: The perf baseline and run-history format (``repro perf``).
-LEDGER = Ledger(
-    noun="perf",
-    what="perf baseline",
-    family="experiments",
-    hint="repro perf record",
-    schema=SCHEMA_VERSION,
-)
+#: The perf baseline and run-history format (``repro perf``); it is
+#: defined with the gate framework, so other layers read a perf baseline
+#: without loading the experiments this module captures.
+LEDGER = PERF_LEDGER
 
 #: Read and schema-validate a run record / baseline.
 read_run = LEDGER.read

@@ -529,15 +529,6 @@ def _recorded(doc: dict) -> str:
     )
 
 
-def _add_arguments(parser, command: str) -> None:
-    if command == "record":
-        parser.add_argument(
-            "ids",
-            nargs="*",
-            help="experiment ids to record (default: the fast set)",
-        )
-
-
 GATE = gate.Gate(
     name="energy",
     ledger=LEDGER,
@@ -552,23 +543,6 @@ GATE = gate.Gate(
         "changed — re-baseline deliberately with "
         "'repro energy check --update'"
     ),
-    help="modelled energy & data movement: record, gate, and report "
-    "joules and bytes moved per experiment",
-    description=(
-        "Price every experiment's modelled energy (DPU "
-        "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
-        "envelopes) and the bytes it moves at each memory level, "
-        "and gate the model against the committed baseline: "
-        "modelled joules are deterministic, so any difference is "
-        "ENERGY-DRIFT. See docs/observability.md."
-    ),
-    commands={
-        "record": "capture the modelled-energy baseline",
-        "check": "re-price the experiments and gate against the baseline",
-        "report": "render energy-per-op, EDP, and movement bars as "
-        "standalone HTML",
-    },
-    add_arguments=_add_arguments,
     capture=lambda args, progress: capture_energy_run(
         ids=args.ids or None, progress=progress
     ),

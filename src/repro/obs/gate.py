@@ -7,9 +7,14 @@ re-captures it, and reports one :class:`Verdict` row per checked item.
 This module is the one copy of what they share: the on-disk
 :class:`Ledger` (the faults and serve sweeps use it too), the verdict
 row, the exact-match policy (:func:`check_exact`), the exit code, and
-the :class:`Gate` spec with its text report, from which the CLI
-generates each gate's commands. Policies that genuinely differ — perf's
-wall band, noise's tolerances — stay in their gate modules.
+the :class:`Gate` spec with its text report, and each gate's CLI face
+(:class:`GateCli`), from which the CLI generates the gate's commands
+without importing the gate. Policies that genuinely differ — perf's
+wall band, noise's tolerances — stay in their gate modules. The perf
+baseline's ledger (:data:`PERF_LEDGER`) and its cross-check
+(:func:`baseline_pairs`) live here too: the grid, the serving sweep and
+the resilience gate check against a perf baseline without running an
+experiment.
 
 It imports only the standard library and :mod:`repro.errors`, so it
 adds nothing to a gate's set-up time.
@@ -17,6 +22,7 @@ adds nothing to a gate's set-up time.
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
 from collections import Counter
@@ -38,10 +44,14 @@ __all__ = [
     "FAILING",
     "NEW_NOTE",
     "Ledger",
+    "PERF_LEDGER",
     "Verdict",
     "Gate",
+    "GateCli",
+    "GATE_CLIS",
     "exact_diffs",
     "check_exact",
+    "baseline_pairs",
     "exit_code",
 ]
 
@@ -148,6 +158,16 @@ class Ledger:
         ]
 
 
+#: The perf baseline and run-history format (``repro perf``).
+PERF_LEDGER = Ledger(
+    noun="perf",
+    what="perf baseline",
+    family="experiments",
+    hint="repro perf record",
+    schema=1,
+)
+
+
 # -- verdicts ------------------------------------------------------------------
 
 
@@ -250,6 +270,45 @@ def check_exact(
     return verdicts
 
 
+def baseline_pairs(totals: dict, baseline: dict, backends) -> list:
+    """Pair each priced (experiment, backend) total with the baseline's.
+
+    ``totals`` maps experiment id -> {backend: modelled ms}, summed
+    elsewhere (grid cells, serving launches) in the experiment's batch
+    order. Every backend in ``backends`` gets one row per experiment, in
+    ``totals`` order: ``{experiment, backend, expected_ms, got_ms,
+    verdict}``. The verdict is ``new`` when the perf baseline has no
+    such series total, ``partial`` when ``totals`` has none yet, and
+    otherwise ``ok`` or ``MODEL-DRIFT`` by exact float equality — the
+    perf gate's modelled-exactness policy
+    (:func:`repro.obs.perf.modelled_drift`).
+    """
+    recorded = baseline.get("experiments", {})
+    rows = []
+    for eid, got in totals.items():
+        series = recorded.get(eid, {}).get("modelled", {}).get("series_totals", {})
+        for backend in backends:
+            got_ms, expected_ms = got.get(backend), series.get(backend)
+            if expected_ms is None:
+                verdict = VERDICT_NEW
+            elif got_ms is None:
+                verdict = VERDICT_PARTIAL
+            elif got_ms == expected_ms:
+                verdict = VERDICT_OK
+            else:
+                verdict = MODEL_DRIFT
+            rows.append(
+                {
+                    "experiment": eid,
+                    "backend": backend,
+                    "expected_ms": expected_ms,
+                    "got_ms": got_ms,
+                    "verdict": verdict,
+                }
+            )
+    return rows
+
+
 def _identity(role: str, doc: dict) -> str:
     return (
         f"  {role} run {str(doc.get('run_id', '?'))[:12]} "
@@ -262,15 +321,12 @@ def _identity(role: str, doc: dict) -> str:
 
 @dataclass(frozen=True)
 class Gate:
-    """One drift gate: its ledger, report, and CLI surface.
+    """One drift gate: its ledger, capture, check and report.
 
     ``order`` lists the gate's verdict labels in summary order, the
-    drift label last. The CLI (:mod:`repro.harness.cli`) builds
-    ``repro <name> record|check|<html command>`` from the rest:
+    drift label last. The CLI (:mod:`repro.harness.cli`) runs
+    ``repro <name> record|check|<html command>`` through the rest:
 
-    * ``commands`` maps ``record``, ``check`` and the HTML command
-      (``html`` or ``report``) to their help text;
-    * ``add_arguments(parser, command)`` adds the gate's own options;
     * ``capture(args, progress)`` records a fresh document;
     * ``capture_for_check(baseline, args, progress)`` re-captures what
       the baseline recorded;
@@ -279,6 +335,8 @@ class Gate:
       dashboard for the newest recorded run from the verdicts the CLI
       computed with ``check`` (``None`` when there is no baseline);
     * ``recorded(doc)`` says what ``record`` captured.
+
+    The commands' options come from the gate's :class:`GateCli`.
     """
 
     name: str
@@ -289,10 +347,6 @@ class Gate:
     noun: str
     order: tuple
     drift_hint: str | None
-    help: str
-    description: str
-    commands: dict
-    add_arguments: Callable
     capture: Callable
     capture_for_check: Callable
     check: Callable
@@ -334,3 +388,298 @@ class Gate:
         if self.drift_hint and counts[self.drift]:
             lines.append(self.drift_hint)
         return "\n".join(lines)
+
+
+# -- the gates' CLI faces ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GateCli:
+    """What the CLI needs of a gate to build its commands.
+
+    Building ``repro <name> record|check|<html command>`` and answering
+    ``--help`` or a usage error read only this; the handler that runs a
+    command loads the :class:`Gate` itself (:meth:`load`) from
+    ``module``. The paths and option defaults repeat the gate module's
+    constants, so parsing stays free of the gate's layers;
+    ``tests/harness/test_cli_parity.py`` holds them equal.
+
+    * ``ledger_noun`` names the recorded documents in help texts (the
+      gate ledger's ``noun``);
+    * ``commands`` maps ``record``, ``check`` and the HTML command
+      (``html`` or ``report``) to their help text;
+    * ``add_arguments(parser, command)`` adds the gate's own options.
+    """
+
+    name: str
+    module: str
+    ledger_noun: str
+    baseline_path: str
+    history_path: str
+    help: str
+    description: str
+    commands: dict
+    add_arguments: Callable
+
+    def load(self) -> Gate:
+        """The gate this face stands for (imports its module)."""
+        return importlib.import_module(self.module).GATE
+
+
+def _perf_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to record (default: the fast set)",
+        )
+        parser.add_argument(
+            "--repeats",
+            type=int,
+            default=3,
+            help="untraced wall-time repeats per experiment (default: 3)",
+        )
+    elif command == "check":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiments to check (default: everything in the baseline)",
+        )
+        parser.add_argument(
+            "--repeats", type=int, default=3, help="wall-time repeats"
+        )
+        parser.add_argument(
+            "--skip-wall",
+            action="store_true",
+            help="modelled-exactness only (for CI / foreign machines)",
+        )
+    else:
+        parser.add_argument(
+            "--skip-wall",
+            action="store_true",
+            help="badge on modelled exactness only",
+        )
+
+
+PERF_CLI = GateCli(
+    name="perf",
+    module="repro.obs.perf",
+    ledger_noun="perf",
+    baseline_path="baselines/perf.json",
+    history_path="baselines/history.jsonl",
+    help="performance baselines, regression gate, and dashboard",
+    description=(
+        "Record schema-versioned performance baselines and gate "
+        "changes against them: modelled times must match exactly "
+        "(MODEL-DRIFT otherwise), wall times within a noise-aware "
+        "band (REGRESSION otherwise). See docs/observability.md."
+    ),
+    commands={
+        "record": "capture a baseline run (modelled + wall + rollups)",
+        "check": "re-run and compare against the baseline",
+        "html": "render the run history as a standalone HTML dashboard",
+    },
+    add_arguments=_perf_arguments,
+)
+
+
+def _noise_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to record (default: all paper levels)",
+        )
+        parser.add_argument(
+            "--seed",
+            type=int,
+            default=7,
+            help="seed for keys, encryption randomness, and operand "
+            "sampling (default: 7)",
+        )
+    elif command == "check":
+        parser.add_argument(
+            "levels",
+            nargs="*",
+            type=int,
+            help="security levels to check (default: everything in the "
+            "baseline)",
+        )
+
+
+NOISE_CLI = GateCli(
+    name="noise",
+    module="repro.obs.noisegate",
+    ledger_noun="noise",
+    baseline_path="baselines/noise.json",
+    history_path="baselines/noise-history.jsonl",
+    help="noise-budget calibration: record, gate, and report "
+    "predicted-vs-measured trajectories",
+    description=(
+        "Record seeded-deterministic noise-budget trajectories "
+        "(predicted and measured bits per operation) for the paper "
+        "security levels and gate the growth model against them: "
+        "any change beyond tolerance is NOISE-DRIFT. See "
+        "docs/observability.md."
+    ),
+    commands={
+        "record": "capture the noise-calibration baseline",
+        "check": "re-run trajectories and gate against the baseline",
+        "report": "render the budget-vs-depth trajectories as standalone HTML",
+    },
+    add_arguments=_noise_arguments,
+)
+
+
+def _energy_arguments(parser, command: str) -> None:
+    if command == "record":
+        parser.add_argument(
+            "ids",
+            nargs="*",
+            help="experiment ids to record (default: the fast set)",
+        )
+
+
+ENERGY_CLI = GateCli(
+    name="energy",
+    module="repro.obs.energy",
+    ledger_noun="energy",
+    baseline_path="baselines/energy.json",
+    history_path="baselines/energy-history.jsonl",
+    help="modelled energy & data movement: record, gate, and report "
+    "joules and bytes moved per experiment",
+    description=(
+        "Price every experiment's modelled energy (DPU "
+        "pipeline/idle/DMA split, host-link transfers, CPU/GPU TDP "
+        "envelopes) and the bytes it moves at each memory level, "
+        "and gate the model against the committed baseline: "
+        "modelled joules are deterministic, so any difference is "
+        "ENERGY-DRIFT. See docs/observability.md."
+    ),
+    commands={
+        "record": "capture the modelled-energy baseline",
+        "check": "re-price the experiments and gate against the baseline",
+        "report": "render energy-per-op, EDP, and movement bars as "
+        "standalone HTML",
+    },
+    add_arguments=_energy_arguments,
+)
+
+
+def _resil_arguments(parser, command: str) -> None:
+    parser.add_argument(
+        "--workload",
+        default="vec_add",
+        help="request-class workload (default: vec_add)",
+    )
+    parser.add_argument(
+        "--security",
+        type=int,
+        default=54,
+        metavar="BITS",
+        help="security level (default: 54)",
+    )
+    parser.add_argument(
+        "--seeds",
+        nargs="+",
+        type=int,
+        default=[1, 7],
+        help="fault seeds to sweep (default: 1 7)",
+    )
+    parser.add_argument(
+        "--shards",
+        nargs="+",
+        type=int,
+        default=[1, 4],
+        metavar="K",
+        help="shard counts to sweep (default: 1 4)",
+    )
+    parser.add_argument(
+        "--qps",
+        nargs="+",
+        type=float,
+        default=[2000.0, 96000.0, 144000.0, 176000.0],
+        help="offered rates to sweep (default: 2000 96000 144000 176000)",
+    )
+    parser.add_argument(
+        "--duration",
+        type=float,
+        default=0.1,
+        metavar="S",
+        help="modelled arrival window in seconds (default: 0.1)",
+    )
+    parser.add_argument(
+        "--breaker-threshold",
+        type=int,
+        default=3,
+        metavar="N",
+        help="consecutive failures that trip a shard's breaker "
+        "(default: 3)",
+    )
+    parser.add_argument(
+        "--breaker-cooldown-ms",
+        type=float,
+        default=25.0,
+        metavar="MS",
+        help="breaker cooldown in modelled milliseconds (default: 25)",
+    )
+    parser.add_argument(
+        "--retry-budget",
+        type=int,
+        default=1,
+        metavar="N",
+        help="redispatches allowed after a failed dispatch (default: 1)",
+    )
+    parser.add_argument(
+        "--hedge-after-ms",
+        type=float,
+        default=5.0,
+        metavar="MS",
+        help="queue wait that triggers a hedged duplicate launch "
+        "(default: 5)",
+    )
+    parser.add_argument(
+        "--perf-baseline",
+        default=PERF_CLI.baseline_path,
+        metavar="FILE",
+        help="perf baseline for the single-shard bit-identity "
+        f"cross-check (default: {PERF_CLI.baseline_path})",
+    )
+    parser.add_argument(
+        "--skip-baseline",
+        action="store_true",
+        help="skip the single-shard perf cross-check",
+    )
+
+
+RESIL_CLI = GateCli(
+    name="resil",
+    module="repro.serve.resilience",
+    ledger_noun="resilience",
+    baseline_path="baselines/resilience.json",
+    history_path="baselines/resilience-history.jsonl",
+    help="fault-tolerant sharded serving: record, gate, and render "
+    "degraded-fleet SLO attainment",
+    description=(
+        "Sweep the sharded resilient serving model — health-aware "
+        "placement over K rank-aligned shards, per-shard circuit "
+        "breakers, retry budgets, hedged dispatch — across a fault "
+        "seed × shard count × offered QPS grid, healthy and with "
+        "one shard's ranks disabled. Every point is deterministic "
+        "modelled arithmetic, so the gate demands exact equality "
+        "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
+        "pricer is cross-checked bit-for-bit against the perf "
+        "baseline. See docs/robustness.md."
+    ),
+    commands={
+        "record": "capture the RESILIENCE gate baseline",
+        "check": "re-simulate the recorded grid and gate against the "
+        "baseline",
+        "html": "render the shard-health dashboard from the recorded run",
+    },
+    add_arguments=_resil_arguments,
+)
+
+#: Every gate, in the order ``repro gates`` checks them.
+GATE_CLIS = (PERF_CLI, NOISE_CLI, ENERGY_CLI, RESIL_CLI)

@@ -5,7 +5,7 @@ because noise growth bounds the usable multiplicative depth
 (Section 2); PRs 1-3 made the *performance* axis observable, this
 module does the same for the *correctness* axis. A
 :class:`NoiseLedger` stamps every fresh encryption with the analytic
-budget estimate from :mod:`repro.core.noise` and updates the stamp on
+budget estimate from :mod:`repro.core.planner` and updates the stamp on
 every evaluator operation — additions, plaintext operands,
 multiplications, relinearizations, Galois rotations, and modulus
 switches — so any ciphertext's predicted headroom can be read at any
@@ -33,6 +33,15 @@ from __future__ import annotations
 import threading
 import weakref
 
+from repro.core.noise import noise_budget
+from repro.core.planner import (
+    add_noise_growth_bits,
+    initial_budget_bits,
+    keyswitch_floor_bits,
+    mod_switch_floor_bits,
+    multiply_noise_growth_bits,
+    multiply_plain_noise_growth_bits,
+)
 from repro.errors import ParameterError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -116,19 +125,6 @@ class NoiseStamp:
         )
 
 
-def _core_noise():
-    """The analytic growth model, imported lazily.
-
-    Deferred to break the cycle ``repro.core`` -> ``core.encryptor`` ->
-    this module -> ``repro.core.noise``: the package init of
-    ``repro.core`` imports the evaluator hooks, so the reverse import
-    must wait until the first tracked operation.
-    """
-    import repro.core.noise as core_noise
-
-    return core_noise
-
-
 class NoiseLedger:
     """Recording ledger: predicted (and measured) budgets per ciphertext.
 
@@ -170,7 +166,7 @@ class NoiseLedger:
 
     def stamp_fresh(self, ciphertext) -> NoiseStamp:
         """Stamp a fresh encryption with the analytic initial budget."""
-        pred = _core_noise().initial_budget_bits(ciphertext.params)
+        pred = initial_budget_bits(ciphertext.params)
         stamp = NoiseStamp(pred, depth=0, key_switches=0, op="encrypt")
         self._store(ciphertext, stamp)
         self._emit("encrypt", stamp, consumed=0.0)
@@ -188,7 +184,6 @@ class NoiseLedger:
         stamps = [self.lookup(ct) for ct in inputs]
         if not stamps or any(s is None for s in stamps):
             return None
-        noise = _core_noise()
         if params is None:
             params = inputs[0].params
         pred = min(s.pred_bits for s in stamps)
@@ -196,24 +191,24 @@ class NoiseLedger:
         key_switches = sum(s.key_switches for s in stamps)
 
         if op == "add":
-            pred -= noise.add_noise_growth_bits(2)
+            pred -= add_noise_growth_bits(2)
         elif op in ("add_plain", "negate"):
             pass
         elif op in ("multiply", "square"):
-            pred -= noise.multiply_noise_growth_bits(params)
+            pred -= multiply_noise_growth_bits(params)
             depth += 1
         elif op == "multiply_plain":
             if plain is not None:
-                pred -= noise.multiply_plain_noise_growth_bits(plain)
+                pred -= multiply_plain_noise_growth_bits(plain)
         elif op in _KEY_SWITCH_OPS:
             key_switches += 1
             pred = min(
                 pred,
-                noise.keyswitch_floor_bits(params)
-                - noise.add_noise_growth_bits(key_switches),
+                keyswitch_floor_bits(params)
+                - add_noise_growth_bits(key_switches),
             )
         elif op == "mod_switch":
-            pred = min(pred, noise.mod_switch_floor_bits(params)) - 1.0
+            pred = min(pred, mod_switch_floor_bits(params)) - 1.0
         else:
             raise ParameterError(
                 f"unknown noise-ledger op {op!r}; known: {OP_CLASSES}"
@@ -257,7 +252,7 @@ class NoiseLedger:
         the calibration gate, not a server-side facility). Untracked
         ciphertexts are measured but not stored.
         """
-        measured = _core_noise().noise_budget(ciphertext, secret_key)
+        measured = noise_budget(ciphertext, secret_key)
         stamp = self.lookup(ciphertext)
         if stamp is not None:
             stamp.meas_bits = measured
@@ -305,7 +300,7 @@ class NullNoiseLedger:
         return None
 
     def measure(self, ciphertext, secret_key):
-        return _core_noise().noise_budget(ciphertext, secret_key)
+        return noise_budget(ciphertext, secret_key)
 
     def __len__(self) -> int:
         return 0

@@ -288,31 +288,6 @@ def check_noise_runs(baseline: dict, current: dict) -> list:
 # -- the gate spec ----------------------------------------------------------
 
 
-def _add_arguments(parser, command: str) -> None:
-    if command == "record":
-        parser.add_argument(
-            "levels",
-            nargs="*",
-            type=int,
-            help="security levels to record (default: all paper levels)",
-        )
-        parser.add_argument(
-            "--seed",
-            type=int,
-            default=7,
-            help="seed for keys, encryption randomness, and operand "
-            "sampling (default: 7)",
-        )
-    elif command == "check":
-        parser.add_argument(
-            "levels",
-            nargs="*",
-            type=int,
-            help="security levels to check (default: everything in the "
-            "baseline)",
-        )
-
-
 def _recorded(doc: dict) -> str:
     trajectories = sum(
         len(level["workloads"]) for level in doc["levels"].values()
@@ -336,21 +311,6 @@ GATE = gate.Gate(
         "the growth model, evaluator, or sampler changed — "
         "re-baseline deliberately with 'repro noise check --update'"
     ),
-    help="noise-budget calibration: record, gate, and report "
-    "predicted-vs-measured trajectories",
-    description=(
-        "Record seeded-deterministic noise-budget trajectories "
-        "(predicted and measured bits per operation) for the paper "
-        "security levels and gate the growth model against them: "
-        "any change beyond tolerance is NOISE-DRIFT. See "
-        "docs/observability.md."
-    ),
-    commands={
-        "record": "capture the noise-calibration baseline",
-        "check": "re-run trajectories and gate against the baseline",
-        "report": "render the budget-vs-depth trajectories as standalone HTML",
-    },
-    add_arguments=_add_arguments,
     capture=lambda args, progress: capture_noise_run(
         levels=args.levels or None, seed=args.seed, progress=progress
     ),

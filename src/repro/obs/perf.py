@@ -33,7 +33,6 @@ __all__ = [
     "GATE",
     "classify_wall",
     "modelled_drift",
-    "baseline_pairs",
     "check_runs",
     "diff_runs",
     "render_diff",
@@ -117,44 +116,6 @@ def modelled_drift(baseline_exp: dict, current_exp: dict) -> list:
         "transfer", baseline_exp["transfer"], current_exp["transfer"]
     )
     return notes
-
-
-def baseline_pairs(totals: dict, baseline: dict, backends) -> list:
-    """Pair each priced (experiment, backend) total with the baseline's.
-
-    ``totals`` maps experiment id -> {backend: modelled ms}, summed
-    elsewhere (grid cells, serving launches) in the experiment's batch
-    order. Every backend in ``backends`` gets one row per experiment, in
-    ``totals`` order: ``{experiment, backend, expected_ms, got_ms,
-    verdict}``. The verdict is ``new`` when the baseline has no such
-    series total, ``partial`` when ``totals`` has none yet, and
-    otherwise ``ok`` or ``MODEL-DRIFT`` by exact float equality — the
-    modelled-exactness policy of :func:`modelled_drift`.
-    """
-    recorded = baseline.get("experiments", {})
-    rows = []
-    for eid, got in totals.items():
-        series = recorded.get(eid, {}).get("modelled", {}).get("series_totals", {})
-        for backend in backends:
-            got_ms, expected_ms = got.get(backend), series.get(backend)
-            if expected_ms is None:
-                verdict = gate.VERDICT_NEW
-            elif got_ms is None:
-                verdict = gate.VERDICT_PARTIAL
-            elif got_ms == expected_ms:
-                verdict = gate.VERDICT_OK
-            else:
-                verdict = gate.MODEL_DRIFT
-            rows.append(
-                {
-                    "experiment": eid,
-                    "backend": backend,
-                    "expected_ms": expected_ms,
-                    "got_ms": got_ms,
-                    "verdict": verdict,
-                }
-            )
-    return rows
 
 
 def check_runs(
@@ -297,41 +258,6 @@ def render_diff(run_a: dict, run_b: dict, top_k: int = 10) -> str:
 # -- the gate spec ----------------------------------------------------------
 
 
-def _add_arguments(parser, command: str) -> None:
-    if command == "record":
-        parser.add_argument(
-            "ids",
-            nargs="*",
-            help="experiments to record (default: the fast set)",
-        )
-        parser.add_argument(
-            "--repeats",
-            type=int,
-            default=3,
-            help="untraced wall-time repeats per experiment (default: 3)",
-        )
-    elif command == "check":
-        parser.add_argument(
-            "ids",
-            nargs="*",
-            help="experiments to check (default: everything in the baseline)",
-        )
-        parser.add_argument(
-            "--repeats", type=int, default=3, help="wall-time repeats"
-        )
-        parser.add_argument(
-            "--skip-wall",
-            action="store_true",
-            help="modelled-exactness only (for CI / foreign machines)",
-        )
-    else:
-        parser.add_argument(
-            "--skip-wall",
-            action="store_true",
-            help="badge on modelled exactness only",
-        )
-
-
 GATE = gate.Gate(
     name="perf",
     ledger=bl.LEDGER,
@@ -351,19 +277,6 @@ GATE = gate.Gate(
         "model changed — re-baseline deliberately with "
         "'repro perf check --update'"
     ),
-    help="performance baselines, regression gate, and dashboard",
-    description=(
-        "Record schema-versioned performance baselines and gate "
-        "changes against them: modelled times must match exactly "
-        "(MODEL-DRIFT otherwise), wall times within a noise-aware "
-        "band (REGRESSION otherwise). See docs/observability.md."
-    ),
-    commands={
-        "record": "capture a baseline run (modelled + wall + rollups)",
-        "check": "re-run and compare against the baseline",
-        "html": "render the run history as a standalone HTML dashboard",
-    },
-    add_arguments=_add_arguments,
     capture=lambda args, progress: bl.capture_run(
         args.ids or None, repeats=args.repeats, progress=progress
     ),

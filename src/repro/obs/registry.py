@@ -12,7 +12,7 @@ The workloads and their batches are the paper's cells
 (:data:`repro.workloads.registry.PAPER_WORKLOADS`); fault-free cells therefore
 reproduce the committed ``baselines/perf.json`` totals bit-identically,
 and :func:`check_against_baseline` formats the perf gate's one
-cross-check (:func:`repro.obs.perf.baseline_pairs`) over the grid.
+cross-check (:func:`repro.obs.gate.baseline_pairs`) over the grid.
 ``repro grid run -o`` writes the cells as one JSON document
 (:data:`GRIDS`) that ``repro grid html`` renders.
 """
@@ -27,8 +27,7 @@ from repro.backends.registry import BACKEND_ORDER, get_backend
 from repro.errors import ParameterError
 from repro.harness.runner import failure_record
 from repro.obs import gate
-from repro.obs.gate import Ledger, Verdict
-from repro.obs.perf import baseline_pairs
+from repro.obs.gate import Ledger, Verdict, baseline_pairs
 from repro.obs.runident import run_identity
 from repro.pim.config import UPMEMConfig
 from repro.pim.faults import (
@@ -396,7 +395,7 @@ def check_against_baseline(cells, baseline: dict | None) -> list:
     """MODEL-DRIFT verdicts: fault-free grid totals vs ``perf.json``.
 
     One verdict per experiment the grid covers, over every backend it
-    enumerates (:func:`repro.obs.perf.baseline_pairs`): ``MODEL-DRIFT``
+    enumerates (:func:`repro.obs.gate.baseline_pairs`): ``MODEL-DRIFT``
     when any backend's total differs from the committed
     ``series_totals`` (bit-identical floats — the perf gate's
     modelled-exactness policy), else ``partial`` when a backend has

@@ -39,7 +39,6 @@ depends on this).
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import threading
@@ -53,6 +52,17 @@ import numpy as np
 from repro.errors import ParameterError, PermanentDeviceError
 from repro.pim.config import UPMEMConfig
 from repro.pim.tasklet import split_evenly
+
+# CPython's built-in SHA-256 gives hashlib's digest at about half the
+# cost per short message (hashlib's constructor goes through OpenSSL).
+# The module is ``_sha2`` from 3.12 and ``_sha256`` before.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "OUTCOME_OK",
@@ -88,9 +98,7 @@ def _unit_hash(*parts) -> float:
     processes and Python versions — unlike ``random.Random``, whose
     sequence semantics this layer must not depend on.
     """
-    digest = hashlib.sha256(
-        ":".join(str(p) for p in parts).encode()
-    ).digest()
+    digest = _sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
@@ -107,10 +115,10 @@ class UnitDrawStream:
     """The draws ``_unit_hash(*prefix, i)`` for ``i = 0, 1, 2, …``.
 
     The ``:``-joined prefix is encoded once; each chunk hashes
-    ``prefix + str(i)`` for its indices in one pass and scales the
+    ``b"%b%d" % (prefix, i)`` for its indices in one pass and scales the
     digests' leading 8 bytes to the unit interval as one array, so every
-    value is bit-identical to :func:`_unit_hash`. What remains is
-    hashlib's own cost, about 1 µs per digest. Draws are kept in a compact
+    value is bit-identical to :func:`_unit_hash`. What remains is the
+    digest itself, about 0.4 µs each. Draws are kept in a compact
     ``array('d')`` (8 bytes each) that grows :data:`_STREAM_CHUNK`
     draws at a time, only as far as a caller has asked. Callers get
     copies or values, never the array itself, so a shared stream
@@ -134,12 +142,14 @@ class UnitDrawStream:
         with self._lock:
             draws = self._draws
             prefix = self._prefix
-            sha256 = hashlib.sha256
+            sha256 = _sha256
             while len(draws) < count:
                 start = len(draws)
-                indices = map(str, range(start, start + _STREAM_CHUNK))
                 digests = b"".join(
-                    [sha256(prefix + i).digest() for i in map(str.encode, indices)]
+                    [
+                        sha256(b"%b%d" % (prefix, i)).digest()
+                        for i in range(start, start + _STREAM_CHUNK)
+                    ]
                 )
                 # Each 32-byte digest is four big-endian words; keep the first.
                 heads = np.frombuffer(digests, ">u8")[::4]

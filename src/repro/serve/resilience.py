@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ParameterError, PermanentDeviceError
-from repro.obs import baseline as bl
 from repro.obs import gate, htmlreport
 from repro.obs.metrics import get_registry
 from repro.obs.runident import run_identity
@@ -1127,100 +1126,11 @@ def render_resilience_text(doc: dict) -> str:
 # -- the gate spec -------------------------------------------------------------
 
 
-def _add_arguments(parser, command: str) -> None:
-    parser.add_argument(
-        "--workload",
-        default="vec_add",
-        help="request-class workload (default: vec_add)",
-    )
-    parser.add_argument(
-        "--security",
-        type=int,
-        default=54,
-        metavar="BITS",
-        help="security level (default: 54)",
-    )
-    parser.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=list(DEFAULT_RESIL_SEEDS),
-        help=f"fault seeds to sweep (default: "
-        f"{' '.join(str(s) for s in DEFAULT_RESIL_SEEDS)})",
-    )
-    parser.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=list(DEFAULT_SHARD_COUNTS),
-        metavar="K",
-        help=f"shard counts to sweep (default: "
-        f"{' '.join(str(k) for k in DEFAULT_SHARD_COUNTS)})",
-    )
-    parser.add_argument(
-        "--qps",
-        nargs="+",
-        type=float,
-        default=list(DEFAULT_RESIL_QPS),
-        help=f"offered rates to sweep (default: "
-        f"{' '.join(f'{q:g}' for q in DEFAULT_RESIL_QPS)})",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=0.1,
-        metavar="S",
-        help="modelled arrival window in seconds (default: 0.1)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive failures that trip a shard's breaker "
-        "(default: 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="breaker cooldown in modelled milliseconds (default: 25)",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=1,
-        metavar="N",
-        help="redispatches allowed after a failed dispatch (default: 1)",
-    )
-    parser.add_argument(
-        "--hedge-after-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="queue wait that triggers a hedged duplicate launch "
-        "(default: 5)",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        default="baselines/perf.json",
-        metavar="FILE",
-        help="perf baseline for the single-shard bit-identity "
-        "cross-check (default: baselines/perf.json)",
-    )
-    parser.add_argument(
-        "--skip-baseline",
-        action="store_true",
-        help="skip the single-shard perf cross-check",
-    )
-
-
 def _capture(args, progress, **recorded) -> dict:
     """Capture the grid the CLI options name, overridden by ``recorded``."""
     perf_baseline = None
     if not args.skip_baseline and os.path.exists(args.perf_baseline):
-        perf_baseline = bl.read_run(args.perf_baseline)
+        perf_baseline = gate.PERF_LEDGER.read(args.perf_baseline)
     kwargs = dict(
         workload=args.workload,
         security_bits=args.security,
@@ -1273,26 +1183,6 @@ GATE = gate.Gate(
     noun="checks",
     order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.RESILIENCE_DRIFT),
     drift_hint=None,
-    help="fault-tolerant sharded serving: record, gate, and render "
-    "degraded-fleet SLO attainment",
-    description=(
-        "Sweep the sharded resilient serving model — health-aware "
-        "placement over K rank-aligned shards, per-shard circuit "
-        "breakers, retry budgets, hedged dispatch — across a fault "
-        "seed × shard count × offered QPS grid, healthy and with "
-        "one shard's ranks disabled. Every point is deterministic "
-        "modelled arithmetic, so the gate demands exact equality "
-        "(RESILIENCE-DRIFT otherwise); the single-shard zero-fault "
-        "pricer is cross-checked bit-for-bit against the perf "
-        "baseline. See docs/robustness.md."
-    ),
-    commands={
-        "record": "capture the RESILIENCE gate baseline",
-        "check": "re-simulate the recorded grid and gate against the "
-        "baseline",
-        "html": "render the shard-health dashboard from the recorded run",
-    },
-    add_arguments=_add_arguments,
     capture=_capture,
     capture_for_check=_capture_for_check,
     check=lambda baseline, current, args: check_resilience_runs(

@@ -24,7 +24,7 @@ Two invariants mirror the chaos harness:
   :func:`check_serving_baseline` sums the one-shard serving pricer
   over each experiment's batches and pairs the sums with
   ``baselines/perf.json`` series totals through the perf gate's one
-  cross-check (:func:`repro.obs.perf.baseline_pairs`); they must match
+  cross-check (:func:`repro.obs.gate.baseline_pairs`); they must match
   bit-for-bit (MODEL-DRIFT otherwise);
 * **everything is seeded** — a spec + seed yields byte-identical
   request timelines, digest state, and sweep documents (modulo the
@@ -45,8 +45,7 @@ from repro.obs.export import (
     chrome_metadata,
     merge_chrome_traces,
 )
-from repro.obs.gate import Ledger
-from repro.obs.perf import baseline_pairs
+from repro.obs.gate import Ledger, baseline_pairs
 from repro.obs.runident import run_identity
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -472,7 +471,7 @@ def check_serving_baseline(
     one-shard :class:`~repro.serve.shard.ShardedPricer` of the whole
     fleet under an inactive fault plan, and pair the accumulated pim
     milliseconds with the committed series total
-    (:func:`repro.obs.perf.baseline_pairs`). They must match
+    (:func:`repro.obs.gate.baseline_pairs`). They must match
     **bit-for-bit**, exactly like the grid's fault-free cells: a single
     shard of the whole fleet *is* the whole fleet. Returns verdict
     dicts with ``verdict`` in {"ok", "MODEL-DRIFT", "new"}.

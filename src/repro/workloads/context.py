@@ -11,16 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from repro.core import (
-    BFVParameters,
-    BatchEncoder,
-    Decryptor,
-    Encryptor,
-    Evaluator,
-    IntegerEncoder,
-    KeyGenerator,
-)
-from repro.core.keys import KeySet
+from repro.core.decryptor import Decryptor
+from repro.core.encoder import BatchEncoder, IntegerEncoder
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator, KeySet
+from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 
 

@@ -11,6 +11,7 @@ library feature and as a check that the workload framework generalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from repro.backends.base import Backend, OpRequest
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.instrument import traced_time_on
-from repro.workloads.context import WorkloadContext
+
+if TYPE_CHECKING:
+    from repro.workloads.context import WorkloadContext
 
 
 @dataclass(frozen=True)

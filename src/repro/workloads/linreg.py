@@ -18,6 +18,7 @@ custom-CPU win (paper Observation 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from repro.backends.base import Backend, OpRequest
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.instrument import traced_time_on
-from repro.workloads.context import WorkloadContext
 from repro.workloads.dataset import RegressionDataset
+
+if TYPE_CHECKING:
+    from repro.workloads.context import WorkloadContext
 
 #: Figure 2(c): users, and the ciphertexts per user it sweeps.
 FIG2C_USERS = 640

@@ -20,13 +20,16 @@ multiplies), and the two accumulation streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.backends.base import Backend, OpRequest
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.instrument import traced_time_on
-from repro.workloads.context import WorkloadContext
 from repro.workloads.dataset import UserDataset
+
+if TYPE_CHECKING:
+    from repro.workloads.context import WorkloadContext
 
 #: User counts evaluated in Figure 2(b).
 FIG2B_USERS = (640, 1280, 2560)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from repro.backends.base import Backend, OpRequest
 from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.obs.instrument import traced_time_on
-from repro.workloads.context import WorkloadContext
+
+if TYPE_CHECKING:
+    from repro.workloads.context import WorkloadContext
 
 #: Ciphertext batch sizes of Figure 1(a) (vector addition).
 FIG1A_SIZES = (20480, 40960, 81920, 163840, 327680)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BFVParameters
+from repro.core.params import BFVParameters
 from repro.poly.modring import find_ntt_prime
 from repro.workloads.context import WorkloadContext
 

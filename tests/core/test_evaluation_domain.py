@@ -16,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BFVParameters, Decryptor, Encryptor, Evaluator, KeyGenerator
 from repro.core.ciphertext import Plaintext
-from repro.core.encryptor import SymmetricEncryptor
+from repro.core.decryptor import Decryptor
+from repro.core.encryptor import Encryptor, SymmetricEncryptor
+from repro.core.evaluator import Evaluator
 from repro.core.galois import rotate_rows, rotation_elements
+from repro.core.keys import KeyGenerator
 from repro.core.noise import noise_budget
+from repro.core.params import BFVParameters
 from repro.poly.crt import crt_moduli as _crt_moduli
 from repro.poly.polynomial import (
     Operand,

@@ -6,14 +6,14 @@ import pytest
 class TestBinaryEncoder:
     def test_roundtrip_beyond_plain_modulus(self, tiny_ctx):
         """The base-2 encoder represents values far beyond t = 257."""
-        from repro.core import BinaryEncoder
+        from repro.core.encoder import BinaryEncoder
 
         be = BinaryEncoder(tiny_ctx.params)
         for value in (0, 1, -1, 255, 256, 100_000, -99_999, 2**40):
             assert be.decode(be.encode(value)) == value
 
     def test_homomorphic_add_beyond_t(self, tiny_ctx):
-        from repro.core import BinaryEncoder
+        from repro.core.encoder import BinaryEncoder
 
         be = BinaryEncoder(tiny_ctx.params)
         ev = tiny_ctx.evaluator
@@ -23,7 +23,7 @@ class TestBinaryEncoder:
         assert be.decode(tiny_ctx.decryptor.decrypt(total)) == 57_655
 
     def test_homomorphic_multiply(self, tiny_ctx):
-        from repro.core import BinaryEncoder
+        from repro.core.encoder import BinaryEncoder
 
         be = BinaryEncoder(tiny_ctx.params)
         ev = tiny_ctx.evaluator
@@ -34,7 +34,7 @@ class TestBinaryEncoder:
         assert be.decode(tiny_ctx.decryptor.decrypt(product)) == -6300
 
     def test_rejects_too_many_digits(self, tiny_ctx):
-        from repro.core import BinaryEncoder
+        from repro.core.encoder import BinaryEncoder
         from repro.errors import EncodingError
 
         be = BinaryEncoder(tiny_ctx.params)
@@ -42,7 +42,7 @@ class TestBinaryEncoder:
             be.encode(1 << tiny_ctx.params.poly_degree)
 
     def test_digit_coefficients_are_signed_bits(self, tiny_ctx):
-        from repro.core import BinaryEncoder
+        from repro.core.encoder import BinaryEncoder
 
         be = BinaryEncoder(tiny_ctx.params)
         pt = be.encode(-13)  # -(x^3 + x^2 + 1)

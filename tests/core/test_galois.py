@@ -205,7 +205,8 @@ class TestRotations:
         """A rotation's budget cost is the key-switch noise floor —
         the same term relinearization pays — and decryption still
         works above it."""
-        from repro.core.noise import keyswitch_floor_bits, noise_budget
+        from repro.core.noise import noise_budget
+        from repro.core.planner import keyswitch_floor_bits
 
         ctx, keys = galois_setup
         ct = ctx.encrypt_slots([1, 2, 3])

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import BatchEncoder, Decryptor
+from repro.core.decryptor import Decryptor
+from repro.core.encoder import BatchEncoder
 from repro.core.modswitch import (
     switch_modulus,
     switch_secret_key,

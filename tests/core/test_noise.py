@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.noise import (
+from repro.core.noise import noise_budget
+from repro.core.planner import (
     add_noise_growth_bits,
     fresh_noise_bits,
     initial_budget_bits,
     multiply_noise_growth_bits,
-    noise_budget,
 )
 
 

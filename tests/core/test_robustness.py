@@ -7,8 +7,9 @@ scheme), and wrong keys must not decrypt.
 
 import numpy as np
 
-from repro.core import Decryptor, KeyGenerator
 from repro.core.ciphertext import Ciphertext
+from repro.core.decryptor import Decryptor
+from repro.core.keys import KeyGenerator
 from repro.core.noise import noise_budget
 from repro.poly.polynomial import Polynomial
 

@@ -89,7 +89,7 @@ class TestFig1aSmoke:
 
 class TestDeviceExecutorInstrumentation:
     def test_device_add_records_limb_ops_and_span(self):
-        from repro.core import BFVParameters
+        from repro.core.params import BFVParameters
         from repro.pim.executor import DeviceEvaluator
         from repro.poly.modring import find_ntt_prime
         from repro.workloads.context import WorkloadContext

@@ -6,13 +6,13 @@ import gc
 
 import pytest
 
-from repro.core.noise import (
+from repro.core.noise import noise_budget
+from repro.core.planner import (
     add_noise_growth_bits,
     initial_budget_bits,
     keyswitch_floor_bits,
     multiply_noise_growth_bits,
     multiply_plain_noise_growth_bits,
-    noise_budget,
 )
 from repro.errors import ParameterError
 from repro.obs.metrics import MetricsRegistry, use_registry

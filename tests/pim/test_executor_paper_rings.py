@@ -14,8 +14,11 @@ import random
 
 import pytest
 
-from repro.core import BFVParameters, Encryptor, Evaluator, KeyGenerator
 from repro.core.ciphertext import Plaintext
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.params import BFVParameters
 from repro.pim.executor import DeviceEvaluator
 from tests.pim.test_executor import elementwise_tensor
 

@@ -1,5 +1,6 @@
 """Fault injection, retry/redispatch, degraded-fleet timing."""
 
+import hashlib
 import sys
 import threading
 
@@ -143,6 +144,24 @@ class TestUnitDrawStream:
         expected = [_unit_hash(*prefix, i) for i in range(count)]
         assert all(list(r) == expected for r in results)
         assert len(unit_draws(*prefix)) == 5 * _STREAM_CHUNK
+
+    def test_draws_equal_hashlib_sha256(self):
+        """The built-in SHA-256 the draws use gives hashlib's digests:
+        two chunks of a stream and ``_unit_hash`` match values
+        computed here with ``hashlib.sha256``."""
+
+        def reference(*parts):
+            message = ":".join(str(p) for p in parts).encode()
+            digest = hashlib.sha256(message).digest()
+            return int.from_bytes(digest[:8], "big") / 2**64
+
+        prefix = ("serve.arrival", 2**40 + 3, "vec_add@54")
+        count = 2 * _STREAM_CHUNK
+        draws = unit_draws(*prefix).first(count)
+        assert list(draws) == [reference(*prefix, i) for i in range(count)]
+        assert _unit_hash(7, "launch", -1, 2.5) == reference(
+            7, "launch", -1, 2.5
+        )
 
     def test_int_and_float_seeds_are_separate_streams(self):
         # 7 == 7.0, but str() differs, so so do the draws.

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BFVParameters
 from repro.core.keys import base_digits
+from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.mpint.limbs import LIMB_BITS
 from repro.poly import planes as pl

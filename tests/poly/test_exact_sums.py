@@ -17,8 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BFVParameters, Encryptor, Evaluator, KeyGenerator
 from repro.core.ciphertext import Plaintext
+from repro.core.encryptor import Encryptor
+from repro.core.evaluator import Evaluator
+from repro.core.keys import KeyGenerator
+from repro.core.params import BFVParameters
 from repro.errors import ParameterError
 from repro.poly import crt, ntt
 from repro.poly.crt import crt_twiddles

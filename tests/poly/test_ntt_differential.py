@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BFVParameters
 from repro.core.encoder import BatchEncoder
+from repro.core.params import BFVParameters
 from repro.poly.modring import find_ntt_prime
 from repro.poly import ntt
 from repro.poly.ntt import NATIVE_PRIME_LIMIT, Twiddles, ntt_context

@@ -1,8 +1,9 @@
 """Each entry point imports only the layers it runs.
 
 Package ``__init__`` files import no submodules, so importing one layer
-does not pull in the others. Each case imports an entry point in a
-fresh interpreter and checks ``sys.modules`` against the layers that
+does not pull in the others. Each case enters an entry point in a fresh
+interpreter (imports a module, or calls a function such as the CLI's
+``build_parser``) and checks ``sys.modules`` against the layers that
 entry point must not load. The checks are on module sets, not timings,
 so they hold on any machine.
 """
@@ -19,7 +20,9 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-#: Entry points -> (forbidden module prefixes, allowed exceptions).
+#: Entry points -> (forbidden module prefixes, allowed exceptions). An
+#: entry point is a comma-separated list of modules to import, or a
+#: ``module.function()`` to call.
 CASES = {
     # The DPU simulator and its kernels: the UPMEM model alone.
     "repro.pim.sim, repro.pim.kernels": (
@@ -54,11 +57,56 @@ CASES = {
         ),
         (),
     ),
+    # The CLI parser, which --help and a usage error build and nothing
+    # more: the gates' CLI faces stand in for the gate modules.
+    "repro.harness.cli.build_parser()": (
+        (
+            "repro.obs.perf",
+            "repro.obs.noisegate",
+            "repro.obs.energy",
+            "repro.serve",
+            "repro.obs.baseline",
+            "repro.obs.forensics",
+            "repro.core",
+            "repro.poly",
+            "numpy",
+        ),
+        (),
+    ),
+    # The serving model: arrivals, batching, sharding and pricing, but
+    # no experiment registry, perf capture or BFV engine (a request's
+    # noise budget is planned from the parameter sets alone).
+    "repro.serve": (
+        (
+            "repro.harness",
+            "repro.obs.baseline",
+            "repro.obs.perf",
+            "repro.obs.forensics",
+            "repro.pim.sim",
+            "repro.core.keys",
+            "repro.core.encryptor",
+            "repro.core.decryptor",
+            "repro.core.evaluator",
+            "repro.core.encoder",
+            "repro.poly.crt",
+            "repro.poly.polynomial",
+            "repro.workloads.context",
+        ),
+        (),
+    ),
 }
 
 
-def loaded_modules(imports: str) -> list:
-    """``sys.modules`` of a fresh interpreter after ``import imports``."""
+def statement(entry: str) -> str:
+    """The Python code that enters ``entry``: a call, or imports."""
+    if entry.endswith("()"):
+        module, _, function = entry[:-2].rpartition(".")
+        return f"from {module} import {function}\n{function}()"
+    return f"import {entry}"
+
+
+def loaded_modules(code: str) -> list:
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -68,7 +116,7 @@ def loaded_modules(imports: str) -> list:
         [
             sys.executable,
             "-c",
-            f"import json, sys\nimport {imports}\n"
+            f"import json, sys\n{code}\n"
             "print(json.dumps(sorted(sys.modules)))",
         ],
         capture_output=True,
@@ -93,6 +141,7 @@ def forbidden_loaded(modules, forbidden, allowed) -> list:
 EMPTY_PACKAGES = (
     "repro",
     "repro.backends",
+    "repro.core",
     "repro.harness",
     "repro.mpint",
     "repro.obs",
@@ -103,24 +152,25 @@ EMPTY_PACKAGES = (
 
 
 def test_package_inits_import_no_submodules():
-    modules = loaded_modules(", ".join(EMPTY_PACKAGES))
+    modules = loaded_modules("import " + ", ".join(EMPTY_PACKAGES))
     assert [m for m in modules if m.startswith("repro")] == sorted(
         EMPTY_PACKAGES
     )
 
 
-@pytest.mark.parametrize("imports", sorted(CASES))
-def test_entry_point_loads_only_its_layers(imports):
-    forbidden, allowed = CASES[imports]
-    modules = loaded_modules(imports)
-    for name in imports.split(", "):
+@pytest.mark.parametrize("entry", sorted(CASES))
+def test_entry_point_loads_only_its_layers(entry):
+    forbidden, allowed = CASES[entry]
+    modules = loaded_modules(statement(entry))
+    entered = entry[:-2].rpartition(".")[0] if entry.endswith("()") else entry
+    for name in entered.split(", "):
         assert name in modules
     assert forbidden_loaded(modules, forbidden, allowed) == []
 
 
 def test_checker_sees_a_forbidden_layer():
     """The check reports a layer an entry point does load."""
-    modules = loaded_modules("repro.pim.runtime")
+    modules = loaded_modules("import repro.pim.runtime")
     assert forbidden_loaded(modules, ("repro.pim.faults",), ()) == [
         "repro.pim.faults"
     ]
