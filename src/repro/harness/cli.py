@@ -81,6 +81,8 @@ import sys
 
 from repro.errors import ParameterError, ReproError
 from repro.obs.gate import (
+    CUSUM_H_MULT,
+    CUSUM_K_REL,
     ENERGY_CLI,
     GATE_CLIS,
     NOISE_CLI,
@@ -92,11 +94,6 @@ from repro.obs.trace import configure_from_env
 #: Exit status for "the recorded data this command needs does not
 #: exist (yet)" — distinct from 1, which means a real failure.
 EXIT_DATA = 2
-
-#: ``repro forensics shifts`` defaults: the CUSUM allowance and decision
-#: threshold of :mod:`repro.obs.forensics` (``K_REL``, ``H_MULT``).
-CUSUM_K_REL = 0.01
-CUSUM_H_MULT = 4.0
 
 
 def _cmd_list(_args) -> int:
@@ -247,8 +244,8 @@ def _gate_record(face, args) -> int:
     """``repro <gate> record``: capture a baseline, append the history."""
     gate = face.load()
     doc = gate.capture(args, _progress)
-    gate.ledger.write(doc, args.baseline)
-    gate.ledger.append(doc, args.history)
+    face.ledger.write(doc, args.baseline)
+    face.ledger.append(doc, args.history)
     print(
         f"{gate.recorded(doc)} as run {doc['run_id'][:12]} "
         f"(git {str(doc['git_sha'])[:12]})"
@@ -263,17 +260,17 @@ def _gate_check(face, args) -> int:
 
     gate = face.load()
     baseline, status = _load_recorded(
-        gate.ledger.read, args.baseline, hint=gate.ledger.hint
+        face.ledger.read, args.baseline, hint=face.ledger.hint
     )
     if baseline is None:
         return status
     current = gate.capture_for_check(baseline, args, _progress)
-    gate.ledger.append(current, args.history)
+    face.ledger.append(current, args.history)
     verdicts = gate.check(baseline, current, args)
     print(gate.render_check(verdicts, baseline, current))
     if args.update:
-        gate.ledger.write(current, args.baseline)
-        print(f"{gate.ledger.what} re-recorded: {args.baseline}")
+        face.ledger.write(current, args.baseline)
+        print(f"{face.ledger.what} re-recorded: {args.baseline}")
         return 0
     return exit_code(verdicts)
 
@@ -282,34 +279,29 @@ def _cmd_gates(args) -> int:
     """``repro gates``: every gate's ``check``, one row per gate.
 
     Each gate runs as ``repro <gate> check`` with that command's
-    defaults (perf gets ``--skip-wall`` when given) against the gate's
-    own baseline and history, so the reports, history lines and exit
-    codes are the separate commands'. The exit status is the worst
-    gate's.
+    defaults (perf gets ``--skip-wall`` when given), so the reports,
+    history lines and exit codes are the separate commands'. The exit
+    status is the worst gate's.
     """
     import time
 
     parser = build_parser()
     rows = []
     for face in GATE_CLIS:
-        gate = face.load()
-        argv = [gate.name, "check"]
+        argv = [face.name, "check"]
         if face is PERF_CLI and args.skip_wall:
             argv.append("--skip-wall")
-        gate_args = parser.parse_args(
-            argv
-            + ["--baseline", gate.baseline_path, "--history", gate.history_path]
-        )
+        gate_args = parser.parse_args(argv)
         print(f"== repro {' '.join(argv)}")
         start = time.perf_counter()
         try:
             code = gate_args.func(gate_args)
-            verdict = {0: "ok", 1: gate.drift, EXIT_DATA: "no data"}[code]
+            verdict = {0: "ok", 1: face.load().drift, EXIT_DATA: "no data"}[code]
         except ReproError as exc:
             # As main() reports it: one line, exit 1.
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             code, verdict = 1, "error"
-        rows.append((gate.name, verdict, code, time.perf_counter() - start))
+        rows.append((face.name, verdict, code, time.perf_counter() - start))
         print()
     width = max(len("verdict"), *(len(verdict) for _, verdict, _, _ in rows))
     print(f"{'gate':<6} {'verdict':<{width}}  exit  seconds")
@@ -323,10 +315,10 @@ def _gate_html(face, args) -> int:
     gate = face.load()
     loaded, status = _load_recorded(
         lambda: (
-            gate.ledger.history(args.history),
-            _read_optional(gate.ledger, args.baseline),
+            face.ledger.history(args.history),
+            _read_optional(face.ledger, args.baseline),
         ),
-        hint=gate.ledger.hint,
+        hint=face.ledger.hint,
     )
     if loaded is None:
         return status
@@ -334,9 +326,9 @@ def _gate_html(face, args) -> int:
     current = history[-1] if history else baseline
     if current is None:
         return _no_data(
-            f"no {gate.ledger.noun} history at {args.history} and no "
+            f"no {face.ledger.noun} history at {args.history} and no "
             f"baseline at {args.baseline} — nothing to render",
-            hint=gate.ledger.hint,
+            hint=face.ledger.hint,
         )
     verdicts = None if baseline is None else gate.check(baseline, current, args)
     _emit(gate.html(current, baseline, history, verdicts), args.output)
@@ -612,7 +604,7 @@ def _cmd_grid_html(args) -> int:
     # --skip-wall` and `noise check` report them.
     check_args = argparse.Namespace(skip_wall=True)
     gate_runs = [
-        (gate.name, doc, gate.check(gate_baseline, doc, check_args))
+        (gate.cli.name, doc, gate.check(gate_baseline, doc, check_args))
         for gate, gate_baseline, history in (
             (perf.GATE, baseline, perf_history),
             (ng.GATE, noise_baseline, noise_history),
@@ -918,7 +910,7 @@ def _add_history(parser, face, prefix: str = "") -> None:
         f"--{prefix}history",
         default=face.history_path,
         metavar="FILE",
-        help=f"{face.ledger_noun} run-history JSONL "
+        help=f"{face.ledger.noun} run-history JSONL "
         f"(default: {face.history_path})",
     )
 
@@ -929,8 +921,7 @@ def _add_ledger_paths(parser, face, prefix: str = "") -> None:
         f"--{prefix}baseline",
         default=face.baseline_path,
         metavar="FILE",
-        help=f"{face.ledger_noun} baseline JSON "
-        f"(default: {face.baseline_path})",
+        help=f"{face.ledger.what} JSON (default: {face.baseline_path})",
     )
     _add_history(parser, face, prefix)
 

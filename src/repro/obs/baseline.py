@@ -40,7 +40,7 @@ from time import perf_counter
 from repro.errors import ParameterError
 from repro.harness.experiments import get_experiment
 from repro.obs.export import path_tree
-from repro.obs.gate import PERF_LEDGER
+from repro.obs.gate import PERF_CLI
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.runident import git_sha, run_identity
 from repro.obs.trace import Tracer, use_tracer
@@ -48,7 +48,6 @@ from repro.obs.trace import Tracer, use_tracer
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "git_sha",
     "run_identity",
     "capture_experiment",
@@ -62,14 +61,13 @@ __all__ = [
     "FAST_SET",
 ]
 
-#: Version stamped into every run record / baseline document.
-SCHEMA_VERSION = PERF_LEDGER.schema
-
-#: Where ``repro perf record`` writes the baseline by default.
-DEFAULT_BASELINE_PATH = "baselines/perf.json"
-
-#: Where recorded runs accumulate (one JSON line each) for trends/diffs.
-DEFAULT_HISTORY_PATH = "baselines/history.jsonl"
+#: The perf baseline and run-history format (``repro perf``), defined
+#: with the gate framework so other layers read a perf baseline without
+#: loading the experiments this module captures; the version stamped
+#: into every document; where ``repro perf record`` writes the baseline.
+LEDGER = PERF_CLI.ledger
+SCHEMA_VERSION = LEDGER.schema
+DEFAULT_BASELINE_PATH = PERF_CLI.baseline_path
 
 #: Environment variable: truncate ``metrics.jsonl`` instead of appending.
 FRESH_ENV_VAR = "REPRO_BENCH_FRESH"
@@ -256,11 +254,6 @@ def capture_run(ids=None, repeats: int = 3, progress=None) -> dict:
 
 
 # -- persistence ------------------------------------------------------------
-
-#: The perf baseline and run-history format (``repro perf``); it is
-#: defined with the gate framework, so other layers read a perf baseline
-#: without loading the experiments this module captures.
-LEDGER = PERF_LEDGER
 
 #: Read and schema-validate a run record / baseline.
 read_run = LEDGER.read

@@ -53,7 +53,6 @@ from repro.obs.runident import run_identity
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "EnergyConfig",
     "DEFAULT_ENERGY_CONFIG",
     "get_energy_config",
@@ -74,14 +73,12 @@ __all__ = [
     "check_energy_runs",
 ]
 
-#: Version stamped into every energy-run document / baseline.
-SCHEMA_VERSION = 1
-
-#: Where ``repro energy record`` writes the baseline by default.
-DEFAULT_BASELINE_PATH = "baselines/energy.json"
-
-#: Where recorded energy runs accumulate (one JSON line each).
-DEFAULT_HISTORY_PATH = "baselines/energy-history.jsonl"
+#: The energy baseline and run-history format (``repro energy``), the
+#: version stamped into every document, and where ``repro energy
+#: record`` writes the baseline.
+LEDGER = gate.ENERGY_CLI.ledger
+SCHEMA_VERSION = LEDGER.schema
+DEFAULT_BASELINE_PATH = gate.ENERGY_CLI.baseline_path
 
 
 # -- the committed constants -------------------------------------------------
@@ -488,15 +485,6 @@ def capture_energy_run(ids=None, progress=None) -> dict:
 
 # -- persistence -------------------------------------------------------------
 
-#: The energy baseline and run-history format (``repro energy``).
-LEDGER = gate.Ledger(
-    noun="energy",
-    what="energy baseline",
-    family="experiments",
-    hint="repro energy record",
-    schema=SCHEMA_VERSION,
-)
-
 #: Read and schema-validate an energy run / baseline.
 read_energy_run = LEDGER.read
 
@@ -530,10 +518,7 @@ def _recorded(doc: dict) -> str:
 
 
 GATE = gate.Gate(
-    name="energy",
-    ledger=LEDGER,
-    baseline_path=DEFAULT_BASELINE_PATH,
-    history_path=DEFAULT_HISTORY_PATH,
+    cli=gate.ENERGY_CLI,
     title="energy check — current capture vs committed baseline",
     noun="checks",
     order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.ENERGY_DRIFT),

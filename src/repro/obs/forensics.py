@@ -67,12 +67,9 @@ __all__ = [
 
 VERDICT_SKIPPED = "skipped"
 
-#: CUSUM defaults, tuned for (near-)deterministic modelled series: the
-#: allowance is ``K_REL`` of the running regime mean (so a regime that
-#: sits at 5 ms tolerates 1% wobble) and the decision threshold is
-#: ``H_MULT`` allowances of accumulated excursion.
-K_REL = 0.01
-H_MULT = 4.0
+#: CUSUM defaults (:data:`repro.obs.gate.CUSUM_K_REL`, ``CUSUM_H_MULT``).
+K_REL = gate.CUSUM_K_REL
+H_MULT = gate.CUSUM_H_MULT
 _EPS = 1e-12
 
 

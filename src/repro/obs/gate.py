@@ -7,14 +7,15 @@ re-captures it, and reports one :class:`Verdict` row per checked item.
 This module is the one copy of what they share: the on-disk
 :class:`Ledger` (the faults and serve sweeps use it too), the verdict
 row, the exact-match policy (:func:`check_exact`), the exit code, and
-the :class:`Gate` spec with its text report, and each gate's CLI face
-(:class:`GateCli`), from which the CLI generates the gate's commands
-without importing the gate. Policies that genuinely differ — perf's
-wall band, noise's tolerances — stay in their gate modules. The perf
-baseline's ledger (:data:`PERF_LEDGER`) and its cross-check
-(:func:`baseline_pairs`) live here too: the grid, the serving sweep and
-the resilience gate check against a perf baseline without running an
-experiment.
+the :class:`Gate` spec with its text report. Each gate's CLI face
+(:class:`GateCli`) is the one source of its name, ledger, paths and
+option defaults: the CLI generates the gate's commands from it without
+importing the gate, and the gate module reads them from it. Policies
+that genuinely differ — perf's wall band, noise's tolerances — stay in
+their gate modules. The perf ledger (``PERF_CLI.ledger``) and its
+cross-check (:func:`baseline_pairs`) live here too: the grid, the
+serving sweep and the resilience gate check against a perf baseline
+without running an experiment.
 
 It imports only the standard library and :mod:`repro.errors`, so it
 adds nothing to a gate's set-up time.
@@ -44,11 +45,13 @@ __all__ = [
     "FAILING",
     "NEW_NOTE",
     "Ledger",
-    "PERF_LEDGER",
     "Verdict",
     "Gate",
     "GateCli",
     "GATE_CLIS",
+    "RESIL_DEFAULTS",
+    "CUSUM_K_REL",
+    "CUSUM_H_MULT",
     "exact_diffs",
     "check_exact",
     "baseline_pairs",
@@ -158,16 +161,6 @@ class Ledger:
         ]
 
 
-#: The perf baseline and run-history format (``repro perf``).
-PERF_LEDGER = Ledger(
-    noun="perf",
-    what="perf baseline",
-    family="experiments",
-    hint="repro perf record",
-    schema=1,
-)
-
-
 # -- verdicts ------------------------------------------------------------------
 
 
@@ -258,10 +251,11 @@ def check_exact(
         for note in exact_diffs(name, baseline.get(name), current.get(name))
     ]
     verdicts = [gate.verdict(config_label, notes)]
-    for family in (gate.ledger.family, *extra_families):
+    own = gate.cli.ledger.family
+    for family in (own, *extra_families):
         base_rows, cur_rows = _rows(baseline, family), _rows(current, family)
         for key in sorted(cur_rows):
-            label = key if family == gate.ledger.family else f"{family}:{key}"
+            label = key if family == own else f"{family}:{key}"
             if key not in base_rows:
                 verdicts.append(gate.verdict(label, (NEW_NOTE,), VERDICT_NEW))
                 continue
@@ -321,11 +315,13 @@ def _identity(role: str, doc: dict) -> str:
 
 @dataclass(frozen=True)
 class Gate:
-    """One drift gate: its ledger, capture, check and report.
+    """One drift gate: its CLI face, capture, check and report.
 
-    ``order`` lists the gate's verdict labels in summary order, the
-    drift label last. The CLI (:mod:`repro.harness.cli`) runs
-    ``repro <name> record|check|<html command>`` through the rest:
+    ``cli`` is the gate's :class:`GateCli`: its name, ledger, paths and
+    the commands' options. ``order`` lists the gate's verdict labels in
+    summary order, the drift label last. The CLI
+    (:mod:`repro.harness.cli`) runs ``repro <name> record|check|<html
+    command>`` through the rest:
 
     * ``capture(args, progress)`` records a fresh document;
     * ``capture_for_check(baseline, args, progress)`` re-captures what
@@ -335,14 +331,9 @@ class Gate:
       dashboard for the newest recorded run from the verdicts the CLI
       computed with ``check`` (``None`` when there is no baseline);
     * ``recorded(doc)`` says what ``record`` captured.
-
-    The commands' options come from the gate's :class:`GateCli`.
     """
 
-    name: str
-    ledger: Ledger
-    baseline_path: str
-    history_path: str
+    cli: GateCli
     title: str
     noun: str
     order: tuple
@@ -395,17 +386,13 @@ class Gate:
 
 @dataclass(frozen=True)
 class GateCli:
-    """What the CLI needs of a gate to build its commands.
+    """A gate's name, ledger and paths, and what the CLI needs of it.
 
     Building ``repro <name> record|check|<html command>`` and answering
     ``--help`` or a usage error read only this; the handler that runs a
     command loads the :class:`Gate` itself (:meth:`load`) from
-    ``module``. The paths and option defaults repeat the gate module's
-    constants, so parsing stays free of the gate's layers;
-    ``tests/harness/test_cli_parity.py`` holds them equal.
+    ``module``. The gate module reads its ledger and paths from here.
 
-    * ``ledger_noun`` names the recorded documents in help texts (the
-      gate ledger's ``noun``);
     * ``commands`` maps ``record``, ``check`` and the HTML command
       (``html`` or ``report``) to their help text;
     * ``add_arguments(parser, command)`` adds the gate's own options.
@@ -413,7 +400,7 @@ class GateCli:
 
     name: str
     module: str
-    ledger_noun: str
+    ledger: Ledger
     baseline_path: str
     history_path: str
     help: str
@@ -424,6 +411,14 @@ class GateCli:
     def load(self) -> Gate:
         """The gate this face stands for (imports its module)."""
         return importlib.import_module(self.module).GATE
+
+
+#: CUSUM defaults of :mod:`repro.obs.forensics`' scan over the gates'
+#: histories, tuned for (near-)deterministic modelled series: the
+#: allowance is ``CUSUM_K_REL`` of the running regime mean (a regime at
+#: 5 ms tolerates 1% wobble), the threshold ``CUSUM_H_MULT`` allowances.
+CUSUM_K_REL = 0.01
+CUSUM_H_MULT = 4.0
 
 
 def _perf_arguments(parser, command: str) -> None:
@@ -464,7 +459,12 @@ def _perf_arguments(parser, command: str) -> None:
 PERF_CLI = GateCli(
     name="perf",
     module="repro.obs.perf",
-    ledger_noun="perf",
+    ledger=Ledger(
+        noun="perf",
+        what="perf baseline",
+        family="experiments",
+        hint="repro perf record",
+    ),
     baseline_path="baselines/perf.json",
     history_path="baselines/history.jsonl",
     help="performance baselines, regression gate, and dashboard",
@@ -511,7 +511,12 @@ def _noise_arguments(parser, command: str) -> None:
 NOISE_CLI = GateCli(
     name="noise",
     module="repro.obs.noisegate",
-    ledger_noun="noise",
+    ledger=Ledger(
+        noun="noise",
+        what="noise baseline",
+        family="levels",
+        hint="repro noise record",
+    ),
     baseline_path="baselines/noise.json",
     history_path="baselines/noise-history.jsonl",
     help="noise-budget calibration: record, gate, and report "
@@ -544,7 +549,12 @@ def _energy_arguments(parser, command: str) -> None:
 ENERGY_CLI = GateCli(
     name="energy",
     module="repro.obs.energy",
-    ledger_noun="energy",
+    ledger=Ledger(
+        noun="energy",
+        what="energy baseline",
+        family="experiments",
+        hint="repro energy record",
+    ),
     baseline_path="baselines/energy.json",
     history_path="baselines/energy-history.jsonl",
     help="modelled energy & data movement: record, gate, and report "
@@ -567,85 +577,54 @@ ENERGY_CLI = GateCli(
 )
 
 
+#: ``repro resil``'s grid and policy options: flag, default, metavar and
+#: help. A tuple default takes one or more values.
+_RESIL_OPTIONS = (
+    ("--workload", "vec_add", None, "request-class workload"),
+    ("--security", 54, "BITS", "security level"),
+    # The fault seeds of the CI chaos matrix.
+    ("--seeds", (1, 7), None, "fault seeds to sweep"),
+    # Unsharded vs the reference partition.
+    ("--shards", (1, 4), "K", "shard counts to sweep"),
+    # The top of the grid straddles the degraded-fleet saturation knee
+    # at vec_add@54: under one dead shard's ranks the unsharded model
+    # breaches p99 at 144k (every request pays the global slowdown)
+    # while the 4-shard fleet routes around the casualty and sustains
+    # 144k, hedging stragglers at 176k.
+    ("--qps", (2000.0, 96000.0, 144000.0, 176000.0), None,
+     "offered rates to sweep"),
+    ("--duration", 0.1, "S", "modelled arrival window in seconds"),
+    ("--breaker-threshold", 3, "N",
+     "consecutive failures that trip a shard's breaker"),
+    ("--breaker-cooldown-ms", 25.0, "MS",
+     "breaker cooldown in modelled milliseconds"),
+    ("--retry-budget", 1, "N", "redispatches allowed after a failed dispatch"),
+    ("--hedge-after-ms", 5.0, "MS",
+     "queue wait that triggers a hedged duplicate launch"),
+    ("--perf-baseline", PERF_CLI.baseline_path, "FILE",
+     "perf baseline for the single-shard bit-identity cross-check"),
+)
+
+#: The defaults of ``repro resil``'s options by name (``seeds``,
+#: ``breaker_cooldown_ms``, ...). :mod:`repro.serve.resilience` takes
+#: its capture's and breaker's defaults from here.
+RESIL_DEFAULTS = {
+    flag[2:].replace("-", "_"): default for flag, default, _, _ in _RESIL_OPTIONS
+}
+
+
 def _resil_arguments(parser, command: str) -> None:
-    parser.add_argument(
-        "--workload",
-        default="vec_add",
-        help="request-class workload (default: vec_add)",
-    )
-    parser.add_argument(
-        "--security",
-        type=int,
-        default=54,
-        metavar="BITS",
-        help="security level (default: 54)",
-    )
-    parser.add_argument(
-        "--seeds",
-        nargs="+",
-        type=int,
-        default=[1, 7],
-        help="fault seeds to sweep (default: 1 7)",
-    )
-    parser.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=[1, 4],
-        metavar="K",
-        help="shard counts to sweep (default: 1 4)",
-    )
-    parser.add_argument(
-        "--qps",
-        nargs="+",
-        type=float,
-        default=[2000.0, 96000.0, 144000.0, 176000.0],
-        help="offered rates to sweep (default: 2000 96000 144000 176000)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=0.1,
-        metavar="S",
-        help="modelled arrival window in seconds (default: 0.1)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive failures that trip a shard's breaker "
-        "(default: 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-ms",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="breaker cooldown in modelled milliseconds (default: 25)",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=1,
-        metavar="N",
-        help="redispatches allowed after a failed dispatch (default: 1)",
-    )
-    parser.add_argument(
-        "--hedge-after-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="queue wait that triggers a hedged duplicate launch "
-        "(default: 5)",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        default=PERF_CLI.baseline_path,
-        metavar="FILE",
-        help="perf baseline for the single-shard bit-identity "
-        f"cross-check (default: {PERF_CLI.baseline_path})",
-    )
+    for flag, default, metavar, text in _RESIL_OPTIONS:
+        values = default if isinstance(default, tuple) else (default,)
+        shown = " ".join(v if isinstance(v, str) else f"{v:g}" for v in values)
+        parser.add_argument(
+            flag,
+            nargs="+" if isinstance(default, tuple) else None,
+            type=type(values[0]),
+            default=list(default) if isinstance(default, tuple) else default,
+            metavar=metavar,
+            help=f"{text} (default: {shown})",
+        )
     parser.add_argument(
         "--skip-baseline",
         action="store_true",
@@ -656,7 +635,13 @@ def _resil_arguments(parser, command: str) -> None:
 RESIL_CLI = GateCli(
     name="resil",
     module="repro.serve.resilience",
-    ledger_noun="resilience",
+    ledger=Ledger(
+        noun="resilience",
+        what="resilience baseline",
+        family="points",
+        hint="repro resil record",
+        kind="resilience-baseline",
+    ),
     baseline_path="baselines/resilience.json",
     history_path="baselines/resilience-history.jsonl",
     help="fault-tolerant sharded serving: record, gate, and render "

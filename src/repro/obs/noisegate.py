@@ -48,7 +48,6 @@ from repro.obs.runident import run_identity
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "WORKLOAD_SHAPES",
     "PRED_TOLERANCE_BITS",
     "MEAS_TOLERANCE_BITS",
@@ -60,14 +59,12 @@ __all__ = [
     "check_noise_runs",
 ]
 
-#: Version stamped into every noise-run document / baseline.
-SCHEMA_VERSION = 1
-
-#: Where ``repro noise record`` writes the calibration baseline.
-DEFAULT_BASELINE_PATH = "baselines/noise.json"
-
-#: Where recorded noise runs accumulate (one JSON line each).
-DEFAULT_HISTORY_PATH = "baselines/noise-history.jsonl"
+#: The calibration baseline and run-history format (``repro noise``),
+#: the version stamped into every document, and where ``repro noise
+#: record`` writes the baseline.
+LEDGER = gate.NOISE_CLI.ledger
+SCHEMA_VERSION = LEDGER.schema
+DEFAULT_BASELINE_PATH = gate.NOISE_CLI.baseline_path
 
 #: The paper's workload shapes, as scripted noise trajectories.
 WORKLOAD_SHAPES = ("mean", "variance", "linreg")
@@ -196,15 +193,6 @@ def capture_noise_run(
 
 # -- persistence ------------------------------------------------------------
 
-#: The calibration baseline and run-history format (``repro noise``).
-LEDGER = gate.Ledger(
-    noun="noise",
-    what="noise baseline",
-    family="levels",
-    hint="repro noise record",
-    schema=SCHEMA_VERSION,
-)
-
 #: Read and schema-validate a noise run / calibration baseline.
 read_noise_run = LEDGER.read
 
@@ -299,10 +287,7 @@ def _recorded(doc: dict) -> str:
 
 
 GATE = gate.Gate(
-    name="noise",
-    ledger=LEDGER,
-    baseline_path=DEFAULT_BASELINE_PATH,
-    history_path=DEFAULT_HISTORY_PATH,
+    cli=gate.NOISE_CLI,
     title="noise check — current trajectories vs calibration baseline",
     noun="trajectories",
     order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.NOISE_DRIFT),

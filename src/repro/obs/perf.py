@@ -259,10 +259,7 @@ def render_diff(run_a: dict, run_b: dict, top_k: int = 10) -> str:
 
 
 GATE = gate.Gate(
-    name="perf",
-    ledger=bl.LEDGER,
-    baseline_path=bl.DEFAULT_BASELINE_PATH,
-    history_path=bl.DEFAULT_HISTORY_PATH,
+    cli=gate.PERF_CLI,
     title="perf check — current run vs baseline",
     noun="experiments",
     order=(

@@ -81,10 +81,6 @@ __all__ = [
     "LEDGER",
     "GATE",
     "DEFAULT_RESIL_BASELINE_PATH",
-    "DEFAULT_RESIL_HISTORY_PATH",
-    "DEFAULT_RESIL_SEEDS",
-    "DEFAULT_SHARD_COUNTS",
-    "DEFAULT_RESIL_QPS",
     "BreakerSpec",
     "CircuitBreaker",
     "ResilienceSpec",
@@ -103,26 +99,13 @@ BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
 
-#: Where ``repro resil record`` writes the committed gate baseline.
-DEFAULT_RESIL_BASELINE_PATH = "baselines/resilience.json"
+#: The resilience baseline and run-history format (``repro resil``),
+#: and where ``repro resil record`` writes the committed gate baseline.
+LEDGER = gate.RESIL_CLI.ledger
+DEFAULT_RESIL_BASELINE_PATH = gate.RESIL_CLI.baseline_path
 
-#: Where every recorded resilience run is appended, one JSON per line.
-DEFAULT_RESIL_HISTORY_PATH = "baselines/resilience-history.jsonl"
-
-#: Fault seeds swept by the default RESILIENCE gate grid (matches the
-#: CI chaos matrix).
-DEFAULT_RESIL_SEEDS = (1, 7)
-
-#: Shard counts swept by default: unsharded vs the reference partition.
-DEFAULT_SHARD_COUNTS = (1, 4)
-
-#: Offered-QPS grid swept by default (requests/s). The top of the grid
-#: straddles the degraded-fleet saturation knee at vec_add@54: under
-#: one dead shard's ranks the unsharded model breaches p99 at 144k
-#: (every request pays the global slowdown) while the 4-shard fleet
-#: routes around the casualty and sustains 144k, hedging stragglers
-#: at 176k.
-DEFAULT_RESIL_QPS = (2000.0, 96000.0, 144000.0, 176000.0)
+#: The default RESILIENCE grid and policy, shared with ``repro resil``.
+_DEFAULTS = gate.RESIL_DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -130,11 +113,11 @@ class BreakerSpec:
     """Parameters of one shard's circuit breaker."""
 
     #: Consecutive failed dispatches that trip the breaker open.
-    failure_threshold: int = 3
+    failure_threshold: int = _DEFAULTS["breaker_threshold"]
 
     #: Modelled seconds the breaker stays open before admitting one
     #: half-open trial dispatch.
-    cooldown_s: float = 25e-3
+    cooldown_s: float = _DEFAULTS["breaker_cooldown_ms"] * 1e-3
 
     def __post_init__(self):
         if self.failure_threshold < 1:
@@ -875,18 +858,18 @@ def _point_scalars(result: ResilienceResult) -> dict:
 
 
 def capture_resilience_run(
-    workload: str = "vec_add",
-    security_bits: int = 54,
-    seeds=DEFAULT_RESIL_SEEDS,
-    shard_counts=DEFAULT_SHARD_COUNTS,
-    qps_grid=DEFAULT_RESIL_QPS,
-    duration_s: float = 0.1,
+    workload: str = _DEFAULTS["workload"],
+    security_bits: int = _DEFAULTS["security"],
+    seeds=_DEFAULTS["seeds"],
+    shard_counts=_DEFAULTS["shards"],
+    qps_grid=_DEFAULTS["qps"],
+    duration_s: float = _DEFAULTS["duration"],
     ops_per_request: int = 64,
     max_batch: int = 64,
     max_wait_s: float = 2e-3,
     breaker: BreakerSpec = BreakerSpec(),
-    retry_budget: int = 1,
-    hedge_after_s: float | None = 5e-3,
+    retry_budget: int = _DEFAULTS["retry_budget"],
+    hedge_after_s: float | None = _DEFAULTS["hedge_after_ms"] * 1e-3,
     shed_burn_threshold: float | None = None,
     baseline: dict | None = None,
     progress=None,
@@ -974,8 +957,8 @@ def capture_resilience_run(
             }
 
     doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "resilience-baseline",
+        "schema": LEDGER.schema,
+        "kind": LEDGER.kind,
         "workload": workload,
         "security_bits": security_bits,
         "seeds": list(seeds),
@@ -1007,16 +990,6 @@ def capture_resilience_run(
 
 
 # -- persistence -------------------------------------------------------------
-
-#: The resilience baseline and run-history format (``repro resil``).
-LEDGER = gate.Ledger(
-    noun="resilience",
-    what="resilience baseline",
-    family="points",
-    hint="repro resil record",
-    schema=SCHEMA_VERSION,
-    kind="resilience-baseline",
-)
 
 #: Read and schema-validate a resilience document.
 read_resilience_run = LEDGER.read
@@ -1130,7 +1103,7 @@ def _capture(args, progress, **recorded) -> dict:
     """Capture the grid the CLI options name, overridden by ``recorded``."""
     perf_baseline = None
     if not args.skip_baseline and os.path.exists(args.perf_baseline):
-        perf_baseline = gate.PERF_LEDGER.read(args.perf_baseline)
+        perf_baseline = gate.PERF_CLI.ledger.read(args.perf_baseline)
     kwargs = dict(
         workload=args.workload,
         security_bits=args.security,
@@ -1143,11 +1116,7 @@ def _capture(args, progress, **recorded) -> dict:
             cooldown_s=args.breaker_cooldown_ms * 1e-3,
         ),
         retry_budget=args.retry_budget,
-        hedge_after_s=(
-            args.hedge_after_ms * 1e-3
-            if args.hedge_after_ms is not None
-            else None
-        ),
+        hedge_after_s=args.hedge_after_ms * 1e-3,
         baseline=perf_baseline,
         progress=progress,
     )
@@ -1175,10 +1144,7 @@ def _capture_for_check(baseline: dict, args, progress) -> dict:
 
 
 GATE = gate.Gate(
-    name="resil",
-    ledger=LEDGER,
-    baseline_path=DEFAULT_RESIL_BASELINE_PATH,
-    history_path=DEFAULT_RESIL_HISTORY_PATH,
+    cli=gate.RESIL_CLI,
     title="resilience check — current capture vs committed baseline",
     noun="checks",
     order=(gate.VERDICT_OK, gate.VERDICT_NEW, gate.RESILIENCE_DRIFT),

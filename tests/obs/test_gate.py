@@ -12,12 +12,12 @@ from repro.serve import resilience
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
-GATES = {g.name: g for g in (perf.GATE, noisegate.GATE, energy.GATE, resilience.GATE)}
+GATES = {g.cli.name: g for g in (perf.GATE, noisegate.GATE, energy.GATE, resilience.GATE)}
 
 
 @pytest.mark.parametrize("name", sorted(GATES))
 def test_committed_ledgers_round_trip_byte_identically(name, tmp_path):
-    spec = GATES[name]
+    spec = GATES[name].cli
     committed = REPO / spec.baseline_path
     copy = tmp_path / committed.name
     spec.ledger.write(spec.ledger.read(committed), copy)
